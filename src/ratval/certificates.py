@@ -574,12 +574,15 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
 
     With gamma_i = i + 1/n_i for indices n_i > 1 coprime to p and
     strictly increasing, the partial sums b_i of sum p^(gamma_i) form a
-    Cauchy sequence whose increments are strongly homogeneous with
-    ramification indices n_i; any z with v(z - b_depth) > gamma_depth
-    has degree at least lcm(n_1..n_depth) over the p-adic base, by the
-    fundamental inequality applied to the value-group index.  The
-    pseudo-Cauchy variant with gamma_i = 1 - 1/n_i (bounded above,
-    no limit in a spherically incomplete field) is emitted alongside.
+    Cauchy sequence whose increments are strongly homogeneous, the i-th
+    with ramification index lcm(n_1..n_i)/lcm(n_1..n_(i-1)) (n_i for
+    pairwise coprime indices; an index dividing the lcm of the earlier
+    ones adds none and is rejected).  Any z with v(z - b_depth) >
+    gamma_depth has degree at least lcm(n_1..n_depth) over the p-adic
+    base, by the fundamental inequality applied to the value-group
+    index.  The pseudo-Cauchy variant with gamma_i = 1 - 1/n_i (bounded
+    above, no limit in a spherically incomplete field) is emitted
+    alongside.
     """
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
@@ -595,6 +598,9 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
             )
         if i >= 2 and indices[i - 2] >= nv:
             raise PreconditionError(f"indices must be strictly increasing (position {i})")
+        if math.lcm(*indices[:i - 1]) % nv == 0:
+            raise PreconditionError(f"index n_{i} = {nv} divides lcm(n_1..n_{i - 1}): "
+                                    f"its increment adds no ramification")
     if depth is None:
         depth = len(indices)
     if not 1 <= depth <= len(indices):
@@ -602,20 +608,21 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
     coeffs = FiniteField(p)
     state = TowerState(Subgroup.generated_by(1), 1, p)
     gammas = [Fraction(i) + Fraction(1, nv) for i, nv in enumerate(indices[:depth], start=1)]
+    prefix_bounds = [math.lcm(*indices[:k]) for k in range(1, depth + 1)]
     increments = []
-    for i, (nv, g) in enumerate(zip(indices, gammas), start=1):
+    for i, (g, lcm_i) in enumerate(zip(gammas, prefix_bounds), start=1):
+        e_i = lcm_i // math.lcm(*indices[:i - 1])
         mono = HahnSeries.monomial(coeffs, g, 1)
         witness = strongly_homogeneous_test(mono, state)
-        if not witness.ok or witness.e != nv:
+        if not witness.ok or witness.e != e_i:
             raise AssertionError(
-                f"internal error: increment {i} not strongly homogeneous with e = {nv}"
+                f"internal error: increment {i} not strongly homogeneous with e = {e_i}"
             )
         increments.append(
             {"i": i, "gamma": str(g), "e": witness.e, "f": witness.f, "coprime_ok": True}
         )
         state = state.extended(GroupElement.of(g), coeffs.one())
-    bound = math.lcm(*indices[:depth])
-    prefix_bounds = [math.lcm(*indices[:k]) for k in range(1, depth + 1)]
+    bound = prefix_bounds[-1]
     big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
     index = big.index_over(Subgroup.generated_by(1))
     if index != bound:

@@ -40,12 +40,6 @@ from .valuations import (
     substitution_value,
 )
 
-KNOWN_TASKS = (
-    "eval", "classify", "extract", "piltant", "defect-tower",
-    "degree-bound", "extension-step", "recheck",
-)
-
-
 def _dump(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -243,9 +237,9 @@ def _cmd_run(args) -> int:
     if not isinstance(job, dict):
         raise SchemaError("job file must contain a JSON object")
     task = job.get("task")
-    if task not in KNOWN_TASKS:
+    if not isinstance(task, str) or task not in _TASKS:
         raise SchemaError(
-            f"unknown task {task!r}; known tasks: {', '.join(KNOWN_TASKS)}"
+            f"unknown task {task!r}; known tasks: {', '.join(_TASKS)}"
         )
     report = _TASKS[task](job, args.depth)
     _emit(report, job, args)

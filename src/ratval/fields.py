@@ -449,18 +449,6 @@ def build_extension(base: Field, poly) -> tuple[FiniteField, "object"]:
     return ext, embed
 
 
-def find_root(poly: tuple[int, ...], field: FiniteField) -> FieldElement | None:
-    """A root in `field` of a polynomial over F_p, by exhaustive scan."""
-    coeffs = [field.element(int(c)) for c in poly]
-    for x in field.elements():
-        acc = field.zero()
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        if acc.is_zero():
-            return x
-    return None
-
-
 # ---------------------------------------------------------------------------
 # rational functions in one tagged transcendental generator
 
@@ -471,7 +459,25 @@ def _fstrip(cs: list[FieldElement]) -> tuple[FieldElement, ...]:
     return tuple(cs[:n])
 
 
+# _fadd/_fmul: the one polynomial sum and product over a coefficient field, shared
+# by FunctionField and valuations.RatFunc; int kernels over F_p, else FieldElements.
+
+def _on_ints(kernel, a, b, f: FiniteField) -> tuple[FieldElement, ...]:
+    """`kernel` on the int coefficients of a and b over the prime field
+    f; the elements are immutable, so one is made per output value."""
+    for c in (*a, *b):
+        if c.field is not f and c.field != f:
+            raise PreconditionError("descriptor mismatch between field elements")
+    made: dict[int, FieldElement] = {}
+    return tuple(made[c] if c in made else made.setdefault(c, FieldElement(f, (c,)))
+                 for c in kernel([c.value[0] for c in a], [c.value[0] for c in b],
+                                 f.characteristic))
+
+
 def _fadd(a, b, zero):
+    f = zero.field
+    if isinstance(f, FiniteField) and not f.modulus:
+        return _on_ints(_padd, a, b, f)
     n = max(len(a), len(b))
     return _fstrip([(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
                     for i in range(n)])
@@ -480,6 +486,9 @@ def _fadd(a, b, zero):
 def _fmul(a, b, zero):
     if not a or not b:
         return ()
+    f = zero.field
+    if isinstance(f, FiniteField) and not f.modulus:
+        return _on_ints(_pmul, a, b, f)
     out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -517,7 +526,9 @@ class FunctionField:
 
     This is the symbolic residue field Kv(y) of residue-transcendental
     valuations: arithmetic is exact on num/den pairs, kept in canonical
-    form (gcd-reduced, monic denominator).
+    form (gcd-reduced, monic denominator).  Products and sums of the
+    num/den polynomials are the shared _fmul/_fadd, which work on ints
+    over a prime field F_p.
     """
 
     def __init__(self, base: Field, gen_name: str = "y"):

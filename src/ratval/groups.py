@@ -299,10 +299,6 @@ class Subgroup:
             return None
         return coords
 
-    def in_rational_span(self, g: GroupElement) -> bool:
-        self._check_ambient(g)
-        return self._rational_coords(g) is not None
-
     def torsion_order(self, g: GroupElement, bound: int | None = None) -> int | None:
         """Least e >= 1 with e*g in the subgroup, or None if non-torsion.
 

@@ -25,6 +25,8 @@ from .fields import (
     FiniteField,
     FunctionField,
     FunctionFieldElement,
+    _fadd,
+    _fmul,
 )
 from .groups import GroupElement, Subgroup
 from .series import HahnSeries
@@ -189,6 +191,8 @@ class RatFunc:
 
     Dense num/den coefficient tuples; arithmetic is exact and the t-adic
     value (order of vanishing at t = 0) is read off the trailing terms.
+    Products and sums are the fields._fmul/_fadd shared with FunctionField
+    (on ints over a prime field F_p); no common factors are cancelled.
     """
 
     __slots__ = ("field", "num", "den")
@@ -217,29 +221,13 @@ class RatFunc:
             return other
         return RatFunc(self.field, [other])
 
-    def _mul_lists(self, a, b):
-        if not a or not b:
-            return ()
-        zero = self.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return tuple(out)
-
-    def _add_lists(self, a, b):
-        zero = self.field.zero()
-        n = max(len(a), len(b))
-        return tuple(
-            (a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero) for i in range(n)
-        )
-
     def __add__(self, other):
         other = self._coerce(other)
+        zero = self.field.zero()
         return RatFunc(
             self.field,
-            self._add_lists(self._mul_lists(self.num, other.den), self._mul_lists(other.num, self.den)),
-            self._mul_lists(self.den, other.den),
+            _fadd(_fmul(self.num, other.den, zero), _fmul(other.num, self.den, zero), zero),
+            _fmul(self.den, other.den, zero),
         )
 
     __radd__ = __add__
@@ -256,8 +244,8 @@ class RatFunc:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RatFunc(self.field, self._mul_lists(self.num, other.num),
-                       self._mul_lists(self.den, other.den))
+        zero = self.field.zero()
+        return RatFunc(self.field, _fmul(self.num, other.num, zero), _fmul(self.den, other.den, zero))
 
     __rmul__ = __mul__
 
@@ -265,8 +253,8 @@ class RatFunc:
         other = self._coerce(other)
         if other.is_zero():
             raise PreconditionError("division by zero")
-        return RatFunc(self.field, self._mul_lists(self.num, other.den),
-                       self._mul_lists(self.den, other.num))
+        zero = self.field.zero()
+        return RatFunc(self.field, _fmul(self.num, other.den, zero), _fmul(self.den, other.num, zero))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -283,7 +271,8 @@ class RatFunc:
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self._mul_lists(self.num, other.den) == self._mul_lists(other.num, self.den)
+        zero = self.field.zero()
+        return _fmul(self.num, other.den, zero) == _fmul(other.num, self.den, zero)
 
     def _trail(self, cs) -> int:
         for i, c in enumerate(cs):

@@ -296,6 +296,18 @@ class TestDegreeBound:
         assert "n_2 = 4" in str(err.value)
         assert "coprime" in str(err.value)
 
+    def test_indices_not_pairwise_coprime(self):
+        # increment e_i is lcm(n_1..n_i)/lcm(n_1..n_(i-1)): 3, 5, 3
+        cert = build_degree_bound(2, [3, 5, 9])
+        assert cert.payload["bound"] == 45
+        assert [inc["e"] for inc in cert.payload["increments"]] == [3, 5, 3]
+        assert validate_certificate(cert).ok
+
+    def test_index_adding_no_ramification_rejected(self):
+        with pytest.raises(PreconditionError) as err:
+            build_degree_bound(7, [6, 10, 15])
+        assert "n_3 = 15" in str(err.value)
+
     def test_single_kummer_step(self):
         cert = build_degree_bound(3, [2], 1)
         assert cert.payload["bound"] == 2

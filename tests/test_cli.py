@@ -81,6 +81,25 @@ class TestRunCertificates:
         report = json.loads(out)
         assert "n_2 = 4" in report["error"]["message"]
 
+    def test_degree_bound_not_pairwise_coprime(self, tmp_path, capsys):
+        job = {"task": "degree-bound", "p": 2, "n": [3, 5, 9],
+               "output": str(tmp_path / "db.json")}
+        code, _, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 0
+        assert json.loads((tmp_path / "db.json").read_text())["certificate"]["bound"] == 45
+        code2, out2, _ = run_cli(["recheck", str(tmp_path / "db.json")], capsys)
+        assert code2 == 0
+        assert json.loads(out2)["ok"] is True
+
+    def test_degree_bound_redundant_index_exit_1(self, tmp_path, capsys):
+        job = {"task": "degree-bound", "p": 7, "n": [6, 10, 15]}
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"]["type"] == "PreconditionError"
+        assert "n_3 = 15" in report["error"]["message"]
+        assert "Traceback" not in err
+
     def test_extension_step_task(self, tmp_path, capsys):
         job = {
             "task": "extension-step",
@@ -152,6 +171,11 @@ class TestErrors:
         code, _, err = run_cli(["run", write_job(tmp_path, "job.json", {"task": "nope"})], capsys)
         assert code == 2
         assert "unknown task" in err
+
+    def test_unhashable_task_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(["run", write_job(tmp_path, "job.json", {"task": ["eval"]})], capsys)
+        assert code == 2
+        assert "unknown task ['eval']; known tasks: eval, classify, extract, piltant" in err
 
     def test_bad_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -7,6 +7,8 @@ from ratval.fields import (
     RATIONALS,
     FiniteField,
     FunctionField,
+    _fadd,
+    _fmul,
     build_extension,
     is_irreducible,
     min_poly,
@@ -178,3 +180,63 @@ class TestMinPolyDegree:
         f16 = FiniteField(2, (1, 1, 0, 0, 1))
         degrees = sorted({min_poly_degree(x) for x in f16.elements()})
         assert degrees == [1, 2, 4]
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def _schoolbook_mul(a, b, zero):
+    out = [zero] * max(0, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return _strip(out)
+
+
+def _schoolbook_add(a, b, zero):
+    n = max(len(a), len(b))
+    return _strip([(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
+                   for i in range(n)])
+
+
+class TestPrimeFieldKernel:
+    """The int path of the shared polynomial product and sum over F_p
+    against a FieldElement schoolbook written here."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_random_against_schoolbook(self, p):
+        field = FiniteField(p)
+        zero = field.zero()
+        rng = random.Random(p)
+        for _ in range(300):
+            a, b = ([field.element(rng.randrange(p)) for _ in range(rng.randint(0, 6))]
+                    for _ in range(2))
+            prod, total = _fmul(a, b, zero), _fadd(a, b, zero)
+            assert prod == _schoolbook_mul(a, b, zero)
+            assert total == _schoolbook_add(a, b, zero)
+            for c in prod + total:
+                assert c.field == field and len(c.value) == 1 and 0 <= c.value[0] < p
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_empty_and_cancelling_inputs(self, p):
+        field = FiniteField(p)
+        zero = field.zero()
+        a = tuple(field.element(c) for c in (1, 0, 1, 1))
+        neg_a = tuple(-c for c in a)
+        assert _fmul((), a, zero) == _fmul(a, (), zero) == ()
+        assert _fadd((), (), zero) == ()
+        assert _fadd(a, (), zero) == _fadd((), a, zero) == a
+        assert _fadd(a, neg_a, zero) == ()
+        # the leading terms cancel: (1 + y^2 + y^3) + (1 + y - y^3) = 2 + y + y^2
+        b = tuple(field.element(c) for c in (1, 1, 0, -1))
+        assert _fadd(a, b, zero) == tuple(field.element(c) for c in (2, 1, 1))
+
+    def test_descriptor_mismatch(self):
+        with pytest.raises(PreconditionError):
+            _fmul((F5.one(),), (FiniteField(7).one(),), F5.zero())
+        with pytest.raises(PreconditionError):
+            _fadd((F2.one(),), (F4.one(),), F2.zero())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ratval.errors import PreconditionError
-from ratval.fields import FiniteField, FunctionFieldElement
+from ratval.fields import RATIONALS, FiniteField, FunctionFieldElement
 from ratval.groups import GroupElement
 from ratval.series import HahnSeries
 from ratval.valuations import (
@@ -26,6 +26,7 @@ from ratval.valuations import (
 )
 
 F2 = FiniteField(2)
+F4 = FiniteField(2, (1, 1, 1))
 Q3 = PAdicRationals(3)
 T2 = TAdicRationalFunctions(F2)
 TRIV2 = TriviallyValued(F2)
@@ -161,6 +162,37 @@ class TestSubstitutionOracle:
             num, den = rand_poly(T2, rng, 3), rand_poly(T2, rng, 3)
             direct = w.of_fraction(RationalFunction(tuple(num), tuple(den)))
             assert substitution_value(w, num, den) == direct
+
+
+class TestTAdicProductOfLinears:
+    """g = prod (x - b_j) over k(t) with b_j = a + u_j t^(k_j), and one
+    b_j = a, so v(g) = sum min(gamma, v_t(a - b_j)) by construction.
+    Prime fields run the int path of the shared polynomial product,
+    F_4 and Q the FieldElement path."""
+
+    @pytest.mark.parametrize("coeffs, units", [
+        (FiniteField(2), [1, 1, 1]),
+        (FiniteField(3), [1, 2, 2]),
+        (FiniteField(5), [3, 1, 4]),
+        (F4, [F4.gen(), F4.gen() + F4.one(), F4.one()]),
+        (RATIONALS, [Fraction(2), Fraction(-1), Fraction(1, 3)]),
+    ], ids=["F2", "F3", "F5", "F4", "Q"])
+    def test_of_poly_oracle_and_construction_agree(self, coeffs, units):
+        base = TAdicRationalFunctions(coeffs)
+        zero, one = coeffs.zero(), coeffs.one()
+        center = RatFunc(coeffs, [one, one], [one, zero, one, one])
+        gamma = Fraction(3, 2)
+        roots, expected = [center], gamma
+        for k, u in enumerate(units):
+            roots.append(center + RatFunc(coeffs, [zero] * k + [coeffs.element(u)]))
+            expected += min(gamma, k)
+        assert expected == 4
+        g = [base.one()]
+        for b in roots:
+            g = poly_mul(g, [-b, base.one()], base)
+        assert len(g) == 5
+        w = CenteredValuation(base, center, GroupElement.of(gamma))
+        assert w.of_poly(g) == substitution_value(w, g) == GroupElement.of(expected)
 
 
 class TestValueGroupStructure:
