@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .fields import Field, FiniteField
+from .fields import Field, FiniteField, is_prime
 from .groups import GroupElement, Subgroup
 from .homogeneous import (
     TowerState,
@@ -49,10 +49,6 @@ __all__ = [
 ]
 
 CERTIFICATE_VERSION = 1
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
     Artin-Schreier tower eta_i (roots of X^p - X - eta_(i-1) above
     eta_0 = 1/x) is built alongside with v(eta_i) = -1/p^i.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     n = len(schedule)
     if n < 2:
@@ -289,7 +285,7 @@ class ExtensionTower:
     @staticmethod
     def over(p: int, value_gens=(1,), residue_degree: int = 1,
              coefficient_field: Field | None = None) -> "ExtensionTower":
-        if not _is_prime(p):
+        if not is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         field = coefficient_field if coefficient_field is not None else FiniteField(p)
         gens = tuple(GroupElement.of(g) for g in value_gens)
@@ -340,7 +336,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
             )
         if e == 1:
             raise PreconditionError(f"kummer step: {step.alpha} already lies in the value group")
-        if not _is_prime(e) and math.gcd(e, p) != 1:
+        if not is_prime(e) and math.gcd(e, p) != 1:
             raise PreconditionError(
                 f"kummer step: torsion order {e} is neither prime nor coprime "
                 f"to the residue characteristic {p}"
@@ -584,7 +580,7 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
     above, no limit in a spherically incomplete field) is emitted
     alongside.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     if not indices:
         raise PreconditionError("at least one index is required")
@@ -746,7 +742,7 @@ def _validate_defect_tower(payload: dict, findings: list[str]) -> None:
     mults = payload.get("multipliers", [-1] * n)
     default_shape = all(m == -1 for m in mults)
     exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
-    if not _is_prime(p):
+    if not is_prime(p):
         findings.append(f"p = {p} is not prime")
         return
     if any(math.gcd(abs(m), p) != 1 for m in mults):
@@ -849,7 +845,7 @@ def _validate_degree_bound(payload: dict, findings: list[str]) -> None:
     p = payload["p"]
     indices = payload["indices"]
     depth = payload["depth"]
-    if not _is_prime(p):
+    if not is_prime(p):
         findings.append(f"p = {p} is not prime")
         return
     if depth != len(indices) or depth != len(payload["exponents"]):

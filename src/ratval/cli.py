@@ -165,6 +165,11 @@ def _task_recheck(job: dict, depth: int | None) -> dict:
     else:
         path = _require(job, "certificate")
         data = _load_json(path)
+    return _recheck_report(data)
+
+
+def _recheck_report(data) -> dict:
+    """Validate a certificate, or a report that holds one under "certificate"."""
     if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]
     result = validate_certificate(data)
@@ -249,16 +254,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_recheck(args) -> int:
-    data = _load_json(args.certificate)
-    if isinstance(data, dict) and "certificate" in data:
-        data = data["certificate"]
-    result = validate_certificate(data)
-    report = {"task": "recheck", "ok": result.ok, "findings": list(result.findings)}
+    report = _recheck_report(_load_json(args.certificate))
     if getattr(args, "text", False):
         sys.stdout.write(_text_summary(report))
     else:
         sys.stdout.write(_dump(report))
-    return 0 if result.ok else 1
+    return 0 if report["ok"] else 1
 
 
 def _cmd_selftest(args) -> int:

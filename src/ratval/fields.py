@@ -6,14 +6,17 @@ F_{p^n} represented as F_p[X] modulo a stored irreducible polynomial
 Elements are canonical: reduced fractions over Q, coefficient tuples of
 degree < deg(modulus) over F_{p^n}.
 
-Residue fields of residue-transcendental valuations are rational
-function fields in one tagged transcendental generator over such a
-field; see FunctionField.
+Rational function fields k(y) in one tagged transcendental generator
+over such a field are the FunctionField type, kept gcd-reduced with a
+monic denominator.  The one type serves both the t-adic base field k(t)
+of the valuations module and the residue fields k(y) of
+residue-transcendental valuations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,6 +95,32 @@ def _pmonic(a, p):
         return a
     inv = pow(a[-1], -1, p)
     return tuple((c * inv) % p for c in a)
+
+
+def _pgcd(a, b, p):
+    """Monic gcd over F_p[X] of stripped a and b; () when both are zero."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmonic(a, p)
+
+
+def _preduce(num, den, p):
+    """num/den over F_p[X] in lowest terms with a monic denominator."""
+    if not num:
+        return (), (1,)
+    if len(den) > 1:
+        g = _pgcd(num, den, p)
+        if len(g) > 1:
+            num, den = _pdivmod(num, g, p)[0], _pdivmod(den, g, p)[0]
+    inv = pow(den[-1], -1, p)
+    if inv != 1:
+        num, den = tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
+    return num, den
+
+
+def is_prime(n: int) -> bool:
+    """Trial division up to isqrt(n), exact for ints of any size."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -186,7 +215,7 @@ class FiniteField(Field):
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...] = ()):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise PreconditionError(f"characteristic {p} is not prime")
         modulus = _pstrip([c % p for c in modulus])
         if modulus:
@@ -459,25 +488,31 @@ def _fstrip(cs: list[FieldElement]) -> tuple[FieldElement, ...]:
     return tuple(cs[:n])
 
 
-# _fadd/_fmul: the one polynomial sum and product over a coefficient field, shared
-# by FunctionField and valuations.RatFunc; int kernels over F_p, else FieldElements.
+def _is_prime_field(f: Field) -> bool:
+    return isinstance(f, FiniteField) and not f.modulus
 
-def _on_ints(kernel, a, b, f: FiniteField) -> tuple[FieldElement, ...]:
-    """`kernel` on the int coefficients of a and b over the prime field
-    f; the elements are immutable, so one is made per output value."""
-    for c in (*a, *b):
-        if c.field is not f and c.field != f:
-            raise PreconditionError("descriptor mismatch between field elements")
+
+def _ints(f: FiniteField, *polys) -> list[list[int]]:
+    """The int coefficients of polynomials over the prime field f."""
+    for a in polys:
+        for c in a:
+            if c.field is not f and c.field != f:
+                raise PreconditionError("descriptor mismatch between field elements")
+    return [[c.value[0] for c in a] for a in polys]
+
+
+def _elements(f: FiniteField, *polys) -> list[tuple[FieldElement, ...]]:
+    """Polynomials over the prime field f from int coefficients; the
+    elements are immutable, so one is made per distinct value."""
     made: dict[int, FieldElement] = {}
-    return tuple(made[c] if c in made else made.setdefault(c, FieldElement(f, (c,)))
-                 for c in kernel([c.value[0] for c in a], [c.value[0] for c in b],
-                                 f.characteristic))
+    return [tuple(made[c] if c in made else made.setdefault(c, FieldElement(f, (c,)))
+                  for c in a) for a in polys]
 
+
+# _fadd/_fmul/_fdivmod/_fgcd: FieldElement loops, the polynomial arithmetic of
+# FunctionField over Q and F_{p^n}; over F_p it runs the int kernels _p*.
 
 def _fadd(a, b, zero):
-    f = zero.field
-    if isinstance(f, FiniteField) and not f.modulus:
-        return _on_ints(_padd, a, b, f)
     n = max(len(a), len(b))
     return _fstrip([(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
                     for i in range(n)])
@@ -486,9 +521,6 @@ def _fadd(a, b, zero):
 def _fmul(a, b, zero):
     if not a or not b:
         return ()
-    f = zero.field
-    if isinstance(f, FiniteField) and not f.modulus:
-        return _on_ints(_pmul, a, b, f)
     out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -524,11 +556,13 @@ def _fgcd(a, b, zero):
 class FunctionField:
     """Rational functions over a coefficient field in one tagged generator.
 
-    This is the symbolic residue field Kv(y) of residue-transcendental
-    valuations: arithmetic is exact on num/den pairs, kept in canonical
-    form (gcd-reduced, monic denominator).  Products and sums of the
-    num/den polynomials are the shared _fmul/_fadd, which work on ints
-    over a prime field F_p.
+    This is the one rational function type of the library: the t-adic
+    base field k(t) of valuations.TAdicRationalFunctions, and the
+    symbolic residue field Kv(y) of residue-transcendental valuations.
+    Elements are num/den pairs in canonical form (gcd-reduced, monic
+    denominator), so equal functions are equal as dataclasses.  Over a
+    prime field F_p sums, products and the reduction run on int lists
+    (_padd, _pmul, _pgcd, _pdivmod); over Q and F_{p^n} on FieldElements.
     """
 
     def __init__(self, base: Field, gen_name: str = "y"):
@@ -536,22 +570,35 @@ class FunctionField:
         self.gen_name = gen_name
 
     def element(self, num, den=None) -> "FunctionFieldElement":
-        zero = self.base.zero()
-        num = _fstrip([self.base.element(c) if not isinstance(c, FieldElement) else c
-                       for c in num])
-        den = _fstrip([self.base.element(c) if not isinstance(c, FieldElement) else c
-                       for c in (den if den is not None else [self.base.one()])])
+        base = self.base
+        num = [c if isinstance(c, FieldElement) else base.element(c) for c in num]
+        den = ([c if isinstance(c, FieldElement) else base.element(c) for c in den]
+               if den is not None else [base.one()])
+        if _is_prime_field(base):
+            return self._from_ints(*_ints(base, num, den))
+        zero, one = base.zero(), base.one()
+        num, den = _fstrip(num), _fstrip(den)
         if not den:
             raise PreconditionError("zero denominator")
-        g = _fgcd(num, den, zero)
-        if len(g) > 1 or (g and not (g[0] == self.base.one())):
-            num = _fdivmod(num, g, zero)[0]
-            den = _fdivmod(den, g, zero)[0]
-        if den and den[-1] != self.base.one():
+        if not num:
+            den = (one,)
+        elif len(den) > 1:
+            g = _fgcd(num, den, zero)
+            if len(g) > 1:
+                num, den = _fdivmod(num, g, zero)[0], _fdivmod(den, g, zero)[0]
+        if den[-1] != one:
             inv = den[-1].inverse()
             num = tuple(c * inv for c in num)
             den = tuple(c * inv for c in den)
         return FunctionFieldElement(self, num, den)
+
+    def _from_ints(self, num, den) -> "FunctionFieldElement":
+        """num/den from int coefficient lists over the prime field."""
+        num, den = _pstrip(num), _pstrip(den)
+        if not den:
+            raise PreconditionError("zero denominator")
+        return FunctionFieldElement(
+            self, *_elements(self.base, *_preduce(num, den, self.base.characteristic)))
 
     def from_laurent(self, coeffs: dict[int, FieldElement]) -> "FunctionFieldElement":
         """Element from a Laurent-monomial dict {power: coefficient}."""
@@ -607,11 +654,26 @@ class FunctionFieldElement:
             return other
         return self.field.element([other])
 
+    def _combine(self, c, d, add: bool) -> "FunctionFieldElement":
+        """self + c/d if `add`, else self * c/d, for num/den polynomials c
+        and d over the base field; over F_p on ints, unwrapped and wrapped
+        once."""
+        field, base = self.field, self.field.base
+        a, b = self.num, self.den
+        if _is_prime_field(base):
+            a, b, c, d = ([e.value[0] for e in x] for x in (a, b, c, d))
+            mul, plus, k, make = _pmul, _padd, base.characteristic, field._from_ints
+        else:
+            mul, plus, k, make = _fmul, _fadd, base.zero(), field.element
+        if add:
+            return make(plus(mul(a, d, k), mul(c, b, k), k), mul(b, d, k))
+        return make(mul(a, c, k), mul(b, d, k))
+
     def __add__(self, other):
         other = self._coerce(other)
-        zero = self.field.base.zero()
-        num = _fadd(_fmul(self.num, other.den, zero), _fmul(other.num, self.den, zero), zero)
-        return self.field.element(num, _fmul(self.den, other.den, zero))
+        return self._combine(other.num, other.den, True)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return FunctionFieldElement(self.field, tuple(-c for c in self.num), self.den)
@@ -621,19 +683,27 @@ class FunctionFieldElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        zero = self.field.base.zero()
-        return self.field.element(
-            _fmul(self.num, other.num, zero), _fmul(self.den, other.den, zero)
-        )
+        return self._combine(other.num, other.den, False)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
             raise PreconditionError("division by zero")
-        zero = self.field.base.zero()
-        return self.field.element(
-            _fmul(self.num, other.den, zero), _fmul(self.den, other.num, zero)
-        )
+        return self._combine(other.den, other.num, False)
+
+    def __pow__(self, n: int):
+        one = self.field.element([self.field.base.one()])
+        if n < 0:
+            return (one / self) ** (-n)
+        result, base = one, self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
 
     def __repr__(self):
         def side(cs):

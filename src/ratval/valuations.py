@@ -11,6 +11,11 @@ An independent substitution oracle evaluates the same valuation by
 expanding g(a + u*s) in a fresh transcendental unit marker u and a
 symbol s of value gamma, then taking the minimum over all monomials;
 valuation independence of the monomials makes that minimum exact.
+
+Rational functions in one variable have one type, fields.FunctionField,
+gcd-reduced with a monic denominator: it is both the t-adic base k(t)
+(generator t) and the residue field Kv(y) of a residue-transcendental
+extension.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from .fields import (
     FiniteField,
     FunctionField,
     FunctionFieldElement,
-    _fadd,
-    _fmul,
+    is_prime,
 )
 from .groups import GroupElement, Subgroup
 from .series import HahnSeries
@@ -58,7 +62,7 @@ VALUATION_ALGEBRAIC = "valuation-algebraic"
 def _is_zero(a) -> bool:
     if isinstance(a, Fraction):
         return a == 0
-    if isinstance(a, (FieldElement, HahnSeries, RatFunc, FunctionFieldElement)):
+    if isinstance(a, (FieldElement, HahnSeries, FunctionFieldElement)):
         return a.is_zero()
     raise TypeError(f"unsupported element type {type(a).__name__}")
 
@@ -126,7 +130,7 @@ class PAdicRationals(ValuedField):
     """Q with the p-adic valuation; elements are exact Fractions."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         self.p = p
         self.residue_field = FiniteField(p)
@@ -186,181 +190,71 @@ class PAdicRationals(ValuedField):
         return f"Q ({self.p}-adic)"
 
 
-class RatFunc:
-    """A rational function in t over an exact coefficient field.
+def RatFunc(field: Field, num, den=None) -> FunctionFieldElement:
+    """The rational function num/den in t over `field`, an element of k(t)."""
+    return FunctionField(field, "t").element(num, den)
 
-    Dense num/den coefficient tuples; arithmetic is exact and the t-adic
-    value (order of vanishing at t = 0) is read off the trailing terms.
-    Products and sums are the fields._fmul/_fadd shared with FunctionField
-    (on ints over a prime field F_p); no common factors are cancelled.
-    """
 
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: Field, num, den=None):
-        def conv(cs):
-            out = [field.element(c) if not isinstance(c, FieldElement) else c for c in cs]
-            n = len(out)
-            while n and out[n - 1].is_zero():
-                n -= 1
-            return tuple(out[:n])
-
-        self.field = field
-        self.num = conv(num)
-        self.den = conv(den if den is not None else [field.one()])
-        if not self.den:
-            raise PreconditionError("zero denominator")
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def _coerce(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            if other.field != self.field:
-                raise PreconditionError("coefficient field mismatch")
-            return other
-        return RatFunc(self.field, [other])
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        zero = self.field.zero()
-        return RatFunc(
-            self.field,
-            _fadd(_fmul(self.num, other.den, zero), _fmul(other.num, self.den, zero), zero),
-            _fmul(self.den, other.den, zero),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.field = self.field
-        out.num = tuple(-c for c in self.num)
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        zero = self.field.zero()
-        return RatFunc(self.field, _fmul(self.num, other.num, zero), _fmul(self.den, other.den, zero))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise PreconditionError("division by zero")
-        zero = self.field.zero()
-        return RatFunc(self.field, _fmul(self.num, other.den, zero), _fmul(self.den, other.num, zero))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (RatFunc(self.field, [self.field.one()]) / self) ** (-n)
-        out = RatFunc(self.field, [self.field.one()])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        zero = self.field.zero()
-        return _fmul(self.num, other.den, zero) == _fmul(other.num, self.den, zero)
-
-    def _trail(self, cs) -> int:
-        for i, c in enumerate(cs):
-            if not c.is_zero():
-                return i
-        raise PreconditionError("zero polynomial has no t-adic order")
-
-    def tadic_val(self) -> Fraction:
-        return Fraction(self._trail(self.num) - self._trail(self.den))
-
-    def tadic_residue(self):
-        i, j = self._trail(self.num), self._trail(self.den)
-        if i != j:
-            raise PreconditionError("residue is defined for elements of value zero")
-        return self.num[i] / self.den[j]
-
-    def to_json(self):
-        return {"num": [c.to_json() for c in self.num], "den": [c.to_json() for c in self.den]}
-
-    def __repr__(self):
-        def side(cs):
-            parts = []
-            for i, c in enumerate(cs):
-                if c.is_zero():
-                    continue
-                if i == 0:
-                    parts.append(repr(c))
-                else:
-                    head = "" if repr(c) == "1" else f"({c!r})*"
-                    parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
-            return " + ".join(parts) if parts else "0"
-
-        if len(self.den) == 1 and self.den[0] == self.field.one():
-            return side(self.num)
-        return f"({side(self.num)})/({side(self.den)})"
+def _tadic_order(cs) -> int:
+    for i, c in enumerate(cs):
+        if not c.is_zero():
+            return i
+    raise PreconditionError("zero polynomial has no t-adic order")
 
 
 class TAdicRationalFunctions(ValuedField):
-    """k(t) with the t-adic valuation, k an exact coefficient field."""
+    """k(t) with the t-adic valuation, k an exact coefficient field.
+
+    Elements are the reduced FunctionField(k, "t") elements, so the value
+    and the residue are read off the trailing terms of num and den.
+    """
 
     def __init__(self, coefficients: Field):
         self.coefficients = coefficients
         self.residue_field = coefficients
+        self.field = FunctionField(coefficients, "t")
 
-    def val(self, a: RatFunc) -> Fraction:
+    def val(self, a: FunctionFieldElement) -> Fraction:
         if a.is_zero():
             raise PreconditionError("the zero element has no value")
-        return a.tadic_val()
+        return Fraction(_tadic_order(a.num) - _tadic_order(a.den))
 
-    def residue(self, a: RatFunc):
-        return a.tadic_residue()
+    def residue(self, a: FunctionFieldElement):
+        i, j = _tadic_order(a.num), _tadic_order(a.den)
+        if i != j:
+            raise PreconditionError("residue is defined for elements of value zero")
+        return a.num[i] / a.den[j]
 
-    def residue_quot(self, a: RatFunc, b: RatFunc):
-        return (a / b).tadic_residue()
+    def residue_quot(self, a: FunctionFieldElement, b: FunctionFieldElement):
+        return self.residue(a / b)
 
     def element_of_value(self, v: Fraction):
         v = Fraction(v)
         if v.denominator != 1:
             raise PreconditionError(f"{v} is not in the value group Z")
-        n = v.numerator
-        one = self.coefficients.one()
-        zero = self.coefficients.zero()
-        if n >= 0:
-            return RatFunc(self.coefficients, [zero] * n + [one])
-        return RatFunc(self.coefficients, [one], [zero] * (-n) + [one])
+        return self.field.gen() ** v.numerator
 
     def value_generators(self):
         return [Fraction(1)]
 
     def zero(self):
-        return RatFunc(self.coefficients, [])
+        return self.field.element([])
 
     def one(self):
-        return RatFunc(self.coefficients, [self.coefficients.one()])
+        return self.field.element([self.coefficients.one()])
 
     def element(self, data):
-        if isinstance(data, RatFunc):
+        if isinstance(data, FunctionFieldElement):
             return data
         if isinstance(data, dict):
-            return RatFunc(self.coefficients, data.get("num", []), data.get("den", None))
-        return RatFunc(self.coefficients, [data])
+            return self.field.element(data.get("num", []), data.get("den", None))
+        return self.field.element([data])
 
     def sample(self, rng):
         deg_n = rng.randrange(0, 3)
         num = [self.coefficients.sample(rng) for _ in range(deg_n + 1)]
         den = [self.coefficients.sample(rng) for _ in range(rng.randrange(0, 2) + 1)]
-        f = RatFunc(self.coefficients, num, den if any(not c.is_zero() for c in den) else None)
-        return f
+        return self.field.element(num, den if any(not c.is_zero() for c in den) else None)
 
     def to_json(self):
         return {"kind": "t-adic", "coefficients": self.coefficients.to_json()}
@@ -639,23 +533,25 @@ class CenteredValuation:
 
     # -- evaluation ---------------------------------------------------------
 
-    def of_poly(self, coeffs: list) -> GroupElement:
-        """min over i of v(c_i) + i*gamma, c_i the Taylor coefficients of
-        the polynomial at the center."""
+    def _shifted(self, coeffs) -> list:
+        """Taylor coefficients at the center of a nonzero polynomial."""
         cs = [self.base.element(c) for c in coeffs]
         while cs and _is_zero(cs[-1]):
             cs.pop()
         if not cs:
             raise PreconditionError("the zero polynomial has no value")
-        shifted = taylor_shift(cs, self.center, self.base.zero())
-        best: GroupElement | None = None
+        return taylor_shift(cs, self.center, self.base.zero())
+
+    def _term_values(self, shifted):
+        """(i, v(c_i) + i*gamma) for each nonzero Taylor coefficient c_i."""
         for i, c in enumerate(shifted):
-            if _is_zero(c):
-                continue
-            v = self.embed_base_value(self.base.val(c)) + self.gamma.scaled(i)
-            if best is None or v < best:
-                best = v
-        return best
+            if not _is_zero(c):
+                yield i, self.embed_base_value(self.base.val(c)) + self.gamma.scaled(i)
+
+    def of_poly(self, coeffs: list) -> GroupElement:
+        """min over i of v(c_i) + i*gamma, c_i the Taylor coefficients of
+        the polynomial at the center."""
+        return min(v for _, v in self._term_values(self._shifted(coeffs)))
 
     def of_fraction(self, f: RationalFunction) -> GroupElement:
         if f.is_zero():
@@ -701,52 +597,32 @@ class CenteredValuation:
                 "value-zero elements already lie in the base residue field, and "
                 "the generator construction does not apply"
             )
-        total = self.of_fraction(f)
+        if f.is_zero():
+            raise PreconditionError("the zero rational function has no value")
+        sh_num, sh_den = self._shifted(f.num), self._shifted(f.den)
+        v_num = min(v for _, v in self._term_values(sh_num))
+        total = v_num - min(v for _, v in self._term_values(sh_den))
         if not total.is_zero():
             raise PreconditionError(f"residue needs value 0, got {total!r}")
         e_gamma = self.gamma.scaled(e)
         d_elt = self.base.element_of_value(-e_gamma.coords[self.base_coord])
         func_field = FunctionField(self.base.residue_field)
 
-        num_cs = [self.base.element(c) for c in f.num]
-        den_cs = [self.base.element(c) for c in f.den]
-        sh_num = taylor_shift(num_cs, self.center, self.base.zero())
-        sh_den = taylor_shift(den_cs, self.center, self.base.zero())
-
-        def min_value(shifted) -> GroupElement:
-            best = None
-            for i, c in enumerate(shifted):
-                if _is_zero(c):
-                    continue
-                v = self.embed_base_value(self.base.val(c)) + self.gamma.scaled(i)
-                if best is None or v < best:
-                    best = v
-            return best
-
-        v_num = min_value(sh_num)
-        j0 = None
-        for j, c in enumerate(sh_den):
-            if _is_zero(c):
-                continue
-            if self.embed_base_value(self.base.val(c)) + self.gamma.scaled(j) == v_num:
-                j0 = j
-                break
+        j0 = next((j for j, v in self._term_values(sh_den) if v == v_num), None)
         if j0 is None:
             raise AssertionError("internal error: denominator does not attain the minimum")
         b0 = sh_den[j0]
 
         def laurent_residues(shifted, vmin) -> dict[int, FieldElement]:
             out: dict[int, FieldElement] = {}
-            for i, c in enumerate(shifted):
-                if _is_zero(c):
-                    continue
-                if self.embed_base_value(self.base.val(c)) + self.gamma.scaled(i) != vmin:
+            for i, v in self._term_values(shifted):
+                if v != vmin:
                     continue
                 k = i - j0
                 if k % e != 0:
                     raise AssertionError("internal error: minimal term outside the e-grading")
                 m = k // e
-                unit_num = c * (d_elt ** (-m))
+                unit_num = shifted[i] * (d_elt ** (-m))
                 kappa = self.base.residue_quot(unit_num, b0)
                 out[m] = out[m] + kappa if m in out else kappa
             return out

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ratval.cli import main
 
 
@@ -80,6 +82,19 @@ class TestRunCertificates:
         assert code == 1
         report = json.loads(out)
         assert "n_2 = 4" in report["error"]["message"]
+
+    @pytest.mark.parametrize("job", [
+        {"task": "degree-bound", "p": 10 ** 400, "n": [3, 5]},
+        {"task": "eval",
+         "valuation": {"kind": "vag", "base": {"kind": "p-adic", "p": 10 ** 400},
+                       "center": "0", "gamma": ["1"]},
+         "eval": {"num": ["1", "1"]}},
+    ], ids=["degree-bound", "p-adic-eval"])
+    def test_prime_beyond_float_range_exit_1(self, tmp_path, capsys, job):
+        code, out, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error == {"type": "PreconditionError", "message": f"{10 ** 400} is not prime"}
 
     def test_degree_bound_not_pairwise_coprime(self, tmp_path, capsys):
         job = {"task": "degree-bound", "p": 2, "n": [3, 5, 9],

@@ -8,7 +8,11 @@ from ratval.fields import (
     FiniteField,
     FunctionField,
     _fadd,
+    _fdivmod,
+    _fgcd,
     _fmul,
+    _pdivmod,
+    _pgcd,
     build_extension,
     is_irreducible,
     min_poly,
@@ -203,9 +207,27 @@ def _schoolbook_add(a, b, zero):
                    for i in range(n)])
 
 
+def _schoolbook_divmod(a, b, zero):
+    a, q = list(a), [zero] * max(0, len(a) - len(b) + 1)
+    while len(_strip(a)) >= len(b):
+        a = list(_strip(a))
+        k = len(a) - len(b)
+        q[k] = a[-1] / b[-1]
+        for j, bj in enumerate(b):
+            a[k + j] = a[k + j] - q[k] * bj
+    return _strip(q), _strip(a)
+
+
+def _schoolbook_gcd(a, b, zero):
+    while b:
+        a, b = b, _schoolbook_divmod(a, b, zero)[1]
+    return tuple(c / a[-1] for c in a)
+
+
 class TestPrimeFieldKernel:
-    """The int path of the shared polynomial product and sum over F_p
-    against a FieldElement schoolbook written here."""
+    """The int kernels over F_p (polynomial product, sum, divmod and gcd,
+    and the reduced FunctionField arithmetic built on them) against a
+    FieldElement schoolbook written here."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     def test_random_against_schoolbook(self, p):
@@ -234,6 +256,55 @@ class TestPrimeFieldKernel:
         # the leading terms cancel: (1 + y^2 + y^3) + (1 + y - y^3) = 2 + y + y^2
         b = tuple(field.element(c) for c in (1, 1, 0, -1))
         assert _fadd(a, b, zero) == tuple(field.element(c) for c in (2, 1, 1))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_divmod_and_gcd_against_schoolbook(self, p):
+        field = FiniteField(p)
+        zero = field.zero()
+        rng = random.Random(100 + p)
+
+        def ints(cs):
+            return tuple(c.value[0] for c in cs)
+
+        for _ in range(300):
+            a, b = (_strip([field.element(rng.randrange(p)) for _ in range(rng.randint(0, 7))])
+                    for _ in range(2))
+            if b:
+                q, r = _schoolbook_divmod(a, b, zero)
+                assert _pdivmod(ints(a), ints(b), p) == (ints(q), ints(r))
+                assert _fdivmod(a, b, zero) == (q, r)
+            if a or b:
+                g = _schoolbook_gcd(a, b, zero)
+                assert _pgcd(ints(a), ints(b), p) == ints(g)
+                assert _fgcd(a, b, zero) == g
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_function_field_canonical_form(self, p):
+        field = FiniteField(p)
+        zero, one = field.zero(), field.one()
+        k = FunctionField(field, "t")
+        rng = random.Random(200 + p)
+
+        def sample():
+            den = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+            den = den if any(den) else [1]
+            return k.element([rng.randrange(p) for _ in range(rng.randint(0, 4))], den)
+
+        for _ in range(200):
+            x, y = sample(), sample()
+            expected = [(x + y, _schoolbook_add(_schoolbook_mul(x.num, y.den, zero),
+                                                _schoolbook_mul(y.num, x.den, zero), zero),
+                         _schoolbook_mul(x.den, y.den, zero)),
+                        (x * y, _schoolbook_mul(x.num, y.num, zero),
+                         _schoolbook_mul(x.den, y.den, zero))]
+            if not y.is_zero():
+                expected.append((x / y, _schoolbook_mul(x.num, y.den, zero),
+                                 _schoolbook_mul(x.den, y.num, zero)))
+            for r, num, den in expected:
+                assert r.den[-1] == one
+                assert _schoolbook_gcd(r.num, r.den, zero) == (one,)
+                assert (_schoolbook_mul(r.num, den, zero)
+                        == _schoolbook_mul(num, r.den, zero))
 
     def test_descriptor_mismatch(self):
         with pytest.raises(PreconditionError):

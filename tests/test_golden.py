@@ -1,0 +1,20 @@
+"""Byte-for-byte reports of the golden jobs in tests/golden/: the six
+README example jobs and two t-adic eval jobs over F_2(t).  The expected
+stdout and exit codes were recorded by tests/golden/make_golden.py."""
+
+import json
+import pathlib
+
+import pytest
+
+from ratval.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_report_is_byte_identical(name, capsys):
+    code = main(["run", str(GOLDEN / f"{name}.json")])
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    assert code == EXIT_CODES[name]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,24 @@ class TestTAdicProductOfLinears:
         w = CenteredValuation(base, center, GroupElement.of(gamma))
         assert w.of_poly(g) == substitution_value(w, g) == GroupElement.of(expected)
 
+    @pytest.mark.parametrize("degree", [8, 12])
+    def test_cost_curve_over_f2(self, degree):
+        """b_0 = a and b_j = a + t^(j-1) with a = (1+t)/(1+t^2+t^3): the
+        coefficients stay gcd-reduced, so of_poly grows polynomially in
+        the degree and fits a fixed time budget."""
+        center = RatFunc(F2, [1, 1], [1, 0, 1, 1])
+        gamma = Fraction(1, 2)
+        roots = [center] + [center + RatFunc(F2, [0] * k + [1]) for k in range(degree - 1)]
+        expected = gamma + sum(min(gamma, k) for k in range(degree - 1))
+        g = [T2.one()]
+        for b in roots:
+            g = poly_mul(g, [-b, T2.one()], T2)
+        w = CenteredValuation(T2, center, GroupElement.of(gamma))
+        t0 = time.perf_counter()
+        value = w.of_poly(g)
+        assert time.perf_counter() - t0 < 0.5
+        assert value == substitution_value(w, g) == GroupElement.of(expected)
+
 
 class TestValueGroupStructure:
     def test_values_lie_in_vk_plus_z_gamma_nontorsion(self):
@@ -348,6 +367,11 @@ class TestBases:
         assert T2.val(f) == 1
         g = RatFunc(F2, [F2.one(), F2.one()], [F2.one()])
         assert T2.residue(g) == F2.one()
+
+    def test_tadic_canonical_form(self):
+        f = RatFunc(F2, [0, 1], [1, 1]) * RatFunc(F2, [1, 1], [0, 1])  # t/(1+t) * (1+t)/t
+        assert f.num == f.den == (F2.one(),)
+        assert f == T2.one()
 
     def test_series_base(self):
         base = SeriesValuedField(F2)
