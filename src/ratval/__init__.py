@@ -65,7 +65,6 @@ from .valuations import (
     TriviallyValued,
     ValuedField,
     classify_summary,
-    expand_about,
     substitution_value,
     taylor_shift,
 )

@@ -2,9 +2,9 @@
 
 Two families of fields are supported: the rationals, and finite fields
 F_{p^n} represented as F_p[X] modulo a stored irreducible polynomial
-(verified irreducible at construction by brute-force factor search).
-Elements are canonical: reduced fractions over Q, coefficient tuples of
-degree < deg(modulus) over F_{p^n}.
+(verified irreducible at construction by Rabin's test).  Elements are
+canonical: reduced fractions over Q, coefficient tuples of degree
+< deg(modulus) over F_{p^n}.
 
 Rational function fields k(y) in one tagged transcendental generator
 over such a field are the FunctionField type, kept gcd-reduced with a
@@ -124,21 +124,35 @@ def is_prime(n: int) -> bool:
 
 
 def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility over F_p: trial division by every monic
-    polynomial of degree up to deg(poly)/2."""
-    poly = _pstrip(list(poly))
-    deg = len(poly) - 1
-    if deg <= 0:
+    """Rabin's irreducibility test over F_p, in its deterministic form.
+
+    f of degree n >= 1 is irreducible iff x^(p^n) = x mod f and
+    gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n.  Each
+    power x^(p^k) mod f, k = 1..n, is computed once from the previous one
+    by square-and-multiply.
+    """
+    f = _pstrip([c % p for c in poly])
+    n = len(f) - 1
+    if n <= 0:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            trial = tuple(tail) + (1,)
-            _, rem = _pdivmod(poly, trial, p)
-            if not rem:
-                return False
-    return True
+
+    def mulmod(a, b):
+        return _pdivmod(_pmul(a, b, p), f, p)[1]
+
+    x = _pdivmod((0, 1), f, p)[1]
+    powers = [x]  # powers[k] = x^(p^k) mod f
+    for _ in range(n):
+        a, result, e = powers[-1], (1,), p
+        while e:
+            if e & 1:
+                result = mulmod(result, a)
+            a, e = mulmod(a, a), e >> 1
+        powers.append(result)
+    if powers[n] != x:
+        return False
+    minus_x = tuple((-c) % p for c in x)
+    return all(len(_pgcd(_padd(powers[n // q], minus_x, p), f, p)) == 1
+               for q in range(2, n + 1) if n % q == 0 and is_prime(q))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +225,8 @@ class FiniteField(Field):
     """F_{p^n} as F_p[X] mod an irreducible monic modulus.
 
     The prime field F_p itself has an empty modulus and degree 1; its
-    elements are length-1 coefficient tuples.
+    elements are length-1 coefficient tuples.  `_fold` holds X^k mod the
+    modulus for n <= k <= 2n - 2, the rows that reduce a product.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...] = ()):
@@ -227,6 +242,8 @@ class FiniteField(Field):
                 raise PreconditionError(f"modulus {list(modulus)} is reducible over F_{p}")
         self.characteristic = p
         self.modulus = modulus
+        n = self.degree
+        self._fold = tuple(_pdivmod((0,) * k + (1,), modulus, p)[1] for k in range(n, 2 * n - 1))
 
     @property
     def degree(self) -> int:
@@ -246,6 +263,9 @@ class FiniteField(Field):
             coeffs = (value % p,) + (0,) * (self.degree - 1)
             return FieldElement(self, coeffs)
         coeffs = [int(c) % p for c in value]
+        if len(coeffs) > 1 and not self.modulus:
+            raise PreconditionError(
+                f"an element of the prime field {self!r} has one coefficient, got {len(coeffs)}")
         if len(coeffs) > self.degree:
             coeffs = list(_pdivmod(_pstrip(coeffs), self.modulus, p)[1])
         coeffs += [0] * (self.degree - len(coeffs))
@@ -303,7 +323,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise PreconditionError("descriptor mismatch between field elements")
             return other
         return self.field.element(other)
@@ -332,11 +352,21 @@ class FieldElement:
         other = self._coerce(other)
         if isinstance(self.value, Fraction):
             return FieldElement(self.field, self.value * other.value)
+        # schoolbook on the coefficient tuples, the top coefficients folded
+        # through X^k mod the modulus, one reduction mod p
         f: FiniteField = self.field
-        prod = _pmul(_pstrip(list(self.value)), _pstrip(list(other.value)), f.characteristic)
-        if f.modulus:
-            prod = _pdivmod(prod, f.modulus, f.characteristic)[1]
-        return f.element(list(prod))
+        a, b, n = self.value, other.value, len(self.value)
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        for c, row in zip(prod[n:], f._fold):
+            if c:
+                for j, r in enumerate(row):
+                    prod[j] += c * r
+        p = f.characteristic
+        return FieldElement(f, tuple(c % p for c in prod[:n]))
 
     __rmul__ = __mul__
 

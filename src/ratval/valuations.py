@@ -20,6 +20,7 @@ extension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +46,6 @@ __all__ = [
     "RationalFunction",
     "CenteredValuation",
     "taylor_shift",
-    "expand_about",
     "substitution_value",
     "PseudoCauchyValuation",
     "classify_summary",
@@ -90,6 +90,11 @@ class ValuedField:
     def element_of_value(self, v: Fraction):
         """A canonical element with the given value in the value group."""
         raise NotImplementedError
+
+    def taylor_coefficients(self, cs: list, center) -> list:
+        """Taylor coefficients at the center of the nonzero polynomial
+        with stripped coefficient list cs."""
+        return taylor_shift(cs, center, self.zero())
 
     def value_generators(self) -> list[Fraction]:
         """Generators of the value group vK inside Q."""
@@ -168,6 +173,19 @@ class PAdicRationals(ValuedField):
 
     def value_generators(self):
         return [Fraction(1)]
+
+    def taylor_coefficients(self, cs: list, center) -> list:
+        """Fraction-free shift over Z.  With L the lcm of the coefficient
+        denominators, center n/d and N the degree, H(y) = L d^N g(y/d) has
+        integer coefficients, and its Taylor coefficients h_i at n give
+        c_i = h_i d^i / (L d^N) = h_i / (L d^(N-i))."""
+        n, d, top = center.numerator, center.denominator, len(cs) - 1
+        lcm = math.lcm(*(c.denominator for c in cs))
+        h = [c.numerator * (lcm // c.denominator) * d ** (top - j) for j, c in enumerate(cs)]
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                h[j] += n * h[j + 1]
+        return [Fraction(hi, lcm * d ** (top - i)) for i, hi in enumerate(h)]
 
     def zero(self):
         return Fraction(0)
@@ -386,7 +404,12 @@ class SeriesValuedField(ValuedField):
 
 def taylor_shift(coeffs: list, center, zero) -> list:
     """Coefficients c_i with g(x) = sum c_i (x - a)^i, by repeated
-    synthetic division of g by (x - a)."""
+    synthetic division of g by (x - a).
+
+    This is the generic shift of ValuedField.taylor_coefficients, which
+    CenteredValuation evaluates through; PAdicRationals overrides it with
+    a fraction-free shift over Z that gives the same coefficients.
+    """
     cs = list(coeffs)
     while cs and _is_zero(cs[-1]):
         cs.pop()
@@ -400,33 +423,6 @@ def taylor_shift(coeffs: list, center, zero) -> list:
         out.append(folded[-1])
         cs = list(reversed(folded[:-1]))
     return out if out else [zero]
-
-
-def expand_about(shifted: list, center, zero, one) -> list:
-    """Inverse of taylor_shift: standard coefficients of
-    sum c_i (x - a)^i, by brute-force expansion."""
-
-    def padd(a, b):
-        n = max(len(a), len(b))
-        return [
-            (a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-            for i in range(n)
-        ]
-
-    def pmul(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return out
-
-    result = [zero]
-    xa = [zero - center, one]
-    power = [one]
-    for c in shifted:
-        result = padd(result, [c * q for q in power])
-        power = pmul(power, xa)
-    return result
 
 
 def substitution_value(valn: "CenteredValuation", num: list, den: list | None = None) -> GroupElement:
@@ -540,7 +536,7 @@ class CenteredValuation:
             cs.pop()
         if not cs:
             raise PreconditionError("the zero polynomial has no value")
-        return taylor_shift(cs, self.center, self.base.zero())
+        return self.base.taylor_coefficients(cs, self.center)
 
     def _term_values(self, shifted):
         """(i, v(c_i) + i*gamma) for each nonzero Taylor coefficient c_i."""

@@ -53,6 +53,26 @@ class TestRunEval:
         assert json.loads(out)["value"] == ["-1", "2"]
 
 
+    def test_tadic_coefficient_list_over_prime_field_exit_1(self, tmp_path, capsys):
+        job = {
+            "task": "eval",
+            "valuation": {
+                "kind": "vag",
+                "base": {"kind": "t-adic", "coefficients": {"char": 2, "modulus": []}},
+                "center": [1, 1],
+                "gamma": ["1/2"],
+            },
+            "eval": {"num": [1, 1]},
+        }
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "PreconditionError",
+            "message": "an element of the prime field F_2 has one coefficient, got 2",
+        }
+        assert "Traceback" not in err
+
+
 class TestRunCertificates:
     def test_piltant_roundtrip(self, tmp_path, capsys):
         job = {"task": "piltant", "p": 2, "e": [1, 2, 4, 7, 11], "depth": 4,

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -13,6 +15,8 @@ from ratval.fields import (
     _fmul,
     _pdivmod,
     _pgcd,
+    _pmul,
+    _pstrip,
     build_extension,
     is_irreducible,
     min_poly,
@@ -44,6 +48,12 @@ class TestArith:
     def test_descriptor_mismatch(self):
         with pytest.raises(PreconditionError):
             F4.gen() + F9.gen()
+
+    def test_prime_field_takes_one_coefficient(self):
+        with pytest.raises(PreconditionError,
+                           match=r"^an element of the prime field F_2 has one coefficient, got 2$"):
+            F2.element([1, 1])
+        assert F2.element([1]) == F2.one()
 
     @pytest.mark.parametrize("field", [RATIONALS, F5, F4, F9, F8])
     def test_field_axioms_random_triples(self, field):
@@ -311,3 +321,83 @@ class TestPrimeFieldKernel:
             _fmul((F5.one(),), (FiniteField(7).one(),), F5.zero())
         with pytest.raises(PreconditionError):
             _fadd((F2.one(),), (F4.one(),), F2.zero())
+
+
+def _brute_irreducible(poly, p):
+    """Trial division by every monic polynomial of degree up to deg/2."""
+    deg = len(poly) - 1
+    if deg <= 0:
+        return False
+    return all(_pdivmod(poly, tail + (1,), p)[1]
+               for d in range(1, deg // 2 + 1)
+               for tail in itertools.product(range(p), repeat=d))
+
+
+def _irreducible_count(q, n):
+    """Gauss's count of monic irreducibles of degree n over F_q."""
+    def mobius(m):
+        sign, k = 1, 2
+        while m > 1:
+            if m % k == 0:
+                m //= k
+                if m % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return sign
+    return sum(mobius(n // d) * q ** d for d in range(1, n + 1) if n % d == 0) // n
+
+
+class TestRabin:
+    @pytest.mark.parametrize("p,max_deg", [(2, 4), (3, 4), (5, 4), (7, 3)])
+    def test_every_monic_against_brute_force(self, p, max_deg):
+        for deg in range(max_deg + 1):
+            irreducible = 0
+            for tail in itertools.product(range(p), repeat=deg):
+                poly = tail + (1,)
+                assert is_irreducible(poly, p) == _brute_irreducible(poly, p), poly
+                irreducible += is_irreducible(poly, p)
+            assert irreducible == (_irreducible_count(p, deg) if deg else 0)
+
+    def test_product_of_two_quadratics_rejected(self):
+        # (X^2 + 1)(X^2 + X + 3) over F_211 has no root but divides
+        # X^(p^4) - X; only the gcd with X^(p^2) - X exposes it
+        assert is_irreducible((1, 0, 1), 211) and is_irreducible((3, 1, 1), 211)
+        poly = _pmul((1, 0, 1), (3, 1, 1), 211)
+        assert not is_irreducible(poly, 211)
+        with pytest.raises(PreconditionError):
+            FiniteField(211, poly)
+
+    @pytest.mark.parametrize("p,modulus", [(211, (1, 1, 0, 0, 1)), (10007, (1, 1, 0, 1))])
+    def test_construction_budget(self, p, modulus):
+        start = time.perf_counter()
+        field = FiniteField(p, modulus)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05, f"time budget exceeded: {elapsed * 1000:.1f} ms"
+        assert field.order == p ** (len(modulus) - 1)
+        if len(modulus) == 4:  # a cubic without a root is irreducible
+            assert all(sum(c * pow(x, i, p) for i, c in enumerate(modulus)) % p
+                       for x in range(p))
+        else:
+            assert _brute_irreducible(modulus, p)
+
+
+F16 = FiniteField(2, (1, 1, 0, 0, 1))
+F256 = FiniteField(2, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # X^8 + X^4 + X^3 + X + 1
+F13_4 = FiniteField(13, (1, 0, 0, 1, 1))
+
+
+class TestOnePassMul:
+    @pytest.mark.parametrize("field", [F4, F8, F9, F16, F256, F13_4], ids=repr)
+    def test_against_pmul_and_pdivmod(self, field):
+        p, n = field.characteristic, field.degree
+        rng = random.Random(field.order)
+        pairs = [(field.sample(rng), field.sample(rng)) for _ in range(300)]
+        special = [field.zero(), field.one(), field.gen()]
+        pairs += [(a, b) for a in special for b in special + [field.sample(rng)]]
+        for a, b in pairs:
+            rem = _pdivmod(_pmul(_pstrip(list(a.value)), _pstrip(list(b.value)), p),
+                           field.modulus, p)[1]
+            got = a * b
+            assert got.field is field
+            assert got.value == rem + (0,) * (n - len(rem))

@@ -21,7 +21,6 @@ from ratval.valuations import (
     TAdicRationalFunctions,
     TriviallyValued,
     classify_summary,
-    expand_about,
     substitution_value,
     taylor_shift,
 )
@@ -47,6 +46,33 @@ def poly_mul(f, g, base):
         for j, b in enumerate(g):
             out[i + j] = out[i + j] + a * b
     return out
+
+
+def expand_about(shifted: list, center, zero, one) -> list:
+    """Inverse of taylor_shift: standard coefficients of
+    sum c_i (x - a)^i, by brute-force expansion."""
+
+    def padd(a, b):
+        n = max(len(a), len(b))
+        return [
+            (a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
+            for i in range(n)
+        ]
+
+    def pmul(a, b):
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] + ai * bj
+        return out
+
+    result = [zero]
+    xa = [zero - center, one]
+    power = [one]
+    for c in shifted:
+        result = padd(result, [c * q for q in power])
+        power = pmul(power, xa)
+    return result
 
 
 class TestTaylorShift:
@@ -77,6 +103,51 @@ class TestTaylorShift:
             while back and back[-1] == 0:
                 back.pop()
             assert back == trimmed
+
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_fraction_free_override_matches_generic(self, p):
+        base = PAdicRationals(p)
+        rng = random.Random(p)
+        # the centre 0, integer centres and centres with p | d come first
+        centers = [Fraction(0), Fraction(4), Fraction(-7), Fraction(1, p),
+                   Fraction(5, 7 * p ** 2), Fraction(-3, 2 * p)]
+        for trial in range(300):
+            cs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, p, 4 * p, 9]))
+                  if rng.random() < 0.7 else Fraction(0) for _ in range(rng.randint(0, 8))]
+            cs.append(Fraction(rng.choice([-5, -1, 1, 3]), rng.randint(1, 12)))
+            center = (centers[trial] if trial < len(centers)
+                      else Fraction(rng.randint(-30, 30), rng.randint(1, 30)))
+            assert base.taylor_coefficients(cs, center) == taylor_shift(cs, center, Fraction(0))
+        assert base.taylor_coefficients([Fraction(2, 3)], Fraction(1, p)) == [Fraction(2, 3)]
+
+
+class TestOracleIndependence:
+    def test_substitution_value_without_the_fast_shift(self, monkeypatch):
+        """Degree-32 3-adic products of linears (x - b_j) with known
+        v_3(a - b_j) = k_j: with the Q shift replaced by a function that
+        raises, of_poly fails and the oracle still gives sum min(gamma, k_j)."""
+
+        def refuse(self, cs, center):
+            raise AssertionError("the fast Taylor shift was called")
+
+        rng = random.Random(32)
+        gamma = Fraction(1, 2)
+        units = [Fraction(u, d) for u in (1, -1, 2, -2, 4, 5) for d in (1, 2, 4, 5, 7)]
+        for _ in range(3):
+            a = Fraction(rng.randint(-40, 40), rng.choice([1, 2, 4, 5, 7]))
+            poly, value = [Fraction(1)], Fraction(0)
+            for _ in range(32):
+                k = rng.randint(-2, 3)
+                poly = poly_mul(poly, [-(a + Fraction(3) ** k * rng.choice(units)), Fraction(1)], Q3)
+                value += min(gamma, k)
+            valn = CenteredValuation(Q3, a, GroupElement.of(gamma))
+            assert valn.of_poly(poly) == GroupElement.of(value)
+            with monkeypatch.context() as m:
+                m.setattr(PAdicRationals, "taylor_coefficients", refuse)
+                with pytest.raises(AssertionError, match="fast Taylor shift"):
+                    valn.of_poly(poly)
+                assert substitution_value(valn, poly) == GroupElement.of(value)
 
 
 class TestEvalCentered:
