@@ -13,7 +13,7 @@ defect towers, prescribed extension steps and p-adic degree lower
 bounds (`certificates`).  The `cli` module runs batch jobs.
 """
 
-from .errors import PreconditionError, RatvalError, SchemaError, UndecidedError
+from .errors import InternalError, PreconditionError, RatvalError, SchemaError, UndecidedError
 from .fields import (
     RATIONALS,
     Field,

@@ -6,6 +6,12 @@ chains, lcm decompositions); validate_certificate re-checks a loaded
 certificate from those witnesses alone, without re-running the original
 construction.  Certificate kinds: defect-tower, degree-lower-bound,
 classification, fundamental-inequality.
+
+Each builder returns its certificate only after validate_certificate
+accepts it, so a fact the payload records is checked once, by the
+validator; a finding on a builder's own output raises InternalError.
+The builders keep as InternalError only the self-checks of facts the
+payload does not record.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, SchemaError
+from .errors import InternalError, PreconditionError, SchemaError
 from .fields import Field, FiniteField, is_prime
 from .groups import GroupElement, Subgroup
 from .homogeneous import (
@@ -99,50 +105,24 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
     characteristic p.
 
     y is the truncation of sum x^(n_i * p^(-e_i)) over the exponent
-    schedule (all multipliers n_i = -1 by default); for each level
-    j <= depth the residual series
-    L_j = y^(p^(e_j)) - sum_(i<=j) x^(n_i * p^(e_j-e_i)) is computed by
-    series arithmetic and its value verified to be
-    n_(j+1) * p^(e_j - e_(j+1)), whose coprime numerator witnesses
-    1/p^(e_(j+1)-e_j) inside the value group generated with Z (at least
-    1/p^j under the default growth rule e_(i+1) >= e_i + i).  The
-    Artin-Schreier tower eta_i (roots of X^p - X - eta_(i-1) above
-    eta_0 = 1/x) is built alongside with v(eta_i) = -1/p^i.
+    schedule (all multipliers n_i = -1 by default, the shape that the
+    growth rule below applies to); for each level j <= depth the residual
+    series L_j = y^(p^(e_j)) - sum_(i<=j) x^(n_i * p^(e_j-e_i)) is
+    computed by series arithmetic, and the validator checks its recorded
+    support and value n_(j+1) * p^(e_j - e_(j+1)), whose coprime
+    numerator witnesses 1/p^(e_(j+1)-e_j) inside the value group
+    generated with Z (at least 1/p^j under the default growth rule
+    e_(i+1) >= e_i + i).  The Artin-Schreier tower eta_i (roots of
+    X^p - X - eta_(i-1) above eta_0 = 1/x) is built alongside with
+    v(eta_i) = -1/p^i.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
     n = len(schedule)
-    if n < 2:
-        raise PreconditionError("the exponent schedule needs at least two entries")
-    default_shape = multipliers is None
     mults = [-1] * n if multipliers is None else [int(m) for m in multipliers]
-    if len(mults) != n:
-        raise PreconditionError("multipliers must match the schedule length")
+    violation = _defect_tower_violation(p, schedule, mults, depth)
+    if violation:
+        raise PreconditionError(violation)
+    default_shape = all(m == -1 for m in mults)
     exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
-    for i, m in enumerate(mults, start=1):
-        if math.gcd(abs(m), p) != 1:
-            raise PreconditionError(
-                f"multiplier n_{i} = {m} must be prime to p = {p}"
-            )
-    if default_shape:
-        for i in range(1, n):
-            if schedule[i] < schedule[i - 1] + i:
-                raise PreconditionError(
-                    f"schedule violation at position {i + 1}: "
-                    f"e_{i + 1} = {schedule[i]} < e_{i} + {i} = {schedule[i - 1] + i}"
-                )
-    else:
-        for i in range(1, n):
-            if not exponents[i - 1] < exponents[i]:
-                raise PreconditionError(
-                    f"schedule violation at position {i + 1}: the exponents "
-                    f"n_i * p^(-e_i) must be strictly increasing"
-                )
-    if depth > n - 1:
-        raise PreconditionError(
-            f"truncation too shallow to witness level {depth}: the schedule "
-            f"provides witnesses only up to level {n - 1}"
-        )
     coeffs = FiniteField(p)
     # with the default growth rule the unknown tail starts no earlier than
     # -p^(-(e_n + n)); explicit multipliers certify the n scheduled terms
@@ -156,38 +136,18 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
         lhs = y.frobenius_power(e_j)
         for i in range(1, j + 1):
             lhs = lhs - HahnSeries.monomial(coeffs, exponents[i - 1] * p ** e_j, 1)
-        expected_value = exponents[j] * p ** e_j
-        got = lhs.value()
-        if got is None or got.coords[0] != expected_value:
-            raise AssertionError(
-                f"internal error: level {j} residual value {got!r}, expected {expected_value}"
-            )
-        # independent exponent-arithmetic oracle: no series multiplication
-        lhs_trunc = None if trunc is None else Fraction(p ** e_j) * trunc
-        oracle = sorted(
-            exponents[i - 1] * p ** e_j
-            for i in range(j + 1, n + 1)
-            if lhs_trunc is None or exponents[i - 1] * p ** e_j < lhs_trunc
-        )
-        support = [e.coords[0] for e in lhs.support()]
-        if support != oracle:
-            raise AssertionError(f"internal error: level {j} support mismatch with the oracle")
+        if lhs.is_zero():
+            raise InternalError(f"level {j} residual vanishes")
+        value = lhs.value().coords[0]
         denom_power = schedule[j] - e_j
         target = Fraction(1, p ** denom_power)
-        member_group = Subgroup.generated_by(1, expected_value)
-        witness = member_group.witness(GroupElement.of(target))
-        if witness is None:
-            raise AssertionError(
-                f"internal error: level {j} fails to witness 1/p^{denom_power}"
-            )
-        if default_shape and denom_power < j:
-            raise AssertionError(f"internal error: level {j} grants less than 1/p^{j}")
+        witness = Subgroup.generated_by(1, value).witness(GroupElement.of(target))
         levels.append(
             {
                 "j": j,
                 "frobenius_exponent": e_j,
-                "witness_exponents": [str(v) for v in support],
-                "value": str(expected_value),
+                "witness_exponents": [str(e.coords[0]) for e in lhs.support()],
+                "value": str(value),
                 "grants_denominator_exponent": denom_power,
                 "membership_target": str(target),
                 "membership_witness": witness,
@@ -195,18 +155,14 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
         )
     eta = []
     eta_series = HahnSeries.monomial(coeffs, -1, 1)
-    chain_values = [Fraction(-1)]
     for i in range(1, eta_levels + 1):
         nxt = artin_schreier_root(eta_series, as_depth)
-        v_nxt = nxt.value().coords[0]
-        if v_nxt != Fraction(-1, p ** i):
-            raise AssertionError(f"internal error: v(eta_{i}) = {v_nxt}, expected -1/p^{i}")
-        chain = (nxt ** p) - eta_series
-        if chain.value() is None or chain.value().coords[0] != v_nxt:
-            raise AssertionError(f"internal error: value chain broken at eta_{i}")
-        eta.append({"i": i, "value": str(v_nxt), "chain_ok": True})
+        v_nxt = nxt.value()
+        # eta_i^p - eta_i = eta_(i-1) up to the truncation, so the chain
+        # eta_i^p - eta_(i-1) keeps the value of eta_i
+        chain_ok = ((nxt ** p) - eta_series).value() == v_nxt
+        eta.append({"i": i, "value": str(v_nxt.coords[0]), "chain_ok": chain_ok})
         eta_series = nxt
-        chain_values.append(v_nxt)
     per_level = []
     for i in range(1, eta_levels + 1):
         deg = p ** i
@@ -237,7 +193,36 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
             "disjointness from the henselization), certifying defect = degree",
         ],
     }
-    return Certificate("defect-tower", payload)
+    return _self_checked(Certificate("defect-tower", payload))
+
+
+def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
+                            depth: int) -> str | None:
+    """The first violated precondition of a defect tower, or None; the
+    builder raises it and the validator reports it."""
+    n = len(schedule)
+    if not is_prime(p):
+        return f"{p} is not prime"
+    if n < 2:
+        return "the exponent schedule needs at least two entries"
+    if len(mults) != n:
+        return "multipliers must match the schedule length"
+    for i, m in enumerate(mults, start=1):
+        if math.gcd(abs(m), p) != 1:
+            return f"multiplier n_{i} = {m} must be prime to p = {p}"
+    exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
+    default_shape = all(m == -1 for m in mults)
+    for i in range(1, n):
+        if default_shape and schedule[i] < schedule[i - 1] + i:
+            return (f"schedule violation at position {i + 1}: "
+                    f"e_{i + 1} = {schedule[i]} < e_{i} + {i} = {schedule[i - 1] + i}")
+        if not exponents[i - 1] < exponents[i]:
+            return (f"schedule violation at position {i + 1}: the exponents "
+                    f"n_i * p^(-e_i) must be strictly increasing")
+    if depth > n - 1:
+        return (f"truncation too shallow to witness level {depth}: the schedule "
+                f"provides witnesses only up to level {n - 1}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +278,13 @@ class ExtensionTower:
         return ExtensionTower(p, field, group, residue_degree, base_value_subgroup=group)
 
     def total_e(self) -> int:
-        out = 1
-        for s in self.steps:
-            out *= s["e"]
-        return out
+        return math.prod(s["e"] for s in self.steps)
 
     def total_f(self) -> int:
-        out = 1
-        for s in self.steps:
-            out *= s["f"]
-        return out
+        return math.prod(s["f"] for s in self.steps)
 
     def total_degree(self) -> int:
-        out = 1
-        for s in self.steps:
-            out *= s["degree"]
-        return out
+        return math.prod(s["degree"] for s in self.steps)
 
 
 def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
@@ -317,12 +293,13 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
     (e, f) from the step's own witness data.
 
     kummer: adjoin t^alpha for alpha of prime torsion order e over the
-    current value group (verified by subgroup index), giving (e, 1).
+    current value group (witnessed by the subgroup index), giving (e, 1).
     residue: adjoin a root of a monic irreducible over F_p, giving
     (1, lcm(d, deg)/d) for current residue degree d.
     artin-schreier: adjoin a root of X^p - X - c for v(c) < 0 in the
-    current value group, verifying the value chain
-    0 > v(a^p - c) = v(a) > p v(a) = v(c); the step has (p, 1) when
+    current value group, recording the value chain
+    0 > v(a^p - c) = v(a) > p v(a) = v(c) that the validator checks
+    once the tower's certificate is built; the step has (p, 1) when
     v(a) leaves the value group and is immediate with defect p when the
     group is already p-divisible there.
     """
@@ -344,11 +321,8 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
         root = kummer_root(alpha.scaled(e), tower.coefficient_field.one(), e)
         power_exponent = root.terms[0][0].scaled(e)
         if tower.value_subgroup.witness(power_exponent) is None:
-            raise AssertionError("internal error: e-th power of the root left the value group")
+            raise InternalError("e-th power of the root left the value group")
         new_group = tower.value_subgroup.extended(alpha)
-        index = new_group.index_over(tower.value_subgroup)
-        if index != e:
-            raise AssertionError(f"internal error: group index {index}, expected {e}")
         record = {
             "kind": "kummer",
             "alpha": str(step.alpha),
@@ -359,7 +333,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
             "witness": {
                 "root_exponent": str(root.terms[0][0].coords[0]),
                 "e_th_power_exponent": str(power_exponent.coords[0]),
-                "group_index": index,
+                "group_index": new_group.index_over(tower.value_subgroup),
             },
         }
         return ExtensionTower(
@@ -411,22 +385,14 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
         c = HahnSeries.monomial(tower.coefficient_field, ce, 1)
         a = artin_schreier_root(c, as_depth)
         va = a.value()
-        chain = (a ** p) - c
-        vchain = chain.value()
-        chain_ok = (
-            va < GroupElement.zero(1)
-            and vchain is not None
-            and vchain == va
-            and va.scaled(p) == ce
-        )
-        if not chain_ok:
-            raise AssertionError("internal error: Artin-Schreier value chain failed")
-        alpha = va
-        if tower.value_subgroup.witness(alpha) is None:
-            new_group = tower.value_subgroup.extended(alpha)
+        vchain = ((a ** p) - c).value()
+        if vchain is None:
+            raise InternalError("Artin-Schreier value chain vanishes: a^p = c")
+        if tower.value_subgroup.witness(va) is None:
+            new_group = tower.value_subgroup.extended(va)
             index = new_group.index_over(tower.value_subgroup)
             if index != p:
-                raise AssertionError(f"internal error: group index {index}, expected {p}")
+                raise InternalError(f"Artin-Schreier group index {index}, expected {p}")
             e, defect = p, 1
         else:
             new_group = tower.value_subgroup
@@ -482,7 +448,7 @@ def build_extension_tower(p: int, steps: list[ExtensionStep], value_gens=(1,),
         },
         "fund_ineq": check,
     }
-    return tower, Certificate("fundamental-inequality", payload)
+    return tower, _self_checked(Certificate("fundamental-inequality", payload))
 
 
 def build_ic_valuation(tower: ExtensionTower, beta, variant: str = "v1",
@@ -503,11 +469,10 @@ def build_ic_valuation(tower: ExtensionTower, beta, variant: str = "v1",
             "Krasner constants are computed for kummer and artin-schreier families only"
         )
     fam = tower.top_family
+    c = HahnSeries.monomial(tower.coefficient_field, Fraction(fam["c_exponent"]), 1)
     if fam["kind"] == "artin-schreier":
-        c = HahnSeries.monomial(tower.coefficient_field, Fraction(fam["c_exponent"]), 1)
         kras = krasner_artin_schreier(c, tower.residue_char)
     else:
-        c = HahnSeries.monomial(tower.coefficient_field, Fraction(fam["c_exponent"]), 1)
         kras = krasner_kummer(c, fam["e"])
     base_group = tower.base_value_subgroup
     gens = base_group.basis()
@@ -546,10 +511,10 @@ def build_ic_valuation(tower: ExtensionTower, beta, variant: str = "v1",
         raise PreconditionError(f"unknown variant {variant!r}")
     got = valn.classify()
     if got != label:
-        raise AssertionError(f"internal error: classified {got}, expected {label}")
+        raise InternalError(f"classified {got}, expected {label}")
     kras_embedded = valn.embed_base_value(kras_q)
     if not valn.gamma > kras_embedded:
-        raise AssertionError("internal error: gamma fails to dominate the Krasner constant")
+        raise InternalError("gamma fails to dominate the Krasner constant")
     info = {
         "kras": str(kras_q),
         "alpha": str(alpha),
@@ -580,23 +545,9 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
     above, no limit in a spherically incomplete field) is emitted
     alongside.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    if not indices:
-        raise PreconditionError("at least one index is required")
-    for i, nv in enumerate(indices, start=1):
-        if nv <= 1:
-            raise PreconditionError(f"index n_{i} = {nv} must exceed 1")
-        if math.gcd(nv, p) != 1:
-            raise PreconditionError(
-                f"index n_{i} = {nv} shares a factor with p = {p}; "
-                f"indices must be coprime to the residue characteristic"
-            )
-        if i >= 2 and indices[i - 2] >= nv:
-            raise PreconditionError(f"indices must be strictly increasing (position {i})")
-        if math.lcm(*indices[:i - 1]) % nv == 0:
-            raise PreconditionError(f"index n_{i} = {nv} divides lcm(n_1..n_{i - 1}): "
-                                    f"its increment adds no ramification")
+    violation = _degree_bound_violation(p, indices)
+    if violation:
+        raise PreconditionError(violation)
     if depth is None:
         depth = len(indices)
     if not 1 <= depth <= len(indices):
@@ -611,18 +562,13 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         mono = HahnSeries.monomial(coeffs, g, 1)
         witness = strongly_homogeneous_test(mono, state)
         if not witness.ok or witness.e != e_i:
-            raise AssertionError(
-                f"internal error: increment {i} not strongly homogeneous with e = {e_i}"
-            )
+            raise InternalError(f"increment {i} not strongly homogeneous with e = {e_i}")
         increments.append(
             {"i": i, "gamma": str(g), "e": witness.e, "f": witness.f, "coprime_ok": True}
         )
         state = state.extended(GroupElement.of(g), coeffs.one())
     bound = prefix_bounds[-1]
     big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
-    index = big.index_over(Subgroup.generated_by(1))
-    if index != bound:
-        raise AssertionError(f"internal error: subgroup index {index}, lcm says {bound}")
     variant_gammas = [Fraction(1) - Fraction(1, nv) for nv in indices[:depth]]
     payload = {
         "p": p,
@@ -640,7 +586,7 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         "group_index_witness": {
             "generators": ["1"] + [str(g) for g in gammas],
             "hermite_basis": [str(b.coords[0]) for b in big.basis()],
-            "index_over_base": index,
+            "index_over_base": bound,
         },
         "statement": (
             "any z with v(z - b_depth) > gamma_depth generates an extension of "
@@ -663,7 +609,28 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
                     "has empty intersection in a spherically incomplete field",
         },
     }
-    return Certificate("degree-lower-bound", payload)
+    return _self_checked(Certificate("degree-lower-bound", payload))
+
+
+def _degree_bound_violation(p: int, indices: list[int]) -> str | None:
+    """The first violated precondition of a degree bound, or None; the
+    builder raises it and the validator reports it."""
+    if not is_prime(p):
+        return f"{p} is not prime"
+    if not indices:
+        return "at least one index is required"
+    for i, nv in enumerate(indices, start=1):
+        if nv <= 1:
+            return f"index n_{i} = {nv} must exceed 1"
+        if math.gcd(nv, p) != 1:
+            return (f"index n_{i} = {nv} shares a factor with p = {p}; "
+                    f"indices must be coprime to the residue characteristic")
+        if i >= 2 and indices[i - 2] >= nv:
+            return f"indices must be strictly increasing (position {i})"
+        if math.lcm(*indices[:i - 1]) % nv == 0:
+            return (f"index n_{i} = {nv} divides lcm(n_1..n_{i - 1}): "
+                    f"its increment adds no ramification")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -672,26 +639,17 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
 def classification_certificate(descriptor, descriptor_json: dict) -> Certificate:
     """Certificate recording a classification with its torsion witness."""
     if isinstance(descriptor, PseudoCauchyValuation):
-        payload = {
-            "descriptor": descriptor_json,
-            "label": descriptor.classify(),
-            "witness": {"pseudo_cauchy": True},
-            "trichotomy_flags": list(descriptor.trichotomy_flags()),
-        }
-        return Certificate("classification", payload)
-    e = descriptor.torsion_order()
-    witness = (
-        {"torsion_order": e}
-        if e is not None
-        else {"non_torsion_rank_proof": True}
-    )
+        witness = {"pseudo_cauchy": True}
+    else:
+        e = descriptor.torsion_order()
+        witness = {"torsion_order": e} if e is not None else {"non_torsion_rank_proof": True}
     payload = {
         "descriptor": descriptor_json,
         "label": descriptor.classify(),
         "witness": witness,
         "trichotomy_flags": list(descriptor.trichotomy_flags()),
     }
-    return Certificate("classification", payload)
+    return _self_checked(Certificate("classification", payload))
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +665,16 @@ class ValidationResult:
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "findings": list(self.findings)}
+
+
+def _self_checked(cert: Certificate) -> Certificate:
+    """Return a builder's certificate once validate_certificate accepts
+    it; a finding is a fault of the builder, raised as InternalError."""
+    result = validate_certificate(cert)
+    if not result.ok:
+        raise InternalError(f"{cert.kind} certificate fails its own validation: "
+                            f"{result.first_failure()}")
+    return cert
 
 
 def validate_certificate(data) -> ValidationResult:
@@ -740,30 +708,17 @@ def _validate_defect_tower(payload: dict, findings: list[str]) -> None:
     depth = payload["depth"]
     n = len(schedule)
     mults = payload.get("multipliers", [-1] * n)
+    violation = _defect_tower_violation(p, schedule, mults, depth)
+    if violation:
+        findings.append(violation)
+        return
     default_shape = all(m == -1 for m in mults)
     exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
-    if not is_prime(p):
-        findings.append(f"p = {p} is not prime")
-        return
-    if any(math.gcd(abs(m), p) != 1 for m in mults):
-        findings.append("a multiplier shares a factor with p")
-        return
-    if default_shape:
-        for i in range(1, n):
-            if schedule[i] < schedule[i - 1] + i:
-                findings.append(f"schedule violation at position {i + 1}")
-                return
-    elif any(not a < b for a, b in zip(exponents, exponents[1:])):
-        findings.append("schedule exponents fail to increase strictly")
-        return
     levels = payload["levels"]
     if depth > len(levels):
         findings.append(
             f"depth field {depth} exceeds the {len(levels)} witnessed levels"
         )
-        return
-    if depth > n - 1:
-        findings.append(f"depth {depth} cannot be witnessed by a schedule of length {n}")
         return
     recorded_trunc = payload["series_truncation"]
     if default_shape:
@@ -845,19 +800,13 @@ def _validate_degree_bound(payload: dict, findings: list[str]) -> None:
     p = payload["p"]
     indices = payload["indices"]
     depth = payload["depth"]
-    if not is_prime(p):
-        findings.append(f"p = {p} is not prime")
+    violation = _degree_bound_violation(p, indices)
+    if violation:
+        findings.append(violation)
         return
     if depth != len(indices) or depth != len(payload["exponents"]):
         findings.append("depth field disagrees with the witnessed indices")
         return
-    for i, nv in enumerate(indices, start=1):
-        if nv <= 1 or math.gcd(nv, p) != 1:
-            findings.append(f"index n_{i} = {nv} violates the coprimality precondition")
-            return
-        if i >= 2 and indices[i - 2] >= nv:
-            findings.append(f"indices fail to increase strictly at position {i}")
-            return
     gammas = [Fraction(g) for g in payload["exponents"]]
     base = Subgroup.generated_by(1)
     for i, (nv, g) in enumerate(zip(indices, gammas), start=1):
@@ -879,8 +828,12 @@ def _validate_degree_bound(payload: dict, findings: list[str]) -> None:
         findings.append("prefix bounds are not monotone non-decreasing")
         return
     big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
-    if big.index_over(base) != payload["bound"]:
+    index = big.index_over(base)
+    if index != payload["bound"]:
         findings.append("subgroup index witness does not verify against the bound")
+        return
+    if payload["group_index_witness"]["index_over_base"] != index:
+        findings.append("recorded index over the base does not verify")
         return
     basis = [str(b.coords[0]) for b in big.basis()]
     if basis != payload["group_index_witness"]["hermite_basis"]:
@@ -979,7 +932,7 @@ def _validate_classification(payload: dict, findings: list[str]) -> None:
         return
     gamma = GroupElement.from_json(desc["gamma"])
     base = ValuedField.from_json(desc["base"])
-    base_coord = desc.get("base_coord", 0)
+    base_coord = int(desc.get("base_coord", 0))
     gens = []
     for v in base.value_generators():
         coords = [Fraction(0)] * gamma.rank

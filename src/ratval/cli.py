@@ -2,7 +2,8 @@
 
 Verbs: `run <job.json>` executes one task and writes a deterministic
 JSON report (exit 0; domain errors exit 1 with a structured error
-report; parse/schema errors exit 2); `recheck <certificate.json>`
+report; parse/schema errors exit 2; a failed internal self-check exits
+3 with a structured error report); `recheck <certificate.json>`
 re-validates a certificate from its witnesses; `selftest` runs the
 seeded property suites.
 
@@ -28,7 +29,7 @@ from .certificates import (
     classification_certificate,
     validate_certificate,
 )
-from .errors import PreconditionError, RatvalError, SchemaError, UndecidedError
+from .errors import InternalError, PreconditionError, RatvalError, SchemaError, UndecidedError
 from .groups import GroupElement, Subgroup
 from .homogeneous import TowerState, extract_homogeneous_sequence, implicit_constant_report
 from .series import HahnSeries
@@ -97,7 +98,7 @@ def _task_eval(job: dict, depth: int | None) -> dict:
     if job.get("cross_check", True):
         oracle = substitution_value(valn, num, den)
         if oracle != value:
-            raise AssertionError("internal error: substitution oracle disagrees")
+            raise InternalError("substitution oracle disagrees")
         report["oracle_agrees"] = True
     return report
 
@@ -303,12 +304,12 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
-    except (PreconditionError, UndecidedError) as exc:
+    except (PreconditionError, UndecidedError, InternalError) as exc:
         error_report = _dump(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}
         )
         sys.stdout.write(error_report)
-        return 1
+        return 3 if isinstance(exc, InternalError) else 1
     except RatvalError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -23,3 +23,9 @@ class UndecidedError(RatvalError):
 
 class SchemaError(RatvalError):
     """A job or certificate file does not match the documented schema."""
+
+
+class InternalError(RatvalError):
+    """A self-check of the library failed: a fault in ratval, not in its
+    input.  The CLI maps it to exit code 3 with a structured error report.
+    """

@@ -16,11 +16,10 @@ residue-transcendental valuations.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 
 __all__ = [
     "Field",
@@ -118,9 +117,39 @@ def _preduce(num, den, p):
     return num, den
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to the bases 2..41
+
+
 def is_prime(n: int) -> bool:
-    """Trial division up to isqrt(n), exact for ints of any size."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Exact primality: trial division by the primes 2..41, then
+    strong-probable-prime rounds to those 13 bases, which decide every n
+    below psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and
+    Webster, Math. Comp. 2017).  A failed round proves n composite at any
+    size; an n >= psi_13 that passes every round raises PreconditionError,
+    so no answer rests on a probabilistic test."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _PSI_13:
+        raise PreconditionError(f"{n} is a strong probable prime to the bases 2..41, "
+                                f"which proves primality only below {_PSI_13}")
+    return True
 
 
 def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -464,13 +493,13 @@ def min_poly(a: FieldElement, base: Field | None = None) -> tuple[int, ...]:
     for k in coeffs:
         vec = k.value
         if any(vec[1:]):
-            raise AssertionError("internal error: minimal polynomial not over the prime field")
+            raise InternalError("minimal polynomial not over the prime field")
         out.append(vec[0])
     poly = tuple(out)
     if len(poly) - 1 and not is_irreducible(poly, p):
-        raise AssertionError("internal error: minimal polynomial reducible")
+        raise InternalError("minimal polynomial reducible")
     if field.degree % (len(poly) - 1) != 0:
-        raise AssertionError("internal error: orbit size does not divide the field degree")
+        raise InternalError("orbit size does not divide the field degree")
     return poly
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PreconditionError, UndecidedError
+from .errors import InternalError, PreconditionError, UndecidedError
 
 __all__ = [
     "GroupElement",
@@ -276,7 +276,7 @@ class Subgroup:
         for zi, gen in zip(z, self.generators):
             acc = acc + gen.scaled(zi)
         if acc != g:
-            raise AssertionError("internal error: witness failed re-verification")
+            raise InternalError("witness failed re-verification")
         return z
 
     def __contains__(self, g: GroupElement) -> bool:

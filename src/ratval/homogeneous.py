@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .fields import FieldElement, FiniteField, min_poly_degree
 from .groups import GroupElement, Subgroup
 from .series import HahnSeries
@@ -368,14 +368,14 @@ def implicit_constant_report(seq: HomogeneousSequence, z: HahnSeries) -> dict:
     res_ratio = seq.final_state.residue_degree // seq.base_state.residue_degree
     bound = seq.degree_lower_bound()
     if index is not None and index * res_ratio != bound:
-        raise AssertionError(
-            "internal error: step degrees disagree with the generated structure"
+        raise InternalError(
+            "step degrees disagree with the generated structure"
         )
     basis = seq.final_state.value_subgroup.basis()
     findings = verify_sequence(seq, z)
     if findings:
-        raise AssertionError("internal error: extracted sequence failed re-verification: "
-                             + "; ".join(findings))
+        raise InternalError("extracted sequence failed re-verification: "
+                            + "; ".join(findings))
     return {
         "sequence": [
             {

@@ -1,8 +1,9 @@
-"""Seeded property suites for the `ratval selftest` verb.
+"""Seeded property suites for `ratval selftest`, the one copy that the
+tier-1 tests also run, with their own seeds and sizes.
 
-Compact versions of the invariants the full pytest suite checks: exact
-valuation axioms, oracle equivalence, field axioms, subgroup witness
-arithmetic, Artin-Schreier residuals, and certificate round trips.
+Exact valuation axioms, oracle equivalence, field axioms, subgroup
+witness arithmetic, Artin-Schreier residuals, and certificate round
+trips.  A suite takes a seeded random.Random, and returns (passed, detail).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .valuations import (
 )
 
 
-def _random_poly(base, rng, max_deg=4):
+def random_poly(base, rng, max_deg):
+    """A random nonzero polynomial over `base` of degree <= max_deg."""
     while True:
         coeffs = [base.sample(rng) for _ in range(rng.randint(1, max_deg + 1))]
         f = RationalFunction.over(base, coeffs)
@@ -33,31 +35,8 @@ def _random_poly(base, rng, max_deg=4):
             return list(f.num)
 
 
-def _suite_valuation_axioms(rng) -> tuple[bool, str]:
-    bases = [
-        (PAdicRationals(3), GroupElement.of(1)),
-        (TAdicRationalFunctions(FiniteField(2)), GroupElement.of("1/2")),
-        (TriviallyValued(FiniteField(5)), GroupElement.of(1)),
-    ]
-    trials = 0
-    for base, gamma in bases:
-        valn = CenteredValuation(base, base.element(0), gamma)
-        for _ in range(200):
-            f = _random_poly(base, rng)
-            g = _random_poly(base, rng)
-            prod = _poly_mul(f, g, base)
-            if valn.of_poly(prod) != valn.of_poly(f) + valn.of_poly(g):
-                return False, "multiplicativity failed"
-            s = _poly_add(f, g, base)
-            if not s:
-                continue  # f + g == 0
-            if not valn.of_poly(s) >= min(valn.of_poly(f), valn.of_poly(g)):
-                return False, "ultrametric inequality failed"
-            trials += 1
-    return True, f"{trials} random pairs, exact"
-
-
-def _poly_mul(f, g, base):
+def poly_mul(f, g, base):
+    """Schoolbook product of coefficient lists over `base`."""
     out = [base.zero()] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
@@ -65,7 +44,8 @@ def _poly_mul(f, g, base):
     return out
 
 
-def _poly_add(f, g, base):
+def poly_add(f, g, base):
+    """Sum of coefficient lists over `base`, stripped of zero leading terms."""
     n = max(len(f), len(g))
     out = []
     for i in range(n):
@@ -77,24 +57,56 @@ def _poly_add(f, g, base):
     return out
 
 
-def _suite_oracle(rng) -> tuple[bool, str]:
-    base = PAdicRationals(3)
-    gammas = [GroupElement.of(0), GroupElement.of(1), GroupElement.of("1/2"),
-              GroupElement.of(0, 1)]
+def suite_valuation_axioms(rng, *, trials=200, max_deg=4, bases=None) -> tuple[bool, str]:
+    """v(fg) = v(f) + v(g) and v(f + g) >= min(v(f), v(g)) for the
+    valuation centred at 0 with v(x) = gamma, per (base, gamma)."""
+    if bases is None:
+        bases = [
+            (PAdicRationals(3), GroupElement.of(1)),
+            (TAdicRationalFunctions(FiniteField(2)), GroupElement.of("1/2")),
+            (TriviallyValued(FiniteField(5)), GroupElement.of(1)),
+        ]
+    pairs = 0
+    for base, gamma in bases:
+        valn = CenteredValuation(base, base.element(0), gamma)
+        for _ in range(trials):
+            f = random_poly(base, rng, max_deg)
+            g = random_poly(base, rng, max_deg)
+            prod = poly_mul(f, g, base)
+            if valn.of_poly(prod) != valn.of_poly(f) + valn.of_poly(g):
+                return False, f"multiplicativity failed over {base!r} for f = {f}, g = {g}"
+            s = poly_add(f, g, base)
+            if not s:
+                continue  # f + g == 0
+            if not valn.of_poly(s) >= min(valn.of_poly(f), valn.of_poly(g)):
+                return False, f"ultrametric inequality failed over {base!r} for f = {f}, g = {g}"
+            pairs += 1
+    return True, f"{pairs} random pairs, exact"
+
+
+def suite_oracle(rng, *, trials=50, max_deg=4, cases=None) -> tuple[bool, str]:
+    """substitution_value equals of_fraction per (base, center, gamma);
+    a center None is an integer in [-3, 3] drawn from rng."""
+    if cases is None:
+        q3 = PAdicRationals(3)
+        cases = [(q3, None, GroupElement.of(g)) for g in (0, 1, "1/2")]
+        cases.append((q3, None, GroupElement.of(0, 1)))
     count = 0
-    for gamma in gammas:
-        valn = CenteredValuation(base, Fraction(rng.randint(-3, 3)), gamma)
-        for _ in range(50):
-            num = _random_poly(base, rng)
-            den = _random_poly(base, rng)
+    for base, center, gamma in cases:
+        if center is None:
+            center = base.element(rng.randint(-3, 3))
+        valn = CenteredValuation(base, center, gamma)
+        for _ in range(trials):
+            num = random_poly(base, rng, max_deg)
+            den = random_poly(base, rng, max_deg)
             direct = valn.of_fraction(RationalFunction(tuple(num), tuple(den)))
             if substitution_value(valn, num, den) != direct:
-                return False, "oracle disagreement"
+                return False, f"oracle disagreement over {base!r} for {num} / {den}"
             count += 1
     return True, f"{count} rational functions, exact"
 
 
-def _suite_fields(rng) -> tuple[bool, str]:
+def suite_fields(rng) -> tuple[bool, str]:
     for field in (RATIONALS, FiniteField(5), FiniteField(2, (1, 1, 1)), FiniteField(3, (1, 0, 1))):
         for _ in range(200):
             a, b, c = (field.sample(rng) for _ in range(3))
@@ -107,7 +119,7 @@ def _suite_fields(rng) -> tuple[bool, str]:
     return True, "field axioms on 200 random triples per field, exact"
 
 
-def _suite_subgroups(rng) -> tuple[bool, str]:
+def suite_subgroups(rng) -> tuple[bool, str]:
     for _ in range(100):
         gens = [GroupElement.of(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
                 for _ in range(rng.randint(1, 3))]
@@ -120,29 +132,35 @@ def _suite_subgroups(rng) -> tuple[bool, str]:
     return True, "100 random membership witnesses re-verified"
 
 
-def _suite_artin_schreier(rng) -> tuple[bool, str]:
+def suite_artin_schreier(rng, *, trials=20) -> tuple[bool, str]:
+    """For random u of negative value over F_2, F_4, F_9 and depth d <= 5:
+    v(a) = v(u)/p for a = artin_schreier_root(u, d), and a^p - a - u has
+    value exactly v(u)/p^d, above the requested bound v(u)/p^(d-1)."""
     for field in (FiniteField(2), FiniteField(2, (1, 1, 1)), FiniteField(3, (1, 0, 1))):
         p = field.characteristic
-        for _ in range(20):
+        checked = 0
+        while checked < trials:
             terms = []
             for _ in range(rng.randint(1, 3)):
-                expo = Fraction(-rng.randint(1, 8), rng.choice([1, 2, 4]))
+                expo = Fraction(-rng.randint(1, 9), rng.choice([1, 2, 3, 4]))
                 terms.append((GroupElement.of(expo), field.sample(rng)))
             u = HahnSeries.make(field, terms)
             if u.is_zero() or not u.value() < GroupElement.zero(1):
                 continue
-            depth = rng.randint(1, 4)
+            depth = rng.randint(1, 5)
             a = artin_schreier_root(u, depth)
             resid = (a ** p) - a - u
-            expected = u.value().scaled(Fraction(1, p ** depth))
+            if resid.value() != u.value().scaled(Fraction(1, p ** depth)):
+                return False, f"residual value mismatch over {field!r} for u = {u!r}, depth {depth}"
+            if not resid.value() > u.value().scaled(Fraction(1, p ** (depth - 1))):
+                return False, f"residual not above the bound over {field!r} for u = {u!r}"
             if a.value() != u.value().scaled(Fraction(1, p)):
-                return False, "v(a) != v(u)/p"
-            if resid.value() != expected:
-                return False, "residual value mismatch"
+                return False, f"v(a) != v(u)/p over {field!r} for u = {u!r}"
+            checked += 1
     return True, "residual value v(u)/p^depth exact on random inputs"
 
 
-def _suite_certificates(rng) -> tuple[bool, str]:
+def suite_certificates(rng) -> tuple[bool, str]:
     for p in (2, 3):
         cert = build_defect_tower(p, [1, 2, 4, 7, 11], 4)
         if not validate_certificate(cert).ok:
@@ -155,12 +173,12 @@ def _suite_certificates(rng) -> tuple[bool, str]:
 
 def run_all(seed: int = 20260810):
     suites = [
-        ("valuation axioms", _suite_valuation_axioms),
-        ("substitution oracle", _suite_oracle),
-        ("field axioms", _suite_fields),
-        ("subgroup witnesses", _suite_subgroups),
-        ("artin-schreier residuals", _suite_artin_schreier),
-        ("certificate round trips", _suite_certificates),
+        ("valuation axioms", suite_valuation_axioms),
+        ("substitution oracle", suite_oracle),
+        ("field axioms", suite_fields),
+        ("subgroup witnesses", suite_subgroups),
+        ("artin-schreier residuals", suite_artin_schreier),
+        ("certificate round trips", suite_certificates),
     ]
     results = []
     for name, fn in suites:

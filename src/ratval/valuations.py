@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .fields import (
     Field,
     FieldElement,
@@ -426,14 +426,17 @@ def taylor_shift(coeffs: list, center, zero) -> list:
 
 
 def substitution_value(valn: "CenteredValuation", num: list, den: list | None = None) -> GroupElement:
-    """Substitution oracle: expand g(a + u*s) with u a fresh
-    transcendental-marked unit and s a symbol of value gamma, in the
-    bivariate polynomial ring K[u, s]; the value is the minimum of
-    v(coefficient) + i*gamma over all monomials u^j s^i.
+    """Substitution oracle: expand g(a + w) in a symbol w of value gamma
+    by Horner's rule, h <- h * (a + w) + c over the coefficients c of g
+    from the top, on the base's own elements (Fractions for a p-adic
+    base).  The value is the minimum of v(h_i) + i*gamma over the
+    coefficients h_i of w^i.  Values of quotients are differences.
 
-    This is exact: monomials in a fresh unit with transcendental residue
-    and in powers of s are valuation-independent, so no cancellation can
-    hide the minimum.  Values of quotients are differences.
+    The h_i are the Taylor coefficients of g at a, so this agrees with
+    CenteredValuation.of_poly; its independence from the fast path is
+    algorithmic: one Horner expansion of g(a + w), against the repeated
+    synthetic division of taylor_shift and the fraction-free synthetic
+    division on ints of PAdicRationals.taylor_coefficients.
     """
 
     def poly_value(coeffs: list) -> GroupElement:
@@ -442,28 +445,13 @@ def substitution_value(valn: "CenteredValuation", num: list, den: list | None = 
             cs.pop()
         if not cs:
             raise PreconditionError("the zero polynomial has no value")
-        table: dict[tuple[int, int], object] = {}
+        h: list = []
         for c in reversed(cs):
-            new: dict[tuple[int, int], object] = {}
-            for (j, i), b in table.items():
-                key = (j, i)
-                prod = b * valn.center
-                new[key] = new[key] + prod if key in new else prod
-                key_u = (j + 1, i + 1)
-                new[key_u] = new[key_u] + b if key_u in new else b
-            key0 = (0, 0)
-            new[key0] = new[key0] + c if key0 in new else c
-            table = new
-        best: GroupElement | None = None
-        for (j, i), b in table.items():
-            if _is_zero(b):
-                continue
-            v = valn.embed_base_value(valn.base.val(b)) + valn.gamma.scaled(i)
-            if best is None or v < best:
-                best = v
-        if best is None:
-            raise PreconditionError("the zero polynomial has no value")
-        return best
+            # h * (a + w) + c: h_i a + h_(i-1) with h_(-1) = c, then the
+            # new top coefficient h_(len h - 1), or c when h is empty
+            h = [x * valn.center + y for x, y in zip(h, [c] + h)] + (h[-1:] or [c])
+        return min(valn.embed_base_value(valn.base.val(b)) + valn.gamma.scaled(i)
+                   for i, b in enumerate(h) if not _is_zero(b))
 
     v = poly_value(num)
     if den is not None:
@@ -606,7 +594,7 @@ class CenteredValuation:
 
         j0 = next((j for j, v in self._term_values(sh_den) if v == v_num), None)
         if j0 is None:
-            raise AssertionError("internal error: denominator does not attain the minimum")
+            raise InternalError("denominator does not attain the minimum")
         b0 = sh_den[j0]
 
         def laurent_residues(shifted, vmin) -> dict[int, FieldElement]:
@@ -616,7 +604,7 @@ class CenteredValuation:
                     continue
                 k = i - j0
                 if k % e != 0:
-                    raise AssertionError("internal error: minimal term outside the e-grading")
+                    raise InternalError("minimal term outside the e-grading")
                 m = k // e
                 unit_num = shifted[i] * (d_elt ** (-m))
                 kappa = self.base.residue_quot(unit_num, b0)

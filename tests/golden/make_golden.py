@@ -4,8 +4,11 @@ The jobs are the six README example jobs and two t-adic eval jobs over
 F_2(t) (degrees 4 and 8, center (1+t)/(1+t^2+t^3), gamma 1/2).  For each
 job NAME this writes NAME.json (the job), NAME.out (stdout of
 `python -m ratval.cli run NAME.json`) and an entry NAME: exit code in
-exit_codes.json.  tests/test_golden.py compares the current reports
-with these files byte for byte, so regenerate them only on purpose:
+exit_codes.json.  It also writes selftest-default.out and
+selftest-seed7.out, the stdout of `python -m ratval.cli selftest` at the
+default seed and with `--seed 7`.  tests/test_golden.py compares the
+current output with these files byte for byte, so regenerate them only
+on purpose:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 """
@@ -107,6 +110,11 @@ def main() -> int:
     with open(os.path.join(HERE, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for name, seed in (("selftest-default", []), ("selftest-seed7", ["--seed", "7"])):
+        proc = subprocess.run([sys.executable, "-m", "ratval.cli", "selftest", *seed],
+                              capture_output=True, check=True)
+        with open(os.path.join(HERE, f"{name}.out"), "wb") as fh:
+            fh.write(proc.stdout)
     return 0
 
 

@@ -31,16 +31,15 @@ from ratval.homogeneous import (
     krasner_kummer,
     kummer_conjugate_differences,
 )
-from ratval.series import HahnSeries, artin_schreier_root
+from ratval.selftest import suite_artin_schreier, suite_oracle, suite_valuation_axioms
+from ratval.series import HahnSeries
 from ratval.valuations import (
     CenteredValuation,
     PAdicRationals,
     PseudoCauchyValuation,
-    RationalFunction,
     SeriesValuedField,
     TAdicRationalFunctions,
     TriviallyValued,
-    substitution_value,
 )
 
 F2 = FiniteField(2)
@@ -53,63 +52,18 @@ def report(num, text):
     return True
 
 
-def rand_poly(base, rng, max_deg=5):
-    while True:
-        coeffs = [base.sample(rng) for _ in range(rng.randint(1, max_deg + 1))]
-        f = RationalFunction.over(base, coeffs)
-        if not f.is_zero():
-            return list(f.num)
-
-
-def poly_mul(f, g, base):
-    out = [base.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def poly_add(f, g, base):
-    n = max(len(f), len(g))
-    out = [
-        (f[i] if i < len(f) else base.zero()) + (g[i] if i < len(g) else base.zero())
-        for i in range(n)
-    ]
-    from ratval.valuations import _is_zero
-
-    while out and _is_zero(out[-1]):
-        out.pop()
-    return out
-
-
 def test_criterion_1_valuation_axioms():
     start = time.perf_counter()
-    rng = random.Random(101)
-    bases = [
-        (PAdicRationals(3), GroupElement.of(1)),
-        (TAdicRationalFunctions(F2), GroupElement.of("1/2")),
-        (TriviallyValued(FiniteField(5)), GroupElement.of(1)),
-    ]
-    pairs = 0
-    for base, gamma in bases:
-        valn = CenteredValuation(base, base.element(0), gamma)
-        for _ in range(1000):
-            f = rand_poly(base, rng, 3)
-            g = rand_poly(base, rng, 3)
-            assert valn.of_poly(poly_mul(f, g, base)) == valn.of_poly(f) + valn.of_poly(g)
-            s = poly_add(f, g, base)
-            if s:
-                assert valn.of_poly(s) >= min(valn.of_poly(f), valn.of_poly(g))
-            pairs += 1
+    # Q 3-adic, F_2(t) t-adic and F_5 trivially valued, 1000 pairs each
+    passed, detail = suite_valuation_axioms(random.Random(101), trials=1000, max_deg=3)
+    assert passed, detail
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"time budget exceeded: {elapsed:.1f}s"
-    report(1, f"v(fg)=vf+vg and v(f+g)>=min over 3 bases, {pairs} random pairs, "
-              f"exact, {elapsed:.1f}s")
+    report(1, f"v(fg)=vf+vg and v(f+g)>=min over 3 bases: {detail}, {elapsed:.1f}s")
 
 
 def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
-    rng = random.Random(202)
     base = PAdicRationals(3)
     families = {
         "gamma=0": GroupElement.of(0),
@@ -117,19 +71,13 @@ def test_criterion_2_oracle_equivalence():
         "gamma=1/2": GroupElement.of("1/2"),
         "gamma non-torsion lex": GroupElement.of(0, 1),
     }
-    total = 0
-    for gamma in families.values():
-        valn = CenteredValuation(base, Fraction(1), gamma)
-        for _ in range(200):
-            num = rand_poly(base, rng)
-            den = rand_poly(base, rng)
-            direct = valn.of_fraction(RationalFunction(tuple(num), tuple(den)))
-            assert substitution_value(valn, num, den) == direct
-            total += 1
+    cases = [(base, Fraction(1), gamma) for gamma in families.values()]
+    passed, detail = suite_oracle(random.Random(202), trials=200, max_deg=5, cases=cases)
+    assert passed, detail
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"time budget exceeded: {elapsed:.1f}s"
-    report(2, f"substitution oracle equals the direct evaluation on {total} "
-              f"rational functions across 4 gamma families, exact, {elapsed:.1f}s")
+    report(2, f"substitution oracle equals the direct evaluation across 4 gamma "
+              f"families: {detail}, {elapsed:.1f}s")
 
 
 def test_criterion_3_defect_tower_certificate():
@@ -155,30 +103,11 @@ def test_criterion_3_defect_tower_certificate():
 
 def test_criterion_4_artin_schreier_residuals():
     start = time.perf_counter()
-    rng = random.Random(404)
-    checked = 0
-    for field in (F2, F4, F9):
-        p = field.characteristic
-        while checked < 50 * ((F2, F4, F9).index(field) + 1):
-            terms = []
-            for _ in range(rng.randint(1, 3)):
-                expo = Fraction(-rng.randint(1, 9), rng.choice([1, 2, 3, 4]))
-                terms.append((GroupElement.of(expo), field.sample(rng)))
-            u = HahnSeries.make(field, terms)
-            if u.is_zero() or not u.value() < GroupElement.zero(1):
-                continue
-            depth = rng.randint(1, 5)
-            a = artin_schreier_root(u, depth)
-            resid = (a ** p) - a - u
-            exact = u.value().scaled(Fraction(1, p ** depth))
-            bound = u.value().scaled(Fraction(1, p ** (depth - 1)))
-            assert resid.value() == exact
-            assert resid.value() > bound
-            assert a.value() == u.value().scaled(Fraction(1, p))
-            checked += 1
+    passed, detail = suite_artin_schreier(random.Random(404), trials=50)
+    assert passed, detail
     elapsed = time.perf_counter() - start
     report(4, f"v(a^p - a - u) = v(u)/p^depth exactly (above the requested bound "
-              f"v(u)/p^(depth-1)) for {checked} random u over F_2, F_4, F_9, {elapsed:.1f}s")
+              f"v(u)/p^(depth-1)) for 150 random u over F_2, F_4, F_9, {elapsed:.1f}s")
 
 
 def test_criterion_5_homogeneous_extraction():

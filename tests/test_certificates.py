@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratval import certificates
 from ratval.certificates import (
     Certificate,
     ExtensionStep,
@@ -12,17 +13,22 @@ from ratval.certificates import (
     build_extension_tower,
     build_ic_valuation,
     classification_certificate,
+    ValidationResult,
     fund_ineq_check,
     validate_certificate,
 )
-from ratval.errors import PreconditionError
+from ratval.errors import InternalError, PreconditionError
+from ratval.fields import FiniteField
 from ratval.groups import GroupElement, Subgroup
 from ratval.valuations import (
     RESIDUE_TRANSCENDENTAL,
     VALUE_TRANSCENDENTAL,
     CenteredValuation,
     PAdicRationals,
+    PseudoCauchyValuation,
+    SeriesValuedField,
 )
+from ratval.series import HahnSeries
 
 
 def tamper(cert: Certificate, path: list, value):
@@ -114,6 +120,14 @@ class TestDefectTower:
         mults = [i * p ** e - 1 for i, e in enumerate(sched, start=1)]
         cert = build_defect_tower(p, sched, 3, multipliers=mults)
         assert validate_certificate(cert).ok
+
+    def test_explicit_default_multipliers(self):
+        # n_i = -1 throughout is the default shape, given or not: the growth
+        # rule and the truncation apply, as the validator assumes
+        sched = [1, 2, 4, 7, 11]
+        assert build_defect_tower(2, sched, 4, multipliers=[-1] * 5) == build_defect_tower(2, sched, 4)
+        with pytest.raises(PreconditionError, match="schedule violation at position 3"):
+            build_defect_tower(2, [1, 2, 3], 2, multipliers=[-1] * 3)
 
     def test_even_multiplier_rejected(self):
         with pytest.raises(PreconditionError, match="prime to p"):
@@ -325,6 +339,8 @@ class TestDegreeBound:
         assert not validate_certificate(
             tamper(cert, ["group_index_witness", "hermite_basis"], ["1/104"])
         ).ok
+        res = validate_certificate(tamper(cert, ["group_index_witness", "index_over_base"], 104))
+        assert res.findings == ("recorded index over the base does not verify",)
 
 
 class TestClassificationCertificate:
@@ -347,3 +363,51 @@ class TestClassificationCertificate:
     def test_unknown_kind(self):
         res = validate_certificate({"kind": "mystery"})
         assert not res.ok
+
+
+def _pcs_classification():
+    f2 = FiniteField(2)
+    elems = [HahnSeries.make(f2, [(Fraction(1) - Fraction(1, 3 ** j), 1) for j in range(1, i + 1)],
+                             trunc=1)
+             for i in range(1, 4)]
+    return classification_certificate(PseudoCauchyValuation(SeriesValuedField(f2), elems),
+                                      {"kind": "pcs"})
+
+
+def _vag_classification():
+    base = PAdicRationals(3)
+    desc = {"kind": "vag", "base": base.to_json(), "center": "0", "gamma": ["1/2"]}
+    return classification_certificate(CenteredValuation(base, 0, GroupElement.of("1/2")), desc)
+
+
+class TestSelfValidation:
+    """Builders return their certificates through validate_certificate; a
+    finding on their own output raises InternalError carrying it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_defect_tower(2, [1, 2, 4], 2),
+        lambda: build_degree_bound(2, [3, 5]),
+        lambda: build_extension_tower(3, [ExtensionStep("kummer", alpha=Fraction(1, 2))]),
+        _vag_classification,
+        _pcs_classification,
+    ], ids=["defect-tower", "degree-bound", "extension-tower", "classification",
+            "classification-pcs"])
+    def test_every_builder_returns_through_the_validator(self, monkeypatch, build):
+        build()
+        monkeypatch.setattr(certificates, "validate_certificate",
+                            lambda cert: ValidationResult(False, ("planted finding",)))
+        with pytest.raises(InternalError, match="fails its own validation: planted finding$"):
+            build()
+
+    def test_wrong_artin_schreier_root_in_defect_tower(self, monkeypatch):
+        # c in place of a root of X^p - X - c: value v(c) instead of v(c)/p
+        monkeypatch.setattr(certificates, "artin_schreier_root", lambda c, depth: c)
+        with pytest.raises(InternalError) as err:
+            build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        assert str(err.value) == ("defect-tower certificate fails its own validation: "
+                                  "eta tower: v(eta_1) = -1 is not v(eta_0)/p")
+
+    def test_wrong_artin_schreier_root_in_extension_tower(self, monkeypatch):
+        monkeypatch.setattr(certificates, "artin_schreier_root", lambda c, depth: c)
+        with pytest.raises(InternalError, match="step 1: value chain does not verify$"):
+            build_extension_tower(2, [ExtensionStep("artin-schreier", c_exponent=Fraction(-1))])

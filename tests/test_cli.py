@@ -1,10 +1,15 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from ratval import cli
 from ratval.cli import main
+from ratval.groups import GroupElement
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def write_job(tmp_path, name, job):
@@ -82,6 +87,18 @@ class TestRunCertificates:
         code2, out2, _ = run_cli(["recheck", str(tmp_path / "cert.json")], capsys)
         assert code2 == 0
         assert json.loads(out2)["ok"] is True
+
+    def test_classify_base_coord_as_string(self, tmp_path, capsys):
+        # the descriptor keeps "1" as given; the job parser and the
+        # validator both read it as the int 1
+        job = {"task": "classify",
+               "valuation": {"kind": "vag", "base": {"kind": "p-adic", "p": 3},
+                             "center": "0", "gamma": ["1/2", "0"], "base_coord": "1"},
+               "output": str(tmp_path / "cert.json")}
+        code, _, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 0
+        code2, out2, _ = run_cli(["recheck", str(tmp_path / "cert.json")], capsys)
+        assert (code2, json.loads(out2)["ok"]) == (0, True)
 
     def test_degree_bound_and_tamper(self, tmp_path, capsys):
         job = {"task": "degree-bound", "p": 2, "n": [3, 5, 7, 11],
@@ -273,3 +290,15 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "all suites passed" in proc.stdout
+
+
+class TestInternalError:
+    def test_oracle_disagreement_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "substitution_value",
+                            lambda valn, num, den=None: GroupElement.of(99))
+        code, out, err = run_cli(["run", str(GOLDEN / "readme-eval.json")], capsys)
+        assert code == 3
+        assert json.loads(out) == {
+            "error": {"type": "InternalError", "message": "substitution oracle disagrees"}
+        }
+        assert err == ""

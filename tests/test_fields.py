@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -19,9 +20,11 @@ from ratval.fields import (
     _pstrip,
     build_extension,
     is_irreducible,
+    is_prime,
     min_poly,
     min_poly_degree,
 )
+from ratval.valuations import PAdicRationals
 
 F2 = FiniteField(2)
 F4 = FiniteField(2, (1, 1, 1))
@@ -401,3 +404,33 @@ class TestOnePassMul:
             got = a * b
             assert got.field is field
             assert got.value == rem + (0,) * (n - len(rem))
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert [n for n in range(10 ** 5) if is_prime(n) != _trial_division(n)] == []
+
+    @pytest.mark.parametrize("n", [561, 41041, 3_215_031_751])
+    def test_pseudoprimes_rejected(self, n):
+        # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5 and 7
+        assert not _trial_division(n) and not is_prime(n)
+
+    def test_mersenne_61_padic_base_budget(self):
+        start = time.perf_counter()
+        base = PAdicRationals(2 ** 61 - 1)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05, f"time budget exceeded: {elapsed * 1000:.1f} ms"
+        assert base.p == 2 ** 61 - 1
+
+    def test_probable_prime_above_psi13_is_undecided(self):
+        # psi_13 itself is a strong pseudoprime to every base 2..41, and
+        # 2^89 - 1 a prime above it: neither gets an answer
+        for n in (3_317_044_064_679_887_385_961_981, 2 ** 89 - 1):
+            with pytest.raises(PreconditionError, match="only below"):
+                is_prime(n)
+        assert not is_prime(2 ** 89 + 1)  # divisible by 3
+        assert not is_prime(2 ** 101 - 1)  # = 7432339208719 * 341117531003194129

@@ -1,6 +1,7 @@
 """Byte-for-byte reports of the golden jobs in tests/golden/: the six
-README example jobs and two t-adic eval jobs over F_2(t).  The expected
-stdout and exit codes were recorded by tests/golden/make_golden.py."""
+README example jobs and two t-adic eval jobs over F_2(t), and the
+output of `ratval selftest` at the default seed and at seed 7.  The
+expected stdout and exit codes were recorded by tests/golden/make_golden.py."""
 
 import json
 import pathlib
@@ -18,3 +19,11 @@ def test_report_is_byte_identical(name, capsys):
     code = main(["run", str(GOLDEN / f"{name}.json")])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
     assert code == EXIT_CODES[name]
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["default", "seed7"])
+def test_selftest_output_is_byte_identical(seed, capsys):
+    args = ["selftest"] + ([] if seed is None else ["--seed", str(seed)])
+    assert main(args) == 0
+    name = "selftest-default.out" if seed is None else f"selftest-seed{seed}.out"
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

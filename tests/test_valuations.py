@@ -7,6 +7,7 @@ import pytest
 from ratval.errors import PreconditionError
 from ratval.fields import RATIONALS, FiniteField, FunctionFieldElement
 from ratval.groups import GroupElement
+from ratval.selftest import poly_add, poly_mul, random_poly, suite_oracle, suite_valuation_axioms
 from ratval.series import HahnSeries
 from ratval.valuations import (
     RESIDUE_TRANSCENDENTAL,
@@ -32,46 +33,15 @@ T2 = TAdicRationalFunctions(F2)
 TRIV2 = TriviallyValued(F2)
 
 
-def rand_poly(base, rng, max_deg=5):
-    while True:
-        coeffs = [base.sample(rng) for _ in range(rng.randint(1, max_deg + 1))]
-        f = RationalFunction.over(base, coeffs)
-        if not f.is_zero():
-            return list(f.num)
-
-
-def poly_mul(f, g, base):
-    out = [base.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def expand_about(shifted: list, center, zero, one) -> list:
+def expand_about(shifted: list, center, base) -> list:
     """Inverse of taylor_shift: standard coefficients of
-    sum c_i (x - a)^i, by brute-force expansion."""
-
-    def padd(a, b):
-        n = max(len(a), len(b))
-        return [
-            (a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-            for i in range(n)
-        ]
-
-    def pmul(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return out
-
-    result = [zero]
-    xa = [zero - center, one]
-    power = [one]
+    sum c_i (x - a)^i over `base`, by brute-force expansion."""
+    result = []
+    xa = [-center, base.one()]
+    power = [base.one()]
     for c in shifted:
-        result = padd(result, [c * q for q in power])
-        power = pmul(power, xa)
+        result = poly_add(result, [c * q for q in power], base)
+        power = poly_mul(power, xa, base)
     return result
 
 
@@ -96,7 +66,7 @@ class TestTaylorShift:
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))]
             a = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             shifted = taylor_shift(coeffs, a, Fraction(0))
-            back = expand_about(shifted, a, Fraction(0), Fraction(1))
+            back = expand_about(shifted, a, Q3)
             trimmed = list(coeffs)
             while trimmed and trimmed[-1] == 0:
                 trimmed.pop()
@@ -184,20 +154,17 @@ class TestEvalCentered:
         (TRIV2, GroupElement.of(1)),
     ])
     def test_valuation_axioms(self, base, gamma):
-        rng = random.Random(17)
-        w = CenteredValuation(base, base.element(0), gamma)
-        for _ in range(300):
-            f = rand_poly(base, rng, 3)
-            g = rand_poly(base, rng, 3)
-            assert w.of_poly(poly_mul(f, g, base)) == w.of_poly(f) + w.of_poly(g)
+        passed, detail = suite_valuation_axioms(random.Random(17), trials=300, max_deg=3,
+                                                bases=[(base, gamma)])
+        assert passed, detail
 
     def test_representative_independence(self):
         rng = random.Random(23)
         w = CenteredValuation(Q3, Fraction(1), GroupElement.of("1/2"))
         for _ in range(100):
-            g = rand_poly(Q3, rng, 3)
-            g2 = rand_poly(Q3, rng, 3)
-            h = rand_poly(Q3, rng, 2)
+            g = random_poly(Q3, rng, 3)
+            g2 = random_poly(Q3, rng, 3)
+            h = random_poly(Q3, rng, 2)
             lhs = w.of_fraction(RationalFunction.over(Q3, poly_mul(g, h, Q3), poly_mul(g2, h, Q3)))
             rhs = w.of_fraction(RationalFunction.over(Q3, g, g2))
             assert lhs == rhs
@@ -220,20 +187,15 @@ class TestSubstitutionOracle:
         GroupElement.of(0, 1),
     ])
     def test_random_rational_functions(self, gamma):
-        rng = random.Random(31)
-        w = CenteredValuation(Q3, Fraction(2), gamma)
-        for _ in range(200):
-            num, den = rand_poly(Q3, rng), rand_poly(Q3, rng)
-            direct = w.of_fraction(RationalFunction(tuple(num), tuple(den)))
-            assert substitution_value(w, num, den) == direct
+        passed, detail = suite_oracle(random.Random(31), trials=200, max_deg=5,
+                                      cases=[(Q3, Fraction(2), gamma)])
+        assert passed, detail
 
     def test_t_adic_base(self):
-        rng = random.Random(37)
-        w = CenteredValuation(T2, T2.element({"num": [1]}), GroupElement.of("1/3"))
-        for _ in range(100):
-            num, den = rand_poly(T2, rng, 3), rand_poly(T2, rng, 3)
-            direct = w.of_fraction(RationalFunction(tuple(num), tuple(den)))
-            assert substitution_value(w, num, den) == direct
+        center = T2.element({"num": [1]})
+        passed, detail = suite_oracle(random.Random(37), trials=100, max_deg=3,
+                                      cases=[(T2, center, GroupElement.of("1/3"))])
+        assert passed, detail
 
 
 class TestTAdicProductOfLinears:
@@ -293,7 +255,7 @@ class TestValueGroupStructure:
         w = CenteredValuation(Q3, 0, gamma)
         sub = w.base_value_subgroup.extended(gamma)
         for _ in range(100):
-            f = rand_poly(Q3, rng)
+            f = random_poly(Q3, rng, 5)
             assert sub.witness(w.of_poly(f)) is not None
 
     def test_torsion_index_divides_e(self):
@@ -303,7 +265,7 @@ class TestValueGroupStructure:
         e = w.torsion_order()
         assert e == 2
         base = w.base_value_subgroup
-        values = [w.of_poly(rand_poly(Q3, rng)) for _ in range(60)]
+        values = [w.of_poly(random_poly(Q3, rng, 5)) for _ in range(60)]
         gen = base.extended(*values)
         idx = gen.index_over(base)
         assert idx is not None and e % idx == 0
@@ -335,8 +297,8 @@ class TestResidue:
         rng = random.Random(47)
         w = CenteredValuation(Q3, 0, GroupElement.of("1/2"))
         for _ in range(30):
-            f = rand_poly(Q3, rng, 4)
-            g = rand_poly(Q3, rng, 4)
+            f = random_poly(Q3, rng, 4)
+            g = random_poly(Q3, rng, 4)
             fg = poly_mul(f, g, Q3)
             assert w.residue_of(RationalFunction(tuple(f), tuple(f))) == Q3.residue_field.one()
             # (f*g)/(g*f) has residue 1 however the minimum spreads over terms
