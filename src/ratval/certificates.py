@@ -196,13 +196,22 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
     return _self_checked(Certificate("defect-tower", payload))
 
 
+def _prime_violation(p: int) -> str | None:
+    """None for a proven prime p, else why p is not one: composite, or a
+    strong probable prime too large for is_prime to prove."""
+    try:
+        return None if is_prime(p) else f"{p} is not prime"
+    except PreconditionError as exc:
+        return f"p cannot be proven prime: {exc}"
+
+
 def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
                             depth: int) -> str | None:
     """The first violated precondition of a defect tower, or None; the
     builder raises it and the validator reports it."""
     n = len(schedule)
-    if not is_prime(p):
-        return f"{p} is not prime"
+    if (violation := _prime_violation(p)):
+        return violation
     if n < 2:
         return "the exponent schedule needs at least two entries"
     if len(mults) != n:
@@ -615,8 +624,8 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
 def _degree_bound_violation(p: int, indices: list[int]) -> str | None:
     """The first violated precondition of a degree bound, or None; the
     builder raises it and the validator reports it."""
-    if not is_prime(p):
-        return f"{p} is not prime"
+    if (violation := _prime_violation(p)):
+        return violation
     if not indices:
         return "at least one index is required"
     for i, nv in enumerate(indices, start=1):
@@ -931,7 +940,11 @@ def _validate_classification(payload: dict, findings: list[str]) -> None:
             findings.append("pseudo Cauchy descriptors are valuation-algebraic")
         return
     gamma = GroupElement.from_json(desc["gamma"])
-    base = ValuedField.from_json(desc["base"])
+    try:
+        base = ValuedField.from_json(desc["base"])
+    except PreconditionError as exc:
+        findings.append(f"descriptor base does not build: {exc}")
+        return
     base_coord = int(desc.get("base_coord", 0))
     gens = []
     for v in base.value_generators():

@@ -346,7 +346,7 @@ class FieldElement:
     value: object  # Fraction over Q, coefficient tuple over F_{p^n}
 
     def is_zero(self) -> bool:
-        if isinstance(self.value, Fraction):
+        if type(self.value) is Fraction:
             return self.value == 0
         return not any(self.value)
 
@@ -359,7 +359,7 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if isinstance(self.value, Fraction):
+        if type(self.value) is Fraction:
             return FieldElement(self.field, self.value + other.value)
         p = self.field.characteristic
         return FieldElement(
@@ -369,7 +369,7 @@ class FieldElement:
     __radd__ = __add__
 
     def __neg__(self):
-        if isinstance(self.value, Fraction):
+        if type(self.value) is Fraction:
             return FieldElement(self.field, -self.value)
         p = self.field.characteristic
         return FieldElement(self.field, tuple((-a) % p for a in self.value))
@@ -379,12 +379,14 @@ class FieldElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if isinstance(self.value, Fraction):
+        if type(self.value) is Fraction:
             return FieldElement(self.field, self.value * other.value)
-        # schoolbook on the coefficient tuples, the top coefficients folded
-        # through X^k mod the modulus, one reduction mod p
         f: FiniteField = self.field
         a, b, n = self.value, other.value, len(self.value)
+        if n == 1:
+            return FieldElement(f, (a[0] * b[0] % f.characteristic,))
+        # schoolbook on the coefficient tuples, the top coefficients folded
+        # through X^k mod the modulus, one reduction mod p
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -402,7 +404,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise PreconditionError("division by zero")
-        if isinstance(self.value, Fraction):
+        if type(self.value) is Fraction:
             return FieldElement(self.field, 1 / self.value)
         f: FiniteField = self.field
         p = f.characteristic
@@ -419,6 +421,8 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
+        if self.field.characteristic and not self.is_zero():
+            n %= self.field.order - 1  # x^(q-1) = 1 for nonzero x in F_q
         result = self.field.one()
         base = self
         while n:
@@ -440,14 +444,14 @@ class FieldElement:
         return self ** (f.characteristic ** (f.degree - 1))
 
     def to_json(self):
-        if isinstance(self.value, Fraction):
+        if type(self.value) is Fraction:
             return str(self.value)
         if self.field.degree == 1:
             return self.value[0]
         return list(self.value)
 
     def __repr__(self):
-        if isinstance(self.value, Fraction):
+        if type(self.value) is Fraction:
             return str(self.value)
         if self.field.degree == 1:
             return str(self.value[0])

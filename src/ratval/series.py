@@ -8,12 +8,19 @@ bound on.  trunc=None means the series is exact (no unknown tail).
 
 Binary operations compute the tightest sound bound: min of the bounds
 for addition, min over v(s)+trunc(r) and trunc(s)+v(r) for products.
+
+Normalisation and products run on int exponent keys: over the lcm D of
+the denominators of the exponents and the bound, an exponent e is the
+int tuple D*e, so merging, sorting and the product's pair loop do no
+Fraction arithmetic and no hashing of rationals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import PreconditionError
 from .fields import Field, FieldElement
@@ -34,6 +41,41 @@ def _min_trunc(a: GroupElement | None, b: GroupElement | None) -> GroupElement |
     return a if a <= b else b
 
 
+def _common_den(expos, trunc: GroupElement | None) -> int:
+    """The lcm D of the coordinate denominators of `expos` and `trunc`."""
+    if trunc is not None:
+        expos = [*expos, trunc]
+    return math.lcm(*(c.denominator for g in expos for c in g.coords))
+
+
+def _key(g: GroupElement, den: int) -> tuple[int, ...]:
+    """The int tuple den * g; keys over one den order as their elements do."""
+    return tuple(c.numerator * (den // c.denominator) for c in g.coords)
+
+
+def _normalise(field: Field, rank: int, den: int, keyed, trunc: GroupElement | None,
+               expos: dict | None = None) -> "HahnSeries":
+    """The series of (key, coefficient) pairs over the common denominator
+    `den`: coefficients on one key are summed, the keys sorted once, zero
+    sums dropped and the terms cut at the first key on or above den *
+    trunc.  A surviving key takes its GroupElement from `expos` when
+    given, else is divided back by den."""
+    sums: dict[tuple[int, ...], FieldElement] = {}
+    for k, c in keyed:
+        prev = sums.get(k)
+        sums[k] = c if prev is None else prev + c
+    top = None if trunc is None else _key(trunc, den)
+    kept = []
+    for k in sorted(sums):
+        if top is not None and k >= top:
+            break
+        c = sums[k]
+        if not c.is_zero():
+            g = expos[k] if expos is not None else GroupElement(tuple(Fraction(x, den) for x in k))
+            kept.append((g, c))
+    return HahnSeries(field, rank, tuple(kept), trunc)
+
+
 @dataclass(frozen=True)
 class HahnSeries:
     """A truncated power series sum of c * t^g over an ordered group."""
@@ -47,7 +89,7 @@ class HahnSeries:
     def make(field: Field, terms, trunc: GroupElement | None = None, rank: int = 1) -> "HahnSeries":
         """Normalize: coerce, merge duplicate exponents, drop zeros and
         terms at or above the truncation bound, sort by exponent."""
-        acc: dict[GroupElement, FieldElement] = {}
+        pairs = []
         for expo, coeff in terms:
             if not isinstance(expo, GroupElement):
                 expo = GroupElement.of(*expo) if isinstance(expo, (tuple, list)) else GroupElement.of(expo)
@@ -56,20 +98,19 @@ class HahnSeries:
                 raise PreconditionError("coefficient field mismatch")
             if expo.rank != rank:
                 raise PreconditionError("exponent rank mismatch")
-            if expo in acc:
-                acc[expo] = acc[expo] + coeff
-            else:
-                acc[expo] = coeff
+            pairs.append((expo, coeff))
         if trunc is not None and not isinstance(trunc, GroupElement):
             trunc = GroupElement.of(trunc)
         if trunc is not None and trunc.rank != rank:
             raise PreconditionError("truncation bound rank mismatch")
-        kept = sorted(
-            ((e, c) for e, c in acc.items()
-             if not c.is_zero() and (trunc is None or e < trunc)),
-            key=lambda t: t[0].coords,
-        )
-        return HahnSeries(field, rank, tuple(kept), trunc)
+        den = _common_den([e for e, _ in pairs], trunc)
+        expos: dict[tuple[int, ...], GroupElement] = {}
+        keyed = []
+        for expo, coeff in pairs:
+            k = _key(expo, den)
+            expos.setdefault(k, expo)
+            keyed.append((k, coeff))
+        return _normalise(field, rank, den, keyed, trunc, expos)
 
     @staticmethod
     def zero(field: Field, trunc=None, rank: int = 1) -> "HahnSeries":
@@ -144,11 +185,22 @@ class HahnSeries:
         if other.trunc is not None and (va := self.value_bound()) is not None:
             t2 = other.trunc + va
         trunc = _min_trunc(t1, t2)
-        prod: list[tuple[GroupElement, FieldElement]] = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                prod.append((e1 + e2, c1 * c2))
-        return HahnSeries.make(self.field, prod, trunc, self.rank)
+        den = _common_den([e for e, _ in self.terms + other.terms], trunc)
+        left = [(_key(e, den), c) for e, c in self.terms]
+        right = [(_key(e, den), c) for e, c in other.terms]
+        top = None if trunc is None else _key(trunc, den)
+
+        def pairs():
+            # both lists ascend and the order is additive, so each row
+            # stops at the first sum on or above the truncation key
+            for ka, ca in left:
+                for kb, cb in right:
+                    k = tuple(map(add, ka, kb))
+                    if top is not None and k >= top:
+                        break
+                    yield k, ca * cb
+
+        return _normalise(self.field, self.rank, den, pairs(), trunc)
 
     def __pow__(self, n: int) -> "HahnSeries":
         if not isinstance(n, int):

@@ -411,3 +411,29 @@ class TestSelfValidation:
         monkeypatch.setattr(certificates, "artin_schreier_root", lambda c, depth: c)
         with pytest.raises(InternalError, match="step 1: value chain does not verify$"):
             build_extension_tower(2, [ExtensionStep("artin-schreier", c_exponent=Fraction(-1))])
+
+
+MERSENNE_89 = 2 ** 89 - 1  # a prime above psi_13, which is_prime cannot prove
+
+
+class TestUnprovablePrime:
+    """A p that passes every strong-probable-prime round but lies above
+    psi_13 is a named finding, not a raised PreconditionError."""
+
+    @pytest.mark.parametrize("build, path, finding", [
+        (lambda: build_defect_tower(2, [1, 2, 4, 7], 3), ["p"], "p cannot be proven prime: "),
+        (lambda: build_degree_bound(2, [3, 5, 7]), ["p"], "p cannot be proven prime: "),
+        (_vag_classification, ["descriptor", "base", "p"], "descriptor base does not build: "),
+    ], ids=["defect-tower", "degree-bound", "classification"])
+    def test_named_finding(self, build, path, finding):
+        result = validate_certificate(tamper(build(), path, MERSENNE_89))
+        assert not result.ok
+        assert result.findings == (f"{finding}{MERSENNE_89} is a strong probable prime to the "
+                                   f"bases 2..41, which proves primality only below "
+                                   f"3317044064679887385961981",)
+
+    def test_builders_still_refuse(self):
+        for build in (lambda: build_defect_tower(MERSENNE_89, [1, 2, 4, 7], 3),
+                      lambda: build_degree_bound(MERSENNE_89, [3, 5, 7])):
+            with pytest.raises(PreconditionError, match="cannot be proven prime: .*only below"):
+                build()

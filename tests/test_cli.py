@@ -201,6 +201,23 @@ class TestRunCertificates:
         assert code2 == 1
         assert json.loads(out2)["ok"] is False
 
+    @pytest.mark.parametrize("job", [
+        {"task": "piltant", "p": 2, "e": [1, 2, 4, 7], "depth": 3},
+        {"task": "degree-bound", "p": 2, "n": [3, 5, 7]},
+    ], ids=["defect-tower", "degree-bound"])
+    def test_recheck_unprovable_prime_is_a_finding(self, tmp_path, capsys, job):
+        code, out, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        report["certificate"]["p"] = 2 ** 89 - 1
+        (tmp_path / "cert.json").write_text(json.dumps(report))
+        code2, out2, err2 = run_cli(["recheck", str(tmp_path / "cert.json")], capsys)
+        assert code2 == 1
+        recheck = json.loads(out2)
+        assert "error" not in recheck and recheck["ok"] is False
+        assert recheck["findings"][0].startswith("p cannot be proven prime: ")
+        assert "Traceback" not in err2
+
     def test_extract_task(self, tmp_path, capsys):
         job = {
             "task": "extract",

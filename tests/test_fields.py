@@ -27,6 +27,7 @@ from ratval.fields import (
 from ratval.valuations import PAdicRationals
 
 F2 = FiniteField(2)
+F3 = FiniteField(3)
 F4 = FiniteField(2, (1, 1, 1))
 F5 = FiniteField(5)
 F8 = FiniteField(2, (1, 1, 0, 1))
@@ -387,23 +388,75 @@ class TestRabin:
 
 F16 = FiniteField(2, (1, 1, 0, 0, 1))
 F256 = FiniteField(2, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # X^8 + X^4 + X^3 + X + 1
+F13 = FiniteField(13)
 F13_4 = FiniteField(13, (1, 0, 0, 1, 1))
 
 
 class TestOnePassMul:
-    @pytest.mark.parametrize("field", [F4, F8, F9, F16, F256, F13_4], ids=repr)
+    @pytest.mark.parametrize("field", [F2, F3, F13, F4, F8, F9, F16, F256, F13_4], ids=repr)
     def test_against_pmul_and_pdivmod(self, field):
+        # over a prime field the product is the one-coefficient path and
+        # the reference is _pmul mod p alone
         p, n = field.characteristic, field.degree
         rng = random.Random(field.order)
         pairs = [(field.sample(rng), field.sample(rng)) for _ in range(300)]
-        special = [field.zero(), field.one(), field.gen()]
+        special = [field.zero(), field.one(), field.element(-1)]
+        if field.modulus:
+            special.append(field.gen())
         pairs += [(a, b) for a in special for b in special + [field.sample(rng)]]
         for a, b in pairs:
-            rem = _pdivmod(_pmul(_pstrip(list(a.value)), _pstrip(list(b.value)), p),
-                           field.modulus, p)[1]
+            rem = _pmul(_pstrip(list(a.value)), _pstrip(list(b.value)), p)
+            if field.modulus:
+                rem = _pdivmod(rem, field.modulus, p)[1]
             got = a * b
             assert got.field is field
             assert got.value == rem + (0,) * (n - len(rem))
+
+
+def _unreduced_pow(x, n):
+    """x^n by square-and-multiply on the full exponent."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    result = x.field.one()
+    while n:
+        if n & 1:
+            result = result * x
+        x, n = x * x, n >> 1
+    return result
+
+
+class TestPowReduction:
+    @pytest.mark.parametrize("field", [F2, F3, F4, F9, F13_4], ids=repr)
+    def test_against_unreduced_square_and_multiply(self, field):
+        p, q = field.characteristic, field.order
+        rng = random.Random(q)
+        exponents = [0, 1, q - 2, q - 1, q, 2 * (q - 1), 3 * (q - 1) + 1]
+        exponents += [p ** e for e in range(1, 12)]
+        exponents += [-n for n in exponents if n]
+        values = [field.one(), field.element(-1)] + [field.sample(rng) for _ in range(4)]
+        for x in values:
+            if x.is_zero():
+                continue
+            for n in exponents:
+                assert x ** n == _unreduced_pow(x, n), (x, n)
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F9, F13_4], ids=repr)
+    def test_zero_base(self, field):
+        zero = field.zero()
+        assert zero ** 0 == field.one()
+        for n in (1, field.order - 1, field.order, field.characteristic ** 3):
+            assert zero ** n == zero
+        with pytest.raises(PreconditionError, match="division by zero"):
+            zero ** -1
+
+    def test_frobenius_exponent_is_cheap(self, monkeypatch):
+        # 3^11 reduces mod q - 1 = 2 to 1: two multiplies, not two per bit of 3^11
+        x = F3.element(2)
+        calls = []
+        original = type(x).__mul__
+        monkeypatch.setattr(type(x), "__mul__", lambda a, b: calls.append(1) or original(a, b))
+        assert x ** (3 ** 11) == x
+        assert len(calls) <= 2
 
 
 def _trial_division(n):

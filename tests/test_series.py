@@ -98,6 +98,98 @@ class TestRingOps:
 
 
 
+def _ref_terms(field, terms, trunc):
+    """Normal form kept on GroupElement keys and Fraction order: merge on
+    equal exponents (first exponent object kept), drop zeros and terms at
+    or above trunc, sort."""
+    acc = {}
+    for e, c in terms:
+        acc[e] = acc[e] + c if e in acc else c
+    kept = [(e, c) for e, c in acc.items() if not c.is_zero() and (trunc is None or e < trunc)]
+    return tuple(sorted(kept, key=lambda t: t[0].coords))
+
+
+def _ref_product_trunc(s, r):
+    bounds = []
+    if s.trunc is not None and r.value_bound() is not None:
+        bounds.append(s.trunc + r.value_bound())
+    if r.trunc is not None and s.value_bound() is not None:
+        bounds.append(r.trunc + s.value_bound())
+    return min(bounds, default=None)
+
+
+def _rand_expo(rng, rank):
+    # a small lattice of exponents, so that merges, cancellations and
+    # products on the truncation bound are common
+    return GroupElement.of(*(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+                             for _ in range(rank)))
+
+
+def _rand_terms(field, rng, rank):
+    terms = [(_rand_expo(rng, rank), field.sample(rng)) for _ in range(rng.randint(0, 6))]
+    for e, c in list(terms):
+        if rng.random() < 0.3:
+            terms.append((GroupElement(e.coords), -c))  # an equal exponent, another object
+    rng.shuffle(terms)
+    return terms
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("field", [F2, F3, F4, RATIONALS], ids=repr)
+class TestIntKeyedNormalForm:
+    """make and __mul__ against the Fraction-keyed reference."""
+
+    def test_make(self, field, rank):
+        rng = random.Random(f"make:{field!r}:{rank}")
+        cancelled = cut = 0
+        for _ in range(300):
+            terms = _rand_terms(field, rng, rank)
+            trunc = rng.choice([None, _rand_expo(rng, rank)] + [e for e, _ in terms[:1]])
+            s = HahnSeries.make(field, terms, trunc, rank)
+            ref = _ref_terms(field, terms, trunc)
+            assert s.terms == ref and s.trunc == trunc
+            assert all(g is r for (g, _), (r, _) in zip(s.terms, ref))
+            exps = {e for e, _ in terms}
+            cancelled += len(exps) > len({e for e, _ in _ref_terms(field, terms, None)})
+            cut += trunc is not None and trunc in exps
+        assert cancelled and cut
+
+    def test_mul(self, field, rank):
+        rng = random.Random(f"mul:{field!r}:{rank}")
+        on_bound = 0
+        for _ in range(300):
+            r = HahnSeries.make(field, _rand_terms(field, rng, rank),
+                                rng.choice([None, _rand_expo(rng, rank)]), rank)
+            terms = _rand_terms(field, rng, rank)
+            trunc = rng.choice([None, _rand_expo(rng, rank)])
+            if terms and len(r.terms) > 1 and rng.random() < 0.5:
+                # aim s's bound so that a product term lands on s.trunc + v(r)
+                trunc = terms[0][0] + r.terms[-1][0] - r.terms[0][0]
+            s = HahnSeries.make(field, terms, trunc, rank)
+            prod = s * r
+            trunc = _ref_product_trunc(s, r)
+            pairs = [(e1 + e2, c1 * c2) for e1, c1 in s.terms for e2, c2 in r.terms]
+            assert prod.trunc == trunc
+            assert prod.terms == _ref_terms(field, pairs, trunc)
+            on_bound += trunc is not None and any(e == trunc for e, _ in pairs)
+        assert on_bound
+
+
+class TestPowIsAProduct:
+    def test_cube_in_characteristic_3(self, monkeypatch):
+        # s ** p is what checks a Frobenius-built root, so it must not
+        # route through the termwise maps
+        s = S(F3, [(Fraction(-1, 3), 1), (Fraction(-1, 9), 2), (Fraction(1, 2), 1)])
+        expected = s.frobenius_power(1)
+
+        def termwise(*args, **kwargs):
+            raise AssertionError("HahnSeries.__pow__ used a termwise map")
+
+        monkeypatch.setattr(HahnSeries, "frobenius_power", termwise)
+        monkeypatch.setattr(HahnSeries, "p_th_root", termwise)
+        assert s ** 3 == expected
+
+
 class TestInvert:
     def test_monomial_is_exact(self):
         t = S(RATIONALS, [(1, 1)])
