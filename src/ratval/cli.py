@@ -15,6 +15,7 @@ embedded).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -275,7 +276,11 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later main() call in the process; parse_args keeps no state between
+    calls, so each call gets a fresh namespace of its own."""
     parser = argparse.ArgumentParser(
         prog="ratval",
         description="Exact valuations on rational function fields, with re-checkable certificates.",
@@ -297,8 +302,11 @@ def main(argv=None) -> int:
     p_st = sub.add_parser("selftest", help="run the seeded property suites")
     p_st.add_argument("--seed", type=int, default=20260810)
     p_st.set_defaults(func=_cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -362,9 +362,10 @@ class FieldElement:
         if type(self.value) is Fraction:
             return FieldElement(self.field, self.value + other.value)
         p = self.field.characteristic
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.value, other.value))
-        )
+        a, b = self.value, other.value
+        if len(a) == 1:
+            return FieldElement(self.field, ((a[0] + b[0]) % p,))
+        return FieldElement(self.field, tuple((x + y) % p for x, y in zip(a, b)))
 
     __radd__ = __add__
 
@@ -372,7 +373,10 @@ class FieldElement:
         if type(self.value) is Fraction:
             return FieldElement(self.field, -self.value)
         p = self.field.characteristic
-        return FieldElement(self.field, tuple((-a) % p for a in self.value))
+        a = self.value
+        if len(a) == 1:
+            return FieldElement(self.field, (-a[0] % p,))
+        return FieldElement(self.field, tuple(-x % p for x in a))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))

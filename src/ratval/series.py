@@ -332,16 +332,28 @@ def artin_schreier_root(u: HahnSeries, depth: int) -> HahnSeries:
             "Artin-Schreier root construction requires v(u) < 0 "
             "(nonnegative values would need Hensel lifting, which is out of scope)"
         )
-    total = HahnSeries.zero(u.field, rank=u.rank)
+    terms: list = []
     layer = u
     trunc: GroupElement | None = None
     for _ in range(depth):
         layer = layer.p_th_root()
         trunc = _min_trunc(trunc, layer.trunc)
-        total = HahnSeries.make(
-            u.field, list(total.terms) + list(layer.terms), None, u.rank
-        )
-    return HahnSeries.make(u.field, total.terms, trunc, u.rank)
+        terms.extend(layer.terms)
+    return HahnSeries.make(u.field, terms, trunc, u.rank)
+
+
+def _iroot(n: int, e: int) -> int | None:
+    """The int r >= 0 with r**e == n for an int n >= 0, or None: Newton's
+    method on ints from 2**ceil(bits/e), which is at least the root, down
+    to floor(n**(1/e))."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x if x ** e == n else None
+        x = y
 
 
 def kummer_root(gamma: GroupElement, coeff: FieldElement, e: int,
@@ -366,15 +378,7 @@ def kummer_root(gamma: GroupElement, coeff: FieldElement, e: int,
             if e % 2 == 0:
                 raise PreconditionError(f"no rational {e}-th root of {q}")
             sign, q = -1, -q
-
-        def iroot(n: int) -> int | None:
-            r = round(n ** (1.0 / e)) if n > 1 else n
-            for cand in (r - 1, r, r + 1):
-                if cand >= 0 and cand ** e == n:
-                    return cand
-            return None
-
-        rn, rd = iroot(q.numerator), iroot(q.denominator)
+        rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
         if rn is None or rd is None:
             raise PreconditionError(f"no rational {e}-th root of {coeff.value}")
         root = field.element(Fraction(sign * rn, rd))

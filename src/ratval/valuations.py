@@ -8,9 +8,9 @@ a polynomial is the minimum of v(c_i) + i*gamma over its Taylor
 coefficients at the center, and values of quotients are differences.
 
 An independent substitution oracle evaluates the same valuation by
-expanding g(a + u*s) in a fresh transcendental unit marker u and a
-symbol s of value gamma, then taking the minimum over all monomials;
-valuation independence of the monomials makes that minimum exact.
+expanding g(a + w) in a symbol w of value gamma with Horner's rule on
+the base's own elements, then taking the minimum of v(h_i) + i*gamma
+over the coefficients h_i of w^i (substitution_value).
 
 Rational functions in one variable have one type, fields.FunctionField,
 gcd-reduced with a monic denominator: it is both the t-adic base k(t)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import subprocess
@@ -279,6 +280,53 @@ class TestDeterminism:
         )
         assert code == 0
         assert json.loads(out)["certificate"]["bound"] == 15
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once and may be called again and again in
+    one process; nothing of one call's arguments reaches the next."""
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch, request):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        request.addfinalizer(cli._parser.cache_clear)
+        job = write_job(tmp_path, "j.json", {"task": "degree-bound", "p": 2, "n": [3, 5]})
+        for argv in (["run", job], ["run", job, "--text"], ["recheck", job], ["run", job]) * 3:
+            run_cli(argv, capsys)
+        # one top-level parser and its three subcommand parsers
+        assert built == ["ratval", "ratval run", "ratval recheck", "ratval selftest"]
+
+    def test_depth_override_does_not_carry_over(self, tmp_path, capsys):
+        job = write_job(tmp_path, "j.json",
+                        {"task": "piltant", "p": 2, "e": [1, 2, 4, 7, 11], "depth": 4})
+        code, out, _ = run_cli(["run", job, "--depth", "3"], capsys)
+        assert code == 0 and json.loads(out)["certificate"]["depth"] == 3
+        code, out, _ = run_cli(["run", job], capsys)
+        assert code == 0 and json.loads(out)["certificate"]["depth"] == 4
+        assert out == (GOLDEN / "readme-piltant.out").read_text()
+
+    def test_text_does_not_carry_over(self, tmp_path, capsys):
+        job = write_job(tmp_path, "j.json", {"task": "degree-bound", "p": 2, "n": [3, 5, 7]})
+        code, out, _ = run_cli(["run", job, "--text"], capsys)
+        assert code == 0 and "degree lower bound: 105" in out
+        code, out, _ = run_cli(["run", job], capsys)
+        assert code == 0 and json.loads(out)["certificate"]["bound"] == 105
+
+    def test_argparse_error_leaves_next_call_working(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        code, out, _ = run_cli(["run", str(GOLDEN / "readme-eval.json")], capsys)
+        assert code == 0
+        assert out == (GOLDEN / "readme-eval.out").read_text()
 
 
 class TestTextOutput:

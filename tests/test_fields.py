@@ -412,6 +412,22 @@ class TestOnePassMul:
             assert got.field is field
             assert got.value == rem + (0,) * (n - len(rem))
 
+    @pytest.mark.parametrize("field", [F2, F3, F13, F4, F9, F13_4], ids=repr)
+    def test_add_and_neg_coefficientwise_mod_p(self, field):
+        # over a prime field add and neg are the one-coefficient path
+        p = field.characteristic
+        rng = random.Random(field.order + 1)
+        elems = [field.sample(rng) for _ in range(40)] + [field.zero(), field.one(), field.element(-1)]
+        for a in elems:
+            neg = -a
+            assert neg.field is field
+            assert neg.value == tuple(-x % p for x in a.value)
+            for b in elems[:10]:
+                got = a + b
+                assert got.field is field
+                assert got.value == tuple((x + y) % p for x, y in zip(a.value, b.value))
+                assert (a - b) + b == a
+
 
 def _unreduced_pow(x, n):
     """x^n by square-and-multiply on the full exponent."""

@@ -1,10 +1,17 @@
 """Byte-for-byte reports of the golden jobs in tests/golden/: the six
 README example jobs and two t-adic eval jobs over F_2(t), and the
 output of `ratval selftest` at the default seed and at seed 7.  The
-expected stdout and exit codes were recorded by tests/golden/make_golden.py."""
+expected stdout and exit codes were recorded by tests/golden/make_golden.py.
+
+Each golden job runs twice: through `main()` in this process, where the
+argument parser is shared with every other call, and as
+`python -m ratval.cli run` in a process of its own, which builds it once."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +19,7 @@ from ratval.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
@@ -19,6 +27,18 @@ def test_report_is_byte_identical(name, capsys):
     code = main(["run", str(GOLDEN / f"{name}.json")])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
     assert code == EXIT_CODES[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_report_is_byte_identical_in_own_process(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratval.cli", "run", str(GOLDEN / f"{name}.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
+    assert proc.returncode == EXIT_CODES[name]
 
 
 @pytest.mark.parametrize("seed", [None, 7], ids=["default", "seed7"])

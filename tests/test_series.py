@@ -307,6 +307,32 @@ class TestArtinSchreierRoot:
         with pytest.raises(PreconditionError):
             artin_schreier_root(HahnSeries.monomial(RATIONALS, -1, 1), 2)
 
+    @pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=repr)
+    def test_matches_layer_by_layer_normalisation(self, field):
+        # the root is the sum of the iterated p-th roots, normalised once;
+        # the reference normalises the running sum after every layer
+        rng = random.Random(field.order)
+        checked = 0
+        while checked < 12:
+            u = rand_series(field, rng, allow_zero=False)
+            if rng.random() < 0.5:
+                u = HahnSeries.make(field, u.terms, Fraction(rng.randint(0, 8), 3))
+            if u.is_zero() or not u.value() < GroupElement.zero(1):
+                continue
+            depth = rng.randint(1, 4)
+            total, layer = HahnSeries.zero(field), u
+            trunc = None
+            for _ in range(depth):
+                layer = layer.p_th_root()
+                if layer.trunc is not None and (trunc is None or layer.trunc < trunc):
+                    trunc = layer.trunc
+                total = HahnSeries.make(field, list(total.terms) + list(layer.terms))
+            expected = HahnSeries.make(field, total.terms, trunc)
+            got = artin_schreier_root(u, depth)
+            assert got == expected
+            assert got.to_json() == expected.to_json()
+            checked += 1
+
 
 class TestKummerRoot:
     def test_cube_root_of_t(self):
@@ -326,6 +352,40 @@ class TestKummerRoot:
             kummer_root(GroupElement.zero(1), RATIONALS.element(2), 2)
         with pytest.raises(PreconditionError):
             kummer_root(GroupElement.zero(1), F3.element(2), 2)  # 2 is not a square mod 3
+
+    def test_cube_root_beyond_float_precision(self):
+        n = 10**20 + 1
+        r = kummer_root(GroupElement.zero(1), RATIONALS.element(n**3), 3)
+        assert r == HahnSeries.constant(RATIONALS, n)
+
+    def test_square_root_beyond_float_range(self):
+        r = kummer_root(GroupElement.zero(1), RATIONALS.element(10**400), 2)
+        assert r == HahnSeries.constant(RATIONALS, 10**200)
+
+    def test_negative_odd_root(self):
+        q = Fraction(-(10**20 + 1) ** 5, 3**10)
+        r = kummer_root(GroupElement.of(5), RATIONALS.element(q), 5)
+        assert r == HahnSeries.monomial(RATIONALS, 1, Fraction(-(10**20 + 1), 9))
+        with pytest.raises(PreconditionError, match="no rational 2-th root of -4"):
+            kummer_root(GroupElement.zero(1), RATIONALS.element(-4), 2)
+
+    def test_near_roots_rejected(self):
+        for q, e in [((10**20 + 1) ** 3 + 1, 3), (10**400 - 1, 2), (Fraction(4, 10**400 + 1), 2)]:
+            with pytest.raises(PreconditionError, match=f"no rational {e}-th root"):
+                kummer_root(GroupElement.zero(1), RATIONALS.element(q), e)
+
+    def test_exact_integer_roots(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            e = rng.randint(1, 7)
+            r = rng.choice([rng.randint(1, 50), rng.getrandbits(rng.randint(1, 300)) + 1])
+            q = Fraction(r**e, (r + 1) ** e)
+            got = kummer_root(GroupElement.zero(1), RATIONALS.element(q), e)
+            assert got == HahnSeries.constant(RATIONALS, Fraction(r, r + 1))
+            if r > 1 and e > 1:
+                for off in (-1, 1):
+                    with pytest.raises(PreconditionError):
+                        kummer_root(GroupElement.zero(1), RATIONALS.element(r**e + off), e)
 
 
 class TestSerialization:
