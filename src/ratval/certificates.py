@@ -307,10 +307,13 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
     (1, lcm(d, deg)/d) for current residue degree d.
     artin-schreier: adjoin a root of X^p - X - c for v(c) < 0 in the
     current value group, recording the value chain
-    0 > v(a^p - c) = v(a) > p v(a) = v(c) that the validator checks
-    once the tower's certificate is built; the step has (p, 1) when
+    0 > v(a^p - c) = v(a) > p v(a) = v(c); the step has (p, 1) when
     v(a) leaves the value group and is immediate with defect p when the
     group is already p-divisible there.
+
+    The returned step record is checked by _step_violation, the check
+    the fundamental-inequality validator runs per step; a finding is a
+    fault of the builder, raised as InternalError.
     """
     p = tower.residue_char
     if step.kind == "kummer":
@@ -345,6 +348,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
                 "group_index": new_group.index_over(tower.value_subgroup),
             },
         }
+        _check_step(record, tower)
         return ExtensionTower(
             p, tower.coefficient_field, new_group, tower.residue_degree,
             tower.steps + (record,), root,
@@ -378,6 +382,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
             # separable and the lift needs no perturbation
             "separable_lift": "exact",
         }
+        _check_step(record, tower)
         return ExtensionTower(
             p, tower.coefficient_field, tower.value_subgroup, new_degree,
             tower.steps + (record,), None, None, tower.base_value_subgroup,
@@ -422,6 +427,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
                 },
             },
         }
+        _check_step(record, tower)
         return ExtensionTower(
             p, tower.coefficient_field, new_group, tower.residue_degree,
             tower.steps + (record,), a,
@@ -430,6 +436,15 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
         )
 
     raise SchemaError(f"unknown extension step kind {step.kind!r}")
+
+
+def _check_step(record: dict, tower: ExtensionTower) -> None:
+    """Raise InternalError if the record of the step that extends `tower`
+    fails _step_violation; the message names the step as the validator does."""
+    violation = _step_violation(record, tower.residue_char)
+    if violation:
+        raise InternalError(f"extension step fails its own validation: "
+                            f"step {len(tower.steps) + 1}: {violation}")
 
 
 def build_extension_tower(p: int, steps: list[ExtensionStep], value_gens=(1,),
@@ -691,9 +706,17 @@ def validate_certificate(data) -> ValidationResult:
 
     The first broken invariant is reported by name; no part of the
     original construction is re-run, only the recorded witness data is
-    re-verified.
+    re-verified.  Any JSON value is accepted: one that is not an object
+    with a 'kind', or that names a schema_version other than
+    CERTIFICATE_VERSION, is a finding.
     """
-    cert = data if isinstance(data, Certificate) else Certificate.from_dict(data)
+    try:
+        cert = data if isinstance(data, Certificate) else Certificate.from_dict(data)
+    except SchemaError as exc:
+        return ValidationResult(False, (str(exc),))
+    if type(cert.version) is not int or cert.version != CERTIFICATE_VERSION:
+        return ValidationResult(False, (f"unknown schema_version {cert.version!r}; "
+                                        f"this ratval reads version {CERTIFICATE_VERSION}",))
     findings: list[str] = []
     try:
         if cert.kind == "defect-tower":
@@ -887,36 +910,37 @@ def _validate_fund_ineq(payload: dict, findings: list[str]) -> None:
             findings.append("fundamental-inequality data disagrees with the tower totals")
             return
         for i, s in enumerate(payload["steps"], start=1):
-            if s["kind"] == "kummer":
-                alpha = Fraction(s["alpha"])
-                w = s["witness"]
-                if Fraction(w["root_exponent"]) * s["e"] != Fraction(w["e_th_power_exponent"]):
-                    findings.append(f"step {i}: root exponent witness mismatch")
-                    return
-                if Fraction(w["root_exponent"]) != alpha:
-                    findings.append(f"step {i}: root exponent is not alpha")
-                    return
-                if w["group_index"] != s["e"]:
-                    findings.append(f"step {i}: group index witness mismatch")
-                    return
-            elif s["kind"] == "residue":
-                w = s["witness"]
-                if math.lcm(w["residue_degree_before"], w["root_degree_over_prime"]) != w["residue_degree_after"]:
-                    findings.append(f"step {i}: residue degree lcm mismatch")
-                    return
-                if s["f"] * w["residue_degree_before"] != w["residue_degree_after"]:
-                    findings.append(f"step {i}: inertia degree witness mismatch")
-                    return
-            elif s["kind"] == "artin-schreier":
-                w = s["witness"]["chain"]
-                va = Fraction(w["v_a"])
-                vc = Fraction(w["v_c"])
-                if not (Fraction(0) > Fraction(w["v_a_pow_p_minus_c"]) == va > vc):
-                    findings.append(f"step {i}: value chain does not verify")
-                    return
-                if va * payload["base"]["residue_char"] != vc:
-                    findings.append(f"step {i}: p * v(a) != v(c)")
-                    return
+            violation = _step_violation(s, payload["base"]["residue_char"])
+            if violation:
+                findings.append(f"step {i}: {violation}")
+                return
+
+
+def _step_violation(record: dict, p: int) -> str | None:
+    """The first witness of one extension-step record that does not
+    verify, or None; p is the residue characteristic of the tower."""
+    w = record["witness"]
+    if record["kind"] == "kummer":
+        root = Fraction(w["root_exponent"])
+        if root * record["e"] != Fraction(w["e_th_power_exponent"]):
+            return "root exponent witness mismatch"
+        if root != Fraction(record["alpha"]):
+            return "root exponent is not alpha"
+        if w["group_index"] != record["e"]:
+            return "group index witness mismatch"
+    elif record["kind"] == "residue":
+        if math.lcm(w["residue_degree_before"], w["root_degree_over_prime"]) != w["residue_degree_after"]:
+            return "residue degree lcm mismatch"
+        if record["f"] * w["residue_degree_before"] != w["residue_degree_after"]:
+            return "inertia degree witness mismatch"
+    elif record["kind"] == "artin-schreier":
+        chain = w["chain"]
+        va, vc = Fraction(chain["v_a"]), Fraction(chain["v_c"])
+        if not (Fraction(0) > Fraction(chain["v_a_pow_p_minus_c"]) == va > vc):
+            return "value chain does not verify"
+        if va * p != vc:
+            return "p * v(a) != v(c)"
+    return None
 
 
 def _validate_classification(payload: dict, findings: list[str]) -> None:

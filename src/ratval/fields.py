@@ -11,10 +11,16 @@ over such a field are the FunctionField type, kept gcd-reduced with a
 monic denominator.  The one type serves both the t-adic base field k(t)
 of the valuations module and the residue fields k(y) of
 residue-transcendental valuations.
+
+Dense polynomial arithmetic has one kernel for every coefficient field
+(_padd, _pmul, _pdivmod, _pgcd, _preduce): over F_p it runs on ints
+reduced mod p, over Q and F_{p^n} on FieldElements with the EXACT
+modulus, which leaves every value as it is.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,45 +41,66 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p, coefficient lists low-to-high
+# dense polynomials, coefficient lists low-to-high
+#
+# One kernel for every coefficient ring.  Over F_p the coefficients are ints
+# and p is the prime: every sum and product is reduced `% p` in the loop.
+# Over Q, F_{p^n} or any other exact ring the coefficients are the ring's
+# elements, `zero` is the ring's zero and p is EXACT, whose `x % EXACT` is
+# x itself; an inverse is then the ring's own `c ** -1`.
 
-def _pstrip(cs: list[int]) -> tuple[int, ...]:
+class _Exact:
+    """The modulus of exact arithmetic: x % EXACT is x for every x whose
+    own __mod__ declines it (int, Fraction, FieldElement and
+    FunctionFieldElement all do)."""
+
+    def __rmod__(self, x):
+        return x
+
+    def __repr__(self):
+        return "EXACT"
+
+
+EXACT = _Exact()
+
+
+def _pstrip(cs: list, zero=0) -> tuple:
     n = len(cs)
-    while n and cs[n - 1] == 0:
+    while n and cs[n - 1] == zero:
         n -= 1
     return tuple(cs[:n])
 
 
-def _padd(a, b, p):
+def _padd(a, b, p, zero=0):
     n = max(len(a), len(b))
-    return _pstrip([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                    for i in range(n)])
+    return _pstrip([((a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)) % p
+                    for i in range(n)], zero)
 
 
-def _pmul(a, b, p):
+def _pmul(a, b, p, zero=0):
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _pstrip(out)
+    return _pstrip(out, zero)
 
 
-def _pdivmod(a, b, p):
+def _pdivmod(a, b, p, zero=0):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
+    binv = pow(b[-1], -1, p) if type(p) is int else b[-1] ** -1
+    q = [zero] * max(0, len(a) - len(b) + 1)
     for k in range(len(a) - len(b), -1, -1):
         c = (a[k + len(b) - 1] * binv) % p
         if c:
             q[k] = c
             for j, bj in enumerate(b):
                 a[k + j] = (a[k + j] - c * bj) % p
-    return _pstrip(q), _pstrip(a[: len(b) - 1])
+    return _pstrip(q, zero), _pstrip(a[: len(b) - 1], zero)
 
 
 def _pxgcd(a, b, p):
@@ -92,27 +119,27 @@ def _pxgcd(a, b, p):
 def _pmonic(a, p):
     if not a:
         return a
-    inv = pow(a[-1], -1, p)
+    inv = pow(a[-1], -1, p) if type(p) is int else a[-1] ** -1
     return tuple((c * inv) % p for c in a)
 
 
-def _pgcd(a, b, p):
-    """Monic gcd over F_p[X] of stripped a and b; () when both are zero."""
+def _pgcd(a, b, p, zero=0):
+    """Monic gcd of stripped a and b; () when both are zero."""
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
+        a, b = b, _pdivmod(a, b, p, zero)[1]
     return _pmonic(a, p)
 
 
-def _preduce(num, den, p):
-    """num/den over F_p[X] in lowest terms with a monic denominator."""
+def _preduce(num, den, p, zero=0, one=1):
+    """num/den in lowest terms with a monic denominator; den is nonzero."""
     if not num:
-        return (), (1,)
+        return (), (one,)
     if len(den) > 1:
-        g = _pgcd(num, den, p)
+        g = _pgcd(num, den, p, zero)
         if len(g) > 1:
-            num, den = _pdivmod(num, g, p)[0], _pdivmod(den, g, p)[0]
-    inv = pow(den[-1], -1, p)
-    if inv != 1:
+            num, den = _pdivmod(num, g, p, zero)[0], _pdivmod(den, g, p, zero)[0]
+    inv = pow(den[-1], -1, p) if type(p) is int else den[-1] ** -1
+    if inv != one:
         num, den = tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
     return num, den
 
@@ -220,7 +247,7 @@ class Rationals(Field):
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise PreconditionError("descriptor mismatch: expected a rational")
             return value
         return FieldElement(self, Fraction(value))
@@ -285,7 +312,7 @@ class FiniteField(Field):
     def element(self, value) -> "FieldElement":
         p = self.characteristic
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise PreconditionError("descriptor mismatch between field elements")
             return value
         if isinstance(value, int):
@@ -490,13 +517,10 @@ def min_poly(a: FieldElement, base: Field | None = None) -> tuple[int, ...]:
         orbit.append(nxt)
         nxt = nxt ** p
     # expand prod (X - c) with coefficients in the ambient field
-    coeffs = [field.one()]
+    zero, one = field.zero(), field.one()
+    coeffs = (one,)
     for c in orbit:
-        new = [field.zero()] * (len(coeffs) + 1)
-        for i, k in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + k
-            new[i] = new[i] - k * c
-        coeffs = new
+        coeffs = _pmul(coeffs, (-c, one), EXACT, zero)
     out = []
     for k in coeffs:
         vec = k.value
@@ -548,27 +572,12 @@ def build_extension(base: Field, poly) -> tuple[FiniteField, "object"]:
 # ---------------------------------------------------------------------------
 # rational functions in one tagged transcendental generator
 
-def _fstrip(cs: list[FieldElement]) -> tuple[FieldElement, ...]:
-    n = len(cs)
-    while n and cs[n - 1].is_zero():
-        n -= 1
-    return tuple(cs[:n])
-
-
-def _is_prime_field(f: Field) -> bool:
-    return isinstance(f, FiniteField) and not f.modulus
-
-
-def _ints(f: FiniteField, *polys) -> list[list[int]]:
-    """The int coefficients of polynomials over the prime field f."""
-    for a in polys:
-        for c in a:
-            if c.field is not f and c.field != f:
-                raise PreconditionError("descriptor mismatch between field elements")
+def _unwrap_ints(*polys) -> list[list[int]]:
+    """The int coefficients of polynomials over a prime field."""
     return [[c.value[0] for c in a] for a in polys]
 
 
-def _elements(f: FiniteField, *polys) -> list[tuple[FieldElement, ...]]:
+def _wrap_ints(f: FiniteField, *polys) -> list[tuple[FieldElement, ...]]:
     """Polynomials over the prime field f from int coefficients; the
     elements are immutable, so one is made per distinct value."""
     made: dict[int, FieldElement] = {}
@@ -576,48 +585,8 @@ def _elements(f: FiniteField, *polys) -> list[tuple[FieldElement, ...]]:
                   for c in a) for a in polys]
 
 
-# _fadd/_fmul/_fdivmod/_fgcd: FieldElement loops, the polynomial arithmetic of
-# FunctionField over Q and F_{p^n}; over F_p it runs the int kernels _p*.
-
-def _fadd(a, b, zero):
-    n = max(len(a), len(b))
-    return _fstrip([(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-                    for i in range(n)])
-
-
-def _fmul(a, b, zero):
-    if not a or not b:
-        return ()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _fstrip(out)
-
-
-def _fdivmod(a, b, zero):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    binv = b[-1].inverse()
-    q = [zero] * max(0, len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * binv
-        if not c.is_zero():
-            q[k] = c
-            for j, bj in enumerate(b):
-                a[k + j] = a[k + j] - c * bj
-    return _fstrip(q), _fstrip(a[: len(b) - 1])
-
-
-def _fgcd(a, b, zero):
-    a, b = _fstrip(list(a)), _fstrip(list(b))
-    while b:
-        a, b = b, _fdivmod(a, b, zero)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = tuple(c * inv for c in a)
-    return a
+def _as_is(*polys):
+    return polys
 
 
 class FunctionField:
@@ -626,46 +595,39 @@ class FunctionField:
     This is the one rational function type of the library: the t-adic
     base field k(t) of valuations.TAdicRationalFunctions, and the
     symbolic residue field Kv(y) of residue-transcendental valuations.
-    Elements are num/den pairs in canonical form (gcd-reduced, monic
-    denominator), so equal functions are equal as dataclasses.  Over a
-    prime field F_p sums, products and the reduction run on int lists
-    (_padd, _pmul, _pgcd, _pdivmod); over Q and F_{p^n} on FieldElements.
+    Elements are num/den pairs of FieldElement tuples in canonical form
+    (gcd-reduced, monic denominator), so equal functions are equal as
+    dataclasses.  Sums, products and the reduction run on the dense
+    kernels _padd, _pmul, _pgcd and _pdivmod with the (p, zero, one) fixed
+    here: over a prime field F_p on the ints of the coefficients mod p,
+    over Q and F_{p^n} on the FieldElements with the EXACT modulus.
     """
 
     def __init__(self, base: Field, gen_name: str = "y"):
         self.base = base
         self.gen_name = gen_name
+        if isinstance(base, FiniteField) and not base.modulus:
+            self._p, self._zero, self._one = base.characteristic, 0, 1
+            self._unwrap, self._wrap = _unwrap_ints, functools.partial(_wrap_ints, base)
+        else:
+            self._p, self._zero, self._one = EXACT, base.zero(), base.one()
+            self._unwrap = self._wrap = _as_is
 
     def element(self, num, den=None) -> "FunctionFieldElement":
+        """num/den from coefficient lists of base elements, or of values
+        that base.element reads; den defaults to 1."""
         base = self.base
-        num = [c if isinstance(c, FieldElement) else base.element(c) for c in num]
-        den = ([c if isinstance(c, FieldElement) else base.element(c) for c in den]
-               if den is not None else [base.one()])
-        if _is_prime_field(base):
-            return self._from_ints(*_ints(base, num, den))
-        zero, one = base.zero(), base.one()
-        num, den = _fstrip(num), _fstrip(den)
-        if not den:
-            raise PreconditionError("zero denominator")
-        if not num:
-            den = (one,)
-        elif len(den) > 1:
-            g = _fgcd(num, den, zero)
-            if len(g) > 1:
-                num, den = _fdivmod(num, g, zero)[0], _fdivmod(den, g, zero)[0]
-        if den[-1] != one:
-            inv = den[-1].inverse()
-            num = tuple(c * inv for c in num)
-            den = tuple(c * inv for c in den)
-        return FunctionFieldElement(self, num, den)
+        num, den = self._unwrap([base.element(c) for c in num],
+                                [base.one()] if den is None else [base.element(c) for c in den])
+        return self._make(num, den)
 
-    def _from_ints(self, num, den) -> "FunctionFieldElement":
-        """num/den from int coefficient lists over the prime field."""
-        num, den = _pstrip(num), _pstrip(den)
+    def _make(self, num, den) -> "FunctionFieldElement":
+        """num/den from kernel coefficient lists, reduced to canonical form."""
+        p, zero = self._p, self._zero
+        num, den = _pstrip(num, zero), _pstrip(den, zero)
         if not den:
             raise PreconditionError("zero denominator")
-        return FunctionFieldElement(
-            self, *_elements(self.base, *_preduce(num, den, self.base.characteristic)))
+        return FunctionFieldElement(self, *self._wrap(*_preduce(num, den, p, zero, self._one)))
 
     def from_laurent(self, coeffs: dict[int, FieldElement]) -> "FunctionFieldElement":
         """Element from a Laurent-monomial dict {power: coefficient}."""
@@ -723,18 +685,14 @@ class FunctionFieldElement:
 
     def _combine(self, c, d, add: bool) -> "FunctionFieldElement":
         """self + c/d if `add`, else self * c/d, for num/den polynomials c
-        and d over the base field; over F_p on ints, unwrapped and wrapped
-        once."""
-        field, base = self.field, self.field.base
-        a, b = self.num, self.den
-        if _is_prime_field(base):
-            a, b, c, d = ([e.value[0] for e in x] for x in (a, b, c, d))
-            mul, plus, k, make = _pmul, _padd, base.characteristic, field._from_ints
-        else:
-            mul, plus, k, make = _fmul, _fadd, base.zero(), field.element
+        and d over the base field; unwrapped and wrapped once."""
+        field = self.field
+        p, zero = field._p, field._zero
+        a, b, c, d = field._unwrap(self.num, self.den, c, d)
         if add:
-            return make(plus(mul(a, d, k), mul(c, b, k), k), mul(b, d, k))
-        return make(mul(a, c, k), mul(b, d, k))
+            return field._make(_padd(_pmul(a, d, p, zero), _pmul(c, b, p, zero), p, zero),
+                               _pmul(b, d, p, zero))
+        return field._make(_pmul(a, c, p, zero), _pmul(b, d, p, zero))
 
     def __add__(self, other):
         other = self._coerce(other)

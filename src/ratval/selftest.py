@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .certificates import build_defect_tower, build_degree_bound, validate_certificate
-from .fields import FiniteField, RATIONALS
+from .fields import EXACT, RATIONALS, FiniteField, _padd, _pmul
 from .groups import GroupElement, Subgroup
 from .series import HahnSeries, artin_schreier_root
 from .valuations import (
@@ -21,7 +21,6 @@ from .valuations import (
     RationalFunction,
     TAdicRationalFunctions,
     TriviallyValued,
-    _is_zero,
     substitution_value,
 )
 
@@ -36,25 +35,13 @@ def random_poly(base, rng, max_deg):
 
 
 def poly_mul(f, g, base):
-    """Schoolbook product of coefficient lists over `base`."""
-    out = [base.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
+    """Product of coefficient lists over `base`."""
+    return list(_pmul(f, g, EXACT, base.zero()))
 
 
 def poly_add(f, g, base):
     """Sum of coefficient lists over `base`, stripped of zero leading terms."""
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else base.zero()
-        b = g[i] if i < len(g) else base.zero()
-        out.append(a + b)
-    while out and _is_zero(out[-1]):
-        out.pop()
-    return out
+    return list(_padd(f, g, EXACT, base.zero()))
 
 
 def suite_valuation_axioms(rng, *, trials=200, max_deg=4, bases=None) -> tuple[bool, str]:

@@ -7,6 +7,7 @@ from ratval import certificates
 from ratval.certificates import (
     Certificate,
     ExtensionStep,
+    ExtensionTower,
     build_defect_tower,
     build_degree_bound,
     build_extension_step,
@@ -411,6 +412,44 @@ class TestSelfValidation:
         monkeypatch.setattr(certificates, "artin_schreier_root", lambda c, depth: c)
         with pytest.raises(InternalError, match="step 1: value chain does not verify$"):
             build_extension_tower(2, [ExtensionStep("artin-schreier", c_exponent=Fraction(-1))])
+
+    def test_wrong_artin_schreier_root_in_a_direct_step(self, monkeypatch):
+        # a = c gives the chain v(a) = -1, v(a^p - c) = -2: the step record
+        # is checked before build_extension_step returns it
+        monkeypatch.setattr(certificates, "artin_schreier_root", lambda c, depth: c)
+        with pytest.raises(InternalError) as err:
+            build_extension_step(ExtensionStep("artin-schreier", c_exponent=Fraction(-1)),
+                                 ExtensionTower.over(2))
+        assert str(err.value) == ("extension step fails its own validation: "
+                                  "step 1: value chain does not verify")
+
+
+class TestEnvelope:
+    """validate_certificate returns a finding, never raises, for any JSON
+    value that is not a certificate of this schema version."""
+
+    @pytest.mark.parametrize("data", [None, 3, "defect-tower", [], [{"kind": "defect-tower"}],
+                                      {}, {"p": 2, "schema_version": 1}],
+                             ids=["null", "number", "string", "empty-list", "list",
+                                  "empty-object", "no-kind"])
+    def test_not_an_object_with_a_kind(self, data):
+        result = validate_certificate(data)
+        assert not result.ok
+        assert result.findings == ("certificate must be an object with a 'kind' field",)
+
+    @pytest.mark.parametrize("version", [99, 0, "1", True, None, 1.5])
+    def test_unknown_schema_version(self, version):
+        result = validate_certificate(tamper(build_degree_bound(2, [3, 5]), ["schema_version"],
+                                             version))
+        assert not result.ok
+        assert result.findings == (f"unknown schema_version {version!r}; "
+                                   f"this ratval reads version 1",)
+
+    def test_version_of_a_certificate_object(self):
+        cert = build_degree_bound(2, [3, 5])
+        assert validate_certificate(cert).ok
+        assert validate_certificate(cert.to_dict()).ok
+        assert not validate_certificate(Certificate(cert.kind, cert.payload, 99)).ok
 
 
 MERSENNE_89 = 2 ** 89 - 1  # a prime above psi_13, which is_prime cannot prove

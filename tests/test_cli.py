@@ -219,6 +219,24 @@ class TestRunCertificates:
         assert recheck["findings"][0].startswith("p cannot be proven prime: ")
         assert "Traceback" not in err2
 
+    @pytest.mark.parametrize("data", [[1, 2], "x", {"p": 2}, "version-99"],
+                             ids=["list", "string", "no-kind", "version-99"])
+    def test_recheck_of_a_non_certificate_exits_1(self, tmp_path, capsys, data):
+        if data == "version-99":
+            code, out, _ = run_cli(["run", write_job(tmp_path, "job.json",
+                                                     {"task": "degree-bound", "p": 2, "n": [3, 5]})],
+                                   capsys)
+            data = json.loads(out)
+            data["certificate"]["schema_version"] = 99
+        path = write_job(tmp_path, "cert.json", data)
+        for argv in (["recheck", path],
+                     ["run", write_job(tmp_path, "re.json", {"task": "recheck", "certificate": path})]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1
+            report = json.loads(out)
+            assert report["ok"] is False and len(report["findings"]) == 1
+            assert err == ""
+
     def test_extract_task(self, tmp_path, capsys):
         job = {
             "task": "extract",

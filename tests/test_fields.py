@@ -9,11 +9,9 @@ from ratval.errors import PreconditionError
 from ratval.fields import (
     RATIONALS,
     FiniteField,
+    EXACT,
     FunctionField,
-    _fadd,
-    _fdivmod,
-    _fgcd,
-    _fmul,
+    _padd,
     _pdivmod,
     _pgcd,
     _pmul,
@@ -238,71 +236,84 @@ def _schoolbook_gcd(a, b, zero):
     return tuple(c / a[-1] for c in a)
 
 
+# the fields of the kernel tests, by parameter id, with their rng seeds
+_KERNEL_FIELDS = {2: (F2, 2), 3: (F3, 3), 5: (F5, 5), 13: (FiniteField(13), 13),
+                  "Q": (RATIONALS, 0), "F4": (F4, 4), "F9": (F9, 9)}
+
+
+def _kernel_forms(field):
+    """(modulus, zero, coefficients) per form the dense kernel takes over
+    `field`: FieldElements with the EXACT modulus over every field, and
+    over a prime field also ints mod p."""
+    forms = [(EXACT, field.zero(), tuple)]
+    if isinstance(field, FiniteField) and not field.modulus:
+        forms.append((field.characteristic, 0, lambda cs: tuple(c.value[0] for c in cs)))
+    return forms
+
+
 class TestPrimeFieldKernel:
-    """The int kernels over F_p (polynomial product, sum, divmod and gcd,
-    and the reduced FunctionField arithmetic built on them) against a
-    FieldElement schoolbook written here."""
+    """The one dense-polynomial kernel (product, sum, divmod and gcd, and
+    the reduced FunctionField arithmetic built on it) over prime fields
+    on ints and on FieldElements, and over Q, F_4 and F_9 on
+    FieldElements, against a FieldElement schoolbook written here."""
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 13])
-    def test_random_against_schoolbook(self, p):
-        field = FiniteField(p)
+    @pytest.mark.parametrize("key", list(_KERNEL_FIELDS))
+    def test_random_against_schoolbook(self, key):
+        field, seed = _KERNEL_FIELDS[key]
         zero = field.zero()
-        rng = random.Random(p)
+        rng = random.Random(seed)
         for _ in range(300):
-            a, b = ([field.element(rng.randrange(p)) for _ in range(rng.randint(0, 6))]
-                    for _ in range(2))
-            prod, total = _fmul(a, b, zero), _fadd(a, b, zero)
-            assert prod == _schoolbook_mul(a, b, zero)
-            assert total == _schoolbook_add(a, b, zero)
-            for c in prod + total:
-                assert c.field == field and len(c.value) == 1 and 0 <= c.value[0] < p
+            a, b = ([field.sample(rng) for _ in range(rng.randint(0, 6))] for _ in range(2))
+            for p, kzero, coeffs in _kernel_forms(field):
+                prod, total = _pmul(coeffs(a), coeffs(b), p, kzero), _padd(coeffs(a), coeffs(b), p, kzero)
+                assert prod == coeffs(_schoolbook_mul(a, b, zero))
+                assert total == coeffs(_schoolbook_add(a, b, zero))
+                if p is EXACT:
+                    assert all(c.field == field for c in prod + total)
+                else:
+                    assert all(0 <= c < p for c in prod + total)
 
-    @pytest.mark.parametrize("p", [2, 5])
-    def test_empty_and_cancelling_inputs(self, p):
-        field = FiniteField(p)
-        zero = field.zero()
+    @pytest.mark.parametrize("key", [2, 5, "Q"])
+    def test_empty_and_cancelling_inputs(self, key):
+        field, _ = _KERNEL_FIELDS[key]
         a = tuple(field.element(c) for c in (1, 0, 1, 1))
         neg_a = tuple(-c for c in a)
-        assert _fmul((), a, zero) == _fmul(a, (), zero) == ()
-        assert _fadd((), (), zero) == ()
-        assert _fadd(a, (), zero) == _fadd((), a, zero) == a
-        assert _fadd(a, neg_a, zero) == ()
         # the leading terms cancel: (1 + y^2 + y^3) + (1 + y - y^3) = 2 + y + y^2
         b = tuple(field.element(c) for c in (1, 1, 0, -1))
-        assert _fadd(a, b, zero) == tuple(field.element(c) for c in (2, 1, 1))
+        two = tuple(field.element(c) for c in (2, 1, 1))
+        for p, zero, coeffs in _kernel_forms(field):
+            assert _pmul((), coeffs(a), p, zero) == _pmul(coeffs(a), (), p, zero) == ()
+            assert _padd((), (), p, zero) == ()
+            assert _padd(coeffs(a), (), p, zero) == _padd((), coeffs(a), p, zero) == coeffs(a)
+            assert _padd(coeffs(a), coeffs(neg_a), p, zero) == ()
+            assert _padd(coeffs(a), coeffs(b), p, zero) == coeffs(two)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 13])
-    def test_divmod_and_gcd_against_schoolbook(self, p):
-        field = FiniteField(p)
+    @pytest.mark.parametrize("key", list(_KERNEL_FIELDS))
+    def test_divmod_and_gcd_against_schoolbook(self, key):
+        field, seed = _KERNEL_FIELDS[key]
         zero = field.zero()
-        rng = random.Random(100 + p)
-
-        def ints(cs):
-            return tuple(c.value[0] for c in cs)
-
+        rng = random.Random(100 + seed)
         for _ in range(300):
-            a, b = (_strip([field.element(rng.randrange(p)) for _ in range(rng.randint(0, 7))])
+            a, b = (_strip([field.sample(rng) for _ in range(rng.randint(0, 7))])
                     for _ in range(2))
-            if b:
-                q, r = _schoolbook_divmod(a, b, zero)
-                assert _pdivmod(ints(a), ints(b), p) == (ints(q), ints(r))
-                assert _fdivmod(a, b, zero) == (q, r)
-            if a or b:
-                g = _schoolbook_gcd(a, b, zero)
-                assert _pgcd(ints(a), ints(b), p) == ints(g)
-                assert _fgcd(a, b, zero) == g
+            for p, kzero, coeffs in _kernel_forms(field):
+                if b:
+                    q, r = _schoolbook_divmod(a, b, zero)
+                    assert _pdivmod(coeffs(a), coeffs(b), p, kzero) == (coeffs(q), coeffs(r))
+                if a or b:
+                    g = _schoolbook_gcd(a, b, zero)
+                    assert _pgcd(coeffs(a), coeffs(b), p, kzero) == coeffs(g)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 13])
-    def test_function_field_canonical_form(self, p):
-        field = FiniteField(p)
+    @pytest.mark.parametrize("key", list(_KERNEL_FIELDS))
+    def test_function_field_canonical_form(self, key):
+        field, seed = _KERNEL_FIELDS[key]
         zero, one = field.zero(), field.one()
         k = FunctionField(field, "t")
-        rng = random.Random(200 + p)
+        rng = random.Random(200 + seed)
 
         def sample():
-            den = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
-            den = den if any(den) else [1]
-            return k.element([rng.randrange(p) for _ in range(rng.randint(0, 4))], den)
+            den = _strip([field.sample(rng) for _ in range(rng.randint(1, 4))]) or [one]
+            return k.element([field.sample(rng) for _ in range(rng.randint(0, 4))], den)
 
         for _ in range(200):
             x, y = sample(), sample()
@@ -315,16 +326,24 @@ class TestPrimeFieldKernel:
                 expected.append((x / y, _schoolbook_mul(x.num, y.den, zero),
                                  _schoolbook_mul(x.den, y.num, zero)))
             for r, num, den in expected:
+                assert all(c.field == field for c in r.num + r.den)
                 assert r.den[-1] == one
                 assert _schoolbook_gcd(r.num, r.den, zero) == (one,)
                 assert (_schoolbook_mul(r.num, den, zero)
                         == _schoolbook_mul(num, r.den, zero))
 
     def test_descriptor_mismatch(self):
+        F7 = FiniteField(7)
         with pytest.raises(PreconditionError):
-            _fmul((F5.one(),), (FiniteField(7).one(),), F5.zero())
+            FunctionField(F5).element([F5.one()], [F7.one()])
         with pytest.raises(PreconditionError):
-            _fadd((F2.one(),), (F4.one(),), F2.zero())
+            FunctionField(F2).element([F4.one()])
+        with pytest.raises(PreconditionError):
+            FunctionField(F4).element([F4.one(), F2.one()])
+        with pytest.raises(PreconditionError):
+            FunctionField(RATIONALS).element([F5.one()])
+        with pytest.raises(PreconditionError):
+            FunctionField(F5).gen() + FunctionField(F7).gen()
 
 
 def _brute_irreducible(poly, p):
