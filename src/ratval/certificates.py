@@ -7,11 +7,14 @@ certificate from those witnesses alone, without re-running the original
 construction.  Certificate kinds: defect-tower, degree-lower-bound,
 classification, fundamental-inequality.
 
+Every check here has one shape: it reads recorded data and returns the
+first violated condition as a string, or None.  The builders raise a
+violation, as PreconditionError for their inputs and as InternalError
+for their own output; validate_certificate reports it as a finding.
 Each builder returns its certificate only after validate_certificate
 accepts it, so a fact the payload records is checked once, by the
-validator; a finding on a builder's own output raises InternalError.
-The builders keep as InternalError only the self-checks of facts the
-payload does not record.
+validator.  The builders keep as InternalError only the self-checks of
+facts the payload does not record.
 """
 
 from __future__ import annotations
@@ -219,6 +222,10 @@ def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
     for i, m in enumerate(mults, start=1):
         if math.gcd(abs(m), p) != 1:
             return f"multiplier n_{i} = {m} must be prime to p = {p}"
+    for i, e in enumerate(schedule, start=1):
+        # an exponent that is not an int fails as malformed just below
+        if isinstance(e, int) and e < 0:
+            return f"schedule exponent e_{i} = {e} must be >= 0"
     exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
     default_shape = all(m == -1 for m in mults)
     for i in range(1, n):
@@ -286,15 +293,6 @@ class ExtensionTower:
         group = Subgroup(1, gens)
         return ExtensionTower(p, field, group, residue_degree, base_value_subgroup=group)
 
-    def total_e(self) -> int:
-        return math.prod(s["e"] for s in self.steps)
-
-    def total_f(self) -> int:
-        return math.prod(s["f"] for s in self.steps)
-
-    def total_degree(self) -> int:
-        return math.prod(s["degree"] for s in self.steps)
-
 
 def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
                          as_depth: int = 3) -> ExtensionTower:
@@ -311,11 +309,14 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
     v(a) leaves the value group and is immediate with defect p when the
     group is already p-divisible there.
 
-    The returned step record is checked by _step_violation, the check
-    the fundamental-inequality validator runs per step; a finding is a
+    Each kind computes its step record and the tower's new data; the
+    record is then checked by _step_violation, the check the
+    fundamental-inequality validator runs per step, and a finding is a
     fault of the builder, raised as InternalError.
     """
     p = tower.residue_char
+    group, residue_degree = tower.value_subgroup, tower.residue_degree
+    root = family = None
     if step.kind == "kummer":
         alpha = GroupElement.of(step.alpha)
         e = tower.value_subgroup.torsion_order(alpha)
@@ -334,7 +335,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
         power_exponent = root.terms[0][0].scaled(e)
         if tower.value_subgroup.witness(power_exponent) is None:
             raise InternalError("e-th power of the root left the value group")
-        new_group = tower.value_subgroup.extended(alpha)
+        group = tower.value_subgroup.extended(alpha)
         record = {
             "kind": "kummer",
             "alpha": str(step.alpha),
@@ -345,22 +346,15 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
             "witness": {
                 "root_exponent": str(root.terms[0][0].coords[0]),
                 "e_th_power_exponent": str(power_exponent.coords[0]),
-                "group_index": new_group.index_over(tower.value_subgroup),
+                "group_index": group.index_over(tower.value_subgroup),
             },
         }
-        _check_step(record, tower)
-        return ExtensionTower(
-            p, tower.coefficient_field, new_group, tower.residue_degree,
-            tower.steps + (record,), root,
-            {"kind": "kummer", "e": e, "c_exponent": str(step.alpha * e)},
-            tower.base_value_subgroup,
-        )
-
-    if step.kind == "residue":
+        family = {"kind": "kummer", "e": e, "c_exponent": str(step.alpha * e)}
+    elif step.kind == "residue":
         ext = FiniteField(p, step.modulus)  # verifies monic irreducible
         m = ext.degree
-        new_degree = math.lcm(tower.residue_degree, m)
-        f = new_degree // tower.residue_degree
+        residue_degree = math.lcm(tower.residue_degree, m)
+        f = residue_degree // tower.residue_degree
         if f == 1:
             raise PreconditionError(
                 "residue step: the reduction has a root in the current residue field, "
@@ -376,19 +370,13 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
             "witness": {
                 "root_degree_over_prime": m,
                 "residue_degree_before": tower.residue_degree,
-                "residue_degree_after": new_degree,
+                "residue_degree_after": residue_degree,
             },
             # finite residue fields are perfect, so the reduction is already
             # separable and the lift needs no perturbation
             "separable_lift": "exact",
         }
-        _check_step(record, tower)
-        return ExtensionTower(
-            p, tower.coefficient_field, tower.value_subgroup, new_degree,
-            tower.steps + (record,), None, None, tower.base_value_subgroup,
-        )
-
-    if step.kind == "artin-schreier":
+    elif step.kind == "artin-schreier":
         ce = GroupElement.of(step.c_exponent)
         if not ce < GroupElement.zero(1):
             raise PreconditionError("artin-schreier step requires v(c) < 0")
@@ -397,19 +385,18 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
                 f"artin-schreier step: exponent {step.c_exponent} is not in the value group"
             )
         c = HahnSeries.monomial(tower.coefficient_field, ce, 1)
-        a = artin_schreier_root(c, as_depth)
-        va = a.value()
-        vchain = ((a ** p) - c).value()
+        root = artin_schreier_root(c, as_depth)
+        va = root.value()
+        vchain = ((root ** p) - c).value()
         if vchain is None:
             raise InternalError("Artin-Schreier value chain vanishes: a^p = c")
         if tower.value_subgroup.witness(va) is None:
-            new_group = tower.value_subgroup.extended(va)
-            index = new_group.index_over(tower.value_subgroup)
+            group = tower.value_subgroup.extended(va)
+            index = group.index_over(tower.value_subgroup)
             if index != p:
                 raise InternalError(f"Artin-Schreier group index {index}, expected {p}")
             e, defect = p, 1
         else:
-            new_group = tower.value_subgroup
             e, defect = 1, p
         record = {
             "kind": "artin-schreier",
@@ -427,24 +414,15 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
                 },
             },
         }
-        _check_step(record, tower)
-        return ExtensionTower(
-            p, tower.coefficient_field, new_group, tower.residue_degree,
-            tower.steps + (record,), a,
-            {"kind": "artin-schreier", "c_exponent": str(step.c_exponent)},
-            tower.base_value_subgroup,
-        )
-
-    raise SchemaError(f"unknown extension step kind {step.kind!r}")
-
-
-def _check_step(record: dict, tower: ExtensionTower) -> None:
-    """Raise InternalError if the record of the step that extends `tower`
-    fails _step_violation; the message names the step as the validator does."""
-    violation = _step_violation(record, tower.residue_char)
+        family = {"kind": "artin-schreier", "c_exponent": str(step.c_exponent)}
+    else:
+        raise SchemaError(f"unknown extension step kind {step.kind!r}")
+    violation = _step_violation(record, p)
     if violation:
         raise InternalError(f"extension step fails its own validation: "
                             f"step {len(tower.steps) + 1}: {violation}")
+    return ExtensionTower(p, tower.coefficient_field, group, residue_degree,
+                          tower.steps + (record,), root, family, tower.base_value_subgroup)
 
 
 def build_extension_tower(p: int, steps: list[ExtensionStep], value_gens=(1,),
@@ -455,22 +433,18 @@ def build_extension_tower(p: int, steps: list[ExtensionStep], value_gens=(1,),
     tower = ExtensionTower.over(p, value_gens)
     for step in steps:
         tower = build_extension_step(step, tower, as_depth)
-    n = tower.total_degree()
-    check = fund_ineq_check(n, [(tower.total_e(), tower.total_f())])
+    e = math.prod(s["e"] for s in tower.steps)
+    f = math.prod(s["f"] for s in tower.steps)
+    n = math.prod(s["degree"] for s in tower.steps)
     payload = {
         "base": {
             "residue_char": p,
-            "value_group": [g.to_json() for g in Subgroup(1, tuple(GroupElement.of(g) for g in value_gens)).generators],
+            "value_group": [g.to_json() for g in tower.base_value_subgroup.generators],
             "residue_degree": 1,
         },
         "steps": list(tower.steps),
-        "totals": {
-            "degree": n,
-            "e": tower.total_e(),
-            "f": tower.total_f(),
-            "defect": n // (tower.total_e() * tower.total_f()),
-        },
-        "fund_ineq": check,
+        "totals": {"degree": n, "e": e, "f": f, "defect": n // (e * f)},
+        "fund_ineq": fund_ineq_check(n, [(e, f)]),
     }
     return tower, _self_checked(Certificate("fundamental-inequality", payload))
 
@@ -687,9 +661,6 @@ class ValidationResult:
     def first_failure(self) -> str | None:
         return self.findings[0] if self.findings else None
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "findings": list(self.findings)}
-
 
 def _self_checked(cert: Certificate) -> Certificate:
     """Return a builder's certificate once validate_certificate accepts
@@ -706,9 +677,10 @@ def validate_certificate(data) -> ValidationResult:
 
     The first broken invariant is reported by name; no part of the
     original construction is re-run, only the recorded witness data is
-    re-verified.  Any JSON value is accepted: one that is not an object
-    with a 'kind', or that names a schema_version other than
-    CERTIFICATE_VERSION, is a finding.
+    re-verified.  Any JSON value is accepted and none raises: one that is
+    not an object with a 'kind', that names a schema_version other than
+    CERTIFICATE_VERSION, or whose fields do not have the recorded shape,
+    is a finding.
     """
     try:
         cert = data if isinstance(data, Certificate) else Certificate.from_dict(data)
@@ -717,53 +689,40 @@ def validate_certificate(data) -> ValidationResult:
     if type(cert.version) is not int or cert.version != CERTIFICATE_VERSION:
         return ValidationResult(False, (f"unknown schema_version {cert.version!r}; "
                                         f"this ratval reads version {CERTIFICATE_VERSION}",))
-    findings: list[str] = []
+    validator = _VALIDATORS.get(cert.kind) if isinstance(cert.kind, str) else None
+    if validator is None:
+        return ValidationResult(False, (f"unknown certificate kind {cert.kind!r}",))
     try:
-        if cert.kind == "defect-tower":
-            _validate_defect_tower(cert.payload, findings)
-        elif cert.kind == "degree-lower-bound":
-            _validate_degree_bound(cert.payload, findings)
-        elif cert.kind == "fundamental-inequality":
-            _validate_fund_ineq(cert.payload, findings)
-        elif cert.kind == "classification":
-            _validate_classification(cert.payload, findings)
-        else:
-            findings.append(f"unknown certificate kind {cert.kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        findings.append(f"malformed certificate: {exc}")
-    return ValidationResult(not findings, tuple(findings))
+        finding = validator(cert.payload)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError,
+            AttributeError, PreconditionError) as exc:
+        finding = f"malformed certificate: {exc}"
+    return ValidationResult(finding is None, () if finding is None else (finding,))
 
 
-def _validate_defect_tower(payload: dict, findings: list[str]) -> None:
+def _validate_defect_tower(payload: dict) -> str | None:
     p = payload["p"]
     schedule = payload["schedule"]
     depth = payload["depth"]
     n = len(schedule)
     mults = payload.get("multipliers", [-1] * n)
-    violation = _defect_tower_violation(p, schedule, mults, depth)
-    if violation:
-        findings.append(violation)
-        return
+    if (violation := _defect_tower_violation(p, schedule, mults, depth)):
+        return violation
     default_shape = all(m == -1 for m in mults)
     exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
     levels = payload["levels"]
     if depth > len(levels):
-        findings.append(
-            f"depth field {depth} exceeds the {len(levels)} witnessed levels"
-        )
-        return
+        return f"depth field {depth} exceeds the {len(levels)} witnessed levels"
     recorded_trunc = payload["series_truncation"]
     if default_shape:
         if recorded_trunc is None or Fraction(recorded_trunc) != -Fraction(1, p ** (schedule[-1] + n)):
-            findings.append("series truncation does not match the schedule")
-            return
+            return "series truncation does not match the schedule"
     trunc = None if recorded_trunc is None else Fraction(recorded_trunc)
     for level in levels[:depth]:
         j = level["j"]
         e_j = schedule[j - 1]
         if level["frobenius_exponent"] != e_j:
-            findings.append(f"level {j}: Frobenius exponent mismatch")
-            return
+            return f"level {j}: Frobenius exponent mismatch"
         lhs_trunc = None if trunc is None else Fraction(p ** e_j) * trunc
         oracle = sorted(
             exponents[i - 1] * p ** e_j
@@ -772,148 +731,117 @@ def _validate_defect_tower(payload: dict, findings: list[str]) -> None:
         )
         witnessed = [Fraction(v) for v in level["witness_exponents"]]
         if witnessed != oracle:
-            findings.append(f"level {j}: witness exponents disagree with the schedule formula")
-            return
+            return f"level {j}: witness exponents disagree with the schedule formula"
         value = Fraction(level["value"])
         if not witnessed or min(witnessed) != value:
-            findings.append(f"level {j}: recorded value is not the least witness exponent")
-            return
+            return f"level {j}: recorded value is not the least witness exponent"
         if value != exponents[j] * p ** e_j:
-            findings.append(f"level {j}: value differs from n_(j+1) * p^(e_j - e_(j+1))")
-            return
+            return f"level {j}: value differs from n_(j+1) * p^(e_j - e_(j+1))"
         denom_power = level["grants_denominator_exponent"]
         if denom_power != schedule[j] - e_j:
-            findings.append(f"level {j}: granted denominator exponent mismatch")
-            return
+            return f"level {j}: granted denominator exponent mismatch"
         if default_shape and denom_power < j:
-            findings.append(f"level {j}: grant falls short of 1/p^{j}")
-            return
+            return f"level {j}: grant falls short of 1/p^{j}"
         target_q = Fraction(level["membership_target"])
         if target_q != Fraction(1, p ** denom_power):
-            findings.append(f"level {j}: membership target mismatch")
-            return
+            return f"level {j}: membership target mismatch"
         group = Subgroup.generated_by(1, value)
         target = GroupElement.of(target_q)
-        w = level["membership_witness"]
         acc = GroupElement.zero(1)
-        for zi, gen in zip(w, group.generators):
+        for zi, gen in zip(level["membership_witness"], group.generators):
             acc = acc + gen.scaled(zi)
         if acc != target:
-            findings.append(f"level {j}: membership witness does not verify")
-            return
+            return f"level {j}: membership witness does not verify"
     prev = Fraction(-1)
     for entry in payload["eta_tower"]:
         i = entry["i"]
         v = Fraction(entry["value"])
         if v != prev / p:
-            findings.append(f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p")
-            return
+            return f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p"
         if not entry.get("chain_ok"):
-            findings.append(f"eta tower: value chain not verified at level {i}")
-            return
+            return f"eta tower: value chain not verified at level {i}"
         prev = v
     for claim in payload["defect_claims"]:
         i = claim["i"]
         if claim["degree"] != p ** i:
-            findings.append(f"defect claim {i}: degree is not p^{i}")
-            return
+            return f"defect claim {i}: degree is not p^{i}"
         if claim["ramification_index"] != 1 or claim["inertia_degree"] != 1:
-            findings.append(f"defect claim {i}: (e, f) must be (1, 1) for an immediate extension")
-            return
+            return f"defect claim {i}: (e, f) must be (1, 1) for an immediate extension"
         if claim["defect"] != claim["degree"]:
-            findings.append(f"defect claim {i}: defect must equal the degree")
-            return
+            return f"defect claim {i}: defect must equal the degree"
         if claim["fund_ineq_slack"] != claim["degree"] - 1:
-            findings.append(f"defect claim {i}: fundamental-inequality slack mismatch")
-            return
+            return f"defect claim {i}: fundamental-inequality slack mismatch"
+    return None
 
 
-def _validate_degree_bound(payload: dict, findings: list[str]) -> None:
+def _validate_degree_bound(payload: dict) -> str | None:
     p = payload["p"]
     indices = payload["indices"]
     depth = payload["depth"]
-    violation = _degree_bound_violation(p, indices)
-    if violation:
-        findings.append(violation)
-        return
+    if (violation := _degree_bound_violation(p, indices)):
+        return violation
     if depth != len(indices) or depth != len(payload["exponents"]):
-        findings.append("depth field disagrees with the witnessed indices")
-        return
+        return "depth field disagrees with the witnessed indices"
     gammas = [Fraction(g) for g in payload["exponents"]]
     base = Subgroup.generated_by(1)
     for i, (nv, g) in enumerate(zip(indices, gammas), start=1):
         if g != Fraction(i) + Fraction(1, nv):
-            findings.append(f"exponent gamma_{i} does not equal i + 1/n_i")
-            return
+            return f"exponent gamma_{i} does not equal i + 1/n_i"
         if base.torsion_order(GroupElement.of(g)) != nv:
-            findings.append(f"torsion order of gamma_{i} over Z is not n_{i}")
-            return
+            return f"torsion order of gamma_{i} over Z is not n_{i}"
     expected = math.lcm(*indices)
     if payload["bound"] != expected:
-        findings.append(f"bound {payload['bound']} differs from lcm = {expected}")
-        return
+        return f"bound {payload['bound']} differs from lcm = {expected}"
     prefixes = payload["bound_by_prefix"]
     if prefixes != [math.lcm(*indices[:k]) for k in range(1, depth + 1)]:
-        findings.append("prefix bounds disagree with the lcm recurrence")
-        return
+        return "prefix bounds disagree with the lcm recurrence"
     if any(a > b for a, b in zip(prefixes, prefixes[1:])):
-        findings.append("prefix bounds are not monotone non-decreasing")
-        return
+        return "prefix bounds are not monotone non-decreasing"
     big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
     index = big.index_over(base)
     if index != payload["bound"]:
-        findings.append("subgroup index witness does not verify against the bound")
-        return
+        return "subgroup index witness does not verify against the bound"
     if payload["group_index_witness"]["index_over_base"] != index:
-        findings.append("recorded index over the base does not verify")
-        return
+        return "recorded index over the base does not verify"
     basis = [str(b.coords[0]) for b in big.basis()]
     if basis != payload["group_index_witness"]["hermite_basis"]:
-        findings.append("recorded Hermite basis does not verify")
-        return
-    variant = payload["pseudo_cauchy_variant"]
-    vg = [Fraction(g) for g in variant["exponents"]]
+        return "recorded Hermite basis does not verify"
+    vg = [Fraction(g) for g in payload["pseudo_cauchy_variant"]["exponents"]]
     if any(a >= b for a, b in zip(vg, vg[1:])):
-        findings.append("pseudo-Cauchy variant exponents fail to increase strictly")
-        return
+        return "pseudo-Cauchy variant exponents fail to increase strictly"
     if any(g >= 1 for g in vg):
-        findings.append("pseudo-Cauchy variant exponents must stay below 1")
-        return
+        return "pseudo-Cauchy variant exponents must stay below 1"
+    return None
 
 
-def _validate_fund_ineq(payload: dict, findings: list[str]) -> None:
+def _validate_fund_ineq(payload: dict) -> str | None:
     check = payload["fund_ineq"] if "fund_ineq" in payload else payload
     n = check["n"]
     pairs = [tuple(pr) for pr in check["pairs"]]
     fresh = fund_ineq_check(n, pairs)
     for key in ("sum_ef", "ok", "slack", "equality"):
         if fresh[key] != check.get(key):
-            findings.append(f"fundamental inequality field {key!r} does not verify")
-            return
+            return f"fundamental inequality field {key!r} does not verify"
     if not fresh["ok"]:
-        findings.append("the fundamental inequality fails: n < sum of e_i * f_i")
-        return
-    if "steps" in payload:
-        e = f = n_prod = 1
-        for i, s in enumerate(payload["steps"], start=1):
-            if s["degree"] != s["e"] * s["f"] * s.get("defect", 1):
-                findings.append(f"step {i}: degree is not e * f * defect")
-                return
-            e *= s["e"]
-            f *= s["f"]
-            n_prod *= s["degree"]
-        totals = payload["totals"]
-        if (totals["e"], totals["f"], totals["degree"]) != (e, f, n_prod):
-            findings.append("totals are not the products of the step data")
-            return
-        if n != n_prod or pairs != [(e, f)]:
-            findings.append("fundamental-inequality data disagrees with the tower totals")
-            return
-        for i, s in enumerate(payload["steps"], start=1):
-            violation = _step_violation(s, payload["base"]["residue_char"])
-            if violation:
-                findings.append(f"step {i}: {violation}")
-                return
+        return "the fundamental inequality fails: n < sum of e_i * f_i"
+    if "steps" not in payload:
+        return None
+    e = f = n_prod = 1
+    for i, s in enumerate(payload["steps"], start=1):
+        if s["degree"] != s["e"] * s["f"] * s.get("defect", 1):
+            return f"step {i}: degree is not e * f * defect"
+        e *= s["e"]
+        f *= s["f"]
+        n_prod *= s["degree"]
+    totals = payload["totals"]
+    if (totals["e"], totals["f"], totals["degree"]) != (e, f, n_prod):
+        return "totals are not the products of the step data"
+    if n != n_prod or pairs != [(e, f)]:
+        return "fundamental-inequality data disagrees with the tower totals"
+    for i, s in enumerate(payload["steps"], start=1):
+        if (violation := _step_violation(s, payload["base"]["residue_char"])):
+            return f"step {i}: {violation}"
+    return None
 
 
 def _step_violation(record: dict, p: int) -> str | None:
@@ -943,32 +871,29 @@ def _step_violation(record: dict, p: int) -> str | None:
     return None
 
 
-def _validate_classification(payload: dict, findings: list[str]) -> None:
+def _validate_classification(payload: dict) -> str | None:
     label = payload["label"]
     flags = payload["trichotomy_flags"]
     if sum(bool(b) for b in flags) != 1:
-        findings.append("trichotomy flags must mark exactly one case")
-        return
+        return "trichotomy flags must mark exactly one case"
     expected = {
         0: VALUE_TRANSCENDENTAL,
         1: RESIDUE_TRANSCENDENTAL,
         2: "valuation-algebraic",
     }[flags.index(True)]
     if label != expected:
-        findings.append(f"label {label!r} disagrees with the trichotomy flags")
-        return
+        return f"label {label!r} disagrees with the trichotomy flags"
     witness = payload["witness"]
     desc = payload["descriptor"]
     if witness.get("pseudo_cauchy"):
         if label != "valuation-algebraic":
-            findings.append("pseudo Cauchy descriptors are valuation-algebraic")
-        return
+            return "pseudo Cauchy descriptors are valuation-algebraic"
+        return None
     gamma = GroupElement.from_json(desc["gamma"])
     try:
         base = ValuedField.from_json(desc["base"])
     except PreconditionError as exc:
-        findings.append(f"descriptor base does not build: {exc}")
-        return
+        return f"descriptor base does not build: {exc}"
     base_coord = int(desc.get("base_coord", 0))
     gens = []
     for v in base.value_generators():
@@ -978,13 +903,20 @@ def _validate_classification(payload: dict, findings: list[str]) -> None:
     e = Subgroup(gamma.rank, tuple(gens)).torsion_order(gamma)
     if "torsion_order" in witness:
         if e != witness["torsion_order"]:
-            findings.append("torsion-order witness does not verify")
-            return
+            return "torsion-order witness does not verify"
         if label != RESIDUE_TRANSCENDENTAL:
-            findings.append("torsion gamma must classify as residue-transcendental")
-    else:
-        if e is not None:
-            findings.append("non-torsion rank proof does not verify")
-            return
-        if label != VALUE_TRANSCENDENTAL:
-            findings.append("non-torsion gamma must classify as value-transcendental")
+            return "torsion gamma must classify as residue-transcendental"
+        return None
+    if e is not None:
+        return "non-torsion rank proof does not verify"
+    if label != VALUE_TRANSCENDENTAL:
+        return "non-torsion gamma must classify as value-transcendental"
+    return None
+
+
+_VALIDATORS = {
+    "defect-tower": _validate_defect_tower,
+    "degree-lower-bound": _validate_degree_bound,
+    "fundamental-inequality": _validate_fund_ineq,
+    "classification": _validate_classification,
+}

@@ -362,11 +362,6 @@ class SeriesValuedField(ValuedField):
     def value_generators(self):
         return list(self._gens)
 
-    def value_subgroup(self) -> Subgroup:
-        if not self._gens:
-            return Subgroup(1, ())
-        return Subgroup.generated_by(*[GroupElement.of(g) for g in self._gens])
-
     def zero(self):
         return HahnSeries.zero(self.coefficients)
 

@@ -6,9 +6,19 @@ job NAME this writes NAME.json (the job), NAME.out (stdout of
 `python -m ratval.cli run NAME.json`) and an entry NAME: exit code in
 exit_codes.json.  It also writes selftest-default.out and
 selftest-seed7.out, the stdout of `python -m ratval.cli selftest` at the
-default seed and with `--seed 7`.  tests/test_golden.py compares the
-current output with these files byte for byte, so regenerate them only
-on purpose:
+default seed and with `--seed 7`.
+
+certificate-mutations.json tampers with the certificates that the
+README's piltant, degree-bound, extension-step and classify jobs make:
+each scalar leaf is replaced by each of MUTATION_VALUES, skipping a
+value that compares equal to the original (so `true` is not tried where
+the leaf is 1).  It holds one line per mutation with the job, the JSON
+path, the value and what validate_certificate returns for it: `ok` and
+the findings.  Accepted mutations are recorded as accepted, so the file
+lists the tamperings the validator does not catch yet.
+
+tests/test_golden.py compares the current output with these files, so
+regenerate them only on purpose:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 """
@@ -19,6 +29,8 @@ import json
 import os
 import subprocess
 import sys
+
+from ratval.certificates import validate_certificate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -95,6 +107,45 @@ def jobs() -> dict:
     return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8)}
 
 
+CERTIFICATE_JOBS = ("readme-piltant", "readme-degree-bound", "readme-extension-step",
+                    "readme-classify")
+MUTATION_VALUES = ("x", -1, 0, 2, 10 ** 6, "1/0", None, [], {}, True, False, "0")
+
+
+def _leaves(node, path=()):
+    """(path, value) of every leaf of a JSON value that is not a list or an object."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaves(child, path + (i,))
+    else:
+        yield path, node
+
+
+def _tampered(cert: dict, path, value) -> dict:
+    """A copy of cert with the leaf at path replaced by value."""
+    data = json.loads(json.dumps(cert))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def mutation_lines(job: str, cert: dict) -> list[str]:
+    lines = []
+    for path, original in _leaves(cert):
+        for value in MUTATION_VALUES:
+            if value == original:
+                continue
+            result = validate_certificate(_tampered(cert, path, value))
+            lines.append(json.dumps({"job": job, "path": list(path), "value": value,
+                                     "ok": result.ok, "findings": list(result.findings)}))
+    return lines
+
+
 def main() -> int:
     codes = {}
     for name, job in jobs().items():
@@ -110,6 +161,12 @@ def main() -> int:
     with open(os.path.join(HERE, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    lines = []
+    for name in CERTIFICATE_JOBS:
+        with open(os.path.join(HERE, f"{name}.out")) as fh:
+            lines += mutation_lines(name, json.load(fh)["certificate"])
+    with open(os.path.join(HERE, "certificate-mutations.json"), "w") as fh:
+        fh.write("[\n" + ",\n".join(lines) + "\n]\n")
     for name, seed in (("selftest-default", []), ("selftest-seed7", ["--seed", "7"])):
         proc = subprocess.run([sys.executable, "-m", "ratval.cli", "selftest", *seed],
                               capture_output=True, check=True)

@@ -134,6 +134,11 @@ class TestDefectTower:
         with pytest.raises(PreconditionError, match="prime to p"):
             build_defect_tower(2, [1, 2, 4], 2, multipliers=[1, 2, 3])
 
+    def test_negative_schedule_exponent_is_a_named_finding(self):
+        cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        res = validate_certificate(tamper(cert, ["schedule", 0], -1))
+        assert res.findings == ("schedule exponent e_1 = -1 must be >= 0",)
+
     def test_round_trip_and_tampering(self):
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
         assert validate_certificate(cert).ok
@@ -361,9 +366,12 @@ class TestClassificationCertificate:
         bad = tamper(cert, ["label"], VALUE_TRANSCENDENTAL)
         assert not validate_certificate(bad).ok
 
-    def test_unknown_kind(self):
-        res = validate_certificate({"kind": "mystery"})
+    @pytest.mark.parametrize("kind", ["mystery", ["classification"], {"kind": "classification"}],
+                             ids=["mystery", "list", "object"])
+    def test_unknown_kind(self, kind):
+        res = validate_certificate({"kind": kind})
         assert not res.ok
+        assert res.findings == (f"unknown certificate kind {kind!r}",)
 
 
 def _pcs_classification():

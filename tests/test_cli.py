@@ -121,6 +121,14 @@ class TestRunCertificates:
         report = json.loads(out)
         assert "n_2 = 4" in report["error"]["message"]
 
+    def test_negative_schedule_exponent_exit_1(self, tmp_path, capsys):
+        job = {"task": "piltant", "p": 2, "e": [-1, 2, 4, 7, 11], "depth": 4}
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "PreconditionError",
+                                            "message": "schedule exponent e_1 = -1 must be >= 0"}
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("job", [
         {"task": "degree-bound", "p": 10 ** 400, "n": [3, 5]},
         {"task": "eval",
@@ -236,6 +244,29 @@ class TestRunCertificates:
             report = json.loads(out)
             assert report["ok"] is False and len(report["findings"]) == 1
             assert err == ""
+
+    @pytest.mark.parametrize("job, path, value", [
+        ({"task": "degree-bound", "p": 2, "n": [3, 5]}, ["exponents", 0], "1/0"),
+        ({"task": "extension-step", "p": 2, "steps": [{"kind": "kummer", "alpha": "1/3"}]},
+         ["fund_ineq", "n"], 0),
+        ({"task": "piltant", "p": 2, "e": [1, 2, 4, 7], "depth": 3}, ["levels", 0, "j"], 10 ** 6),
+        ({"task": "classify", "valuation": {"kind": "vag", "base": {"kind": "p-adic", "p": 3},
+                                            "center": "0", "gamma": ["1/2"]}},
+         ["descriptor", "base"], "x"),
+    ], ids=["zero-denominator", "degree-below-1", "level-out-of-range", "base-not-an-object"])
+    def test_recheck_of_a_malformed_field_exits_1(self, tmp_path, capsys, job, path, value):
+        code, out, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 0
+        node = data = json.loads(out)
+        for key in ["certificate"] + path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code, out, err = run_cli(["recheck", write_job(tmp_path, "cert.json", data)], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["findings"][0].startswith("malformed certificate: ")
+        assert err == ""
 
     def test_extract_task(self, tmp_path, capsys):
         job = {

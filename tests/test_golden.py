@@ -5,7 +5,10 @@ expected stdout and exit codes were recorded by tests/golden/make_golden.py.
 
 Each golden job runs twice: through `main()` in this process, where the
 argument parser is shared with every other call, and as
-`python -m ratval.cli run` in a process of its own, which builds it once."""
+`python -m ratval.cli run` in a process of its own, which builds it once.
+
+certificate-mutations.json records what validate_certificate returns for
+every one-leaf tampering of the golden certificates."""
 
 import json
 import os
@@ -15,11 +18,13 @@ import sys
 
 import pytest
 
+from ratval.certificates import validate_certificate
 from ratval.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+MUTATIONS = json.loads((GOLDEN / "certificate-mutations.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
@@ -47,3 +52,23 @@ def test_selftest_output_is_byte_identical(seed, capsys):
     assert main(args) == 0
     name = "selftest-default.out" if seed is None else f"selftest-seed{seed}.out"
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def _tampered(cert: dict, path: list, value) -> dict:
+    data = json.loads(json.dumps(cert))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("job", sorted({m["job"] for m in MUTATIONS}))
+def test_certificate_mutations(job):
+    cert = json.loads((GOLDEN / f"{job}.out").read_text())["certificate"]
+    recorded = [m for m in MUTATIONS if m["job"] == job]
+    got = []
+    for m in recorded:
+        result = validate_certificate(_tampered(cert, m["path"], m["value"]))
+        got.append({**m, "ok": result.ok, "findings": list(result.findings)})
+    assert got == recorded
