@@ -495,7 +495,7 @@ def build_ic_valuation(tower: ExtensionTower, beta, variant: str = "v1",
             gamma = GroupElement.of(beta_q, alpha)
             base_coord = 1
         else:
-            raise ValueError("placement must be 'small' or 'large'")
+            raise PreconditionError("placement must be 'small' or 'large'")
         valn = CenteredValuation(base, tower.top_witness, gamma, base_coord=base_coord)
         label = VALUE_TRANSCENDENTAL
     elif variant == "v2":

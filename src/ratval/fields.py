@@ -47,7 +47,8 @@ __all__ = [
 # and p is the prime: every sum and product is reduced `% p` in the loop.
 # Over Q, F_{p^n} or any other exact ring the coefficients are the ring's
 # elements, `zero` is the ring's zero and p is EXACT, whose `x % EXACT` is
-# x itself; an inverse is then the ring's own `c ** -1`.
+# x itself; an inverse is then the ring's own `c ** -1`.  A zero coefficient
+# is falsy in both forms, so the product and division loops skip it.
 
 class _Exact:
     """The modulus of exact arithmetic: x % EXACT is x for every x whose
@@ -62,6 +63,19 @@ class _Exact:
 
 
 EXACT = _Exact()
+
+
+def _power(base, n: int, one):
+    """base ** n for an int n >= 0 by square-and-multiply from `one`; the
+    square after the top bit of n is skipped."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        if n > 1:
+            base = base * base
+        n >>= 1
+    return result
 
 
 def _pstrip(cs: list, zero=0) -> tuple:
@@ -377,6 +391,9 @@ class FieldElement:
             return self.value == 0
         return not any(self.value)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             if other.field is not self.field and other.field != self.field:
@@ -454,14 +471,7 @@ class FieldElement:
             return self.inverse() ** (-n)
         if self.field.characteristic and not self.is_zero():
             n %= self.field.order - 1  # x^(q-1) = 1 for nonzero x in F_q
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one())
 
     def frobenius_inverse(self) -> "FieldElement":
         """The unique p-th root: inverse of x -> x^p on F_{p^n}.
@@ -722,13 +732,7 @@ class FunctionFieldElement:
         one = self.field.element([self.field.base.one()])
         if n < 0:
             return (one / self) ** (-n)
-        result, base = one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, one)
 
     def __repr__(self):
         def side(cs):

@@ -3,10 +3,16 @@
 Value groups are modelled as finitely generated subgroups of Q^r under
 the lexicographic order.  Group elements are fixed-length vectors of
 exact rationals; subgroups are given by finite generator lists.
-Membership, torsion order and subgroup index are decided by integer
-linear algebra on a Hermite-style row reduction of the scaled generator
-matrix, so every positive answer carries an integer witness vector and
-every negative answer is backed by a rank argument over Q.
+
+A subgroup is held as (D, A, Hermite rows): D is the common denominator
+of its generators, A the int matrix of their keys D * gen (the int
+exponent form `series` uses too), and the Hermite rows a Z-basis of the
+row lattice of A with the transform writing them in the rows of A.  One
+reduction of D * g against the Hermite rows gives g's coordinates over
+Q, and membership, torsion order and subgroup index are read off them:
+every positive answer carries an integer witness z, re-checked as
+z . A == D * g before it is handed out, and every negative answer is
+backed by a rank argument over Q.
 """
 
 from __future__ import annotations
@@ -129,6 +135,19 @@ def compare(a: GroupElement, b: GroupElement) -> int:
     return 0
 
 
+def _common_den(expos, trunc: GroupElement | None = None) -> int:
+    """The lcm D of the coordinate denominators of `expos` and `trunc`."""
+    if trunc is not None:
+        expos = [*expos, trunc]
+    return math.lcm(*(c.denominator for g in expos for c in g.coords))
+
+
+def _key(g: GroupElement, den: int) -> tuple[int, ...]:
+    """The int tuple den * g, for den a multiple of g's denominators;
+    keys over one den order as their elements do."""
+    return tuple(c.numerator * (den // c.denominator) for c in g.coords)
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) = x*a + y*b, g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -206,7 +225,7 @@ class Subgroup:
         )
         if ambient_rank is None:
             if not elems:
-                raise ValueError("ambient_rank required for the trivial subgroup")
+                raise PreconditionError("ambient_rank required for the trivial subgroup")
             ambient_rank = elems[0].rank
         for g in elems:
             if g.rank != ambient_rank:
@@ -217,26 +236,17 @@ class Subgroup:
 
     @cached_property
     def _lattice(self):
-        """(denominator D, Hermite basis rows over Z, exprs, pivot cols).
+        """(D, A, Hermite rows, exprs, pivot columns).
 
-        The subgroup equals { (z . A) / D : z in Z^m } for the integer
-        matrix A of scaled generators; the Hermite rows are a Z-basis.
+        D is the common denominator of the generators and A the int
+        matrix of their keys over D, so the subgroup is
+        { (z . A) / D : z in Z^m }; the Hermite rows are a Z-basis of the
+        row lattice of A, and exprs[i] writes rows[i] in the rows of A.
         """
-        if not self.generators:
-            return 1, [], [], []
-        dens = [c.denominator for g in self.generators for c in g.coords]
-        d = math.lcm(*dens) if dens else 1
-        mat = [[int(c * d) for c in g.coords] for g in self.generators]
+        d = _common_den(self.generators)
+        mat = [_key(g, d) for g in self.generators]
         rows, exprs, pivots = _hermite_rows(mat)
-        return d, rows, exprs, pivots
-
-    def _scaled_target(self, g: GroupElement) -> list[int] | None:
-        """g scaled by the lattice denominator, or None if not integral."""
-        d = self._lattice[0]
-        scaled = [c * d for c in g.coords]
-        if any(s.denominator != 1 for s in scaled):
-            return None
-        return [int(s) for s in scaled]
+        return d, mat, rows, exprs, pivots
 
     def _check_ambient(self, g: GroupElement) -> None:
         if g.rank != self.ambient_rank:
@@ -244,60 +254,44 @@ class Subgroup:
                 f"rank mismatch: element rank {g.rank}, ambient rank {self.ambient_rank}"
             )
 
+    def _coords(self, g: GroupElement) -> list[Fraction] | None:
+        """Coordinates of g over the Hermite rows (over Q), or None if g
+        lies outside the rational span of the generators.  g is a member
+        exactly when every coordinate is an integer."""
+        self._check_ambient(g)
+        d, _, rows, _, pivots = self._lattice
+        w = [c * d for c in g.coords]
+        coords: list[Fraction] = []
+        for row, col in zip(rows, pivots):
+            q = Fraction(w[col], row[col])
+            coords.append(q)
+            if q:
+                w = [a - q * b for a, b in zip(w, row)]
+        return None if any(w) else coords
+
+    def _witness(self, g: GroupElement, coords: list[Fraction] | None) -> list[int] | None:
+        """The integer vector z with z . A == D * g, from g's coordinates,
+        or None when g is not a member.  The identity is re-checked in
+        integers against A before z is handed out."""
+        if coords is None or any(q.denominator != 1 for q in coords):
+            return None
+        d, mat, _, exprs, _ = self._lattice
+        z = [sum(q.numerator * e[j] for q, e in zip(coords, exprs)) for j in range(len(mat))]
+        combo = tuple(sum(zi * row[k] for zi, row in zip(z, mat)) for k in range(self.ambient_rank))
+        if combo != _key(g, d):
+            raise InternalError("witness failed re-verification")
+        return z
+
     def witness(self, g: GroupElement) -> list[int] | None:
         """Integer coefficients w with sum(w_i * gen_i) == g, or None.
 
         Every returned witness is re-verified against the generators
         before it is handed out.
         """
-        self._check_ambient(g)
-        d, rows, exprs, pivots = self._lattice
-        if not rows:
-            return [] if g.is_zero() else None
-        target = self._scaled_target(g)
-        if target is None:
-            return None
-        w = list(target)
-        coeffs = [0] * len(rows)
-        for i, col in enumerate(pivots):
-            piv = rows[i][col]
-            if w[col] % piv != 0:
-                return None
-            q = w[col] // piv
-            coeffs[i] = q
-            if q:
-                w = [a - q * b for a, b in zip(w, rows[i])]
-        if any(w):
-            return None
-        m = len(self.generators)
-        z = [sum(coeffs[i] * exprs[i][j] for i in range(len(rows))) for j in range(m)]
-        # exact re-verification of the witness
-        acc = GroupElement.zero(self.ambient_rank)
-        for zi, gen in zip(z, self.generators):
-            acc = acc + gen.scaled(zi)
-        if acc != g:
-            raise InternalError("witness failed re-verification")
-        return z
+        return self._witness(g, self._coords(g))
 
     def __contains__(self, g: GroupElement) -> bool:
         return self.witness(g) is not None
-
-    def _rational_coords(self, g: GroupElement) -> list[Fraction] | None:
-        """Coordinates of g over the Hermite basis (over Q), or None if
-        g lies outside the rational span of the generators."""
-        d, rows, _, pivots = self._lattice
-        if not rows:
-            return [] if g.is_zero() else None
-        w = [c * d for c in g.coords]
-        coords: list[Fraction] = []
-        for i, col in enumerate(pivots):
-            q = Fraction(w[col], rows[i][col])
-            coords.append(q)
-            if q:
-                w = [a - q * b for a, b in zip(w, rows[i])]
-        if any(w):
-            return None
-        return coords
 
     def torsion_order(self, g: GroupElement, bound: int | None = None) -> int | None:
         """Least e >= 1 with e*g in the subgroup, or None if non-torsion.
@@ -307,11 +301,10 @@ class Subgroup:
         order exceeds it, UndecidedError is raised: that outcome is
         distinct from a proven non-torsion answer.
         """
-        self._check_ambient(g)
-        coords = self._rational_coords(g)
+        coords = self._coords(g)
         if coords is None:
             return None
-        e = math.lcm(*(q.denominator for q in coords)) if coords else 1
+        e = math.lcm(*(q.denominator for q in coords))
         if bound is not None and e > bound:
             raise UndecidedError(
                 f"torsion order {e} exceeds the search bound {bound}"
@@ -327,32 +320,19 @@ class Subgroup:
         """
         if sub.ambient_rank != self.ambient_rank:
             raise PreconditionError("rank mismatch between subgroups")
-        d, rows, _, pivots = self._lattice
-        k = len(rows)
         coord_rows: list[list[int]] = []
         for t in sub.generators:
-            if self.witness(t) is None:
+            coords = self._coords(t)
+            if self._witness(t, coords) is None:
                 raise PreconditionError(
                     f"not a subgroup: generator {t!r} lies outside the bigger group"
                 )
-            target = self._scaled_target(t)
-            w = list(target)
-            coords = [0] * k
-            for i, col in enumerate(pivots):
-                q = w[col] // rows[i][col]
-                coords[i] = q
-                if q:
-                    w = [a - q * b for a, b in zip(w, rows[i])]
-            coord_rows.append(coords)
-        if k == 0:
-            return 1
-        sub_rows, _, sub_pivots = _hermite_rows(coord_rows) if coord_rows else ([], [], [])
+            coord_rows.append([q.numerator for q in coords])
+        k = len(self._lattice[2])
+        sub_rows, _, sub_pivots = _hermite_rows(coord_rows)
         if len(sub_rows) < k:
             return None
-        det = 1
-        for i, col in enumerate(sub_pivots):
-            det *= sub_rows[i][col]
-        return abs(det)
+        return math.prod(row[col] for row, col in zip(sub_rows, sub_pivots))
 
     def extended(self, *new_gens: GroupElement) -> "Subgroup":
         """Subgroup generated by this one together with new elements."""
@@ -362,7 +342,7 @@ class Subgroup:
 
     def basis(self) -> list[GroupElement]:
         """Canonical Z-basis (Hermite rows over the common denominator)."""
-        d, rows, _, _ = self._lattice
+        d, _, rows, _, _ = self._lattice
         return [GroupElement(tuple(Fraction(v, d) for v in row)) for row in rows]
 
     def with_fresh_coordinate(self, placement: str = "small") -> tuple["Subgroup", "object"]:
@@ -374,7 +354,7 @@ class Subgroup:
         Returns the embedded subgroup and the embedding map for elements.
         """
         if placement not in ("small", "large"):
-            raise ValueError("placement must be 'small' or 'large'")
+            raise PreconditionError("placement must be 'small' or 'large'")
         if placement == "small":
             def embed(g: GroupElement) -> GroupElement:
                 return GroupElement(g.coords + (Fraction(0),))
@@ -383,9 +363,6 @@ class Subgroup:
                 return GroupElement((Fraction(0),) + g.coords)
         new = Subgroup(self.ambient_rank + 1, tuple(embed(g) for g in self.generators))
         return new, embed
-
-    def to_json(self) -> list[list[str]]:
-        return [g.to_json() for g in self.generators]
 
     def __repr__(self) -> str:
         gens = ", ".join(repr(g) for g in self.generators)

@@ -11,20 +11,20 @@ for addition, min over v(s)+trunc(r) and trunc(s)+v(r) for products.
 
 Normalisation and products run on int exponent keys: over the lcm D of
 the denominators of the exponents and the bound, an exponent e is the
-int tuple D*e, so merging, sorting and the product's pair loop do no
-Fraction arithmetic and no hashing of rationals.
+int tuple D*e (the key of `groups`, which scales value-group
+generators the same way), so merging, sorting and the product's pair
+loop do no Fraction arithmetic and no hashing of rationals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from .errors import PreconditionError
-from .fields import Field, FieldElement
-from .groups import GroupElement
+from .fields import Field, FieldElement, _power
+from .groups import GroupElement, _common_den, _key
 
 __all__ = [
     "HahnSeries",
@@ -39,18 +39,6 @@ def _min_trunc(a: GroupElement | None, b: GroupElement | None) -> GroupElement |
     if b is None:
         return a
     return a if a <= b else b
-
-
-def _common_den(expos, trunc: GroupElement | None) -> int:
-    """The lcm D of the coordinate denominators of `expos` and `trunc`."""
-    if trunc is not None:
-        expos = [*expos, trunc]
-    return math.lcm(*(c.denominator for g in expos for c in g.coords))
-
-
-def _key(g: GroupElement, den: int) -> tuple[int, ...]:
-    """The int tuple den * g; keys over one den order as their elements do."""
-    return tuple(c.numerator * (den // c.denominator) for c in g.coords)
 
 
 def _normalise(field: Field, rank: int, den: int, keyed, trunc: GroupElement | None,
@@ -211,14 +199,7 @@ class HahnSeries:
             e, c = self.terms[0]
             inv = HahnSeries.monomial(self.field, -e, c.inverse(), rank=self.rank)
             return inv ** (-n)
-        result = HahnSeries.constant(self.field, self.field.one(), rank=self.rank)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, HahnSeries.constant(self.field, self.field.one(), rank=self.rank))
 
     # -- field-characteristic operations ------------------------------------
 

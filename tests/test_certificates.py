@@ -274,6 +274,11 @@ class TestIcValuation:
         assert info["gamma"] == ["1", "1"]
         assert valn.classify() == VALUE_TRANSCENDENTAL
 
+    def test_bad_placement_is_a_precondition_error(self):
+        tower, _ = build_extension_tower(2, [ExtensionStep("kummer", alpha=Fraction(1, 3))])
+        with pytest.raises(PreconditionError, match="placement must be 'small' or 'large'"):
+            build_ic_valuation(tower, 1, "v1", placement="middle")
+
     def test_residue_top_rejected(self):
         tower, _ = build_extension_tower(2, [ExtensionStep("residue", modulus=(1, 1, 1))])
         with pytest.raises(PreconditionError, match="Krasner"):

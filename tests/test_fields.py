@@ -15,6 +15,7 @@ from ratval.fields import (
     _pdivmod,
     _pgcd,
     _pmul,
+    _power,
     _pstrip,
     build_extension,
     is_irreducible,
@@ -346,6 +347,50 @@ class TestPrimeFieldKernel:
             FunctionField(F5).gen() + FunctionField(F7).gen()
 
 
+class TestZeroTerms:
+    """A zero FieldElement is falsy, so the kernel's `if ai:` and `if c:`
+    skip zero terms over Q and F_{p^n} as they do on ints mod p."""
+
+    @pytest.mark.parametrize("key", ["Q", "F9"])
+    def test_zero_is_falsy(self, key):
+        field, seed = _KERNEL_FIELDS[key]
+        assert not field.zero()
+        assert field.one() and field.element(-1)
+        rng = random.Random(seed)
+        for _ in range(50):
+            x = field.sample(rng)
+            assert bool(x) is not x.is_zero()
+
+    @pytest.mark.parametrize("key", ["Q", "F9"])
+    def test_interior_zeros_against_schoolbook(self, key):
+        field, seed = _KERNEL_FIELDS[key]
+        zero, one = field.zero(), field.one()
+        rng = random.Random(300 + seed)
+
+        def sparse(n):
+            # a nonzero leading coefficient over mostly zero lower ones
+            return tuple(field.sample(rng) if rng.random() < 0.3 else zero for _ in range(n)) + (one,)
+
+        for _ in range(200):
+            a, b = sparse(rng.randint(0, 7)), sparse(rng.randint(0, 4))
+            assert _pmul(a, b, EXACT, zero) == _schoolbook_mul(a, b, zero)
+            assert _pdivmod(a, b, EXACT, zero) == _schoolbook_divmod(a, b, zero)
+            # a * (1 + y^2) divided by 1 + y^2 gives a back, zero quotient terms included
+            q = _pdivmod(_pmul(a, (one, zero, one), EXACT, zero), (one, zero, one), EXACT, zero)
+            assert q == (a, ())
+
+    @pytest.mark.parametrize("key", ["Q", "F9"])
+    def test_zero_terms_cost_no_multiply(self, key, monkeypatch):
+        field, _ = _KERNEL_FIELDS[key]
+        zero, one = field.zero(), field.one()
+        calls = []
+        original = type(one).__mul__
+        monkeypatch.setattr(type(one), "__mul__", lambda a, b: calls.append(1) or original(a, b))
+        # (1 + y^4) * (1 + y + y^2): two nonzero terms times three
+        assert _pmul((one, zero, zero, zero, one), (one, one, one), EXACT, zero) == (one, one, one, zero, one, one, one)
+        assert len(calls) == 6
+
+
 def _brute_irreducible(poly, p):
     """Trial division by every monic polynomial of degree up to deg/2."""
     deg = len(poly) - 1
@@ -483,6 +528,19 @@ class TestPowReduction:
             assert zero ** n == zero
         with pytest.raises(PreconditionError, match="division by zero"):
             zero ** -1
+
+    def test_power_helper_squares_once_per_bit_below_the_top(self):
+        class Counted(int):
+            calls = 0
+
+            def __mul__(self, other):
+                Counted.calls += 1
+                return Counted(int(self) * int(other))
+
+        for n in range(70):
+            Counted.calls = 0
+            assert _power(Counted(3), n, Counted(1)) == 3 ** n
+            assert Counted.calls == bin(n).count("1") + max(n.bit_length() - 1, 0)
 
     def test_frobenius_exponent_is_cheap(self, monkeypatch):
         # 3^11 reduces mod q - 1 = 2 to 1: two multiplies, not two per bit of 3^11

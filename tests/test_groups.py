@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ratval.errors import PreconditionError, UndecidedError
+from ratval import groups
+from ratval.errors import InternalError, PreconditionError, UndecidedError
 from ratval.groups import GroupElement, Subgroup, compare
 
 
@@ -156,6 +158,17 @@ class TestIndex:
             assert s.index_over(t) == s.index_over(u) * u.index_over(t)
 
 
+class TestPreconditions:
+    def test_trivial_subgroup_needs_a_rank(self):
+        with pytest.raises(PreconditionError, match="ambient_rank required"):
+            Subgroup.generated_by()
+        assert Subgroup.generated_by(ambient_rank=2).witness(G(0, 0)) == []
+
+    def test_bad_fresh_coordinate_placement(self):
+        with pytest.raises(PreconditionError, match="placement must be 'small' or 'large'"):
+            Subgroup.generated_by(1).with_fresh_coordinate("middle")
+
+
 class TestFreshCoordinate:
     def test_small_placement_is_infinitesimal(self):
         s = Subgroup.generated_by(1)
@@ -169,3 +182,193 @@ class TestFreshCoordinate:
         bigger, embed = s.with_fresh_coordinate("large")
         fresh = G(1, 0)
         assert fresh > embed(G(1000))
+
+
+# -- the membership, torsion and index routines as they were before every
+# query went through one reduction, kept as the reference the property
+# tests compare against.  They take the generator list.
+
+def _ref_lattice(gens):
+    dens = [c.denominator for g in gens for c in g.coords]
+    d = math.lcm(*dens) if dens else 1
+    rows, exprs, pivots = groups._hermite_rows([[int(c * d) for c in g.coords] for g in gens])
+    return d, rows, exprs, pivots
+
+
+def _ref_witness(gens, g):
+    d, rows, exprs, pivots = _ref_lattice(gens)
+    if not rows:
+        return [] if g.is_zero() else None
+    scaled = [c * d for c in g.coords]
+    if any(x.denominator != 1 for x in scaled):
+        return None
+    w = [int(x) for x in scaled]
+    coeffs = [0] * len(rows)
+    for i, col in enumerate(pivots):
+        piv = rows[i][col]
+        if w[col] % piv != 0:
+            return None
+        q = w[col] // piv
+        coeffs[i] = q
+        if q:
+            w = [a - q * b for a, b in zip(w, rows[i])]
+    if any(w):
+        return None
+    return [sum(coeffs[i] * exprs[i][j] for i in range(len(rows))) for j in range(len(gens))]
+
+
+def _ref_torsion_order(gens, g, bound=None):
+    d, rows, _, pivots = _ref_lattice(gens)
+    if not rows:
+        coords = [] if g.is_zero() else None
+    else:
+        w = [c * d for c in g.coords]
+        coords = []
+        for i, col in enumerate(pivots):
+            q = Fraction(w[col], rows[i][col])
+            coords.append(q)
+            if q:
+                w = [a - q * b for a, b in zip(w, rows[i])]
+        if any(w):
+            coords = None
+    if coords is None:
+        return None
+    e = math.lcm(*(q.denominator for q in coords)) if coords else 1
+    if bound is not None and e > bound:
+        raise UndecidedError(f"torsion order {e} exceeds the search bound {bound}")
+    return e
+
+
+def _ref_index_over(gens, sub_gens):
+    d, rows, _, pivots = _ref_lattice(gens)
+    k = len(rows)
+    coord_rows = []
+    for t in sub_gens:
+        if _ref_witness(gens, t) is None:
+            raise PreconditionError("not a subgroup")
+        w = [int(c * d) for c in t.coords]
+        coords = [0] * k
+        for i, col in enumerate(pivots):
+            q = w[col] // rows[i][col]
+            coords[i] = q
+            if q:
+                w = [a - q * b for a, b in zip(w, rows[i])]
+        coord_rows.append(coords)
+    if k == 0:
+        return 1
+    sub_rows, _, sub_pivots = groups._hermite_rows(coord_rows) if coord_rows else ([], [], [])
+    if len(sub_rows) < k:
+        return None
+    det = 1
+    for i, col in enumerate(sub_pivots):
+        det *= sub_rows[i][col]
+    return abs(det)
+
+
+def _combo(rng, gens, rank, rational=False):
+    """A random combination of `gens`; with `rational`, the first
+    coefficient is a fraction."""
+    acc = GroupElement.zero(rank)
+    for i, g in enumerate(gens):
+        k = Fraction(rng.randint(-4, 4), rng.randint(2, 5)) if rational and i == 0 else rng.randint(-4, 4)
+        acc = acc + g.scaled(k)
+    return acc
+
+
+def _random_vector(rng, rank):
+    return GroupElement(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rank)))
+
+
+def _random_generators(rng, rank):
+    """Up to four generators: random ones with negative entries, zeros,
+    duplicates, dependent combinations and single-coordinate ones (so
+    that other coordinates stay outside the span)."""
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["random", "random", "zero", "duplicate", "dependent", "axis"])
+        if kind == "zero" or (kind in ("duplicate", "dependent") and not gens):
+            gens.append(GroupElement.zero(rank))
+        elif kind == "duplicate":
+            gens.append(rng.choice(gens))
+        elif kind == "dependent":
+            gens.append(_combo(rng, gens, rank, rational=rng.random() < 0.5))
+        elif kind == "axis":
+            coords = [Fraction(0)] * rank
+            coords[rng.randrange(rank)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+            gens.append(GroupElement(tuple(coords)))
+        else:
+            gens.append(_random_vector(rng, rank))
+    return gens
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ratval error it raises."""
+    try:
+        return fn(*args)
+    except (PreconditionError, UndecidedError) as exc:
+        return type(exc)
+
+
+class TestAgainstReference:
+    """Seeded random generator sets of rank <= 3 against the reference
+    routines above."""
+
+    def test_witness_membership_and_torsion(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(400):
+            rank = rng.randint(1, 3)
+            gens = _random_generators(rng, rank)
+            s = Subgroup.generated_by(*gens, ambient_rank=rank)
+            targets = [GroupElement.zero(rank), _random_vector(rng, rank),
+                       _combo(rng, gens, rank), _combo(rng, gens, rank, rational=True)]
+            for g in targets:
+                w = s.witness(g)
+                ref = _ref_witness(gens, g)
+                if gens and all(x.is_zero() for x in gens) and g.is_zero():
+                    # the reference returned [] here; the witness has one entry per generator
+                    assert ref == [] and w == [0] * len(gens)
+                else:
+                    assert w == ref
+                assert (g in s) is (w is not None)
+                if w is not None:
+                    assert len(w) == len(gens)
+                    for k in range(rank):
+                        assert sum(Fraction(zi) * x.coords[k] for zi, x in zip(w, gens)) == g.coords[k]
+                e = s.torsion_order(g)
+                assert e == _ref_torsion_order(gens, g)
+                bound = rng.randint(1, 6)
+                got = _outcome(s.torsion_order, g, bound)
+                assert got == _outcome(_ref_torsion_order, gens, g, bound)
+                seen.add("member" if w is not None else "non-torsion" if e is None else "torsion")
+                seen.add("undecided" if got is UndecidedError else "bounded")
+        assert seen == {"member", "non-torsion", "torsion", "undecided", "bounded"}
+
+    def test_index_over(self):
+        rng = random.Random(4202)
+        seen = set()
+        for _ in range(300):
+            rank = rng.randint(1, 3)
+            gens = _random_generators(rng, rank)
+            s = Subgroup.generated_by(*gens, ambient_rank=rank)
+            sub_gens = [_combo(rng, gens, rank) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.2:
+                sub_gens.append(_random_vector(rng, rank))
+            got = _outcome(s.index_over, Subgroup.generated_by(*sub_gens, ambient_rank=rank))
+            assert got == _outcome(_ref_index_over, gens, sub_gens)
+            seen.add(got if got in (None, PreconditionError) else int)
+        assert seen == {None, PreconditionError, int}
+
+    def test_planted_fault_in_the_transform(self, monkeypatch):
+        hermite_rows = groups._hermite_rows
+
+        def corrupted(mat):
+            rows, exprs, pivots = hermite_rows(mat)
+            return rows, [[x + 1 for x in e] for e in exprs], pivots
+
+        monkeypatch.setattr(groups, "_hermite_rows", corrupted)
+        for query in (lambda s: s.witness(G("5/6")),
+                      lambda s: G(1) in s,
+                      lambda s: s.index_over(Subgroup.generated_by(1))):
+            with pytest.raises(InternalError, match="witness failed re-verification"):
+                query(Subgroup.generated_by("1/2", "1/3"))
