@@ -59,6 +59,9 @@ __all__ = [
 
 CERTIFICATE_VERSION = 1
 
+# series depth of every Artin-Schreier root the builders compute
+_AS_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -102,8 +105,7 @@ def fund_ineq_check(n: int, pairs: list[tuple[int, int]]) -> dict:
 # the characteristic-p defect tower
 
 def build_defect_tower(p: int, schedule: list[int], depth: int,
-                       eta_levels: int = 5, as_depth: int = 3,
-                       multipliers: list[int] | None = None) -> Certificate:
+                       eta_levels: int = 5, multipliers: list[int] | None = None) -> Certificate:
     """Certificate for the defect tower over the x-adic series model in
     characteristic p.
 
@@ -159,7 +161,7 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
     eta = []
     eta_series = HahnSeries.monomial(coeffs, -1, 1)
     for i in range(1, eta_levels + 1):
-        nxt = artin_schreier_root(eta_series, as_depth)
+        nxt = artin_schreier_root(eta_series, _AS_DEPTH)
         v_nxt = nxt.value()
         # eta_i^p - eta_i = eta_(i-1) up to the truncation, so the chain
         # eta_i^p - eta_(i-1) keeps the value of eta_i
@@ -294,8 +296,7 @@ class ExtensionTower:
         return ExtensionTower(p, field, group, residue_degree, base_value_subgroup=group)
 
 
-def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
-                         as_depth: int = 3) -> ExtensionTower:
+def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> ExtensionTower:
     """Apply one prescribed step to the tower, verifying the claimed
     (e, f) from the step's own witness data.
 
@@ -385,7 +386,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
                 f"artin-schreier step: exponent {step.c_exponent} is not in the value group"
             )
         c = HahnSeries.monomial(tower.coefficient_field, ce, 1)
-        root = artin_schreier_root(c, as_depth)
+        root = artin_schreier_root(c, _AS_DEPTH)
         va = root.value()
         vchain = ((root ** p) - c).value()
         if vchain is None:
@@ -425,14 +426,14 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower,
                           tower.steps + (record,), root, family, tower.base_value_subgroup)
 
 
-def build_extension_tower(p: int, steps: list[ExtensionStep], value_gens=(1,),
-                          as_depth: int = 3) -> tuple[ExtensionTower, Certificate]:
+def build_extension_tower(p: int, steps: list[ExtensionStep],
+                          value_gens=(1,)) -> tuple[ExtensionTower, Certificate]:
     """Apply a list of prescribed steps and emit the tower's
     fundamental-inequality certificate with multiplicative (e, f)
     accounting."""
     tower = ExtensionTower.over(p, value_gens)
     for step in steps:
-        tower = build_extension_step(step, tower, as_depth)
+        tower = build_extension_step(step, tower)
     e = math.prod(s["e"] for s in tower.steps)
     f = math.prod(s["f"] for s in tower.steps)
     n = math.prod(s["degree"] for s in tower.steps)
@@ -478,10 +479,7 @@ def build_ic_valuation(tower: ExtensionTower, beta, variant: str = "v1",
         raise PreconditionError("the base value group is trivial; no alpha dominates the constant")
     gen = gens[0].coords[0]
     kras_q = kras.coords[0]
-    k = 0
-    while k * gen < kras_q:
-        k += 1
-    alpha = k * gen
+    alpha = max(0, -(-kras_q // gen)) * gen  # least k >= 0 with k * gen >= kras_q
     base = SeriesValuedField(tower.coefficient_field,
                              [g.coords[0] for g in tower.value_subgroup.generators])
     if variant == "v1":
@@ -564,7 +562,7 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         increments.append(
             {"i": i, "gamma": str(g), "e": witness.e, "f": witness.f, "coprime_ok": True}
         )
-        state = state.extended(GroupElement.of(g), coeffs.one())
+        state = state.extended(GroupElement.of(g), witness.f)
     bound = prefix_bounds[-1]
     big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
     variant_gammas = [Fraction(1) - Fraction(1, nv) for nv in indices[:depth]]
@@ -746,11 +744,7 @@ def _validate_defect_tower(payload: dict) -> str | None:
         if target_q != Fraction(1, p ** denom_power):
             return f"level {j}: membership target mismatch"
         group = Subgroup.generated_by(1, value)
-        target = GroupElement.of(target_q)
-        acc = GroupElement.zero(1)
-        for zi, gen in zip(level["membership_witness"], group.generators):
-            acc = acc + gen.scaled(zi)
-        if acc != target:
+        if not group.is_witness(level["membership_witness"], GroupElement.of(target_q)):
             return f"level {j}: membership witness does not verify"
     prev = Fraction(-1)
     for entry in payload["eta_tower"]:
@@ -806,11 +800,9 @@ def _validate_degree_bound(payload: dict) -> str | None:
     basis = [str(b.coords[0]) for b in big.basis()]
     if basis != payload["group_index_witness"]["hermite_basis"]:
         return "recorded Hermite basis does not verify"
-    vg = [Fraction(g) for g in payload["pseudo_cauchy_variant"]["exponents"]]
-    if any(a >= b for a, b in zip(vg, vg[1:])):
-        return "pseudo-Cauchy variant exponents fail to increase strictly"
-    if any(g >= 1 for g in vg):
-        return "pseudo-Cauchy variant exponents must stay below 1"
+    variant = [str(1 - Fraction(1, nv)) for nv in indices]
+    if payload["pseudo_cauchy_variant"]["exponents"] != variant:
+        return "pseudo-Cauchy variant exponents are not 1 - 1/n_i"
     return None
 
 

@@ -96,11 +96,9 @@ def _task_eval(job: dict, depth: int | None) -> dict:
         "value": value.to_json() if valn.rank > 1 else str(value.coords[0]),
         "classification": valn.classify(),
     }
-    if job.get("cross_check", True):
-        oracle = substitution_value(valn, num, den)
-        if oracle != value:
-            raise InternalError("substitution oracle disagrees")
-        report["oracle_agrees"] = True
+    if substitution_value(valn, num, den) != value:
+        raise InternalError("substitution oracle disagrees")
+    report["oracle_agrees"] = True
     return report
 
 

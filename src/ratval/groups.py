@@ -275,12 +275,20 @@ class Subgroup:
         integers against A before z is handed out."""
         if coords is None or any(q.denominator != 1 for q in coords):
             return None
-        d, mat, _, exprs, _ = self._lattice
+        _, mat, _, exprs, _ = self._lattice
         z = [sum(q.numerator * e[j] for q, e in zip(coords, exprs)) for j in range(len(mat))]
-        combo = tuple(sum(zi * row[k] for zi, row in zip(z, mat)) for k in range(self.ambient_rank))
-        if combo != _key(g, d):
+        if not self.is_witness(z, g):
             raise InternalError("witness failed re-verification")
         return z
+
+    def is_witness(self, z, g: GroupElement) -> bool:
+        """Whether z is an integer witness of g: a list of one int per
+        generator (a bool does not count) with z . A == D * g."""
+        d, mat, _, _, _ = self._lattice
+        if not isinstance(z, list) or len(z) != len(mat) or any(type(zi) is not int for zi in z):
+            return False
+        combo = tuple(sum(zi * row[k] for zi, row in zip(z, mat)) for k in range(self.ambient_rank))
+        return combo == tuple(c * d for c in g.coords)
 
     def witness(self, g: GroupElement) -> list[int] | None:
         """Integer coefficients w with sum(w_i * gen_i) == g, or None.

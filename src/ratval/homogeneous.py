@@ -5,11 +5,11 @@ when its ramification index e (the torsion order of g over the value
 group) is prime to the residue characteristic and the residue of the
 normalized e-th power generates the same degree as the element itself;
 its Krasner constant then equals its value.  Scanning a power series
-term by term for data that leaves the generated value group or residue
-field yields a homogeneous sequence: the increments are pseudo Cauchy,
-sit inside the henselization of the field generated by the series, and
-determine its implicit constant field.  All conclusions about infinite
-sequences are depth-stamped.
+once, one such test per term, yields a homogeneous sequence: a term
+whose (e, f) is (1, 1) is captured, any other is an increment; the
+increments are pseudo Cauchy, sit inside the henselization of the field
+generated by the series, and determine its implicit constant field.
+All conclusions about infinite sequences are depth-stamped.
 """
 
 from __future__ import annotations
@@ -50,25 +50,12 @@ class TowerState:
     residue_degree: int = 1
     residue_char: int = 0
 
-    def extended(self, gamma: GroupElement, coeff_power: FieldElement) -> "TowerState":
+    def extended(self, gamma: GroupElement, f: int) -> "TowerState":
         """State after adjoining a strongly homogeneous monomial: the
-        value group gains gamma, the residue field gains the residue of
-        the normalized e-th power."""
-        new_group = self.value_subgroup.extended(gamma)
-        if self.residue_char == 0:
-            new_deg = 1
-        else:
-            new_deg = math.lcm(self.residue_degree, min_poly_degree(coeff_power))
-        return TowerState(new_group, new_deg, self.residue_char)
-
-    def captures(self, gamma: GroupElement, coeff: FieldElement) -> bool:
-        """Whether the monomial's data already lies in the generated
-        value group and residue field."""
-        if gamma not in self.value_subgroup:
-            return False
-        if self.residue_char == 0:
-            return True
-        return self.residue_degree % min_poly_degree(coeff) == 0
+        value group gains gamma, the residue degree gains the factor f
+        of its homogeneity witness."""
+        return TowerState(self.value_subgroup.extended(gamma), self.residue_degree * f,
+                          self.residue_char)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +157,8 @@ def strongly_homogeneous_test(monomial: HahnSeries, state: TowerState) -> Homoge
     Computes e as the torsion order of g over the value group, requires
     gcd(e, residue characteristic) = 1, and takes f as the residue
     degree gained by c^e; the element generates an extension of degree
-    e*f whose Krasner constant equals its value.
+    e*f whose Krasner constant equals its value.  (e, f) = (1, 1) means
+    the monomial adds nothing to the generated structure (it is captured).
     """
     if len(monomial.terms) != 1:
         raise PreconditionError("strong homogeneity test expects a monomial")
@@ -223,13 +211,17 @@ def homogeneous_approximation(b: HahnSeries, state: TowerState) -> ApproxStep | 
     Raises PreconditionError when the novel term violates the tameness
     conditions (outside tame scope).
     """
-    if b.is_zero():
-        return None
-    for idx, (gamma, coeff) in enumerate(b.terms):
-        if state.captures(gamma, coeff):
+    return _approximation_from(b, state, 0)
+
+
+def _approximation_from(b: HahnSeries, state: TowerState, start: int) -> ApproxStep | None:
+    """homogeneous_approximation over the terms of b from index start on."""
+    for idx in range(start, len(b.terms)):
+        gamma, coeff = b.terms[idx]
+        witness = strongly_homogeneous_test(
+            HahnSeries.monomial(b.field, gamma, coeff, rank=b.rank), state)
+        if (witness.e, witness.f) == (1, 1):
             continue
-        mono = HahnSeries.monomial(b.field, gamma, coeff, rank=b.rank)
-        witness = strongly_homogeneous_test(mono, state)
         if not witness.ok:
             raise PreconditionError(f"outside tame scope at term {idx}: {witness.reason}")
         partial = HahnSeries.make(b.field, b.terms[: idx + 1], b.trunc, b.rank)
@@ -277,7 +269,9 @@ def extract_homogeneous_sequence(z: HahnSeries, state: TowerState,
     group prime to the residue characteristic (hypothesis failures are
     reported with the term index).  The increments are the partial sums
     through each term whose (exponent, residue) data leaves the
-    structure generated so far.
+    structure generated so far.  The structure only grows, so a term
+    captured once stays captured: the series is scanned once, resuming
+    after each increment's term, with one homogeneity test per term.
     """
     base_state = state
     p = state.residue_char
@@ -295,12 +289,14 @@ def extract_homogeneous_sequence(z: HahnSeries, state: TowerState,
             )
     increments: list[HomogIncrement] = []
     exhausted = False
+    start = 0
     while max_steps is None or len(increments) < max_steps:
-        step = homogeneous_approximation(z, state)
+        step = _approximation_from(z, state, start)
         if step is None:
             exhausted = True
             break
-        state = state.extended(step.exponent, step.coeff ** step.witness.e)
+        start = step.term_index + 1
+        state = state.extended(step.exponent, step.witness.f)
         increments.append(
             HomogIncrement(
                 index=len(increments) + 1,
@@ -329,6 +325,7 @@ def verify_sequence(seq: HomogeneousSequence, z: HahnSeries) -> list[str]:
     findings: list[str] = []
     state = seq.base_state
     prev_partial = HahnSeries.zero(z.field, rank=z.rank)
+    prev_gap = z.value_bound()  # v(z - a_(i-1)), with a_0 = 0
     prev_dist: GroupElement | None = None
     for inc in seq.increments:
         mono = HahnSeries.monomial(z.field, inc.exponent, inc.coeff, rank=z.rank)
@@ -342,7 +339,6 @@ def verify_sequence(seq: HomogeneousSequence, z: HahnSeries) -> list[str]:
             )
         dist = (z - inc.partial_sum).value_bound()
         step_val = (inc.partial_sum - prev_partial).value()
-        prev_gap = (z - prev_partial).value_bound()
         if step_val is None or prev_gap is None or step_val != prev_gap:
             findings.append(
                 f"increment {inc.index}: v(a_i - a_(i-1)) != v(z - a_(i-1))"
@@ -350,6 +346,7 @@ def verify_sequence(seq: HomogeneousSequence, z: HahnSeries) -> list[str]:
         if dist is not None and prev_dist is not None and not dist > prev_dist:
             findings.append(f"increment {inc.index}: v(z - a_i) failed to increase strictly")
         prev_dist = dist if dist is not None else prev_dist
+        prev_gap = dist
         prev_partial = inc.partial_sum
         state = inc.state_after
     return findings

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,21 @@ class TestDefectTower:
         wrong_value = tamper(cert, ["levels", 0, "value"], "-1/4")
         assert not validate_certificate(wrong_value).ok
 
+    @pytest.mark.parametrize("mutate", [
+        lambda z: z + [0],     # an extra entry that zip used to drop
+        lambda z: z + [5],
+        lambda z: z[:1],       # a missing entry
+        lambda z: [str(z[0])] + z[1:],
+        lambda z: "0",
+        lambda z: [bool(zi) for zi in z],
+    ], ids=["extra-zero", "extra-five", "short", "string-entry", "string", "bools"])
+    def test_membership_witness_is_one_int_per_generator(self, mutate):
+        cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        for j, level in enumerate(cert.payload["levels"]):
+            bad = tamper(cert, ["levels", j, "membership_witness"], mutate(level["membership_witness"]))
+            res = validate_certificate(bad)
+            assert res.findings == (f"level {j + 1}: membership witness does not verify",)
+
 
 class TestExtensionTowers:
     def test_kummer_step(self):
@@ -250,6 +266,20 @@ class TestIcValuation:
         assert info["gamma"] == ["1", "1"]
         assert info["classification"] == VALUE_TRANSCENDENTAL
         assert valn.classify() == VALUE_TRANSCENDENTAL
+
+    def test_alpha_in_closed_form(self):
+        alpha = Fraction(3 * 10 ** 12 + 1, 3)
+        tower, _ = build_extension_tower(2, [ExtensionStep("kummer", alpha=alpha)])
+        start = time.perf_counter()
+        _, info = build_ic_valuation(tower, 1, "v1")
+        assert time.perf_counter() - start < 0.5
+        assert info["kras"] == str(alpha)
+        assert info["alpha"] == str(10 ** 12 + 1)
+
+    def test_alpha_is_zero_below_a_negative_constant(self):
+        tower, _ = build_extension_tower(2, [ExtensionStep("kummer", alpha=Fraction(-7, 3))])
+        _, info = build_ic_valuation(tower, 1, "v1")
+        assert (info["kras"], info["alpha"]) == ("-7/3", "0")
 
     def test_artin_schreier_alpha_zero(self):
         tower, _ = build_extension_tower(
@@ -352,6 +382,20 @@ class TestDegreeBound:
         ).ok
         res = validate_certificate(tamper(cert, ["group_index_witness", "index_over_base"], 104))
         assert res.findings == ("recorded index over the base does not verify",)
+
+    @pytest.mark.parametrize("value", [-1, 0, False, "0", "1/3", "4/5", 2, None],
+                             ids=["-1", "int-0", "false", "str-0", "1/3", "4/5", "2", "null"])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_pseudo_cauchy_exponents_are_one_minus_one_over_n(self, position, value):
+        cert = build_degree_bound(2, [3, 5, 7])
+        res = validate_certificate(tamper(cert, ["pseudo_cauchy_variant", "exponents", position], value))
+        assert res.findings == ("pseudo-Cauchy variant exponents are not 1 - 1/n_i",)
+
+    def test_pseudo_cauchy_exponents_have_one_entry_per_index(self):
+        cert = build_degree_bound(2, [3, 5, 7])
+        res = validate_certificate(tamper(cert, ["pseudo_cauchy_variant", "exponents"],
+                                          ["2/3", "4/5", "6/7", "8/9"]))
+        assert res.findings == ("pseudo-Cauchy variant exponents are not 1 - 1/n_i",)
 
 
 class TestClassificationCertificate:

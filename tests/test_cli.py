@@ -284,6 +284,21 @@ class TestRunCertificates:
         assert report["value_group_generators"] == [["1/81"]]
         assert report["degree_lower_bound"] == 81
 
+    def test_extract_residue_lost_to_the_power(self, tmp_path, capsys):
+        # w t^(1/3) over F_4 cubes to t: one step (e, f) = (3, 1), exit 0
+        job = {
+            "task": "extract",
+            "base": {"kind": "series", "coefficients": {"char": 2, "modulus": [1, 1, 1]},
+                     "value_group": ["1"]},
+            "series": {"trunc": "2", "terms": [["1/3", [0, 1]], ["1", 1]]},
+        }
+        code, out, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert [(s["e"], s["f"]) for s in report["sequence"]] == [(3, 1)]
+        assert report["residue_field_tower"] == [1, 1]
+        assert report["degree_lower_bound"] == 3
+
 
 class TestErrors:
     def test_unknown_task_exit_2(self, tmp_path, capsys):

@@ -87,6 +87,15 @@ class TestMember:
         with pytest.raises(PreconditionError):
             Subgroup.generated_by(1).witness(G(1, 0))
 
+    def test_is_witness_wants_one_int_per_generator(self):
+        s = Subgroup.generated_by("1/2", "1/3")
+        assert s.is_witness([1, 1], G("5/6"))
+        assert s.is_witness(s.witness(G("5/6")), G("5/6"))
+        for z in ([1, 1, 0], [1], [True, True], ["1", 1], [1.0, 1], (1, 1), "11", None):
+            assert not s.is_witness(z, G("5/6")), z
+        assert not s.is_witness([1, 1], G("5/7"))  # D * g is not an int vector
+        assert not s.is_witness([0, 0], G("1/12"))  # denominator beyond D
+
 
 class TestTorsionOrder:
     def test_quarter_over_integers(self):

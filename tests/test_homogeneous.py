@@ -1,12 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from ratval import homogeneous
 from ratval.errors import PreconditionError
 from ratval.fields import FiniteField, min_poly, min_poly_degree
 from ratval.groups import GroupElement, Subgroup
 from ratval.homogeneous import (
+    ApproxStep,
+    HomogIncrement,
+    HomogeneousSequence,
     TowerState,
     check_pseudo_cauchy,
     extract_homogeneous_sequence,
@@ -210,3 +215,164 @@ class TestPseudoCauchyChecks:
         report = check_pseudo_cauchy(sums[:3], limit=bad_limit)
         assert not report.ok
         assert any("pseudo limit" in f for f in report.findings)
+
+
+# ---------------------------------------------------------------------------
+# the former rescanning extraction, kept as a reference
+
+def _ref_captures(state, gamma, coeff):
+    if gamma not in state.value_subgroup:
+        return False
+    if state.residue_char == 0:
+        return True
+    return state.residue_degree % min_poly_degree(coeff) == 0
+
+
+def _ref_extended(state, gamma, coeff_power):
+    new_group = state.value_subgroup.extended(gamma)
+    if state.residue_char == 0:
+        new_deg = 1
+    else:
+        new_deg = math.lcm(state.residue_degree, min_poly_degree(coeff_power))
+    return TowerState(new_group, new_deg, state.residue_char)
+
+
+def _ref_approximation(b, st):
+    if b.is_zero():
+        return None
+    for idx, (gamma, coeff) in enumerate(b.terms):
+        if _ref_captures(st, gamma, coeff):
+            continue
+        mono = HahnSeries.monomial(b.field, gamma, coeff, rank=b.rank)
+        witness = strongly_homogeneous_test(mono, st)
+        if not witness.ok:
+            raise PreconditionError(f"outside tame scope at term {idx}: {witness.reason}")
+        partial = HahnSeries.make(b.field, b.terms[: idx + 1], b.trunc, b.rank)
+        return ApproxStep(idx, partial, gamma, coeff, witness)
+    return None
+
+
+def _ref_extract(z, st, max_steps=None):
+    base_state = st
+    p = st.residue_char
+    for idx, (gamma, _coeff) in enumerate(z.terms):
+        e0 = base_state.value_subgroup.torsion_order(gamma)
+        if e0 is None:
+            raise PreconditionError(
+                f"hypothesis failure at term {idx}: exponent {gamma!r} outside "
+                "the rational span of the base value group"
+            )
+        if p and e0 % p == 0:
+            raise PreconditionError(
+                f"hypothesis failure at term {idx}: torsion order {e0} of "
+                f"{gamma!r} is divisible by the residue characteristic {p}"
+            )
+    increments = []
+    exhausted = False
+    while max_steps is None or len(increments) < max_steps:
+        step = _ref_approximation(z, st)
+        if step is None:
+            exhausted = True
+            break
+        st = _ref_extended(st, step.exponent, step.coeff ** step.witness.e)
+        increments.append(HomogIncrement(
+            index=len(increments) + 1, term_index=step.term_index,
+            partial_sum=step.partial_sum, exponent=step.exponent, coeff=step.coeff,
+            family="kummer-monomial", kras=step.kras, e=step.witness.e,
+            f=step.witness.f, state_after=st,
+        ))
+    return HomogeneousSequence(base_state, tuple(increments), st, exhausted)
+
+
+F16 = FiniteField(2, (1, 1, 0, 0, 1))
+
+
+def _random_series(rng, field):
+    """A series over the field whose exponents have odd denominators
+    (tame over Z in characteristic 2), with coefficients drawn from
+    the prime field or the whole field."""
+    nonzero = [c for c in field.elements() if not c.is_zero()]
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        expo = Fraction(rng.randint(-4, 12), rng.choice((1, 1, 3, 5, 15)))
+        coeff = field.one() if rng.random() < 0.3 else rng.choice(nonzero)
+        terms[expo] = coeff
+    return HahnSeries.make(field, sorted(terms.items()), trunc=5)
+
+
+class TestOnePassAgainstRescan:
+    @pytest.mark.parametrize("field", [F2, F4, F16], ids=["F2", "F4", "F16"])
+    def test_agrees_with_the_rescanning_reference(self, field):
+        rng = random.Random(20261018 + field.degree)
+        seen = set()
+        for _ in range(60):
+            z = _random_series(rng, field)
+            full = extract_homogeneous_sequence(z, state())
+            taken = {inc.term_index for inc in full.increments}
+            for i, (_, c) in enumerate(z.terms):
+                if i not in taken:
+                    # a captured coefficient outside F_2 repeats an adjoined residue
+                    seen.add("repeated residue" if min_poly_degree(c) > 1 else "captured")
+            for inc in full.increments:
+                seen.add("novel exponent" if inc.e > 1 else "novel residue")
+            n_inc = len(full.increments)
+            for max_steps in (None, *range(n_inc + 2)):
+                if max_steps is not None:
+                    seen.add("max_steps below" if max_steps < n_inc else
+                             "max_steps above" if max_steps > n_inc else "max_steps equal")
+                ref = _ref_extract(z, state(), max_steps)
+                new = extract_homogeneous_sequence(z, state(), max_steps)
+                implicit_constant_report(new, z)  # re-verifies; raises on a fault
+                terms = [inc.term_index for inc in ref.increments]
+                repeat = next((k for k in range(1, len(terms)) if terms[k] == terms[k - 1]), None)
+                if repeat is None:
+                    assert new == ref
+                    continue
+                # the reference re-tests an increment's own term when c^e has
+                # a smaller residue degree than c, and adjoins the same partial
+                # sum twice; its sequence then fails its own re-verification
+                seen.add("reference repeats a term")
+                assert new.increments[:repeat] == ref.increments[:repeat]
+                assert verify_sequence(ref, z)
+        expected = {"captured", "novel exponent", "max_steps below", "max_steps equal",
+                    "max_steps above"}
+        if field is not F2:
+            expected |= {"novel residue", "repeated residue", "reference repeats a term"}
+        assert expected <= seen
+
+    def test_residue_lost_to_the_power_is_not_adjoined_twice(self):
+        # w t^(1/3) over F_4: (w t^(1/3))^3 = t has residue 1, so the step is
+        # (e, f) = (3, 1) and the residue w is not in the generated field
+        w = F4.gen()
+        z = HahnSeries.make(F4, [(Fraction(1, 3), w), (1, 1)], trunc=2)
+        seq = extract_homogeneous_sequence(z, state())
+        assert [(inc.term_index, inc.e, inc.f) for inc in seq.increments] == [(0, 3, 1)]
+        assert seq.exhausted
+        assert verify_sequence(seq, z) == []
+        assert [(inc.term_index, inc.e, inc.f) for inc in _ref_extract(z, state()).increments] \
+            == [(0, 3, 1), (0, 1, 2)]
+
+    @pytest.mark.parametrize("field", [F2, F4, F16], ids=["F2", "F4", "F16"])
+    def test_one_homogeneity_test_per_term(self, field, monkeypatch):
+        # at most one test per term, and no membership query beyond it
+        calls = {"test": 0, "witness": 0}
+        test, witness = homogeneous.strongly_homogeneous_test, Subgroup.witness
+
+        def counting_test(*args):
+            calls["test"] += 1
+            return test(*args)
+
+        def counting_witness(*args):
+            calls["witness"] += 1
+            return witness(*args)
+
+        monkeypatch.setattr(homogeneous, "strongly_homogeneous_test", counting_test)
+        monkeypatch.setattr(Subgroup, "witness", counting_witness)
+        rng = random.Random(7 + field.degree)
+        for _ in range(40):
+            z = _random_series(rng, field)
+            calls.update(test=0, witness=0)
+            seq = extract_homogeneous_sequence(z, state())
+            assert seq.exhausted
+            assert calls["test"] == len(z.terms)
+            assert calls["witness"] == 0
