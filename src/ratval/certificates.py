@@ -860,13 +860,17 @@ def _step_violation(record: dict, p: int) -> str | None:
             return "value chain does not verify"
         if va * p != vc:
             return "p * v(a) != v(c)"
+    else:
+        return f"unknown step kind {record['kind']!r}"
     return None
 
 
 def _validate_classification(payload: dict) -> str | None:
     label = payload["label"]
     flags = payload["trichotomy_flags"]
-    if sum(bool(b) for b in flags) != 1:
+    if not (type(flags) is list and len(flags) == 3 and all(type(b) is bool for b in flags)):
+        return "trichotomy flags must be a list of three booleans"
+    if sum(flags) != 1:
         return "trichotomy flags must mark exactly one case"
     expected = {
         0: VALUE_TRANSCENDENTAL,

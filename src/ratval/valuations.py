@@ -7,10 +7,10 @@ for x - a in an ordered group extension of the value group, the value of
 a polynomial is the minimum of v(c_i) + i*gamma over its Taylor
 coefficients at the center, and values of quotients are differences.
 
-An independent substitution oracle evaluates the same valuation by
-expanding g(a + w) in a symbol w of value gamma with Horner's rule on
-the base's own elements, then taking the minimum of v(h_i) + i*gamma
-over the coefficients h_i of w^i (substitution_value).
+An independent substitution oracle expands g(a + w) by Horner's rule,
+w of value gamma (substitution_value): over a p-adic or t-adic base by
+Horner in the completion at a precision that doubles until the minimum
+is decided, over the other bases on the base's own elements.
 
 Rational functions in one variable have one type, fields.FunctionField,
 gcd-reduced with a monic denominator: it is both the t-adic base k(t)
@@ -31,6 +31,7 @@ from .fields import (
     FiniteField,
     FunctionField,
     FunctionFieldElement,
+    _padd, _pdivmod, _pgcd, _pmul, _pstrip,
     is_prime,
 )
 from .groups import GroupElement, Subgroup
@@ -57,6 +58,8 @@ __all__ = [
 VALUE_TRANSCENDENTAL = "value-transcendental"
 RESIDUE_TRANSCENDENTAL = "residue-transcendental"
 VALUATION_ALGEBRAIC = "valuation-algebraic"
+
+_START_PRECISION = 8  # the first K of the substitution oracle's Z/p^K and k[t]/t^K
 
 
 def _is_zero(a) -> bool:
@@ -215,7 +218,7 @@ def RatFunc(field: Field, num, den=None) -> FunctionFieldElement:
 
 def _tadic_order(cs) -> int:
     for i, c in enumerate(cs):
-        if not c.is_zero():
+        if c:
             return i
     raise PreconditionError("zero polynomial has no t-adic order")
 
@@ -420,19 +423,96 @@ def taylor_shift(coeffs: list, center, zero) -> list:
     return out if out else [zero]
 
 
+class _PAdicTruncation:
+    """Z/p^K on ints: H(y) = L d^N g(y/d), for L the lcm of the coefficient
+    denominators and the center n/d, has int coefficients H_j, and the
+    coefficient h_i of w^i in H(n + w) is L d^(N-i) c_i, c_i that of
+    g(a + w).  At K >= exact_k, p^K > sum_j |H_j| (1 + |n|)^j >= |h_i|."""
+
+    def __init__(self, base: PAdicRationals, cs: list, center: Fraction):
+        self.p, self.n, d = base.p, center.numerator, center.denominator
+        self.order = lambda r: PAdicRationals._intval(r, base.p)
+        lcm, self.H, power, bound = math.lcm(*(c.denominator for c in cs)), [], 1, 0
+        for c in reversed(cs):
+            self.H.insert(0, c.numerator * (lcm // c.denominator) * power)
+            power, bound = power * d, bound * (1 + abs(self.n)) + abs(self.H[0])
+        self.v_lcm, self.v_den, self.exact_k = self.order(lcm), self.order(d), bound.bit_length()
+
+    def truncated(self, k: int):
+        q, n = self.p ** k, self.n
+        return [h % q for h in self.H], lambda x, y: (x * n + y) % q
+
+
+class _TAdicTruncation:
+    """k[t]/t^K on the kernel coefficient lists of the base's FunctionField
+    (ints mod p over F_p, FieldElements with the EXACT modulus over Q and
+    F_{p^n}), with L, H and h_i as in _PAdicTruncation over k[t].  At
+    K >= exact_k = max_j (len H_j + j deg n), K exceeds every deg h_i."""
+
+    order = staticmethod(_tadic_order)
+
+    def __init__(self, base: TAdicRationalFunctions, cs: list, center: FunctionFieldElement):
+        f = base.field
+        p, zero = self.p, self.coeff_zero = f._p, f._zero
+        (self.n, d), pairs = f._unwrap(center.num, center.den), [f._unwrap(c.num, c.den) for c in cs]
+        lcm, self.H, power = (f._one,), [], (f._one,)
+        for _, den in pairs:
+            lcm = _pmul(lcm, _pdivmod(den, _pgcd(lcm, den, p, zero), p, zero)[0], p, zero)
+        for num, den in reversed(pairs):
+            self.H.insert(0, _pmul(_pmul(num, _pdivmod(lcm, den, p, zero)[0], p, zero), power, p, zero))
+            power = _pmul(power, d, p, zero)
+        self.v_lcm, self.v_den = self.order(lcm), self.order(d)
+        self.exact_k = max(len(h) + j * max(len(self.n) - 1, 0) for j, h in enumerate(self.H))
+
+    def truncated(self, k: int):
+        p, zero, n = self.p, self.coeff_zero, self.n[:k]
+        return ([_pstrip(h[:k], zero) for h in self.H],
+                lambda x, y: _pstrip(_padd(_pmul(x, n, p, zero), y, p, zero)[:k], zero))
+
+
+def _completion_value(valn: "CenteredValuation", ring) -> GroupElement:
+    """min_i v(c_i) + i*gamma by Horner's expansion h <- h * (n + w) + H_j
+    in the ring at a precision K that doubles until the minimum is decided.
+    For s_i = v(L) + (N - i) v(d), a residue h_i != 0 gives v(c_i) = v(h_i)
+    - s_i, a residue 0 v(c_i) >= K - s_i, or c_i = 0 once K >= exact_k.
+    Terms compare on int keys D (v(c_i) + i*gamma), D the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in valn.gamma.coords))
+    step = [int(c * den) for c in valn.gamma.coords]
+
+    def key(i: int, v: int) -> tuple:
+        k = [i * s for s in step]
+        k[valn.base_coord] += den * (v - ring.v_lcm - (len(ring.H) - 1 - i) * ring.v_den)
+        return tuple(k)
+
+    prec = _START_PRECISION
+    while True:
+        H, muladd, h = *ring.truncated(prec), []
+        for c in reversed(H):  # h_i n + h_(i-1) with h_(-1) = c, then the top h_i
+            h = [muladd(x, y) for x, y in zip(h, [c] + h)] + (h[-1:] or [c])
+        exact = min((key(i, ring.order(x)) for i, x in enumerate(h) if x), default=None)
+        bound = min((key(i, prec) for i, x in enumerate(h) if not x), default=exact)
+        if exact is not None and (exact <= bound or prec >= ring.exact_k):
+            return GroupElement(tuple(Fraction(k, den) for k in exact))
+        prec *= 2
+
+
 def substitution_value(valn: "CenteredValuation", num: list, den: list | None = None) -> GroupElement:
     """Substitution oracle: expand g(a + w) in a symbol w of value gamma
     by Horner's rule, h <- h * (a + w) + c over the coefficients c of g
-    from the top, on the base's own elements (Fractions for a p-adic
-    base).  The value is the minimum of v(h_i) + i*gamma over the
-    coefficients h_i of w^i.  Values of quotients are differences.
+    from the top: over a p-adic or t-adic base Horner in the completion at
+    a precision that doubles until the minimum is decided, on residues in
+    Z/p^K or k[t]/t^K, otherwise on the base's own elements.  The value is
+    the minimum of v(h_i) + i*gamma over the coefficients h_i of w^i.
+    Values of quotients are differences.
 
     The h_i are the Taylor coefficients of g at a, so this agrees with
     CenteredValuation.of_poly; its independence from the fast path is
-    algorithmic: one Horner expansion of g(a + w), against the repeated
-    synthetic division of taylor_shift and the fraction-free synthetic
-    division on ints of PAdicRationals.taylor_coefficients.
+    algorithmic: Horner's expansion of g(a + w) on residues at a
+    precision, against the repeated synthetic division on exact elements
+    of taylor_shift and of PAdicRationals.taylor_coefficients.
     """
+    truncation = {PAdicRationals: _PAdicTruncation,
+                  TAdicRationalFunctions: _TAdicTruncation}.get(type(valn.base))
 
     def poly_value(coeffs: list) -> GroupElement:
         cs = [valn.base.element(c) for c in coeffs]
@@ -440,6 +520,8 @@ def substitution_value(valn: "CenteredValuation", num: list, den: list | None = 
             cs.pop()
         if not cs:
             raise PreconditionError("the zero polynomial has no value")
+        if truncation is not None:
+            return _completion_value(valn, truncation(valn.base, cs, valn.center))
         h: list = []
         for c in reversed(cs):
             # h * (a + w) + c: h_i a + h_(i-1) with h_(-1) = c, then the

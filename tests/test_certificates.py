@@ -256,6 +256,19 @@ class TestExtensionTowers:
         bad2 = tamper(cert, ["steps", 0, "e"], 5)
         assert not validate_certificate(bad2).ok
 
+    @pytest.mark.parametrize("step", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["x", None, []], ids=["string", "null", "list"])
+    def test_unknown_step_kind_is_a_finding(self, step, kind):
+        """On the README tower a relabelled step is rejected by name, so
+        the Artin-Schreier value chain cannot be skipped by renaming it."""
+        _, cert = build_extension_tower(
+            2, [ExtensionStep("kummer", alpha=Fraction(1, 3)),
+                ExtensionStep("residue", modulus=(1, 1, 1)),
+                ExtensionStep("artin-schreier", c_exponent=Fraction(-1))]
+        )
+        res = validate_certificate(tamper(cert, ["steps", step, "kind"], kind))
+        assert res.findings == (f"step {step + 1}: unknown step kind {kind!r}",)
+
 
 class TestIcValuation:
     def test_kummer_fresh_unit(self):
@@ -414,6 +427,19 @@ class TestClassificationCertificate:
         cert = classification_certificate(valn, desc)
         bad = tamper(cert, ["label"], VALUE_TRANSCENDENTAL)
         assert not validate_certificate(bad).ok
+
+    @pytest.mark.parametrize("path, value", [
+        (["trichotomy_flags", 0], None),
+        (["trichotomy_flags", 0], []),
+        (["trichotomy_flags", 2], {}),
+        (["trichotomy_flags", 1], 1),
+        (["trichotomy_flags"], [False, True]),
+        (["trichotomy_flags"], [False, True, False, False]),
+        (["trichotomy_flags"], "ftf"),
+    ])
+    def test_trichotomy_flags_are_three_booleans(self, path, value):
+        res = validate_certificate(tamper(_vag_classification(), path, value))
+        assert res.findings == ("trichotomy flags must be a list of three booleans",)
 
     @pytest.mark.parametrize("kind", ["mystery", ["classification"], {"kind": "classification"}],
                              ids=["mystery", "list", "object"])

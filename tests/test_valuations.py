@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratval import valuations
 from ratval.errors import PreconditionError
 from ratval.fields import RATIONALS, FiniteField, FunctionFieldElement
 from ratval.groups import GroupElement
@@ -21,6 +22,8 @@ from ratval.valuations import (
     SeriesValuedField,
     TAdicRationalFunctions,
     TriviallyValued,
+    ValuedField,
+    _is_zero,
     classify_summary,
     substitution_value,
     taylor_shift,
@@ -92,15 +95,26 @@ class TestTaylorShift:
         assert base.taylor_coefficients([Fraction(2, 3)], Fraction(1, p)) == [Fraction(2, 3)]
 
 
+def refuse_fast_path(m):
+    """Patch every routine of the fast path to raise, within monkeypatch
+    context m: the Taylor shifts, CenteredValuation._shifted and
+    _term_values."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fast Taylor shift was called")
+
+    m.setattr(valuations, "taylor_shift", refuse)
+    m.setattr(ValuedField, "taylor_coefficients", refuse)
+    m.setattr(PAdicRationals, "taylor_coefficients", refuse)
+    m.setattr(CenteredValuation, "_shifted", refuse)
+    m.setattr(CenteredValuation, "_term_values", refuse)
+
+
 class TestOracleIndependence:
     def test_substitution_value_without_the_fast_shift(self, monkeypatch):
         """Degree-32 3-adic products of linears (x - b_j) with known
-        v_3(a - b_j) = k_j: with the Q shift replaced by a function that
-        raises, of_poly fails and the oracle still gives sum min(gamma, k_j)."""
-
-        def refuse(self, cs, center):
-            raise AssertionError("the fast Taylor shift was called")
-
+        v_3(a - b_j) = k_j: with the fast path replaced by functions that
+        raise, of_poly fails and the oracle still gives sum min(gamma, k_j)."""
         rng = random.Random(32)
         gamma = Fraction(1, 2)
         units = [Fraction(u, d) for u in (1, -1, 2, -2, 4, 5) for d in (1, 2, 4, 5, 7)]
@@ -114,10 +128,161 @@ class TestOracleIndependence:
             valn = CenteredValuation(Q3, a, GroupElement.of(gamma))
             assert valn.of_poly(poly) == GroupElement.of(value)
             with monkeypatch.context() as m:
-                m.setattr(PAdicRationals, "taylor_coefficients", refuse)
+                refuse_fast_path(m)
                 with pytest.raises(AssertionError, match="fast Taylor shift"):
                     valn.of_poly(poly)
                 assert substitution_value(valn, poly) == GroupElement.of(value)
+
+    def test_t_adic_base_without_the_fast_shift(self, monkeypatch):
+        """The degree-8 product of linears over F_2(t) of
+        TestTAdicProductOfLinears, whose value is known by construction."""
+        center = RatFunc(F2, [1, 1], [1, 0, 1, 1])
+        gamma = Fraction(1, 2)
+        roots = [center] + [center + RatFunc(F2, [0] * k + [1]) for k in range(7)]
+        expected = gamma + sum(min(gamma, k) for k in range(7))
+        g = [T2.one()]
+        for b in roots:
+            g = poly_mul(g, [-b, T2.one()], T2)
+        valn = CenteredValuation(T2, center, GroupElement.of(gamma))
+        assert valn.of_poly(g) == GroupElement.of(expected)
+        with monkeypatch.context() as m:
+            refuse_fast_path(m)
+            with pytest.raises(AssertionError, match="fast Taylor shift"):
+                valn.of_poly(g)
+            assert substitution_value(valn, g) == GroupElement.of(expected)
+
+
+def horner_reference(valn, coeffs: list) -> GroupElement:
+    """The substitution oracle's Horner loop on the base's own elements
+    (Fractions, FunctionFieldElements), kept verbatim as the reference for
+    its expansion in the truncated completion."""
+    cs = [valn.base.element(c) for c in coeffs]
+    while cs and _is_zero(cs[-1]):
+        cs.pop()
+    if not cs:
+        raise PreconditionError("the zero polynomial has no value")
+    h: list = []
+    for c in reversed(cs):
+        # h * (a + w) + c: h_i a + h_(i-1) with h_(-1) = c, then the
+        # new top coefficient h_(len h - 1), or c when h is empty
+        h = [x * valn.center + y for x, y in zip(h, [c] + h)] + (h[-1:] or [c])
+    return min(valn.embed_base_value(valn.base.val(b)) + valn.gamma.scaled(i)
+               for i, b in enumerate(h) if not _is_zero(b))
+
+
+def _padic_case(p):
+    """(base, uniformizer, unit sampler, centers): centers and units with
+    p in the denominator, so the coefficient denominators are divisible by p."""
+    base = PAdicRationals(p)
+
+    def unit(rng):
+        return Fraction(rng.choice([u for u in range(-9, 10) if u % p]),
+                        rng.choice([u for u in range(1, 12) if u % p]))
+
+    centers = [Fraction(1, p), Fraction(5, 7 * p ** 2), Fraction(-3, 2 * p), Fraction(4), Fraction(0)]
+    return base, Fraction(p), unit, centers
+
+
+def _tadic_case(coeffs, pool):
+    """(base, t, unit sampler, centers) over k(t): the units draw their
+    coefficients from `pool`, nonzero elements of k, and the centers have a
+    denominator that vanishes at t = 0."""
+    base = TAdicRationalFunctions(coeffs)
+    zero, one = coeffs.zero(), coeffs.one()
+
+    def unit(rng):
+        return RatFunc(coeffs, [rng.choice(pool), rng.choice(pool + [zero])],
+                       [one, rng.choice(pool + [zero])])
+
+    centers = [RatFunc(coeffs, [one, one], [zero, one, one]),
+               RatFunc(coeffs, [one, zero, one], [zero, zero, one]),
+               RatFunc(coeffs, [one], [zero, one])]
+    return base, base.field.gen(), unit, centers
+
+
+F9 = FiniteField(3, (1, 0, 1))
+
+# name: (case, trials, most linear factors); k(t) over F_9 and Q is slow
+# in the fast path and the reference, so it gets fewer and smaller products
+LAZY_CASES = {
+    "2-adic": (lambda: _padic_case(2), 120, 6),
+    "3-adic": (lambda: _padic_case(3), 120, 6),
+    "5-adic": (lambda: _padic_case(5), 120, 6),
+    "F2(t)": (lambda: _tadic_case(F2, [F2.one()]), 36, 5),
+    "F9(t)": (lambda: _tadic_case(F9, [F9.one(), F9.gen(), F9.gen() + F9.one()]), 12, 3),
+    "Q(t)": (lambda: _tadic_case(RATIONALS, [RATIONALS.element(c) for c in (1, -1, 2, "1/2")]), 12, 3),
+}
+
+# (gamma, base_coord): rank 1, and rank 2 with the base values in the
+# second coordinate, gamma above, level with and below them in the first
+LAZY_GAMMAS = [
+    (GroupElement.of("1/2"), 0),
+    (GroupElement.of("5/3"), 0),
+    (GroupElement.of(12), 0),
+    (GroupElement.of("1/2", 3), 1),
+    (GroupElement.of(0, "5/2"), 1),
+    (GroupElement.of(-1, 1), 1),
+]
+
+
+class TestLazyOracle:
+    """The substitution oracle in Z/p^K and k[t]/t^K against the verbatim
+    Horner reference, the fast path and the root-distance formula
+    v(c * prod (x - b_j)) = v(c) + sum min(gamma, v(a - b_j))."""
+
+    @pytest.fixture
+    def precisions(self, monkeypatch):
+        """Every precision K at which the oracle expands."""
+        seen = []
+        for cls in (valuations._PAdicTruncation, valuations._TAdicTruncation):
+            def spy(self, k, original=cls.truncated):
+                seen.append(k)
+                return original(self, k)
+            monkeypatch.setattr(cls, "truncated", spy)
+        return seen
+
+    @staticmethod
+    def product(base, pi, unit, valn, rng, most):
+        """(coefficients, value) of c * prod (x - b_j) with b_j = a or
+        a + pi^k u_j, k in [-2, 3] or in {9, 10}, and a pair a +- pi^k u."""
+        k0 = rng.randint(-2, 2)
+        poly, value = [pi ** k0 * unit(rng)], valn.embed_base_value(k0)
+        ks = [rng.choice([-2, -1, 0, 1, 2, 3, 9, 10, None]) for _ in range(rng.randint(1, most))]
+        offsets = [None if k is None else pi ** k * unit(rng) for k in ks]
+        if rng.random() < 0.3:
+            ks += [1, 1]
+            offsets += [pi * unit(rng)] * 2
+            offsets[-1] = -offsets[-1]
+        for k, off in zip(ks, offsets):
+            b = valn.center if off is None else valn.center + off
+            poly = poly_mul(poly, [-b, base.one()], base)
+            value = value + (valn.gamma if k is None else min(valn.gamma, valn.embed_base_value(k)))
+        return poly, value
+
+    @pytest.mark.parametrize("case", sorted(LAZY_CASES))
+    def test_four_way_agreement(self, case, precisions):
+        make, trials, most = LAZY_CASES[case]
+        base, pi, unit, centers = make()
+        rng = random.Random(case)
+        events = set()
+        for trial in range(trials):
+            gamma, base_coord = LAZY_GAMMAS[trial % len(LAZY_GAMMAS)]
+            valn = CenteredValuation(base, centers[trial % len(centers)], gamma, base_coord)
+            num, v_num = self.product(base, pi, unit, valn, rng, most)
+            den, v_den = self.product(base, pi, unit, valn, rng, most)
+            del precisions[:]
+            got = substitution_value(valn, num, den)
+            reference = horner_reference(valn, num) - horner_reference(valn, den)
+            fast = valn.of_fraction(RationalFunction.over(base, num, den))
+            assert got == reference == fast == v_num - v_den, (trial, num, den)
+            assert substitution_value(valn, num) == horner_reference(valn, num) == v_num
+            if any(_is_zero(c) for c in valn._shifted(num) + valn._shifted(den)):
+                events.add("exact zero")
+            if max(precisions) > valuations._START_PRECISION:
+                events.add("doubling")
+            if gamma.rank == 2:
+                events.add("rank 2")
+        assert events == {"exact zero", "doubling", "rank 2"}
 
 
 class TestEvalCentered:
