@@ -225,6 +225,10 @@ def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
                for q in range(2, n + 1) if n % q == 0 and is_prime(q))
 
 
+# (p, modulus) -> FiniteField._fold for the first 1024 pairs proven to give a field
+_PROVEN_FOLDS: dict[tuple[int, tuple[int, ...]], tuple] = {}
+
+
 # ---------------------------------------------------------------------------
 # field descriptors
 
@@ -296,24 +300,30 @@ class FiniteField(Field):
 
     The prime field F_p itself has an empty modulus and degree 1; its
     elements are length-1 coefficient tuples.  `_fold` holds X^k mod the
-    modulus for n <= k <= 2n - 2, the rows that reduce a product.
+    modulus for n <= k <= 2n - 2, the rows that reduce a product.  Rabin's
+    test runs once per process for a (p, modulus) that passes it.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...] = ()):
         if not is_prime(p):
             raise PreconditionError(f"characteristic {p} is not prime")
         modulus = _pstrip([c % p for c in modulus])
-        if modulus:
-            if modulus[-1] != 1:
-                raise PreconditionError("modulus must be monic")
-            if len(modulus) - 1 < 2:
-                raise PreconditionError("modulus must have degree >= 2 (omit it for the prime field)")
-            if not is_irreducible(modulus, p):
-                raise PreconditionError(f"modulus {list(modulus)} is reducible over F_{p}")
         self.characteristic = p
         self.modulus = modulus
-        n = self.degree
-        self._fold = tuple(_pdivmod((0,) * k + (1,), modulus, p)[1] for k in range(n, 2 * n - 1))
+        fold = _PROVEN_FOLDS.get((p, modulus))
+        if fold is None:
+            if modulus:
+                if modulus[-1] != 1:
+                    raise PreconditionError("modulus must be monic")
+                if len(modulus) - 1 < 2:
+                    raise PreconditionError("modulus must have degree >= 2 (omit it for the prime field)")
+                if not is_irreducible(modulus, p):
+                    raise PreconditionError(f"modulus {list(modulus)} is reducible over F_{p}")
+            n = self.degree
+            fold = tuple(_pdivmod((0,) * k + (1,), modulus, p)[1] for k in range(n, 2 * n - 1))
+            if len(_PROVEN_FOLDS) < 1024:
+                _PROVEN_FOLDS[p, modulus] = fold
+        self._fold = fold
 
     @property
     def degree(self) -> int:
@@ -352,6 +362,10 @@ class FiniteField(Field):
         if not self.modulus:
             raise PreconditionError("the prime field has no extension generator")
         return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
+
+    def mul_matrix(self, a: "FieldElement") -> tuple[tuple[int, ...], ...]:
+        """Rows of the n x n matrix over F_p of multiplication by a, column j a*X^j."""
+        return tuple(zip(*((a * self.element((0,) * j + (1,))).value for j in range(self.degree))))
 
     def elements(self):
         for tup in itertools.product(range(self.characteristic), repeat=self.degree):

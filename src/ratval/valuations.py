@@ -10,7 +10,9 @@ coefficients at the center, and values of quotients are differences.
 An independent substitution oracle expands g(a + w) by Horner's rule,
 w of value gamma (substitution_value): over a p-adic or t-adic base by
 Horner in the completion at a precision that doubles until the minimum
-is decided, over the other bases on the base's own elements.
+is decided, over a finite trivially valued base by Horner in Z[X] by
+Kronecker substitution, reduced once, over the other bases on the
+base's own elements.
 
 Rational functions in one variable have one type, fields.FunctionField,
 gcd-reduced with a monic denominator: it is both the t-adic base k(t)
@@ -21,6 +23,7 @@ extension.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -310,6 +313,19 @@ class TriviallyValued(ValuedField):
     def value_generators(self):
         return []
 
+    def taylor_coefficients(self, cs: list, center) -> list:
+        """Over a FiniteField, taylor_shift's synthetic division on the
+        coefficient vectors over F_p, h_j <- M h_(j+1) + h_j mod p with M
+        the matrix of multiplication by the center; otherwise taylor_shift."""
+        f = self.field
+        if not isinstance(f, FiniteField):
+            return taylor_shift(cs, center, self.zero())
+        p, rows, h = f.characteristic, f.mul_matrix(center), [c.value for c in cs]
+        for i in range(len(h) - 1):
+            for j in range(len(h) - 2, i - 1, -1):
+                h[j] = [(sum(map(operator.mul, row, h[j + 1])) + c) % p for row, c in zip(rows, h[j])]
+        return [FieldElement(f, tuple(v)) for v in h]
+
     def zero(self):
         return self.field.zero()
 
@@ -406,7 +422,8 @@ def taylor_shift(coeffs: list, center, zero) -> list:
 
     This is the generic shift of ValuedField.taylor_coefficients, which
     CenteredValuation evaluates through; PAdicRationals overrides it with
-    a fraction-free shift over Z that gives the same coefficients.
+    a fraction-free shift over Z, and TriviallyValued over a finite field
+    with the shift on F_p vectors, each giving the same coefficients.
     """
     cs = list(coeffs)
     while cs and _is_zero(cs[-1]):
@@ -470,6 +487,36 @@ class _TAdicTruncation:
                 lambda x, y: _pstrip(_padd(_pmul(x, n, p, zero), y, p, zero)[:k], zero))
 
 
+def _horner(cs: list, muladd) -> list:
+    """The coefficients h_i of g(a + w) by Horner's rule h <- h * (a + w) + c
+    from the top coefficient c of g down, muladd(x, y) being x*a + y."""
+    h: list = []
+    for c in reversed(cs):  # h_i a + h_(i-1) with h_(-1) = c, then the top h_i
+        h = [muladd(x, y) for x, y in zip(h, [c] + h)] + (h[-1:] or [c])
+    return h
+
+
+def _kronecker_value(valn: "CenteredValuation", cs: list) -> GroupElement:
+    """min_i i*gamma over the h_i != 0, over a trivially valued F_p[X]/(m):
+    Horner in Z[X] on ints packed at X = 2^b, then h_i reduced mod p and m.
+    Coefficients in [0, p) bound those of h_i by h_i(1), which only grows
+    step by step (or is a c_j(1) at center 0): b = 1 + the bit length of
+    the largest keeps them apart.  i*gamma is linear in i, so the least
+    and the greatest i with h_i != 0 decide."""
+    f, a1 = valn.base.field, sum(valn.center.value)
+    b = max(_horner([sum(c.value) for c in cs], lambda x, y: x * a1 + y)).bit_length() + 1
+    p, mask = f.characteristic, (1 << b) - 1
+    a, *packed = [sum(x << (k * b) for k, x in enumerate(c.value)) for c in [valn.center, *cs]]
+    h = _horner(packed, lambda x, y: x * a + y)
+
+    def reduced(x: int) -> tuple:
+        digits = [(x >> k & mask) % p for k in range(0, x.bit_length(), b)]
+        return _pdivmod(digits, f.modulus, p)[1] if f.modulus else _pstrip(digits)
+
+    return min(valn.gamma.scaled(next(i for i in order if reduced(h[i])))
+               for order in (range(len(h)), range(len(h) - 1, -1, -1)))
+
+
 def _completion_value(valn: "CenteredValuation", ring) -> GroupElement:
     """min_i v(c_i) + i*gamma by Horner's expansion h <- h * (n + w) + H_j
     in the ring at a precision K that doubles until the minimum is decided.
@@ -486,9 +533,7 @@ def _completion_value(valn: "CenteredValuation", ring) -> GroupElement:
 
     prec = _START_PRECISION
     while True:
-        H, muladd, h = *ring.truncated(prec), []
-        for c in reversed(H):  # h_i n + h_(i-1) with h_(-1) = c, then the top h_i
-            h = [muladd(x, y) for x, y in zip(h, [c] + h)] + (h[-1:] or [c])
+        h = _horner(*ring.truncated(prec))
         exact = min((key(i, ring.order(x)) for i, x in enumerate(h) if x), default=None)
         bound = min((key(i, prec) for i, x in enumerate(h) if not x), default=exact)
         if exact is not None and (exact <= bound or prec >= ring.exact_k):
@@ -501,15 +546,17 @@ def substitution_value(valn: "CenteredValuation", num: list, den: list | None = 
     by Horner's rule, h <- h * (a + w) + c over the coefficients c of g
     from the top: over a p-adic or t-adic base Horner in the completion at
     a precision that doubles until the minimum is decided, on residues in
-    Z/p^K or k[t]/t^K, otherwise on the base's own elements.  The value is
+    Z/p^K or k[t]/t^K; over a finite trivially valued base Horner in Z[X]
+    by Kronecker substitution, reduced once mod p and the modulus;
+    otherwise on the base's own elements.  The value is
     the minimum of v(h_i) + i*gamma over the coefficients h_i of w^i.
     Values of quotients are differences.
 
     The h_i are the Taylor coefficients of g at a, so this agrees with
     CenteredValuation.of_poly; its independence from the fast path is
     algorithmic: Horner's expansion of g(a + w) on residues at a
-    precision, against the repeated synthetic division on exact elements
-    of taylor_shift and of PAdicRationals.taylor_coefficients.
+    precision or on packed ints, against the repeated synthetic division
+    of taylor_shift and of the taylor_coefficients overrides.
     """
     truncation = {PAdicRationals: _PAdicTruncation,
                   TAdicRationalFunctions: _TAdicTruncation}.get(type(valn.base))
@@ -522,11 +569,9 @@ def substitution_value(valn: "CenteredValuation", num: list, den: list | None = 
             raise PreconditionError("the zero polynomial has no value")
         if truncation is not None:
             return _completion_value(valn, truncation(valn.base, cs, valn.center))
-        h: list = []
-        for c in reversed(cs):
-            # h * (a + w) + c: h_i a + h_(i-1) with h_(-1) = c, then the
-            # new top coefficient h_(len h - 1), or c when h is empty
-            h = [x * valn.center + y for x, y in zip(h, [c] + h)] + (h[-1:] or [c])
+        if isinstance(valn.base, TriviallyValued) and isinstance(valn.base.field, FiniteField):
+            return _kronecker_value(valn, cs)
+        h = _horner(cs, lambda x, y: x * valn.center + y)
         return min(valn.embed_base_value(valn.base.val(b)) + valn.gamma.scaled(i)
                    for i, b in enumerate(h) if not _is_zero(b))
 

@@ -1,7 +1,9 @@
 """Write the golden job files and record what `ratval run` prints for them.
 
-The jobs are the six README example jobs and two t-adic eval jobs over
-F_2(t) (degrees 4 and 8, center (1+t)/(1+t^2+t^3), gamma 1/2).  For each
+The jobs are the six README example jobs, two t-adic eval jobs over
+F_2(t) (degrees 4 and 8, center (1+t)/(1+t^2+t^3), gamma 1/2) and one
+eval job over the trivially valued F_{13^4} (degree 16, three of the
+roots at the center, gamma 1/2).  For each
 job NAME this writes NAME.json (the job), NAME.out (stdout of
 `python -m ratval.cli run NAME.json`) and an entry NAME: exit code in
 exit_codes.json.  It also writes selftest-default.out and
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -103,8 +106,56 @@ def tadic_job(degree: int) -> dict:
     }
 
 
+# F_{13^4} = F_13[X]/(X^4 + X^3 + 1), elements as 4 int coefficients
+
+FQ_P, FQ_MODULUS = 13, [1, 0, 0, 1, 1]
+
+
+def _fq_mul(a, b):
+    prod = [0] * 7
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(6, 3, -1):  # X^k = -X^(k-1) - X^(k-4)
+        c, prod[k] = prod[k], 0
+        prod[k - 1] -= c
+        prod[k - 4] -= c
+    return [c % FQ_P for c in prod[:4]]
+
+
+def fq_job(degree: int, at_center: int, seed: int) -> dict:
+    """prod_j (x - b_j) over the trivially valued F_{13^4}, exactly
+    `at_center` of the b_j equal to the center a: the value is
+    at_center * gamma."""
+    rng = random.Random(seed)
+
+    def draw():
+        return [rng.randrange(FQ_P) for _ in range(4)]
+
+    a = draw()
+    slots = set(rng.sample(range(degree), at_center))
+    poly = [[1, 0, 0, 0]]
+    for j in range(degree):
+        b = a if j in slots else draw()
+        while j not in slots and b == a:
+            b = draw()
+        nb = [(-c) % FQ_P for c in b]
+        poly = [[(x + y) % FQ_P for x, y in zip(poly[i - 1] if i else [0] * 4,
+                                               _fq_mul(nb, poly[i]) if i < len(poly) else [0] * 4)]
+                for i in range(len(poly) + 1)]
+    return {
+        "task": "eval",
+        "valuation": {"kind": "vag",
+                      "base": {"kind": "trivial",
+                               "coefficients": {"char": FQ_P, "modulus": FQ_MODULUS}},
+                      "center": a, "gamma": ["1/2"]},
+        "eval": {"num": poly},
+    }
+
+
 def jobs() -> dict:
-    return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8)}
+    return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8),
+            "fq-deg16": fq_job(16, 3, seed=16)}
 
 
 CERTIFICATE_JOBS = ("readme-piltant", "readme-degree-bound", "readme-extension-step",

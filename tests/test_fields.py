@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ratval import fields
 from ratval.errors import PreconditionError
 from ratval.fields import (
     RATIONALS,
@@ -163,6 +164,60 @@ class TestBuildExtension:
             a, b = F5.sample(rng), F5.sample(rng)
             assert embed(a * b) == embed(a) * embed(b)
             assert embed(a + b) == embed(a) + embed(b)
+
+
+class TestIrreducibilityMemo:
+    """FiniteField remembers a passed Rabin test per (p, modulus) in the
+    process, and only a passed one."""
+
+    @pytest.fixture
+    def rabin_calls(self, monkeypatch):
+        monkeypatch.setattr(fields, "_PROVEN_FOLDS", {})
+        calls = []
+
+        def spy(poly, p, original=fields.is_irreducible):
+            calls.append((p, tuple(poly)))
+            return original(poly, p)
+
+        monkeypatch.setattr(fields, "is_irreducible", spy)
+        return calls
+
+    def test_second_construction_runs_no_rabin_test(self, rabin_calls):
+        m = (1, 0, 0, 1, 1)  # X^4 + X^3 + 1 over F_13
+        first = FiniteField(13, m)
+        assert rabin_calls == [(13, m)]
+        second = FiniteField(13, [c + 13 for c in m])  # the same modulus, unreduced
+        assert rabin_calls == [(13, m)]
+        assert second == first and second._fold == first._fold
+        u = second.gen()
+        assert u ** 4 == -(u ** 3) - second.one()
+
+    def test_reducible_modulus_raises_every_time(self, rabin_calls):
+        for attempt in range(1, 4):
+            with pytest.raises(PreconditionError, match="reducible"):
+                FiniteField(2, (1, 0, 1))  # (X + 1)^2
+            assert len(rabin_calls) == attempt
+        assert fields._PROVEN_FOLDS == {}
+
+    def test_other_preconditions_still_checked(self, rabin_calls):
+        FiniteField(13, (1, 0, 0, 1, 1))
+        with pytest.raises(PreconditionError, match="monic"):
+            FiniteField(13, (1, 0, 0, 1, 2))
+        with pytest.raises(PreconditionError, match="not prime"):
+            FiniteField(15, (1, 0, 0, 1, 1))
+
+
+class TestMulMatrix:
+    @pytest.mark.parametrize("field", [F2, F5, F9, FiniteField(2, (1, 1, 0, 0, 1))],
+                             ids=["F2", "F5", "F9", "F16"])
+    def test_matrix_times_vector_is_the_product(self, field):
+        rng = random.Random(field.order)
+        p = field.characteristic
+        for _ in range(50):
+            a, x = field.sample(rng), field.sample(rng)
+            rows = field.mul_matrix(a)
+            assert len(rows) == field.degree
+            assert tuple(sum(r * c for r, c in zip(row, x.value)) % p for row in rows) == (a * x).value
 
 
 class TestFunctionField:

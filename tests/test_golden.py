@@ -1,7 +1,8 @@
 """Byte-for-byte reports of the golden jobs in tests/golden/: the six
-README example jobs and two t-adic eval jobs over F_2(t), and the
-output of `ratval selftest` at the default seed and at seed 7.  The
-expected stdout and exit codes were recorded by tests/golden/make_golden.py.
+README example jobs, two t-adic eval jobs over F_2(t), one eval job over
+the trivially valued F_{13^4}, and the output of `ratval selftest` at
+the default seed and at seed 7.  The expected stdout and exit codes were
+recorded by tests/golden/make_golden.py.
 
 Each golden job runs twice: through `main()` in this process, where the
 argument parser is shared with every other call, and as

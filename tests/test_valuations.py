@@ -6,7 +6,7 @@ import pytest
 
 from ratval import valuations
 from ratval.errors import PreconditionError
-from ratval.fields import RATIONALS, FiniteField, FunctionFieldElement
+from ratval.fields import RATIONALS, FieldElement, FiniteField, FunctionFieldElement
 from ratval.groups import GroupElement
 from ratval.selftest import poly_add, poly_mul, random_poly, suite_oracle, suite_valuation_axioms
 from ratval.series import HahnSeries
@@ -95,6 +95,26 @@ class TestTaylorShift:
         assert base.taylor_coefficients([Fraction(2, 3)], Fraction(1, p)) == [Fraction(2, 3)]
 
 
+F13_4 = FiniteField(13, (1, 0, 0, 1, 1))
+
+
+def fq_product(rng, field, degree, at_center, center=None):
+    """(coefficients, center) of prod_j (x - b_j) over `field`, exactly
+    `at_center` of the b_j equal to the center, the others drawn distinct
+    from it: the center is a root of multiplicity at_center."""
+    center = field.sample(rng) if center is None else center
+    roots = [center] * at_center
+    while len(roots) < degree:
+        b = field.sample(rng)
+        if b != center:
+            roots.append(b)
+    rng.shuffle(roots)
+    g = [field.one()]
+    for b in roots:
+        g = poly_mul(g, [-b, field.one()], TriviallyValued(field))
+    return g, center
+
+
 def refuse_fast_path(m):
     """Patch every routine of the fast path to raise, within monkeypatch
     context m: the Taylor shifts, CenteredValuation._shifted and
@@ -106,6 +126,7 @@ def refuse_fast_path(m):
     m.setattr(valuations, "taylor_shift", refuse)
     m.setattr(ValuedField, "taylor_coefficients", refuse)
     m.setattr(PAdicRationals, "taylor_coefficients", refuse)
+    m.setattr(TriviallyValued, "taylor_coefficients", refuse)
     m.setattr(CenteredValuation, "_shifted", refuse)
     m.setattr(CenteredValuation, "_term_values", refuse)
 
@@ -150,6 +171,41 @@ class TestOracleIndependence:
             with pytest.raises(AssertionError, match="fast Taylor shift"):
                 valn.of_poly(g)
             assert substitution_value(valn, g) == GroupElement.of(expected)
+
+
+    def test_finite_trivial_base_without_field_arithmetic(self, monkeypatch):
+        """The F_{13^4} product of 16 linears with 3 roots at the center:
+        with the fast path, FieldElement's + and * and the matrix of
+        multiplication refused, the oracle still gives 3*gamma."""
+        g, center = fq_product(random.Random(13), F13_4, 16, 3)
+        valn = CenteredValuation(TriviallyValued(F13_4), center, GroupElement.of("1/2"))
+        assert valn.of_poly(g) == GroupElement.of("3/2")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("field arithmetic was called")
+
+        with monkeypatch.context() as m:
+            refuse_fast_path(m)
+            for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+                m.setattr(FieldElement, name, refuse)
+            m.setattr(FiniteField, "mul_matrix", refuse)
+            with pytest.raises(AssertionError, match="fast Taylor shift"):
+                valn.of_poly(g)
+            assert substitution_value(valn, g) == GroupElement.of("3/2")
+
+    def test_finite_trivial_fast_path_without_the_oracle(self, monkeypatch):
+        """The same product through of_poly with taylor_shift and every
+        routine of the oracle refused."""
+        g, center = fq_product(random.Random(13), F13_4, 16, 3)
+        valn = CenteredValuation(TriviallyValued(F13_4), center, GroupElement.of("1/2"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        with monkeypatch.context() as m:
+            for name in ("taylor_shift", "substitution_value", "_kronecker_value", "_horner"):
+                m.setattr(valuations, name, refuse)
+            assert valn.of_poly(g) == GroupElement.of("3/2")
 
 
 def horner_reference(valn, coeffs: list) -> GroupElement:
@@ -283,6 +339,88 @@ class TestLazyOracle:
             if gamma.rank == 2:
                 events.add("rank 2")
         assert events == {"exact zero", "doubling", "rank 2"}
+
+
+# F_2, F_5, F_9 = F_3[X]/(X^2 + 1), F_16 = F_2[X]/(X^4 + X + 1) and F_13^4,
+# each with a generator: X in an extension, a primitive root in F_p
+FINITE_TRIVIAL = {
+    "F2": (F2, F2.one()),
+    "F5": (FiniteField(5), FiniteField(5).element(2)),
+    "F9": (F9, F9.gen()),
+    "F16": (FiniteField(2, (1, 1, 0, 0, 1)), FiniteField(2, (1, 1, 0, 0, 1)).gen()),
+    "F13^4": (F13_4, F13_4.gen()),
+}
+
+# (gamma, base_coord): positive, negative and zero in rank 1, and rank 2
+# with the base values in the second coordinate
+FINITE_GAMMAS = [
+    (GroupElement.of("1/2"), 0),
+    (GroupElement.of(-3), 0),
+    (GroupElement.of(0), 0),
+    (GroupElement.of("1/2", 3), 1),
+    (GroupElement.of(0, "5/2"), 1),
+    (GroupElement.of(-1, 1), 1),
+]
+
+
+class TestFiniteTrivialBase:
+    """Over a trivially valued F_{p^n}: the matrix shift against
+    taylor_shift, and the Kronecker oracle against the verbatim Horner
+    reference, of_poly and the multiplicity formula, v(g) = m*gamma for
+    gamma > 0 and deg(g)*gamma for gamma < 0, m the multiplicity of the
+    center as a root of g."""
+
+    @pytest.mark.parametrize("name", sorted(FINITE_TRIVIAL))
+    def test_shift_and_oracle_agree(self, name):
+        field, gen = FINITE_TRIVIAL[name]
+        base, p = TriviallyValued(field), field.characteristic
+        rng = random.Random(name)
+        top = field.element([p - 1] * field.degree)
+        centers = [field.zero(), field.one(), gen, top]
+        events = set()
+        for trial in range(60):
+            gamma, base_coord = FINITE_GAMMAS[trial % len(FINITE_GAMMAS)]
+            center = centers[trial] if trial < len(centers) else field.sample(rng)
+            degree = rng.randint(1, 16)
+            at_center = rng.choice([0, 1, 2, 3, degree]) if trial % 7 else degree
+            at_center = min(at_center, degree)
+            g, a = fq_product(rng, field, degree, at_center, center)
+            unit = field.element(rng.randrange(1, p))
+            g = [c * unit for c in g]
+            valn = CenteredValuation(base, a, gamma, base_coord)
+            shifted = base.taylor_coefficients(g, a)
+            assert shifted == taylor_shift(g, a, field.zero()), (trial, g, a)
+            expected = gamma.scaled(at_center if gamma > GroupElement.zero(gamma.rank) else degree)
+            got = substitution_value(valn, g)
+            assert got == horner_reference(valn, g) == valn.of_poly(g) == expected, (trial, g, a)
+            if at_center and at_center < degree:
+                events.add("exact zero")
+            if at_center == degree:
+                events.add("full multiplicity")
+        assert events == {"exact zero", "full multiplicity"}
+
+    @pytest.mark.parametrize("name", sorted(FINITE_TRIVIAL))
+    def test_worst_case_lanes(self, name):
+        """Every coefficient and the center p - 1 in every lane, which
+        makes each h_i(1) and so the packing width as large as it gets."""
+        field, _ = FINITE_TRIVIAL[name]
+        base, top = TriviallyValued(field), field.element([field.characteristic - 1] * field.degree)
+        for degree in (0, 1, 5, 24):
+            g = [top] * (degree + 1)
+            assert base.taylor_coefficients(g, top) == taylor_shift(g, top, field.zero())
+            for gamma, base_coord in FINITE_GAMMAS:
+                valn = CenteredValuation(base, top, gamma, base_coord)
+                assert substitution_value(valn, g) == horner_reference(valn, g) == valn.of_poly(g)
+
+    @pytest.mark.parametrize("name", sorted(FINITE_TRIVIAL))
+    def test_suite_oracle_quotients(self, name):
+        field, gen = FINITE_TRIVIAL[name]
+        base = TriviallyValued(field)
+        cases = [(base, None, gamma) for gamma, _ in FINITE_GAMMAS[:3]]
+        cases += [(base, gen, GroupElement.of("1/2")), (base, field.zero(), GroupElement.of(-1))]
+        passed, detail = suite_oracle(random.Random(f"suite:{name}"), trials=30, max_deg=8,
+                                      cases=cases)
+        assert passed, detail
 
 
 class TestEvalCentered:
