@@ -138,9 +138,8 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
     levels = []
     for j in range(1, depth + 1):
         e_j = schedule[j - 1]
-        lhs = y.frobenius_power(e_j)
-        for i in range(1, j + 1):
-            lhs = lhs - HahnSeries.monomial(coeffs, exponents[i - 1] * p ** e_j, 1)
+        lhs = y.frobenius_power(e_j) - HahnSeries.make(
+            coeffs, [(g * p ** e_j, 1) for g in exponents[:j]])
         if lhs.is_zero():
             raise InternalError(f"level {j} residual vanishes")
         value = lhs.value().coords[0]
@@ -240,6 +239,8 @@ def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
     if depth > n - 1:
         return (f"truncation too shallow to witness level {depth}: the schedule "
                 f"provides witnesses only up to level {n - 1}")
+    if type(depth) is not int or depth < 1:
+        return f"depth {depth!r} must be an int >= 1"
     return None
 
 
@@ -333,7 +334,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
                 f"to the residue characteristic {p}"
             )
         root = kummer_root(alpha.scaled(e), tower.coefficient_field.one(), e)
-        power_exponent = root.terms[0][0].scaled(e)
+        power_exponent = root.value().scaled(e)
         if tower.value_subgroup.witness(power_exponent) is None:
             raise InternalError("e-th power of the root left the value group")
         group = tower.value_subgroup.extended(alpha)
@@ -345,7 +346,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
             "degree": e,
             "defect": 1,
             "witness": {
-                "root_exponent": str(root.terms[0][0].coords[0]),
+                "root_exponent": str(root.value().coords[0]),
                 "e_th_power_exponent": str(power_exponent.coords[0]),
                 "group_index": group.index_over(tower.value_subgroup),
             },
@@ -747,12 +748,14 @@ def _validate_defect_tower(payload: dict) -> str | None:
         if not group.is_witness(level["membership_witness"], GroupElement.of(target_q)):
             return f"level {j}: membership witness does not verify"
     prev = Fraction(-1)
-    for entry in payload["eta_tower"]:
+    for k, entry in enumerate(payload["eta_tower"]):
         i = entry["i"]
+        if type(i) is not int or i != k + 1:
+            return f"eta tower: entry {k} has index {i!r}, expected {k + 1}"
         v = Fraction(entry["value"])
         if v != prev / p:
             return f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p"
-        if not entry.get("chain_ok"):
+        if entry.get("chain_ok") is not True:
             return f"eta tower: value chain not verified at level {i}"
         prev = v
     for claim in payload["defect_claims"]:

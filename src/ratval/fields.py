@@ -233,7 +233,14 @@ _PROVEN_FOLDS: dict[tuple[int, tuple[int, ...]], tuple] = {}
 # field descriptors
 
 class Field:
-    """Common interface of coefficient/residue fields."""
+    """Common interface of coefficient/residue fields.
+
+    Each field owns the arithmetic on its raw element values (the
+    `FieldElement.value` form): raw_add, raw_neg, raw_mul and
+    raw_is_zero, and over a finite field raw_frobenius.  FieldElement's
+    operators call them, and kernels that hold raw values (the series
+    module) call them directly.
+    """
 
     characteristic: int
 
@@ -272,6 +279,18 @@ class Rationals(Field):
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, Fraction(0))
+
+    def raw_add(self, a: Fraction, b: Fraction) -> Fraction:
+        return a + b
+
+    def raw_neg(self, a: Fraction) -> Fraction:
+        return -a
+
+    def raw_mul(self, a: Fraction, b: Fraction) -> Fraction:
+        return a * b
+
+    def raw_is_zero(self, a: Fraction) -> bool:
+        return a == 0
 
     def one(self) -> "FieldElement":
         return FieldElement(self, Fraction(1))
@@ -354,6 +373,45 @@ class FiniteField(Field):
     def zero(self) -> "FieldElement":
         return FieldElement(self, (0,) * self.degree)
 
+    def raw_add(self, a: tuple, b: tuple) -> tuple:
+        p = self.characteristic
+        if len(a) == 1:
+            return ((a[0] + b[0]) % p,)
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def raw_neg(self, a: tuple) -> tuple:
+        p = self.characteristic
+        if len(a) == 1:
+            return (-a[0] % p,)
+        return tuple(-x % p for x in a)
+
+    def raw_mul(self, a: tuple, b: tuple) -> tuple:
+        p, n = self.characteristic, len(a)
+        if n == 1:
+            return (a[0] * b[0] % p,)
+        # schoolbook on the coefficient tuples, the top coefficients folded
+        # through X^k mod the modulus, one reduction mod p
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        for c, row in zip(prod[n:], self._fold):
+            if c:
+                for j, r in enumerate(row):
+                    prod[j] += c * r
+        return tuple(c % p for c in prod[:n])
+
+    def raw_is_zero(self, a: tuple) -> bool:
+        return not any(a)
+
+    def raw_frobenius(self, a: tuple, k: int) -> tuple:
+        """a^(p^k) on a raw value: the identity over the prime field,
+        where a^p = a."""
+        if not self.modulus:
+            return a
+        return (FieldElement(self, a) ** self.characteristic ** k).value
+
     def one(self) -> "FieldElement":
         return self.element(1)
 
@@ -401,9 +459,7 @@ class FieldElement:
     value: object  # Fraction over Q, coefficient tuple over F_{p^n}
 
     def is_zero(self) -> bool:
-        if type(self.value) is Fraction:
-            return self.value == 0
-        return not any(self.value)
+        return self.field.raw_is_zero(self.value)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -417,49 +473,19 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if type(self.value) is Fraction:
-            return FieldElement(self.field, self.value + other.value)
-        p = self.field.characteristic
-        a, b = self.value, other.value
-        if len(a) == 1:
-            return FieldElement(self.field, ((a[0] + b[0]) % p,))
-        return FieldElement(self.field, tuple((x + y) % p for x, y in zip(a, b)))
+        return FieldElement(self.field, self.field.raw_add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if type(self.value) is Fraction:
-            return FieldElement(self.field, -self.value)
-        p = self.field.characteristic
-        a = self.value
-        if len(a) == 1:
-            return FieldElement(self.field, (-a[0] % p,))
-        return FieldElement(self.field, tuple(-x % p for x in a))
+        return FieldElement(self.field, self.field.raw_neg(self.value))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if type(self.value) is Fraction:
-            return FieldElement(self.field, self.value * other.value)
-        f: FiniteField = self.field
-        a, b, n = self.value, other.value, len(self.value)
-        if n == 1:
-            return FieldElement(f, (a[0] * b[0] % f.characteristic,))
-        # schoolbook on the coefficient tuples, the top coefficients folded
-        # through X^k mod the modulus, one reduction mod p
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for c, row in zip(prod[n:], f._fold):
-            if c:
-                for j, r in enumerate(row):
-                    prod[j] += c * r
-        p = f.characteristic
-        return FieldElement(f, tuple(c % p for c in prod[:n]))
+        return FieldElement(self.field, self.field.raw_mul(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -496,7 +522,7 @@ class FieldElement:
         if self.field.characteristic == 0:
             raise PreconditionError("p-th roots of coefficients need positive characteristic")
         f: FiniteField = self.field
-        return self ** (f.characteristic ** (f.degree - 1))
+        return FieldElement(f, f.raw_frobenius(self.value, f.degree - 1))
 
     def to_json(self):
         if type(self.value) is Fraction:

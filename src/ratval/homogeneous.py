@@ -111,9 +111,9 @@ def kummer_conjugate_differences(c: HahnSeries, e: int,
         raise PreconditionError(
             f"{splitting_field!r} does not contain {e} distinct {e}-th roots of unity"
         )
-    if len(c.terms) != 1:
+    if len(c.keys) != 1:
         raise PreconditionError("conjugate enumeration expects a monomial")
-    gamma, coeff = c.terms[0]
+    gamma, coeff = c.value(), c.leading_coeff()
     # root coefficient in the splitting field (c's coefficient must embed)
     target = splitting_field.element(list(coeff.value)) if coeff.field != splitting_field else coeff
     root_coeff = None
@@ -160,9 +160,9 @@ def strongly_homogeneous_test(monomial: HahnSeries, state: TowerState) -> Homoge
     e*f whose Krasner constant equals its value.  (e, f) = (1, 1) means
     the monomial adds nothing to the generated structure (it is captured).
     """
-    if len(monomial.terms) != 1:
+    if len(monomial.keys) != 1:
         raise PreconditionError("strong homogeneity test expects a monomial")
-    gamma, coeff = monomial.terms[0]
+    gamma, coeff = monomial.value(), monomial.leading_coeff()
     e = state.value_subgroup.torsion_order(gamma)
     if e is None:
         return HomogeneityWitness(False, None, None,
@@ -216,15 +216,16 @@ def homogeneous_approximation(b: HahnSeries, state: TowerState) -> ApproxStep | 
 
 def _approximation_from(b: HahnSeries, state: TowerState, start: int) -> ApproxStep | None:
     """homogeneous_approximation over the terms of b from index start on."""
-    for idx in range(start, len(b.terms)):
-        gamma, coeff = b.terms[idx]
+    terms = b.terms
+    for idx in range(start, len(terms)):
+        gamma, coeff = terms[idx]
         witness = strongly_homogeneous_test(
             HahnSeries.monomial(b.field, gamma, coeff, rank=b.rank), state)
         if (witness.e, witness.f) == (1, 1):
             continue
         if not witness.ok:
             raise PreconditionError(f"outside tame scope at term {idx}: {witness.reason}")
-        partial = HahnSeries.make(b.field, b.terms[: idx + 1], b.trunc, b.rank)
+        partial = HahnSeries.make(b.field, terms[: idx + 1], b.trunc, b.rank)
         return ApproxStep(idx, partial, gamma, coeff, witness)
     return None
 

@@ -9,15 +9,26 @@ bound on.  trunc=None means the series is exact (no unknown tail).
 Binary operations compute the tightest sound bound: min of the bounds
 for addition, min over v(s)+trunc(r) and trunc(s)+v(r) for products.
 
-Normalisation and products run on int exponent keys: over the lcm D of
-the denominators of the exponents and the bound, an exponent e is the
-int tuple D*e (the key of `groups`, which scales value-group
-generators the same way), so merging, sorting and the product's pair
-loop do no Fraction arithmetic and no hashing of rationals.
+Stored form: a denominator D, the exponents as int key tuples D*e (the
+key of `groups`, which scales value-group generators the same way), the
+bound's key, and the raw coefficient values (`FieldElement.value`).
+Merging, sorting and the product's pair loop do no Fraction arithmetic
+and build no FieldElement: they call the field's raw_add, raw_mul and
+raw_is_zero, and rescale keys only where two operands' D differ.  The
+(GroupElement, FieldElement) pairs are built when `terms`, `support`,
+`coeff_at`, `to_json` or `repr` read them; `value` and `leading_coeff`
+build the first term only.
+
+Frobenius powers and p-th roots are maps on the keys (keys * q over the
+same D, and the same keys over D * p): Frobenius is an order-preserving
+bijection on terms, so nothing merges or cancels.  `**` stays
+square-and-multiply over the product, so `root ** p` is an independent
+check of a root built by p-th roots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -32,6 +43,8 @@ __all__ = [
     "kummer_root",
 ]
 
+Key = tuple[int, ...]
+
 
 def _min_trunc(a: GroupElement | None, b: GroupElement | None) -> GroupElement | None:
     if a is None:
@@ -41,37 +54,65 @@ def _min_trunc(a: GroupElement | None, b: GroupElement | None) -> GroupElement |
     return a if a <= b else b
 
 
-def _normalise(field: Field, rank: int, den: int, keyed, trunc: GroupElement | None,
+def _expo(k: Key, den: int) -> GroupElement:
+    return GroupElement(tuple(Fraction(x, den) for x in k))
+
+
+def _normalise(field: Field, rank: int, den: int, sums: dict, top: Key | None,
                expos: dict | None = None) -> "HahnSeries":
-    """The series of (key, coefficient) pairs over the common denominator
-    `den`: coefficients on one key are summed, the keys sorted once, zero
-    sums dropped and the terms cut at the first key on or above den *
-    trunc.  A surviving key takes its GroupElement from `expos` when
-    given, else is divided back by den."""
-    sums: dict[tuple[int, ...], FieldElement] = {}
-    for k, c in keyed:
-        prev = sums.get(k)
-        sums[k] = c if prev is None else prev + c
-    top = None if trunc is None else _key(trunc, den)
-    kept = []
+    """The series of the summed {key: raw value} over the denominator
+    `den`: the keys sorted once, zero sums dropped and the terms cut at
+    the first key on or above the bound's key `top`.  `expos` maps a key
+    to the caller's GroupElement, kept for the surviving keys."""
+    is_zero = field.raw_is_zero
+    keys, values = [], []
     for k in sorted(sums):
         if top is not None and k >= top:
             break
-        c = sums[k]
-        if not c.is_zero():
-            g = expos[k] if expos is not None else GroupElement(tuple(Fraction(x, den) for x in k))
-            kept.append((g, c))
-    return HahnSeries(field, rank, tuple(kept), trunc)
+        v = sums[k]
+        if not is_zero(v):
+            keys.append(k)
+            values.append(v)
+    kept = None if expos is None else tuple(expos[k] for k in keys)
+    return HahnSeries(field, rank, den, tuple(keys), tuple(values), top, kept)
 
 
-@dataclass(frozen=True)
+def _sum(field: Field, rank: int, parts) -> "HahnSeries":
+    """The sum of series over one field and rank, normalised once, over
+    the lcm of their denominators; the bound is the least of theirs."""
+    den = math.lcm(*(s.den for s in parts))
+    add_raw = field.raw_add
+    sums: dict[Key, object] = {}
+    top = None
+    for s in parts:
+        keys, t = s._over(den)
+        for k, v in zip(keys, s.values):
+            prev = sums.get(k)
+            sums[k] = v if prev is None else add_raw(prev, v)
+        if t is not None and (top is None or t < top):
+            top = t
+    return _normalise(field, rank, den, sums, top)
+
+
+@dataclass(frozen=True, eq=False)
 class HahnSeries:
-    """A truncated power series sum of c * t^g over an ordered group."""
+    """A truncated power series sum of c * t^g over an ordered group.
+
+    Stored as a denominator `den`, the int keys den * g in ascending
+    order, the raw values of the c (`FieldElement.value`) and the key
+    `top` of the bound (None for an exact series); `expos` holds the
+    GroupElements that `make` was given for the keys, or None.  The
+    (GroupElement, FieldElement) pairs are built when `terms` is read.
+    Frobenius powers and p-th roots map the keys; `**` multiplies.
+    Equality and hashing are by value, whatever the denominators."""
 
     field: Field
     rank: int
-    terms: tuple[tuple[GroupElement, FieldElement], ...]
-    trunc: GroupElement | None = None
+    den: int
+    keys: tuple[Key, ...]
+    values: tuple
+    top: Key | None = None
+    expos: tuple[GroupElement, ...] | None = None
 
     @staticmethod
     def make(field: Field, terms, trunc: GroupElement | None = None, rank: int = 1) -> "HahnSeries":
@@ -92,13 +133,19 @@ class HahnSeries:
         if trunc is not None and trunc.rank != rank:
             raise PreconditionError("truncation bound rank mismatch")
         den = _common_den([e for e, _ in pairs], trunc)
-        expos: dict[tuple[int, ...], GroupElement] = {}
-        keyed = []
+        add_raw = field.raw_add
+        sums: dict[Key, object] = {}
+        expos: dict[Key, GroupElement] = {}
         for expo, coeff in pairs:
             k = _key(expo, den)
-            expos.setdefault(k, expo)
-            keyed.append((k, coeff))
-        return _normalise(field, rank, den, keyed, trunc, expos)
+            prev = sums.get(k)
+            if prev is None:
+                sums[k] = coeff.value
+                expos[k] = expo
+            else:
+                sums[k] = add_raw(prev, coeff.value)
+        top = None if trunc is None else _key(trunc, den)
+        return _normalise(field, rank, den, sums, top, expos)
 
     @staticmethod
     def zero(field: Field, trunc=None, rank: int = 1) -> "HahnSeries":
@@ -112,26 +159,63 @@ class HahnSeries:
     def constant(field: Field, coeff, trunc=None, rank: int = 1) -> "HahnSeries":
         return HahnSeries.make(field, [(GroupElement.zero(rank), coeff)], trunc, rank)
 
+    def _over(self, den: int) -> tuple:
+        """(keys, top) over `den`, a multiple of self.den."""
+        m = den // self.den
+        if m == 1:
+            return self.keys, self.top
+        top = None if self.top is None else tuple(m * x for x in self.top)
+        return tuple(tuple(m * x for x in k) for k in self.keys), top
+
+    # -- reading terms -----------------------------------------------------
+
+    @property
+    def terms(self) -> tuple[tuple[GroupElement, FieldElement], ...]:
+        field = self.field
+        return tuple(zip(self._exponents(), (FieldElement(field, v) for v in self.values)))
+
+    @property
+    def trunc(self) -> GroupElement | None:
+        return None if self.top is None else _expo(self.top, self.den)
+
+    def _exponents(self) -> tuple[GroupElement, ...]:
+        if self.expos is not None:
+            return self.expos
+        return tuple(_expo(k, self.den) for k in self.keys)
+
+    def __eq__(self, other):
+        if not isinstance(other, HahnSeries):
+            return NotImplemented
+        if self.field != other.field or self.rank != other.rank or self.values != other.values:
+            return False
+        den = math.lcm(self.den, other.den)
+        return self._over(den) == other._over(den)
+
+    def __hash__(self):
+        return hash((self.field, self.rank, self.terms, self.trunc))
+
     # -- value ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         """No known terms.  For a truncated series this means zero within
         the known range; for trunc=None it means exactly zero."""
-        return not self.terms
+        return not self.keys
 
     def value(self) -> GroupElement | None:
         """Least exponent, or None for a series with empty support
         (the value is then above the truncation bound)."""
-        return self.terms[0][0] if self.terms else None
+        if not self.keys:
+            return None
+        return self.expos[0] if self.expos is not None else _expo(self.keys[0], self.den)
 
     def value_bound(self) -> GroupElement | None:
         """value() for nonzero series, else the truncation bound."""
-        return self.terms[0][0] if self.terms else self.trunc
+        return self.value() if self.keys else self.trunc
 
     def leading_coeff(self) -> FieldElement:
-        if not self.terms:
+        if not self.keys:
             raise PreconditionError("zero series has no leading coefficient")
-        return self.terms[0][1]
+        return FieldElement(self.field, self.values[0])
 
     def coeff_at(self, exponent: GroupElement) -> FieldElement:
         for e, c in self.terms:
@@ -140,7 +224,7 @@ class HahnSeries:
         return self.field.zero()
 
     def support(self) -> list[GroupElement]:
-        return [e for e, _ in self.terms]
+        return list(self._exponents())
 
     # -- ring operations ---------------------------------------------------
 
@@ -154,50 +238,51 @@ class HahnSeries:
 
     def __add__(self, other: "HahnSeries") -> "HahnSeries":
         self._check_compatible(other)
-        trunc = _min_trunc(self.trunc, other.trunc)
-        return HahnSeries.make(self.field, list(self.terms) + list(other.terms), trunc, self.rank)
+        return _sum(self.field, self.rank, (self, other))
 
     def __neg__(self) -> "HahnSeries":
-        return HahnSeries(self.field, self.rank, tuple((e, -c) for e, c in self.terms), self.trunc)
+        neg = self.field.raw_neg
+        return HahnSeries(self.field, self.rank, self.den, self.keys,
+                          tuple(neg(v) for v in self.values), self.top, self.expos)
 
     def __sub__(self, other: "HahnSeries") -> "HahnSeries":
         return self + (-other)
 
     def __mul__(self, other: "HahnSeries") -> "HahnSeries":
         self._check_compatible(other)
+        field = self.field
+        den = math.lcm(self.den, other.den)
+        (left, ta), (right, tb) = self._over(den), other._over(den)
         # unknown tail of one factor meets the leading term of the other
-        t1 = None
-        if self.trunc is not None and (vb := other.value_bound()) is not None:
-            t1 = self.trunc + vb
-        t2 = None
-        if other.trunc is not None and (va := self.value_bound()) is not None:
-            t2 = other.trunc + va
-        trunc = _min_trunc(t1, t2)
-        den = _common_den([e for e, _ in self.terms + other.terms], trunc)
-        left = [(_key(e, den), c) for e, c in self.terms]
-        right = [(_key(e, den), c) for e, c in other.terms]
-        top = None if trunc is None else _key(trunc, den)
-
-        def pairs():
+        top = None
+        if ta is not None and (vb := right[0] if right else tb) is not None:
+            top = tuple(map(add, ta, vb))
+        if tb is not None and (va := left[0] if left else ta) is not None:
+            t2 = tuple(map(add, tb, va))
+            if top is None or t2 < top:
+                top = t2
+        mul_raw, add_raw = field.raw_mul, field.raw_add
+        sums: dict[Key, object] = {}
+        for ka, ca in zip(left, self.values):
             # both lists ascend and the order is additive, so each row
             # stops at the first sum on or above the truncation key
-            for ka, ca in left:
-                for kb, cb in right:
-                    k = tuple(map(add, ka, kb))
-                    if top is not None and k >= top:
-                        break
-                    yield k, ca * cb
-
-        return _normalise(self.field, self.rank, den, pairs(), trunc)
+            for kb, cb in zip(right, other.values):
+                k = tuple(map(add, ka, kb))
+                if top is not None and k >= top:
+                    break
+                c = mul_raw(ca, cb)
+                prev = sums.get(k)
+                sums[k] = c if prev is None else add_raw(prev, c)
+        return _normalise(field, self.rank, den, sums, top)
 
     def __pow__(self, n: int) -> "HahnSeries":
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if len(self.terms) != 1:
+            if len(self.keys) != 1:
                 raise PreconditionError("negative powers are exact only for monomials")
-            e, c = self.terms[0]
-            inv = HahnSeries.monomial(self.field, -e, c.inverse(), rank=self.rank)
+            inv = HahnSeries.monomial(self.field, -self.value(), self.leading_coeff().inverse(),
+                                      rank=self.rank)
             return inv ** (-n)
         return _power(self, n, HahnSeries.constant(self.field, self.field.one(), rank=self.rank))
 
@@ -211,13 +296,15 @@ class HahnSeries:
         exact.  The product s * result differs from 1 only at value
         depth * v(w) and above.
         """
-        if not self.terms:
+        if not self.keys:
             raise PreconditionError("cannot invert the zero series")
         if depth < 1:
             raise PreconditionError("depth must be >= 1")
-        e0, c0 = self.terms[0]
-        lead_inv = HahnSeries.monomial(self.field, -e0, c0.inverse(), rank=self.rank)
-        rest = HahnSeries(self.field, self.rank, self.terms[1:], self.trunc)
+        e0 = self.value()
+        lead_inv = HahnSeries.monomial(self.field, -e0, self.leading_coeff().inverse(),
+                                       rank=self.rank)
+        rest = HahnSeries(self.field, self.rank, self.den, self.keys[1:], self.values[1:],
+                          self.top, None if self.expos is None else self.expos[1:])
         w = rest * lead_inv
         if w.is_zero() and w.trunc is None:
             return lead_inv
@@ -234,27 +321,31 @@ class HahnSeries:
 
     def frobenius_power(self, e: int) -> "HahnSeries":
         """The p^e-th power in characteristic p: termwise
-        (g, c) -> (p^e * g, c^(p^e)), exact up to p^e * trunc."""
-        p = self.field.characteristic
+        (g, c) -> (p^e * g, c^(p^e)), exact up to p^e * trunc, as the
+        keys times p^e over the same denominator."""
+        field = self.field
+        p = field.characteristic
         if p == 0:
             raise PreconditionError("Frobenius powers need positive characteristic")
         if e < 0:
             raise PreconditionError("Frobenius exponent must be >= 0")
         q = p ** e
-        terms = [(g.scaled(q), c ** q) for g, c in self.terms]
-        trunc = self.trunc.scaled(q) if self.trunc is not None else None
-        return HahnSeries.make(self.field, terms, trunc, self.rank)
+        return HahnSeries(field, self.rank, self.den,
+                          tuple(tuple(q * x for x in k) for k in self.keys),
+                          tuple(field.raw_frobenius(v, e) for v in self.values),
+                          None if self.top is None else tuple(q * x for x in self.top))
 
     def p_th_root(self) -> "HahnSeries":
-        """Termwise p-th root (g, c) -> (g/p, c^(1/p)); exact in
-        characteristic p since Frobenius is additive."""
-        p = self.field.characteristic
+        """Termwise p-th root (g, c) -> (g/p, c^(1/p)), exact in
+        characteristic p since Frobenius is additive: the same keys
+        over the denominator times p."""
+        field = self.field
+        p = field.characteristic
         if p == 0:
             raise PreconditionError("p-th roots need positive characteristic")
-        inv_p = Fraction(1, p)
-        terms = [(g.scaled(inv_p), c.frobenius_inverse()) for g, c in self.terms]
-        trunc = self.trunc.scaled(inv_p) if self.trunc is not None else None
-        return HahnSeries.make(self.field, terms, trunc, self.rank)
+        k = field.degree - 1
+        return HahnSeries(field, self.rank, self.den * p, self.keys,
+                          tuple(field.raw_frobenius(v, k) for v in self.values), self.top)
 
     # -- serialization -------------------------------------------------------
 
@@ -313,14 +404,10 @@ def artin_schreier_root(u: HahnSeries, depth: int) -> HahnSeries:
             "Artin-Schreier root construction requires v(u) < 0 "
             "(nonnegative values would need Hensel lifting, which is out of scope)"
         )
-    terms: list = []
-    layer = u
-    trunc: GroupElement | None = None
-    for _ in range(depth):
-        layer = layer.p_th_root()
-        trunc = _min_trunc(trunc, layer.trunc)
-        terms.extend(layer.terms)
-    return HahnSeries.make(u.field, terms, trunc, u.rank)
+    layers = [u.p_th_root()]
+    while len(layers) < depth:
+        layers.append(layers[-1].p_th_root())
+    return _sum(u.field, u.rank, layers)
 
 
 def _iroot(n: int, e: int) -> int | None:

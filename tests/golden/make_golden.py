@@ -3,7 +3,10 @@
 The jobs are the six README example jobs, two t-adic eval jobs over
 F_2(t) (degrees 4 and 8, center (1+t)/(1+t^2+t^3), gamma 1/2) and one
 eval job over the trivially valued F_{13^4} (degree 16, three of the
-roots at the center, gamma 1/2).  For each
+roots at the center, gamma 1/2), and three jobs on p = 3 series paths:
+piltant-p3 (a defect tower over F_3), extension-step-p3 (kummer 1/2,
+residue X^2 + 1, artin-schreier -1 over F_3) and extract-q5 (the
+extract shape of bench/gen.py with terms (5^k - 1)/5^k, k = 1..5).  For each
 job NAME this writes NAME.json (the job), NAME.out (stdout of
 `python -m ratval.cli run NAME.json`) and an entry NAME: exit code in
 exit_codes.json.  It also writes selftest-default.out and
@@ -153,9 +156,28 @@ def fq_job(degree: int, at_center: int, seed: int) -> dict:
     }
 
 
+# p = 3 series paths: the cube chain checks of a defect tower over F_3, the
+# Artin-Schreier root's cube check of an extension step, and the extract
+# shape of bench/gen.py with q = 5
+P3_JOBS = {
+    "piltant-p3": {"task": "piltant", "p": 3, "e": [1, 2, 4, 7, 11], "depth": 4},
+    "extension-step-p3": {
+        "task": "extension-step", "p": 3,
+        "steps": [{"kind": "kummer", "alpha": "1/2"},
+                  {"kind": "residue", "modulus": [1, 0, 1]},
+                  {"kind": "artin-schreier", "c": "-1"}]},
+    "extract-q5": {
+        "task": "extract",
+        "base": {"kind": "series", "coefficients": {"char": 2, "modulus": []},
+                 "value_group": ["1"]},
+        "series": {"trunc": "1",
+                   "terms": [[f"{5 ** k - 1}/{5 ** k}", 1] for k in range(1, 6)]}},
+}
+
+
 def jobs() -> dict:
     return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8),
-            "fq-deg16": fq_job(16, 3, seed=16)}
+            "fq-deg16": fq_job(16, 3, seed=16), **P3_JOBS}
 
 
 CERTIFICATE_JOBS = ("readme-piltant", "readme-degree-bound", "readme-extension-step",

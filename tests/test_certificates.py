@@ -140,6 +140,31 @@ class TestDefectTower:
         res = validate_certificate(tamper(cert, ["schedule", 0], -1))
         assert res.findings == ("schedule exponent e_1 = -1 must be >= 0",)
 
+    @pytest.mark.parametrize("depth", [0, -3, True, False])
+    def test_depth_must_be_a_positive_int(self, depth):
+        # depth 0 used to give a certificate with no levels, vacuously valid
+        with pytest.raises(PreconditionError, match="must be an int >= 1"):
+            build_defect_tower(2, [1, 2, 4, 7, 11], depth)
+        cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        res = validate_certificate(tamper(cert, ["depth"], depth))
+        assert res.findings == (f"depth {depth!r} must be an int >= 1",)
+
+    def test_shallower_depth_is_a_weaker_true_claim(self):
+        cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        assert validate_certificate(tamper(cert, ["depth"], 2)).ok
+
+    @pytest.mark.parametrize("i", [0, 3, -1, 2.0, "2", True, None])
+    def test_eta_index_must_count_up_from_one(self, i):
+        cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        res = validate_certificate(tamper(cert, ["eta_tower", 1, "i"], i))
+        assert res.findings == (f"eta tower: entry 1 has index {i!r}, expected 2",)
+
+    @pytest.mark.parametrize("flag", ["x", -1, 2, 10 ** 6, "0", [0], 1])
+    def test_chain_ok_must_be_the_boolean_true(self, flag):
+        cert = build_defect_tower(3, [1, 2, 4, 7, 11], 4)
+        res = validate_certificate(tamper(cert, ["eta_tower", 2, "chain_ok"], flag))
+        assert res.findings == ("eta tower: value chain not verified at level 3",)
+
     def test_round_trip_and_tampering(self):
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
         assert validate_certificate(cert).ok

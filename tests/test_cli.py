@@ -89,6 +89,16 @@ class TestRunCertificates:
         assert code2 == 0
         assert json.loads(out2)["ok"] is True
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_piltant_without_levels_is_a_domain_error(self, depth, tmp_path, capsys):
+        # like a depth beyond the witnessed levels: exit 1 with an error
+        # report, where depth 0 used to certify no level at all
+        job = {"task": "piltant", "p": 2, "e": [1, 2, 4, 7, 11], "depth": depth}
+        code, out, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == {"message": f"depth {depth} must be an int >= 1",
+                                            "type": "PreconditionError"}
+
     def test_classify_base_coord_as_string(self, tmp_path, capsys):
         # the descriptor keeps "1" as given; the job parser and the
         # validator both read it as the int 1

@@ -1,6 +1,9 @@
 """Byte-for-byte reports of the golden jobs in tests/golden/: the six
 README example jobs, two t-adic eval jobs over F_2(t), one eval job over
-the trivially valued F_{13^4}, and the output of `ratval selftest` at
+the trivially valued F_{13^4}, three jobs on p = 3 series paths (a
+defect tower over F_3, an extension step whose Artin-Schreier root is
+checked by its cube, and an extract job with 5-power denominators), and
+the output of `ratval selftest` at
 the default seed and at seed 7.  The expected stdout and exit codes were
 recorded by tests/golden/make_golden.py.
 

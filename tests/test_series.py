@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratval.errors import PreconditionError
 from ratval.fields import RATIONALS, FiniteField
@@ -173,6 +175,187 @@ class TestIntKeyedNormalForm:
             assert prod.terms == _ref_terms(field, pairs, trunc)
             on_bound += trunc is not None and any(e == trunc for e, _ in pairs)
         assert on_bound
+
+
+# -- the keyed kernel against a reference kept on (GroupElement, FieldElement)
+# pairs: a reference series is (terms, trunc) with terms in _ref_terms form
+
+def _ref_sum(parts):
+    trunc = min((t for _, t in parts if t is not None), default=None)
+    return _ref_terms(None, [tc for terms, _ in parts for tc in terms], trunc), trunc
+
+
+def _ref_neg(a):
+    return tuple((e, -c) for e, c in a[0]), a[1]
+
+
+def _ref_value_bound(a):
+    return a[0][0][0] if a[0] else a[1]
+
+
+def _ref_mul(a, b):
+    bounds = [t + v for t, v in ((a[1], _ref_value_bound(b)), (b[1], _ref_value_bound(a)))
+              if t is not None and v is not None]
+    trunc = min(bounds, default=None)
+    pairs = [(e1 + e2, c1 * c2) for e1, c1 in a[0] for e2, c2 in b[0]]
+    return _ref_terms(None, pairs, trunc), trunc
+
+
+def _ref_one(field, rank):
+    return ((GroupElement.zero(rank), field.one()),), None
+
+
+def _ref_pow(a, n, field, rank):
+    # square-and-multiply in the order of fields._power, on reference series
+    result = _ref_one(field, rank)
+    while n:
+        if n & 1:
+            result = _ref_mul(result, a)
+        if n > 1:
+            a = _ref_mul(a, a)
+        n >>= 1
+    return result
+
+
+def _ref_frobenius(a, e, p):
+    q = p ** e
+    trunc = None if a[1] is None else a[1].scaled(q)
+    return _ref_terms(None, [(g.scaled(q), c ** q) for g, c in a[0]], trunc), trunc
+
+
+def _ref_p_th_root(a, field):
+    p = field.characteristic
+    # the p-th root of a coefficient by search, not through Frobenius
+    roots = {x ** p: x for x in field.elements()}
+    trunc = None if a[1] is None else a[1].scaled(Fraction(1, p))
+    return tuple((g.scaled(Fraction(1, p)), roots[c]) for g, c in a[0]), trunc
+
+
+def _ref_artin_schreier_root(a, depth, field):
+    layers = [_ref_p_th_root(a, field)]
+    while len(layers) < depth:
+        layers.append(_ref_p_th_root(layers[-1], field))
+    return _ref_sum(layers)
+
+
+def _ref_invert(a, depth, field, rank):
+    (e0, c0), rest = a[0][0], (a[0][1:], a[1])
+    lead_inv = ((-e0, c0.inverse()),), None
+    w = _ref_mul(rest, lead_inv)
+    if not w[0] and w[1] is None:
+        return lead_inv
+    acc = power = _ref_one(field, rank)
+    for _ in range(1, depth):
+        power = _ref_mul(power, _ref_neg(w))
+        acc = _ref_sum([acc, power])
+    terms, trunc = _ref_mul(lead_inv, acc)
+    if w[0]:
+        cap = -e0 + w[0][0][0].scaled(depth)
+        trunc = cap if trunc is None else min(trunc, cap)
+        terms = _ref_terms(None, terms, trunc)
+    return terms, trunc
+
+
+def _ref_json(field, rank, a):
+    def expo(g):
+        return str(g.coords[0]) if rank == 1 else g.to_json()
+    return {"field": field.to_json(), "trunc": None if a[1] is None else expo(a[1]),
+            "terms": [[expo(e), c.to_json()] for e, c in a[0]]}
+
+
+def _assert_matches(s, ref, field, rank):
+    terms, trunc = ref
+    assert s.terms == terms and s.trunc == trunc
+    assert s.support() == [e for e, _ in terms]
+    assert s.value() == (terms[0][0] if terms else None)
+    assert s.value_bound() == (terms[0][0] if terms else trunc)
+    if terms:
+        assert s.leading_coeff() == terms[0][1]
+    for e, c in terms:
+        assert s.coeff_at(e) == c
+    assert s.to_json() == _ref_json(field, rank, ref)
+    same = HahnSeries.make(field, terms, trunc, rank)
+    assert s == same and same == s and hash(s) == hash(same)
+    if terms:
+        assert s != HahnSeries.make(field, terms[:-1], trunc, rank)
+        assert s != HahnSeries.make(field, terms, terms[-1][0], rank)
+
+
+def _coeffs(field):
+    if field is RATIONALS:
+        return st.builds(lambda n, d: RATIONALS.element(Fraction(n, d)),
+                         st.integers(-3, 3), st.integers(1, 3))
+    return st.builds(field.element, st.lists(st.integers(0, field.characteristic - 1),
+                                             min_size=field.degree, max_size=field.degree))
+
+
+@st.composite
+def _operand(draw, field, rank):
+    """(terms, trunc) over a denominator of its own, with repeated exponents
+    and cancelling coefficients common."""
+    den = draw(st.sampled_from((1, 2, 3, 4, 6, 9)))
+    expo = st.builds(lambda cs: GroupElement.of(*(Fraction(c, den) for c in cs)),
+                     st.lists(st.integers(-6, 6), min_size=rank, max_size=rank))
+    terms = draw(st.lists(st.tuples(expo, _coeffs(field)), max_size=5))
+    for e, c in list(terms):
+        if draw(st.booleans()):
+            terms.append((GroupElement(e.coords), -c))
+    trunc = draw(st.one_of(st.none(), expo, st.sampled_from([e for e, _ in terms] or [None])))
+    return terms, trunc
+
+
+KERNEL_FIELDS = [F2, F3, F4, F9, RATIONALS]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+class TestKeyedKernelProperties:
+    """Every operation of the keyed kernel against the pair reference, on
+    operands over different denominators, exact and truncated, with the
+    results fed back in as operands."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_operations_match_the_pair_reference(self, field, rank, data):
+        p = field.characteristic
+        pool = []
+        for _ in range(3):
+            terms, trunc = data.draw(_operand(field, rank))
+            s = HahnSeries.make(field, terms, trunc, rank)
+            ref = _ref_terms(field, terms, trunc), trunc
+            _assert_matches(s, ref, field, rank)
+            pool.append((s, ref))
+        ops = ["add", "sub", "mul", "pow", "invert"] + (["frob", "root", "as"] if p else [])
+        for _ in range(6):
+            op = data.draw(st.sampled_from(ops))
+            (a, ra), (b, rb) = (pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(2))
+            if op == "add":
+                got, ref = a + b, _ref_sum([ra, rb])
+            elif op == "sub":
+                got, ref = a - b, _ref_sum([ra, _ref_neg(rb)])
+            elif op == "mul":
+                got, ref = a * b, _ref_mul(ra, rb)
+            elif op == "pow":
+                n = data.draw(st.integers(0, 3))
+                got, ref = a ** n, _ref_pow(ra, n, field, rank)
+            elif op == "invert":
+                if a.is_zero():
+                    continue
+                depth = data.draw(st.integers(1, 3))
+                got, ref = a.invert(depth), _ref_invert(ra, depth, field, rank)
+            elif op == "frob":
+                e = data.draw(st.integers(0, 2))
+                got, ref = a.frobenius_power(e), _ref_frobenius(ra, e, p)
+            elif op == "root":
+                got, ref = a.p_th_root(), _ref_p_th_root(ra, field)
+            else:
+                if a.is_zero() or not a.value() < GroupElement.zero(rank):
+                    continue
+                depth = data.draw(st.integers(1, 3))
+                got, ref = artin_schreier_root(a, depth), _ref_artin_schreier_root(ra, depth, field)
+            _assert_matches(got, ref, field, rank)
+            if len(got.terms) <= 12:
+                pool.append((got, ref))
 
 
 class TestPowIsAProduct:
