@@ -1,7 +1,9 @@
 """Write the golden job files and record what `ratval run` prints for them.
 
 The jobs are the six README example jobs, two t-adic eval jobs over
-F_2(t) (degrees 4 and 8, center (1+t)/(1+t^2+t^3), gamma 1/2) and one
+F_2(t) (degrees 4 and 8, center (1+t)/(1+t^2+t^3), gamma 1/2), the
+degree-8 one again with its 0/1 coefficient lists read over Q and over
+F_9 = F_3[X]/(X^2 + 1) (tadic-q-deg8 and tadic-f9-deg8), and one
 eval job over the trivially valued F_{13^4} (degree 16, three of the
 roots at the center, gamma 1/2), and three jobs on p = 3 series paths:
 piltant-p3 (a defect tower over F_3), extension-step-p3 (kummer 1/2,
@@ -85,9 +87,13 @@ def _mul(a, b):
     return out
 
 
-def tadic_job(degree: int) -> dict:
+F2 = {"char": 2, "modulus": []}
+
+
+def tadic_job(degree: int, coefficients: dict = F2) -> dict:
     """prod_j (x - b_j) over F_2(t) with b_0 = a and b_j = a + t^(j-1):
-    the value is gamma + sum_j min(gamma, j - 1)."""
+    the value is gamma + sum_j min(gamma, j - 1).  Other `coefficients`
+    read the same 0/1 coefficient lists over that field instead."""
     n, d = [1, 1], [1, 0, 1, 1]
     roots = [n] + [_add(n, [0] * k + d) for k in range(degree - 1)]
     poly = [[1]]  # prod_j (d x - n_j), whose coefficients are over d^degree
@@ -103,7 +109,7 @@ def tadic_job(degree: int) -> dict:
     return {
         "task": "eval",
         "valuation": {"kind": "vag",
-                      "base": {"kind": "t-adic", "coefficients": {"char": 2, "modulus": []}},
+                      "base": {"kind": "t-adic", "coefficients": coefficients},
                       "center": {"num": n, "den": d}, "gamma": ["1/2"]},
         "eval": {"num": [{"num": c or [0], "den": common} for c in poly]},
     }
@@ -177,6 +183,8 @@ P3_JOBS = {
 
 def jobs() -> dict:
     return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8),
+            "tadic-q-deg8": tadic_job(8, {"char": 0}),
+            "tadic-f9-deg8": tadic_job(8, {"char": 3, "modulus": [1, 0, 1]}),
             "fq-deg16": fq_job(16, 3, seed=16), **P3_JOBS}
 
 

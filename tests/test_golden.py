@@ -1,5 +1,6 @@
 """Byte-for-byte reports of the golden jobs in tests/golden/: the six
-README example jobs, two t-adic eval jobs over F_2(t), one eval job over
+README example jobs, two t-adic eval jobs over F_2(t), the degree-8 one
+again over Q(t) and over F_9(t), one eval job over
 the trivially valued F_{13^4}, three jobs on p = 3 series paths (a
 defect tower over F_3, an extension step whose Artin-Schreier root is
 checked by its cube, and an extract job with 5-power denominators), and
