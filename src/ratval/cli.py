@@ -134,10 +134,23 @@ def _task_extract(job: dict, depth: int | None) -> dict:
     return report
 
 
+def _job_depth(job: dict, override: int | None, required: bool) -> int | None:
+    """The --depth override, else the job's `depth`, which must be a JSON
+    int (not a bool); None when an optional depth is absent."""
+    if override is not None:
+        return override
+    if not required and "depth" not in job:
+        return None
+    d = _require(job, "depth")
+    if type(d) is not int:
+        raise SchemaError(f"job field 'depth' must be a JSON integer, got {json.dumps(d)}")
+    return d
+
+
 def _task_defect_tower(job: dict, depth: int | None) -> dict:
     p = int(_require(job, "p"))
     schedule = [int(e) for e in _require(job, "e")]
-    d = depth if depth is not None else int(_require(job, "depth"))
+    d = _job_depth(job, depth, required=True)
     cert = build_defect_tower(p, schedule, d,
                               eta_levels=int(job.get("eta_levels", 5)))
     return {"task": "piltant", "certificate": cert.to_dict()}
@@ -146,8 +159,7 @@ def _task_defect_tower(job: dict, depth: int | None) -> dict:
 def _task_degree_bound(job: dict, depth: int | None) -> dict:
     p = int(_require(job, "p"))
     indices = [int(n) for n in _require(job, "n")]
-    d = depth if depth is not None else job.get("depth")
-    cert = build_degree_bound(p, indices, None if d is None else int(d))
+    cert = build_degree_bound(p, indices, _job_depth(job, depth, required=False))
     return {"task": "degree-bound", "certificate": cert.to_dict()}
 
 

@@ -496,8 +496,8 @@ class FieldElement:
             return FieldElement(self.field, 1 / self.value)
         f: FiniteField = self.field
         p = f.characteristic
-        if not f.modulus:
-            return f.element(pow(self.value[0], -1, p))
+        if not any(self.value[1:]):  # in the prime field, as every monic leading coefficient
+            return FieldElement(f, (pow(self.value[0], -1, p),) + self.value[1:])
         g, s, _ = _pxgcd(_pstrip(list(self.value)), f.modulus, p)
         # g is a nonzero constant since the modulus is irreducible
         ginv = pow(g[0], -1, p)

@@ -6,6 +6,10 @@ K(x) by a centered valuation: fixing a center a in K and a value gamma
 for x - a in an ordered group extension of the value group, the value of
 a polynomial is the minimum of v(c_i) + i*gamma over its Taylor
 coefficients at the center, and values of quotients are differences.
+The minimum is taken on int keys D (v(c_i) + i*gamma).  Over Q (p-adic)
+and k(t) (t-adic) the c_i come from a fraction-free shift over Z or k[t]
+with no gcd in the loop, and over k(t) the v(c_i) are read off it with
+no division back.
 
 An independent substitution oracle expands g(a + w) by Horner's rule,
 w of value gamma (substitution_value): over a p-adic or t-adic base by
@@ -101,6 +105,10 @@ class ValuedField:
         """Taylor coefficients at the center of the nonzero polynomial
         with stripped coefficient list cs."""
         return taylor_shift(cs, center, self.zero())
+
+    def taylor_values(self, cs: list, center) -> list:
+        """v(c_i) for the c_i of taylor_coefficients, None where c_i = 0."""
+        return [None if _is_zero(c) else self.val(c) for c in self.taylor_coefficients(cs, center)]
 
     def value_generators(self) -> list[Fraction]:
         """Generators of the value group vK inside Q."""
@@ -260,6 +268,50 @@ class TAdicRationalFunctions(ValuedField):
 
     def value_generators(self):
         return [Fraction(1)]
+
+    def _fraction_free_shift(self, cs: list, center: FunctionFieldElement):
+        """(h, L, d) on the kernel lists of the field: with L the lcm of the
+        coefficient denominators, center n/d and N the degree, H(y) =
+        L d^N g(y/d) has coefficients H_j = L c_j d^(N-j) in k[t], and h
+        holds its Taylor coefficients h_i at n, by synthetic division with
+        no gcd in the loop; c_i = h_i / (L d^(N-i))."""
+        f = self.field
+        p, zero = f._p, f._zero
+        (n, d), pairs = f._unwrap(center.num, center.den), [f._unwrap(c.num, c.den) for c in cs]
+        lcm, power, top = (f._one,), (f._one,), len(cs) - 1
+        cofactor = dict.fromkeys(tuple(den) for _, den in pairs)  # L / den for each distinct den
+        for den in cofactor:
+            lcm = _pmul(lcm, _pdivmod(den, _pgcd(lcm, den, p, zero), p, zero)[0], p, zero)
+        for den in cofactor:
+            cofactor[den] = _pdivmod(lcm, den, p, zero)[0]
+        h = []
+        for num, den in reversed(pairs):
+            h.insert(0, _pmul(_pmul(num, cofactor[tuple(den)], p, zero), power, p, zero))
+            power = _pmul(power, d, p, zero)
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                h[j] = _padd(h[j], _pmul(n, h[j + 1], p, zero), p, zero)
+        return h, lcm, d
+
+    def taylor_coefficients(self, cs: list, center: FunctionFieldElement) -> list:
+        """Fraction-free shift over k[t], the analogue of the p-adic one
+        over Z: c_i = h_i / (L d^(N-i)), each reduced once by
+        FunctionField._make."""
+        f = self.field
+        h, den, d = self._fraction_free_shift(cs, center)
+        out = []
+        for hi in reversed(h):
+            out.append(f._make(hi, den))
+            den = _pmul(den, d, f._p, f._zero)
+        return out[::-1]
+
+    def taylor_values(self, cs: list, center: FunctionFieldElement) -> list:
+        """v(c_i) = ord_t h_i - ord_t L - (N - i) ord_t d, read off the
+        fraction-free shift with no division back."""
+        h, lcm, d = self._fraction_free_shift(cs, center)
+        v_lcm, v_den, top = _tadic_order(lcm), _tadic_order(d), len(h) - 1
+        return [_tadic_order(hi) - v_lcm - (top - i) * v_den if hi else None
+                for i, hi in enumerate(h)]
 
     def zero(self):
         return self.field.element([])
@@ -422,8 +474,11 @@ def taylor_shift(coeffs: list, center, zero) -> list:
 
     This is the generic shift of ValuedField.taylor_coefficients, which
     CenteredValuation evaluates through; PAdicRationals overrides it with
-    a fraction-free shift over Z, and TriviallyValued over a finite field
-    with the shift on F_p vectors, each giving the same coefficients.
+    a fraction-free shift over Z, TAdicRationalFunctions with the same
+    shift over k[t] on the kernel lists of its FunctionField, and
+    TriviallyValued over a finite field with the shift on F_p vectors,
+    each giving the same coefficients.  So it runs only over a series
+    base and over a trivially valued Q.
     """
     cs = list(coeffs)
     while cs and _is_zero(cs[-1]):
@@ -517,27 +572,42 @@ def _kronecker_value(valn: "CenteredValuation", cs: list) -> GroupElement:
                for order in (range(len(h)), range(len(h) - 1, -1, -1)))
 
 
+def _value_keys(valn: "CenteredValuation", den: int = 1):
+    """(key, value): key(i, v) is D (v e + i*gamma) as an int tuple, e the
+    unit vector of the base coordinate and D the lcm of den and the
+    denominators of gamma, for v an int or a Fraction whose denominator
+    divides den.  Such values compare as their keys, and value(key) is the
+    GroupElement again."""
+    den = math.lcm(den, *(c.denominator for c in valn.gamma.coords))
+    step = [int(c * den) for c in valn.gamma.coords]
+
+    def key(i: int, v) -> tuple:
+        k = [i * s for s in step]
+        k[valn.base_coord] += int(den * v)
+        return tuple(k)
+
+    return key, lambda k: GroupElement(tuple(Fraction(x, den) for x in k))
+
+
 def _completion_value(valn: "CenteredValuation", ring) -> GroupElement:
     """min_i v(c_i) + i*gamma by Horner's expansion h <- h * (n + w) + H_j
     in the ring at a precision K that doubles until the minimum is decided.
     For s_i = v(L) + (N - i) v(d), a residue h_i != 0 gives v(c_i) = v(h_i)
     - s_i, a residue 0 v(c_i) >= K - s_i, or c_i = 0 once K >= exact_k.
-    Terms compare on int keys D (v(c_i) + i*gamma), D the lcm of their denominators."""
-    den = math.lcm(*(c.denominator for c in valn.gamma.coords))
-    step = [int(c * den) for c in valn.gamma.coords]
+    Terms compare on their _value_keys."""
+    key, value = _value_keys(valn)
+    top = len(ring.H) - 1
 
-    def key(i: int, v: int) -> tuple:
-        k = [i * s for s in step]
-        k[valn.base_coord] += den * (v - ring.v_lcm - (len(ring.H) - 1 - i) * ring.v_den)
-        return tuple(k)
+    def shifted_key(i: int, v: int) -> tuple:
+        return key(i, v - ring.v_lcm - (top - i) * ring.v_den)
 
     prec = _START_PRECISION
     while True:
         h = _horner(*ring.truncated(prec))
-        exact = min((key(i, ring.order(x)) for i, x in enumerate(h) if x), default=None)
-        bound = min((key(i, prec) for i, x in enumerate(h) if not x), default=exact)
+        exact = min((shifted_key(i, ring.order(x)) for i, x in enumerate(h) if x), default=None)
+        bound = min((shifted_key(i, prec) for i, x in enumerate(h) if not x), default=exact)
         if exact is not None and (exact <= bound or prec >= ring.exact_k):
-            return GroupElement(tuple(Fraction(k, den) for k in exact))
+            return value(exact)
         prec *= 2
 
 
@@ -639,14 +709,19 @@ class CenteredValuation:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _shifted(self, coeffs) -> list:
-        """Taylor coefficients at the center of a nonzero polynomial."""
+    def _stripped(self, coeffs) -> list:
+        """The coefficients of a nonzero polynomial as base elements, with
+        no trailing zero."""
         cs = [self.base.element(c) for c in coeffs]
         while cs and _is_zero(cs[-1]):
             cs.pop()
         if not cs:
             raise PreconditionError("the zero polynomial has no value")
-        return self.base.taylor_coefficients(cs, self.center)
+        return cs
+
+    def _shifted(self, coeffs) -> list:
+        """Taylor coefficients at the center of a nonzero polynomial."""
+        return self.base.taylor_coefficients(self._stripped(coeffs), self.center)
 
     def _term_values(self, shifted):
         """(i, v(c_i) + i*gamma) for each nonzero Taylor coefficient c_i."""
@@ -656,8 +731,11 @@ class CenteredValuation:
 
     def of_poly(self, coeffs: list) -> GroupElement:
         """min over i of v(c_i) + i*gamma, c_i the Taylor coefficients of
-        the polynomial at the center."""
-        return min(v for _, v in self._term_values(self._shifted(coeffs)))
+        the polynomial at the center, taken on the int _value_keys of the
+        v(c_i) that base.taylor_values gives."""
+        vs = self.base.taylor_values(self._stripped(coeffs), self.center)
+        key, value = _value_keys(self, math.lcm(*(v.denominator for v in vs if v is not None)))
+        return value(min(key(i, v) for i, v in enumerate(vs) if v is not None))
 
     def of_fraction(self, f: RationalFunction) -> GroupElement:
         if f.is_zero():

@@ -99,6 +99,22 @@ class TestRunCertificates:
         assert json.loads(out)["error"] == {"message": f"depth {depth} must be an int >= 1",
                                             "type": "PreconditionError"}
 
+    @pytest.mark.parametrize("task", ["piltant", "degree-bound"])
+    @pytest.mark.parametrize("depth", [True, False, 2.9, 3.0, "3", None, [3]])
+    def test_depth_that_is_not_a_json_int_is_a_schema_error(self, task, depth, tmp_path, capsys):
+        # int(...) used to read true as 1, 2.9 as 2 and "3" as 3, and run
+        job = ({"task": "piltant", "p": 2, "e": [1, 2, 4, 7, 11]} if task == "piltant"
+               else {"task": "degree-bound", "p": 2, "n": [3, 5, 7, 11]})
+        job["depth"] = depth
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"schema error: job field 'depth' must be a JSON integer, got {json.dumps(depth)}\n"
+
+    def test_piltant_without_a_depth_is_a_schema_error(self, tmp_path, capsys):
+        job = {"task": "piltant", "p": 2, "e": [1, 2, 4, 7, 11]}
+        code, _, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 2 and "'depth'" in err
+
     def test_classify_base_coord_as_string(self, tmp_path, capsys):
         # the descriptor keeps "1" as given; the job parser and the
         # validator both read it as the int 1

@@ -72,6 +72,14 @@ class TestArith:
                 assert a * a.inverse() == field.one()
 
 
+    @pytest.mark.parametrize("field", [F5, F4, F9, F8, FiniteField(13, (1, 0, 0, 1, 1))], ids=repr)
+    def test_inverse_of_a_prime_field_constant(self, field):
+        # the constants skip the extended gcd: full-length canonical tuples
+        p = field.characteristic
+        for c in range(1, p):
+            assert field.element(c).inverse() == field.element(pow(c, -1, p))
+
+
 class TestFrobeniusInverse:
     def test_identity_in_f2(self):
         assert F2.one().frobenius_inverse() == F2.one()

@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratval import valuations
 from ratval.errors import PreconditionError
@@ -117,18 +119,35 @@ def fq_product(rng, field, degree, at_center, center=None):
 
 def refuse_fast_path(m):
     """Patch every routine of the fast path to raise, within monkeypatch
-    context m: the Taylor shifts, CenteredValuation._shifted and
-    _term_values."""
+    context m: the Taylor shifts, the value paths that of_poly reads
+    (taylor_values, and over k(t) the fraction-free shift under both),
+    CenteredValuation._shifted and _term_values."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the fast Taylor shift was called")
 
     m.setattr(valuations, "taylor_shift", refuse)
-    m.setattr(ValuedField, "taylor_coefficients", refuse)
-    m.setattr(PAdicRationals, "taylor_coefficients", refuse)
-    m.setattr(TriviallyValued, "taylor_coefficients", refuse)
+    for cls in (ValuedField, PAdicRationals, TAdicRationalFunctions, TriviallyValued):
+        m.setattr(cls, "taylor_coefficients", refuse)
+    for cls in (ValuedField, TAdicRationalFunctions):
+        m.setattr(cls, "taylor_values", refuse)
+    m.setattr(TAdicRationalFunctions, "_fraction_free_shift", refuse)
     m.setattr(CenteredValuation, "_shifted", refuse)
     m.setattr(CenteredValuation, "_term_values", refuse)
+
+
+def f2_tadic_product():
+    """(valuation, coefficients, value) of the degree-8 product of linears
+    over F_2(t) of TestTAdicProductOfLinears, whose value is known by
+    construction."""
+    center = RatFunc(F2, [1, 1], [1, 0, 1, 1])
+    gamma = Fraction(1, 2)
+    roots = [center] + [center + RatFunc(F2, [0] * k + [1]) for k in range(7)]
+    g = [T2.one()]
+    for b in roots:
+        g = poly_mul(g, [-b, T2.one()], T2)
+    expected = gamma + sum(min(gamma, k) for k in range(7))
+    return CenteredValuation(T2, center, GroupElement.of(gamma)), g, GroupElement.of(expected)
 
 
 class TestOracleIndependence:
@@ -155,22 +174,29 @@ class TestOracleIndependence:
                 assert substitution_value(valn, poly) == GroupElement.of(value)
 
     def test_t_adic_base_without_the_fast_shift(self, monkeypatch):
-        """The degree-8 product of linears over F_2(t) of
-        TestTAdicProductOfLinears, whose value is known by construction."""
-        center = RatFunc(F2, [1, 1], [1, 0, 1, 1])
-        gamma = Fraction(1, 2)
-        roots = [center] + [center + RatFunc(F2, [0] * k + [1]) for k in range(7)]
-        expected = gamma + sum(min(gamma, k) for k in range(7))
-        g = [T2.one()]
-        for b in roots:
-            g = poly_mul(g, [-b, T2.one()], T2)
-        valn = CenteredValuation(T2, center, GroupElement.of(gamma))
-        assert valn.of_poly(g) == GroupElement.of(expected)
+        """The degree-8 product of linears over F_2(t): with the fast path
+        refused, of_poly fails and the oracle still gives its value."""
+        valn, g, expected = f2_tadic_product()
+        assert valn.of_poly(g) == expected
         with monkeypatch.context() as m:
             refuse_fast_path(m)
             with pytest.raises(AssertionError, match="fast Taylor shift"):
                 valn.of_poly(g)
-            assert substitution_value(valn, g) == GroupElement.of(expected)
+            assert substitution_value(valn, g) == expected
+
+    def test_t_adic_fast_path_without_the_oracle(self, monkeypatch):
+        """The same product through of_poly with taylor_shift and every
+        routine of the oracle refused."""
+        valn, g, expected = f2_tadic_product()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        with monkeypatch.context() as m:
+            for name in ("taylor_shift", "substitution_value", "_TAdicTruncation",
+                         "_completion_value", "_horner"):
+                m.setattr(valuations, name, refuse)
+            assert valn.of_poly(g) == expected
 
 
     def test_finite_trivial_base_without_field_arithmetic(self, monkeypatch):
@@ -548,6 +574,94 @@ class TestTAdicProductOfLinears:
         value = w.of_poly(g)
         assert time.perf_counter() - t0 < 0.5
         assert value == substitution_value(w, g) == GroupElement.of(expected)
+
+
+def _kt_poly(field, most: int):
+    """Lists of at most `most` + 1 coefficients over `field`, zeros included."""
+    if field is RATIONALS:
+        coeff = st.builds(lambda n, d: RATIONALS.element(Fraction(n, d)),
+                          st.integers(-3, 3), st.integers(1, 3))
+    else:
+        coeff = st.builds(field.element, st.lists(st.integers(0, field.characteristic - 1),
+                                                  min_size=field.degree, max_size=field.degree))
+    return st.lists(coeff, max_size=most + 1)
+
+
+@st.composite
+def _tadic_shift_case(draw, field):
+    """(base, coefficients, center) over k(t): a polynomial of degree <= 6
+    whose k(t) coefficients have num and den of degree <= 2, some of them
+    zero, and a center n/d with n(0) != 0 and d = t^k u, k in {1, 2}, so its
+    reduced denominator still vanishes at t = 0."""
+    base, zero = TAdicRationalFunctions(field), field.zero()
+
+    def element(num, den):
+        return base.field.element(num, den) if any(den) else base.zero()
+
+    pairs = draw(st.lists(st.tuples(_kt_poly(field, 2), _kt_poly(field, 2)), min_size=1, max_size=7))
+    cs = [element(num, den) for num, den in pairs]
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    cs = cs or [base.one()]
+    n = draw(_kt_poly(field, 2).filter(lambda a: a and a[0]))
+    u = draw(_kt_poly(field, 1).filter(any))
+    center = base.field.element(n, [zero] * draw(st.integers(1, 2)) + u)
+    assert center.den[0].is_zero()
+    return base, cs, center
+
+
+@pytest.mark.parametrize("field", [F2, F9, RATIONALS], ids=["F2", "F9", "Q"])
+class TestTAdicFractionFreeShift:
+    """The fraction-free shift over k[t] against the generic taylor_shift
+    on FunctionFieldElements, and of_poly's int-key minimum against the
+    GroupElement minimum over _term_values."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_matches_the_generic_shift(self, field, data):
+        base, cs, center = data.draw(_tadic_shift_case(field))
+        generic = taylor_shift(cs, center, base.zero())
+        fast = base.taylor_coefficients(cs, center)
+        assert fast == generic
+        f = base.field
+        for c in fast:  # gcd-reduced with a monic denominator
+            assert c.den[-1] == field.one()
+            assert f._make(*f._unwrap(c.num, c.den)) == c
+        assert base.taylor_values(cs, center) == [None if c.is_zero() else base.val(c) for c in generic]
+        gamma, base_coord = data.draw(st.sampled_from(FINITE_GAMMAS))
+        valn = CenteredValuation(base, center, gamma, base_coord)
+        assert valn.of_poly(cs) == min(v for _, v in valn._term_values(generic))
+
+    def test_exact_zero_taylor_coefficients(self, field):
+        """c = (0, 0, t, 0, 1) at a center with den t (1 + t): the shift
+        gives its zeros back exactly, and v = min(1 + 2 gamma, 4 gamma)."""
+        base, one = TAdicRationalFunctions(field), field.one()
+        t, center = base.field.gen(), base.field.element([one], [field.zero(), one, one])
+        shifted = [base.zero(), base.zero(), t, base.zero(), base.one()]
+        cs = expand_about(shifted, center, base)
+        assert base.taylor_coefficients(cs, center) == shifted
+        assert base.taylor_values(cs, center) == [None, None, 1, None, 0]
+        for gamma in ("1/2", "-3", "1"):
+            valn = CenteredValuation(base, center, GroupElement.of(gamma))
+            g = Fraction(gamma)
+            assert valn.of_poly(cs) == GroupElement.of(min(1 + 2 * g, 4 * g))
+
+
+class TestIntKeyMinimum:
+    def test_series_base_values_off_the_denominators_of_gamma(self):
+        """Over a series base the v(c_i) lie in (1/3)Z, off gamma's
+        denominators, so the keys' D must cover both: x^2 + t^(2/3) x +
+        t^(1/3) at 0 has value min(1/3, 2/3 + gamma, 2 gamma)."""
+        base = SeriesValuedField(F2, [Fraction(1, 3)])
+        cs = [HahnSeries.monomial(F2, Fraction(1, 3), F2.one()),
+              HahnSeries.monomial(F2, Fraction(2, 3), F2.one()), base.one()]
+        for gamma, expected in (("1/2", "1/3"), ("1/10", "1/5"), ("-1/7", "-2/7")):
+            valn = CenteredValuation(base, base.zero(), GroupElement.of(gamma))
+            assert valn.of_poly(cs) == GroupElement.of(expected)
+        for center in (base.zero(), cs[0]):
+            for gamma, base_coord in ((GroupElement.of("1/2", "1/7"), 1), (GroupElement.of(0, "2/5"), 1)):
+                valn = CenteredValuation(base, center, gamma, base_coord)
+                assert valn.of_poly(cs) == min(v for _, v in valn._term_values(valn._shifted(cs)))
 
 
 class TestValueGroupStructure:
