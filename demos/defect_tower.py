@@ -22,8 +22,8 @@ for level in cert.payload["levels"]:
 
 print()
 print("== Artin-Schreier tower values ==")
-for eta in cert.payload["eta_tower"]:
-    print(f"  v(eta_{eta['i']}) = {eta['value']}")
+for i, eta in enumerate(cert.payload["eta_tower"], start=1):
+    print(f"  v(eta_{i}) = {eta['value']}")
 
 print()
 print("== defect accounting ==")

@@ -8,6 +8,9 @@
 # least that lcm: arbitrarily large degrees from a convergent sequence,
 # which is why the algebraic closure of the p-adics is not complete.
 
+import math
+from fractions import Fraction
+
 from ratval import build_degree_bound, validate_certificate
 from ratval.errors import PreconditionError
 
@@ -15,8 +18,11 @@ cert = build_degree_bound(p=2, indices=[3, 5, 7, 11])
 
 print("== the certificate ==")
 print("exponents gamma_i:", cert.payload["exponents"])
-print("per-increment (e, f):", [(i["e"], i["f"]) for i in cert.payload["increments"]])
-print("bound by prefix depth:", cert.payload["bound_by_prefix"])
+# the i-th increment ramifies by lcm(n_1..n_i) / lcm(n_1..n_(i-1)), inertia 1
+indices = cert.payload["indices"]
+prefix = [math.lcm(*indices[:k]) for k in range(1, len(indices) + 1)]
+print("per-increment (e, f):", [(b // a, 1) for a, b in zip([1] + prefix, prefix)])
+print("bound by prefix depth:", prefix)
 print("degree lower bound:", cert.payload["bound"])
 print("group index witness:", cert.payload["group_index_witness"])
 print("re-check:", validate_certificate(cert).ok)
@@ -32,5 +38,7 @@ print()
 print("== the bounded variant: pseudo Cauchy without a pseudo limit ==")
 variant = cert.payload["pseudo_cauchy_variant"]
 print("exponents 1 - 1/n_i:", variant["exponents"])
-print("Cauchy:", variant["cauchy"], " pseudo Cauchy:", variant["pseudo_cauchy"])
+gammas = [Fraction(g) for g in variant["exponents"]]
+print("strictly increasing:", all(a < b for a, b in zip(gammas, gammas[1:])),
+      " bounded above by 1:", max(gammas) < 1)
 print(variant["note"])

@@ -15,6 +15,15 @@ Each builder returns its certificate only after validate_certificate
 accepts it, so a fact the payload records is checked once, by the
 validator.  The builders keep as InternalError only the self-checks of
 facts the payload does not record.
+
+Every payload field has one of three roles.  A claim is re-derived by
+the validator from the other fields, so tampering with it is a finding.
+A subject names what the certificate is about (a classification's
+`descriptor`, a tower's `base.value_group`, a defect tower's `depth`):
+every well-formed value states something the validator still decides.
+Prose (`assumptions`, `statement`, `model_note` and the `note`s) is
+for the reader and is not checked.  A field that would only restate
+another field, or hold a constant, is not recorded at all.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ __all__ = [
     "validate_certificate",
 ]
 
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 # series depth of every Artin-Schreier root the builders compute
 _AS_DEPTH = 3
@@ -144,8 +153,8 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
             raise InternalError(f"level {j} residual vanishes")
         value = lhs.value().coords[0]
         denom_power = schedule[j] - e_j
-        target = Fraction(1, p ** denom_power)
-        witness = Subgroup.generated_by(1, value).witness(GroupElement.of(target))
+        target = GroupElement.of(Fraction(1, p ** denom_power))
+        witness = Subgroup.generated_by(1, value).witness(target)
         levels.append(
             {
                 "j": j,
@@ -153,19 +162,18 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
                 "witness_exponents": [str(e.coords[0]) for e in lhs.support()],
                 "value": str(value),
                 "grants_denominator_exponent": denom_power,
-                "membership_target": str(target),
                 "membership_witness": witness,
             }
         )
     eta = []
     eta_series = HahnSeries.monomial(coeffs, -1, 1)
-    for i in range(1, eta_levels + 1):
+    for _ in range(eta_levels):
         nxt = artin_schreier_root(eta_series, _AS_DEPTH)
         v_nxt = nxt.value()
         # eta_i^p - eta_i = eta_(i-1) up to the truncation, so the chain
         # eta_i^p - eta_(i-1) keeps the value of eta_i
         chain_ok = ((nxt ** p) - eta_series).value() == v_nxt
-        eta.append({"i": i, "value": str(v_nxt.coords[0]), "chain_ok": chain_ok})
+        eta.append({"value": str(v_nxt.coords[0]), "chain_ok": chain_ok})
         eta_series = nxt
     per_level = []
     for i in range(1, eta_levels + 1):
@@ -347,7 +355,6 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
             "defect": 1,
             "witness": {
                 "root_exponent": str(root.value().coords[0]),
-                "e_th_power_exponent": str(power_exponent.coords[0]),
                 "group_index": group.index_over(tower.value_subgroup),
             },
         }
@@ -374,9 +381,6 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
                 "residue_degree_before": tower.residue_degree,
                 "residue_degree_after": residue_degree,
             },
-            # finite residue fields are perfect, so the reduction is already
-            # separable and the lift needs no perturbation
-            "separable_lift": "exact",
         }
     elif step.kind == "artin-schreier":
         ce = GroupElement.of(step.c_exponent)
@@ -402,13 +406,11 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
             e, defect = 1, p
         record = {
             "kind": "artin-schreier",
-            "c_exponent": str(step.c_exponent),
             "e": e,
             "f": 1,
             "degree": p,
             "defect": defect,
             "witness": {
-                "root_value": str(va.coords[0]),
                 "chain": {
                     "v_a": str(va.coords[0]),
                     "v_a_pow_p_minus_c": str(vchain.coords[0]),
@@ -442,7 +444,6 @@ def build_extension_tower(p: int, steps: list[ExtensionStep],
         "base": {
             "residue_char": p,
             "value_group": [g.to_json() for g in tower.base_value_subgroup.generators],
-            "residue_degree": 1,
         },
         "steps": list(tower.steps),
         "totals": {"degree": n, "e": e, "f": f, "defect": n // (e * f)},
@@ -552,36 +553,22 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
     coeffs = FiniteField(p)
     state = TowerState(Subgroup.generated_by(1), 1, p)
     gammas = [Fraction(i) + Fraction(1, nv) for i, nv in enumerate(indices[:depth], start=1)]
-    prefix_bounds = [math.lcm(*indices[:k]) for k in range(1, depth + 1)]
-    increments = []
-    for i, (g, lcm_i) in enumerate(zip(gammas, prefix_bounds), start=1):
-        e_i = lcm_i // math.lcm(*indices[:i - 1])
-        mono = HahnSeries.monomial(coeffs, g, 1)
-        witness = strongly_homogeneous_test(mono, state)
+    for i, g in enumerate(gammas, start=1):
+        e_i = math.lcm(*indices[:i]) // math.lcm(*indices[:i - 1])
+        witness = strongly_homogeneous_test(HahnSeries.monomial(coeffs, g, 1), state)
         if not witness.ok or witness.e != e_i:
             raise InternalError(f"increment {i} not strongly homogeneous with e = {e_i}")
-        increments.append(
-            {"i": i, "gamma": str(g), "e": witness.e, "f": witness.f, "coprime_ok": True}
-        )
         state = state.extended(GroupElement.of(g), witness.f)
-    bound = prefix_bounds[-1]
+    bound = math.lcm(*indices[:depth])
     big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
-    variant_gammas = [Fraction(1) - Fraction(1, nv) for nv in indices[:depth]]
     payload = {
         "p": p,
         "indices": list(indices[:depth]),
         "depth": depth,
         "exponents": [str(g) for g in gammas],
-        "increments": increments,
-        "cauchy": {
-            "strictly_increasing": True,
-            "cofinal": True,
-            "note": "exponents grow beyond every integer, so the partial sums are Cauchy",
-        },
+        "cauchy": {"note": "exponents grow beyond every integer, so the partial sums are Cauchy"},
         "bound": bound,
-        "bound_by_prefix": prefix_bounds,
         "group_index_witness": {
-            "generators": ["1"] + [str(g) for g in gammas],
             "hermite_basis": [str(b.coords[0]) for b in big.basis()],
             "index_over_base": bound,
         },
@@ -595,13 +582,7 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
             "value-group indices and lcm bounds"
         ),
         "pseudo_cauchy_variant": {
-            "exponents": [str(g) for g in variant_gammas],
-            "strictly_increasing": all(
-                a < b for a, b in zip(variant_gammas, variant_gammas[1:])
-            ),
-            "bounded_above_by": "1",
-            "cauchy": False,
-            "pseudo_cauchy": True,
+            "exponents": [str(1 - Fraction(1, nv)) for nv in indices[:depth]],
             "note": "bounded exponents: a pseudo Cauchy sequence whose nest of balls "
                     "has empty intersection in a spherically incomplete field",
         },
@@ -704,7 +685,7 @@ def _validate_defect_tower(payload: dict) -> str | None:
     schedule = payload["schedule"]
     depth = payload["depth"]
     n = len(schedule)
-    mults = payload.get("multipliers", [-1] * n)
+    mults = payload["multipliers"]
     if (violation := _defect_tower_violation(p, schedule, mults, depth)):
         return violation
     default_shape = all(m == -1 for m in mults)
@@ -717,7 +698,7 @@ def _validate_defect_tower(payload: dict) -> str | None:
         if recorded_trunc is None or Fraction(recorded_trunc) != -Fraction(1, p ** (schedule[-1] + n)):
             return "series truncation does not match the schedule"
     trunc = None if recorded_trunc is None else Fraction(recorded_trunc)
-    for level in levels[:depth]:
+    for k, level in enumerate(levels, start=1):
         j = level["j"]
         e_j = schedule[j - 1]
         if level["frobenius_exponent"] != e_j:
@@ -741,17 +722,13 @@ def _validate_defect_tower(payload: dict) -> str | None:
             return f"level {j}: granted denominator exponent mismatch"
         if default_shape and denom_power < j:
             return f"level {j}: grant falls short of 1/p^{j}"
-        target_q = Fraction(level["membership_target"])
-        if target_q != Fraction(1, p ** denom_power):
-            return f"level {j}: membership target mismatch"
-        group = Subgroup.generated_by(1, value)
-        if not group.is_witness(level["membership_witness"], GroupElement.of(target_q)):
+        target = GroupElement.of(Fraction(1, p ** denom_power))
+        if not Subgroup.generated_by(1, value).is_witness(level["membership_witness"], target):
             return f"level {j}: membership witness does not verify"
+        if type(j) is not int or j != k:
+            return f"levels: entry {k} is level {j!r}, expected level {k}"
     prev = Fraction(-1)
-    for k, entry in enumerate(payload["eta_tower"]):
-        i = entry["i"]
-        if type(i) is not int or i != k + 1:
-            return f"eta tower: entry {k} has index {i!r}, expected {k + 1}"
+    for i, entry in enumerate(payload["eta_tower"], start=1):
         v = Fraction(entry["value"])
         if v != prev / p:
             return f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p"
@@ -789,11 +766,6 @@ def _validate_degree_bound(payload: dict) -> str | None:
     expected = math.lcm(*indices)
     if payload["bound"] != expected:
         return f"bound {payload['bound']} differs from lcm = {expected}"
-    prefixes = payload["bound_by_prefix"]
-    if prefixes != [math.lcm(*indices[:k]) for k in range(1, depth + 1)]:
-        return "prefix bounds disagree with the lcm recurrence"
-    if any(a > b for a, b in zip(prefixes, prefixes[1:])):
-        return "prefix bounds are not monotone non-decreasing"
     big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
     index = big.index_over(base)
     if index != payload["bound"]:
@@ -810,7 +782,8 @@ def _validate_degree_bound(payload: dict) -> str | None:
 
 
 def _validate_fund_ineq(payload: dict) -> str | None:
-    check = payload["fund_ineq"] if "fund_ineq" in payload else payload
+    p = payload["base"]["residue_char"]
+    check = payload["fund_ineq"]
     n = check["n"]
     pairs = [tuple(pr) for pr in check["pairs"]]
     fresh = fund_ineq_check(n, pairs)
@@ -819,11 +792,9 @@ def _validate_fund_ineq(payload: dict) -> str | None:
             return f"fundamental inequality field {key!r} does not verify"
     if not fresh["ok"]:
         return "the fundamental inequality fails: n < sum of e_i * f_i"
-    if "steps" not in payload:
-        return None
     e = f = n_prod = 1
     for i, s in enumerate(payload["steps"], start=1):
-        if s["degree"] != s["e"] * s["f"] * s.get("defect", 1):
+        if s["degree"] != s["e"] * s["f"] * s["defect"]:
             return f"step {i}: degree is not e * f * defect"
         e *= s["e"]
         f *= s["f"]
@@ -831,10 +802,12 @@ def _validate_fund_ineq(payload: dict) -> str | None:
     totals = payload["totals"]
     if (totals["e"], totals["f"], totals["degree"]) != (e, f, n_prod):
         return "totals are not the products of the step data"
+    if totals["defect"] * e * f != n_prod:
+        return "total defect is not degree / (e * f)"
     if n != n_prod or pairs != [(e, f)]:
         return "fundamental-inequality data disagrees with the tower totals"
     for i, s in enumerate(payload["steps"], start=1):
-        if (violation := _step_violation(s, payload["base"]["residue_char"])):
+        if (violation := _step_violation(s, p)):
             return f"step {i}: {violation}"
     return None
 
@@ -844,10 +817,7 @@ def _step_violation(record: dict, p: int) -> str | None:
     verify, or None; p is the residue characteristic of the tower."""
     w = record["witness"]
     if record["kind"] == "kummer":
-        root = Fraction(w["root_exponent"])
-        if root * record["e"] != Fraction(w["e_th_power_exponent"]):
-            return "root exponent witness mismatch"
-        if root != Fraction(record["alpha"]):
+        if Fraction(w["root_exponent"]) != Fraction(record["alpha"]):
             return "root exponent is not alpha"
         if w["group_index"] != record["e"]:
             return "group index witness mismatch"

@@ -508,7 +508,7 @@ class FieldElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            return self.inverse() if n == -1 else self.inverse() ** (-n)
         if self.field.characteristic and not self.is_zero():
             n %= self.field.order - 1  # x^(q-1) = 1 for nonzero x in F_q
         return _power(self, n, self.field.one())

@@ -22,7 +22,10 @@ value that compares equal to the original (so `true` is not tried where
 the leaf is 1).  It holds one line per mutation with the job, the JSON
 path, the value and what validate_certificate returns for it: `ok` and
 the findings.  Accepted mutations are recorded as accepted, so the file
-lists the tamperings the validator does not catch yet.
+lists the tamperings the validator does not catch.  The certificates are
+of the current CERTIFICATE_VERSION (2), whose payloads hold no field that
+only restates another; tests/test_golden.py requires every accepted
+mutation to sit on a prose, subject or open leaf named there.
 
 tests/test_golden.py compares the current output with these files, so
 regenerate them only on purpose:

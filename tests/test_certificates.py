@@ -153,11 +153,30 @@ class TestDefectTower:
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
         assert validate_certificate(tamper(cert, ["depth"], 2)).ok
 
-    @pytest.mark.parametrize("i", [0, 3, -1, 2.0, "2", True, None])
-    def test_eta_index_must_count_up_from_one(self, i):
+    @pytest.mark.parametrize("levels, finding", [
+        ([0, 1, 0, 1], "levels: entry 3 is level 1, expected level 3"),
+        ([0, 1, 2, 2], "levels: entry 4 is level 3, expected level 4"),
+        ([1, 2, 3, 3], "levels: entry 1 is level 2, expected level 1"),
+    ], ids=["repeated", "duplicated", "shifted"])
+    def test_levels_count_up_from_one(self, levels, finding):
+        # two witnessed levels recorded twice must not stand for depth 4
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
-        res = validate_certificate(tamper(cert, ["eta_tower", 1, "i"], i))
-        assert res.findings == (f"eta tower: entry 1 has index {i!r}, expected 2",)
+        bad = tamper(cert, ["levels"], [cert.payload["levels"][k] for k in levels])
+        assert validate_certificate(bad).findings == (finding,)
+
+    @pytest.mark.parametrize("path, value, finding", [
+        (["value"], "-1/2", "level 4: recorded value is not the least witness exponent"),
+        (["witness_exponents", 0], "-1/2", "level 4: witness exponents disagree with the schedule formula"),
+        (["membership_witness"], [0], "level 4: membership witness does not verify"),
+        (["frobenius_exponent"], 5, "level 4: Frobenius exponent mismatch"),
+        (["j"], 9, "malformed certificate: list index out of range"),
+    ], ids=["value", "witness-exponent", "membership-witness", "frobenius-exponent", "j"])
+    def test_levels_beyond_depth_are_checked(self, path, value, finding):
+        # a depth-3 claim over four recorded levels: the fourth is checked too
+        cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        bad = tamper(cert, ["levels", 3, *path], value)
+        bad["depth"] = 3
+        assert validate_certificate(bad).findings == (finding,)
 
     @pytest.mark.parametrize("flag", ["x", -1, 2, 10 ** 6, "0", [0], 1])
     def test_chain_ok_must_be_the_boolean_true(self, flag):
@@ -295,6 +314,36 @@ class TestExtensionTowers:
         assert res.findings == (f"step {step + 1}: unknown step kind {kind!r}",)
 
 
+    @pytest.mark.parametrize("keys", [["steps"], ["totals"], ["base"], ["fund_ineq"],
+                                      ["steps", "totals", "base"]],
+                             ids=["steps", "totals", "base", "fund_ineq", "steps-totals-base"])
+    def test_every_part_of_the_payload_is_read(self, keys):
+        data = _readme_tower().to_dict()
+        for key in keys:
+            del data[key]
+        first = next(k for k in ("base", "fund_ineq", "steps", "totals") if k in keys)
+        assert validate_certificate(data).findings == (f"malformed certificate: {first!r}",)
+
+    def test_a_bare_fundamental_inequality_is_not_a_certificate(self):
+        data = {"kind": "fundamental-inequality", "schema_version": 2,
+                **fund_ineq_check(12, [(6, 2)])}
+        assert validate_certificate(data).findings == ("malformed certificate: 'base'",)
+
+    @pytest.mark.parametrize("defect", [0, 2, 12, "1"])
+    def test_total_defect_is_degree_over_ef(self, defect):
+        res = validate_certificate(tamper(_readme_tower(), ["totals", "defect"], defect))
+        assert res.findings == ("total defect is not degree / (e * f)",)
+
+
+def _readme_tower():
+    """The README's extension-step certificate: kummer 1/3, residue
+    X^2 + X + 1 and artin-schreier -1 over p = 2."""
+    return build_extension_tower(
+        2, [ExtensionStep("kummer", alpha=Fraction(1, 3)),
+            ExtensionStep("residue", modulus=(1, 1, 1)),
+            ExtensionStep("artin-schreier", c_exponent=Fraction(-1))])[1]
+
+
 class TestIcValuation:
     def test_kummer_fresh_unit(self):
         tower, _ = build_extension_tower(2, [ExtensionStep("kummer", alpha=Fraction(1, 3))])
@@ -374,7 +423,6 @@ class TestDegreeBound:
     def test_acceptance_numbers(self):
         cert = build_degree_bound(2, [3, 5, 7, 11])
         assert cert.payload["bound"] == 1155
-        assert cert.payload["bound_by_prefix"] == [3, 15, 105, 1155]
 
     def test_monotone_in_depth(self):
         bounds = [
@@ -393,7 +441,6 @@ class TestDegreeBound:
         # increment e_i is lcm(n_1..n_i)/lcm(n_1..n_(i-1)): 3, 5, 3
         cert = build_degree_bound(2, [3, 5, 9])
         assert cert.payload["bound"] == 45
-        assert [inc["e"] for inc in cert.payload["increments"]] == [3, 5, 3]
         assert validate_certificate(cert).ok
 
     def test_index_adding_no_ramification_rejected(self):
@@ -409,7 +456,6 @@ class TestDegreeBound:
         cert = build_degree_bound(2, [3, 5, 7])
         variant = cert.payload["pseudo_cauchy_variant"]
         assert variant["exponents"] == ["2/3", "4/5", "6/7"]
-        assert variant["pseudo_cauchy"] and not variant["cauchy"]
 
     def test_tampering(self):
         cert = build_degree_bound(2, [3, 5, 7])
@@ -545,13 +591,13 @@ class TestEnvelope:
         assert not result.ok
         assert result.findings == ("certificate must be an object with a 'kind' field",)
 
-    @pytest.mark.parametrize("version", [99, 0, "1", True, None, 1.5])
+    @pytest.mark.parametrize("version", [99, 0, pytest.param(1, id="int-1"), "1", True, None, 1.5])
     def test_unknown_schema_version(self, version):
         result = validate_certificate(tamper(build_degree_bound(2, [3, 5]), ["schema_version"],
                                              version))
         assert not result.ok
         assert result.findings == (f"unknown schema_version {version!r}; "
-                                   f"this ratval reads version 1",)
+                                   f"this ratval reads version 2",)
 
     def test_version_of_a_certificate_object(self):
         cert = build_degree_bound(2, [3, 5])

@@ -614,6 +614,21 @@ class TestPowReduction:
         assert x ** (3 ** 11) == x
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("c", [RATIONALS.element("-3/7"), F9.element(2),
+                                   F9.element([1, 2])], ids=["Q", "F_9-constant", "F_9"])
+    def test_inverse_power_is_the_inverse(self, c, monkeypatch):
+        # c ** -1 neither multiplies nor builds one()
+        calls = []
+        for cls in (type(RATIONALS), FiniteField):
+            for name in ("raw_mul", "one"):
+                original = getattr(cls, name)
+                monkeypatch.setattr(cls, name, lambda *a, _f=original, _n=name:
+                                    calls.append(_n) or _f(*a))
+        inv = c ** -1
+        assert calls == []
+        monkeypatch.undo()
+        assert inv == c.inverse() and inv * c == c.field.one()
+
 
 def _trial_division(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
