@@ -3,9 +3,12 @@
 The jobs are the six README example jobs, two t-adic eval jobs over
 F_2(t) (degrees 4 and 8, center (1+t)/(1+t^2+t^3), gamma 1/2), the
 degree-8 one again with its 0/1 coefficient lists read over Q and over
-F_9 = F_3[X]/(X^2 + 1) (tadic-q-deg8 and tadic-f9-deg8), and one
-eval job over the trivially valued F_{13^4} (degree 16, three of the
-roots at the center, gamma 1/2), and three jobs on p = 3 series paths:
+F_9 = F_3[X]/(X^2 + 1) (tadic-q-deg8 and tadic-f9-deg8), four
+eval jobs over the trivially valued F_{13^4} (one degree-16 product
+with three of the roots at the center, at gamma 1/2 and again at
+gamma -1/2, 0 and (0, 1)), one over the trivially valued Q with a
+double root at the center, one 3-adic product of 32 linears (the
+eval-dense shape of bench/gen.py), and three jobs on p = 3 series paths:
 piltant-p3 (a defect tower over F_3), extension-step-p3 (kummer 1/2,
 residue X^2 + 1, artin-schreier -1 over F_3) and extract-q5 (the
 extract shape of bench/gen.py with terms (5^k - 1)/5^k, k = 1..5).  For each
@@ -40,6 +43,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 from ratval.certificates import validate_certificate
 
@@ -135,10 +139,10 @@ def _fq_mul(a, b):
     return [c % FQ_P for c in prod[:4]]
 
 
-def fq_job(degree: int, at_center: int, seed: int) -> dict:
+def fq_job(degree: int, at_center: int, seed: int, gamma: tuple = ("1/2",)) -> dict:
     """prod_j (x - b_j) over the trivially valued F_{13^4}, exactly
     `at_center` of the b_j equal to the center a: the value is
-    at_center * gamma."""
+    at_center * gamma for gamma > 0 and degree * gamma for gamma <= 0."""
     rng = random.Random(seed)
 
     def draw():
@@ -160,8 +164,50 @@ def fq_job(degree: int, at_center: int, seed: int) -> dict:
         "valuation": {"kind": "vag",
                       "base": {"kind": "trivial",
                                "coefficients": {"char": FQ_P, "modulus": FQ_MODULUS}},
-                      "center": a, "gamma": ["1/2"]},
+                      "center": a, "gamma": list(gamma)},
         "eval": {"num": poly},
+    }
+
+
+def _times_linear(poly: list, b: Fraction) -> list:
+    """poly * (x - b) on Fraction coefficient lists, lowest degree first."""
+    return [(poly[i - 1] if i else 0) - b * (poly[i] if i < len(poly) else 0)
+            for i in range(len(poly) + 1)]
+
+
+def trivial_q_job() -> dict:
+    """(x - a)^2 prod_j (x - b_j) over the trivially valued Q, a = 1/2 a
+    double root and the b_j distinct from it: the value is 2 gamma = 2/3."""
+    a, poly = Fraction(1, 2), [Fraction(1)]
+    for b in (a, a, Fraction(3), Fraction(-2, 5), Fraction(7, 4), Fraction(0)):
+        poly = _times_linear(poly, b)
+    return {
+        "task": "eval",
+        "valuation": {"kind": "vag", "base": {"kind": "trivial", "coefficients": {"char": 0}},
+                      "center": str(a), "gamma": ["1/3"]},
+        "eval": {"num": [str(c) for c in poly]},
+    }
+
+
+def padic_job(degree: int, seed: int) -> dict:
+    """prod_j (x - b_j) over Q, 3-adic, with v_3(a - b_j) = k_j in [-2, 3]
+    and gamma 1/2 (the eval-dense shape of bench/gen.py): the value is
+    sum_j min(gamma, k_j)."""
+    rng = random.Random(seed)
+
+    def part():
+        return rng.choice([k for k in range(1, 21) if k % 3])
+
+    a = Fraction(rng.randint(-40, 40), rng.choice([k for k in range(1, 31) if k % 3]))
+    poly = [Fraction(1)]
+    for _ in range(degree):
+        unit = Fraction(rng.choice((1, -1)) * part(), part())
+        poly = _times_linear(poly, a + Fraction(3) ** rng.randint(-2, 3) * unit)
+    return {
+        "task": "eval",
+        "valuation": {"kind": "vag", "base": {"kind": "p-adic", "p": 3},
+                      "center": str(a), "gamma": ["1/2"]},
+        "eval": {"num": [str(c) for c in poly]},
     }
 
 
@@ -188,7 +234,12 @@ def jobs() -> dict:
     return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8),
             "tadic-q-deg8": tadic_job(8, {"char": 0}),
             "tadic-f9-deg8": tadic_job(8, {"char": 3, "modulus": [1, 0, 1]}),
-            "fq-deg16": fq_job(16, 3, seed=16), **P3_JOBS}
+            "fq-deg16": fq_job(16, 3, seed=16),
+            "fq-deg16-gamma-neg": fq_job(16, 3, seed=16, gamma=("-1/2",)),
+            "fq-deg16-gamma0": fq_job(16, 3, seed=16, gamma=("0",)),
+            "fq-deg16-rank2": fq_job(16, 3, seed=16, gamma=("0", "1")),
+            "trivial-q-double-root": trivial_q_job(), "padic-deg32": padic_job(32, seed=32),
+            **P3_JOBS}
 
 
 CERTIFICATE_JOBS = ("readme-piltant", "readme-degree-bound", "readme-extension-step",

@@ -1,7 +1,9 @@
 """Byte-for-byte reports of the golden jobs in tests/golden/: the six
 README example jobs, two t-adic eval jobs over F_2(t), the degree-8 one
-again over Q(t) and over F_9(t), one eval job over
-the trivially valued F_{13^4}, three jobs on p = 3 series paths (a
+again over Q(t) and over F_9(t), four eval jobs over the trivially
+valued F_{13^4} (one product at gamma 1/2, -1/2, 0 and (0, 1)), one
+over the trivially valued Q with a double root at the center, a 3-adic
+product of 32 linears, three jobs on p = 3 series paths (a
 defect tower over F_3, an extension step whose Artin-Schreier root is
 checked by its cube, and an extract job with 5-power denominators), and
 the output of `ratval selftest` at
