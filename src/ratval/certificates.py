@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 CERTIFICATE_VERSION = 2
+_UNVERSIONED = object()  # the version of a certificate that records no schema_version
 
 # series depth of every Artin-Schreier root the builders compute
 _AS_DEPTH = 3
@@ -86,7 +87,7 @@ class Certificate:
         if not isinstance(data, dict) or "kind" not in data:
             raise SchemaError("certificate must be an object with a 'kind' field")
         payload = {k: v for k, v in data.items() if k not in ("kind", "schema_version")}
-        return Certificate(data["kind"], payload, data.get("schema_version", CERTIFICATE_VERSION))
+        return Certificate(data["kind"], payload, data.get("schema_version", _UNVERSIONED))
 
 
 # ---------------------------------------------------------------------------
@@ -658,20 +659,21 @@ def validate_certificate(data) -> ValidationResult:
     The first broken invariant is reported by name; no part of the
     original construction is re-run, only the recorded witness data is
     re-verified.  Any JSON value is accepted and none raises: one that is
-    not an object with a 'kind', that names a schema_version other than
-    CERTIFICATE_VERSION, or whose fields do not have the recorded shape,
-    is a finding.
+    not an object with a known 'kind', that names no schema_version or one
+    other than CERTIFICATE_VERSION, or whose fields do not have the
+    recorded shape, is a finding.
     """
     try:
         cert = data if isinstance(data, Certificate) else Certificate.from_dict(data)
     except SchemaError as exc:
         return ValidationResult(False, (str(exc),))
-    if type(cert.version) is not int or cert.version != CERTIFICATE_VERSION:
-        return ValidationResult(False, (f"unknown schema_version {cert.version!r}; "
-                                        f"this ratval reads version {CERTIFICATE_VERSION}",))
     validator = _VALIDATORS.get(cert.kind) if isinstance(cert.kind, str) else None
     if validator is None:
         return ValidationResult(False, (f"unknown certificate kind {cert.kind!r}",))
+    if type(cert.version) is not int or cert.version != CERTIFICATE_VERSION:
+        named = ("certificate has no schema_version" if cert.version is _UNVERSIONED
+                 else f"unknown schema_version {cert.version!r}")
+        return ValidationResult(False, (f"{named}; this ratval reads version {CERTIFICATE_VERSION}",))
     try:
         finding = validator(cert.payload)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError,

@@ -8,8 +8,9 @@ a polynomial is the minimum of v(c_i) + i*gamma over its Taylor
 coefficients at the center, and values of quotients are differences.
 The minimum is taken on int keys D (v(c_i) + i*gamma).  Over Q (p-adic)
 and k(t) (t-adic) the c_i come from a fraction-free shift over Z or k[t]
-with no gcd in the loop, and over k(t) the v(c_i) are read off it with
-no division back.
+with no gcd in the loop, and the v(c_i) are read off it as ints.  Over a
+trivially valued base the least i with c_i != 0 decides for gamma > 0,
+and the degree for gamma <= 0.
 
 An independent substitution oracle expands g(a + w) by Horner's rule,
 w of value gamma (substitution_value): over a p-adic or t-adic base by
@@ -188,18 +189,31 @@ class PAdicRationals(ValuedField):
     def value_generators(self):
         return [Fraction(1)]
 
-    def taylor_coefficients(self, cs: list, center) -> list:
-        """Fraction-free shift over Z.  With L the lcm of the coefficient
-        denominators, center n/d and N the degree, H(y) = L d^N g(y/d) has
-        integer coefficients, and its Taylor coefficients h_i at n give
-        c_i = h_i d^i / (L d^N) = h_i / (L d^(N-i))."""
+    def _fraction_free_shift(self, cs: list, center: Fraction):
+        """(h, L, d): with L the lcm of the coefficient denominators, center
+        n/d and N the degree, H(y) = L d^N g(y/d) has integer coefficients,
+        and h holds its Taylor coefficients h_i at n, by synthetic division
+        over Z; c_i = h_i d^i / (L d^N) = h_i / (L d^(N-i))."""
         n, d, top = center.numerator, center.denominator, len(cs) - 1
         lcm = math.lcm(*(c.denominator for c in cs))
         h = [c.numerator * (lcm // c.denominator) * d ** (top - j) for j, c in enumerate(cs)]
         for i in range(top):
             for j in range(top - 1, i - 1, -1):
                 h[j] += n * h[j + 1]
-        return [Fraction(hi, lcm * d ** (top - i)) for i, hi in enumerate(h)]
+        return h, lcm, d
+
+    def taylor_coefficients(self, cs: list, center) -> list:
+        """Fraction-free shift over Z: c_i = h_i / (L d^(N-i))."""
+        h, lcm, d = self._fraction_free_shift(cs, center)
+        return [Fraction(hi, lcm * d ** (len(h) - 1 - i)) for i, hi in enumerate(h)]
+
+    def taylor_values(self, cs: list, center) -> list:
+        """v_p(c_i) = v_p(h_i) - v_p(L) - (N - i) v_p(d) as ints, read off
+        the fraction-free shift with no Fraction built."""
+        h, lcm, d = self._fraction_free_shift(cs, center)
+        v_lcm, v_den, top = self._intval(lcm, self.p), self._intval(d, self.p), len(h) - 1
+        return [self._intval(hi, self.p) - v_lcm - (top - i) * v_den if hi else None
+                for i, hi in enumerate(h)]
 
     def zero(self):
         return Fraction(0)
@@ -208,7 +222,7 @@ class PAdicRationals(ValuedField):
         return Fraction(1)
 
     def element(self, data):
-        return Fraction(data)
+        return data if isinstance(data, Fraction) else Fraction(data)
 
     def sample(self, rng):
         num = rng.randint(-40, 40)
@@ -365,18 +379,22 @@ class TriviallyValued(ValuedField):
     def value_generators(self):
         return []
 
-    def taylor_coefficients(self, cs: list, center) -> list:
-        """Over a FiniteField, taylor_shift's synthetic division on the
-        coefficient vectors over F_p, h_j <- M h_(j+1) + h_j mod p with M
-        the matrix of multiplication by the center; otherwise taylor_shift."""
+    def _lazy_shift(self, cs: list, center):
+        """The Taylor coefficients c_0, c_1, ... at the center, each yielded
+        as the pass of _shift_passes that settles it ends.  Over a
+        FiniteField the passes run on the coefficient vectors over F_p,
+        h_j <- M h_(j+1) + h_j mod p with M the matrix of multiplication by
+        the center; otherwise on the field's elements."""
         f = self.field
         if not isinstance(f, FiniteField):
-            return taylor_shift(cs, center, self.zero())
-        p, rows, h = f.characteristic, f.mul_matrix(center), [c.value for c in cs]
-        for i in range(len(h) - 1):
-            for j in range(len(h) - 2, i - 1, -1):
-                h[j] = [(sum(map(operator.mul, row, h[j + 1])) + c) % p for row, c in zip(rows, h[j])]
-        return [FieldElement(f, tuple(v)) for v in h]
+            return _shift_passes(list(cs), lambda x, y: x * center + y)
+        p, rows = f.characteristic, f.mul_matrix(center)
+        passes = _shift_passes([c.value for c in cs], lambda x, y: [
+            (sum(map(operator.mul, row, x)) + c) % p for row, c in zip(rows, y)])
+        return (FieldElement(f, tuple(v)) for v in passes)
+
+    def taylor_coefficients(self, cs: list, center) -> list:
+        return list(self._lazy_shift(cs, center))
 
     def zero(self):
         return self.field.zero()
@@ -476,23 +494,25 @@ def taylor_shift(coeffs: list, center, zero) -> list:
     CenteredValuation evaluates through; PAdicRationals overrides it with
     a fraction-free shift over Z, TAdicRationalFunctions with the same
     shift over k[t] on the kernel lists of its FunctionField, and
-    TriviallyValued over a finite field with the shift on F_p vectors,
-    each giving the same coefficients.  So it runs only over a series
-    base and over a trivially valued Q.
+    TriviallyValued with the lazy passes of _shift_passes (on F_p
+    vectors over a finite field), each giving the same coefficients.  So
+    it runs only over a series base.
     """
     cs = list(coeffs)
     while cs and _is_zero(cs[-1]):
         cs.pop()
-    out = []
-    while cs:
-        acc = None
-        folded = []
-        for c in reversed(cs):
-            acc = c if acc is None else c + acc * center
-            folded.append(acc)
-        out.append(folded[-1])
-        cs = list(reversed(folded[:-1]))
-    return out if out else [zero]
+    return list(_shift_passes(cs, lambda x, y: x * center + y)) or [zero]
+
+
+def _shift_passes(h: list, step):
+    """Synthetic division of h, low degree first, by x - a in place, with
+    step(x, y) = x*a + y: yields c_0, c_1, ... as the pass that settles
+    each ends (c_N leads)."""
+    for i in range(len(h) - 1):
+        for j in range(len(h) - 2, i - 1, -1):
+            h[j] = step(h[j + 1], h[j])
+        yield h[i]
+    yield from h[-1:]
 
 
 class _PAdicTruncation:
@@ -731,9 +751,18 @@ class CenteredValuation:
 
     def of_poly(self, coeffs: list) -> GroupElement:
         """min over i of v(c_i) + i*gamma, c_i the Taylor coefficients of
-        the polynomial at the center, taken on the int _value_keys of the
-        v(c_i) that base.taylor_values gives."""
-        vs = self.base.taylor_values(self._stripped(coeffs), self.center)
+        the polynomial at the center.  Over a trivially valued base each
+        nonzero c_i has value 0, so for gamma <= 0 the leading c_N decides
+        and for gamma > 0 the least i with c_i != 0, where the lazy shift
+        stops.  Otherwise the minimum is taken on the int _value_keys of
+        the v(c_i) that base.taylor_values gives."""
+        cs = self._stripped(coeffs)
+        if isinstance(self.base, TriviallyValued):
+            if self.gamma <= GroupElement.zero(self.rank):
+                return self.gamma.scaled(len(cs) - 1)
+            shift = self.base._lazy_shift(cs, self.center)
+            return self.gamma.scaled(next(i for i, c in enumerate(shift) if c))
+        vs = self.base.taylor_values(cs, self.center)
         key, value = _value_keys(self, math.lcm(*(v.denominator for v in vs if v is not None)))
         return value(min(key(i, v) for i, v in enumerate(vs) if v is not None))
 

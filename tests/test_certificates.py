@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -598,6 +599,19 @@ class TestEnvelope:
         assert not result.ok
         assert result.findings == (f"unknown schema_version {version!r}; "
                                    f"this ratval reads version 2",)
+
+    @pytest.mark.parametrize("increments", [False, True], ids=["as-recorded", "v1-increments"])
+    def test_missing_schema_version(self, increments):
+        """The README degree-bound golden with its schema_version deleted,
+        also with a v1 `increments` whose e is 99, is not read as v2."""
+        golden = pathlib.Path(__file__).parent / "golden" / "readme-degree-bound.out"
+        cert = json.loads(golden.read_text())["certificate"]
+        del cert["schema_version"]
+        if increments:
+            cert["increments"] = [{"e": 99, "f": 1}]
+        result = validate_certificate(cert)
+        assert not result.ok
+        assert result.findings == ("certificate has no schema_version; this ratval reads version 2",)
 
     def test_version_of_a_certificate_object(self):
         cert = build_degree_bound(2, [3, 5])

@@ -120,8 +120,9 @@ def fq_product(rng, field, degree, at_center, center=None):
 def refuse_fast_path(m):
     """Patch every routine of the fast path to raise, within monkeypatch
     context m: the Taylor shifts, the value paths that of_poly reads
-    (taylor_values, and over k(t) the fraction-free shift under both),
-    CenteredValuation._shifted and _term_values."""
+    (taylor_values, over Q and k(t) the fraction-free shift under both,
+    and the trivially valued lazy shift), CenteredValuation._shifted and
+    _term_values."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the fast Taylor shift was called")
@@ -132,6 +133,9 @@ def refuse_fast_path(m):
     for cls in (ValuedField, TAdicRationalFunctions):
         m.setattr(cls, "taylor_values", refuse)
     m.setattr(TAdicRationalFunctions, "_fraction_free_shift", refuse)
+    m.setattr(PAdicRationals, "taylor_values", refuse)
+    m.setattr(PAdicRationals, "_fraction_free_shift", refuse)
+    m.setattr(TriviallyValued, "_lazy_shift", refuse)
     m.setattr(CenteredValuation, "_shifted", refuse)
     m.setattr(CenteredValuation, "_term_values", refuse)
 
@@ -150,28 +154,49 @@ def f2_tadic_product():
     return CenteredValuation(T2, center, GroupElement.of(gamma)), g, GroupElement.of(expected)
 
 
+def q3_products(count: int):
+    """(valuation, coefficients, value) of `count` degree-32 3-adic
+    products of linears (x - b_j) with known v_3(a - b_j) = k_j, whose
+    value is sum min(gamma, k_j) at gamma 1/2."""
+    rng = random.Random(32)
+    gamma = Fraction(1, 2)
+    units = [Fraction(u, d) for u in (1, -1, 2, -2, 4, 5) for d in (1, 2, 4, 5, 7)]
+    for _ in range(count):
+        a = Fraction(rng.randint(-40, 40), rng.choice([1, 2, 4, 5, 7]))
+        poly, value = [Fraction(1)], Fraction(0)
+        for _ in range(32):
+            k = rng.randint(-2, 3)
+            poly = poly_mul(poly, [-(a + Fraction(3) ** k * rng.choice(units)), Fraction(1)], Q3)
+            value += min(gamma, k)
+        yield CenteredValuation(Q3, a, GroupElement.of(gamma)), poly, GroupElement.of(value)
+
+
 class TestOracleIndependence:
     def test_substitution_value_without_the_fast_shift(self, monkeypatch):
-        """Degree-32 3-adic products of linears (x - b_j) with known
-        v_3(a - b_j) = k_j: with the fast path replaced by functions that
-        raise, of_poly fails and the oracle still gives sum min(gamma, k_j)."""
-        rng = random.Random(32)
-        gamma = Fraction(1, 2)
-        units = [Fraction(u, d) for u in (1, -1, 2, -2, 4, 5) for d in (1, 2, 4, 5, 7)]
-        for _ in range(3):
-            a = Fraction(rng.randint(-40, 40), rng.choice([1, 2, 4, 5, 7]))
-            poly, value = [Fraction(1)], Fraction(0)
-            for _ in range(32):
-                k = rng.randint(-2, 3)
-                poly = poly_mul(poly, [-(a + Fraction(3) ** k * rng.choice(units)), Fraction(1)], Q3)
-                value += min(gamma, k)
-            valn = CenteredValuation(Q3, a, GroupElement.of(gamma))
-            assert valn.of_poly(poly) == GroupElement.of(value)
+        """The 3-adic products of q3_products: with the fast path replaced
+        by functions that raise, of_poly fails and the oracle still gives
+        their value."""
+        for valn, poly, value in q3_products(3):
+            assert valn.of_poly(poly) == value
             with monkeypatch.context() as m:
                 refuse_fast_path(m)
                 with pytest.raises(AssertionError, match="fast Taylor shift"):
                     valn.of_poly(poly)
-                assert substitution_value(valn, poly) == GroupElement.of(value)
+                assert substitution_value(valn, poly) == value
+
+    def test_padic_fast_path_without_the_oracle(self, monkeypatch):
+        """The same 3-adic products through of_poly with taylor_shift and
+        every routine of the oracle refused."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        with monkeypatch.context() as m:
+            for name in ("taylor_shift", "substitution_value", "_PAdicTruncation",
+                         "_completion_value", "_horner"):
+                m.setattr(valuations, name, refuse)
+            for valn, poly, value in q3_products(3):
+                assert valn.of_poly(poly) == value
 
     def test_t_adic_base_without_the_fast_shift(self, monkeypatch):
         """The degree-8 product of linears over F_2(t): with the fast path
@@ -645,6 +670,84 @@ class TestTAdicFractionFreeShift:
             valn = CenteredValuation(base, center, GroupElement.of(gamma))
             g = Fraction(gamma)
             assert valn.of_poly(cs) == GroupElement.of(min(1 + 2 * g, 4 * g))
+
+
+@st.composite
+def _padic_shift_case(draw, p):
+    """(coefficients, center) over Q: a polynomial of degree <= 7 whose
+    coefficients have p in some denominators, read either as g itself or
+    as the Taylor coefficients at the center of g, which then has exact
+    zero c_i; the center is 0, has p in its denominator, or is drawn."""
+    coeff = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-30, 30),
+                                                      st.sampled_from([1, 2, 7, p, 4 * p, p * p])))
+    center = draw(st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1, p), Fraction(-3, 2 * p), Fraction(5, 7 * p ** 2)]),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))))
+    cs = draw(st.lists(coeff, max_size=7)) + [draw(coeff.filter(bool))]
+    if draw(st.booleans()):
+        cs = expand_about(cs, center, PAdicRationals(p))
+    return cs, center
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_padic_values_off_the_fraction_free_shift(p, data):
+    """taylor_values over Q reads v_p(c_i) off (h, L, d) as ints, None for
+    c_i = 0, and agrees with val of the generic shift."""
+    base = PAdicRationals(p)
+    cs, center = data.draw(_padic_shift_case(p))
+    generic = taylor_shift(cs, center, Fraction(0))
+    assert base.taylor_values(cs, center) == [None if c == 0 else base.val(c) for c in generic]
+    assert base.taylor_coefficients(cs, center) == generic
+    gamma, base_coord = data.draw(st.sampled_from(LAZY_GAMMAS))
+    valn = CenteredValuation(base, center, gamma, base_coord)
+    assert valn.of_poly(cs) == min(v for _, v in valn._term_values(generic))
+
+
+TRIVIAL_ELEMENTS = {
+    "F2": (F2, st.builds(F2.element, st.integers(0, 1))),
+    "F13^4": (F13_4, st.builds(F13_4.element, st.lists(st.integers(0, 12), min_size=4, max_size=4))),
+    "Q": (RATIONALS, st.builds(lambda n, d: RATIONALS.element(Fraction(n, d)),
+                               st.integers(-9, 9), st.integers(1, 9))),
+}
+
+# gamma > 0, < 0 and = 0 in rank 1, and (0, +-1) in rank 2 with the base
+# values in either coordinate
+TRIVIAL_GAMMAS = [
+    (GroupElement.of("1/2"), 0),
+    (GroupElement.of("-3"), 0),
+    (GroupElement.of(0), 0),
+    (GroupElement.of(0, 1), 0),
+    (GroupElement.of(0, -1), 1),
+]
+
+
+@pytest.mark.parametrize("name", sorted(TRIVIAL_ELEMENTS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_trivial_base_order_of_vanishing(name, data):
+    """Over a trivially valued base of_poly, which shifts only up to the
+    first nonzero c_i, equals the GroupElement minimum over _term_values
+    of the whole generic shift, for g = (x - a)^m h with h(a) != 0 and m
+    0, 1 or the degree N (g = c (x - a)^N)."""
+    field, element = TRIVIAL_ELEMENTS[name]
+    base = TriviallyValued(field)
+    center = data.draw(element)
+    m = data.draw(st.sampled_from([0, 1, "N"]))
+    rest = data.draw(st.lists(element, max_size=10))
+    nonzero = element.filter(bool)
+    shifted = [field.zero()] * len(rest) if m == "N" else [field.zero()] * m + rest
+    shifted.append(data.draw(nonzero))
+    if m != "N" and len(shifted) > m + 1:
+        shifted[m] = data.draw(nonzero)
+    g = expand_about(shifted, center, base)
+    gamma, base_coord = data.draw(st.sampled_from(TRIVIAL_GAMMAS))
+    valn = CenteredValuation(base, center, gamma, base_coord)
+    generic = taylor_shift(g, center, field.zero())
+    assert generic == shifted
+    assert base.taylor_coefficients(g, center) == generic
+    assert valn.of_poly(g) == min(v for _, v in valn._term_values(generic))
 
 
 class TestIntKeyMinimum:
