@@ -1,11 +1,11 @@
 """Builders and re-checkable certificates for the headline constructions.
 
 Every certificate is a plain JSON-serializable structure whose numeric
-claims carry their witnesses (exponent sets, subgroup indices, value
-chains, lcm decompositions); validate_certificate re-checks a loaded
-certificate from those witnesses alone, without re-running the original
-construction.  Certificate kinds: defect-tower, degree-lower-bound,
-classification, fundamental-inequality.
+claims validate_certificate derives again from the recorded subjects and
+witnesses, without re-running the original construction.  Certificate
+kinds: defect-tower, degree-lower-bound, classification and
+fundamental-inequality, whose tower steps record only their kind,
+subject and (e, f, degree, defect), derived by _step_numbers both ways.
 
 Every check here has one shape: it reads recorded data and returns the
 first violated condition as a string, or None.  The builders raise a
@@ -19,11 +19,13 @@ facts the payload does not record.
 Every payload field has one of three roles.  A claim is re-derived by
 the validator from the other fields, so tampering with it is a finding.
 A subject names what the certificate is about (a classification's
-`descriptor`, a tower's `base.value_group`, a defect tower's `depth`):
-every well-formed value states something the validator still decides.
-Prose (`assumptions`, `statement`, `model_note` and the `note`s) is
-for the reader and is not checked.  A field that would only restate
-another field, or hold a constant, is not recorded at all.
+`descriptor`, a tower's `base.value_group` and its steps' `modulus` and
+`c`, a defect tower's `depth`): every well-formed value states something
+the validator still decides.  Prose (`assumptions`, `statement`,
+`model_note` and the `note`s) is for the reader and is not checked.  A
+field that would only restate another field, or hold a constant, is not
+recorded at all, and a top-level field that its kind does not have, or
+a tower step field that its step kind does not have, is a finding.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ __all__ = [
     "validate_certificate",
 ]
 
-CERTIFICATE_VERSION = 2
+CERTIFICATE_VERSION = 3
 _UNVERSIONED = object()  # the version of a certificate that records no schema_version
 
 # series depth of every Artin-Schreier root the builders compute
@@ -166,15 +168,16 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
                 "membership_witness": witness,
             }
         )
-    eta = []
+    eta, broken_chain = [], None
     eta_series = HahnSeries.monomial(coeffs, -1, 1)
-    for _ in range(eta_levels):
+    for i in range(1, eta_levels + 1):
         nxt = artin_schreier_root(eta_series, _AS_DEPTH)
         v_nxt = nxt.value()
         # eta_i^p - eta_i = eta_(i-1) up to the truncation, so the chain
         # eta_i^p - eta_(i-1) keeps the value of eta_i
-        chain_ok = ((nxt ** p) - eta_series).value() == v_nxt
-        eta.append({"value": str(v_nxt.coords[0]), "chain_ok": chain_ok})
+        if broken_chain is None and ((nxt ** p) - eta_series).value() != v_nxt:
+            broken_chain = i
+        eta.append({"value": str(v_nxt.coords[0])})
         eta_series = nxt
     per_level = []
     for i in range(1, eta_levels + 1):
@@ -206,7 +209,11 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
             "disjointness from the henselization), certifying defect = degree",
         ],
     }
-    return _self_checked(Certificate("defect-tower", payload))
+    cert = _self_checked(Certificate("defect-tower", payload))
+    # the chain is not recorded: checked after the recorded eta values
+    if broken_chain is not None:
+        raise InternalError(f"eta tower: value chain does not verify at level {broken_chain}")
+    return cert
 
 
 def _prime_violation(p: int) -> str | None:
@@ -288,7 +295,6 @@ class ExtensionTower:
     residue_degree: int = 1
     steps: tuple[dict, ...] = ()
     top_witness: HahnSeries | None = None
-    top_family: dict | None = None
     base_value_subgroup: Subgroup | None = None
 
     def __post_init__(self):
@@ -306,128 +312,93 @@ class ExtensionTower:
         return ExtensionTower(p, field, group, residue_degree, base_value_subgroup=group)
 
 
-def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> ExtensionTower:
-    """Apply one prescribed step to the tower, verifying the claimed
-    (e, f) from the step's own witness data.
+# the key of each step kind's subject, in a job and in a certificate
+# record, and the other fields of a record
+_STEP_SUBJECTS = {"kummer": "alpha", "residue": "modulus", "artin-schreier": "c"}
+_STEP_FIELDS = ("kind", "e", "f", "degree", "defect")
 
-    kummer: adjoin t^alpha for alpha of prime torsion order e over the
-    current value group (witnessed by the subgroup index), giving (e, 1).
-    residue: adjoin a root of a monic irreducible over F_p, giving
-    (1, lcm(d, deg)/d) for current residue degree d.
-    artin-schreier: adjoin a root of X^p - X - c for v(c) < 0 in the
-    current value group, recording the value chain
-    0 > v(a^p - c) = v(a) > p v(a) = v(c); the step has (p, 1) when
-    v(a) leaves the value group and is immediate with defect p when the
-    group is already p-divisible there.
 
-    Each kind computes its step record and the tower's new data; the
-    record is then checked by _step_violation, the check the
-    fundamental-inequality validator runs per step, and a finding is a
-    fault of the builder, raised as InternalError.
-    """
-    p = tower.residue_char
-    group, residue_degree = tower.value_subgroup, tower.residue_degree
-    root = family = None
-    if step.kind == "kummer":
-        alpha = GroupElement.of(step.alpha)
-        e = tower.value_subgroup.torsion_order(alpha)
+def _step_numbers(kind: str, subject, p: int, group: Subgroup,
+                  residue_degree: int) -> tuple[int, int, int, Subgroup, int]:
+    """(e, f, defect, next value group, next residue degree) of a step
+    over a tower of residue characteristic p, value group `group` and
+    residue degree `residue_degree`, from the step's subject (kummer
+    alpha, residue modulus, artin-schreier v(c)).  The builder takes a
+    step's numbers from here and the validator replays each recorded
+    step through it; a subject that makes no step raises
+    PreconditionError."""
+    if kind == "kummer":
+        alpha = GroupElement.of(subject)
+        e = group.torsion_order(alpha)
         if e is None:
             raise PreconditionError(
-                f"kummer step: {step.alpha} lies outside the rational span of the value group"
+                f"kummer step: {alpha.coords[0]} lies outside the rational span of the value group"
             )
         if e == 1:
-            raise PreconditionError(f"kummer step: {step.alpha} already lies in the value group")
+            raise PreconditionError(f"kummer step: {alpha.coords[0]} already lies in the value group")
         if not is_prime(e) and math.gcd(e, p) != 1:
             raise PreconditionError(
                 f"kummer step: torsion order {e} is neither prime nor coprime "
                 f"to the residue characteristic {p}"
             )
-        root = kummer_root(alpha.scaled(e), tower.coefficient_field.one(), e)
-        power_exponent = root.value().scaled(e)
-        if tower.value_subgroup.witness(power_exponent) is None:
-            raise InternalError("e-th power of the root left the value group")
-        group = tower.value_subgroup.extended(alpha)
-        record = {
-            "kind": "kummer",
-            "alpha": str(step.alpha),
-            "e": e,
-            "f": 1,
-            "degree": e,
-            "defect": 1,
-            "witness": {
-                "root_exponent": str(root.value().coords[0]),
-                "group_index": group.index_over(tower.value_subgroup),
-            },
-        }
-        family = {"kind": "kummer", "e": e, "c_exponent": str(step.alpha * e)}
-    elif step.kind == "residue":
-        ext = FiniteField(p, step.modulus)  # verifies monic irreducible
-        m = ext.degree
-        residue_degree = math.lcm(tower.residue_degree, m)
-        f = residue_degree // tower.residue_degree
-        if f == 1:
+        return e, 1, 1, group.extended(alpha), residue_degree
+    if kind == "residue":
+        after = math.lcm(residue_degree, FiniteField(p, subject).degree)
+        if after == residue_degree:
             raise PreconditionError(
                 "residue step: the reduction has a root in the current residue field, "
                 "so it is not a minimal polynomial of a new residue"
             )
-        record = {
-            "kind": "residue",
-            "modulus": list(step.modulus),
-            "e": 1,
-            "f": f,
-            "degree": f,
-            "defect": 1,
-            "witness": {
-                "root_degree_over_prime": m,
-                "residue_degree_before": tower.residue_degree,
-                "residue_degree_after": residue_degree,
-            },
-        }
+        return 1, after // residue_degree, 1, group, after
+    if kind == "artin-schreier":
+        vc = GroupElement.of(subject)
+        if not vc < GroupElement.zero(1):
+            raise PreconditionError("artin-schreier step requires v(c) < 0")
+        if group.witness(vc) is None:
+            raise PreconditionError(
+                f"artin-schreier step: exponent {vc.coords[0]} is not in the value group"
+            )
+        va = vc.scaled(Fraction(1, p))  # the root's value: its torsion order is p or 1
+        e = group.torsion_order(va)
+        return e, 1, p // e, group if e == 1 else group.extended(va), residue_degree
+    raise SchemaError(f"unknown extension step kind {kind!r}")
+
+
+def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> ExtensionTower:
+    """Apply one prescribed step to the tower: kummer adjoins a root of
+    X^e - t^(e alpha), residue a root of a monic irreducible over F_p,
+    and artin-schreier a root a of X^p - X - c for v(c) < 0 in the value
+    group.  The record holds the kind, the subject and the numbers from
+    _step_numbers.  The roots, which it does not carry, are checked here
+    as InternalError: the kummer root has value alpha and its e-th power
+    lies in the value group, and 0 > v(a^p - c) = v(a) = v(c)/p."""
+    p = tower.residue_char
+    key = _STEP_SUBJECTS.get(step.kind)
+    subject = {"kummer": step.alpha, "residue": step.modulus,
+               "artin-schreier": step.c_exponent}.get(step.kind)
+    e, f, defect, group, residue_degree = _step_numbers(
+        step.kind, subject, p, tower.value_subgroup, tower.residue_degree)
+    root = None
+    if step.kind == "kummer":
+        alpha = GroupElement.of(step.alpha)
+        root = kummer_root(alpha.scaled(e), tower.coefficient_field.one(), e)
+        if root.value() != alpha:
+            raise InternalError("the kummer root does not have value alpha")
+        if tower.value_subgroup.witness(root.value().scaled(e)) is None:
+            raise InternalError("e-th power of the root left the value group")
     elif step.kind == "artin-schreier":
         ce = GroupElement.of(step.c_exponent)
-        if not ce < GroupElement.zero(1):
-            raise PreconditionError("artin-schreier step requires v(c) < 0")
-        if tower.value_subgroup.witness(ce) is None:
-            raise PreconditionError(
-                f"artin-schreier step: exponent {step.c_exponent} is not in the value group"
-            )
         c = HahnSeries.monomial(tower.coefficient_field, ce, 1)
         root = artin_schreier_root(c, _AS_DEPTH)
-        va = root.value()
-        vchain = ((root ** p) - c).value()
-        if vchain is None:
-            raise InternalError("Artin-Schreier value chain vanishes: a^p = c")
-        if tower.value_subgroup.witness(va) is None:
-            group = tower.value_subgroup.extended(va)
-            index = group.index_over(tower.value_subgroup)
-            if index != p:
-                raise InternalError(f"Artin-Schreier group index {index}, expected {p}")
-            e, defect = p, 1
-        else:
-            e, defect = 1, p
-        record = {
-            "kind": "artin-schreier",
-            "e": e,
-            "f": 1,
-            "degree": p,
-            "defect": defect,
-            "witness": {
-                "chain": {
-                    "v_a": str(va.coords[0]),
-                    "v_a_pow_p_minus_c": str(vchain.coords[0]),
-                    "v_c": str(ce.coords[0]),
-                },
-            },
-        }
-        family = {"kind": "artin-schreier", "c_exponent": str(step.c_exponent)}
-    else:
-        raise SchemaError(f"unknown extension step kind {step.kind!r}")
-    violation = _step_violation(record, p)
-    if violation:
-        raise InternalError(f"extension step fails its own validation: "
-                            f"step {len(tower.steps) + 1}: {violation}")
+        va, vchain = root.value(), ((root ** p) - c).value()
+        if vchain is None or not GroupElement.zero(1) > vchain == va == ce.scaled(Fraction(1, p)):
+            raise InternalError(f"extension step fails its own validation: "
+                                f"step {len(tower.steps) + 1}: value chain does not verify")
+    record = {"kind": step.kind,
+              key: list(subject) if step.kind == "residue" else str(subject),
+              "e": e, "f": f, "degree": e * f * defect, "defect": defect}
     return ExtensionTower(p, tower.coefficient_field, group, residue_degree,
-                          tower.steps + (record,), root, family, tower.base_value_subgroup)
+                          tower.steps + (record,), root, tower.base_value_subgroup)
 
 
 def build_extension_tower(p: int, steps: list[ExtensionStep],
@@ -448,7 +419,6 @@ def build_extension_tower(p: int, steps: list[ExtensionStep],
         },
         "steps": list(tower.steps),
         "totals": {"degree": n, "e": e, "f": f, "defect": n // (e * f)},
-        "fund_ineq": fund_ineq_check(n, [(e, f)]),
     }
     return tower, _self_checked(Certificate("fundamental-inequality", payload))
 
@@ -465,17 +435,18 @@ def build_ic_valuation(tower: ExtensionTower, beta, variant: str = "v1",
     multiple of the value-group generator dominating the Krasner
     constant.
     """
-    if tower.top_witness is None or tower.top_family is None:
+    if tower.top_witness is None:
         raise PreconditionError(
             "the tower's top step has no root witness (a residue step); "
             "Krasner constants are computed for kummer and artin-schreier families only"
         )
-    fam = tower.top_family
-    c = HahnSeries.monomial(tower.coefficient_field, Fraction(fam["c_exponent"]), 1)
-    if fam["kind"] == "artin-schreier":
+    top = tower.steps[-1]
+    if top["kind"] == "artin-schreier":
+        c = HahnSeries.monomial(tower.coefficient_field, Fraction(top["c"]), 1)
         kras = krasner_artin_schreier(c, tower.residue_char)
-    else:
-        kras = krasner_kummer(c, fam["e"])
+    else:  # kummer: the root of X^e - c for c = t^(e alpha)
+        c = HahnSeries.monomial(tower.coefficient_field, Fraction(top["alpha"]) * top["e"], 1)
+        kras = krasner_kummer(c, top["e"])
     base_group = tower.base_value_subgroup
     gens = base_group.basis()
     if not gens:
@@ -571,7 +542,6 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         "bound": bound,
         "group_index_witness": {
             "hermite_basis": [str(b.coords[0]) for b in big.basis()],
-            "index_over_base": bound,
         },
         "statement": (
             "any z with v(z - b_depth) > gamma_depth generates an extension of "
@@ -654,26 +624,29 @@ def _self_checked(cert: Certificate) -> Certificate:
 
 
 def validate_certificate(data) -> ValidationResult:
-    """Re-check a certificate from its own witnesses.
+    """Re-check a certificate from its own subjects and witnesses.
 
     The first broken invariant is reported by name; no part of the
-    original construction is re-run, only the recorded witness data is
+    original construction is re-run, only the recorded data is
     re-verified.  Any JSON value is accepted and none raises: one that is
     not an object with a known 'kind', that names no schema_version or one
-    other than CERTIFICATE_VERSION, or whose fields do not have the
-    recorded shape, is a finding.
+    other than CERTIFICATE_VERSION, that has a field its kind does not
+    have, or whose fields do not have the recorded shape, is a finding.
     """
     try:
         cert = data if isinstance(data, Certificate) else Certificate.from_dict(data)
     except SchemaError as exc:
         return ValidationResult(False, (str(exc),))
-    validator = _VALIDATORS.get(cert.kind) if isinstance(cert.kind, str) else None
-    if validator is None:
+    entry = _VALIDATORS.get(cert.kind) if isinstance(cert.kind, str) else None
+    if entry is None:
         return ValidationResult(False, (f"unknown certificate kind {cert.kind!r}",))
+    validator, fields = entry
     if type(cert.version) is not int or cert.version != CERTIFICATE_VERSION:
         named = ("certificate has no schema_version" if cert.version is _UNVERSIONED
                  else f"unknown schema_version {cert.version!r}")
         return ValidationResult(False, (f"{named}; this ratval reads version {CERTIFICATE_VERSION}",))
+    if (stray := next((k for k in cert.payload if k not in fields), None)) is not None:
+        return ValidationResult(False, (f"unknown field {stray}",))
     try:
         finding = validator(cert.payload)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError,
@@ -734,8 +707,6 @@ def _validate_defect_tower(payload: dict) -> str | None:
         v = Fraction(entry["value"])
         if v != prev / p:
             return f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p"
-        if entry.get("chain_ok") is not True:
-            return f"eta tower: value chain not verified at level {i}"
         prev = v
     for claim in payload["defect_claims"]:
         i = claim["i"]
@@ -769,11 +740,8 @@ def _validate_degree_bound(payload: dict) -> str | None:
     if payload["bound"] != expected:
         return f"bound {payload['bound']} differs from lcm = {expected}"
     big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
-    index = big.index_over(base)
-    if index != payload["bound"]:
+    if big.index_over(base) != payload["bound"]:
         return "subgroup index witness does not verify against the bound"
-    if payload["group_index_witness"]["index_over_base"] != index:
-        return "recorded index over the base does not verify"
     basis = [str(b.coords[0]) for b in big.basis()]
     if basis != payload["group_index_witness"]["hermite_basis"]:
         return "recorded Hermite basis does not verify"
@@ -784,59 +752,35 @@ def _validate_degree_bound(payload: dict) -> str | None:
 
 
 def _validate_fund_ineq(payload: dict) -> str | None:
-    p = payload["base"]["residue_char"]
-    check = payload["fund_ineq"]
-    n = check["n"]
-    pairs = [tuple(pr) for pr in check["pairs"]]
-    fresh = fund_ineq_check(n, pairs)
-    for key in ("sum_ef", "ok", "slack", "equality"):
-        if fresh[key] != check.get(key):
-            return f"fundamental inequality field {key!r} does not verify"
-    if not fresh["ok"]:
-        return "the fundamental inequality fails: n < sum of e_i * f_i"
-    e = f = n_prod = 1
+    base = payload["base"]
+    p = base["residue_char"]
+    if (violation := _prime_violation(p)):
+        return violation
+    group = Subgroup.generated_by(*(GroupElement.from_json(g) for g in base["value_group"]))
+    residue_degree = e = f = n = 1
     for i, s in enumerate(payload["steps"], start=1):
-        if s["degree"] != s["e"] * s["f"] * s["defect"]:
-            return f"step {i}: degree is not e * f * defect"
-        e *= s["e"]
-        f *= s["f"]
-        n_prod *= s["degree"]
+        kind = s["kind"]
+        key = _STEP_SUBJECTS.get(kind) if isinstance(kind, str) else None
+        if key is None:
+            return f"step {i}: unknown step kind {kind!r}"
+        if (stray := next((k for k in s if k not in (key, *_STEP_FIELDS)), None)) is not None:
+            return f"unknown field steps[{i - 1}].{stray}"
+        try:
+            step_e, step_f, defect, group, residue_degree = _step_numbers(
+                kind, s[key], p, group, residue_degree)
+        except PreconditionError as exc:
+            return f"step {i}: {exc}"
+        derived = {"e": step_e, "f": step_f, "degree": step_e * step_f * defect, "defect": defect}
+        if (wrong := next((k for k in derived if s[k] != derived[k]), None)) is not None:
+            return f"step {i}: {wrong} is {s[wrong]!r}, but the step gives {derived[wrong]}"
+        e *= step_e
+        f *= step_f
+        n *= derived["degree"]
     totals = payload["totals"]
-    if (totals["e"], totals["f"], totals["degree"]) != (e, f, n_prod):
+    if (totals["e"], totals["f"], totals["degree"]) != (e, f, n):
         return "totals are not the products of the step data"
-    if totals["defect"] * e * f != n_prod:
+    if totals["defect"] * e * f != n:
         return "total defect is not degree / (e * f)"
-    if n != n_prod or pairs != [(e, f)]:
-        return "fundamental-inequality data disagrees with the tower totals"
-    for i, s in enumerate(payload["steps"], start=1):
-        if (violation := _step_violation(s, p)):
-            return f"step {i}: {violation}"
-    return None
-
-
-def _step_violation(record: dict, p: int) -> str | None:
-    """The first witness of one extension-step record that does not
-    verify, or None; p is the residue characteristic of the tower."""
-    w = record["witness"]
-    if record["kind"] == "kummer":
-        if Fraction(w["root_exponent"]) != Fraction(record["alpha"]):
-            return "root exponent is not alpha"
-        if w["group_index"] != record["e"]:
-            return "group index witness mismatch"
-    elif record["kind"] == "residue":
-        if math.lcm(w["residue_degree_before"], w["root_degree_over_prime"]) != w["residue_degree_after"]:
-            return "residue degree lcm mismatch"
-        if record["f"] * w["residue_degree_before"] != w["residue_degree_after"]:
-            return "inertia degree witness mismatch"
-    elif record["kind"] == "artin-schreier":
-        chain = w["chain"]
-        va, vc = Fraction(chain["v_a"]), Fraction(chain["v_c"])
-        if not (Fraction(0) > Fraction(chain["v_a_pow_p_minus_c"]) == va > vc):
-            return "value chain does not verify"
-        if va * p != vc:
-            return "p * v(a) != v(c)"
-    else:
-        return f"unknown step kind {record['kind']!r}"
     return None
 
 
@@ -885,9 +829,14 @@ def _validate_classification(payload: dict) -> str | None:
     return None
 
 
+# each kind's validator and the closed set of its payload's top-level fields
 _VALIDATORS = {
-    "defect-tower": _validate_defect_tower,
-    "degree-lower-bound": _validate_degree_bound,
-    "fundamental-inequality": _validate_fund_ineq,
-    "classification": _validate_classification,
+    "defect-tower": (_validate_defect_tower, {"p", "schedule", "multipliers", "depth",
+                     "series_truncation", "levels", "eta_tower", "defect_claims", "assumptions"}),
+    "degree-lower-bound": (_validate_degree_bound, {"p", "indices", "depth", "exponents",
+                           "cauchy", "bound", "group_index_witness", "statement", "model_note",
+                           "pseudo_cauchy_variant"}),
+    "fundamental-inequality": (_validate_fund_ineq, {"base", "steps", "totals"}),
+    "classification": (_validate_classification, {"descriptor", "label", "witness",
+                                                  "trichotomy_flags"}),
 }

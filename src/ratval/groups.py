@@ -148,6 +148,11 @@ def _key(g: GroupElement, den: int) -> tuple[int, ...]:
     return tuple(c.numerator * (den // c.denominator) for c in g.coords)
 
 
+def _element(key: tuple[int, ...], den: int) -> GroupElement:
+    """The element key / den: the inverse of _key over the same den."""
+    return GroupElement(tuple(Fraction(x, den) for x in key))
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) = x*a + y*b, g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -351,7 +356,7 @@ class Subgroup:
     def basis(self) -> list[GroupElement]:
         """Canonical Z-basis (Hermite rows over the common denominator)."""
         d, _, rows, _, _ = self._lattice
-        return [GroupElement(tuple(Fraction(v, d) for v in row)) for row in rows]
+        return [_element(row, d) for row in rows]
 
     def with_fresh_coordinate(self, placement: str = "small") -> tuple["Subgroup", "object"]:
         """Extend the ambient group by one lexicographic coordinate.

@@ -35,7 +35,7 @@ from operator import add
 
 from .errors import PreconditionError
 from .fields import Field, FieldElement, _power
-from .groups import GroupElement, _common_den, _key
+from .groups import GroupElement, _common_den, _element, _key
 
 __all__ = [
     "HahnSeries",
@@ -52,10 +52,6 @@ def _min_trunc(a: GroupElement | None, b: GroupElement | None) -> GroupElement |
     if b is None:
         return a
     return a if a <= b else b
-
-
-def _expo(k: Key, den: int) -> GroupElement:
-    return GroupElement(tuple(Fraction(x, den) for x in k))
 
 
 def _normalise(field: Field, rank: int, den: int, sums: dict, top: Key | None,
@@ -176,12 +172,12 @@ class HahnSeries:
 
     @property
     def trunc(self) -> GroupElement | None:
-        return None if self.top is None else _expo(self.top, self.den)
+        return None if self.top is None else _element(self.top, self.den)
 
     def _exponents(self) -> tuple[GroupElement, ...]:
         if self.expos is not None:
             return self.expos
-        return tuple(_expo(k, self.den) for k in self.keys)
+        return tuple(_element(k, self.den) for k in self.keys)
 
     def __eq__(self, other):
         if not isinstance(other, HahnSeries):
@@ -206,7 +202,7 @@ class HahnSeries:
         (the value is then above the truncation bound)."""
         if not self.keys:
             return None
-        return self.expos[0] if self.expos is not None else _expo(self.keys[0], self.den)
+        return self.expos[0] if self.expos is not None else _element(self.keys[0], self.den)
 
     def value_bound(self) -> GroupElement | None:
         """value() for nonzero series, else the truncation bound."""

@@ -42,7 +42,7 @@ from .fields import (
     _padd, _pdivmod, _pgcd, _pmul, _pstrip,
     is_prime,
 )
-from .groups import GroupElement, Subgroup
+from .groups import GroupElement, Subgroup, _element
 from .series import HahnSeries
 
 __all__ = [
@@ -606,7 +606,7 @@ def _value_keys(valn: "CenteredValuation", den: int = 1):
         k[valn.base_coord] += int(den * v)
         return tuple(k)
 
-    return key, lambda k: GroupElement(tuple(Fraction(x, den) for x in k))
+    return key, lambda k: _element(k, den)
 
 
 def _completion_value(valn: "CenteredValuation", ring) -> GroupElement:

@@ -26,9 +26,11 @@ the leaf is 1).  It holds one line per mutation with the job, the JSON
 path, the value and what validate_certificate returns for it: `ok` and
 the findings.  Accepted mutations are recorded as accepted, so the file
 lists the tamperings the validator does not catch.  The certificates are
-of the current CERTIFICATE_VERSION (2), whose payloads hold no field that
-only restates another; tests/test_golden.py requires every accepted
-mutation to sit on a prose, subject or open leaf named there.
+of the current CERTIFICATE_VERSION (3), whose payloads hold no field that
+only restates another or holds a constant: a tower step records its kind,
+its subject (alpha, modulus or c) and (e, f, degree, defect), which the
+validator derives again from the subject.  tests/test_golden.py requires
+every accepted mutation to sit on a prose or subject leaf named there.
 
 tests/test_golden.py compares the current output with these files, so
 regenerate them only on purpose:

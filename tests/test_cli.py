@@ -274,12 +274,12 @@ class TestRunCertificates:
     @pytest.mark.parametrize("job, path, value", [
         ({"task": "degree-bound", "p": 2, "n": [3, 5]}, ["exponents", 0], "1/0"),
         ({"task": "extension-step", "p": 2, "steps": [{"kind": "kummer", "alpha": "1/3"}]},
-         ["fund_ineq", "n"], 0),
+         ["steps", 0, "alpha"], "x"),
         ({"task": "piltant", "p": 2, "e": [1, 2, 4, 7], "depth": 3}, ["levels", 0, "j"], 10 ** 6),
         ({"task": "classify", "valuation": {"kind": "vag", "base": {"kind": "p-adic", "p": 3},
                                             "center": "0", "gamma": ["1/2"]}},
          ["descriptor", "base"], "x"),
-    ], ids=["zero-denominator", "degree-below-1", "level-out-of-range", "base-not-an-object"])
+    ], ids=["zero-denominator", "alpha-not-a-rational", "level-out-of-range", "base-not-an-object"])
     def test_recheck_of_a_malformed_field_exits_1(self, tmp_path, capsys, job, path, value):
         code, out, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
         assert code == 0
