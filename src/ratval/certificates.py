@@ -24,8 +24,8 @@ A subject names what the certificate is about (a classification's
 the validator still decides.  Prose (`assumptions`, `statement`,
 `model_note` and the `note`s) is for the reader and is not checked.  A
 field that would only restate another field, or hold a constant, is not
-recorded at all, and a top-level field that its kind does not have, or
-a tower step field that its step kind does not have, is a finding.
+recorded at all, and a field that its kind, its step kind or its
+nested object (the descriptor apart) does not have is a finding.
 """
 
 from __future__ import annotations
@@ -532,7 +532,6 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
             raise InternalError(f"increment {i} not strongly homogeneous with e = {e_i}")
         state = state.extended(GroupElement.of(g), witness.f)
     bound = math.lcm(*indices[:depth])
-    big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
     payload = {
         "p": p,
         "indices": list(indices[:depth]),
@@ -541,7 +540,7 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         "cauchy": {"note": "exponents grow beyond every integer, so the partial sums are Cauchy"},
         "bound": bound,
         "group_index_witness": {
-            "hermite_basis": [str(b.coords[0]) for b in big.basis()],
+            "hermite_basis": [str(b.coords[0]) for b in state.value_subgroup.basis()],
         },
         "statement": (
             "any z with v(z - b_depth) > gamma_depth generates an extension of "
@@ -645,14 +644,26 @@ def validate_certificate(data) -> ValidationResult:
         named = ("certificate has no schema_version" if cert.version is _UNVERSIONED
                  else f"unknown schema_version {cert.version!r}")
         return ValidationResult(False, (f"{named}; this ratval reads version {CERTIFICATE_VERSION}",))
-    if (stray := next((k for k in cert.payload if k not in fields), None)) is not None:
+    stray = next((k for k in cert.payload if k not in fields), None)
+    if stray is not None or (stray := _nested_stray(cert.payload)) is not None:
         return ValidationResult(False, (f"unknown field {stray}",))
     try:
         finding = validator(cert.payload)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError,
-            AttributeError, PreconditionError) as exc:
+            AttributeError, PreconditionError, SchemaError) as exc:
         finding = f"malformed certificate: {exc}"
     return ValidationResult(finding is None, () if finding is None else (finding,))
+
+
+def _nested_stray(payload: dict) -> str | None:
+    """The path of the first key that its nested object does not have, or None."""
+    for name, value in payload.items():
+        if (keys := _NESTED_FIELDS.get(name)) is not None:
+            for i, obj in enumerate(value if isinstance(value, list) else [value]):
+                if isinstance(obj, dict) and not keys.issuperset(obj):
+                    stray = next(k for k in obj if k not in keys)
+                    return f"{name}[{i}].{stray}" if isinstance(value, list) else f"{name}.{stray}"
+    return None
 
 
 def _validate_defect_tower(payload: dict) -> str | None:
@@ -739,7 +750,7 @@ def _validate_degree_bound(payload: dict) -> str | None:
     expected = math.lcm(*indices)
     if payload["bound"] != expected:
         return f"bound {payload['bound']} differs from lcm = {expected}"
-    big = Subgroup.generated_by(*([1] + [GroupElement.of(g) for g in gammas]))
+    big = base.extended(*(GroupElement.of(g) for g in gammas))
     if big.index_over(base) != payload["bound"]:
         return "subgroup index witness does not verify against the bound"
     basis = [str(b.coords[0]) for b in big.basis()]
@@ -839,4 +850,15 @@ _VALIDATORS = {
     "fundamental-inequality": (_validate_fund_ineq, {"base", "steps", "totals"}),
     "classification": (_validate_classification, {"descriptor", "label", "witness",
                                                   "trichotomy_flags"}),
+}
+
+# each nested object's closed key set; the descriptor is open, the steps checked by kind
+_NESTED_FIELDS = {
+    "base": {"residue_char", "value_group"}, "totals": {"degree", "e", "f", "defect"},
+    "levels": {"j", "frobenius_exponent", "witness_exponents", "value", "grants_denominator_exponent",
+               "membership_witness"},
+    "eta_tower": {"value"}, "group_index_witness": {"hermite_basis"}, "cauchy": {"note"},
+    "defect_claims": {"i", "degree", "ramification_index", "inertia_degree", "defect", "fund_ineq_slack"},
+    "pseudo_cauchy_variant": {"exponents", "note"},
+    "witness": {"torsion_order", "non_torsion_rank_proof", "pseudo_cauchy"},
 }

@@ -7,22 +7,23 @@ exact rationals; subgroups are given by finite generator lists.
 A subgroup is held as (D, A, Hermite rows): D is the common denominator
 of its generators, A the int matrix of their keys D * gen (the int
 exponent form `series` uses too), and the Hermite rows a Z-basis of the
-row lattice of A with the transform writing them in the rows of A.  One
-reduction of D * g against the Hermite rows gives g's coordinates over
-Q, and membership, torsion order and subgroup index are read off them:
-every positive answer carries an integer witness z, re-checked as
-z . A == D * g before it is handed out, and every negative answer is
-backed by a rank argument over Q.
+row lattice of A with the transform writing them in the rows of A; an
+extended subgroup reduces only its parent's Hermite rows and its new
+generators.  One reduction of g against the Hermite rows gives g's
+coordinates as ints over one denominator, and membership, torsion order
+and subgroup index are read off them: every positive answer carries an
+integer witness z, re-checked as z . A == D * g before it is handed
+out, and every negative answer is backed by a rank argument over Q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InternalError, PreconditionError, UndecidedError
+from .errors import InternalError, PreconditionError, SchemaError, UndecidedError
 
 __all__ = [
     "GroupElement",
@@ -34,9 +35,9 @@ __all__ = [
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    raise SchemaError(f"cannot interpret {x!r} as an exact rational")
 
 
 @dataclass(frozen=True)
@@ -166,20 +167,20 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hermite_rows(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
+def _hermite_rows(mat: list[list[int]], exprs: list[list[int]] | None = None) -> tuple[list, list, list[int]]:
     """Row Hermite form with transform.
 
     Returns (rows, exprs, pivots): `rows` are the nonzero rows of the
     Hermite form (pivot columns strictly increasing, pivots positive,
-    entries above each pivot reduced into [0, pivot)); exprs[i] gives the
-    integer combination of the input rows producing rows[i]; pivots[i] is
-    the pivot column of rows[i].  The nonzero rows form a Z-basis of the
-    row lattice of `mat`.
+    entries above each pivot reduced into [0, pivot)); exprs[i] writes
+    rows[i] in the input rows, or in the rows the start transform `exprs`
+    writes mat's rows in; pivots[i] is the pivot column of rows[i].  The
+    nonzero rows form a Z-basis of the row lattice of `mat`.
     """
     m = len(mat)
     r = len(mat[0]) if m else 0
     rows = [list(row) for row in mat]
-    exprs = [[int(i == j) for j in range(m)] for i in range(m)]
+    exprs = [[int(i == j) for j in range(m)] for i in range(m)] if exprs is None else exprs
     top = 0
     pivots: list[int] = []
     for col in range(r):
@@ -221,6 +222,7 @@ class Subgroup:
 
     ambient_rank: int
     generators: tuple[GroupElement, ...]
+    _parent: Subgroup | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def generated_by(*gens, ambient_rank: int | None = None) -> "Subgroup":
@@ -247,11 +249,20 @@ class Subgroup:
         matrix of their keys over D, so the subgroup is
         { (z . A) / D : z in Z^m }; the Hermite rows are a Z-basis of the
         row lattice of A, and exprs[i] writes rows[i] in the rows of A.
+        With a parent (see extended), its Hermite rows times D / D_parent
+        are reduced with the new keys only: the rows and pivots are the
+        canonical ones, and the transform is re-checked with each witness.
         """
-        d = _common_den(self.generators)
-        mat = [_key(g, d) for g in self.generators]
-        rows, exprs, pivots = _hermite_rows(mat)
-        return d, mat, rows, exprs, pivots
+        if self._parent is None:
+            d = _common_den(self.generators)
+            mat = [_key(g, d) for g in self.generators]
+            return d, mat, *_hermite_rows(mat)
+        d0, mat0, rows0, exprs0, _ = self._parent._lattice
+        m0, m = len(mat0), len(self.generators)
+        k = (d := math.lcm(d0, _common_den(self.generators[m0:]))) // d0
+        mat = [[k * x for x in row] for row in mat0] + [_key(g, d) for g in self.generators[m0:]]
+        exprs = [e + [0] * (m - m0) for e in exprs0] + [[int(i == j) for j in range(m)] for i in range(m0, m)]
+        return d, mat, *_hermite_rows([[k * x for x in row] for row in rows0] + mat[m0:], exprs)
 
     def _check_ambient(self, g: GroupElement) -> None:
         if g.rank != self.ambient_rank:
@@ -259,29 +270,33 @@ class Subgroup:
                 f"rank mismatch: element rank {g.rank}, ambient rank {self.ambient_rank}"
             )
 
-    def _coords(self, g: GroupElement) -> list[Fraction] | None:
-        """Coordinates of g over the Hermite rows (over Q), or None if g
-        lies outside the rational span of the generators.  g is a member
-        exactly when every coordinate is an integer."""
+    def _coords(self, g: GroupElement) -> tuple[list[int], int] | None:
+        """g's coordinates over the Hermite rows as ints (Q, s), the i-th
+        being Q[i] / s, or None if g is outside the generators' rational
+        span; g is a member iff s divides every Q[i].  With P the pivots'
+        product and L = lcm(D, den g), s = (L / D) * P, and the reduction
+        of P * L * g divides exactly: P carries every later pivot."""
         self._check_ambient(g)
         d, _, rows, _, pivots = self._lattice
-        w = [c * d for c in g.coords]
-        coords: list[Fraction] = []
+        lcm = math.lcm(d, *(c.denominator for c in g.coords))
+        prod = math.prod(row[col] for row, col in zip(rows, pivots))
+        w = [prod * x for x in _key(g, lcm)]
+        qs: list[int] = []
         for row, col in zip(rows, pivots):
-            q = Fraction(w[col], row[col])
-            coords.append(q)
+            q = w[col] // row[col]
+            qs.append(q)
             if q:
                 w = [a - q * b for a, b in zip(w, row)]
-        return None if any(w) else coords
+        return None if any(w) else (qs, lcm // d * prod)
 
-    def _witness(self, g: GroupElement, coords: list[Fraction] | None) -> list[int] | None:
+    def _witness(self, g: GroupElement, coords: tuple[list[int], int] | None) -> list[int] | None:
         """The integer vector z with z . A == D * g, from g's coordinates,
         or None when g is not a member.  The identity is re-checked in
         integers against A before z is handed out."""
-        if coords is None or any(q.denominator != 1 for q in coords):
+        if coords is None or any(q % coords[1] for q in coords[0]):
             return None
         _, mat, _, exprs, _ = self._lattice
-        z = [sum(q.numerator * e[j] for q, e in zip(coords, exprs)) for j in range(len(mat))]
+        z = [sum(q // coords[1] * e[j] for q, e in zip(coords[0], exprs)) for j in range(len(mat))]
         if not self.is_witness(z, g):
             raise InternalError("witness failed re-verification")
         return z
@@ -293,7 +308,7 @@ class Subgroup:
         if not isinstance(z, list) or len(z) != len(mat) or any(type(zi) is not int for zi in z):
             return False
         combo = tuple(sum(zi * row[k] for zi, row in zip(z, mat)) for k in range(self.ambient_rank))
-        return combo == tuple(c * d for c in g.coords)
+        return all(d % c.denominator == 0 for c in g.coords) and combo == _key(g, d)
 
     def witness(self, g: GroupElement) -> list[int] | None:
         """Integer coefficients w with sum(w_i * gen_i) == g, or None.
@@ -317,7 +332,7 @@ class Subgroup:
         coords = self._coords(g)
         if coords is None:
             return None
-        e = math.lcm(*(q.denominator for q in coords))
+        e = math.lcm(*(coords[1] // math.gcd(q, coords[1]) for q in coords[0]))
         if bound is not None and e > bound:
             raise UndecidedError(
                 f"torsion order {e} exceeds the search bound {bound}"
@@ -340,7 +355,7 @@ class Subgroup:
                 raise PreconditionError(
                     f"not a subgroup: generator {t!r} lies outside the bigger group"
                 )
-            coord_rows.append([q.numerator for q in coords])
+            coord_rows.append([q // coords[1] for q in coords[0]])
         k = len(self._lattice[2])
         sub_rows, _, sub_pivots = _hermite_rows(coord_rows)
         if len(sub_rows) < k:
@@ -348,10 +363,13 @@ class Subgroup:
         return math.prod(row[col] for row, col in zip(sub_rows, sub_pivots))
 
     def extended(self, *new_gens: GroupElement) -> "Subgroup":
-        """Subgroup generated by this one together with new elements."""
+        """Subgroup generated by this one together with new elements.  Its
+        lattice is derived on first use from its _parent: this group if
+        its lattice is reduced, else this group's _parent, whose always is."""
         for g in new_gens:
             self._check_ambient(g)
-        return Subgroup(self.ambient_rank, self.generators + tuple(new_gens))
+        parent = self if "_lattice" in self.__dict__ else self._parent
+        return Subgroup(self.ambient_rank, self.generators + tuple(new_gens), parent)
 
     def basis(self) -> list[GroupElement]:
         """Canonical Z-basis (Hermite rows over the common denominator)."""

@@ -623,6 +623,60 @@ def _vag_classification():
     return classification_certificate(CenteredValuation(base, 0, GroupElement.of("1/2")), desc)
 
 
+# (golden, path of a nested object, stray key, its value, the finding's path)
+NESTED_STRAYS = [
+    ("readme-degree-bound", ["group_index_witness"], "index_over_base", 1155,
+     "group_index_witness.index_over_base"),
+    ("readme-degree-bound", ["cauchy"], "is_cauchy", True, "cauchy.is_cauchy"),
+    ("readme-degree-bound", ["pseudo_cauchy_variant"], "bounded", True,
+     "pseudo_cauchy_variant.bounded"),
+    ("readme-piltant", ["eta_tower", 0], "chain_ok", True, "eta_tower[0].chain_ok"),
+    ("readme-piltant", ["levels", 1], "membership_target", "1/4", "levels[1].membership_target"),
+    ("readme-piltant", ["defect_claims", 0], "note", "x", "defect_claims[0].note"),
+    ("readme-extension-step", ["base"], "residue_degree", 1, "base.residue_degree"),
+    ("readme-extension-step", ["totals"], "slack", 0, "totals.slack"),
+    ("readme-classify", ["witness"], "note", "x", "witness.note"),
+]
+
+
+class TestNestedFields:
+    """Every nested object of a certificate has a closed key set: a key
+    that the object does not have is a finding, whatever its value."""
+
+    @pytest.mark.parametrize("name, path, key, value, where", NESTED_STRAYS,
+                             ids=[case[-1] for case in NESTED_STRAYS])
+    def test_unknown_nested_key_is_a_finding(self, name, path, key, value, where):
+        """The README degree-bound golden with the v2 index_over_base
+        added back, the piltant golden with the v2 chain_ok added back,
+        and a stray key in each other closed object."""
+        cert = _golden_certificate(name)
+        assert validate_certificate(cert).ok
+        node = cert
+        for k in path:
+            node = node[k]
+        node[key] = value
+        assert validate_certificate(cert).findings == (f"unknown field {where}",)
+
+    def test_descriptor_is_an_open_subject(self):
+        cert = _golden_certificate("readme-classify")
+        cert["descriptor"]["comment"] = "x"
+        assert validate_certificate(cert).ok
+
+    @pytest.mark.parametrize("value", [True, False, 1.5])
+    def test_gamma_must_be_an_exact_rational(self, value):
+        """A bool or a float in the descriptor's gamma is a finding, not
+        the rational 1 or 0, and not a raised error."""
+        cert = _golden_certificate("readme-classify")
+        cert["descriptor"]["gamma"] = [value]
+        assert validate_certificate(cert).findings == (
+            f"malformed certificate: cannot interpret {value!r} as an exact rational",)
+
+
+def _golden_certificate(name):
+    golden = pathlib.Path(__file__).parent / "golden" / f"{name}.out"
+    return json.loads(golden.read_text())["certificate"]
+
+
 class TestSelfValidation:
     """Builders return their certificates through validate_certificate; a
     finding on their own output raises InternalError carrying it."""

@@ -347,6 +347,17 @@ class TestErrors:
         code, _, err = run_cli(["run", "/nonexistent/job.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("gamma", [True, 1.5], ids=["bool", "float"])
+    def test_gamma_that_is_not_an_exact_rational_exit_2(self, gamma, tmp_path, capsys):
+        """The README eval job with gamma [true] is not run as gamma = 1,
+        and with gamma [1.5] it ends in no traceback."""
+        job = json.loads((GOLDEN / "readme-eval.json").read_text())
+        job["valuation"]["gamma"] = [gamma]
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        assert code == 2 and out == ""
+        assert f"cannot interpret {gamma!r} as an exact rational" in err
+        assert "Traceback" not in err
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(["run", write_job(tmp_path, "j.json", {"task": "piltant"})], capsys)
         assert code == 2

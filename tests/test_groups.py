@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratval import groups
 from ratval.errors import InternalError, PreconditionError, UndecidedError
@@ -381,3 +383,93 @@ class TestAgainstReference:
                       lambda s: s.index_over(Subgroup.generated_by(1))):
             with pytest.raises(InternalError, match="witness failed re-verification"):
                 query(Subgroup.generated_by("1/2", "1/3"))
+
+
+def _chain_link(rng, gens, rank):
+    """New generators for one `extended` call: random ones (new
+    denominators, zeros, duplicates among themselves), and at times a
+    duplicate of an earlier generator or a combination of them."""
+    new = _random_generators(rng, rank)
+    if gens and rng.random() < 0.4:
+        new.append(rng.choice(gens))
+    if gens and rng.random() < 0.4:
+        new.append(_combo(rng, gens, rank, rational=rng.random() < 0.5))
+    return new
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32), links=st.integers(1, 4), rank=st.integers(1, 3))
+def test_extended_lattice_matches_a_from_scratch_one(seed, links, rank):
+    """A chain of `extended` calls, each link's lattice computed before
+    the next link is made or not, derives the from-scratch D, rows and
+    pivots; torsion orders, membership and indices agree with a
+    from-scratch group of the same generators, and every witness of the
+    derived transform verifies."""
+    rng = random.Random(seed)
+    gens = _random_generators(rng, rank)
+    chain = [Subgroup.generated_by(*gens, ambient_rank=rank)]
+    for _ in range(links):
+        if rng.random() < 0.6:
+            chain[-1]._lattice
+        new = _chain_link(rng, list(chain[-1].generators), rank)
+        chain.append(chain[-1].extended(*new))
+    for s in chain:
+        scratch = Subgroup(rank, s.generators)
+        assert s == scratch and hash(s) == hash(scratch)
+        d, mat, rows, _, pivots = s._lattice
+        d0, mat0, rows0, _, pivots0 = scratch._lattice
+        assert (d, [list(r) for r in mat], rows, pivots) == (d0, [list(r) for r in mat0], rows0, pivots0)
+        gens = list(s.generators)
+        targets = [GroupElement.zero(rank), _random_vector(rng, rank),
+                   _combo(rng, gens, rank), _combo(rng, gens, rank, rational=True)]
+        for g in targets:
+            assert s.torsion_order(g) == scratch.torsion_order(g)
+            bound = rng.randint(1, 6)
+            assert _outcome(s.torsion_order, g, bound) == _outcome(scratch.torsion_order, g, bound)
+            w = s.witness(g)
+            assert (w is None) is (scratch.witness(g) is None) is (g not in s)
+            assert w is None or s.is_witness(w, g)
+        for sub in [*chain, Subgroup.generated_by(*targets[2:], ambient_rank=rank)]:
+            assert _outcome(s.index_over, sub) == _outcome(scratch.index_over, sub)
+
+
+def test_derived_lattice_reduces_the_new_generators_only(monkeypatch):
+    """The extension of a reduced group hands the Hermite reduction the
+    parent's rows, rescaled, and the new keys: not every generator."""
+    base = Subgroup.generated_by(1, "1/3", "2/5", "1/7")
+    base.torsion_order(G("1/2"))
+    big = base.extended(G("1/11"), G("3/11"))
+    passed = []
+    hermite_rows = groups._hermite_rows
+
+    def counting(mat, exprs=None):
+        passed.append(len(mat))
+        return hermite_rows(mat, exprs)
+
+    monkeypatch.setattr(groups, "_hermite_rows", counting)
+    assert big.basis() == [G("1/1155")]
+    assert passed == [3]
+    # a group whose parent is not reduced is reduced from scratch
+    unreduced = Subgroup.generated_by(1, "1/3")
+    assert unreduced.extended(G("1/5"))._parent is None
+    assert unreduced.extended(G("1/5")).extended(G("1/7"))._parent is None
+
+
+def test_planted_fault_in_the_derived_transform(monkeypatch):
+    """A wrong transform from a derived reduction is caught by the
+    witness re-check; a from-scratch reduction is left intact."""
+    hermite_rows = groups._hermite_rows
+
+    def corrupted(mat, exprs=None):
+        rows, out, pivots = hermite_rows(mat, exprs)
+        return rows, out if exprs is None else [[x + 1 for x in e] for e in out], pivots
+
+    monkeypatch.setattr(groups, "_hermite_rows", corrupted)
+    base = Subgroup.generated_by("1/2")
+    assert base.witness(G(1)) == [2]
+    for query in (lambda s: s.witness(G("5/6")),
+                  lambda s: G(1) in s,
+                  lambda s: s.index_over(base)):
+        big = base.extended(G("1/3"))
+        with pytest.raises(InternalError, match="witness failed re-verification"):
+            query(big)
