@@ -7,13 +7,12 @@ exact rationals; subgroups are given by finite generator lists.
 A subgroup is held as (D, A, Hermite rows): D is the common denominator
 of its generators, A the int matrix of their keys D * gen (the int
 exponent form `series` uses too), and the Hermite rows a Z-basis of the
-row lattice of A with the transform writing them in the rows of A; an
+row lattice of A with the transform writing them in the rows of A (an
 extended subgroup reduces only its parent's Hermite rows and its new
-generators.  One reduction of g against the Hermite rows gives g's
-coordinates as ints over one denominator, and membership, torsion order
-and subgroup index are read off them: every positive answer carries an
-integer witness z, re-checked as z . A == D * g before it is handed
-out, and every negative answer is backed by a rank argument over Q.
+generators).  One reduction of g gives its coordinates as ints over one
+denominator, and membership, torsion order and subgroup index are read
+off them: every positive answer carries an integer witness z, re-checked
+as z . A == D * g, and every negative one a rank argument over Q.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class GroupElement:
         return GroupElement(tuple(q * a for a in self.coords))
 
     def __mul__(self, n: int) -> "GroupElement":
-        if not isinstance(n, int):
+        if type(n) is not int:
             return NotImplemented
         return self.scaled(n)
 
@@ -167,20 +166,20 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hermite_rows(mat: list[list[int]], exprs: list[list[int]] | None = None) -> tuple[list, list, list[int]]:
+def _hermite_rows(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Row Hermite form with transform.
 
     Returns (rows, exprs, pivots): `rows` are the nonzero rows of the
     Hermite form (pivot columns strictly increasing, pivots positive,
-    entries above each pivot reduced into [0, pivot)); exprs[i] writes
-    rows[i] in the input rows, or in the rows the start transform `exprs`
-    writes mat's rows in; pivots[i] is the pivot column of rows[i].  The
-    nonzero rows form a Z-basis of the row lattice of `mat`.
+    entries above each pivot reduced into [0, pivot)); exprs[i] gives the
+    integer combination of the input rows producing rows[i]; pivots[i] is
+    the pivot column of rows[i].  The nonzero rows form a Z-basis of the
+    row lattice of `mat`.
     """
     m = len(mat)
     r = len(mat[0]) if m else 0
     rows = [list(row) for row in mat]
-    exprs = [[int(i == j) for j in range(m)] for i in range(m)] if exprs is None else exprs
+    exprs = [[int(i == j) for j in range(m)] for i in range(m)]
     top = 0
     pivots: list[int] = []
     for col in range(r):
@@ -249,20 +248,22 @@ class Subgroup:
         matrix of their keys over D, so the subgroup is
         { (z . A) / D : z in Z^m }; the Hermite rows are a Z-basis of the
         row lattice of A, and exprs[i] writes rows[i] in the rows of A.
-        With a parent (see extended), its Hermite rows times D / D_parent
-        are reduced with the new keys only: the rows and pivots are the
-        canonical ones, and the transform is re-checked with each witness.
+        The parent's Hermite rows (see extended; none without a parent)
+        times D / D_parent are reduced with the new keys only, and the
+        parent's transform writes them in the rows of A: the rows and
+        pivots are canonical, and each witness re-checks the transform.
         """
-        if self._parent is None:
-            d = _common_den(self.generators)
-            mat = [_key(g, d) for g in self.generators]
-            return d, mat, *_hermite_rows(mat)
-        d0, mat0, rows0, exprs0, _ = self._parent._lattice
-        m0, m = len(mat0), len(self.generators)
+        d0, mat0, rows0, exprs0, _ = self._parent._lattice if self._parent is not None else (1, [], [], [], [])
+        m0 = len(mat0)
         k = (d := math.lcm(d0, _common_den(self.generators[m0:]))) // d0
         mat = [[k * x for x in row] for row in mat0] + [_key(g, d) for g in self.generators[m0:]]
-        exprs = [e + [0] * (m - m0) for e in exprs0] + [[int(i == j) for j in range(m)] for i in range(m0, m)]
-        return d, mat, *_hermite_rows([[k * x for x in row] for row in rows0] + mat[m0:], exprs)
+        rows, exprs, pivots = _hermite_rows([[k * x for x in row] for row in rows0] + mat[m0:])
+        for i, e in enumerate(exprs):
+            head = [0] * m0
+            for c, e0 in zip(e, exprs0):
+                head = [a + c * b for a, b in zip(head, e0)] if c else head
+            exprs[i] = head + e[len(rows0):]
+        return d, mat, rows, exprs, pivots
 
     def _check_ambient(self, g: GroupElement) -> None:
         if g.rank != self.ambient_rank:
@@ -272,10 +273,9 @@ class Subgroup:
 
     def _coords(self, g: GroupElement) -> tuple[list[int], int] | None:
         """g's coordinates over the Hermite rows as ints (Q, s), the i-th
-        being Q[i] / s, or None if g is outside the generators' rational
-        span; g is a member iff s divides every Q[i].  With P the pivots'
-        product and L = lcm(D, den g), s = (L / D) * P, and the reduction
-        of P * L * g divides exactly: P carries every later pivot."""
+        being Q[i] / s, or None off the generators' rational span; g is a
+        member iff s divides every Q[i].  With P the pivots' product and
+        L = lcm(D, den g), s = (L / D) * P: P carries every later pivot."""
         self._check_ambient(g)
         d, _, rows, _, pivots = self._lattice
         lcm = math.lcm(d, *(c.denominator for c in g.coords))
@@ -363,9 +363,8 @@ class Subgroup:
         return math.prod(row[col] for row, col in zip(sub_rows, sub_pivots))
 
     def extended(self, *new_gens: GroupElement) -> "Subgroup":
-        """Subgroup generated by this one together with new elements.  Its
-        lattice is derived on first use from its _parent: this group if
-        its lattice is reduced, else this group's _parent, whose always is."""
+        """Subgroup generated by this one and new elements; its lattice is
+        derived on first use from this one's if reduced, else its _parent's."""
         for g in new_gens:
             self._check_ambient(g)
         parent = self if "_lattice" in self.__dict__ else self._parent

@@ -3,6 +3,7 @@ of the input only at a stated rate.  No clock is read."""
 
 from ratval import groups
 from ratval.certificates import build_degree_bound
+from ratval.groups import GroupElement, Subgroup
 
 
 def _odd_primes(n: int) -> list[int]:
@@ -20,9 +21,9 @@ def _hermite_rows_passed(monkeypatch, build) -> int:
     passed = []
     hermite_rows = groups._hermite_rows
 
-    def counting(mat, *exprs):
+    def counting(mat):
         passed.append(len(mat))
-        return hermite_rows(mat, *exprs)
+        return hermite_rows(mat)
 
     monkeypatch.setattr(groups, "_hermite_rows", counting)
     build()
@@ -42,3 +43,14 @@ def test_degree_bound_hermite_rows_grow_linearly(monkeypatch):
     small, large = (_hermite_rows_passed(monkeypatch, lambda: build_degree_bound(2, _odd_primes(n)))
                     for n in (12, 24))
     assert large / small <= 2.5, (small, large)
+
+
+def test_extension_of_a_reduced_group_reduces_the_new_generators_only(monkeypatch):
+    """The extension of a reduced group hands the Hermite reduction the
+    parent's rows, rescaled, and the new keys: 1 + 2 rows, not all 6
+    generators."""
+    base = Subgroup.generated_by(1, "1/3", "2/5", "1/7")
+    base.torsion_order(GroupElement.of("1/2"))
+    big = base.extended(GroupElement.of("1/11"), GroupElement.of("3/11"))
+    assert _hermite_rows_passed(monkeypatch, big.basis) == 3
+    assert big.basis() == [GroupElement.of("1/1155")]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratval import groups
-from ratval.errors import InternalError, PreconditionError, UndecidedError
+from ratval.errors import InternalError, PreconditionError, SchemaError, UndecidedError
 from ratval.groups import GroupElement, Subgroup, compare
 
 
@@ -41,6 +41,23 @@ class TestCompare:
                 assert a + c < b + c
             # totality: exactly one of <, ==, > holds
             assert (a < b) + (a == b) + (a > b) == 1
+
+
+class TestScalars:
+    def test_int_multiples(self):
+        assert G("1/2", 1) * 3 == 3 * G("1/2", 1) == G("3/2", 3)
+
+    @pytest.mark.parametrize("n", [True, False, 1.5])
+    def test_bool_or_float_multiple_is_a_type_error(self, n):
+        with pytest.raises(TypeError):
+            G(1) * n
+        with pytest.raises(TypeError):
+            n * G(1)
+
+    @pytest.mark.parametrize("x", [True, 1.5, None])
+    def test_parsed_non_rational_is_a_schema_error(self, x):
+        with pytest.raises(SchemaError, match="as an exact rational"):
+            G(x)
 
 
 class TestMember:
@@ -433,39 +450,31 @@ def test_extended_lattice_matches_a_from_scratch_one(seed, links, rank):
             assert _outcome(s.index_over, sub) == _outcome(scratch.index_over, sub)
 
 
-def test_derived_lattice_reduces_the_new_generators_only(monkeypatch):
-    """The extension of a reduced group hands the Hermite reduction the
-    parent's rows, rescaled, and the new keys: not every generator."""
-    base = Subgroup.generated_by(1, "1/3", "2/5", "1/7")
+def test_extended_links_only_a_reduced_parent():
+    """`extended` links the new group to this group if its lattice is
+    reduced, else to this group's own parent; an unreduced chain from a
+    group with no parent is reduced from scratch."""
+    base = Subgroup.generated_by(1, "1/3")
+    assert base.extended(G("1/5"))._parent is None
+    assert base.extended(G("1/5")).extended(G("1/7"))._parent is None
     base.torsion_order(G("1/2"))
-    big = base.extended(G("1/11"), G("3/11"))
-    passed = []
-    hermite_rows = groups._hermite_rows
-
-    def counting(mat, exprs=None):
-        passed.append(len(mat))
-        return hermite_rows(mat, exprs)
-
-    monkeypatch.setattr(groups, "_hermite_rows", counting)
-    assert big.basis() == [G("1/1155")]
-    assert passed == [3]
-    # a group whose parent is not reduced is reduced from scratch
-    unreduced = Subgroup.generated_by(1, "1/3")
-    assert unreduced.extended(G("1/5"))._parent is None
-    assert unreduced.extended(G("1/5")).extended(G("1/7"))._parent is None
+    assert base.extended(G("1/5"))._parent is base
+    assert base.extended(G("1/5")).extended(G("1/7"))._parent is base
 
 
 def test_planted_fault_in_the_derived_transform(monkeypatch):
     """A wrong transform from a derived reduction is caught by the
-    witness re-check; a from-scratch reduction is left intact."""
+    witness re-check; the parent's lattice, reduced before the fault,
+    is left intact."""
     hermite_rows = groups._hermite_rows
 
-    def corrupted(mat, exprs=None):
-        rows, out, pivots = hermite_rows(mat, exprs)
-        return rows, out if exprs is None else [[x + 1 for x in e] for e in out], pivots
+    def corrupted(mat):
+        rows, exprs, pivots = hermite_rows(mat)
+        return rows, [[x + 1 for x in e] for e in exprs], pivots
 
-    monkeypatch.setattr(groups, "_hermite_rows", corrupted)
     base = Subgroup.generated_by("1/2")
+    assert base.witness(G(1)) == [2]
+    monkeypatch.setattr(groups, "_hermite_rows", corrupted)
     assert base.witness(G(1)) == [2]
     for query in (lambda s: s.witness(G("5/6")),
                   lambda s: G(1) in s,
