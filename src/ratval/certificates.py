@@ -2,10 +2,12 @@
 
 Every certificate is a plain JSON-serializable structure whose numeric
 claims validate_certificate derives again from the recorded subjects and
-witnesses, without re-running the original construction.  Certificate
-kinds: defect-tower, degree-lower-bound, classification and
-fundamental-inequality, whose tower steps record only their kind,
-subject and (e, f, degree, defect), derived by _step_numbers both ways.
+witnesses, without re-running the original construction (the defect-tower
+and degree-bound validators read each recorded rational once and compare
+ints).  Certificate kinds: defect-tower, degree-lower-bound,
+classification and fundamental-inequality, whose tower steps record only
+their kind, subject and (e, f, degree, defect), derived by _step_numbers
+both ways.
 
 Every check here has one shape: it reads recorded data and returns the
 first violated condition as a string, or None.  The builders raise a
@@ -675,33 +677,37 @@ def _validate_defect_tower(payload: dict) -> str | None:
     if (violation := _defect_tower_violation(p, schedule, mults, depth)):
         return violation
     default_shape = all(m == -1 for m in mults)
-    exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
+    pows = [p ** e for e in schedule]
+    top = max(pows)
+    keys = [m * (top // pw) for m, pw in zip(mults, pows)]  # n_i / p^(e_i) over one power of p
     levels = payload["levels"]
     if depth > len(levels):
         return f"depth field {depth} exceeds the {len(levels)} witnessed levels"
     recorded_trunc = payload["series_truncation"]
-    if default_shape:
-        if recorded_trunc is None or Fraction(recorded_trunc) != -Fraction(1, p ** (schedule[-1] + n)):
-            return "series truncation does not match the schedule"
     trunc = None if recorded_trunc is None else Fraction(recorded_trunc)
+    if default_shape:
+        if trunc is None or (trunc.numerator, trunc.denominator) != (-1, p ** (schedule[-1] + n)):
+            return "series truncation does not match the schedule"
     for k, level in enumerate(levels, start=1):
         j = level["j"]
         e_j = schedule[j - 1]
         if level["frobenius_exponent"] != e_j:
             return f"level {j}: Frobenius exponent mismatch"
-        lhs_trunc = None if trunc is None else Fraction(p ** e_j) * trunc
-        oracle = sorted(
-            exponents[i - 1] * p ** e_j
-            for i in range(j + 1, n + 1)
-            if lhs_trunc is None or exponents[i - 1] * p ** e_j < lhs_trunc
-        )
-        witnessed = [Fraction(v) for v in level["witness_exponents"]]
+        # n_i * p^(e_j - e_i) as (num, den) in lowest terms, n_i being prime
+        # to p; it lies below p^(e_j) * trunc iff n_i / p^(e_i) < trunc
+        pe = pows[j - 1]
+        scaled = [(m * (pe // pw), 1) if pw <= pe else (m, pw // pe) for m, pw in zip(mults, pows)]
+        below = range(j, n) if trunc is None else [
+            i for i in range(j, n) if mults[i] * trunc.denominator < trunc.numerator * pows[i]]
+        oracle = [scaled[i] for i in sorted(below, key=keys.__getitem__)]
+        witnessed = [(w.numerator, w.denominator) for w in map(Fraction, level["witness_exponents"])]
         if witnessed != oracle:
             return f"level {j}: witness exponents disagree with the schedule formula"
         value = Fraction(level["value"])
-        if not witnessed or min(witnessed) != value:
+        # witnessed is the sorted oracle, so its least exponent is its first
+        if not witnessed or witnessed[0] != (value.numerator, value.denominator):
             return f"level {j}: recorded value is not the least witness exponent"
-        if value != exponents[j] * p ** e_j:
+        if (value.numerator, value.denominator) != scaled[j]:
             return f"level {j}: value differs from n_(j+1) * p^(e_j - e_(j+1))"
         denom_power = level["grants_denominator_exponent"]
         if denom_power != schedule[j] - e_j:
@@ -713,12 +719,12 @@ def _validate_defect_tower(payload: dict) -> str | None:
             return f"level {j}: membership witness does not verify"
         if type(j) is not int or j != k:
             return f"levels: entry {k} is level {j!r}, expected level {k}"
-    prev = Fraction(-1)
+    prev = (-1, 1)
     for i, entry in enumerate(payload["eta_tower"], start=1):
         v = Fraction(entry["value"])
-        if v != prev / p:
+        if v.numerator * prev[1] * p != prev[0] * v.denominator:
             return f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p"
-        prev = v
+        prev = (v.numerator, v.denominator)
     for claim in payload["defect_claims"]:
         i = claim["i"]
         if claim["degree"] != p ** i:
@@ -741,23 +747,25 @@ def _validate_degree_bound(payload: dict) -> str | None:
     if depth != len(indices) or depth != len(payload["exponents"]):
         return "depth field disagrees with the witnessed indices"
     gammas = [Fraction(g) for g in payload["exponents"]]
+    elems = [GroupElement.of(g) for g in gammas]
     base = Subgroup.generated_by(1)
-    for i, (nv, g) in enumerate(zip(indices, gammas), start=1):
-        if g != Fraction(i) + Fraction(1, nv):
+    for i, (nv, g, elem) in enumerate(zip(indices, gammas, elems), start=1):
+        # i + 1/n_i is (i * n_i + 1) / n_i in lowest terms
+        if (g.numerator, g.denominator) != (i * nv + 1, nv):
             return f"exponent gamma_{i} does not equal i + 1/n_i"
-        if base.torsion_order(GroupElement.of(g)) != nv:
+        if base.torsion_order(elem) != nv:
             return f"torsion order of gamma_{i} over Z is not n_{i}"
     expected = math.lcm(*indices)
     if payload["bound"] != expected:
         return f"bound {payload['bound']} differs from lcm = {expected}"
-    big = base.extended(*(GroupElement.of(g) for g in gammas))
+    big = base.extended(*elems)
     if big.index_over(base) != payload["bound"]:
         return "subgroup index witness does not verify against the bound"
     basis = [str(b.coords[0]) for b in big.basis()]
     if basis != payload["group_index_witness"]["hermite_basis"]:
         return "recorded Hermite basis does not verify"
-    variant = [str(1 - Fraction(1, nv)) for nv in indices]
-    if payload["pseudo_cauchy_variant"]["exponents"] != variant:
+    # 1 - 1/n_i is (n_i - 1) / n_i in lowest terms, and n_i > 1
+    if payload["pseudo_cauchy_variant"]["exponents"] != [f"{nv - 1}/{nv}" for nv in indices]:
         return "pseudo-Cauchy variant exponents are not 1 - 1/n_i"
     return None
 

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from .certificates import (
     ExtensionStep,
@@ -31,7 +30,7 @@ from .certificates import (
     validate_certificate,
 )
 from .errors import InternalError, PreconditionError, RatvalError, SchemaError, UndecidedError
-from .groups import GroupElement, Subgroup
+from .groups import GroupElement, Subgroup, _frac
 from .homogeneous import TowerState, extract_homogeneous_sequence, implicit_constant_report
 from .series import HahnSeries
 from .valuations import (
@@ -134,39 +133,50 @@ def _task_extract(job: dict, depth: int | None) -> dict:
     return report
 
 
+def _job_int(value, name: str) -> int:
+    """A job field that must be a JSON int (not a bool)."""
+    if type(value) is not int:
+        raise SchemaError(f"job field {name!r} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _job_ints(job: dict, key: str) -> list[int]:
+    """A required job field that must be a JSON list of ints."""
+    values = _require(job, key)
+    if not isinstance(values, list):
+        raise SchemaError(f"job field {key!r} must be a JSON list, got {json.dumps(values)}")
+    return [_job_int(v, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
 def _job_depth(job: dict, override: int | None, required: bool) -> int | None:
-    """The --depth override, else the job's `depth`, which must be a JSON
-    int (not a bool); None when an optional depth is absent."""
+    """The --depth override, else the job's `depth`, or None if optional and absent."""
     if override is not None:
         return override
     if not required and "depth" not in job:
         return None
-    d = _require(job, "depth")
-    if type(d) is not int:
-        raise SchemaError(f"job field 'depth' must be a JSON integer, got {json.dumps(d)}")
-    return d
+    return _job_int(_require(job, "depth"), "depth")
 
 
 def _task_defect_tower(job: dict, depth: int | None) -> dict:
-    p = int(_require(job, "p"))
-    schedule = [int(e) for e in _require(job, "e")]
+    p = _job_int(_require(job, "p"), "p")
+    schedule = _job_ints(job, "e")
     d = _job_depth(job, depth, required=True)
     cert = build_defect_tower(p, schedule, d,
-                              eta_levels=int(job.get("eta_levels", 5)))
+                              eta_levels=_job_int(job.get("eta_levels", 5), "eta_levels"))
     return {"task": "piltant", "certificate": cert.to_dict()}
 
 
 def _task_degree_bound(job: dict, depth: int | None) -> dict:
-    p = int(_require(job, "p"))
-    indices = [int(n) for n in _require(job, "n")]
+    p = _job_int(_require(job, "p"), "p")
+    indices = _job_ints(job, "n")
     cert = build_degree_bound(p, indices, _job_depth(job, depth, required=False))
     return {"task": "degree-bound", "certificate": cert.to_dict()}
 
 
 def _task_extension_step(job: dict, depth: int | None) -> dict:
-    p = int(_require(job, "p"))
+    p = _job_int(_require(job, "p"), "p")
     steps = [ExtensionStep.from_json(s) for s in _require(job, "steps")]
-    value_gens = [Fraction(g) for g in job.get("value_group", ["1"])]
+    value_gens = [_frac(g) for g in job.get("value_group", ["1"])]
     _tower, cert = build_extension_tower(p, steps, value_gens)
     return {"task": "extension-step", "certificate": cert.to_dict()}
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, PreconditionError
+from .errors import InternalError, PreconditionError, SchemaError
 
 __all__ = [
     "Field",
@@ -258,7 +258,8 @@ class Field:
 
     @staticmethod
     def from_json(data: dict) -> "Field":
-        char = int(data.get("char", 0))
+        if not isinstance(data, dict) or type(char := data.get("char", 0)) is not int:
+            raise SchemaError(f"a coefficient field must be a JSON object with an int 'char', got {data!r}")
         if char == 0:
             return RATIONALS
         modulus = tuple(int(c) for c in data.get("modulus", []))

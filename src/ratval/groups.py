@@ -12,7 +12,8 @@ extended subgroup reduces only its parent's Hermite rows and its new
 generators).  One reduction of g gives its coordinates as ints over one
 denominator, and membership, torsion order and subgroup index are read
 off them: every positive answer carries an integer witness z, re-checked
-as z . A == D * g, and every negative one a rank argument over Q.
+as z . A == D * g from (D, A) alone (so checking a recorded witness
+reduces no lattice), and every negative one a rank argument over Q.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(str(exc)) from None
     raise SchemaError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -241,22 +245,28 @@ class Subgroup:
         return Subgroup(ambient_rank, elems)
 
     @cached_property
+    def _keys(self) -> tuple[int, list]:
+        """(D, A) with no reduction: D the lcm of the generators' denominators, A
+        their keys over D (the parent's A times D / D_parent, then the new keys)."""
+        d0, mat0 = self._parent._keys if self._parent is not None else (1, [])
+        k = (d := math.lcm(d0, _common_den(new := self.generators[len(mat0):]))) // d0
+        return d, [[k * x for x in row] for row in mat0] + [_key(g, d) for g in new]
+
+    @cached_property
     def _lattice(self):
         """(D, A, Hermite rows, exprs, pivot columns).
 
-        D is the common denominator of the generators and A the int
-        matrix of their keys over D, so the subgroup is
-        { (z . A) / D : z in Z^m }; the Hermite rows are a Z-basis of the
-        row lattice of A, and exprs[i] writes rows[i] in the rows of A.
+        (D, A) are _keys, so the subgroup is { (z . A) / D : z in Z^m };
+        the Hermite rows are a Z-basis of the row lattice of A, and
+        exprs[i] writes rows[i] in the rows of A.
         The parent's Hermite rows (see extended; none without a parent)
         times D / D_parent are reduced with the new keys only, and the
         parent's transform writes them in the rows of A: the rows and
         pivots are canonical, and each witness re-checks the transform.
         """
+        d, mat = self._keys
         d0, mat0, rows0, exprs0, _ = self._parent._lattice if self._parent is not None else (1, [], [], [], [])
-        m0 = len(mat0)
-        k = (d := math.lcm(d0, _common_den(self.generators[m0:]))) // d0
-        mat = [[k * x for x in row] for row in mat0] + [_key(g, d) for g in self.generators[m0:]]
+        m0, k = len(mat0), d // d0
         rows, exprs, pivots = _hermite_rows([[k * x for x in row] for row in rows0] + mat[m0:])
         for i, e in enumerate(exprs):
             head = [0] * m0
@@ -303,8 +313,9 @@ class Subgroup:
 
     def is_witness(self, z, g: GroupElement) -> bool:
         """Whether z is an integer witness of g: a list of one int per
-        generator (a bool does not count) with z . A == D * g."""
-        d, mat, _, _, _ = self._lattice
+        generator (a bool does not count) with z . A == D * g.  Reads only
+        _keys, so checking a recorded witness reduces no lattice."""
+        d, mat = self._keys
         if not isinstance(z, list) or len(z) != len(mat) or any(type(zi) is not int for zi in z):
             return False
         combo = tuple(sum(zi * row[k] for zi, row in zip(z, mat)) for k in range(self.ambient_rank))

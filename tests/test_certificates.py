@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ratval import certificates
@@ -207,6 +207,62 @@ class TestDefectTower:
             bad = tamper(cert, ["levels", j, "membership_witness"], mutate(level["membership_witness"]))
             res = validate_certificate(bad)
             assert res.findings == (f"level {j + 1}: membership witness does not verify",)
+
+
+@st.composite
+def _defect_towers(draw):
+    """(p, schedule, multipliers, depth): p in 2, 3, 5 with 2-6 schedule
+    entries; either the default shape (multipliers None) under the growth
+    rule e_(i+1) >= e_i + i, or explicit multipliers prime to p over a
+    non-decreasing schedule, chosen so that n_i * p^(-e_i) increases."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 6))
+    schedule, mults = [draw(st.integers(0, 3))], None
+    if draw(st.booleans()):
+        for i in range(1, n):
+            schedule.append(schedule[-1] + i + draw(st.integers(0, 2)))
+    else:
+        mults = [draw(st.integers(-9, 9).filter(lambda m: m % p))]
+        for _ in range(1, n):
+            d = draw(st.integers(0, 3))
+            m = mults[-1] * p ** d + draw(st.integers(1, 2 * p))
+            while m % p == 0:
+                m += 1
+            schedule.append(schedule[-1] + d)
+            mults.append(m)
+        assume(any(m != -1 for m in mults))
+    return p, schedule, mults, draw(st.integers(1, n - 1))
+
+
+def _recorded_rationals(payload):
+    """The paths of every rational a defect-tower certificate records."""
+    paths = [["series_truncation"]]
+    for j, level in enumerate(payload["levels"]):
+        paths.append(["levels", j, "value"])
+        paths += [["levels", j, "witness_exponents", k] for k in range(len(level["witness_exponents"]))]
+    return paths + [["eta_tower", i, "value"] for i in range(len(payload["eta_tower"]))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=_defect_towers(), delta=st.builds(Fraction, st.integers(1, 7).map(lambda a: a * (-1) ** a),
+                                              st.integers(1, 9)))
+def test_built_defect_towers_validate_and_pin_every_rational(case, delta):
+    """Every defect tower the builder makes validates after a JSON round
+    trip; in the default shape, moving any recorded rational (a witness
+    exponent, a level value, an eta value or the series truncation) by a
+    nonzero delta is a finding."""
+    p, schedule, mults, depth = case
+    cert = build_defect_tower(p, schedule, depth, eta_levels=3, multipliers=mults)
+    data = json.loads(json.dumps(cert.to_dict()))
+    assert validate_certificate(data).ok
+    if mults is not None:
+        return
+    for path in _recorded_rationals(cert.payload):
+        node = data
+        for key in path:
+            node = node[key]
+        bad = tamper(cert, path, str(Fraction(node) + delta))
+        assert not validate_certificate(bad).ok, (path, node, delta)
 
 
 class TestExtensionTowers:

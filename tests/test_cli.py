@@ -25,6 +25,16 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def _golden_job_with(name, path, value):
+    """The golden job NAME with the leaf at `path` set to `value`."""
+    job = json.loads((GOLDEN / f"{name}.json").read_text())
+    node = job
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return job
+
+
 class TestRunEval:
     def test_eval_value(self, tmp_path, capsys):
         job = {
@@ -357,6 +367,61 @@ class TestErrors:
         assert code == 2 and out == ""
         assert f"cannot interpret {gamma!r} as an exact rational" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("readme-eval", ["valuation", "gamma", 0], "x", "Invalid literal for Fraction: 'x'"),
+        ("readme-eval", ["valuation", "gamma", 0], "1/0", "Fraction(1, 0)"),
+        ("readme-extension-step", ["value_group"], ["x"], "Invalid literal for Fraction: 'x'"),
+        ("readme-extension-step", ["value_group"], ["1/0"], "Fraction(1, 0)"),
+    ], ids=["gamma-x", "gamma-1/0", "value-group-x", "value-group-1/0"])
+    def test_exponent_string_that_is_not_a_rational_exit_2(self, name, path, value, message,
+                                                            tmp_path, capsys):
+        """An exponent string that Fraction cannot read is a schema error,
+        not a ValueError or ZeroDivisionError traceback."""
+        job = _golden_job_with(name, path, value)
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        assert (code, out, err) == (2, "", f"schema error: {message}\n")
+
+    @pytest.mark.parametrize("name, path, value, field", [
+        ("readme-piltant", ["p"], 2.5, "p"),
+        ("readme-piltant", ["p"], "x", "p"),
+        ("readme-piltant", ["e", 1], 2.9, "e[1]"),
+        ("readme-piltant", ["e", 0], True, "e[0]"),
+        ("readme-piltant", ["e", 2], "4", "e[2]"),
+        ("readme-piltant", ["eta_levels"], "x", "eta_levels"),
+        ("readme-piltant", ["eta_levels"], 3.0, "eta_levels"),
+        ("readme-degree-bound", ["p"], True, "p"),
+        ("readme-degree-bound", ["p"], "x", "p"),
+        ("readme-degree-bound", ["n", 1], 5.5, "n[1]"),
+        ("readme-degree-bound", ["n", 1], "x", "n[1]"),
+        ("readme-extension-step", ["p"], 2.5, "p"),
+        ("readme-extension-step", ["p"], None, "p"),
+    ])
+    def test_certificate_job_int_field_that_is_not_a_json_int_exit_2(self, name, path, value, field,
+                                                                     tmp_path, capsys):
+        """int(...) used to run p = 2.5 as 2, e[1] = 2.9 as 2 and true as
+        1, and to end "x" in a ValueError traceback."""
+        job = _golden_job_with(name, path, value)
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"schema error: job field {field!r} must be a JSON integer, got {json.dumps(value)}\n"
+
+    @pytest.mark.parametrize("key", ["e", "n"])
+    def test_certificate_job_list_field_that_is_not_a_list_exit_2(self, key, tmp_path, capsys):
+        job = _golden_job_with("readme-piltant" if key == "e" else "readme-degree-bound", [key], 5)
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        assert (code, out, err) == (2, "", f"schema error: job field {key!r} must be a JSON list, got 5\n")
+
+    @pytest.mark.parametrize("coefficients", ["Q", [2], {"char": "2"}, {"char": 2.0}, {"char": True}])
+    def test_coefficient_field_that_is_not_an_object_with_an_int_char_exit_2(self, coefficients,
+                                                                            tmp_path, capsys):
+        """A t-adic base with "coefficients": "Q" used to end in an
+        AttributeError traceback, and a char of "2" was read as 2."""
+        job = _golden_job_with("tadic-deg4", ["valuation", "base", "coefficients"], coefficients)
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("schema error: a coefficient field must be a JSON object with an int "
+                       f"'char', got {coefficients!r}\n")
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(["run", write_job(tmp_path, "j.json", {"task": "piltant"})], capsys)

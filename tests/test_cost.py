@@ -1,8 +1,13 @@
 """Cost contracts: deterministic work counts that may grow with the size
 of the input only at a stated rate.  No clock is read."""
 
+import json
+import pathlib
+
+import pytest
+
 from ratval import groups
-from ratval.certificates import build_degree_bound
+from ratval.certificates import build_degree_bound, validate_certificate
 from ratval.groups import GroupElement, Subgroup
 
 
@@ -54,3 +59,15 @@ def test_extension_of_a_reduced_group_reduces_the_new_generators_only(monkeypatc
     big = base.extended(GroupElement.of("1/11"), GroupElement.of("3/11"))
     assert _hermite_rows_passed(monkeypatch, big.basis) == 3
     assert big.basis() == [GroupElement.of("1/1155")]
+
+
+@pytest.mark.parametrize("name", ["readme-piltant", "piltant-p3"])
+def test_defect_tower_recheck_reduces_no_lattice(monkeypatch, name):
+    """Validating a defect tower checks each level's membership witness
+    in <1, value> as z . A == D * g from the generators' keys: the
+    Hermite reduction is handed no rows at all."""
+    golden = pathlib.Path(__file__).parent / "golden" / f"{name}.out"
+    cert = json.loads(golden.read_text())["certificate"]
+    results = []
+    assert _hermite_rows_passed(monkeypatch, lambda: results.append(validate_certificate(cert))) == 0
+    assert results[0].ok, results[0].findings

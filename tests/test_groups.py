@@ -450,6 +450,36 @@ def test_extended_lattice_matches_a_from_scratch_one(seed, links, rank):
             assert _outcome(s.index_over, sub) == _outcome(scratch.index_over, sub)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32), rank=st.integers(1, 3))
+def test_is_witness_agrees_before_and_after_reduction(seed, rank):
+    """is_witness gives one verdict on a fresh group, whose lattice it
+    leaves unbuilt, and on the same group once its lattice is reduced:
+    true for a witness, and for a perturbed witness or target exactly
+    when the combination still equals the target."""
+    rng = random.Random(seed)
+    gens = _random_generators(rng, rank)
+    fresh, reduced = (Subgroup.generated_by(*gens, ambient_rank=rank) for _ in range(2))
+    reduced._lattice
+
+    def combination(z):
+        acc = GroupElement.zero(rank)
+        for k, g in zip(z, gens):
+            acc = acc + g * k
+        return acc
+
+    z = [rng.randint(-4, 4) for _ in gens]
+    g = combination(z)
+    cases = [(z, g), (z, g + _random_vector(rng, rank)), (z + [0], g), (z[:-1], g)]
+    if gens:
+        k = rng.randrange(len(gens))
+        cases.append((z[:k] + [z[k] + rng.choice((-1, 1))] + z[k + 1:], g))
+    for zz, gg in cases:
+        expected = len(zz) == len(gens) and combination(zz) == gg
+        assert fresh.is_witness(zz, gg) is reduced.is_witness(zz, gg) is expected, (zz, gg)
+    assert "_lattice" not in fresh.__dict__
+
+
 def test_extended_links_only_a_reduced_parent():
     """`extended` links the new group to this group if its lattice is
     reduced, else to this group's own parent; an unreduced chain from a
