@@ -251,6 +251,8 @@ def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
         if default_shape and schedule[i] < schedule[i - 1] + i:
             return (f"schedule violation at position {i + 1}: "
                     f"e_{i + 1} = {schedule[i]} < e_{i} + {i} = {schedule[i - 1] + i}")
+        if schedule[i] < schedule[i - 1]:  # in any shape: p^(e_i - e_(i+1)) is no denominator
+            return f"schedule violation at position {i + 1}: e_{i + 1} = {schedule[i]} < e_{i} = {schedule[i - 1]}"
         if not exponents[i - 1] < exponents[i]:
             return (f"schedule violation at position {i + 1}: the exponents "
                     f"n_i * p^(-e_i) must be strictly increasing")

@@ -13,9 +13,12 @@ of the valuations module and the residue fields k(y) of
 residue-transcendental valuations.
 
 Dense polynomial arithmetic has one kernel for every coefficient field
-(_padd, _pmul, _pdivmod, _pgcd, _preduce): over F_p it runs on ints
+(_padd, _pmul, _pdivmod, _prem, _pgcd, _preduce): over F_p it runs on ints
 reduced mod p, over Q and F_{p^n} on FieldElements with the EXACT
-modulus, which leaves every value as it is.
+modulus, which leaves every value as it is.  Over F_p the t-adic Taylor
+shift also runs on one int per polynomial (Kronecker substitution): the
+coefficients lifted to [0, p), packed at a digit width fixed by an l1
+bound, added and multiplied exactly over Z, and read mod p once.
 """
 
 from __future__ import annotations
@@ -102,19 +105,26 @@ def _pmul(a, b, p, zero=0):
     return _pstrip(out, zero)
 
 
+def _prem(a, b, p, zero=0, quotient=None):
+    """The remainder of a by b != 0, and its quotient into a given list."""
+    a, m = list(a), len(b) - 1
+    binv = pow(b[-1], -1, p) if type(p) is int else b[-1] ** -1
+    for k in range(len(a) - 1, m - 1, -1):
+        c = (a[k] * binv) % p
+        if c:
+            if quotient is not None:
+                quotient[k - m] = c
+            for j, bj in enumerate(b[:m], k - m):  # a[k] itself is dropped
+                a[j] = (a[j] - c * bj) % p
+    return _pstrip(a[:m], zero)
+
+
 def _pdivmod(a, b, p, zero=0):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    binv = pow(b[-1], -1, p) if type(p) is int else b[-1] ** -1
     q = [zero] * max(0, len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = (a[k + len(b) - 1] * binv) % p
-        if c:
-            q[k] = c
-            for j, bj in enumerate(b):
-                a[k + j] = (a[k + j] - c * bj) % p
-    return _pstrip(q, zero), _pstrip(a[: len(b) - 1], zero)
+    r = _prem(a, b, p, zero, q)
+    return _pstrip(q, zero), r
 
 
 def _pxgcd(a, b, p):
@@ -140,8 +150,62 @@ def _pmonic(a, p):
 def _pgcd(a, b, p, zero=0):
     """Monic gcd of stripped a and b; () when both are zero."""
     while b:
-        a, b = b, _pdivmod(a, b, p, zero)[1]
+        a, b = b, _prem(a, b, p, zero)
     return _pmonic(a, p)
+
+
+def _ppack(a, b: int) -> int:
+    """sum_i a_i 2^(b i) for 0 <= a_i < 2^b: a packed at b-bit digits."""
+    x = 0
+    for c in reversed(a):
+        x = x << b | c
+    return x
+
+
+def _ppack_cleared(factors, d, n) -> tuple[int, list[int], int]:
+    """(b, H, n) at b-bit digits for lifts to [0, p) of the pairs (num_j,
+    cof_j) and of a center n/d: H_j = num_j cof_j d^(N-j) exact over Z.  As
+    |x y|_1 = |x|_1 |y|_1 for non-negative x and y, b holds sum_j |H_j|_1
+    (|n|_1 + 1)^j, which bounds every digit of every step of the Taylor
+    shift of H at n, and packed sums and products stay those over Z[t]."""
+    top, sd, sn = len(factors) - 1, sum(d), sum(n) + 1
+    b = sum(sum(x) * sum(y) * sd ** (top - j) * sn ** j for j, (x, y) in enumerate(factors)).bit_length()
+    H, power, pd = [], 1, _ppack(d, b)
+    for x, y in reversed(factors):  # a power past the bound meets only zero num_j
+        H.insert(0, _ppack(x, b) * _ppack(y, b) * power)
+        power *= pd
+    return b, H, _ppack(n, b)
+
+
+def _pdigits(x: int, b: int, p: int):
+    """The b-bit digits of a packed int x >= 0 mod p, low first, read lazily."""
+    mask = (1 << b) - 1
+    return ((x >> k & mask) % p for k in range(0, x.bit_length(), b))
+
+
+def _shift_passes(h: list, step):
+    """Synthetic division of h, low degree first, by x - a in place, with
+    step(x, y) = x*a + y: yields c_0, c_1, ... as the pass that settles
+    each ends (c_N leads)."""
+    for i in range(len(h) - 1):
+        for j in range(len(h) - 2, i - 1, -1):
+            h[j] = step(h[j + 1], h[j])
+        yield h[i]
+    yield from h[-1:]
+
+
+def _pshift(factors, d, n, p, zero=0, one=1) -> list:
+    """The Taylor coefficients at n of sum_j num_j cof_j d^(N-j) y^j by
+    synthetic division: over F_p on _ppack_cleared's ints, each read once
+    by _pdigits, otherwise on the lists."""
+    if type(p) is int:
+        b, h, n = _ppack_cleared(factors, d, n)
+        return [_pdigits(x, b, p) for x in _shift_passes(h, lambda x, y: x * n + y)]
+    h, power = [], (one,)
+    for num, cof in reversed(factors):
+        h.insert(0, _pmul(_pmul(num, cof, p, zero), power, p, zero))
+        power = _pmul(power, d, p, zero)
+    return list(_shift_passes(h, lambda x, y: _padd(_pmul(n, x, p, zero), y, p, zero)))
 
 
 def _preduce(num, den, p, zero=0, one=1):
@@ -207,9 +271,9 @@ def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
         return False
 
     def mulmod(a, b):
-        return _pdivmod(_pmul(a, b, p), f, p)[1]
+        return _prem(_pmul(a, b, p), f, p)
 
-    x = _pdivmod((0, 1), f, p)[1]
+    x = _prem((0, 1), f, p)
     powers = [x]  # powers[k] = x^(p^k) mod f
     for _ in range(n):
         a, result, e = powers[-1], (1,), p
@@ -262,8 +326,12 @@ class Field:
             raise SchemaError(f"a coefficient field must be a JSON object with an int 'char', got {data!r}")
         if char == 0:
             return RATIONALS
-        modulus = tuple(int(c) for c in data.get("modulus", []))
-        return FiniteField(char, modulus)
+        if type(modulus := data.get("modulus", [])) is not list:
+            raise SchemaError(f"a coefficient field's modulus must be a JSON list of ints, got {modulus!r}")
+        for k, c in enumerate(modulus):
+            if type(c) is not int:
+                raise SchemaError(f"modulus entry {k} of a coefficient field must be a JSON int, got {c!r}")
+        return FiniteField(char, tuple(modulus))
 
 
 class Rationals(Field):
@@ -340,7 +408,7 @@ class FiniteField(Field):
                 if not is_irreducible(modulus, p):
                     raise PreconditionError(f"modulus {list(modulus)} is reducible over F_{p}")
             n = self.degree
-            fold = tuple(_pdivmod((0,) * k + (1,), modulus, p)[1] for k in range(n, 2 * n - 1))
+            fold = tuple(_prem((0,) * k + (1,), modulus, p) for k in range(n, 2 * n - 1))
             if len(_PROVEN_FOLDS) < 1024:
                 _PROVEN_FOLDS[p, modulus] = fold
         self._fold = fold
@@ -367,7 +435,7 @@ class FiniteField(Field):
             raise PreconditionError(
                 f"an element of the prime field {self!r} has one coefficient, got {len(coeffs)}")
         if len(coeffs) > self.degree:
-            coeffs = list(_pdivmod(_pstrip(coeffs), self.modulus, p)[1])
+            coeffs = list(_prem(_pstrip(coeffs), self.modulus, p))
         coeffs += [0] * (self.degree - len(coeffs))
         return FieldElement(self, tuple(coeffs))
 
@@ -660,17 +728,17 @@ class FunctionField:
         if isinstance(base, FiniteField) and not base.modulus:
             self._p, self._zero, self._one = base.characteristic, 0, 1
             self._unwrap, self._wrap = _unwrap_ints, functools.partial(_wrap_ints, base)
+            self._read = lambda c, p=self._p: c % p if type(c) is int else base.element(c).value[0]
         else:
             self._p, self._zero, self._one = EXACT, base.zero(), base.one()
             self._unwrap = self._wrap = _as_is
+            self._read = base.element
 
     def element(self, num, den=None) -> "FunctionFieldElement":
         """num/den from coefficient lists of base elements, or of values
         that base.element reads; den defaults to 1."""
-        base = self.base
-        num, den = self._unwrap([base.element(c) for c in num],
-                                [base.one()] if den is None else [base.element(c) for c in den])
-        return self._make(num, den)
+        read = self._read
+        return self._make([read(c) for c in num], [self._one] if den is None else [read(c) for c in den])
 
     def _make(self, num, den) -> "FunctionFieldElement":
         """num/den from kernel coefficient lists, reduced to canonical form."""
@@ -679,6 +747,18 @@ class FunctionField:
         if not den:
             raise PreconditionError("zero denominator")
         return FunctionFieldElement(self, *self._wrap(*_preduce(num, den, p, zero, self._one)))
+
+    def _cleared(self, elements) -> tuple:
+        """(L, [(num, L / den)]) on kernel lists for the num/den of each
+        element, L the lcm of the dens; each distinct den is divided once."""
+        p, zero, lcm = self._p, self._zero, (self._one,)
+        pairs = [self._unwrap(c.num, c.den) for c in elements]
+        cofactor = dict.fromkeys(tuple(den) for _, den in pairs)
+        for den in cofactor:
+            lcm = _pmul(lcm, _pdivmod(den, _pgcd(lcm, den, p, zero), p, zero)[0], p, zero)
+        for den in cofactor:
+            cofactor[den] = _pdivmod(lcm, den, p, zero)[0]
+        return lcm, [(num, cofactor[tuple(den)]) for num, den in pairs]
 
     def from_laurent(self, coeffs: dict[int, FieldElement]) -> "FunctionFieldElement":
         """Element from a Laurent-monomial dict {power: coefficient}."""

@@ -8,14 +8,17 @@ a polynomial is the minimum of v(c_i) + i*gamma over its Taylor
 coefficients at the center, and values of quotients are differences.
 The minimum is taken on int keys D (v(c_i) + i*gamma).  Over Q (p-adic)
 and k(t) (t-adic) the c_i come from a fraction-free shift over Z or k[t]
-with no gcd in the loop, and the v(c_i) are read off it as ints.  Over a
+with no gcd in the loop, and the v(c_i) are read off it as ints; over
+F_p(t) it runs exactly over Z on one packed int per polynomial in t,
+and ord_t h_i is the first digit that p does not divide.  Over a
 trivially valued base the least i with c_i != 0 decides for gamma > 0,
 and the degree for gamma <= 0.
 
 An independent substitution oracle expands g(a + w) by Horner's rule,
 w of value gamma (substitution_value): over a p-adic or t-adic base by
 Horner in the completion at a precision that doubles until the minimum
-is decided, over a finite trivially valued base by Horner in Z[X] by
+is decided (over F_p(t) on packed ints truncated by a mask), over a
+finite trivially valued base by Horner in Z[X] by
 Kronecker substitution, reduced once, over the other bases on the
 base's own elements.
 
@@ -39,7 +42,8 @@ from .fields import (
     FiniteField,
     FunctionField,
     FunctionFieldElement,
-    _padd, _pdivmod, _pgcd, _pmul, _pstrip,
+    _padd, _pdivmod, _pgcd, _pmul, _pdigits, _ppack, _ppack_cleared, _prem, _pshift, _pstrip,
+    _shift_passes,
     is_prime,
 )
 from .groups import GroupElement, Subgroup, _element
@@ -241,11 +245,9 @@ def RatFunc(field: Field, num, den=None) -> FunctionFieldElement:
     return FunctionField(field, "t").element(num, den)
 
 
-def _tadic_order(cs) -> int:
-    for i, c in enumerate(cs):
-        if c:
-            return i
-    raise PreconditionError("zero polynomial has no t-adic order")
+def _tadic_order(cs) -> int | None:
+    """The index of the first nonzero coefficient, None for the zero polynomial."""
+    return next((i for i, c in enumerate(cs) if c), None)
 
 
 class TAdicRationalFunctions(ValuedField):
@@ -284,28 +286,15 @@ class TAdicRationalFunctions(ValuedField):
         return [Fraction(1)]
 
     def _fraction_free_shift(self, cs: list, center: FunctionFieldElement):
-        """(h, L, d) on the kernel lists of the field: with L the lcm of the
-        coefficient denominators, center n/d and N the degree, H(y) =
+        """(h, L, d), L and d kernel lists of the field: with L the lcm of
+        the coefficient denominators, center n/d and N the degree, H(y) =
         L d^N g(y/d) has coefficients H_j = L c_j d^(N-j) in k[t], and h
-        holds its Taylor coefficients h_i at n, by synthetic division with
-        no gcd in the loop; c_i = h_i / (L d^(N-i))."""
+        holds its Taylor coefficients h_i at n, each an iterable of kernel
+        coefficients, low first, by synthetic division with no gcd in the
+        loop (fields._pshift); c_i = h_i / (L d^(N-i))."""
         f = self.field
-        p, zero = f._p, f._zero
-        (n, d), pairs = f._unwrap(center.num, center.den), [f._unwrap(c.num, c.den) for c in cs]
-        lcm, power, top = (f._one,), (f._one,), len(cs) - 1
-        cofactor = dict.fromkeys(tuple(den) for _, den in pairs)  # L / den for each distinct den
-        for den in cofactor:
-            lcm = _pmul(lcm, _pdivmod(den, _pgcd(lcm, den, p, zero), p, zero)[0], p, zero)
-        for den in cofactor:
-            cofactor[den] = _pdivmod(lcm, den, p, zero)[0]
-        h = []
-        for num, den in reversed(pairs):
-            h.insert(0, _pmul(_pmul(num, cofactor[tuple(den)], p, zero), power, p, zero))
-            power = _pmul(power, d, p, zero)
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                h[j] = _padd(h[j], _pmul(n, h[j + 1], p, zero), p, zero)
-        return h, lcm, d
+        (n, d), (lcm, factors) = f._unwrap(center.num, center.den), f._cleared(cs)
+        return _pshift(factors, d, n, f._p, f._zero, f._one), lcm, d
 
     def taylor_coefficients(self, cs: list, center: FunctionFieldElement) -> list:
         """Fraction-free shift over k[t], the analogue of the p-adic one
@@ -315,7 +304,7 @@ class TAdicRationalFunctions(ValuedField):
         h, den, d = self._fraction_free_shift(cs, center)
         out = []
         for hi in reversed(h):
-            out.append(f._make(hi, den))
+            out.append(f._make(list(hi), den))
             den = _pmul(den, d, f._p, f._zero)
         return out[::-1]
 
@@ -324,7 +313,7 @@ class TAdicRationalFunctions(ValuedField):
         fraction-free shift with no division back."""
         h, lcm, d = self._fraction_free_shift(cs, center)
         v_lcm, v_den, top = _tadic_order(lcm), _tadic_order(d), len(h) - 1
-        return [_tadic_order(hi) - v_lcm - (top - i) * v_den if hi else None
+        return [None if (v := _tadic_order(hi)) is None else v - v_lcm - (top - i) * v_den
                 for i, hi in enumerate(h)]
 
     def zero(self):
@@ -383,10 +372,10 @@ class TriviallyValued(ValuedField):
         """The Taylor coefficients c_0, c_1, ... at the center, each yielded
         as the pass of _shift_passes that settles it ends.  Over a
         FiniteField the passes run on the coefficient vectors over F_p,
-        h_j <- M h_(j+1) + h_j mod p with M the matrix of multiplication by
-        the center; otherwise on the field's elements."""
+        h_j <- M h_(j+1) + h_j mod p, M the matrix of multiplication by the
+        center, built once a pass runs; otherwise on the field's elements."""
         f = self.field
-        if not isinstance(f, FiniteField):
+        if not isinstance(f, FiniteField) or len(cs) < 2:
             return _shift_passes(list(cs), lambda x, y: x * center + y)
         p, rows = f.characteristic, f.mul_matrix(center)
         passes = _shift_passes([c.value for c in cs], lambda x, y: [
@@ -504,17 +493,6 @@ def taylor_shift(coeffs: list, center, zero) -> list:
     return list(_shift_passes(cs, lambda x, y: x * center + y)) or [zero]
 
 
-def _shift_passes(h: list, step):
-    """Synthetic division of h, low degree first, by x - a in place, with
-    step(x, y) = x*a + y: yields c_0, c_1, ... as the pass that settles
-    each ends (c_N leads)."""
-    for i in range(len(h) - 1):
-        for j in range(len(h) - 2, i - 1, -1):
-            h[j] = step(h[j + 1], h[j])
-        yield h[i]
-    yield from h[-1:]
-
-
 class _PAdicTruncation:
     """Z/p^K on ints: H(y) = L d^N g(y/d), for L the lcm of the coefficient
     denominators and the center n/d, has int coefficients H_j, and the
@@ -523,7 +501,7 @@ class _PAdicTruncation:
 
     def __init__(self, base: PAdicRationals, cs: list, center: Fraction):
         self.p, self.n, d = base.p, center.numerator, center.denominator
-        self.order = lambda r: PAdicRationals._intval(r, base.p)
+        self.order = lambda r: PAdicRationals._intval(r, base.p) if r else None
         lcm, self.H, power, bound = math.lcm(*(c.denominator for c in cs)), [], 1, 0
         for c in reversed(cs):
             self.H.insert(0, c.numerator * (lcm // c.denominator) * power)
@@ -536,28 +514,38 @@ class _PAdicTruncation:
 
 
 class _TAdicTruncation:
-    """k[t]/t^K on the kernel coefficient lists of the base's FunctionField
-    (ints mod p over F_p, FieldElements with the EXACT modulus over Q and
-    F_{p^n}), with L, H and h_i as in _PAdicTruncation over k[t].  At
-    K >= exact_k = max_j (len H_j + j deg n), K exceeds every deg h_i."""
-
-    order = staticmethod(_tadic_order)
+    """k[t]/t^K with L, H and h_i as in _PAdicTruncation over k[t]: over F_p
+    on the b-bit ints of fields._ppack_cleared, where truncation is a mask
+    that only drops terms, so no digit passes b, and a residue is read mod p;
+    over Q and F_{p^n} on the FunctionField's kernel lists.  At K >= exact_k
+    = max_j (deg H_j + j deg n) + 1, K exceeds every deg h_i."""
 
     def __init__(self, base: TAdicRationalFunctions, cs: list, center: FunctionFieldElement):
         f = base.field
         p, zero = self.p, self.coeff_zero = f._p, f._zero
-        (self.n, d), pairs = f._unwrap(center.num, center.den), [f._unwrap(c.num, c.den) for c in cs]
-        lcm, self.H, power = (f._one,), [], (f._one,)
+        (n, d), pairs = f._unwrap(center.num, center.den), [f._unwrap(c.num, c.den) for c in cs]
+        lcm, power = (f._one,), (f._one,)
         for _, den in pairs:
             lcm = _pmul(lcm, _pdivmod(den, _pgcd(lcm, den, p, zero), p, zero)[0], p, zero)
-        for num, den in reversed(pairs):
-            self.H.insert(0, _pmul(_pmul(num, _pdivmod(lcm, den, p, zero)[0], p, zero), power, p, zero))
-            power = _pmul(power, d, p, zero)
-        self.v_lcm, self.v_den = self.order(lcm), self.order(d)
-        self.exact_k = max(len(h) + j * max(len(self.n) - 1, 0) for j, h in enumerate(self.H))
+        factors = [(num, _pdivmod(lcm, den, p, zero)[0]) for num, den in pairs]
+        if type(p) is int:
+            b, self.H, self.n = _ppack_cleared(factors, d, n)
+            self.b, span = b, lambda h: -(-h.bit_length() // b)
+            self.order = lambda x: _tadic_order(_pdigits(x, b, p))
+        else:
+            self.n, self.H, span, self.order = n, [], len, _tadic_order
+            for num, cof in reversed(factors):
+                self.H.insert(0, _pmul(_pmul(num, cof, p, zero), power, p, zero))
+                power = _pmul(power, d, p, zero)
+        self.v_lcm, self.v_den = _tadic_order(lcm), _tadic_order(d)
+        self.exact_k = max(span(h) + j * max(len(n) - 1, 0) for j, h in enumerate(self.H))
 
     def truncated(self, k: int):
-        p, zero, n = self.p, self.coeff_zero, self.n[:k]
+        p, zero = self.p, self.coeff_zero
+        if type(p) is int:
+            mask = (1 << self.b * k) - 1
+            return [h & mask for h in self.H], lambda x, y, n=self.n & mask: (x * n + y) & mask
+        n = self.n[:k]
         return ([_pstrip(h[:k], zero) for h in self.H],
                 lambda x, y: _pstrip(_padd(_pmul(x, n, p, zero), y, p, zero)[:k], zero))
 
@@ -580,13 +568,12 @@ def _kronecker_value(valn: "CenteredValuation", cs: list) -> GroupElement:
     and the greatest i with h_i != 0 decide."""
     f, a1 = valn.base.field, sum(valn.center.value)
     b = max(_horner([sum(c.value) for c in cs], lambda x, y: x * a1 + y)).bit_length() + 1
-    p, mask = f.characteristic, (1 << b) - 1
-    a, *packed = [sum(x << (k * b) for k, x in enumerate(c.value)) for c in [valn.center, *cs]]
+    p, (a, *packed) = f.characteristic, [_ppack(c.value, b) for c in [valn.center, *cs]]
     h = _horner(packed, lambda x, y: x * a + y)
 
     def reduced(x: int) -> tuple:
-        digits = [(x >> k & mask) % p for k in range(0, x.bit_length(), b)]
-        return _pdivmod(digits, f.modulus, p)[1] if f.modulus else _pstrip(digits)
+        digits = list(_pdigits(x, b, p))
+        return _prem(digits, f.modulus, p) if f.modulus else _pstrip(digits)
 
     return min(valn.gamma.scaled(next(i for i in order if reduced(h[i])))
                for order in (range(len(h)), range(len(h) - 1, -1, -1)))
@@ -623,9 +610,9 @@ def _completion_value(valn: "CenteredValuation", ring) -> GroupElement:
 
     prec = _START_PRECISION
     while True:
-        h = _horner(*ring.truncated(prec))
-        exact = min((shifted_key(i, ring.order(x)) for i, x in enumerate(h) if x), default=None)
-        bound = min((shifted_key(i, prec) for i, x in enumerate(h) if not x), default=exact)
+        h = [ring.order(x) for x in _horner(*ring.truncated(prec))]
+        exact = min((shifted_key(i, v) for i, v in enumerate(h) if v is not None), default=None)
+        bound = min((shifted_key(i, prec) for i, v in enumerate(h) if v is None), default=exact)
         if exact is not None and (exact <= bound or prec >= ring.exact_k):
             return value(exact)
         prec *= 2

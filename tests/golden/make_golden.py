@@ -1,9 +1,10 @@
 """Write the golden job files and record what `ratval run` prints for them.
 
-The jobs are the six README example jobs, two t-adic eval jobs over
-F_2(t) (degrees 4 and 8, center (1+t)/(1+t^2+t^3), gamma 1/2), the
+The jobs are the six README example jobs, three t-adic eval jobs over
+F_2(t) (degrees 4, 8 and 32, center (1+t)/(1+t^2+t^3), gamma 1/2), the
 degree-8 one again with its 0/1 coefficient lists read over Q and over
-F_9 = F_3[X]/(X^2 + 1) (tadic-q-deg8 and tadic-f9-deg8), four
+F_9 = F_3[X]/(X^2 + 1) (tadic-q-deg8 and tadic-f9-deg8), the degree-16
+one read over F_3 (tadic-f3-deg16), four
 eval jobs over the trivially valued F_{13^4} (one degree-16 product
 with three of the roots at the center, at gamma 1/2 and again at
 gamma -1/2, 0 and (0, 1)), one over the trivially valued Q with a
@@ -234,6 +235,8 @@ P3_JOBS = {
 
 def jobs() -> dict:
     return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8),
+            "tadic-deg32": tadic_job(32),
+            "tadic-f3-deg16": tadic_job(16, {"char": 3, "modulus": []}),
             "tadic-q-deg8": tadic_job(8, {"char": 0}),
             "tadic-f9-deg8": tadic_job(8, {"char": 3, "modulus": [1, 0, 1]}),
             "fq-deg16": fq_job(16, 3, seed=16),

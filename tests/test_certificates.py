@@ -135,6 +135,12 @@ class TestDefectTower:
         with pytest.raises(PreconditionError, match="schedule violation at position 3"):
             build_defect_tower(2, [1, 2, 3], 2, multipliers=[-1] * 3)
 
+    def test_decreasing_schedule_with_explicit_multipliers(self):
+        # 1/9 < 2/3 increase, but e_2 < e_1 would grant the denominator
+        # 3^(e_2 - e_1) = 3^-1: a precondition, for the builder and validator
+        with pytest.raises(PreconditionError, match=r"position 2: e_2 = 1 < e_1 = 2"):
+            build_defect_tower(3, [2, 1], 1, multipliers=[1, 2])
+
     def test_even_multiplier_rejected(self):
         with pytest.raises(PreconditionError, match="prime to p"):
             build_defect_tower(2, [1, 2, 4], 2, multipliers=[1, 2, 3])

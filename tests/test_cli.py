@@ -423,6 +423,24 @@ class TestErrors:
         assert err == ("schema error: a coefficient field must be a JSON object with an int "
                        f"'char', got {coefficients!r}\n")
 
+    @pytest.mark.parametrize("entry", [1.5, "x", True, None])
+    def test_modulus_entry_that_is_not_a_json_int_exit_2(self, entry, tmp_path, capsys):
+        """A modulus entry 1.5 used to be read as 1, over another field,
+        and "x" ended in a ValueError traceback."""
+        job = _golden_job_with("tadic-deg4", ["valuation", "base", "coefficients"],
+                               {"char": 3, "modulus": [1, 0, entry]})
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"schema error: modulus entry 2 of a coefficient field must be a JSON int, got {entry!r}\n"
+
+    @pytest.mark.parametrize("modulus", ["X^2 + 1", 5, {"0": 1}])
+    def test_modulus_that_is_not_a_list_exit_2(self, modulus, tmp_path, capsys):
+        job = _golden_job_with("tadic-deg4", ["valuation", "base", "coefficients"],
+                               {"char": 3, "modulus": modulus})
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"schema error: a coefficient field's modulus must be a JSON list of ints, got {modulus!r}\n"
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(["run", write_job(tmp_path, "j.json", {"task": "piltant"})], capsys)
         assert code == 2

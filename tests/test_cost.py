@@ -6,9 +6,12 @@ import pathlib
 
 import pytest
 
-from ratval import groups
+from ratval import fields, groups, valuations
 from ratval.certificates import build_degree_bound, validate_certificate
+from ratval.fields import FiniteField
 from ratval.groups import GroupElement, Subgroup
+from ratval.selftest import poly_mul
+from ratval.valuations import RatFunc, TAdicRationalFunctions
 
 
 def _odd_primes(n: int) -> list[int]:
@@ -71,3 +74,37 @@ def test_defect_tower_recheck_reduces_no_lattice(monkeypatch, name):
     results = []
     assert _hermite_rows_passed(monkeypatch, lambda: results.append(validate_certificate(cert))) == 0
     assert results[0].ok, results[0].findings
+
+
+def _kernel_calls(monkeypatch, run) -> int:
+    """The number of _pmul and _padd calls that `run()` makes, wherever
+    the list kernels are looked up."""
+    calls = []
+    for module in (fields, valuations):
+        for name in ("_pmul", "_padd"):
+            def counting(*args, kernel=getattr(module, name)):
+                calls.append(1)
+                return kernel(*args)
+            monkeypatch.setattr(module, name, counting)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_f2_taylor_values_list_kernel_calls_grow_linearly(monkeypatch):
+    """taylor_values over F_2(t) of prod_j (x - b_j), b_0 = a and b_j =
+    a + t^(j-1) with a = (1+t)/(1+t^2+t^3), the golden tadic jobs.  The
+    Taylor shift and its H_j run on packed ints, so the list kernels see
+    only the lcm of the coefficient denominators, one product for each
+    distinct one: 7 calls at degree 8 and 16 at degree 16.  A shift on the
+    lists makes N(N+1) kernel calls in its loop alone, a ratio of about 3.5
+    per doubling (106 and 339 calls).  The bound 2.5 lies between."""
+    F2 = FiniteField(2)
+    base, center = TAdicRationalFunctions(F2), RatFunc(F2, [1, 1], [1, 0, 1, 1])
+    counts = []
+    for degree in (8, 16):
+        g = [base.one()]
+        for b in [center] + [center + RatFunc(F2, [0] * k + [1]) for k in range(degree - 1)]:
+            g = poly_mul(g, [-b, base.one()], base)
+        counts.append(_kernel_calls(monkeypatch, lambda: base.taylor_values(g, center)))
+    assert counts[1] / counts[0] <= 2.5, counts

@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratval import fields
 from ratval.errors import PreconditionError
@@ -14,9 +16,13 @@ from ratval.fields import (
     FunctionField,
     _padd,
     _pdivmod,
+    _pdigits,
     _pgcd,
     _pmul,
     _power,
+    _ppack,
+    _ppack_cleared,
+    _pshift,
     _pstrip,
     build_extension,
     is_irreducible,
@@ -408,6 +414,81 @@ class TestPrimeFieldKernel:
             FunctionField(RATIONALS).element([F5.one()])
         with pytest.raises(PreconditionError):
             FunctionField(F5).gen() + FunctionField(F7).gen()
+
+
+@st.composite
+def _packed_operands(draw):
+    """(p, a, c) over F_p, p in {2, 3, 7, 251}: two stripped coefficient
+    lists, some of them monomials with the top coefficient p - 1, whose
+    product then has one digit equal to its l1 bound."""
+    p = draw(st.sampled_from([2, 3, 7, 251]))
+    coeff = st.integers(0, p - 1)
+
+    def poly():
+        if draw(st.booleans()):
+            return (0,) * draw(st.integers(0, 4)) + (p - 1,)
+        return _pstrip(draw(st.lists(coeff, max_size=8)))
+
+    return p, poly(), poly()
+
+
+def _read(x: int, b: int, p: int) -> tuple:
+    return _pstrip(list(_pdigits(x, b, p)))
+
+
+class TestPackedKernel:
+    """Kronecker substitution for F_p[t]: one int per polynomial, digits
+    read mod p, against _pmul, _padd and _pdivmod, at the width b that
+    holds the l1 bound of the result and no wider."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_packed_operands())
+    def test_against_the_list_kernel(self, case):
+        p, a, c = case
+        b = (sum(a) * sum(c) + sum(a) + sum(c)).bit_length() or 1
+        pa, pc = _ppack(a, b), _ppack(c, b)
+        assert _read(pa, b, p) == a
+        assert _read(pa * pc, b, p) == _pmul(a, c, p)
+        assert _read(pa + pc, b, p) == _padd(a, c, p)
+        assert _read(pa * pc + pa + pc, b, p) == _padd(_pmul(a, c, p), _padd(a, c, p), p)
+        if c:
+            q, r = _pdivmod(a, c, p)
+            b = (sum(q) * sum(c) + sum(r)).bit_length() or 1
+            assert _read(_ppack(q, b) * _ppack(c, b) + _ppack(r, b), b, p) == a
+
+    @pytest.mark.parametrize("p", [2, 3, 251])
+    def test_a_digit_at_the_bound(self, p):
+        """(p - 1) t^2 times (p - 1) t^3 has the one digit (p - 1)^2, its
+        l1 bound, and the width is the bit length of that bound."""
+        a, c = (0, 0, p - 1), (0, 0, 0, p - 1)
+        b = ((p - 1) ** 2).bit_length()
+        x = _ppack(a, b) * _ppack(c, b)
+        assert x == (p - 1) ** 2 << 5 * b
+        assert _read(x, b, p) == _pmul(a, c, p)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_shift_against_the_list_kernel(self, data):
+        """The packed Taylor shift at n of sum_j num_j cof_j d^(N-j) y^j
+        against synthetic division on _pmul and _padd, with coefficients
+        up to p - 1 everywhere, which drives the digits towards the bound."""
+        p = data.draw(st.sampled_from([2, 3, 5, 251]))
+        poly = st.lists(st.integers(0, p - 1), max_size=4).map(_pstrip)
+        top = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=3))
+        factors = data.draw(st.lists(st.tuples(poly, poly.filter(bool)), max_size=5))
+        factors.append((tuple(top), (1,)))
+        d, n = data.draw(poly.filter(bool)), data.draw(poly)
+        H, power = [], (1,)
+        for num, cof in reversed(factors):
+            H.insert(0, _pmul(_pmul(num, cof, p), power, p))
+            power = _pmul(power, d, p)
+        b, packed, _ = _ppack_cleared(factors, d, n)
+        assert [_read(x, b, p) for x in packed] == H
+        h = list(H)
+        for i in range(len(h) - 1):
+            for j in range(len(h) - 2, i - 1, -1):
+                h[j] = _padd(_pmul(n, h[j + 1], p), h[j], p)
+        assert [_pstrip(list(x)) for x in _pshift(factors, d, n, p)] == h
 
 
 class TestZeroTerms:

@@ -309,13 +309,17 @@ def _tadic_case(coeffs, pool):
 
 F9 = FiniteField(3, (1, 0, 1))
 
-# name: (case, trials, most linear factors); k(t) over F_9 and Q is slow
-# in the fast path and the reference, so it gets fewer and smaller products
+# name: (case, trials, most linear factors); over F_3 and F_7 the lifted
+# digits of the packed shift and oracle reach p - 1, so their mod-p read
+# matters; k(t) over F_9 and Q is slow in the fast path and the reference,
+# so it gets fewer and smaller products
 LAZY_CASES = {
     "2-adic": (lambda: _padic_case(2), 120, 6),
     "3-adic": (lambda: _padic_case(3), 120, 6),
     "5-adic": (lambda: _padic_case(5), 120, 6),
     "F2(t)": (lambda: _tadic_case(F2, [F2.one()]), 36, 5),
+    "F3(t)": (lambda: _tadic_case(FiniteField(3), [FiniteField(3).element(c) for c in (1, 2)]), 30, 5),
+    "F7(t)": (lambda: _tadic_case(FiniteField(7), [FiniteField(7).element(c) for c in (1, 3, 6)]), 30, 5),
     "F9(t)": (lambda: _tadic_case(F9, [F9.one(), F9.gen(), F9.gen() + F9.one()]), 12, 3),
     "Q(t)": (lambda: _tadic_case(RATIONALS, [RATIONALS.element(c) for c in (1, -1, 2, "1/2")]), 12, 3),
 }
@@ -462,6 +466,20 @@ class TestFiniteTrivialBase:
             for gamma, base_coord in FINITE_GAMMAS:
                 valn = CenteredValuation(base, top, gamma, base_coord)
                 assert substitution_value(valn, g) == horner_reference(valn, g) == valn.of_poly(g)
+
+    def test_constant_builds_no_multiplication_matrix(self, monkeypatch):
+        """A constant, such as an eval job's default den [1], needs no pass
+        of the lazy shift, so the matrix of multiplication by the center
+        is never built; a linear polynomial builds it."""
+        built = []
+        monkeypatch.setattr(FiniteField, "mul_matrix", lambda self, a: built.append(a) or ((1,),))
+        base = TriviallyValued(FiniteField(5))
+        valn = CenteredValuation(base, base.element(2), GroupElement.of("1/2"))
+        assert valn.of_poly([base.element(3)]) == GroupElement.of(0)
+        assert base.taylor_coefficients([base.element(3)], base.element(2)) == [base.element(3)]
+        assert built == []
+        base.taylor_coefficients([base.element(3), base.one()], base.element(2))
+        assert built == [base.element(2)]
 
     @pytest.mark.parametrize("name", sorted(FINITE_TRIVIAL))
     def test_suite_oracle_quotients(self, name):
