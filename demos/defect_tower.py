@@ -13,12 +13,13 @@ import json
 
 from ratval import build_defect_tower, validate_certificate
 
-cert = build_defect_tower(p=2, schedule=[1, 2, 4, 7, 11], depth=4, eta_levels=5)
+p = 2
+cert = build_defect_tower(p=p, schedule=[1, 2, 4, 7, 11], depth=4, eta_levels=5)
 
 print("== level witnesses ==")
-for level in cert.payload["levels"]:
-    print(f"  level j={level['j']}: residual exponents {level['witness_exponents']}"
-          f" -> value {level['value']} grants 1/2^{level['grants_denominator_exponent']}")
+for j, level in enumerate(cert.payload["levels"], start=1):
+    print(f"  level j={j}: residual exponents {level['witness_exponents']}"
+          f" -> value {level['value']} grants 1/{p}^{level['grants_denominator_exponent']}")
 
 print()
 print("== Artin-Schreier tower values ==")
@@ -27,9 +28,9 @@ for i, eta in enumerate(cert.payload["eta_tower"], start=1):
 
 print()
 print("== defect accounting ==")
-for claim in cert.payload["defect_claims"]:
-    print(f"  degree 2^{claim['i']} = {claim['degree']}, (e, f) = (1, 1), "
-          f"defect = {claim['defect']}")
+# immediate: (e, f) = (1, 1) at every level, so the defect is the degree
+for i in range(1, len(cert.payload["eta_tower"]) + 1):
+    print(f"  degree {p}^{i} = {p ** i}, (e, f) = (1, 1), defect = {p ** i}")
 
 print()
 result = validate_certificate(cert)

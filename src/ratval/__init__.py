@@ -48,7 +48,6 @@ from .certificates import (
     build_extension_tower,
     build_ic_valuation,
     classification_certificate,
-    fund_ineq_check,
     validate_certificate,
 )
 from .valuations import (

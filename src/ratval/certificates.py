@@ -25,8 +25,8 @@ A subject names what the certificate is about (a classification's
 `c`, a defect tower's `depth`): every well-formed value states something
 the validator still decides.  Prose (`assumptions`, `statement`,
 `model_note` and the `note`s) is for the reader and is not checked.  A
-field that would only restate another field, or hold a constant, is not
-recorded at all, and a field that its kind, its step kind or its
+field that would only copy the subject, a list position or a constant
+is not recorded at all, and a field that its kind, its step kind or its
 nested object (the descriptor apart) does not have is a finding.
 """
 
@@ -53,11 +53,11 @@ from .valuations import (
     PseudoCauchyValuation,
     SeriesValuedField,
     ValuedField,
+    _base_coord,
 )
 
 __all__ = [
     "Certificate",
-    "fund_ineq_check",
     "build_defect_tower",
     "ExtensionStep",
     "ExtensionTower",
@@ -70,7 +70,7 @@ __all__ = [
     "validate_certificate",
 ]
 
-CERTIFICATE_VERSION = 3
+CERTIFICATE_VERSION = 4
 _UNVERSIONED = object()  # the version of a certificate that records no schema_version
 
 # series depth of every Artin-Schreier root the builders compute
@@ -92,27 +92,6 @@ class Certificate:
             raise SchemaError("certificate must be an object with a 'kind' field")
         payload = {k: v for k, v in data.items() if k not in ("kind", "schema_version")}
         return Certificate(data["kind"], payload, data.get("schema_version", _UNVERSIONED))
-
-
-# ---------------------------------------------------------------------------
-# fundamental inequality
-
-def fund_ineq_check(n: int, pairs: list[tuple[int, int]]) -> dict:
-    """Check n >= sum of e_i * f_i over the extensions of the valuation.
-
-    Returns the slack and whether equality holds (the defectless datum).
-    """
-    if n < 1 or any(e < 1 or f < 1 for e, f in pairs):
-        raise PreconditionError("degrees, ramification indices and inertia degrees must be >= 1")
-    total = sum(e * f for e, f in pairs)
-    return {
-        "n": n,
-        "pairs": [[e, f] for e, f in pairs],
-        "sum_ef": total,
-        "ok": n >= total,
-        "slack": n - total,
-        "equality": n == total,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +141,6 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
         witness = Subgroup.generated_by(1, value).witness(target)
         levels.append(
             {
-                "j": j,
-                "frobenius_exponent": e_j,
                 "witness_exponents": [str(e.coords[0]) for e in lhs.support()],
                 "value": str(value),
                 "grants_denominator_exponent": denom_power,
@@ -181,20 +158,6 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
             broken_chain = i
         eta.append({"value": str(v_nxt.coords[0])})
         eta_series = nxt
-    per_level = []
-    for i in range(1, eta_levels + 1):
-        deg = p ** i
-        fi = fund_ineq_check(deg, [(1, 1)])
-        per_level.append(
-            {
-                "i": i,
-                "degree": deg,
-                "ramification_index": 1,
-                "inertia_degree": 1,
-                "defect": deg,
-                "fund_ineq_slack": fi["slack"],
-            }
-        )
     payload = {
         "p": p,
         "schedule": list(schedule),
@@ -203,7 +166,6 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
         "series_truncation": None if trunc is None else str(trunc),
         "levels": levels,
         "eta_tower": eta,
-        "defect_claims": per_level,
         "assumptions": [
             "ambient coefficient field algebraically closed (residue field of the "
             "composite equals it, so every inertia degree is 1)",
@@ -539,7 +501,6 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
     payload = {
         "p": p,
         "indices": list(indices[:depth]),
-        "depth": depth,
         "exponents": [str(g) for g in gammas],
         "cauchy": {"note": "exponents grow beyond every integer, so the partial sums are Cauchy"},
         "bound": bound,
@@ -690,11 +651,8 @@ def _validate_defect_tower(payload: dict) -> str | None:
     if default_shape:
         if trunc is None or (trunc.numerator, trunc.denominator) != (-1, p ** (schedule[-1] + n)):
             return "series truncation does not match the schedule"
-    for k, level in enumerate(levels, start=1):
-        j = level["j"]
+    for j, level in enumerate(levels, start=1):
         e_j = schedule[j - 1]
-        if level["frobenius_exponent"] != e_j:
-            return f"level {j}: Frobenius exponent mismatch"
         # n_i * p^(e_j - e_i) as (num, den) in lowest terms, n_i being prime
         # to p; it lies below p^(e_j) * trunc iff n_i / p^(e_i) < trunc
         pe = pows[j - 1]
@@ -719,35 +677,22 @@ def _validate_defect_tower(payload: dict) -> str | None:
         target = GroupElement.of(Fraction(1, p ** denom_power))
         if not Subgroup.generated_by(1, value).is_witness(level["membership_witness"], target):
             return f"level {j}: membership witness does not verify"
-        if type(j) is not int or j != k:
-            return f"levels: entry {k} is level {j!r}, expected level {k}"
     prev = (-1, 1)
     for i, entry in enumerate(payload["eta_tower"], start=1):
         v = Fraction(entry["value"])
         if v.numerator * prev[1] * p != prev[0] * v.denominator:
             return f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p"
         prev = (v.numerator, v.denominator)
-    for claim in payload["defect_claims"]:
-        i = claim["i"]
-        if claim["degree"] != p ** i:
-            return f"defect claim {i}: degree is not p^{i}"
-        if claim["ramification_index"] != 1 or claim["inertia_degree"] != 1:
-            return f"defect claim {i}: (e, f) must be (1, 1) for an immediate extension"
-        if claim["defect"] != claim["degree"]:
-            return f"defect claim {i}: defect must equal the degree"
-        if claim["fund_ineq_slack"] != claim["degree"] - 1:
-            return f"defect claim {i}: fundamental-inequality slack mismatch"
     return None
 
 
 def _validate_degree_bound(payload: dict) -> str | None:
     p = payload["p"]
     indices = payload["indices"]
-    depth = payload["depth"]
     if (violation := _degree_bound_violation(p, indices)):
         return violation
-    if depth != len(indices) or depth != len(payload["exponents"]):
-        return "depth field disagrees with the witnessed indices"
+    if len(payload["exponents"]) != len(indices):
+        return "exponents must have one entry per index"
     gammas = [Fraction(g) for g in payload["exponents"]]
     elems = [GroupElement.of(g) for g in gammas]
     base = Subgroup.generated_by(1)
@@ -830,12 +775,9 @@ def _validate_classification(payload: dict) -> str | None:
         base = ValuedField.from_json(desc["base"])
     except PreconditionError as exc:
         return f"descriptor base does not build: {exc}"
-    base_coord = int(desc.get("base_coord", 0))
-    gens = []
-    for v in base.value_generators():
-        coords = [Fraction(0)] * gamma.rank
-        coords[base_coord] = Fraction(v)
-        gens.append(GroupElement(tuple(coords)))
+    base_coord = _base_coord(desc.get("base_coord", 0), gamma.rank)
+    gens = [GroupElement.of(*(v if k == base_coord else 0 for k in range(gamma.rank)))
+            for v in base.value_generators()]
     e = Subgroup(gamma.rank, tuple(gens)).torsion_order(gamma)
     if "torsion_order" in witness:
         if e != witness["torsion_order"]:
@@ -853,8 +795,8 @@ def _validate_classification(payload: dict) -> str | None:
 # each kind's validator and the closed set of its payload's top-level fields
 _VALIDATORS = {
     "defect-tower": (_validate_defect_tower, {"p", "schedule", "multipliers", "depth",
-                     "series_truncation", "levels", "eta_tower", "defect_claims", "assumptions"}),
-    "degree-lower-bound": (_validate_degree_bound, {"p", "indices", "depth", "exponents",
+                     "series_truncation", "levels", "eta_tower", "assumptions"}),
+    "degree-lower-bound": (_validate_degree_bound, {"p", "indices", "exponents",
                            "cauchy", "bound", "group_index_witness", "statement", "model_note",
                            "pseudo_cauchy_variant"}),
     "fundamental-inequality": (_validate_fund_ineq, {"base", "steps", "totals"}),
@@ -865,10 +807,8 @@ _VALIDATORS = {
 # each nested object's closed key set; the descriptor is open, the steps checked by kind
 _NESTED_FIELDS = {
     "base": {"residue_char", "value_group"}, "totals": {"degree", "e", "f", "defect"},
-    "levels": {"j", "frobenius_exponent", "witness_exponents", "value", "grants_denominator_exponent",
-               "membership_witness"},
+    "levels": {"witness_exponents", "value", "grants_denominator_exponent", "membership_witness"},
     "eta_tower": {"value"}, "group_index_witness": {"hermite_basis"}, "cauchy": {"note"},
-    "defect_claims": {"i", "degree", "ramification_index", "inertia_degree", "defect", "fund_ineq_slack"},
     "pseudo_cauchy_variant": {"exponents", "note"},
     "witness": {"torsion_order", "non_torsion_rank_proof", "pseudo_cauchy"},
 }

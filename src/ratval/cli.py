@@ -29,8 +29,8 @@ from .certificates import (
     classification_certificate,
     validate_certificate,
 )
-from .errors import InternalError, PreconditionError, RatvalError, SchemaError, UndecidedError
-from .groups import GroupElement, Subgroup, _frac
+from .errors import InternalError, PreconditionError, RatvalError, SchemaError, UndecidedError, _frac
+from .groups import GroupElement, Subgroup
 from .homogeneous import TowerState, extract_homogeneous_sequence, implicit_constant_report
 from .series import HahnSeries
 from .valuations import (
@@ -38,6 +38,7 @@ from .valuations import (
     PseudoCauchyValuation,
     RationalFunction,
     ValuedField,
+    _base_coord,
     substitution_value,
 )
 
@@ -64,18 +65,33 @@ def _require(job: dict, key: str):
     return job[key]
 
 
+def _job_field(name: str, read, value):
+    """read(value), with a SchemaError that names the job field it reads."""
+    try:
+        return read(value)
+    except SchemaError as exc:
+        raise SchemaError(f"job field {name!r}: {exc}") from None
+
+
+def _job_elements(base, values, name: str) -> list:
+    """The base elements of a job field that must be a JSON list."""
+    if not isinstance(values, list):
+        raise SchemaError(f"job field {name!r} must be a JSON list, got {json.dumps(values)}")
+    return [_job_field(f"{name}[{i}]", base.element, c) for i, c in enumerate(values)]
+
+
 def _parse_valuation(desc: dict):
     kind = desc.get("kind", "vag")
-    if kind == "vag":
-        base = ValuedField.from_json(_require(desc, "base"))
-        gamma = GroupElement.from_json(_require(desc, "gamma"))
-        center = desc.get("center", 0)
-        return CenteredValuation(base, base.element(center), gamma,
-                                 base_coord=int(desc.get("base_coord", 0)))
+    if kind not in ("vag", "pcs"):
+        raise SchemaError(f"unknown valuation kind {kind!r}")
+    base = ValuedField.from_json(_require(desc, "base"))
     if kind == "pcs":
-        base = ValuedField.from_json(_require(desc, "base"))
-        return PseudoCauchyValuation(base, [base.element(a) for a in _require(desc, "elements")])
-    raise SchemaError(f"unknown valuation kind {kind!r}")
+        return PseudoCauchyValuation(base, _job_elements(base, _require(desc, "elements"),
+                                                         "valuation.elements"))
+    gamma = _job_field("valuation.gamma", GroupElement.from_json, _require(desc, "gamma"))
+    center = _job_field("valuation.center", base.element, desc.get("center", 0))
+    return CenteredValuation(base, center, gamma,
+                             base_coord=_base_coord(desc.get("base_coord", 0), gamma.rank))
 
 
 def _task_eval(job: dict, depth: int | None) -> dict:
@@ -86,8 +102,8 @@ def _task_eval(job: dict, depth: int | None) -> dict:
             "sequence are depth-stamped reports (use task 'classify' with a probe)"
         )
     entry = _require(job, "eval")
-    num = [valn.base.element(c) for c in _require(entry, "num")]
-    den = [valn.base.element(c) for c in entry.get("den", [1])]
+    num = _job_elements(valn.base, _require(entry, "num"), "eval.num")
+    den = _job_elements(valn.base, entry.get("den", [1]), "eval.den")
     f = RationalFunction(tuple(num), tuple(den))
     value = valn.of_fraction(f)
     report = {
@@ -107,7 +123,7 @@ def _task_classify(job: dict, depth: int | None) -> dict:
     cert = classification_certificate(valn, desc)
     report = {"task": "classify", "certificate": cert.to_dict()}
     if isinstance(valn, PseudoCauchyValuation) and "probe" in job:
-        probe = [valn.base.element(c) for c in job["probe"]["num"]]
+        probe = _job_elements(valn.base, job["probe"]["num"], "probe.num")
         along = valn.values_along(probe)
         report["probe_report"] = {
             "values": [None if v is None else str(v) for v in along["values"]],
@@ -235,7 +251,8 @@ def _text_summary(report: dict) -> str:
             lines.append(f"tower totals: {cert['totals']}")
         if "levels" in cert:
             lines.append(
-                "levels: " + ", ".join(f"j={l['j']} value={l['value']}" for l in cert["levels"])
+                "levels: " + ", ".join(f"j={j} value={l['value']}"
+                                       for j, l in enumerate(cert["levels"], start=1))
             )
     if "ok" in report:
         lines.append("recheck: pass" if report["ok"] else "recheck: FAIL")

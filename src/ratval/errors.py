@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all ratval modules."""
+"""Exception hierarchy shared by all ratval modules, and _frac, the one
+reader of exact rationals from JSON."""
+
+from fractions import Fraction
 
 
 class RatvalError(Exception):
@@ -29,3 +32,14 @@ class InternalError(RatvalError):
     """A self-check of the library failed: a fault in ratval, not in its
     input.  The CLI maps it to exit code 3 with a structured error report.
     """
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(str(exc)) from None
+    raise SchemaError(f"cannot interpret {x!r} as an exact rational")

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, PreconditionError, SchemaError
+from .errors import InternalError, PreconditionError, SchemaError, _frac
 
 __all__ = [
     "Field",
@@ -344,7 +344,7 @@ class Rationals(Field):
             if value.field is not self and value.field != self:
                 raise PreconditionError("descriptor mismatch: expected a rational")
             return value
-        return FieldElement(self, Fraction(value))
+        return FieldElement(self, _frac(value))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, Fraction(0))

@@ -23,24 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InternalError, PreconditionError, SchemaError, UndecidedError
+from .errors import InternalError, PreconditionError, SchemaError, UndecidedError, _frac
 
 __all__ = [
     "GroupElement",
     "Subgroup",
     "compare",
 ]
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(str(exc)) from None
-    raise SchemaError(f"cannot interpret {x!r} as an exact rational")
 
 
 @dataclass(frozen=True)
@@ -121,9 +110,10 @@ class GroupElement:
 
     @staticmethod
     def from_json(data) -> "GroupElement":
-        if isinstance(data, (str, int)):
-            return GroupElement.of(data)
-        return GroupElement.of(*data)
+        coords = data if isinstance(data, list) else [data]
+        if not coords:
+            raise SchemaError("a value group element needs at least one coordinate, got []")
+        return GroupElement.of(*coords)
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

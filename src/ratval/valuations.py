@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, PreconditionError
+from .errors import InternalError, PreconditionError, SchemaError, _frac
 from .fields import (
     Field,
     FieldElement,
@@ -137,16 +137,21 @@ class ValuedField:
 
     @staticmethod
     def from_json(data: dict) -> "ValuedField":
+        if not isinstance(data, dict):
+            raise SchemaError(f"a base valued field must be a JSON object, got {data!r}")
         kind = data.get("kind")
         if kind == "p-adic":
-            return PAdicRationals(int(data["p"]))
+            if type(p := data.get("p")) is not int:
+                raise SchemaError(f"a p-adic base's 'p' must be a JSON int, got {p!r}")
+            return PAdicRationals(p)
         if kind == "t-adic":
             return TAdicRationalFunctions(Field.from_json(data.get("coefficients", {"char": 0})))
         if kind == "trivial":
-            return TriviallyValued(Field.from_json(data["coefficients"]))
+            return TriviallyValued(Field.from_json(data.get("coefficients")))
         if kind == "series":
-            gens = [Fraction(g) for g in data.get("value_group", ["1"])]
-            return SeriesValuedField(Field.from_json(data["coefficients"]), gens)
+            if type(gens := data.get("value_group", ["1"])) is not list:
+                raise SchemaError(f"a series base's value_group must be a JSON list, got {gens!r}")
+            return SeriesValuedField(Field.from_json(data.get("coefficients")), [_frac(g) for g in gens])
         raise PreconditionError(f"unknown base valued field kind {kind!r}")
 
 
@@ -226,7 +231,7 @@ class PAdicRationals(ValuedField):
         return Fraction(1)
 
     def element(self, data):
-        return data if isinstance(data, Fraction) else Fraction(data)
+        return _frac(data)
 
     def sample(self, rng):
         num = rng.randint(-40, 40)
@@ -683,6 +688,15 @@ class RationalFunction:
 
 # ---------------------------------------------------------------------------
 # centered valuations v on K(x) with v(x - a) = gamma
+
+def _base_coord(value, rank: int) -> int:
+    """A descriptor's base_coord: a JSON int or a string of decimal digits, in [0, rank)."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        value = int(value)
+    if type(value) is not int or not 0 <= value < rank:
+        raise SchemaError(f"base_coord must index a coordinate of gamma (0 to {rank - 1}), got {value!r}")
+    return value
+
 
 class CenteredValuation:
     """The extension of the base valuation to K(x) determined by a

@@ -27,10 +27,12 @@ the leaf is 1).  It holds one line per mutation with the job, the JSON
 path, the value and what validate_certificate returns for it: `ok` and
 the findings.  Accepted mutations are recorded as accepted, so the file
 lists the tamperings the validator does not catch.  The certificates are
-of the current CERTIFICATE_VERSION (3), whose payloads hold no field that
-only restates another or holds a constant: a tower step records its kind,
-its subject (alpha, modulus or c) and (e, f, degree, defect), which the
-validator derives again from the subject.  tests/test_golden.py requires
+of the current CERTIFICATE_VERSION (4), whose payloads hold no field that
+only copies the subject, a list position or a constant: a tower step
+records its kind, its subject (alpha, modulus or c) and (e, f, degree,
+defect), which the validator derives again from the subject, a
+defect-tower level is numbered by its position in `levels`, and a degree
+bound's depth is the number of its indices.  tests/test_golden.py requires
 every accepted mutation to sit on a prose or subject leaf named there.
 
 tests/test_golden.py compares the current output with these files, so

@@ -20,7 +20,6 @@ from ratval.certificates import (
     build_ic_valuation,
     classification_certificate,
     ValidationResult,
-    fund_ineq_check,
     validate_certificate,
 )
 from ratval.errors import InternalError, PreconditionError
@@ -46,24 +45,6 @@ def tamper(cert: Certificate, path: list, value):
     return data
 
 
-class TestFundamentalInequality:
-    def test_pass_with_slack(self):
-        out = fund_ineq_check(6, [(2, 1), (1, 2)])
-        assert out["ok"] and out["slack"] == 2 and not out["equality"]
-
-    def test_equality_case(self):
-        out = fund_ineq_check(3, [(3, 1)])
-        assert out["ok"] and out["slack"] == 0 and out["equality"]
-
-    def test_failure(self):
-        out = fund_ineq_check(2, [(2, 2)])
-        assert not out["ok"] and out["slack"] == -2
-
-    def test_positivity_required(self):
-        with pytest.raises(PreconditionError):
-            fund_ineq_check(4, [(0, 1)])
-
-
 class TestDefectTower:
     @pytest.mark.parametrize("p", [2, 3])
     def test_levels_and_eta(self, p):
@@ -81,8 +62,7 @@ class TestDefectTower:
         p, sched = 2, [1, 2, 4, 7, 11]
         cert = build_defect_tower(p, sched, 4)
         trunc = -Fraction(1, p ** (sched[-1] + len(sched)))
-        for level in cert.payload["levels"]:
-            j = level["j"]
+        for j, level in enumerate(cert.payload["levels"], start=1):
             e_j = sched[j - 1]
             expected = sorted(
                 -Fraction(p ** e_j, p ** sched[i - 1])
@@ -93,8 +73,7 @@ class TestDefectTower:
 
     def test_grants_denominators(self):
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
-        for level in cert.payload["levels"]:
-            j = level["j"]
+        for j, level in enumerate(cert.payload["levels"], start=1):
             group = Subgroup.generated_by(1, Fraction(level["value"]))
             assert GroupElement.of(Fraction(1, 2 ** j)) in group
 
@@ -164,12 +143,13 @@ class TestDefectTower:
         assert validate_certificate(tamper(cert, ["depth"], 2)).ok
 
     @pytest.mark.parametrize("levels, finding", [
-        ([0, 1, 0, 1], "levels: entry 3 is level 1, expected level 3"),
-        ([0, 1, 2, 2], "levels: entry 4 is level 3, expected level 4"),
-        ([1, 2, 3, 3], "levels: entry 1 is level 2, expected level 1"),
+        ([0, 1, 0, 1], "level 3: witness exponents disagree with the schedule formula"),
+        ([0, 1, 2, 2], "level 4: witness exponents disagree with the schedule formula"),
+        ([1, 2, 3, 3], "level 1: witness exponents disagree with the schedule formula"),
     ], ids=["repeated", "duplicated", "shifted"])
     def test_levels_count_up_from_one(self, levels, finding):
-        # two witnessed levels recorded twice must not stand for depth 4
+        # two witnessed levels recorded twice must not stand for depth 4:
+        # the k-th recorded level is checked as level k
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
         bad = tamper(cert, ["levels"], [cert.payload["levels"][k] for k in levels])
         assert validate_certificate(bad).findings == (finding,)
@@ -178,9 +158,9 @@ class TestDefectTower:
         (["value"], "-1/2", "level 4: recorded value is not the least witness exponent"),
         (["witness_exponents", 0], "-1/2", "level 4: witness exponents disagree with the schedule formula"),
         (["membership_witness"], [0], "level 4: membership witness does not verify"),
-        (["frobenius_exponent"], 5, "level 4: Frobenius exponent mismatch"),
-        (["j"], 9, "malformed certificate: list index out of range"),
-    ], ids=["value", "witness-exponent", "membership-witness", "frobenius-exponent", "j"])
+        (["grants_denominator_exponent"], 5, "level 4: granted denominator exponent mismatch"),
+        (["j"], 4, "unknown field levels[3].j"),
+    ], ids=["value", "witness-exponent", "membership-witness", "granted-denominator", "j"])
     def test_levels_beyond_depth_are_checked(self, path, value, finding):
         # a depth-3 claim over four recorded levels: the fourth is checked too
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
@@ -316,7 +296,7 @@ class TestExtensionTowers:
         )
         totals = cert.payload["totals"]
         assert totals == {"degree": 12, "e": 6, "f": 2, "defect": 1}
-        assert fund_ineq_check(totals["degree"], [(totals["e"], totals["f"])])["equality"]
+        assert totals["degree"] == totals["e"] * totals["f"]  # defectless: equality
         assert validate_certificate(cert).ok
 
     def test_fund_ineq_ledger_on_every_tower(self):
@@ -330,7 +310,7 @@ class TestExtensionTowers:
         for p, steps in cases:
             tower, cert = build_extension_tower(p, steps)
             totals = cert.payload["totals"]
-            assert fund_ineq_check(totals["degree"], [(totals["e"], totals["f"])])["ok"]
+            assert totals["degree"] >= totals["e"] * totals["f"]
             assert validate_certificate(cert.to_dict()).ok
 
     def test_kummer_hypothesis_violations(self):
@@ -382,8 +362,8 @@ class TestExtensionTowers:
         assert validate_certificate(data).findings == (f"malformed certificate: {first!r}",)
 
     def test_a_bare_fundamental_inequality_is_not_a_certificate(self):
-        data = {"kind": "fundamental-inequality", "schema_version": 3,
-                **fund_ineq_check(12, [(6, 2)])}
+        data = {"kind": "fundamental-inequality", "schema_version": 4,
+                "n": 12, "pairs": [[6, 2]], "sum_ef": 12, "ok": True, "slack": 0, "equality": True}
         assert validate_certificate(data).findings == ("unknown field n",)
 
     @pytest.mark.parametrize("defect", [0, 2, 12, "1"])
@@ -417,9 +397,9 @@ class TestExtensionTowers:
         assert res.findings == (f"{p} is not prime",)
 
     def test_stray_fields_of_a_relabelled_v2_tower(self):
-        """The README tower as schema v2 recorded it, relabelled as v3:
+        """The README tower as schema v2 recorded it, relabelled as v4:
         its fund_ineq and its step witnesses are unknown fields."""
-        data = {**README_TOWER_V2, "schema_version": 3}
+        data = {**README_TOWER_V2, "schema_version": 4}
         assert validate_certificate(data).findings == ("unknown field fund_ineq",)
         del data["fund_ineq"]
         assert validate_certificate(data).findings == ("unknown field steps[0].witness",)
@@ -694,7 +674,7 @@ NESTED_STRAYS = [
      "pseudo_cauchy_variant.bounded"),
     ("readme-piltant", ["eta_tower", 0], "chain_ok", True, "eta_tower[0].chain_ok"),
     ("readme-piltant", ["levels", 1], "membership_target", "1/4", "levels[1].membership_target"),
-    ("readme-piltant", ["defect_claims", 0], "note", "x", "defect_claims[0].note"),
+    ("readme-piltant", ["levels", 0], "j", 1, "levels[0].j"),
     ("readme-extension-step", ["base"], "residue_degree", 1, "base.residue_degree"),
     ("readme-extension-step", ["totals"], "slack", 0, "totals.slack"),
     ("readme-classify", ["witness"], "note", "x", "witness.note"),
@@ -709,8 +689,9 @@ class TestNestedFields:
                              ids=[case[-1] for case in NESTED_STRAYS])
     def test_unknown_nested_key_is_a_finding(self, name, path, key, value, where):
         """The README degree-bound golden with the v2 index_over_base
-        added back, the piltant golden with the v2 chain_ok added back,
-        and a stray key in each other closed object."""
+        added back, the piltant golden with the v2 chain_ok and the v3
+        level number j added back, and a stray key in each other closed
+        object."""
         cert = _golden_certificate(name)
         assert validate_certificate(cert).ok
         node = cert
@@ -732,6 +713,22 @@ class TestNestedFields:
         cert["descriptor"]["gamma"] = [value]
         assert validate_certificate(cert).findings == (
             f"malformed certificate: cannot interpret {value!r} as an exact rational",)
+
+
+    @pytest.mark.parametrize("value", [-1, 1.0, True])
+    def test_base_coord_must_index_gamma(self, value):
+        """The README classification over gamma = (0, 1/2), whose base
+        values sit in coordinate 1: base_coord 1 or "1" validates, while -1
+        (which used to pick the last coordinate), 1.0 and true (which used
+        to be read as 1) are findings."""
+        cert = _golden_certificate("readme-classify")
+        cert["descriptor"]["gamma"] = ["0", "1/2"]
+        for good in (1, "1"):
+            cert["descriptor"]["base_coord"] = good
+            assert validate_certificate(cert).ok
+        cert["descriptor"]["base_coord"] = value
+        assert validate_certificate(cert).findings == (
+            f"malformed certificate: base_coord must index a coordinate of gamma (0 to 1), got {value!r}",)
 
 
 def _golden_certificate(name):
@@ -803,18 +800,19 @@ class TestEnvelope:
         assert not result.ok
         assert result.findings == ("certificate must be an object with a 'kind' field",)
 
-    @pytest.mark.parametrize("version", [99, 0, pytest.param(1, id="int-1"), "1", True, None, 1.5])
+    @pytest.mark.parametrize("version", [99, 0, pytest.param(1, id="int-1"), pytest.param(3, id="int-3"),
+                                         "1", True, None, 1.5])
     def test_unknown_schema_version(self, version):
         result = validate_certificate(tamper(build_degree_bound(2, [3, 5]), ["schema_version"],
                                              version))
         assert not result.ok
         assert result.findings == (f"unknown schema_version {version!r}; "
-                                   f"this ratval reads version 3",)
+                                   f"this ratval reads version 4",)
 
     @pytest.mark.parametrize("increments", [False, True], ids=["as-recorded", "v1-increments"])
     def test_missing_schema_version(self, increments):
         """The README degree-bound golden with its schema_version deleted,
-        also with a v1 `increments` whose e is 99, is not read as v3."""
+        also with a v1 `increments` whose e is 99, is not read as v4."""
         golden = pathlib.Path(__file__).parent / "golden" / "readme-degree-bound.out"
         cert = json.loads(golden.read_text())["certificate"]
         del cert["schema_version"]
@@ -822,11 +820,11 @@ class TestEnvelope:
             cert["increments"] = [{"e": 99, "f": 1}]
         result = validate_certificate(cert)
         assert not result.ok
-        assert result.findings == ("certificate has no schema_version; this ratval reads version 3",)
+        assert result.findings == ("certificate has no schema_version; this ratval reads version 4",)
 
     def test_stray_field_is_a_finding(self):
         """A degree bound that still carries the v1 `increments` is not
-        read as v3."""
+        read as v4."""
         cert = tamper(build_degree_bound(2, [3, 5]), ["increments"], [{"e": 99, "f": 1}])
         assert validate_certificate(cert).findings == ("unknown field increments",)
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -23,6 +24,14 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _mutation_values():
+    """make_golden.MUTATION_VALUES, the values that the mutation golden sets."""
+    spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTATION_VALUES
 
 
 def _golden_job_with(name, path, value):
@@ -285,11 +294,13 @@ class TestRunCertificates:
         ({"task": "degree-bound", "p": 2, "n": [3, 5]}, ["exponents", 0], "1/0"),
         ({"task": "extension-step", "p": 2, "steps": [{"kind": "kummer", "alpha": "1/3"}]},
          ["steps", 0, "alpha"], "x"),
-        ({"task": "piltant", "p": 2, "e": [1, 2, 4, 7], "depth": 3}, ["levels", 0, "j"], 10 ** 6),
+        ({"task": "piltant", "p": 2, "e": [1, 2, 4, 7], "depth": 3},
+         ["levels", 0, "witness_exponents"], 10 ** 6),
         ({"task": "classify", "valuation": {"kind": "vag", "base": {"kind": "p-adic", "p": 3},
                                             "center": "0", "gamma": ["1/2"]}},
          ["descriptor", "base"], "x"),
-    ], ids=["zero-denominator", "alpha-not-a-rational", "level-out-of-range", "base-not-an-object"])
+    ], ids=["zero-denominator", "alpha-not-a-rational", "level-witnesses-not-a-list",
+            "base-not-an-object"])
     def test_recheck_of_a_malformed_field_exits_1(self, tmp_path, capsys, job, path, value):
         code, out, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
         assert code == 0
@@ -369,8 +380,9 @@ class TestErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, path, value, message", [
-        ("readme-eval", ["valuation", "gamma", 0], "x", "Invalid literal for Fraction: 'x'"),
-        ("readme-eval", ["valuation", "gamma", 0], "1/0", "Fraction(1, 0)"),
+        ("readme-eval", ["valuation", "gamma", 0], "x",
+         "job field 'valuation.gamma': Invalid literal for Fraction: 'x'"),
+        ("readme-eval", ["valuation", "gamma", 0], "1/0", "job field 'valuation.gamma': Fraction(1, 0)"),
         ("readme-extension-step", ["value_group"], ["x"], "Invalid literal for Fraction: 'x'"),
         ("readme-extension-step", ["value_group"], ["1/0"], "Fraction(1, 0)"),
     ], ids=["gamma-x", "gamma-1/0", "value-group-x", "value-group-1/0"])
@@ -381,6 +393,41 @@ class TestErrors:
         job = _golden_job_with(name, path, value)
         code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
         assert (code, out, err) == (2, "", f"schema error: {message}\n")
+
+    # (job, path, the name its schema errors give, the values of the right
+    # type, which must not exit 2): gamma, center and eval.num[0] take
+    # rationals, p an int, and base_coord 0 as an int or a digit string
+    READER_FIELDS = [
+        (job, path, name, ok)
+        for job in ("readme-eval", "readme-classify")
+        for path, name, ok in [
+            (["valuation", "gamma"], "'valuation.gamma'", (-1, 0, 2, 10 ** 6, "0")),
+            (["valuation", "base", "p"], "'p'", (-1, 0, 2, 10 ** 6)),
+            (["valuation", "center"], "'valuation.center'", (-1, 0, 2, 10 ** 6, "0")),
+            (["valuation", "base_coord"], "base_coord", (0, "0")),
+            *([(["eval", "num", 0], "'eval.num[0]'", (-1, 0, 2, 10 ** 6, "0"))]
+              if job == "readme-eval" else []),
+        ]
+    ]
+
+    @pytest.mark.parametrize("name, path, field, well_typed", READER_FIELDS,
+                             ids=[f"{j}-{'.'.join(map(str, p))}" for j, p, _, _ in READER_FIELDS])
+    def test_valuation_readers_are_total(self, name, path, field, well_typed, tmp_path, capsys):
+        """Every mutation value, 1.5 and 1e400 in the README eval and
+        classify jobs' valuation and eval fields: cli.main returns 0, 1 or
+        2, and a value of the wrong type (a bool, a float, null, a list, an
+        object or a string that is no rational) is a schema error, exit 2,
+        naming the field.  These used to escape as TypeError, ValueError or
+        ZeroDivisionError, to run p = 2.5 2-adically, to read true as 1 and
+        base_coord -1 as the last coordinate."""
+        for value in (*_mutation_values(), 1.5, 1e400):
+            job = _golden_job_with(name, path, value)
+            code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+            if any(value == v and type(value) is type(v) for v in well_typed):
+                assert code in (0, 1), (value, err)
+            else:
+                assert (code, out) == (2, ""), value
+                assert err.startswith("schema error: ") and field in err, (value, err)
 
     @pytest.mark.parametrize("name, path, value, field", [
         ("readme-piltant", ["p"], 2.5, "p"),
@@ -519,6 +566,12 @@ class TestTextOutput:
         code, out, _ = run_cli(["run", write_job(tmp_path, "j.json", job), "--text"], capsys)
         assert code == 0
         assert "degree lower bound: 105" in out
+
+    def test_piltant_summary_numbers_levels_by_position(self, capsys):
+        # a level records no number of its own: the summary counts them
+        code, out, _ = run_cli(["run", str(GOLDEN / "readme-piltant.json"), "--text"], capsys)
+        assert (code, out) == (0, "task: piltant\ncertificate kind: defect-tower\nlevels: j=1 "
+                                  "value=-1/2, j=2 value=-1/4, j=3 value=-1/8, j=4 value=-1/16\n")
 
 
 class TestConsoleEntry:
