@@ -27,7 +27,11 @@ the validator still decides.  Prose (`assumptions`, `statement`,
 `model_note` and the `note`s) is for the reader and is not checked.  A
 field that would only copy the subject, a list position or a constant
 is not recorded at all, and a field that its kind, its step kind or its
-nested object (the descriptor apart) does not have is a finding.
+nested object (the descriptor apart) does not have is a finding.  The
+validators read every field with the schema module's readers (a step
+with ExtensionStep.from_json, the descriptor, open like a job's, with
+valuations.valuation_from_json): an ill-typed field is a finding that
+names its JSON path.
 """
 
 from __future__ import annotations
@@ -48,13 +52,14 @@ from .homogeneous import (
 from .series import HahnSeries, artin_schreier_root, kummer_root
 from .valuations import (
     RESIDUE_TRANSCENDENTAL,
+    VALUATION_ALGEBRAIC,
     VALUE_TRANSCENDENTAL,
     CenteredValuation,
     PseudoCauchyValuation,
     SeriesValuedField,
-    ValuedField,
-    _base_coord,
+    valuation_from_json,
 )
+from .schema import integer, list_of, obj, rational, string
 
 __all__ = [
     "Certificate",
@@ -76,6 +81,8 @@ _UNVERSIONED = object()  # the version of a certificate that records no schema_v
 # series depth of every Artin-Schreier root the builders compute
 _AS_DEPTH = 3
 
+_MAX_DIGITS = 4300  # Python's default limit on the decimal digits of an int it writes
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -87,9 +94,8 @@ class Certificate:
         return {"kind": self.kind, "schema_version": self.version, **self.payload}
 
     @staticmethod
-    def from_dict(data: dict) -> "Certificate":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise SchemaError("certificate must be an object with a 'kind' field")
+    def from_dict(data) -> "Certificate":
+        obj(data, required=("kind",))
         payload = {k: v for k, v in data.items() if k not in ("kind", "schema_version")}
         return Certificate(data["kind"], payload, data.get("schema_version", _UNVERSIONED))
 
@@ -204,10 +210,8 @@ def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
         if math.gcd(abs(m), p) != 1:
             return f"multiplier n_{i} = {m} must be prime to p = {p}"
     for i, e in enumerate(schedule, start=1):
-        # an exponent that is not an int fails as malformed just below
-        if isinstance(e, int) and e < 0:
+        if e < 0:
             return f"schedule exponent e_{i} = {e} must be >= 0"
-    exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
     default_shape = all(m == -1 for m in mults)
     for i in range(1, n):
         if default_shape and schedule[i] < schedule[i - 1] + i:
@@ -215,7 +219,9 @@ def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
                     f"e_{i + 1} = {schedule[i]} < e_{i} + {i} = {schedule[i - 1] + i}")
         if schedule[i] < schedule[i - 1]:  # in any shape: p^(e_i - e_(i+1)) is no denominator
             return f"schedule violation at position {i + 1}: e_{i + 1} = {schedule[i]} < e_{i} = {schedule[i - 1]}"
-        if not exponents[i - 1] < exponents[i]:
+        # n_i p^-e_i < n_(i+1) p^-e_(i+1) iff n_i p^d < n_(i+1): n_i's sign once 2^d > |n_(i+1)|
+        d = schedule[i] - schedule[i - 1]
+        if not (mults[i - 1] < 0 if d >= abs(mults[i]).bit_length() else mults[i - 1] * p ** d < mults[i]):
             return (f"schedule violation at position {i + 1}: the exponents "
                     f"n_i * p^(-e_i) must be strictly increasing")
     if depth > n - 1:
@@ -223,6 +229,11 @@ def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
                 f"provides witnesses only up to level {n - 1}")
     if type(depth) is not int or depth < 1:
         return f"depth {depth!r} must be an int >= 1"
+    # p^k < 2^(k b), b = p.bit_length(), has at most k b log10(2) < k b 0.30103 digits
+    k = schedule[-1] + n
+    if k * p.bit_length() * 30103 > _MAX_DIGITS * 100000:
+        return (f"schedule too large: p^(e_max + n) = {p}^{k} may pass the "
+                f"{_MAX_DIGITS}-digit limit on the decimal ints of a certificate")
     return None
 
 
@@ -240,15 +251,16 @@ class ExtensionStep:
     c_exponent: Fraction | None = None     # artin-schreier: exponent of c = t^(c_exponent)
 
     @staticmethod
-    def from_json(data: dict) -> "ExtensionStep":
-        kind = data.get("kind")
-        if kind == "kummer":
-            return ExtensionStep("kummer", alpha=Fraction(data["alpha"]))
+    def from_json(data, path=()) -> "ExtensionStep":
+        """The kind and subject of the step at path in a job or a certificate record."""
+        kind = string(obj(data, path).get("kind"), (*path, "kind"), _STEP_SUBJECTS)
+        key = _STEP_SUBJECTS[kind]
+        subject = obj(data, path, required=(key,))[key]
         if kind == "residue":
-            return ExtensionStep("residue", modulus=tuple(int(c) for c in data["modulus"]))
-        if kind == "artin-schreier":
-            return ExtensionStep("artin-schreier", c_exponent=Fraction(data["c"]))
-        raise SchemaError(f"unknown extension step kind {kind!r}")
+            return ExtensionStep(kind, modulus=tuple(list_of(integer, subject, (*path, key))))
+        if kind == "kummer":
+            return ExtensionStep(kind, alpha=rational(subject, (*path, key)))
+        return ExtensionStep(kind, c_exponent=rational(subject, (*path, key)))
 
 
 @dataclass
@@ -595,7 +607,8 @@ def validate_certificate(data) -> ValidationResult:
     re-verified.  Any JSON value is accepted and none raises: one that is
     not an object with a known 'kind', that names no schema_version or one
     other than CERTIFICATE_VERSION, that has a field its kind does not
-    have, or whose fields do not have the recorded shape, is a finding.
+    have, or whose fields do not have the recorded shape, is a finding:
+    a schema reader's error as it is, any other as a malformed certificate.
     """
     try:
         cert = data if isinstance(data, Certificate) else Certificate.from_dict(data)
@@ -609,49 +622,37 @@ def validate_certificate(data) -> ValidationResult:
         named = ("certificate has no schema_version" if cert.version is _UNVERSIONED
                  else f"unknown schema_version {cert.version!r}")
         return ValidationResult(False, (f"{named}; this ratval reads version {CERTIFICATE_VERSION}",))
-    stray = next((k for k in cert.payload if k not in fields), None)
-    if stray is not None or (stray := _nested_stray(cert.payload)) is not None:
-        return ValidationResult(False, (f"unknown field {stray}",))
     try:
-        finding = validator(cert.payload)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError,
-            AttributeError, PreconditionError, SchemaError) as exc:
-        finding = f"malformed certificate: {exc}"
+        finding = validator(obj(cert.payload, keys=fields))
+    except (SchemaError, KeyError, TypeError, ValueError, ZeroDivisionError, IndexError,
+            AttributeError, PreconditionError) as exc:
+        finding = str(exc) if isinstance(exc, SchemaError) else f"malformed certificate: {exc}"
     return ValidationResult(finding is None, () if finding is None else (finding,))
 
 
-def _nested_stray(payload: dict) -> str | None:
-    """The path of the first key that its nested object does not have, or None."""
-    for name, value in payload.items():
-        if (keys := _NESTED_FIELDS.get(name)) is not None:
-            for i, obj in enumerate(value if isinstance(value, list) else [value]):
-                if isinstance(obj, dict) and not keys.issuperset(obj):
-                    stray = next(k for k in obj if k not in keys)
-                    return f"{name}[{i}].{stray}" if isinstance(value, list) else f"{name}.{stray}"
-    return None
-
-
 def _validate_defect_tower(payload: dict) -> str | None:
-    p = payload["p"]
-    schedule = payload["schedule"]
-    depth = payload["depth"]
+    p = integer(payload["p"], ("p",))
+    schedule = list_of(integer, payload["schedule"], ("schedule",))
+    depth = integer(payload["depth"], ("depth",))
+    mults = list_of(integer, payload["multipliers"], ("multipliers",))
     n = len(schedule)
-    mults = payload["multipliers"]
     if (violation := _defect_tower_violation(p, schedule, mults, depth)):
         return violation
     default_shape = all(m == -1 for m in mults)
     pows = [p ** e for e in schedule]
     top = max(pows)
     keys = [m * (top // pw) for m, pw in zip(mults, pows)]  # n_i / p^(e_i) over one power of p
-    levels = payload["levels"]
+    levels = list_of(None, payload["levels"], ("levels",))
     if depth > len(levels):
         return f"depth field {depth} exceeds the {len(levels)} witnessed levels"
-    recorded_trunc = payload["series_truncation"]
-    trunc = None if recorded_trunc is None else Fraction(recorded_trunc)
+    trunc = payload["series_truncation"]
+    trunc = None if trunc is None else rational(trunc, ("series_truncation",))
     if default_shape:
         if trunc is None or (trunc.numerator, trunc.denominator) != (-1, p ** (schedule[-1] + n)):
             return "series truncation does not match the schedule"
     for j, level in enumerate(levels, start=1):
+        at = ("levels", j - 1)
+        level = obj(level, at, keys=_LEVEL_FIELDS)
         e_j = schedule[j - 1]
         # n_i * p^(e_j - e_i) as (num, den) in lowest terms, n_i being prime
         # to p; it lies below p^(e_j) * trunc iff n_i / p^(e_i) < trunc
@@ -660,16 +661,17 @@ def _validate_defect_tower(payload: dict) -> str | None:
         below = range(j, n) if trunc is None else [
             i for i in range(j, n) if mults[i] * trunc.denominator < trunc.numerator * pows[i]]
         oracle = [scaled[i] for i in sorted(below, key=keys.__getitem__)]
-        witnessed = [(w.numerator, w.denominator) for w in map(Fraction, level["witness_exponents"])]
+        witnessed = [(w.numerator, w.denominator) for w in
+                     list_of(rational, level["witness_exponents"], (*at, "witness_exponents"))]
         if witnessed != oracle:
             return f"level {j}: witness exponents disagree with the schedule formula"
-        value = Fraction(level["value"])
+        value = rational(level["value"], (*at, "value"))
         # witnessed is the sorted oracle, so its least exponent is its first
         if not witnessed or witnessed[0] != (value.numerator, value.denominator):
             return f"level {j}: recorded value is not the least witness exponent"
         if (value.numerator, value.denominator) != scaled[j]:
             return f"level {j}: value differs from n_(j+1) * p^(e_j - e_(j+1))"
-        denom_power = level["grants_denominator_exponent"]
+        denom_power = integer(level["grants_denominator_exponent"], (*at, "grants_denominator_exponent"))
         if denom_power != schedule[j] - e_j:
             return f"level {j}: granted denominator exponent mismatch"
         if default_shape and denom_power < j:
@@ -678,8 +680,9 @@ def _validate_defect_tower(payload: dict) -> str | None:
         if not Subgroup.generated_by(1, value).is_witness(level["membership_witness"], target):
             return f"level {j}: membership witness does not verify"
     prev = (-1, 1)
-    for i, entry in enumerate(payload["eta_tower"], start=1):
-        v = Fraction(entry["value"])
+    for i, entry in enumerate(list_of(None, payload["eta_tower"], ("eta_tower",)), start=1):
+        at = ("eta_tower", i - 1)
+        v = rational(obj(entry, at, keys={"value"})["value"], (*at, "value"))
         if v.numerator * prev[1] * p != prev[0] * v.denominator:
             return f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p"
         prev = (v.numerator, v.denominator)
@@ -687,13 +690,14 @@ def _validate_defect_tower(payload: dict) -> str | None:
 
 
 def _validate_degree_bound(payload: dict) -> str | None:
-    p = payload["p"]
-    indices = payload["indices"]
+    p = integer(payload["p"], ("p",))
+    indices = list_of(integer, payload["indices"], ("indices",))
+    obj(payload["cauchy"], ("cauchy",), keys={"note"})
     if (violation := _degree_bound_violation(p, indices)):
         return violation
-    if len(payload["exponents"]) != len(indices):
+    gammas = list_of(rational, payload["exponents"], ("exponents",))
+    if len(gammas) != len(indices):
         return "exponents must have one entry per index"
-    gammas = [Fraction(g) for g in payload["exponents"]]
     elems = [GroupElement.of(g) for g in gammas]
     base = Subgroup.generated_by(1)
     for i, (nv, g, elem) in enumerate(zip(indices, gammas, elems), start=1):
@@ -703,49 +707,51 @@ def _validate_degree_bound(payload: dict) -> str | None:
         if base.torsion_order(elem) != nv:
             return f"torsion order of gamma_{i} over Z is not n_{i}"
     expected = math.lcm(*indices)
-    if payload["bound"] != expected:
-        return f"bound {payload['bound']} differs from lcm = {expected}"
+    bound = integer(payload["bound"], ("bound",))
+    if bound != expected:
+        return f"bound {bound} differs from lcm = {expected}"
     big = base.extended(*elems)
-    if big.index_over(base) != payload["bound"]:
+    if big.index_over(base) != bound:
         return "subgroup index witness does not verify against the bound"
     basis = [str(b.coords[0]) for b in big.basis()]
-    if basis != payload["group_index_witness"]["hermite_basis"]:
+    if basis != obj(payload["group_index_witness"], ("group_index_witness",),
+                    keys={"hermite_basis"})["hermite_basis"]:
         return "recorded Hermite basis does not verify"
     # 1 - 1/n_i is (n_i - 1) / n_i in lowest terms, and n_i > 1
-    if payload["pseudo_cauchy_variant"]["exponents"] != [f"{nv - 1}/{nv}" for nv in indices]:
+    variant = obj(payload["pseudo_cauchy_variant"], ("pseudo_cauchy_variant",), keys={"exponents", "note"})
+    if variant["exponents"] != [f"{nv - 1}/{nv}" for nv in indices]:
         return "pseudo-Cauchy variant exponents are not 1 - 1/n_i"
     return None
 
 
 def _validate_fund_ineq(payload: dict) -> str | None:
-    base = payload["base"]
-    p = base["residue_char"]
+    base = obj(payload["base"], ("base",), keys={"residue_char", "value_group"})
+    p = integer(base["residue_char"], ("base", "residue_char"))
     if (violation := _prime_violation(p)):
         return violation
-    group = Subgroup.generated_by(*(GroupElement.from_json(g) for g in base["value_group"]))
+    group = Subgroup.generated_by(*list_of(GroupElement.from_json, base["value_group"],
+                                           ("base", "value_group")))
     residue_degree = e = f = n = 1
-    for i, s in enumerate(payload["steps"], start=1):
-        kind = s["kind"]
-        key = _STEP_SUBJECTS.get(kind) if isinstance(kind, str) else None
-        if key is None:
-            return f"step {i}: unknown step kind {kind!r}"
-        if (stray := next((k for k in s if k not in (key, *_STEP_FIELDS)), None)) is not None:
-            return f"unknown field steps[{i - 1}].{stray}"
+    for i, s in enumerate(list_of(None, payload["steps"], ("steps",)), start=1):
+        at = ("steps", i - 1)
+        key = _STEP_SUBJECTS[ExtensionStep.from_json(s, at).kind]  # reads the kind and subject
+        obj(s, at, keys={key, *_STEP_FIELDS})
         try:
             step_e, step_f, defect, group, residue_degree = _step_numbers(
-                kind, s[key], p, group, residue_degree)
+                s["kind"], s[key], p, group, residue_degree)
         except PreconditionError as exc:
             return f"step {i}: {exc}"
         derived = {"e": step_e, "f": step_f, "degree": step_e * step_f * defect, "defect": defect}
-        if (wrong := next((k for k in derived if s[k] != derived[k]), None)) is not None:
-            return f"step {i}: {wrong} is {s[wrong]!r}, but the step gives {derived[wrong]}"
+        if (wrong := next((k for k in derived if integer(s[k], (*at, k)) != derived[k]), None)) is not None:
+            return f"step {i}: {wrong} is {s[wrong]}, but the step gives {derived[wrong]}"
         e *= step_e
         f *= step_f
         n *= derived["degree"]
-    totals = payload["totals"]
-    if (totals["e"], totals["f"], totals["degree"]) != (e, f, n):
+    totals = obj(payload["totals"], ("totals",), keys=set(_TOTALS))
+    total_e, total_f, total_degree, total_defect = (integer(totals[k], ("totals", k)) for k in _TOTALS)
+    if (total_e, total_f, total_degree) != (e, f, n):
         return "totals are not the products of the step data"
-    if totals["defect"] * e * f != n:
+    if total_defect * e * f != n:
         return "total defect is not degree / (e * f)"
     return None
 
@@ -760,27 +766,27 @@ def _validate_classification(payload: dict) -> str | None:
     expected = {
         0: VALUE_TRANSCENDENTAL,
         1: RESIDUE_TRANSCENDENTAL,
-        2: "valuation-algebraic",
+        2: VALUATION_ALGEBRAIC,
     }[flags.index(True)]
     if label != expected:
         return f"label {label!r} disagrees with the trichotomy flags"
-    witness = payload["witness"]
-    desc = payload["descriptor"]
-    if witness.get("pseudo_cauchy"):
-        if label != "valuation-algebraic":
+    witness = obj(payload["witness"], ("witness",),
+                  keys={"torsion_order", "non_torsion_rank_proof", "pseudo_cauchy"})
+    try:
+        valn = valuation_from_json(payload["descriptor"], ("descriptor",))
+    except PreconditionError as exc:
+        return f"descriptor does not build: {exc}"
+    if isinstance(valn, PseudoCauchyValuation):
+        if witness.get("pseudo_cauchy") is not True:
+            return "a pseudo Cauchy descriptor needs the pseudo_cauchy witness"
+        if label != VALUATION_ALGEBRAIC:
             return "pseudo Cauchy descriptors are valuation-algebraic"
         return None
-    gamma = GroupElement.from_json(desc["gamma"])
-    try:
-        base = ValuedField.from_json(desc["base"])
-    except PreconditionError as exc:
-        return f"descriptor base does not build: {exc}"
-    base_coord = _base_coord(desc.get("base_coord", 0), gamma.rank)
-    gens = [GroupElement.of(*(v if k == base_coord else 0 for k in range(gamma.rank)))
-            for v in base.value_generators()]
-    e = Subgroup(gamma.rank, tuple(gens)).torsion_order(gamma)
+    if "pseudo_cauchy" in witness:
+        return "a centered descriptor has no pseudo_cauchy witness"
+    e = valn.torsion_order()
     if "torsion_order" in witness:
-        if e != witness["torsion_order"]:
+        if e != integer(witness["torsion_order"], ("witness", "torsion_order")):
             return "torsion-order witness does not verify"
         if label != RESIDUE_TRANSCENDENTAL:
             return "torsion gamma must classify as residue-transcendental"
@@ -792,7 +798,11 @@ def _validate_classification(payload: dict) -> str | None:
     return None
 
 
+_LEVEL_FIELDS = {"witness_exponents", "value", "grants_denominator_exponent", "membership_witness"}
+_TOTALS = ("e", "f", "degree", "defect")
+
 # each kind's validator and the closed set of its payload's top-level fields
+# (a validator reads each nested object but the descriptor with its own)
 _VALIDATORS = {
     "defect-tower": (_validate_defect_tower, {"p", "schedule", "multipliers", "depth",
                      "series_truncation", "levels", "eta_tower", "assumptions"}),
@@ -802,13 +812,4 @@ _VALIDATORS = {
     "fundamental-inequality": (_validate_fund_ineq, {"base", "steps", "totals"}),
     "classification": (_validate_classification, {"descriptor", "label", "witness",
                                                   "trichotomy_flags"}),
-}
-
-# each nested object's closed key set; the descriptor is open, the steps checked by kind
-_NESTED_FIELDS = {
-    "base": {"residue_char", "value_group"}, "totals": {"degree", "e", "f", "defect"},
-    "levels": {"witness_exponents", "value", "grants_denominator_exponent", "membership_witness"},
-    "eta_tower": {"value"}, "group_index_witness": {"hermite_basis"}, "cauchy": {"note"},
-    "pseudo_cauchy_variant": {"exponents", "note"},
-    "witness": {"torsion_order", "non_torsion_rank_proof", "pseudo_cauchy"},
 }

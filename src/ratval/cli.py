@@ -7,9 +7,11 @@ report; parse/schema errors exit 2; a failed internal self-check exits
 re-validates a certificate from its witnesses; `selftest` runs the
 seeded property suites.
 
-Rationals travel as "num/den" strings throughout; identical job files
-produce byte-identical reports (keys are sorted, nothing volatile is
-embedded).
+Jobs are read with the typed readers of the schema module, whose
+SchemaError names the JSON path of the bad value; each task names the
+job fields it requires in _TASKS.  Rationals travel as "num/den" strings
+throughout; identical job files produce byte-identical reports (keys are
+sorted, nothing volatile is embedded).
 """
 
 from __future__ import annotations
@@ -29,17 +31,18 @@ from .certificates import (
     classification_certificate,
     validate_certificate,
 )
-from .errors import InternalError, PreconditionError, RatvalError, SchemaError, UndecidedError, _frac
-from .groups import GroupElement, Subgroup
+from .errors import InternalError, PreconditionError, RatvalError, SchemaError, UndecidedError
+from .groups import Subgroup
 from .homogeneous import TowerState, extract_homogeneous_sequence, implicit_constant_report
+from .schema import integer, list_of, obj, rational, string
 from .series import HahnSeries
 from .valuations import (
     CenteredValuation,
     PseudoCauchyValuation,
     RationalFunction,
     ValuedField,
-    _base_coord,
     substitution_value,
+    valuation_from_json,
 )
 
 def _dump(report: dict) -> str:
@@ -59,51 +62,16 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _require(job: dict, key: str):
-    if key not in job:
-        raise SchemaError(f"job is missing the required field {key!r}")
-    return job[key]
-
-
-def _job_field(name: str, read, value):
-    """read(value), with a SchemaError that names the job field it reads."""
-    try:
-        return read(value)
-    except SchemaError as exc:
-        raise SchemaError(f"job field {name!r}: {exc}") from None
-
-
-def _job_elements(base, values, name: str) -> list:
-    """The base elements of a job field that must be a JSON list."""
-    if not isinstance(values, list):
-        raise SchemaError(f"job field {name!r} must be a JSON list, got {json.dumps(values)}")
-    return [_job_field(f"{name}[{i}]", base.element, c) for i, c in enumerate(values)]
-
-
-def _parse_valuation(desc: dict):
-    kind = desc.get("kind", "vag")
-    if kind not in ("vag", "pcs"):
-        raise SchemaError(f"unknown valuation kind {kind!r}")
-    base = ValuedField.from_json(_require(desc, "base"))
-    if kind == "pcs":
-        return PseudoCauchyValuation(base, _job_elements(base, _require(desc, "elements"),
-                                                         "valuation.elements"))
-    gamma = _job_field("valuation.gamma", GroupElement.from_json, _require(desc, "gamma"))
-    center = _job_field("valuation.center", base.element, desc.get("center", 0))
-    return CenteredValuation(base, center, gamma,
-                             base_coord=_base_coord(desc.get("base_coord", 0), gamma.rank))
-
-
 def _task_eval(job: dict, depth: int | None) -> dict:
-    valn = _parse_valuation(_require(job, "valuation"))
+    valn = valuation_from_json(job["valuation"], ("valuation",))
     if not isinstance(valn, CenteredValuation):
         raise PreconditionError(
             "pseudo Cauchy descriptors are not evaluated directly; values along the "
             "sequence are depth-stamped reports (use task 'classify' with a probe)"
         )
-    entry = _require(job, "eval")
-    num = _job_elements(valn.base, _require(entry, "num"), "eval.num")
-    den = _job_elements(valn.base, entry.get("den", [1]), "eval.den")
+    entry = obj(job["eval"], ("eval",), required=("num",))
+    num = list_of(valn.base.element, entry["num"], ("eval", "num"))
+    den = list_of(valn.base.element, entry.get("den", [1]), ("eval", "den"))
     f = RationalFunction(tuple(num), tuple(den))
     value = valn.of_fraction(f)
     report = {
@@ -118,12 +86,13 @@ def _task_eval(job: dict, depth: int | None) -> dict:
 
 
 def _task_classify(job: dict, depth: int | None) -> dict:
-    desc = _require(job, "valuation")
-    valn = _parse_valuation(desc)
+    desc = job["valuation"]
+    valn = valuation_from_json(desc, ("valuation",))
     cert = classification_certificate(valn, desc)
     report = {"task": "classify", "certificate": cert.to_dict()}
     if isinstance(valn, PseudoCauchyValuation) and "probe" in job:
-        probe = _job_elements(valn.base, job["probe"]["num"], "probe.num")
+        probe = list_of(valn.base.element, obj(job["probe"], ("probe",), required=("num",))["num"],
+                        ("probe", "num"))
         along = valn.values_along(probe)
         report["probe_report"] = {
             "values": [None if v is None else str(v) for v in along["values"]],
@@ -135,10 +104,9 @@ def _task_classify(job: dict, depth: int | None) -> dict:
 
 
 def _task_extract(job: dict, depth: int | None) -> dict:
-    base_desc = _require(job, "base")
-    base = ValuedField.from_json(base_desc)
-    series = HahnSeries.from_json(_require(job, "series"),
-                                  field=getattr(base, "coefficients", None))
+    base = ValuedField.from_json(job["base"], ("base",))
+    series = HahnSeries.from_json(job["series"], field=getattr(base, "coefficients", None),
+                                  path=("series",))
     gens = base.value_generators()
     group = Subgroup.generated_by(*gens) if gens else Subgroup(1, ())
     char = base.residue_field.characteristic
@@ -149,61 +117,42 @@ def _task_extract(job: dict, depth: int | None) -> dict:
     return report
 
 
-def _job_int(value, name: str) -> int:
-    """A job field that must be a JSON int (not a bool)."""
-    if type(value) is not int:
-        raise SchemaError(f"job field {name!r} must be a JSON integer, got {json.dumps(value)}")
-    return value
-
-
-def _job_ints(job: dict, key: str) -> list[int]:
-    """A required job field that must be a JSON list of ints."""
-    values = _require(job, key)
-    if not isinstance(values, list):
-        raise SchemaError(f"job field {key!r} must be a JSON list, got {json.dumps(values)}")
-    return [_job_int(v, f"{key}[{i}]") for i, v in enumerate(values)]
-
-
 def _job_depth(job: dict, override: int | None, required: bool) -> int | None:
     """The --depth override, else the job's `depth`, or None if optional and absent."""
-    if override is not None:
+    if override is not None or not (required or "depth" in job):
         return override
-    if not required and "depth" not in job:
-        return None
-    return _job_int(_require(job, "depth"), "depth")
+    return integer(obj(job, required=("depth",))["depth"], ("depth",))
 
 
 def _task_defect_tower(job: dict, depth: int | None) -> dict:
-    p = _job_int(_require(job, "p"), "p")
-    schedule = _job_ints(job, "e")
+    p = integer(job["p"], ("p",))
+    schedule = list_of(integer, job["e"], ("e",))
     d = _job_depth(job, depth, required=True)
     cert = build_defect_tower(p, schedule, d,
-                              eta_levels=_job_int(job.get("eta_levels", 5), "eta_levels"))
+                              eta_levels=integer(job.get("eta_levels", 5), ("eta_levels",)))
     return {"task": "piltant", "certificate": cert.to_dict()}
 
 
 def _task_degree_bound(job: dict, depth: int | None) -> dict:
-    p = _job_int(_require(job, "p"), "p")
-    indices = _job_ints(job, "n")
+    p = integer(job["p"], ("p",))
+    indices = list_of(integer, job["n"], ("n",))
     cert = build_degree_bound(p, indices, _job_depth(job, depth, required=False))
     return {"task": "degree-bound", "certificate": cert.to_dict()}
 
 
 def _task_extension_step(job: dict, depth: int | None) -> dict:
-    p = _job_int(_require(job, "p"), "p")
-    steps = [ExtensionStep.from_json(s) for s in _require(job, "steps")]
-    value_gens = [_frac(g) for g in job.get("value_group", ["1"])]
+    p = integer(job["p"], ("p",))
+    steps = list_of(ExtensionStep.from_json, job["steps"], ("steps",))
+    value_gens = list_of(rational, job.get("value_group", ["1"]), ("value_group",))
     _tower, cert = build_extension_tower(p, steps, value_gens)
     return {"task": "extension-step", "certificate": cert.to_dict()}
 
 
 def _task_recheck(job: dict, depth: int | None) -> dict:
     if "certificate_data" in job:
-        data = job["certificate_data"]
-    else:
-        path = _require(job, "certificate")
-        data = _load_json(path)
-    return _recheck_report(data)
+        return _recheck_report(job["certificate_data"])
+    path = string(obj(job, required=("certificate",))["certificate"], ("certificate",))
+    return _recheck_report(_load_json(path))
 
 
 def _recheck_report(data) -> dict:
@@ -214,25 +163,28 @@ def _recheck_report(data) -> dict:
     return {"task": "recheck", "ok": result.ok, "findings": list(result.findings)}
 
 
+# each task and the job fields that it requires
 _TASKS = {
-    "eval": _task_eval,
-    "classify": _task_classify,
-    "extract": _task_extract,
-    "piltant": _task_defect_tower,
-    "defect-tower": _task_defect_tower,
-    "degree-bound": _task_degree_bound,
-    "extension-step": _task_extension_step,
-    "recheck": _task_recheck,
+    "eval": (_task_eval, ("valuation", "eval")),
+    "classify": (_task_classify, ("valuation",)),
+    "extract": (_task_extract, ("base", "series")),
+    "piltant": (_task_defect_tower, ("p", "e")),
+    "defect-tower": (_task_defect_tower, ("p", "e")),
+    "degree-bound": (_task_degree_bound, ("p", "n")),
+    "extension-step": (_task_extension_step, ("p", "steps")),
+    "recheck": (_task_recheck, ()),
 }
 
 
 def _load_json(path: str):
+    """The JSON in the file at path; a file that cannot be read or is not
+    JSON (an int past 4300 digits included) is a SchemaError."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode())
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         raise SchemaError(f"not valid JSON: {path}: {exc}") from exc
 
 
@@ -265,9 +217,8 @@ def _text_summary(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, job: dict, args) -> None:
+def _emit(report: dict, out_path: str | None, args) -> None:
     text = _dump(report)
-    out_path = job.get("output")
     if out_path:
         _write_atomic(out_path, text)
     if getattr(args, "text", False):
@@ -277,27 +228,18 @@ def _emit(report: dict, job: dict, args) -> None:
 
 
 def _cmd_run(args) -> int:
-    job = _load_json(args.job)
-    if not isinstance(job, dict):
-        raise SchemaError("job file must contain a JSON object")
-    task = job.get("task")
-    if not isinstance(task, str) or task not in _TASKS:
-        raise SchemaError(
-            f"unknown task {task!r}; known tasks: {', '.join(_TASKS)}"
-        )
-    report = _TASKS[task](job, args.depth)
-    _emit(report, job, args)
-    if task == "recheck" and not report["ok"]:
-        return 1
-    return 0
+    job = obj(_load_json(args.job))
+    task = string(job.get("task"), ("task",), _TASKS)
+    run, required = _TASKS[task]
+    out_path = None if job.get("output") is None else string(job["output"], ("output",))
+    report = run(obj(job, required=required), args.depth)
+    _emit(report, out_path, args)
+    return 1 if task == "recheck" and not report["ok"] else 0
 
 
 def _cmd_recheck(args) -> int:
     report = _recheck_report(_load_json(args.certificate))
-    if getattr(args, "text", False):
-        sys.stdout.write(_text_summary(report))
-    else:
-        sys.stdout.write(_dump(report))
+    _emit(report, None, args)
     return 0 if report["ok"] else 1
 
 

@@ -1,7 +1,5 @@
-"""Exception hierarchy shared by all ratval modules, and _frac, the one
-reader of exact rationals from JSON."""
-
-from fractions import Fraction
+"""Exception hierarchy shared by all ratval modules.  The readers of
+outside JSON, which raise SchemaError, are in the schema module."""
 
 
 class RatvalError(Exception):
@@ -33,13 +31,3 @@ class InternalError(RatvalError):
     input.  The CLI maps it to exit code 3 with a structured error report.
     """
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(str(exc)) from None
-    raise SchemaError(f"cannot interpret {x!r} as an exact rational")

@@ -28,7 +28,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, PreconditionError, SchemaError, _frac
+from .errors import InternalError, PreconditionError
+from .schema import fail, integer, list_of, obj, rational
 
 __all__ = [
     "Field",
@@ -108,7 +109,7 @@ def _pmul(a, b, p, zero=0):
 def _prem(a, b, p, zero=0, quotient=None):
     """The remainder of a by b != 0, and its quotient into a given list."""
     a, m = list(a), len(b) - 1
-    binv = pow(b[-1], -1, p) if type(p) is int else b[-1] ** -1
+    binv = 1 if b[-1] == 1 else pow(b[-1], -1, p) if type(p) is int else b[-1] ** -1
     for k in range(len(a) - 1, m - 1, -1):
         c = (a[k] * binv) % p
         if c:
@@ -141,7 +142,7 @@ def _pxgcd(a, b, p):
 
 
 def _pmonic(a, p):
-    if not a:
+    if not a or a[-1] == 1:
         return a
     inv = pow(a[-1], -1, p) if type(p) is int else a[-1] ** -1
     return tuple((c * inv) % p for c in a)
@@ -216,8 +217,8 @@ def _preduce(num, den, p, zero=0, one=1):
         g = _pgcd(num, den, p, zero)
         if len(g) > 1:
             num, den = _pdivmod(num, g, p, zero)[0], _pdivmod(den, g, p, zero)[0]
-    inv = pow(den[-1], -1, p) if type(p) is int else den[-1] ** -1
-    if inv != one:
+    if den[-1] != one:
+        inv = pow(den[-1], -1, p) if type(p) is int else den[-1] ** -1
         num, den = tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
     return num, den
 
@@ -308,7 +309,7 @@ class Field:
 
     characteristic: int
 
-    def element(self, value) -> "FieldElement":
+    def element(self, value, path=()) -> "FieldElement":
         raise NotImplementedError
 
     def zero(self) -> "FieldElement":
@@ -321,17 +322,19 @@ class Field:
         raise NotImplementedError
 
     @staticmethod
-    def from_json(data: dict) -> "Field":
-        if not isinstance(data, dict) or type(char := data.get("char", 0)) is not int:
-            raise SchemaError(f"a coefficient field must be a JSON object with an int 'char', got {data!r}")
-        if char == 0:
+    def from_json(data, path=()) -> "Field":
+        """The field {"char": p, "modulus": [ints]} at path; char 0 is Q."""
+        data = obj(data, path)
+        if integer(data.get("char", 0), (*path, "char")) == 0:
             return RATIONALS
-        if type(modulus := data.get("modulus", [])) is not list:
-            raise SchemaError(f"a coefficient field's modulus must be a JSON list of ints, got {modulus!r}")
-        for k, c in enumerate(modulus):
-            if type(c) is not int:
-                raise SchemaError(f"modulus entry {k} of a coefficient field must be a JSON int, got {c!r}")
-        return FiniteField(char, tuple(modulus))
+        modulus = list_of(integer, data.get("modulus", []), (*path, "modulus"))
+        return _finite_field(data["char"], tuple(modulus))
+
+
+@functools.lru_cache(maxsize=1024)
+def _finite_field(p: int, modulus: tuple[int, ...]) -> "FiniteField":
+    """The FiniteField that Field.from_json reads, one per (p, modulus)."""
+    return FiniteField(p, modulus)
 
 
 class Rationals(Field):
@@ -339,12 +342,12 @@ class Rationals(Field):
 
     characteristic = 0
 
-    def element(self, value) -> "FieldElement":
+    def element(self, value, path=()) -> "FieldElement":
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
                 raise PreconditionError("descriptor mismatch: expected a rational")
             return value
-        return FieldElement(self, _frac(value))
+        return FieldElement(self, rational(value, path))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, Fraction(0))
@@ -412,6 +415,7 @@ class FiniteField(Field):
             if len(_PROVEN_FOLDS) < 1024:
                 _PROVEN_FOLDS[p, modulus] = fold
         self._fold = fold
+        self._elements: dict[int, FieldElement] = {}  # _wrap_ints's, for p < 256
 
     @property
     def degree(self) -> int:
@@ -421,16 +425,19 @@ class FiniteField(Field):
     def order(self) -> int:
         return self.characteristic ** self.degree
 
-    def element(self, value) -> "FieldElement":
+    def element(self, value, path=()) -> "FieldElement":
+        """An int, a list of ints (coefficients of 1, X, ...) or a FieldElement of this field."""
         p = self.characteristic
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
                 raise PreconditionError("descriptor mismatch between field elements")
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             coeffs = (value % p,) + (0,) * (self.degree - 1)
             return FieldElement(self, coeffs)
-        coeffs = [int(c) % p for c in value]
+        if type(value) is not list:
+            raise fail(value, path, "a JSON integer or a JSON list of integers")
+        coeffs = [c % p for c in list_of(integer, value, path)]
         if len(coeffs) > 1 and not self.modulus:
             raise PreconditionError(
                 f"an element of the prime field {self!r} has one coefficient, got {len(coeffs)}")
@@ -492,7 +499,7 @@ class FiniteField(Field):
 
     def mul_matrix(self, a: "FieldElement") -> tuple[tuple[int, ...], ...]:
         """Rows of the n x n matrix over F_p of multiplication by a, column j a*X^j."""
-        return tuple(zip(*((a * self.element((0,) * j + (1,))).value for j in range(self.degree))))
+        return tuple(zip(*((a * self.element([0] * j + [1])).value for j in range(self.degree))))
 
     def elements(self):
         for tup in itertools.product(range(self.characteristic), repeat=self.degree):
@@ -698,8 +705,9 @@ def _unwrap_ints(*polys) -> list[list[int]]:
 
 def _wrap_ints(f: FiniteField, *polys) -> list[tuple[FieldElement, ...]]:
     """Polynomials over the prime field f from int coefficients; the
-    elements are immutable, so one is made per distinct value."""
-    made: dict[int, FieldElement] = {}
+    elements are immutable, so one is made per distinct value, and kept
+    by f when p < 256."""
+    made = f._elements if f.characteristic < 256 else {}
     return [tuple(made[c] if c in made else made.setdefault(c, FieldElement(f, (c,)))
                   for c in a) for a in polys]
 
@@ -728,17 +736,25 @@ class FunctionField:
         if isinstance(base, FiniteField) and not base.modulus:
             self._p, self._zero, self._one = base.characteristic, 0, 1
             self._unwrap, self._wrap = _unwrap_ints, functools.partial(_wrap_ints, base)
-            self._read = lambda c, p=self._p: c % p if type(c) is int else base.element(c).value[0]
+            self._lift = lambda c: c.value[0]
         else:
             self._p, self._zero, self._one = EXACT, base.zero(), base.one()
             self._unwrap = self._wrap = _as_is
-            self._read = base.element
+            self._lift = lambda c: c
 
-    def element(self, num, den=None) -> "FunctionFieldElement":
+    def element(self, num, den=None, path=()) -> "FunctionFieldElement":
         """num/den from coefficient lists of base elements, or of values
-        that base.element reads; den defaults to 1."""
-        read = self._read
-        return self._make([read(c) for c in num], [self._one] if den is None else [read(c) for c in den])
+        that base.element reads at path.num[i] and path.den[i]; den
+        defaults to 1."""
+        return self._make(self._read(num, path, "num"),
+                          [self._one] if den is None else self._read(den, path, "den"))
+
+    def _read(self, cs, path, key) -> list:
+        """The kernel coefficients of the list cs at path.key; over F_p a
+        list of ints is read inline, mod p."""
+        if type(p := self._p) is int and len(ints := [c % p for c in cs if type(c) is int]) == len(cs):
+            return ints
+        return [self._lift(self.base.element(c, (*path, key, i))) for i, c in enumerate(cs)]
 
     def _make(self, num, den) -> "FunctionFieldElement":
         """num/den from kernel coefficient lists, reduced to canonical form."""

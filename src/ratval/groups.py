@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InternalError, PreconditionError, SchemaError, UndecidedError, _frac
+from .errors import InternalError, PreconditionError, UndecidedError
+from .schema import fail, list_of, rational
 
 __all__ = [
     "GroupElement",
@@ -45,7 +46,7 @@ class GroupElement:
 
     @staticmethod
     def of(*coords) -> "GroupElement":
-        return GroupElement(tuple(_frac(c) for c in coords))
+        return GroupElement(tuple(rational(c) for c in coords))
 
     @staticmethod
     def zero(rank: int = 1) -> "GroupElement":
@@ -79,7 +80,7 @@ class GroupElement:
 
     def scaled(self, q) -> "GroupElement":
         """Scalar multiple by an exact rational (or integer)."""
-        q = _frac(q)
+        q = rational(q)
         return GroupElement(tuple(q * a for a in self.coords))
 
     def __mul__(self, n: int) -> "GroupElement":
@@ -109,11 +110,12 @@ class GroupElement:
         return [str(c) for c in self.coords]
 
     @staticmethod
-    def from_json(data) -> "GroupElement":
-        coords = data if isinstance(data, list) else [data]
+    def from_json(data, path=()) -> "GroupElement":
+        """A rational, or a nonempty JSON list of rationals, at path."""
+        coords = list_of(rational, data, path) if type(data) is list else [rational(data, path)]
         if not coords:
-            raise SchemaError("a value group element needs at least one coordinate, got []")
-        return GroupElement.of(*coords)
+            raise fail(data, path, "a rational or a nonempty list of rationals")
+        return GroupElement(tuple(coords))
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

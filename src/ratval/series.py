@@ -36,6 +36,7 @@ from operator import add
 from .errors import PreconditionError
 from .fields import Field, FieldElement, _power
 from .groups import GroupElement, _common_den, _element, _key
+from .schema import list_of, obj
 
 __all__ = [
     "HahnSeries",
@@ -356,12 +357,17 @@ class HahnSeries:
         }
 
     @staticmethod
-    def from_json(data: dict, field: Field | None = None, rank: int = 1) -> "HahnSeries":
-        field = field if field is not None else Field.from_json(data["field"])
+    def from_json(data, field: Field | None = None, rank: int = 1, path=()) -> "HahnSeries":
+        """{"field": ..., "trunc": exponent or null, "terms": [[exponent,
+        coefficient], ...]} at path; a given `field` is used in place of "field"."""
+        data = obj(data, path, required=("field",) if field is None else ())
+        field = Field.from_json(data["field"], (*path, "field")) if field is None else field
+        pairs = list_of(lambda pair, at: list_of(None, pair, at, length=2), data.get("terms", []), (*path, "terms"))
+        terms = [(GroupElement.from_json(e, (*path, "terms", i, 0)), field.element(c, (*path, "terms", i, 1)))
+                 for i, (e, c) in enumerate(pairs)]
         trunc = data.get("trunc")
-        terms = [(GroupElement.from_json(e), field.element(c)) for e, c in data.get("terms", [])]
         return HahnSeries.make(
-            field, terms, None if trunc is None else GroupElement.from_json(trunc), rank
+            field, terms, None if trunc is None else GroupElement.from_json(trunc, (*path, "trunc")), rank
         )
 
     def __repr__(self) -> str:

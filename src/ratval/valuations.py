@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, PreconditionError, SchemaError, _frac
+from .errors import InternalError, PreconditionError
 from .fields import (
     Field,
     FieldElement,
@@ -47,6 +47,7 @@ from .fields import (
     is_prime,
 )
 from .groups import GroupElement, Subgroup, _element
+from .schema import fail, integer, list_of, obj, rational, string
 from .series import HahnSeries
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "taylor_shift",
     "substitution_value",
     "PseudoCauchyValuation",
+    "valuation_from_json",
     "classify_summary",
     "VALUE_TRANSCENDENTAL",
     "RESIDUE_TRANSCENDENTAL",
@@ -125,8 +127,8 @@ class ValuedField:
     def one(self):
         raise NotImplementedError
 
-    def element(self, data):
-        """Coerce JSON data (or a raw value) to a field element."""
+    def element(self, data, path=()):
+        """Coerce JSON data read at path (or a raw value) to a field element."""
         raise NotImplementedError
 
     def sample(self, rng):
@@ -136,22 +138,18 @@ class ValuedField:
         raise NotImplementedError
 
     @staticmethod
-    def from_json(data: dict) -> "ValuedField":
-        if not isinstance(data, dict):
-            raise SchemaError(f"a base valued field must be a JSON object, got {data!r}")
-        kind = data.get("kind")
+    def from_json(data, path=()) -> "ValuedField":
+        data = obj(data, path)
+        kind, at = data.get("kind"), (*path, "coefficients")
         if kind == "p-adic":
-            if type(p := data.get("p")) is not int:
-                raise SchemaError(f"a p-adic base's 'p' must be a JSON int, got {p!r}")
-            return PAdicRationals(p)
+            return PAdicRationals(integer(data.get("p"), (*path, "p")))
         if kind == "t-adic":
-            return TAdicRationalFunctions(Field.from_json(data.get("coefficients", {"char": 0})))
+            return TAdicRationalFunctions(Field.from_json(data.get("coefficients", {"char": 0}), at))
         if kind == "trivial":
-            return TriviallyValued(Field.from_json(data.get("coefficients")))
+            return TriviallyValued(Field.from_json(data.get("coefficients"), at))
         if kind == "series":
-            if type(gens := data.get("value_group", ["1"])) is not list:
-                raise SchemaError(f"a series base's value_group must be a JSON list, got {gens!r}")
-            return SeriesValuedField(Field.from_json(data.get("coefficients")), [_frac(g) for g in gens])
+            return SeriesValuedField(Field.from_json(data.get("coefficients"), at),
+                                     list_of(rational, data.get("value_group", ["1"]), (*path, "value_group")))
         raise PreconditionError(f"unknown base valued field kind {kind!r}")
 
 
@@ -230,8 +228,8 @@ class PAdicRationals(ValuedField):
     def one(self):
         return Fraction(1)
 
-    def element(self, data):
-        return _frac(data)
+    def element(self, data, path=()):
+        return rational(data, path)
 
     def sample(self, rng):
         num = rng.randint(-40, 40)
@@ -327,12 +325,15 @@ class TAdicRationalFunctions(ValuedField):
     def one(self):
         return self.field.element([self.coefficients.one()])
 
-    def element(self, data):
+    def element(self, data, path=()):
+        """{"num": [...], "den": [...]} lowest degree first (den [1] if absent) or a constant."""
         if isinstance(data, FunctionFieldElement):
             return data
-        if isinstance(data, dict):
-            return self.field.element(data.get("num", []), data.get("den", None))
-        return self.field.element([data])
+        if type(data) is not dict:
+            return self.field.element([self.coefficients.element(data, path)])
+        den = data.get("den")
+        return self.field.element(list_of(None, data.get("num", []), (*path, "num")),
+                                  None if den is None else list_of(None, den, (*path, "den")), path)
 
     def sample(self, rng):
         deg_n = rng.randrange(0, 3)
@@ -396,8 +397,8 @@ class TriviallyValued(ValuedField):
     def one(self):
         return self.field.one()
 
-    def element(self, data):
-        return self.field.element(data)
+    def element(self, data, path=()):
+        return self.field.element(data, path)
 
     def sample(self, rng):
         return self.field.sample(rng)
@@ -451,12 +452,12 @@ class SeriesValuedField(ValuedField):
     def one(self):
         return HahnSeries.constant(self.coefficients, self.coefficients.one())
 
-    def element(self, data):
+    def element(self, data, path=()):
         if isinstance(data, HahnSeries):
             return data
-        if isinstance(data, dict):
-            return HahnSeries.from_json(data, field=self.coefficients)
-        return HahnSeries.constant(self.coefficients, self.coefficients.element(data))
+        if type(data) is dict:
+            return HahnSeries.from_json(data, field=self.coefficients, path=path)
+        return HahnSeries.constant(self.coefficients, self.coefficients.element(data, path))
 
     def sample(self, rng):
         n = rng.randrange(0, 4)
@@ -689,15 +690,6 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # centered valuations v on K(x) with v(x - a) = gamma
 
-def _base_coord(value, rank: int) -> int:
-    """A descriptor's base_coord: a JSON int or a string of decimal digits, in [0, rank)."""
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        value = int(value)
-    if type(value) is not int or not 0 <= value < rank:
-        raise SchemaError(f"base_coord must index a coordinate of gamma (0 to {rank - 1}), got {value!r}")
-    return value
-
-
 class CenteredValuation:
     """The extension of the base valuation to K(x) determined by a
     center a in K and a value gamma for x - a.
@@ -907,6 +899,25 @@ class PseudoCauchyValuation:
             "stabilized_at_depth": stable_from is not None,
             "stable_from": stable_from,
         }
+
+
+def valuation_from_json(data, path=()):
+    """The valuation of a job's or a classification certificate's
+    descriptor at path: kind "vag" (the default) from "base", "gamma",
+    "center" (0) and "base_coord" (0; a JSON int or a string of digits),
+    or kind "pcs" from "base" and "elements"."""
+    kind = string(obj(data, path).get("kind", "vag"), (*path, "kind"), ("vag", "pcs"))
+    obj(data, path, required=("base", "elements" if kind == "pcs" else "gamma"))
+    base = ValuedField.from_json(data["base"], (*path, "base"))
+    if kind == "pcs":
+        return PseudoCauchyValuation(base, list_of(base.element, data["elements"], (*path, "elements")))
+    gamma = GroupElement.from_json(data["gamma"], (*path, "gamma"))
+    center = base.element(data.get("center", 0), (*path, "center"))
+    raw = data.get("base_coord", 0)
+    coord = int(raw) if type(raw) is str and raw.isascii() and raw.isdigit() and len(raw) < 10 else raw
+    if type(coord) is not int or not 0 <= coord < gamma.rank:
+        raise fail(raw, (*path, "base_coord"), f"a coordinate index of gamma, 0 to {gamma.rank - 1}")
+    return CenteredValuation(base, center, gamma, base_coord=coord)
 
 
 def classify_summary(value_group_torsion: bool, residue_algebraic: bool) -> str:

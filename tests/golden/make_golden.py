@@ -12,7 +12,13 @@ double root at the center, one 3-adic product of 32 linears (the
 eval-dense shape of bench/gen.py), and three jobs on p = 3 series paths:
 piltant-p3 (a defect tower over F_3), extension-step-p3 (kummer 1/2,
 residue X^2 + 1, artin-schreier -1 over F_3) and extract-q5 (the
-extract shape of bench/gen.py with terms (5^k - 1)/5^k, k = 1..5).  For each
+extract shape of bench/gen.py with terms (5^k - 1)/5^k, k = 1..5), and four
+malformed jobs that the JSON reader refuses: bad-extension-step-alpha (the
+README extension step with alpha 1.5), bad-extract-terms (the README
+extract job with a term that is not a pair), bad-recheck-certificate-fd (a
+recheck whose certificate path is the int 1) and bad-piltant-exponent (a
+defect tower at p = 3 whose e_5 = 10000 would pass the 4300-digit limit on
+the decimal ints of a certificate).  For each
 job NAME this writes NAME.json (the job), NAME.out (stdout of
 `python -m ratval.cli run NAME.json`) and an entry NAME: exit code in
 exit_codes.json.  It also writes selftest-default.out and
@@ -246,7 +252,13 @@ def jobs() -> dict:
             "fq-deg16-gamma0": fq_job(16, 3, seed=16, gamma=("0",)),
             "fq-deg16-rank2": fq_job(16, 3, seed=16, gamma=("0", "1")),
             "trivial-q-double-root": trivial_q_job(), "padic-deg32": padic_job(32, seed=32),
-            **P3_JOBS}
+            **P3_JOBS,
+            # exit 2 (schema errors naming the field) and exit 1 (a refused precondition)
+            "bad-extension-step-alpha": _tampered(README_JOBS["readme-extension-step"],
+                                                  ("steps", 0, "alpha"), 1.5),
+            "bad-extract-terms": _tampered(README_JOBS["readme-extract"], ("series", "terms", 1), ["8/9"]),
+            "bad-recheck-certificate-fd": {"task": "recheck", "certificate": 1},
+            "bad-piltant-exponent": {"task": "piltant", "p": 3, "e": [1, 2, 4, 7, 10000], "depth": 4}}
 
 
 CERTIFICATE_JOBS = ("readme-piltant", "readme-degree-bound", "readme-extension-step",
@@ -267,7 +279,7 @@ def _leaves(node, path=()):
 
 
 def _tampered(cert: dict, path, value) -> dict:
-    """A copy of cert with the leaf at path replaced by value."""
+    """A copy of cert (or of a job) with the leaf at path replaced by value."""
     data = json.loads(json.dumps(cert))
     node = data
     for key in path[:-1]:

@@ -124,6 +124,22 @@ class TestDefectTower:
         with pytest.raises(PreconditionError, match="prime to p"):
             build_defect_tower(2, [1, 2, 4], 2, multipliers=[1, 2, 3])
 
+    def test_schedule_past_the_digit_limit_is_refused_quickly(self):
+        """p^(e_max + n) past 4300 digits is refused from the sizes alone: a
+        recorded e_5 = 10^30 used to build p^(10^30) and not return, and
+        the job e = [1, 2, 4, 7, 10000] at p = 3 ended in a ValueError
+        where its rationals were written out."""
+        cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        start = time.perf_counter()
+        res = validate_certificate(tamper(cert, ["schedule", 4], 10 ** 30))
+        assert time.perf_counter() - start < 1
+        assert res.findings == (f"schedule too large: p^(e_max + n) = 2^{10 ** 30 + 5} may pass the "
+                                "4300-digit limit on the decimal ints of a certificate",)
+        with pytest.raises(PreconditionError, match=r"^schedule too large: p\^\(e_max \+ n\) = 3\^10005 "):
+            build_defect_tower(3, [1, 2, 4, 7, 10000], 4)
+        # the largest schedule at p = 2 that the bound admits builds
+        build_defect_tower(2, [1, 2, 4, 7, 7137], 1, eta_levels=1)
+
     def test_negative_schedule_exponent_is_a_named_finding(self):
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
         res = validate_certificate(tamper(cert, ["schedule", 0], -1))
@@ -136,7 +152,8 @@ class TestDefectTower:
             build_defect_tower(2, [1, 2, 4, 7, 11], depth)
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
         res = validate_certificate(tamper(cert, ["depth"], depth))
-        assert res.findings == (f"depth {depth!r} must be an int >= 1",)
+        assert res.findings == ((f"depth {depth!r} must be an int >= 1",) if type(depth) is int
+                                else (f"field 'depth' must be a JSON integer, got {json.dumps(depth)}",))
 
     def test_shallower_depth_is_a_weaker_true_claim(self):
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
@@ -349,7 +366,8 @@ class TestExtensionTowers:
                 ExtensionStep("artin-schreier", c_exponent=Fraction(-1))]
         )
         res = validate_certificate(tamper(cert, ["steps", step, "kind"], kind))
-        assert res.findings == (f"step {step + 1}: unknown step kind {kind!r}",)
+        assert res.findings == (f"field 'steps[{step}].kind' must be one of \"kummer\", \"residue\", "
+                                f"\"artin-schreier\", got {json.dumps(kind)}",)
 
 
     @pytest.mark.parametrize("keys", [["steps"], ["totals"], ["base"], ["steps", "totals", "base"]],
@@ -369,7 +387,8 @@ class TestExtensionTowers:
     @pytest.mark.parametrize("defect", [0, 2, 12, "1"])
     def test_total_defect_is_degree_over_ef(self, defect):
         res = validate_certificate(tamper(_readme_tower(), ["totals", "defect"], defect))
-        assert res.findings == ("total defect is not degree / (e * f)",)
+        assert res.findings == (("total defect is not degree / (e * f)",) if type(defect) is int
+                                else ('field \'totals.defect\' must be a JSON integer, got "1"',))
 
     def test_claimed_ramification_is_derived(self):
         """e = 5 for adjoining t^(1/3) over Z, with degree and totals to
@@ -652,11 +671,12 @@ class TestClassificationCertificate:
 
 def _pcs_classification():
     f2 = FiniteField(2)
+    base = SeriesValuedField(f2)
     elems = [HahnSeries.make(f2, [(Fraction(1) - Fraction(1, 3 ** j), 1) for j in range(1, i + 1)],
                              trunc=1)
              for i in range(1, 4)]
-    return classification_certificate(PseudoCauchyValuation(SeriesValuedField(f2), elems),
-                                      {"kind": "pcs"})
+    desc = {"kind": "pcs", "base": base.to_json(), "elements": [a.to_json() for a in elems]}
+    return classification_certificate(PseudoCauchyValuation(base, elems), desc)
 
 
 def _vag_classification():
@@ -705,6 +725,46 @@ class TestNestedFields:
         cert["descriptor"]["comment"] = "x"
         assert validate_certificate(cert).ok
 
+    @pytest.mark.parametrize("key, value, finding", [
+        ("kind", "x", 'field \'descriptor.kind\' must be one of "vag", "pcs", got "x"'),
+        ("kind", None, 'field \'descriptor.kind\' must be one of "vag", "pcs", got null'),
+        *[("center", value, "field 'descriptor.center' must be an exact rational "
+           f'(a JSON int or a "num/den" string), got {json.dumps(value)}')
+          for value in ("1/0", None, {}, True)],
+    ], ids=["kind-x", "kind-null", "center-1/0", "center-null", "center-object", "center-true"])
+    def test_ill_formed_descriptor_is_a_finding(self, key, value, finding):
+        """The descriptor is read as a job's valuation is: a kind that is
+        not "vag" or "pcs" and a center that is not a rational used to
+        validate ok, since the validator never read them."""
+        cert = _golden_certificate("readme-classify")
+        cert["descriptor"][key] = value
+        assert validate_certificate(cert).findings == (finding,)
+
+    def test_pseudo_cauchy_descriptor_is_built(self):
+        """The descriptor of a pseudo Cauchy classification is read and its
+        sequence built: too short a sequence, or a torsion witness in place
+        of the pseudo Cauchy one, is a finding."""
+        cert = _pcs_classification().to_dict()
+        assert validate_certificate(cert).ok
+        short = json.loads(json.dumps(cert))
+        del short["descriptor"]["elements"][2]
+        assert validate_certificate(short).findings == (
+            "descriptor does not build: a pseudo Cauchy descriptor needs at least three elements",)
+        cert["witness"] = {"torsion_order": 2}
+        assert validate_certificate(cert).findings == (
+            "a pseudo Cauchy descriptor needs the pseudo_cauchy witness",)
+
+    @pytest.mark.parametrize("witness", [{"pseudo_cauchy": True}, {"torsion_order": 2, "pseudo_cauchy": True},
+                                         {"non_torsion_rank_proof": True, "pseudo_cauchy": False}])
+    def test_pseudo_cauchy_witness_on_a_centered_descriptor_is_a_finding(self, witness):
+        """A pseudo_cauchy witness used to pass any descriptor as
+        valuation-algebraic; on a centered one it is a finding."""
+        cert = _golden_certificate("readme-classify")
+        cert["label"], cert["trichotomy_flags"] = "valuation-algebraic", [False, False, True]
+        cert["witness"] = witness
+        assert validate_certificate(cert).findings == (
+            "a centered descriptor has no pseudo_cauchy witness",)
+
     @pytest.mark.parametrize("value", [True, False, 1.5])
     def test_gamma_must_be_an_exact_rational(self, value):
         """A bool or a float in the descriptor's gamma is a finding, not
@@ -712,7 +772,8 @@ class TestNestedFields:
         cert = _golden_certificate("readme-classify")
         cert["descriptor"]["gamma"] = [value]
         assert validate_certificate(cert).findings == (
-            f"malformed certificate: cannot interpret {value!r} as an exact rational",)
+            f"field 'descriptor.gamma[0]' must be an exact rational (a JSON int or a \"num/den\" "
+            f"string), got {json.dumps(value)}",)
 
 
     @pytest.mark.parametrize("value", [-1, 1.0, True])
@@ -728,7 +789,8 @@ class TestNestedFields:
             assert validate_certificate(cert).ok
         cert["descriptor"]["base_coord"] = value
         assert validate_certificate(cert).findings == (
-            f"malformed certificate: base_coord must index a coordinate of gamma (0 to 1), got {value!r}",)
+            f"field 'descriptor.base_coord' must be a coordinate index of gamma, 0 to 1, "
+            f"got {json.dumps(value)}",)
 
 
 def _golden_certificate(name):
@@ -798,7 +860,8 @@ class TestEnvelope:
     def test_not_an_object_with_a_kind(self, data):
         result = validate_certificate(data)
         assert not result.ok
-        assert result.findings == ("certificate must be an object with a 'kind' field",)
+        assert result.findings == ((f"cannot read {json.dumps(data)} as a JSON object",)
+                                   if type(data) is not dict else ("missing the required field 'kind'",))
 
     @pytest.mark.parametrize("version", [99, 0, pytest.param(1, id="int-1"), pytest.param(3, id="int-3"),
                                          "1", True, None, 1.5])
@@ -845,7 +908,7 @@ class TestUnprovablePrime:
     @pytest.mark.parametrize("build, path, finding", [
         (lambda: build_defect_tower(2, [1, 2, 4, 7], 3), ["p"], "p cannot be proven prime: "),
         (lambda: build_degree_bound(2, [3, 5, 7]), ["p"], "p cannot be proven prime: "),
-        (_vag_classification, ["descriptor", "base", "p"], "descriptor base does not build: "),
+        (_vag_classification, ["descriptor", "base", "p"], "descriptor does not build: "),
     ], ids=["defect-tower", "degree-bound", "classification"])
     def test_named_finding(self, build, path, finding):
         result = validate_certificate(tamper(build(), path, MERSENNE_89))

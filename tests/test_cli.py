@@ -2,6 +2,8 @@ import argparse
 import importlib.util
 import json
 import pathlib
+import re
+import signal
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 from ratval import cli
 from ratval.cli import main
 from ratval.groups import GroupElement
+from ratval.schema import where
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -32,6 +35,20 @@ def _mutation_values():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.MUTATION_VALUES
+
+
+# the README jobs and one job on each p = 3 series path and on the trivially valued Q
+FUZZED_JOBS = ["readme-eval", "readme-classify", "readme-extract", "readme-piltant",
+               "readme-degree-bound", "readme-extension-step", "extension-step-p3", "extract-q5",
+               "trivial-q-double-root", "piltant-p3"]
+
+
+def _node_paths(node, path=()):
+    """The path of every node under a JSON value: its scalar leaves, lists and objects."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield (*path, key)
+        yield from _node_paths(child, (*path, key))
 
 
 def _golden_job_with(name, path, value):
@@ -127,7 +144,7 @@ class TestRunCertificates:
         job["depth"] = depth
         code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
         assert (code, out) == (2, "")
-        assert err == f"schema error: job field 'depth' must be a JSON integer, got {json.dumps(depth)}\n"
+        assert err == f"schema error: field 'depth' must be a JSON integer, got {json.dumps(depth)}\n"
 
     def test_piltant_without_a_depth_is_a_schema_error(self, tmp_path, capsys):
         job = {"task": "piltant", "p": 2, "e": [1, 2, 4, 7, 11]}
@@ -239,6 +256,24 @@ class TestRunCertificates:
         code2, _, _ = run_cli(["recheck", str(tmp_path / "cl.json")], capsys)
         assert code2 == 0
 
+    def test_pseudo_cauchy_classify_task(self, tmp_path, capsys):
+        """A pcs descriptor's elements are read at valuation.elements[i] and
+        its certificate rechecks with the descriptor built again."""
+        series = [{"trunc": "1", "terms": [[f"{3 ** k - 1}/{3 ** k}", 1] for k in range(1, i + 1)]}
+                  for i in range(1, 4)]
+        job = {"task": "classify",
+               "valuation": {"kind": "pcs", "elements": series,
+                             "base": {"kind": "series", "coefficients": {"char": 2, "modulus": []}}},
+               "probe": {"num": [1, 1]}, "output": str(tmp_path / "pcs.json")}
+        code, _, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 0
+        code2, out2, _ = run_cli(["recheck", str(tmp_path / "pcs.json")], capsys)
+        assert (code2, json.loads(out2)["ok"]) == (0, True)
+        job["valuation"]["elements"][1]["terms"][0] = ["x", 1]
+        code3, _, err3 = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert (code3, err3) == (2, "schema error: field 'valuation.elements[1].terms[0][0]' must be an "
+                                    'exact rational (a JSON int or a "num/den" string), got "x"\n')
+
     def test_recheck_as_a_task(self, tmp_path, capsys):
         job = {"task": "degree-bound", "p": 2, "n": [3, 5],
                "output": str(tmp_path / "db.json")}
@@ -290,18 +325,21 @@ class TestRunCertificates:
             assert report["ok"] is False and len(report["findings"]) == 1
             assert err == ""
 
-    @pytest.mark.parametrize("job, path, value", [
-        ({"task": "degree-bound", "p": 2, "n": [3, 5]}, ["exponents", 0], "1/0"),
+    @pytest.mark.parametrize("job, path, value, finding", [
+        ({"task": "degree-bound", "p": 2, "n": [3, 5]}, ["exponents", 0], "1/0",
+         'field \'exponents[0]\' must be an exact rational (a JSON int or a "num/den" string), got "1/0"'),
         ({"task": "extension-step", "p": 2, "steps": [{"kind": "kummer", "alpha": "1/3"}]},
-         ["steps", 0, "alpha"], "x"),
+         ["steps", 0, "alpha"], "x",
+         'field \'steps[0].alpha\' must be an exact rational (a JSON int or a "num/den" string), got "x"'),
         ({"task": "piltant", "p": 2, "e": [1, 2, 4, 7], "depth": 3},
-         ["levels", 0, "witness_exponents"], 10 ** 6),
+         ["levels", 0, "witness_exponents"], 10 ** 6,
+         "field 'levels[0].witness_exponents' must be a JSON list, got 1000000"),
         ({"task": "classify", "valuation": {"kind": "vag", "base": {"kind": "p-adic", "p": 3},
                                             "center": "0", "gamma": ["1/2"]}},
-         ["descriptor", "base"], "x"),
+         ["descriptor", "base"], "x", 'field \'descriptor.base\' must be a JSON object, got "x"'),
     ], ids=["zero-denominator", "alpha-not-a-rational", "level-witnesses-not-a-list",
             "base-not-an-object"])
-    def test_recheck_of_a_malformed_field_exits_1(self, tmp_path, capsys, job, path, value):
+    def test_recheck_of_a_malformed_field_exits_1(self, tmp_path, capsys, job, path, value, finding):
         code, out, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
         assert code == 0
         node = data = json.loads(out)
@@ -312,7 +350,7 @@ class TestRunCertificates:
         assert code == 1
         report = json.loads(out)
         assert report["ok"] is False
-        assert report["findings"][0].startswith("malformed certificate: ")
+        assert report["findings"] == [finding]
         assert err == ""
 
     def test_extract_task(self, tmp_path, capsys):
@@ -348,15 +386,18 @@ class TestRunCertificates:
 
 
 class TestErrors:
+    TASKS = ('"eval", "classify", "extract", "piltant", "defect-tower", "degree-bound", '
+             '"extension-step", "recheck"')
+
     def test_unknown_task_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(["run", write_job(tmp_path, "job.json", {"task": "nope"})], capsys)
         assert code == 2
-        assert "unknown task" in err
+        assert err == f'schema error: field \'task\' must be one of {self.TASKS}, got "nope"\n'
 
     def test_unhashable_task_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(["run", write_job(tmp_path, "job.json", {"task": ["eval"]})], capsys)
         assert code == 2
-        assert "unknown task ['eval']; known tasks: eval, classify, extract, piltant" in err
+        assert err == f'schema error: field \'task\' must be one of {self.TASKS}, got ["eval"]\n'
 
     def test_bad_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -376,15 +417,18 @@ class TestErrors:
         job["valuation"]["gamma"] = [gamma]
         code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
         assert code == 2 and out == ""
-        assert f"cannot interpret {gamma!r} as an exact rational" in err
-        assert "Traceback" not in err
+        assert err == ("schema error: field 'valuation.gamma[0]' must be an exact rational "
+                       f'(a JSON int or a "num/den" string), got {json.dumps(gamma)}\n')
 
     @pytest.mark.parametrize("name, path, value, message", [
-        ("readme-eval", ["valuation", "gamma", 0], "x",
-         "job field 'valuation.gamma': Invalid literal for Fraction: 'x'"),
-        ("readme-eval", ["valuation", "gamma", 0], "1/0", "job field 'valuation.gamma': Fraction(1, 0)"),
-        ("readme-extension-step", ["value_group"], ["x"], "Invalid literal for Fraction: 'x'"),
-        ("readme-extension-step", ["value_group"], ["1/0"], "Fraction(1, 0)"),
+        ("readme-eval", ["valuation", "gamma", 0], "x", "field 'valuation.gamma[0]' must be an exact "
+         'rational (a JSON int or a "num/den" string), got "x"'),
+        ("readme-eval", ["valuation", "gamma", 0], "1/0", "field 'valuation.gamma[0]' must be an exact "
+         'rational (a JSON int or a "num/den" string), got "1/0"'),
+        ("readme-extension-step", ["value_group"], ["x"], "field 'value_group[0]' must be an exact "
+         'rational (a JSON int or a "num/den" string), got "x"'),
+        ("readme-extension-step", ["value_group"], ["1/0"], "field 'value_group[0]' must be an exact "
+         'rational (a JSON int or a "num/den" string), got "1/0"'),
     ], ids=["gamma-x", "gamma-1/0", "value-group-x", "value-group-1/0"])
     def test_exponent_string_that_is_not_a_rational_exit_2(self, name, path, value, message,
                                                             tmp_path, capsys):
@@ -402,9 +446,9 @@ class TestErrors:
         for job in ("readme-eval", "readme-classify")
         for path, name, ok in [
             (["valuation", "gamma"], "'valuation.gamma'", (-1, 0, 2, 10 ** 6, "0")),
-            (["valuation", "base", "p"], "'p'", (-1, 0, 2, 10 ** 6)),
+            (["valuation", "base", "p"], "'valuation.base.p'", (-1, 0, 2, 10 ** 6)),
             (["valuation", "center"], "'valuation.center'", (-1, 0, 2, 10 ** 6, "0")),
-            (["valuation", "base_coord"], "base_coord", (0, "0")),
+            (["valuation", "base_coord"], "'valuation.base_coord'", (0, "0")),
             *([(["eval", "num", 0], "'eval.num[0]'", (-1, 0, 2, 10 ** 6, "0"))]
               if job == "readme-eval" else []),
         ]
@@ -429,6 +473,14 @@ class TestErrors:
                 assert (code, out) == (2, ""), value
                 assert err.startswith("schema error: ") and field in err, (value, err)
 
+    def test_base_coord_digit_string_past_the_digit_limit_exit_2(self, tmp_path, capsys):
+        """int() of a string of 5000 digits raised a ValueError traceback."""
+        job = _golden_job_with("readme-classify", ["valuation", "base_coord"], "9" * 5000)
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("schema error: field 'valuation.base_coord' must be a coordinate index "
+                              'of gamma, 0 to 0, got "999')
+
     @pytest.mark.parametrize("name, path, value, field", [
         ("readme-piltant", ["p"], 2.5, "p"),
         ("readme-piltant", ["p"], "x", "p"),
@@ -451,13 +503,13 @@ class TestErrors:
         job = _golden_job_with(name, path, value)
         code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
         assert (code, out) == (2, "")
-        assert err == f"schema error: job field {field!r} must be a JSON integer, got {json.dumps(value)}\n"
+        assert err == f"schema error: field {field!r} must be a JSON integer, got {json.dumps(value)}\n"
 
     @pytest.mark.parametrize("key", ["e", "n"])
     def test_certificate_job_list_field_that_is_not_a_list_exit_2(self, key, tmp_path, capsys):
         job = _golden_job_with("readme-piltant" if key == "e" else "readme-degree-bound", [key], 5)
         code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
-        assert (code, out, err) == (2, "", f"schema error: job field {key!r} must be a JSON list, got 5\n")
+        assert (code, out, err) == (2, "", f"schema error: field {key!r} must be a JSON list, got 5\n")
 
     @pytest.mark.parametrize("coefficients", ["Q", [2], {"char": "2"}, {"char": 2.0}, {"char": True}])
     def test_coefficient_field_that_is_not_an_object_with_an_int_char_exit_2(self, coefficients,
@@ -467,8 +519,11 @@ class TestErrors:
         job = _golden_job_with("tadic-deg4", ["valuation", "base", "coefficients"], coefficients)
         code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
         assert (code, out) == (2, "")
-        assert err == ("schema error: a coefficient field must be a JSON object with an int "
-                       f"'char', got {coefficients!r}\n")
+        at = "valuation.base.coefficients"
+        assert err == (f"schema error: field '{at}' must be a JSON object, got {json.dumps(coefficients)}\n"
+                       if type(coefficients) is not dict else
+                       f"schema error: field '{at}.char' must be a JSON integer, "
+                       f"got {json.dumps(coefficients['char'])}\n")
 
     @pytest.mark.parametrize("entry", [1.5, "x", True, None])
     def test_modulus_entry_that_is_not_a_json_int_exit_2(self, entry, tmp_path, capsys):
@@ -478,7 +533,8 @@ class TestErrors:
                                {"char": 3, "modulus": [1, 0, entry]})
         code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
         assert (code, out) == (2, "")
-        assert err == f"schema error: modulus entry 2 of a coefficient field must be a JSON int, got {entry!r}\n"
+        assert err == ("schema error: field 'valuation.base.coefficients.modulus[2]' must be a JSON integer, "
+                       f"got {json.dumps(entry)}\n")
 
     @pytest.mark.parametrize("modulus", ["X^2 + 1", 5, {"0": 1}])
     def test_modulus_that_is_not_a_list_exit_2(self, modulus, tmp_path, capsys):
@@ -486,11 +542,86 @@ class TestErrors:
                                {"char": 3, "modulus": modulus})
         code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
         assert (code, out) == (2, "")
-        assert err == f"schema error: a coefficient field's modulus must be a JSON list of ints, got {modulus!r}\n"
+        assert err == ("schema error: field 'valuation.base.coefficients.modulus' must be a JSON list, "
+                       f"got {json.dumps(modulus)}\n")
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(["run", write_job(tmp_path, "j.json", {"task": "piltant"})], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("job", [{"task": "recheck", "certificate": 1},
+                                     {"task": "recheck", "certificate": 0},
+                                     {"task": "degree-bound", "p": 2, "n": [3, 5], "output": 5}],
+                             ids=["certificate-fd-1", "certificate-fd-0", "output-int"])
+    def test_path_that_is_not_a_json_string_exit_2(self, job, tmp_path, capsys):
+        """A certificate path 1 used to read fd 1 and close the caller's
+        stdout, 0 read stdin, and an int output ended in a TypeError."""
+        code, out, err = run_cli(["run", write_job(tmp_path, "j.json", job)], capsys)
+        field = "certificate" if "certificate" in job else "output"
+        assert (code, out, err) == (2, "", f"schema error: field {field!r} must be a JSON string, "
+                                           f"got {job[field]}\n")
+
+    @pytest.mark.parametrize("verb", ["run", "recheck"])
+    def test_json_int_past_the_digit_limit_exit_2(self, verb, tmp_path, capsys):
+        """json.load raises ValueError, not JSONDecodeError, on an int of
+        more than 4300 digits; it used to escape as a traceback."""
+        path = tmp_path / "big.json"
+        path.write_text('{"task": "piltant", "p": 2, "e": [1, 2], "depth": ' + "1" * 5000 + "}")
+        code, out, err = run_cli([verb, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"schema error: not valid JSON: {path}: Exceeds the limit (4300 digits)")
+
+    def test_int_field_nested_near_the_recursion_limit_exit_2(self, tmp_path, capsys):
+        """Lists nested near the recursion limit in an int field, at every
+        depth: whether json.loads refuses it or the error cannot show it,
+        which used to raise RecursionError, it is a schema error."""
+        path = tmp_path / "deep.json"
+        limit = sys.getrecursionlimit()
+        shown = set()
+        for depth in range(limit - 200, limit + 1):
+            path.write_text('{"task": "piltant", "e": [1, 2], "depth": 1, "p": '
+                            + "[" * depth + "]" * depth + "}")
+            code, out, err = run_cli(["run", str(path)], capsys)
+            assert (code, out) == (2, ""), depth
+            if err.startswith("schema error: field 'p' must be a JSON integer, got "):
+                shown.add(err[len("schema error: field 'p' must be a JSON integer, got "):][:3])
+            else:
+                assert err.startswith(f"schema error: not valid JSON: {path}: maximum recursion depth")
+        assert "[[[" in shown
+
+    @pytest.mark.parametrize("name", FUZZED_JOBS)
+    def test_fuzzed_golden_jobs_exit_0_1_or_2(self, name, tmp_path, capsys):
+        """Each scalar leaf and each list or object node of the golden job
+        set to each mutation value, 1.5 and 10^30: cli.main returns 0, 1 or
+        2 within a few seconds and raises nothing, and a schema error names
+        the JSON path of the node, of a field under it or of another field
+        that the mutation made ill-typed (a center read over a new
+        coefficient field).  These used to escape as TypeError,
+        AttributeError, ValueError or ZeroDivisionError, and a piltant
+        e[k] = 10^30 did not return."""
+        job = json.loads((GOLDEN / f"{name}.json").read_text())
+
+        def expired(signum, frame):
+            raise TimeoutError("cli.main ran past its alarm")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        try:
+            for path in _node_paths(job):
+                for value in (*_mutation_values(), 1.5, 10 ** 30):
+                    signal.alarm(5)
+                    code, out, err = run_cli(
+                        ["run", write_job(tmp_path, "j.json", _golden_job_with(name, path, value))], capsys)
+                    signal.alarm(0)
+                    assert code in (0, 1, 2), (path, value, code)
+                    if code == 2:
+                        named = re.match(r"schema error: (?:field|missing the required field) '([^']*)'", err)
+                        assert named, (path, value, err)
+                        mutated = _golden_job_with(name, path, value)
+                        assert named[1].startswith(where(path)) or named[1] in map(where, _node_paths(mutated)), (
+                            path, value, err)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestDeterminism:

@@ -6,9 +6,11 @@ valued F_{13^4} (one product at gamma 1/2, -1/2, 0 and (0, 1)), one
 over the trivially valued Q with a double root at the center, a 3-adic
 product of 32 linears, three jobs on p = 3 series paths (a
 defect tower over F_3, an extension step whose Artin-Schreier root is
-checked by its cube, and an extract job with 5-power denominators), and
-the output of `ratval selftest` at
-the default seed and at seed 7.  The expected stdout and exit codes were
+checked by its cube, and an extract job with 5-power denominators), four
+malformed jobs that the JSON reader refuses (exit 2 for an alpha of 1.5, a
+series term that is not a pair and a certificate path that is an int,
+exit 1 for a defect tower past the 4300-digit limit), and the output of
+`ratval selftest` at the default seed and at seed 7.  The expected stdout and exit codes were
 recorded by tests/golden/make_golden.py.
 
 Each golden job runs twice: through `main()` in this process, where the

@@ -1,0 +1,72 @@
+"""The typed JSON readers of ratval.schema: the rules and the error texts."""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from ratval.errors import SchemaError
+from ratval.schema import integer, list_of, obj, rational, string, where
+
+
+def test_where_joins_keys_with_dots_and_indices_in_brackets():
+    assert where(("valuation", "base", "p")) == "valuation.base.p"
+    assert where(("e", 2)) == "e[2]"
+    assert where(("steps", 0, "alpha")) == "steps[0].alpha"
+    assert where(("series", "terms", 1, 0)) == "series.terms[1][0]"
+    assert where(()) == ""
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, "2", None, [2]])
+def test_a_bool_or_anything_but_an_int_is_not_an_integer(value):
+    with pytest.raises(SchemaError) as err:
+        integer(value, ("p",))
+    assert str(err.value).startswith("field 'p' must be a JSON integer, got ")
+
+
+def test_obj_names_a_stray_key_and_a_missing_one():
+    assert obj({"a": 1}, ("x",), keys={"a", "b"}, required=("a",)) == {"a": 1}
+    with pytest.raises(SchemaError, match=r"^unknown field x\[2\]\.c$"):
+        obj({"a": 1, "c": 2}, ("x", 2), keys={"a", "b"})
+    with pytest.raises(SchemaError, match=r"^missing the required field 'x\.b'$"):
+        obj({"a": 1}, ("x",), required=("a", "b"))
+    with pytest.raises(SchemaError, match=r"^cannot read \[\] as a JSON object$"):
+        obj([])
+
+
+def test_string_choices():
+    assert string("vag", ("kind",), ("vag", "pcs")) == "vag"
+    with pytest.raises(SchemaError, match=r"^field 'kind' must be one of \"vag\", \"pcs\", got null$"):
+        string(None, ("kind",), ("vag", "pcs"))
+
+
+def test_list_of_reads_each_entry_at_its_own_path():
+    assert list_of(integer, [1, 2], ("e",)) == [1, 2]
+    assert list_of(rational, ["1/2", 3], ("g",)) == [Fraction(1, 2), Fraction(3)]
+    with pytest.raises(SchemaError, match=r"^field 'e\[1\]' must be a JSON integer, got true$"):
+        list_of(integer, [1, True], ("e",))
+    with pytest.raises(SchemaError, match=r"^field 't' must be a JSON list of 2 entries, got \[1\]$"):
+        list_of(None, [1], ("t",), length=2)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, None, [], {}, "x", "1/0", "1//2", " ", "--3"])
+def test_what_is_not_a_rational(value):
+    with pytest.raises(SchemaError) as err:
+        rational(value, ("gamma", 0))
+    assert str(err.value).startswith("field 'gamma[0]' must be an exact rational "
+                                     '(a JSON int or a "num/den" string), got ')
+
+
+def test_a_value_too_deep_to_show_is_shown_by_its_type():
+    nested = []
+    for _ in range(sys.getrecursionlimit()):
+        nested = [nested]
+    with pytest.raises(SchemaError, match=r"^field 'p' must be a JSON integer, got a list$"):
+        integer(nested, ("p",))
+
+
+def test_an_int_past_the_digit_limit_is_not_a_rational():
+    with pytest.raises(SchemaError):
+        rational("1" * 5000)
+    with pytest.raises(SchemaError):
+        rational("1/" + "2" * 5000)
