@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import InternalError, PreconditionError, SchemaError
 from .fields import Field, FiniteField, is_prime
@@ -83,6 +84,31 @@ _AS_DEPTH = 3
 
 _MAX_DIGITS = 4300  # Python's default limit on the decimal digits of an int it writes
 
+# term pairs that the eta tower's chain checks may multiply: the last level
+# admitted at p = 2, 3, 5 or 101 builds in 3 to 5 s on a 2-CPU VM
+_ETA_PAIR_CAP = 2_000_000
+
+# (p, stored form of a, stored form of c) -> v(a ** p - c), for the first
+# 1024 power checks of the process
+_POWER_GAPS: dict[tuple, GroupElement | None] = {}
+_stored = attrgetter("field", "rank", "den", "keys", "values", "top")
+
+
+def _power_gap_value(a: HahnSeries, c: HahnSeries, p: int) -> GroupElement | None:
+    """v(a ** p - c), by square-and-multiply and so independent of the
+    p-th roots that built a.  Each value is kept for the process under p
+    and the exact stored form of both operands: equal keys are equal
+    series, so a kept value is never wrong, and a wrong root is a new key
+    that is computed and checked.  An equal series stored over another
+    denominator is only computed again."""
+    key = (p, _stored(a), _stored(c))
+    if key in _POWER_GAPS:
+        return _POWER_GAPS[key]
+    value = ((a ** p) - c).value()
+    if len(_POWER_GAPS) < 1024:
+        _POWER_GAPS[key] = value
+    return value
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -118,13 +144,21 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
     generated with Z (at least 1/p^j under the default growth rule
     e_(i+1) >= e_i + i).  The Artin-Schreier tower eta_i (roots of
     X^p - X - eta_(i-1) above eta_0 = 1/x) is built alongside with
-    v(eta_i) = -1/p^i.
+    v(eta_i) = -1/p^i, each root fresh, and its chain v(eta_i^p -
+    eta_(i-1)) = v(eta_i) is checked by square-and-multiply, memoised on
+    the exact operands (_power_gap_value).  eta_levels past the cap on
+    the term pairs of those products (_eta_chain_pairs) is refused before
+    any series is built.
     """
     n = len(schedule)
     mults = [-1] * n if multipliers is None else [int(m) for m in multipliers]
     violation = _defect_tower_violation(p, schedule, mults, depth)
     if violation:
         raise PreconditionError(violation)
+    for fit, pairs in enumerate(_eta_chain_pairs(p, eta_levels)):
+        if pairs > _ETA_PAIR_CAP:
+            raise PreconditionError(f"eta_levels {eta_levels} is past the cap at p = {p}: its chain checks "
+                                    f"would multiply more than {_ETA_PAIR_CAP} term pairs ({fit} levels fit)")
     default_shape = all(m == -1 for m in mults)
     exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
     coeffs = FiniteField(p)
@@ -160,7 +194,7 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
         v_nxt = nxt.value()
         # eta_i^p - eta_i = eta_(i-1) up to the truncation, so the chain
         # eta_i^p - eta_(i-1) keeps the value of eta_i
-        if broken_chain is None and ((nxt ** p) - eta_series).value() != v_nxt:
+        if broken_chain is None and _power_gap_value(nxt, eta_series, p) != v_nxt:
             broken_chain = i
         eta.append({"value": str(v_nxt.coords[0])})
         eta_series = nxt
@@ -184,6 +218,36 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
     if broken_chain is not None:
         raise InternalError(f"eta tower: value chain does not verify at level {broken_chain}")
     return cert
+
+
+def _eta_chain_pairs(p: int, levels: int):
+    """Yield, for i = 1 to `levels`, the term pairs that the chain checks
+    of eta_1 to eta_i multiply, counted without series arithmetic.
+
+    eta_i has a term x^(-1/p^k) for each i <= k <= 3i whose count of
+    compositions of k into i parts 1, 2 and 3 is prime to p
+    (artin_schreier_root at depth 3).  If there are t, eta_i^m has
+    C(m + t - 1, t - 1) terms for m < p (a sum of fewer than p powers of
+    p has one form, and its multinomial is prime to p) and t for m = p.
+    The pairs are those of _power's square-and-multiply of eta_i to the p."""
+    pairs, counts = 0, [1]
+    for _ in range(levels):
+        counts = [sum(counts[max(0, k - 3):k]) % p for k in range(len(counts) + 3)]
+        t = sum(map(bool, counts))
+
+        def size(m):
+            return t if m == p else math.comb(m + t - 1, t - 1)
+
+        n, r, b = p, 0, 1  # result eta_i^r, base eta_i^b
+        while n:
+            if n & 1:
+                pairs += size(r) * size(b)
+                r += b
+            if n > 1:
+                pairs += size(b) ** 2
+                b *= 2
+            n >>= 1
+        yield pairs
 
 
 def _prime_violation(p: int) -> str | None:
@@ -349,7 +413,9 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
     group.  The record holds the kind, the subject and the numbers from
     _step_numbers.  The roots, which it does not carry, are checked here
     as InternalError: the kummer root has value alpha and its e-th power
-    lies in the value group, and 0 > v(a^p - c) = v(a) = v(c)/p."""
+    lies in the value group, and 0 > v(a^p - c) = v(a) = v(c)/p, with
+    a^p by square-and-multiply, memoised on the exact operands
+    (_power_gap_value)."""
     p = tower.residue_char
     key = _STEP_SUBJECTS.get(step.kind)
     subject = {"kummer": step.alpha, "residue": step.modulus,
@@ -368,7 +434,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
         ce = GroupElement.of(step.c_exponent)
         c = HahnSeries.monomial(tower.coefficient_field, ce, 1)
         root = artin_schreier_root(c, _AS_DEPTH)
-        va, vchain = root.value(), ((root ** p) - c).value()
+        va, vchain = root.value(), _power_gap_value(root, c, p)
         if vchain is None or not GroupElement.zero(1) > vchain == va == ce.scaled(Fraction(1, p)):
             raise InternalError(f"extension step fails its own validation: "
                                 f"step {len(tower.steps) + 1}: value chain does not verify")

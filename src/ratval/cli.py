@@ -50,16 +50,20 @@ def _dump(report: dict) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".ratval-")
+    """Write text to path through a temporary file beside it.  A path that
+    cannot be written is a SchemaError, and leaves no temporary file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ratval-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise SchemaError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _task_eval(job: dict, depth: int | None) -> dict:

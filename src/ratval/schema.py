@@ -1,7 +1,9 @@
 """Typed readers of the outside JSON that ratval reads: jobs and certificates.
 
-A bool is not an int.  A rational is a JSON int or a string that
-fractions.Fraction reads, such as "-3/2".  An object read with a key set
+A bool is not an int.  A rational is a JSON int or a string -?digits or
+-?digits/digits in ASCII digits with a nonzero denominator, such as
+"-3/2": no exponent or decimal form, so a short string cannot stand for
+a huge int.  An object read with a key set
 is closed ("unknown field levels[3].j"): certificates are read so, jobs
 open, their unknown keys ignored.  Each error is a SchemaError naming the
 JSON path of the bad value, keys joined by dots and indices in brackets
@@ -12,9 +14,12 @@ indices, () for the whole document; its text is built only on an error.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import SchemaError
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # [0-9]: \d and str.isdigit take other digits
 
 
 def where(path) -> str:
@@ -52,13 +57,15 @@ def integer(value, path=()) -> int:
 
 
 def rational(value, path=()) -> Fraction:
-    """A Fraction as it is, a JSON int, or a string that Fraction reads."""
+    """A Fraction as it is, a JSON int, or a string -?digits or -?digits/digits."""
     if isinstance(value, Fraction):
         return value
     try:
-        if type(value) is int or type(value) is str:
+        if type(value) is int:
             return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        if type(value) is str and (m := _RATIONAL.fullmatch(value)):
+            return Fraction(int(m[1]), int(m[2] or 1))
+    except (ValueError, ZeroDivisionError):  # digits past int's limit, or a zero denominator
         pass
     raise fail(value, path, 'an exact rational (a JSON int or a "num/den" string)')
 

@@ -23,7 +23,10 @@ Frobenius powers and p-th roots are maps on the keys (keys * q over the
 same D, and the same keys over D * p): Frobenius is an order-preserving
 bijection on terms, so nothing merges or cancels.  `**` stays
 square-and-multiply over the product, so `root ** p` is an independent
-check of a root built by p-th roots.
+check of a root built by p-th roots.  The certificate builders memoise
+that check per process on the exact stored operands
+(`certificates._power_gap_value`): the same root built again is the
+same key, and any other root is checked afresh by the product.
 """
 
 from __future__ import annotations

@@ -9,16 +9,21 @@ eval jobs over the trivially valued F_{13^4} (one degree-16 product
 with three of the roots at the center, at gamma 1/2 and again at
 gamma -1/2, 0 and (0, 1)), one over the trivially valued Q with a
 double root at the center, one 3-adic product of 32 linears (the
-eval-dense shape of bench/gen.py), and three jobs on p = 3 series paths:
-piltant-p3 (a defect tower over F_3), extension-step-p3 (kummer 1/2,
-residue X^2 + 1, artin-schreier -1 over F_3) and extract-q5 (the
-extract shape of bench/gen.py with terms (5^k - 1)/5^k, k = 1..5), and four
-malformed jobs that the JSON reader refuses: bad-extension-step-alpha (the
-README extension step with alpha 1.5), bad-extract-terms (the README
-extract job with a term that is not a pair), bad-recheck-certificate-fd (a
-recheck whose certificate path is the int 1) and bad-piltant-exponent (a
-defect tower at p = 3 whose e_5 = 10000 would pass the 4300-digit limit on
-the decimal ints of a certificate).  For each
+eval-dense shape of bench/gen.py), four jobs on p = 3 and p = 5 series
+paths: piltant-p3 and piltant-p5 (defect towers over F_3 and F_5),
+extension-step-p3 (kummer 1/2, residue X^2 + 1, artin-schreier -1 over
+F_3) and extract-q5 (the extract shape of bench/gen.py with terms
+(5^k - 1)/5^k, k = 1..5), and seven malformed jobs that the JSON reader
+or a cost cap refuses: bad-extension-step-alpha (the README extension
+step with alpha 1.5), bad-extract-terms (the README extract job with a
+term that is not a pair), bad-recheck-certificate-fd (a recheck whose
+certificate path is the int 1), bad-rational-exponent (the README eval
+job with gamma "1e10000000", which is no "num/den" string),
+bad-output-dir (the README degree-bound job with an output path in a
+directory that does not exist), bad-piltant-exponent (a defect tower at
+p = 3 whose e_5 = 10000 would pass the 4300-digit limit on the decimal
+ints of a certificate) and bad-piltant-eta-levels (piltant-p3 with 80 eta
+levels, past the cap on the term pairs of the eta chain checks).  For each
 job NAME this writes NAME.json (the job), NAME.out (stdout of
 `python -m ratval.cli run NAME.json`) and an entry NAME: exit code in
 exit_codes.json.  It also writes selftest-default.out and
@@ -222,11 +227,12 @@ def padic_job(degree: int, seed: int) -> dict:
     }
 
 
-# p = 3 series paths: the cube chain checks of a defect tower over F_3, the
-# Artin-Schreier root's cube check of an extension step, and the extract
-# shape of bench/gen.py with q = 5
-P3_JOBS = {
+# p = 3 and p = 5 series paths: the chain checks of defect towers over F_3
+# and F_5, the Artin-Schreier root's cube check of an extension step, and
+# the extract shape of bench/gen.py with q = 5
+SERIES_JOBS = {
     "piltant-p3": {"task": "piltant", "p": 3, "e": [1, 2, 4, 7, 11], "depth": 4},
+    "piltant-p5": {"task": "piltant", "p": 5, "e": [1, 2, 4, 7, 11], "depth": 4},
     "extension-step-p3": {
         "task": "extension-step", "p": 3,
         "steps": [{"kind": "kummer", "alpha": "1/2"},
@@ -252,13 +258,18 @@ def jobs() -> dict:
             "fq-deg16-gamma0": fq_job(16, 3, seed=16, gamma=("0",)),
             "fq-deg16-rank2": fq_job(16, 3, seed=16, gamma=("0", "1")),
             "trivial-q-double-root": trivial_q_job(), "padic-deg32": padic_job(32, seed=32),
-            **P3_JOBS,
+            **SERIES_JOBS,
             # exit 2 (schema errors naming the field) and exit 1 (a refused precondition)
             "bad-extension-step-alpha": _tampered(README_JOBS["readme-extension-step"],
                                                   ("steps", 0, "alpha"), 1.5),
             "bad-extract-terms": _tampered(README_JOBS["readme-extract"], ("series", "terms", 1), ["8/9"]),
             "bad-recheck-certificate-fd": {"task": "recheck", "certificate": 1},
-            "bad-piltant-exponent": {"task": "piltant", "p": 3, "e": [1, 2, 4, 7, 10000], "depth": 4}}
+            "bad-piltant-exponent": {"task": "piltant", "p": 3, "e": [1, 2, 4, 7, 10000], "depth": 4},
+            "bad-piltant-eta-levels": {**SERIES_JOBS["piltant-p3"], "eta_levels": 80},
+            "bad-output-dir": {**README_JOBS["readme-degree-bound"],
+                               "output": "no-such-directory/degree-bound.json"},
+            "bad-rational-exponent": _tampered(README_JOBS["readme-eval"], ("valuation", "gamma", 0),
+                                               "1e10000000")}
 
 
 CERTIFICATE_JOBS = ("readme-piltant", "readme-degree-bound", "readme-extension-step",

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import random
 import time
 from fractions import Fraction
 
@@ -922,3 +923,134 @@ class TestUnprovablePrime:
                       lambda: build_degree_bound(MERSENNE_89, [3, 5, 7])):
             with pytest.raises(PreconditionError, match="cannot be proven prime: .*only below"):
                 build()
+
+
+def _counting_products(monkeypatch) -> list:
+    """The term pairs of every HahnSeries product made from now on, one
+    entry per product (the eta chain's series are exact, so no row of a
+    product stops early)."""
+    pairs = []
+    mul = HahnSeries.__mul__
+    monkeypatch.setattr(HahnSeries, "__mul__", lambda a, b: pairs.append(len(a.keys) * len(b.keys)) or mul(a, b))
+    return pairs
+
+
+class TestEtaLevelsCap:
+    """eta_levels is capped by the term pairs that the chain checks would
+    multiply, counted from p and eta_levels before any series arithmetic."""
+
+    @pytest.mark.parametrize("p, levels", [(2, 9), (3, 6), (5, 4), (7, 3), (11, 2), (13, 1)])
+    def test_the_count_is_the_products_of_the_chain_checks(self, monkeypatch, p, levels):
+        monkeypatch.setattr(certificates, "_POWER_GAPS", {})
+        pairs = _counting_products(monkeypatch)
+        build_defect_tower(p, [1, 2], 1, eta_levels=levels)
+        assert list(certificates._eta_chain_pairs(p, levels))[-1] == sum(pairs)
+
+    @pytest.mark.parametrize("p, levels, fit", [(3, 76, 75), (11, 4, 3), (2, 10 ** 9, 329),
+                                                (1_000_000_007, 5, 0)])
+    def test_past_the_cap_is_refused_before_any_series_arithmetic(self, monkeypatch, p, levels, fit):
+        def no_series(*args, **kwargs):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(HahnSeries, "make", no_series)
+        with pytest.raises(PreconditionError) as err:
+            build_defect_tower(p, [1, 2], 1, eta_levels=levels)
+        assert str(err.value) == (f"eta_levels {levels} is past the cap at p = {p}: its chain checks "
+                                  f"would multiply more than 2000000 term pairs ({fit} levels fit)")
+
+    def test_the_last_level_that_fits_builds(self):
+        assert len(build_defect_tower(11, [1, 2], 1, eta_levels=3).payload["eta_tower"]) == 3
+        assert build_defect_tower(1_000_000_007, [1, 2], 1, eta_levels=0).payload["eta_tower"] == []
+
+    def test_a_precondition_of_the_tower_comes_first(self):
+        with pytest.raises(PreconditionError, match="^schedule violation at position 3"):
+            build_defect_tower(11, [1, 2, 3], 2, eta_levels=4)
+
+
+def _perturbed_roots(monkeypatch):
+    """artin_schreier_root plus a term between v(a) and v(a)/p: the root
+    keeps its value v(c)/p, but a^p - c takes the value of the new term's
+    p-th power, below v(a), so only the chain check can catch it."""
+    root = certificates.artin_schreier_root
+
+    def perturbed(c, depth):
+        a, p = root(c, depth), c.field.characteristic
+        va = a.value()
+        between = (va + va.scaled(Fraction(1, p))).scaled(Fraction(1, 2))
+        return a + HahnSeries.monomial(c.field, between, 1)
+
+    monkeypatch.setattr(certificates, "artin_schreier_root", perturbed)
+
+
+class TestPowerGapMemo:
+    """_power_gap_value keeps v(a ** p - c) per process under the exact
+    stored operands, so a warm memo never hides a wrong root."""
+
+    def test_a_warm_memo_still_catches_a_wrong_root_in_the_defect_tower(self, monkeypatch):
+        build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        monkeypatch.setattr(certificates, "artin_schreier_root", lambda c, depth: c)
+        with pytest.raises(InternalError) as err:
+            build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+        assert str(err.value) == ("defect-tower certificate fails its own validation: "
+                                  "eta tower: v(eta_1) = -1 is not v(eta_0)/p")
+        monkeypatch.undo()
+        _perturbed_roots(monkeypatch)
+        with pytest.raises(InternalError, match="^eta tower: value chain does not verify at level 1$"):
+            build_defect_tower(2, [1, 2, 4, 7, 11], 4)
+
+    def test_a_warm_memo_still_catches_a_wrong_root_in_an_extension_step(self, monkeypatch):
+        step = ExtensionStep("artin-schreier", c_exponent=Fraction(-1))
+        build_extension_step(step, ExtensionTower.over(2))
+        for plant in (lambda: monkeypatch.setattr(certificates, "artin_schreier_root", lambda c, depth: c),
+                      lambda: _perturbed_roots(monkeypatch)):
+            plant()
+            with pytest.raises(InternalError) as err:
+                build_extension_step(step, ExtensionTower.over(2))
+            assert str(err.value) == ("extension step fails its own validation: "
+                                      "step 1: value chain does not verify")
+            monkeypatch.undo()
+
+    def test_equals_the_power_on_random_operands_cold_and_warm(self, monkeypatch):
+        monkeypatch.setattr(certificates, "_POWER_GAPS", {})
+        rng = random.Random(25)
+        for _ in range(40):
+            a, c, p = _random_operands(rng)
+            expected = ((a ** p) - c).value()
+            assert certificates._power_gap_value(a, c, p) == expected  # cold
+            size = len(certificates._POWER_GAPS)
+            assert certificates._power_gap_value(a, c, p) == expected  # warm
+            assert len(certificates._POWER_GAPS) == size
+            # the same series over another denominator is computed again
+            wider = HahnSeries(a.field, a.rank, 2 * a.den, tuple(tuple(2 * x for x in k) for k in a.keys),
+                               a.values, None if a.top is None else tuple(2 * x for x in a.top))
+            assert wider == a
+            assert certificates._power_gap_value(wider, c, p) == expected
+            assert len(certificates._POWER_GAPS) == size + 1
+
+    def test_past_its_cap_the_memo_keeps_nothing_and_stays_correct(self, monkeypatch):
+        full = {("filler", i): None for i in range(1024)}
+        monkeypatch.setattr(certificates, "_POWER_GAPS", full)
+        rng = random.Random(26)
+        for _ in range(20):
+            a, c, p = _random_operands(rng)
+            assert certificates._power_gap_value(a, c, p) == ((a ** p) - c).value()
+        assert len(full) == 1024 and all(key[0] == "filler" for key in full)
+        build_defect_tower(3, [1, 2, 4, 7, 11], 4)
+        _perturbed_roots(monkeypatch)
+        with pytest.raises(InternalError, match="^eta tower: value chain does not verify at level 1$"):
+            build_defect_tower(3, [1, 2, 4, 7, 11], 4)
+
+
+def _random_operands(rng):
+    """(a, c, p): two series over F_p or F_4 with up to four terms, some
+    truncated, exponents with denominators up to 9."""
+    p = rng.choice([2, 3, 5])
+    field = FiniteField(2, [1, 1, 1]) if p == 2 and rng.random() < 0.3 else FiniteField(p)
+
+    def series():
+        terms = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), field.sample(rng))
+                 for _ in range(rng.randint(0, 4))]
+        trunc = Fraction(rng.randint(5, 20), rng.randint(1, 3)) if rng.random() < 0.3 else None
+        return HahnSeries.make(field, terms, trunc)
+
+    return series(), series(), p

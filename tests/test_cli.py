@@ -561,6 +561,19 @@ class TestErrors:
         assert (code, out, err) == (2, "", f"schema error: field {field!r} must be a JSON string, "
                                            f"got {job[field]}\n")
 
+    @pytest.mark.parametrize("output, reason", [("no-such-dir/db.json", "No such file or directory"),
+                                                ("job.json/db.json", "Not a directory"),
+                                                ("sub", "Is a directory")])
+    def test_output_path_that_cannot_be_written_exit_2(self, output, reason, tmp_path, capsys):
+        """It used to end in a FileNotFoundError traceback; no temporary
+        file is left beside the path."""
+        (tmp_path / "sub").mkdir()
+        path = str(tmp_path / output)
+        job = {"task": "degree-bound", "p": 2, "n": [3, 5], "output": path}
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert (code, out, err) == (2, "", f"schema error: cannot write {path}: {reason}\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["job.json", "sub"]
+
     @pytest.mark.parametrize("verb", ["run", "recheck"])
     def test_json_int_past_the_digit_limit_exit_2(self, verb, tmp_path, capsys):
         """json.load raises ValueError, not JSONDecodeError, on an int of

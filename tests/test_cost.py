@@ -7,10 +7,11 @@ import pathlib
 import pytest
 
 from ratval import fields, groups, valuations
-from ratval.certificates import build_degree_bound, validate_certificate
+from ratval.certificates import build_defect_tower, build_degree_bound, validate_certificate
 from ratval.fields import FiniteField
 from ratval.groups import GroupElement, Subgroup
 from ratval.selftest import poly_mul
+from ratval.series import HahnSeries
 from ratval.valuations import RatFunc, TAdicRationalFunctions
 
 
@@ -108,3 +109,18 @@ def test_f2_taylor_values_list_kernel_calls_grow_linearly(monkeypatch):
             g = poly_mul(g, [-b, base.one()], base)
         counts.append(_kernel_calls(monkeypatch, lambda: base.taylor_values(g, center)))
     assert counts[1] / counts[0] <= 2.5, counts
+
+
+def test_a_second_defect_tower_multiplies_no_series(monkeypatch):
+    """The eta chain checks v(eta_i ** p - eta_(i-1)) by square-and-multiply,
+    and each result is kept for the process under p and the exact stored
+    operands.  The roots depend only on p and the level, so a second
+    tower at p = 3 builds the same roots and makes no series product at
+    all; the first makes the chain's products unless an earlier test in
+    this process built them."""
+    build_defect_tower(3, [1, 2, 4, 7, 11], 4)
+    products = []
+    mul = HahnSeries.__mul__
+    monkeypatch.setattr(HahnSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    build_defect_tower(3, [1, 3, 6, 10, 15], 4)
+    assert products == []

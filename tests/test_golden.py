@@ -4,12 +4,14 @@ and 32), the degree-8 one again over Q(t) and over F_9(t), the degree-16
 one over F_3(t), four eval jobs over the trivially
 valued F_{13^4} (one product at gamma 1/2, -1/2, 0 and (0, 1)), one
 over the trivially valued Q with a double root at the center, a 3-adic
-product of 32 linears, three jobs on p = 3 series paths (a
-defect tower over F_3, an extension step whose Artin-Schreier root is
-checked by its cube, and an extract job with 5-power denominators), four
-malformed jobs that the JSON reader refuses (exit 2 for an alpha of 1.5, a
-series term that is not a pair and a certificate path that is an int,
-exit 1 for a defect tower past the 4300-digit limit), and the output of
+product of 32 linears, four jobs on p = 3 and p = 5 series paths
+(defect towers over F_3 and F_5, an extension step whose Artin-Schreier
+root is checked by its cube, and an extract job with 5-power
+denominators), seven malformed jobs that the JSON reader or a cost cap
+refuses (exit 2 for an alpha of 1.5, a series term that is not a pair, a
+certificate path that is an int, a gamma of "1e10000000" and an output
+path in a directory that does not exist, exit 1 for a defect tower past
+the 4300-digit limit and one past the cap on its eta levels), and the output of
 `ratval selftest` at the default seed and at seed 7.  The expected stdout and exit codes were
 recorded by tests/golden/make_golden.py.
 

@@ -49,7 +49,11 @@ def test_list_of_reads_each_entry_at_its_own_path():
         list_of(None, [1], ("t",), length=2)
 
 
-@pytest.mark.parametrize("value", [True, 1.5, None, [], {}, "x", "1/0", "1//2", " ", "--3"])
+@pytest.mark.parametrize("value", [True, 1.5, None, [], {}, "x", "1/0", "1//2", " ", "--3",
+                                   # exponent, decimal, plus-signed, spaced, underscored and
+                                   # non-ASCII forms ("1e10000000" used to build 10^(10^7))
+                                   "1e10000000", "2.5", "+3", " 3", "3\n", "3_000", "0x10", "٣",
+                                   "1/-2", "3/", "/3", "-", "", "1/2/3"])
 def test_what_is_not_a_rational(value):
     with pytest.raises(SchemaError) as err:
         rational(value, ("gamma", 0))
@@ -70,3 +74,10 @@ def test_an_int_past_the_digit_limit_is_not_a_rational():
         rational("1" * 5000)
     with pytest.raises(SchemaError):
         rational("1/" + "2" * 5000)
+
+
+@pytest.mark.parametrize("value, expected", [("-3/2", Fraction(-3, 2)), ("007", Fraction(7)),
+                                             ("-0/5", Fraction(0)), ("12/8", Fraction(3, 2)),
+                                             ("-12", Fraction(-12)), (-12, Fraction(-12))])
+def test_what_is_a_rational(value, expected):
+    assert rational(value) == expected
