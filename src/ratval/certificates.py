@@ -160,13 +160,13 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
             raise PreconditionError(f"eta_levels {eta_levels} is past the cap at p = {p}: its chain checks "
                                     f"would multiply more than {_ETA_PAIR_CAP} term pairs ({fit} levels fit)")
     default_shape = all(m == -1 for m in mults)
-    exponents = [Fraction(mults[i], p ** schedule[i]) for i in range(n)]
+    exponents = [GroupElement.of(Fraction(mults[i], p ** schedule[i])) for i in range(n)]
     coeffs = FiniteField(p)
     # with the default growth rule the unknown tail starts no earlier than
     # -p^(-(e_n + n)); explicit multipliers certify the n scheduled terms
     # exactly (later terms of any admissible continuation only add higher
     # exponents and cannot disturb the level values)
-    trunc = -Fraction(1, p ** (schedule[-1] + n)) if default_shape else None
+    trunc = Fraction(-1, p ** (schedule[-1] + n)) if default_shape else None
     y = HahnSeries.make(coeffs, [(g, 1) for g in exponents], trunc=trunc)
     levels = []
     for j in range(1, depth + 1):
@@ -175,14 +175,14 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
             coeffs, [(g * p ** e_j, 1) for g in exponents[:j]])
         if lhs.is_zero():
             raise InternalError(f"level {j} residual vanishes")
-        value = lhs.value().coords[0]
+        value = lhs.value()
         denom_power = schedule[j] - e_j
         target = GroupElement.of(Fraction(1, p ** denom_power))
         witness = Subgroup.generated_by(1, value).witness(target)
         levels.append(
             {
-                "witness_exponents": [str(e.coords[0]) for e in lhs.support()],
-                "value": str(value),
+                "witness_exponents": [e.to_json()[0] for e in lhs.support()],
+                "value": value.to_json()[0],
                 "grants_denominator_exponent": denom_power,
                 "membership_witness": witness,
             }
@@ -196,7 +196,7 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
         # eta_i^p - eta_(i-1) keeps the value of eta_i
         if broken_chain is None and _power_gap_value(nxt, eta_series, p) != v_nxt:
             broken_chain = i
-        eta.append({"value": str(v_nxt.coords[0])})
+        eta.append({"value": v_nxt.to_json()[0]})
         eta_series = nxt
     payload = {
         "p": p,
@@ -374,10 +374,10 @@ def _step_numbers(kind: str, subject, p: int, group: Subgroup,
         e = group.torsion_order(alpha)
         if e is None:
             raise PreconditionError(
-                f"kummer step: {alpha.coords[0]} lies outside the rational span of the value group"
+                f"kummer step: {alpha.to_json()[0]} lies outside the rational span of the value group"
             )
         if e == 1:
-            raise PreconditionError(f"kummer step: {alpha.coords[0]} already lies in the value group")
+            raise PreconditionError(f"kummer step: {alpha.to_json()[0]} already lies in the value group")
         if not is_prime(e) and math.gcd(e, p) != 1:
             raise PreconditionError(
                 f"kummer step: torsion order {e} is neither prime nor coprime "
@@ -398,7 +398,7 @@ def _step_numbers(kind: str, subject, p: int, group: Subgroup,
             raise PreconditionError("artin-schreier step requires v(c) < 0")
         if group.witness(vc) is None:
             raise PreconditionError(
-                f"artin-schreier step: exponent {vc.coords[0]} is not in the value group"
+                f"artin-schreier step: exponent {vc.to_json()[0]} is not in the value group"
             )
         va = vc.scaled(Fraction(1, p))  # the root's value: its torsion order is p or 1
         e = group.torsion_order(va)
@@ -568,7 +568,7 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         raise PreconditionError(f"depth must be between 1 and {len(indices)}")
     coeffs = FiniteField(p)
     state = TowerState(Subgroup.generated_by(1), 1, p)
-    gammas = [Fraction(i) + Fraction(1, nv) for i, nv in enumerate(indices[:depth], start=1)]
+    gammas = [Fraction(i * nv + 1, nv) for i, nv in enumerate(indices[:depth], start=1)]
     for i, g in enumerate(gammas, start=1):
         e_i = math.lcm(*indices[:i]) // math.lcm(*indices[:i - 1])
         witness = strongly_homogeneous_test(HahnSeries.monomial(coeffs, g, 1), state)
@@ -583,7 +583,7 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         "cauchy": {"note": "exponents grow beyond every integer, so the partial sums are Cauchy"},
         "bound": bound,
         "group_index_witness": {
-            "hermite_basis": [str(b.coords[0]) for b in state.value_subgroup.basis()],
+            "hermite_basis": [b.to_json()[0] for b in state.value_subgroup.basis()],
         },
         "statement": (
             "any z with v(z - b_depth) > gamma_depth generates an extension of "
@@ -595,7 +595,7 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
             "value-group indices and lcm bounds"
         ),
         "pseudo_cauchy_variant": {
-            "exponents": [str(1 - Fraction(1, nv)) for nv in indices[:depth]],
+            "exponents": [f"{nv - 1}/{nv}" for nv in indices[:depth]],
             "note": "bounded exponents: a pseudo Cauchy sequence whose nest of balls "
                     "has empty intersection in a spherically incomplete field",
         },
@@ -779,7 +779,7 @@ def _validate_degree_bound(payload: dict) -> str | None:
     big = base.extended(*elems)
     if big.index_over(base) != bound:
         return "subgroup index witness does not verify against the bound"
-    basis = [str(b.coords[0]) for b in big.basis()]
+    basis = [b.to_json()[0] for b in big.basis()]
     if basis != obj(payload["group_index_witness"], ("group_index_witness",),
                     keys={"hermite_basis"})["hermite_basis"]:
         return "recorded Hermite basis does not verify"

@@ -80,7 +80,7 @@ def _task_eval(job: dict, depth: int | None) -> dict:
     value = valn.of_fraction(f)
     report = {
         "task": "eval",
-        "value": value.to_json() if valn.rank > 1 else str(value.coords[0]),
+        "value": value.to_json() if valn.rank > 1 else value.to_json()[0],
         "classification": valn.classify(),
     }
     if substitution_value(valn, num, den) != value:
@@ -185,9 +185,13 @@ def _load_json(path: str):
     JSON (an int past 4300 digits included) is a SchemaError."""
     try:
         with open(path, "rb") as fh:
-            return json.loads(fh.read().decode())
+            data = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL in the path, which repr shows
+        raise SchemaError(f"cannot read {path!r}: {exc}") from exc
+    try:
+        return json.loads(data.decode())
     except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         raise SchemaError(f"not valid JSON: {path}: {exc}") from exc
 

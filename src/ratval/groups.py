@@ -1,19 +1,22 @@
 """Exact arithmetic in lexicographically ordered rational vector groups.
 
 Value groups are modelled as finitely generated subgroups of Q^r under
-the lexicographic order.  Group elements are fixed-length vectors of
-exact rationals; subgroups are given by finite generator lists.
+the lexicographic order.  A group element g is stored as (D, key) in
+lowest terms, the int tuple key = D * g over its denominator D (the
+exponent form of series keys and eval minima too), so its arithmetic,
+order and hashing build no Fraction; subgroups are given by finite
+generator lists.
 
 A subgroup is held as (D, A, Hermite rows): D is the common denominator
-of its generators, A the int matrix of their keys D * gen (the int
-exponent form `series` uses too), and the Hermite rows a Z-basis of the
-row lattice of A with the transform writing them in the rows of A (an
-extended subgroup reduces only its parent's Hermite rows and its new
-generators).  One reduction of g gives its coordinates as ints over one
-denominator, and membership, torsion order and subgroup index are read
-off them: every positive answer carries an integer witness z, re-checked
-as z . A == D * g from (D, A) alone (so checking a recorded witness
-reduces no lattice), and every negative one a rank argument over Q.
+of its generators, A the int matrix of their keys D * gen, and the
+Hermite rows a Z-basis of the row lattice of A with the transform
+writing them in the rows of A (an extended subgroup reduces only its
+parent's Hermite rows and its new generators).  One reduction of g
+gives its coordinates as ints over one denominator, and membership,
+torsion order and subgroup index are read off them: every positive
+answer carries an integer witness z, re-checked as z . A == D * g from
+(D, A) alone (so checking a recorded witness reduces no lattice), and
+every negative one a rank argument over Q.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 
 from .errors import InternalError, PreconditionError, UndecidedError
 from .schema import fail, list_of, rational
@@ -33,81 +36,88 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@total_ordering
+@dataclass(frozen=True, init=False)
 class GroupElement:
-    """A vector in Q^r, ordered lexicographically.
+    """A vector g in Q^r, ordered lexicographically: den > 0 and the int
+    tuple key = den * g with gcd(den, *key) == 1, so equal elements hold
+    equal pairs.  Sums and scalings take one gcd; the order compares the
+    keys over a common denominator.  `coords` is the Fraction view."""
 
-    Addition is componentwise; comparison is the lexicographic order on
-    the coordinate tuple, which is a total order compatible with
-    addition.  Rank-1 elements are the common case.
-    """
+    den: int
+    key: tuple[int, ...]
 
-    coords: tuple[Fraction, ...]
+    def __init__(self, coords: tuple) -> None:
+        den = math.lcm(*[c.denominator for c in coords])
+        _setattr(self, "den", den)
+        _setattr(self, "key", tuple([c.numerator * (den // c.denominator) for c in coords]))
 
     @staticmethod
     def of(*coords) -> "GroupElement":
-        return GroupElement(tuple(rational(c) for c in coords))
+        return GroupElement(tuple(c if type(c) is int else rational(c) for c in coords))
 
     @staticmethod
     def zero(rank: int = 1) -> "GroupElement":
-        return GroupElement((Fraction(0),) * rank)
+        return _from_key((0,) * rank, 1)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.key)
 
     @property
     def rank(self) -> int:
-        return len(self.coords)
+        return len(self.key)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.key)
+
+    def _over(self, den: int) -> tuple[int, ...]:
+        """The int tuple den * self, for den a multiple of self.den."""
+        m = den // self.den
+        return self.key if m == 1 else tuple(m * x for x in self.key)
 
     def _check_rank(self, other: "GroupElement") -> None:
         if not isinstance(other, GroupElement):
             raise TypeError(f"expected GroupElement, got {type(other).__name__}")
-        if self.rank != other.rank:
-            raise PreconditionError(
-                f"rank mismatch: {self.rank} vs {other.rank}"
-            )
+        if len(self.key) != len(other.key):
+            raise PreconditionError(f"rank mismatch: {self.rank} vs {other.rank}")
+
+    def _keys_with(self, other: "GroupElement") -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The keys of self and other over one denominator, for order."""
+        self._check_rank(other)
+        if self.den == other.den:
+            return self.key, other.key
+        return tuple(x * other.den for x in self.key), tuple(x * self.den for x in other.key)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check_rank(other)
-        return GroupElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        return _from_key(tuple(x * b + y * a for x, y in zip(self.key, other.key)), a * b)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check_rank(other)
-        return GroupElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(tuple(-a for a in self.coords))
+        return _from_key(tuple(-x for x in self.key), self.den)
 
     def scaled(self, q) -> "GroupElement":
         """Scalar multiple by an exact rational (or integer)."""
-        q = rational(q)
-        return GroupElement(tuple(q * a for a in self.coords))
+        q = q if type(q) is int else rational(q)
+        return _from_key(tuple(q.numerator * x for x in self.key), q.denominator * self.den)
 
     def __mul__(self, n: int) -> "GroupElement":
-        if type(n) is not int:
-            return NotImplemented
-        return self.scaled(n)
+        return self.scaled(n) if type(n) is int else NotImplemented
 
     __rmul__ = __mul__
 
     def __lt__(self, other):
-        self._check_rank(other)
-        return self.coords < other.coords
-
-    def __le__(self, other):
-        self._check_rank(other)
-        return self.coords <= other.coords
-
-    def __gt__(self, other):
-        self._check_rank(other)
-        return self.coords > other.coords
-
-    def __ge__(self, other):
-        self._check_rank(other)
-        return self.coords >= other.coords
+        a, b = self._keys_with(other)
+        return a < b
 
     def to_json(self) -> list[str]:
-        return [str(c) for c in self.coords]
+        """Each coordinate as str(Fraction) writes it: "n" or "n/d"."""
+        d = self.den
+        return [str(x // g) if (g := math.gcd(x, d)) == d else f"{x // g}/{d // g}" for x in self.key]
 
     @staticmethod
     def from_json(data, path=()) -> "GroupElement":
@@ -118,35 +128,28 @@ class GroupElement:
         return GroupElement(tuple(coords))
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(self.to_json()) + ")"
+
+
+_setattr = object.__setattr__
+
+
+def _from_key(key: tuple[int, ...], den: int) -> GroupElement:
+    """The element key / den, for an int tuple key and an int den > 0,
+    in lowest terms: the constructor the arithmetic uses."""
+    g = math.gcd(den, *key)
+    if g != 1:
+        key, den = tuple(x // g for x in key), den // g
+    elem = object.__new__(GroupElement)
+    _setattr(elem, "den", den)
+    _setattr(elem, "key", key)
+    return elem
 
 
 def compare(a: GroupElement, b: GroupElement) -> int:
     """Lexicographic comparison: -1 if a < b, 0 if equal, 1 if a > b."""
-    a._check_rank(b)
-    if a.coords < b.coords:
-        return -1
-    if a.coords > b.coords:
-        return 1
-    return 0
-
-
-def _common_den(expos, trunc: GroupElement | None = None) -> int:
-    """The lcm D of the coordinate denominators of `expos` and `trunc`."""
-    if trunc is not None:
-        expos = [*expos, trunc]
-    return math.lcm(*(c.denominator for g in expos for c in g.coords))
-
-
-def _key(g: GroupElement, den: int) -> tuple[int, ...]:
-    """The int tuple den * g, for den a multiple of g's denominators;
-    keys over one den order as their elements do."""
-    return tuple(c.numerator * (den // c.denominator) for c in g.coords)
-
-
-def _element(key: tuple[int, ...], den: int) -> GroupElement:
-    """The element key / den: the inverse of _key over the same den."""
-    return GroupElement(tuple(Fraction(x, den) for x in key))
+    ka, kb = a._keys_with(b)
+    return (ka > kb) - (ka < kb)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -241,8 +244,9 @@ class Subgroup:
         """(D, A) with no reduction: D the lcm of the generators' denominators, A
         their keys over D (the parent's A times D / D_parent, then the new keys)."""
         d0, mat0 = self._parent._keys if self._parent is not None else (1, [])
-        k = (d := math.lcm(d0, _common_den(new := self.generators[len(mat0):]))) // d0
-        return d, [[k * x for x in row] for row in mat0] + [_key(g, d) for g in new]
+        new = self.generators[len(mat0):]
+        k = (d := math.lcm(d0, *(g.den for g in new))) // d0
+        return d, [[k * x for x in row] for row in mat0] + [g._over(d) for g in new]
 
     @cached_property
     def _lattice(self):
@@ -280,9 +284,9 @@ class Subgroup:
         L = lcm(D, den g), s = (L / D) * P: P carries every later pivot."""
         self._check_ambient(g)
         d, _, rows, _, pivots = self._lattice
-        lcm = math.lcm(d, *(c.denominator for c in g.coords))
+        lcm = math.lcm(d, g.den)
         prod = math.prod(row[col] for row, col in zip(rows, pivots))
-        w = [prod * x for x in _key(g, lcm)]
+        w = [prod * x for x in g._over(lcm)]
         qs: list[int] = []
         for row, col in zip(rows, pivots):
             q = w[col] // row[col]
@@ -311,7 +315,7 @@ class Subgroup:
         if not isinstance(z, list) or len(z) != len(mat) or any(type(zi) is not int for zi in z):
             return False
         combo = tuple(sum(zi * row[k] for zi, row in zip(z, mat)) for k in range(self.ambient_rank))
-        return all(d % c.denominator == 0 for c in g.coords) and combo == _key(g, d)
+        return d % g.den == 0 and combo == g._over(d)
 
     def witness(self, g: GroupElement) -> list[int] | None:
         """Integer coefficients w with sum(w_i * gen_i) == g, or None.
@@ -376,7 +380,7 @@ class Subgroup:
     def basis(self) -> list[GroupElement]:
         """Canonical Z-basis (Hermite rows over the common denominator)."""
         d, _, rows, _, _ = self._lattice
-        return [_element(row, d) for row in rows]
+        return [_from_key(tuple(row), d) for row in rows]
 
     def with_fresh_coordinate(self, placement: str = "small") -> tuple["Subgroup", "object"]:
         """Extend the ambient group by one lexicographic coordinate.
@@ -390,10 +394,10 @@ class Subgroup:
             raise PreconditionError("placement must be 'small' or 'large'")
         if placement == "small":
             def embed(g: GroupElement) -> GroupElement:
-                return GroupElement(g.coords + (Fraction(0),))
+                return _from_key(g.key + (0,), g.den)
         else:
             def embed(g: GroupElement) -> GroupElement:
-                return GroupElement((Fraction(0),) + g.coords)
+                return _from_key((0,) + g.key, g.den)
         new = Subgroup(self.ambient_rank + 1, tuple(embed(g) for g in self.generators))
         return new, embed
 

@@ -10,14 +10,14 @@ Binary operations compute the tightest sound bound: min of the bounds
 for addition, min over v(s)+trunc(r) and trunc(s)+v(r) for products.
 
 Stored form: a denominator D, the exponents as int key tuples D*e (the
-key of `groups`, which scales value-group generators the same way), the
+form a `GroupElement` holds, over the element's own denominator), the
 bound's key, and the raw coefficient values (`FieldElement.value`).
 Merging, sorting and the product's pair loop do no Fraction arithmetic
 and build no FieldElement: they call the field's raw_add, raw_mul and
 raw_is_zero, and rescale keys only where two operands' D differ.  The
-(GroupElement, FieldElement) pairs are built when `terms`, `support`,
-`coeff_at`, `to_json` or `repr` read them; `value` and `leading_coeff`
-build the first term only.
+(GroupElement, FieldElement) pairs are built from the keys when
+`terms`, `support`, `coeff_at`, `to_json` or `repr` read them; `value`
+and `leading_coeff` build the first term only.
 
 Frobenius powers and p-th roots are maps on the keys (keys * q over the
 same D, and the same keys over D * p): Frobenius is an order-preserving
@@ -38,7 +38,7 @@ from operator import add
 
 from .errors import PreconditionError
 from .fields import Field, FieldElement, _power
-from .groups import GroupElement, _common_den, _element, _key
+from .groups import GroupElement, _from_key
 from .schema import list_of, obj
 
 __all__ = [
@@ -58,12 +58,10 @@ def _min_trunc(a: GroupElement | None, b: GroupElement | None) -> GroupElement |
     return a if a <= b else b
 
 
-def _normalise(field: Field, rank: int, den: int, sums: dict, top: Key | None,
-               expos: dict | None = None) -> "HahnSeries":
+def _normalise(field: Field, rank: int, den: int, sums: dict, top: Key | None) -> "HahnSeries":
     """The series of the summed {key: raw value} over the denominator
     `den`: the keys sorted once, zero sums dropped and the terms cut at
-    the first key on or above the bound's key `top`.  `expos` maps a key
-    to the caller's GroupElement, kept for the surviving keys."""
+    the first key on or above the bound's key `top`."""
     is_zero = field.raw_is_zero
     keys, values = [], []
     for k in sorted(sums):
@@ -73,8 +71,7 @@ def _normalise(field: Field, rank: int, den: int, sums: dict, top: Key | None,
         if not is_zero(v):
             keys.append(k)
             values.append(v)
-    kept = None if expos is None else tuple(expos[k] for k in keys)
-    return HahnSeries(field, rank, den, tuple(keys), tuple(values), top, kept)
+    return HahnSeries(field, rank, den, tuple(keys), tuple(values), top)
 
 
 def _sum(field: Field, rank: int, parts) -> "HahnSeries":
@@ -100,9 +97,8 @@ class HahnSeries:
 
     Stored as a denominator `den`, the int keys den * g in ascending
     order, the raw values of the c (`FieldElement.value`) and the key
-    `top` of the bound (None for an exact series); `expos` holds the
-    GroupElements that `make` was given for the keys, or None.  The
-    (GroupElement, FieldElement) pairs are built when `terms` is read.
+    `top` of the bound (None for an exact series).  The (GroupElement,
+    FieldElement) pairs are built from the keys when `terms` is read.
     Frobenius powers and p-th roots map the keys; `**` multiplies.
     Equality and hashing are by value, whatever the denominators."""
 
@@ -112,7 +108,6 @@ class HahnSeries:
     keys: tuple[Key, ...]
     values: tuple
     top: Key | None = None
-    expos: tuple[GroupElement, ...] | None = None
 
     @staticmethod
     def make(field: Field, terms, trunc: GroupElement | None = None, rank: int = 1) -> "HahnSeries":
@@ -132,20 +127,15 @@ class HahnSeries:
             trunc = GroupElement.of(trunc)
         if trunc is not None and trunc.rank != rank:
             raise PreconditionError("truncation bound rank mismatch")
-        den = _common_den([e for e, _ in pairs], trunc)
+        den = math.lcm(*(e.den for e, _ in pairs), 1 if trunc is None else trunc.den)
         add_raw = field.raw_add
         sums: dict[Key, object] = {}
-        expos: dict[Key, GroupElement] = {}
         for expo, coeff in pairs:
-            k = _key(expo, den)
+            k = expo._over(den)
             prev = sums.get(k)
-            if prev is None:
-                sums[k] = coeff.value
-                expos[k] = expo
-            else:
-                sums[k] = add_raw(prev, coeff.value)
-        top = None if trunc is None else _key(trunc, den)
-        return _normalise(field, rank, den, sums, top, expos)
+            sums[k] = coeff.value if prev is None else add_raw(prev, coeff.value)
+        top = None if trunc is None else trunc._over(den)
+        return _normalise(field, rank, den, sums, top)
 
     @staticmethod
     def zero(field: Field, trunc=None, rank: int = 1) -> "HahnSeries":
@@ -176,12 +166,11 @@ class HahnSeries:
 
     @property
     def trunc(self) -> GroupElement | None:
-        return None if self.top is None else _element(self.top, self.den)
+        return None if self.top is None else _from_key(self.top, self.den)
 
     def _exponents(self) -> tuple[GroupElement, ...]:
-        if self.expos is not None:
-            return self.expos
-        return tuple(_element(k, self.den) for k in self.keys)
+        den = self.den
+        return tuple(_from_key(k, den) for k in self.keys)
 
     def __eq__(self, other):
         if not isinstance(other, HahnSeries):
@@ -206,7 +195,7 @@ class HahnSeries:
         (the value is then above the truncation bound)."""
         if not self.keys:
             return None
-        return self.expos[0] if self.expos is not None else _element(self.keys[0], self.den)
+        return _from_key(self.keys[0], self.den)
 
     def value_bound(self) -> GroupElement | None:
         """value() for nonzero series, else the truncation bound."""
@@ -243,7 +232,7 @@ class HahnSeries:
     def __neg__(self) -> "HahnSeries":
         neg = self.field.raw_neg
         return HahnSeries(self.field, self.rank, self.den, self.keys,
-                          tuple(neg(v) for v in self.values), self.top, self.expos)
+                          tuple(neg(v) for v in self.values), self.top)
 
     def __sub__(self, other: "HahnSeries") -> "HahnSeries":
         return self + (-other)
@@ -303,8 +292,7 @@ class HahnSeries:
         e0 = self.value()
         lead_inv = HahnSeries.monomial(self.field, -e0, self.leading_coeff().inverse(),
                                        rank=self.rank)
-        rest = HahnSeries(self.field, self.rank, self.den, self.keys[1:], self.values[1:],
-                          self.top, None if self.expos is None else self.expos[1:])
+        rest = HahnSeries(self.field, self.rank, self.den, self.keys[1:], self.values[1:], self.top)
         w = rest * lead_inv
         if w.is_zero() and w.trunc is None:
             return lead_inv
@@ -351,7 +339,7 @@ class HahnSeries:
 
     def to_json(self) -> dict:
         def expo_json(g: GroupElement):
-            return str(g.coords[0]) if self.rank == 1 else g.to_json()
+            return g.to_json()[0] if self.rank == 1 else g.to_json()
 
         return {
             "field": self.field.to_json(),
@@ -375,7 +363,7 @@ class HahnSeries:
 
     def __repr__(self) -> str:
         def mono(e: GroupElement, c: FieldElement) -> str:
-            ex = str(e.coords[0]) if self.rank == 1 else repr(e)
+            ex = e.to_json()[0] if self.rank == 1 else repr(e)
             if e.is_zero():
                 return repr(c)
             head = "" if repr(c) == "1" else f"({c!r})*"
@@ -383,7 +371,7 @@ class HahnSeries:
 
         body = " + ".join(mono(e, c) for e, c in self.terms) if self.terms else "0"
         if self.trunc is not None:
-            ex = str(self.trunc.coords[0]) if self.rank == 1 else repr(self.trunc)
+            ex = self.trunc.to_json()[0] if self.rank == 1 else repr(self.trunc)
             return f"{body} + O(t^{ex})"
         return body
 

@@ -46,7 +46,7 @@ from .fields import (
     _shift_passes,
     is_prime,
 )
-from .groups import GroupElement, Subgroup, _element
+from .groups import GroupElement, Subgroup, _from_key
 from .schema import fail, integer, list_of, obj, rational, string
 from .series import HahnSeries
 
@@ -421,13 +421,13 @@ class SeriesValuedField(ValuedField):
     def __init__(self, coefficients: Field, value_gens=(Fraction(1),)):
         self.coefficients = coefficients
         self.residue_field = coefficients
-        self._gens = [Fraction(g) for g in value_gens]
+        self._gens = [rational(g) for g in value_gens]
 
     def val(self, a: HahnSeries) -> Fraction:
         v = a.value()
         if v is None:
             raise PreconditionError("series with empty support: value lies above the truncation bound")
-        return v.coords[0]
+        return Fraction(v.key[0], v.den)
 
     def residue(self, a: HahnSeries):
         if self.val(a) != 0:
@@ -441,7 +441,7 @@ class SeriesValuedField(ValuedField):
         return a.leading_coeff() / b.leading_coeff()
 
     def element_of_value(self, v: Fraction):
-        return HahnSeries.monomial(self.coefficients, Fraction(v), self.coefficients.one())
+        return HahnSeries.monomial(self.coefficients, GroupElement.of(v), self.coefficients.one())
 
     def value_generators(self):
         return list(self._gens)
@@ -587,19 +587,19 @@ def _kronecker_value(valn: "CenteredValuation", cs: list) -> GroupElement:
 
 def _value_keys(valn: "CenteredValuation", den: int = 1):
     """(key, value): key(i, v) is D (v e + i*gamma) as an int tuple, e the
-    unit vector of the base coordinate and D the lcm of den and the
-    denominators of gamma, for v an int or a Fraction whose denominator
-    divides den.  Such values compare as their keys, and value(key) is the
-    GroupElement again."""
-    den = math.lcm(den, *(c.denominator for c in valn.gamma.coords))
-    step = [int(c * den) for c in valn.gamma.coords]
+    unit vector of the base coordinate and D the lcm of den and gamma's
+    denominator, for v an int or a Fraction whose denominator divides
+    den.  Such values compare as their keys, and value(key) is the
+    GroupElement of the key over D, built with no Fraction."""
+    den = math.lcm(den, valn.gamma.den)
+    step = valn.gamma._over(den)
 
     def key(i: int, v) -> tuple:
         k = [i * s for s in step]
-        k[valn.base_coord] += int(den * v)
+        k[valn.base_coord] += v.numerator * (den // v.denominator)
         return tuple(k)
 
-    return key, lambda k: _element(k, den)
+    return key, lambda k: _from_key(k, den)
 
 
 def _completion_value(valn: "CenteredValuation", ring) -> GroupElement:
@@ -607,7 +607,8 @@ def _completion_value(valn: "CenteredValuation", ring) -> GroupElement:
     in the ring at a precision K that doubles until the minimum is decided.
     For s_i = v(L) + (N - i) v(d), a residue h_i != 0 gives v(c_i) = v(h_i)
     - s_i, a residue 0 v(c_i) >= K - s_i, or c_i = 0 once K >= exact_k.
-    Terms compare on their _value_keys."""
+    Terms compare on their int _value_keys, and the least key becomes the
+    GroupElement over the keys' denominator: no Fraction is built."""
     key, value = _value_keys(valn)
     top = len(ring.H) - 1
 
@@ -716,9 +717,9 @@ class CenteredValuation:
         return self.gamma.rank
 
     def embed_base_value(self, v: Fraction) -> GroupElement:
-        coords = [Fraction(0)] * self.rank
-        coords[self.base_coord] = Fraction(v)
-        return GroupElement(tuple(coords))
+        key = [0] * self.rank
+        key[self.base_coord] = v.numerator
+        return _from_key(tuple(key), v.denominator)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -409,6 +409,15 @@ class TestErrors:
         code, _, err = run_cli(["run", "/nonexistent/job.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("verb", ["run", "recheck"])
+    def test_path_with_a_nul_byte_cannot_be_read_exit_2(self, verb, capsys):
+        """open raises ValueError on a NUL in the path; it used to be
+        reported as JSON that does not decode, with the raw NUL written."""
+        code, out, err = run_cli([verb, "a\x00b"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "schema error: cannot read 'a\\x00b': embedded null byte\n"
+        assert "\x00" not in err
+
     @pytest.mark.parametrize("gamma", [True, 1.5], ids=["bool", "float"])
     def test_gamma_that_is_not_an_exact_rational_exit_2(self, gamma, tmp_path, capsys):
         """The README eval job with gamma [true] is not run as gamma = 1,

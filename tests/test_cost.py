@@ -3,13 +3,14 @@ of the input only at a stated rate.  No clock is read."""
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from ratval import fields, groups, valuations
 from ratval.certificates import build_defect_tower, build_degree_bound, validate_certificate
 from ratval.fields import FiniteField
-from ratval.groups import GroupElement, Subgroup
+from ratval.groups import GroupElement, Subgroup, compare
 from ratval.selftest import poly_mul
 from ratval.series import HahnSeries
 from ratval.valuations import RatFunc, TAdicRationalFunctions
@@ -124,3 +125,51 @@ def test_a_second_defect_tower_multiplies_no_series(monkeypatch):
     monkeypatch.setattr(HahnSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     build_defect_tower(3, [1, 3, 6, 10, 15], 4)
     assert products == []
+
+
+def _fractions_made(monkeypatch, run) -> int:
+    """The number of Fractions that `run()` constructs."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    run()
+    monkeypatch.undo()
+    return len(made)
+
+
+def test_group_series_and_subgroup_arithmetic_build_no_fraction(monkeypatch):
+    """A GroupElement is a denominator and an int key, and so are series
+    exponents and the subgroup lattice: element arithmetic, order and
+    hashing, series products, sums, values and supports, and membership
+    witnesses and torsion orders of prepared elements are int work and
+    build no Fraction at all.  The count is zero on every Python version,
+    whether or not Fraction's own arithmetic goes through its __new__."""
+    a, b, c = GroupElement.of("1/6", "-2/3"), GroupElement.of("3/4", 5), GroupElement.of(2, "7/10")
+    q = Fraction(-2, 9)
+    f3 = FiniteField(3)
+    s = HahnSeries.make(f3, [(GroupElement.of("-1/2"), 1), (GroupElement.of("1/3"), 2),
+                             (GroupElement.of("5/4"), 1)], trunc=GroupElement.of(3))
+    r = HahnSeries.make(f3, [(GroupElement.of("1/4"), 2), (GroupElement.of("2/5"), 1)])
+    gens = [GroupElement.of(x) for x in ("1/2", "1/3", "2/5")]
+    member, torsion, outside = GroupElement.of("31/30"), GroupElement.of("1/7"), GroupElement.of(0, 1)
+    out = {}
+
+    def run():
+        for x, y in ((a, b), (b, c), (c, c)):
+            out[x, y] = (x + y, x - y, -x, x.scaled(3), x.scaled(q), 2 * x,
+                         x < y, x <= y, x > y, x >= y, compare(x, y), x == y, hash(x))
+        out["series"] = ((s * r + s).value(), (s * r).support(), (s + r).support(), r.value())
+        group = Subgroup.generated_by(*gens)
+        z = group.witness(member)
+        out["subgroup"] = (z, group.is_witness(z, member), group.torsion_order(torsion),
+                           Subgroup.generated_by(GroupElement.of(1, 0)).torsion_order(outside))
+
+    assert _fractions_made(monkeypatch, run) == 0
+    assert out[a, b][0] == GroupElement.of("11/12", "13/3") and out[a, b][6] is True
+    assert out["series"][0] == GroupElement.of("-1/2") and out["series"][3] == GroupElement.of("1/4")
+    assert out["subgroup"][1:] == (True, 7, None)

@@ -512,3 +512,84 @@ def test_planted_fault_in_the_derived_transform(monkeypatch):
         big = base.extended(G("1/3"))
         with pytest.raises(InternalError, match="witness failed re-verification"):
             query(big)
+
+
+def _vector(rank):
+    """(num, den) pairs, not in lowest terms as a rule, for one vector."""
+    coord = st.tuples(st.integers(-30, 30), st.integers(1, 12))
+    return st.lists(coord, min_size=rank, max_size=rank)
+
+
+@st.composite
+def _two_vectors(draw):
+    rank = draw(st.integers(1, 3))
+    return draw(_vector(rank)), draw(_vector(rank))
+
+
+def _from_strings(pairs, k=1):
+    """The element of the "num/den" strings of pairs, each times k / k."""
+    return G(*(f"{n * k}/{d * k}" for n, d in pairs))
+
+
+def _in_lowest_terms(g):
+    return g.den > 0 and math.gcd(g.den, *g.key) == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(vectors=_two_vectors(), n=st.integers(-7, 7),
+       q=st.tuples(st.integers(-9, 9), st.integers(1, 9)), k=st.integers(2, 5))
+def test_element_agrees_with_a_fraction_tuple_reference(vectors, n, q, k):
+    """Sums, differences, negation, int and rational multiples, the order,
+    equality, hashing and the JSON and repr strings of an element agree
+    with the same operations on a tuple of Fractions; the stored pair is
+    in lowest terms whatever denominators the element was built from."""
+    a, b = (_from_strings(v) for v in vectors)
+    ra, rb = (tuple(Fraction(num, den) for num, den in v) for v in vectors)
+    q = Fraction(*q)
+    results = [
+        (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        (-a, tuple(-x for x in ra)),
+        (a.scaled(n), tuple(n * x for x in ra)),
+        (a * n, tuple(n * x for x in ra)),
+        (n * a, tuple(n * x for x in ra)),
+        (a.scaled(q), tuple(q * x for x in ra)),
+        (a.scaled(f"{q.numerator * k}/{q.denominator * k}"), tuple(q * x for x in ra)),
+    ]
+    for got, want in results:
+        ref = GroupElement(want)
+        assert got.coords == want and got.rank == len(want)
+        assert got == ref and hash(got) == hash(ref) and _in_lowest_terms(got)
+        assert got.to_json() == [str(x) for x in want]
+        assert repr(got) == "(" + ", ".join(str(x) for x in want) + ")"
+        assert GroupElement.from_json(got.to_json()) == got
+        assert got.is_zero() is all(x == 0 for x in want)
+    assert (a < b, a <= b, a > b, a >= b) == (ra < rb, ra <= rb, ra > rb, ra >= rb)
+    assert compare(a, b) == (ra > rb) - (ra < rb)
+    assert (a == b) is (ra == rb) and (a != b) is (ra != rb)
+    same = _from_strings(vectors[0], k)  # the same vector over other denominators
+    assert same == a and hash(same) == hash(a) and (same.den, same.key) == (a.den, a.key)
+    longer = GroupElement.zero(a.rank + 1)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x < y, lambda x, y: x <= y,
+               lambda x, y: x > y, lambda x, y: x >= y, compare):
+        with pytest.raises(PreconditionError, match=f"^rank mismatch: {a.rank} vs {a.rank + 1}$"):
+            op(a, longer)
+    assert a != longer
+
+
+def test_equal_elements_from_other_denominators_are_one_element():
+    a, b = G("2/4", "0"), G("1/2", "0")
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert (a.den, a.key) == (b.den, b.key) == (2, (1, 0))
+    assert a.to_json() == ["1/2", "0"] and repr(a) == "(1/2, 0)"
+    assert GroupElement((Fraction(-6, 4), 3)).to_json() == ["-3/2", "3"]
+
+
+def test_element_is_immutable():
+    g = G("1/2")
+    for name in ("den", "key", "coords", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == G("1/2")
