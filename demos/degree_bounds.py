@@ -41,4 +41,5 @@ print("exponents 1 - 1/n_i:", variant["exponents"])
 gammas = [Fraction(g) for g in variant["exponents"]]
 print("strictly increasing:", all(a < b for a, b in zip(gammas, gammas[1:])),
       " bounded above by 1:", max(gammas) < 1)
-print(variant["note"])
+print("a pseudo Cauchy sequence whose nest of balls has empty intersection in a "
+      "spherically incomplete field")

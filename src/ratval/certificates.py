@@ -18,16 +18,16 @@ accepts it, so a fact the payload records is checked once, by the
 validator.  The builders keep as InternalError only the self-checks of
 facts the payload does not record.
 
-Every payload field has one of three roles.  A claim is re-derived by
+Every payload field has one of two roles.  A claim is re-derived by
 the validator from the other fields, so tampering with it is a finding.
 A subject names what the certificate is about (a classification's
 `descriptor`, a tower's `base.value_group` and its steps' `modulus` and
-`c`, a defect tower's `depth`): every well-formed value states something
-the validator still decides.  Prose (`assumptions`, `statement`,
-`model_note` and the `note`s) is for the reader and is not checked.  A
-field that would only copy the subject, a list position or a constant
-is not recorded at all, and a field that its kind, its step kind or its
-nested object (the descriptor apart) does not have is a finding.  The
+`c`): every well-formed value states something the validator still
+decides.  A field that would only copy the subject, a list position or
+a constant is not recorded at all (a defect tower's depth is the number
+of its `levels`), and neither is prose: each kind's statement and
+assumptions are in the README.  A field that its kind, its step kind or
+its nested object (the descriptor apart) does not have is a finding.  The
 validators read every field with the schema module's readers (a step
 with ExtensionStep.from_json, the descriptor, open like a job's, with
 valuations.valuation_from_json): an ill-typed field is a finding that
@@ -36,6 +36,7 @@ names its JSON path.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +54,8 @@ from .homogeneous import (
 from .series import HahnSeries, artin_schreier_root, kummer_root
 from .valuations import (
     RESIDUE_TRANSCENDENTAL,
-    VALUATION_ALGEBRAIC,
     VALUE_TRANSCENDENTAL,
     CenteredValuation,
-    PseudoCauchyValuation,
     SeriesValuedField,
     valuation_from_json,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "validate_certificate",
 ]
 
-CERTIFICATE_VERSION = 4
+CERTIFICATE_VERSION = 5
 _UNVERSIONED = object()  # the version of a certificate that records no schema_version
 
 # series depth of every Artin-Schreier root the builders compute
@@ -202,16 +201,9 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
         "p": p,
         "schedule": list(schedule),
         "multipliers": mults,
-        "depth": depth,
         "series_truncation": None if trunc is None else str(trunc),
         "levels": levels,
         "eta_tower": eta,
-        "assumptions": [
-            "ambient coefficient field algebraically closed (residue field of the "
-            "composite equals it, so every inertia degree is 1)",
-            "uniqueness of the valuation extension along the tower (linear "
-            "disjointness from the henselization), certifying defect = degree",
-        ],
     }
     cert = _self_checked(Certificate("defect-tower", payload))
     # the chain is not recorded: checked after the recorded eta values
@@ -535,8 +527,6 @@ def build_ic_valuation(tower: ExtensionTower, beta, variant: str = "v1",
         "beta": str(beta_q),
         "gamma": gamma.to_json(),
         "classification": label,
-        "ic_statement": "the center generates a subfield of the implicit constant field "
-                        "(v(x - a) exceeds the Krasner constant of a)",
     }
     return valn, info
 
@@ -580,25 +570,11 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         "p": p,
         "indices": list(indices[:depth]),
         "exponents": [str(g) for g in gammas],
-        "cauchy": {"note": "exponents grow beyond every integer, so the partial sums are Cauchy"},
         "bound": bound,
         "group_index_witness": {
             "hermite_basis": [b.to_json()[0] for b in state.value_subgroup.basis()],
         },
-        "statement": (
-            "any z with v(z - b_depth) > gamma_depth generates an extension of "
-            "degree >= bound over the p-adic base field"
-        ),
-        "model_note": (
-            "exponent and residue bookkeeping in the p-exponent series model; "
-            "coefficients are residue representatives, which is faithful for "
-            "value-group indices and lcm bounds"
-        ),
-        "pseudo_cauchy_variant": {
-            "exponents": [f"{nv - 1}/{nv}" for nv in indices[:depth]],
-            "note": "bounded exponents: a pseudo Cauchy sequence whose nest of balls "
-                    "has empty intersection in a spherically incomplete field",
-        },
+        "pseudo_cauchy_variant": {"exponents": [f"{nv - 1}/{nv}" for nv in indices[:depth]]},
     }
     return _self_checked(Certificate("degree-lower-bound", payload))
 
@@ -628,17 +604,13 @@ def _degree_bound_violation(p: int, indices: list[int]) -> str | None:
 # classification certificates
 
 def classification_certificate(descriptor, descriptor_json: dict) -> Certificate:
-    """Certificate recording a classification with its torsion witness."""
-    if isinstance(descriptor, PseudoCauchyValuation):
-        witness = {"pseudo_cauchy": True}
-    else:
-        e = descriptor.torsion_order()
-        witness = {"torsion_order": e} if e is not None else {"non_torsion_rank_proof": True}
+    """Certificate recording a classification: its trichotomy flags and
+    the torsion order of gamma over the base value group, null for a
+    non-torsion gamma (proven by rank) and for a pseudo Cauchy descriptor."""
     payload = {
         "descriptor": descriptor_json,
-        "label": descriptor.classify(),
-        "witness": witness,
         "trichotomy_flags": list(descriptor.trichotomy_flags()),
+        "torsion_order": descriptor.torsion_order(),
     }
     return _self_checked(Certificate("classification", payload))
 
@@ -699,18 +671,15 @@ def validate_certificate(data) -> ValidationResult:
 def _validate_defect_tower(payload: dict) -> str | None:
     p = integer(payload["p"], ("p",))
     schedule = list_of(integer, payload["schedule"], ("schedule",))
-    depth = integer(payload["depth"], ("depth",))
     mults = list_of(integer, payload["multipliers"], ("multipliers",))
+    levels = list_of(None, payload["levels"], ("levels",))
     n = len(schedule)
-    if (violation := _defect_tower_violation(p, schedule, mults, depth)):
+    if (violation := _defect_tower_violation(p, schedule, mults, len(levels))):
         return violation
     default_shape = all(m == -1 for m in mults)
     pows = [p ** e for e in schedule]
     top = max(pows)
     keys = [m * (top // pw) for m, pw in zip(mults, pows)]  # n_i / p^(e_i) over one power of p
-    levels = list_of(None, payload["levels"], ("levels",))
-    if depth > len(levels):
-        return f"depth field {depth} exceeds the {len(levels)} witnessed levels"
     trunc = payload["series_truncation"]
     trunc = None if trunc is None else rational(trunc, ("series_truncation",))
     if default_shape:
@@ -758,7 +727,6 @@ def _validate_defect_tower(payload: dict) -> str | None:
 def _validate_degree_bound(payload: dict) -> str | None:
     p = integer(payload["p"], ("p",))
     indices = list_of(integer, payload["indices"], ("indices",))
-    obj(payload["cauchy"], ("cauchy",), keys={"note"})
     if (violation := _degree_bound_violation(p, indices)):
         return violation
     gammas = list_of(rational, payload["exponents"], ("exponents",))
@@ -784,7 +752,7 @@ def _validate_degree_bound(payload: dict) -> str | None:
                     keys={"hermite_basis"})["hermite_basis"]:
         return "recorded Hermite basis does not verify"
     # 1 - 1/n_i is (n_i - 1) / n_i in lowest terms, and n_i > 1
-    variant = obj(payload["pseudo_cauchy_variant"], ("pseudo_cauchy_variant",), keys={"exponents", "note"})
+    variant = obj(payload["pseudo_cauchy_variant"], ("pseudo_cauchy_variant",), keys={"exponents"})
     if variant["exponents"] != [f"{nv - 1}/{nv}" for nv in indices]:
         return "pseudo-Cauchy variant exponents are not 1 - 1/n_i"
     return None
@@ -823,44 +791,19 @@ def _validate_fund_ineq(payload: dict) -> str | None:
 
 
 def _validate_classification(payload: dict) -> str | None:
-    label = payload["label"]
-    flags = payload["trichotomy_flags"]
-    if not (type(flags) is list and len(flags) == 3 and all(type(b) is bool for b in flags)):
-        return "trichotomy flags must be a list of three booleans"
-    if sum(flags) != 1:
-        return "trichotomy flags must mark exactly one case"
-    expected = {
-        0: VALUE_TRANSCENDENTAL,
-        1: RESIDUE_TRANSCENDENTAL,
-        2: VALUATION_ALGEBRAIC,
-    }[flags.index(True)]
-    if label != expected:
-        return f"label {label!r} disagrees with the trichotomy flags"
-    witness = obj(payload["witness"], ("witness",),
-                  keys={"torsion_order", "non_torsion_rank_proof", "pseudo_cauchy"})
     try:
         valn = valuation_from_json(payload["descriptor"], ("descriptor",))
     except PreconditionError as exc:
         return f"descriptor does not build: {exc}"
-    if isinstance(valn, PseudoCauchyValuation):
-        if witness.get("pseudo_cauchy") is not True:
-            return "a pseudo Cauchy descriptor needs the pseudo_cauchy witness"
-        if label != VALUATION_ALGEBRAIC:
-            return "pseudo Cauchy descriptors are valuation-algebraic"
-        return None
-    if "pseudo_cauchy" in witness:
-        return "a centered descriptor has no pseudo_cauchy witness"
-    e = valn.torsion_order()
-    if "torsion_order" in witness:
-        if e != integer(witness["torsion_order"], ("witness", "torsion_order")):
-            return "torsion-order witness does not verify"
-        if label != RESIDUE_TRANSCENDENTAL:
-            return "torsion gamma must classify as residue-transcendental"
-        return None
-    if e is not None:
-        return "non-torsion rank proof does not verify"
-    if label != VALUE_TRANSCENDENTAL:
-        return "non-torsion gamma must classify as value-transcendental"
+    flags, order = payload["trichotomy_flags"], payload["torsion_order"]
+    if not (type(flags) is list and len(flags) == 3 and all(type(b) is bool for b in flags)):
+        return "trichotomy flags must be a list of three booleans"
+    if order is not None:
+        integer(order, ("torsion_order",))
+    for key, recorded, derived in (("trichotomy_flags", flags, list(valn.trichotomy_flags())),
+                                   ("torsion_order", order, valn.torsion_order())):
+        if recorded != derived:
+            return f"{key} is {json.dumps(recorded)}, but the descriptor gives {json.dumps(derived)}"
     return None
 
 
@@ -870,12 +813,11 @@ _TOTALS = ("e", "f", "degree", "defect")
 # each kind's validator and the closed set of its payload's top-level fields
 # (a validator reads each nested object but the descriptor with its own)
 _VALIDATORS = {
-    "defect-tower": (_validate_defect_tower, {"p", "schedule", "multipliers", "depth",
-                     "series_truncation", "levels", "eta_tower", "assumptions"}),
-    "degree-lower-bound": (_validate_degree_bound, {"p", "indices", "exponents",
-                           "cauchy", "bound", "group_index_witness", "statement", "model_note",
-                           "pseudo_cauchy_variant"}),
+    "defect-tower": (_validate_defect_tower, {"p", "schedule", "multipliers",
+                     "series_truncation", "levels", "eta_tower"}),
+    "degree-lower-bound": (_validate_degree_bound, {"p", "indices", "exponents", "bound",
+                           "group_index_witness", "pseudo_cauchy_variant"}),
     "fundamental-inequality": (_validate_fund_ineq, {"base", "steps", "totals"}),
-    "classification": (_validate_classification, {"descriptor", "label", "witness",
-                                                  "trichotomy_flags"}),
+    "classification": (_validate_classification, {"descriptor", "trichotomy_flags",
+                                                  "torsion_order"}),
 }

@@ -59,8 +59,10 @@ def _write_atomic(path: str, text: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
         tmp = None
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise SchemaError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL in the path, which repr shows
+        raise SchemaError(f"cannot write {path!r}: {exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

@@ -876,6 +876,10 @@ class PseudoCauchyValuation:
     def trichotomy_flags(self) -> tuple[bool, bool, bool]:
         return (False, False, True)
 
+    def torsion_order(self) -> None:
+        """No gamma: a classification certificate records null."""
+        return None
+
     def values_along(self, coeffs: list) -> dict:
         """v(g(a_nu)) for every sequence member; reports whether the
         values stabilized within the available depth."""

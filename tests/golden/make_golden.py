@@ -38,13 +38,16 @@ the leaf is 1).  It holds one line per mutation with the job, the JSON
 path, the value and what validate_certificate returns for it: `ok` and
 the findings.  Accepted mutations are recorded as accepted, so the file
 lists the tamperings the validator does not catch.  The certificates are
-of the current CERTIFICATE_VERSION (4), whose payloads hold no field that
-only copies the subject, a list position or a constant: a tower step
-records its kind, its subject (alpha, modulus or c) and (e, f, degree,
-defect), which the validator derives again from the subject, a
-defect-tower level is numbered by its position in `levels`, and a degree
-bound's depth is the number of its indices.  tests/test_golden.py requires
-every accepted mutation to sit on a prose or subject leaf named there.
+of the current CERTIFICATE_VERSION (5), whose payloads hold only claims
+and subjects, no prose and no field that only copies the subject, a list
+position or a constant: a tower step records its kind, its subject
+(alpha, modulus or c) and (e, f, degree, defect), which the validator
+derives again from the subject, a defect-tower level is numbered by its
+position in `levels` and the tower's depth is their number, a degree
+bound's depth is the number of its indices, and a classification records
+its trichotomy flags and torsion order beside its descriptor.
+tests/test_golden.py requires every accepted mutation to sit on a subject
+leaf named there.
 
 tests/test_golden.py compares the current output with these files, so
 regenerate them only on purpose:

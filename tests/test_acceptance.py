@@ -279,7 +279,7 @@ def test_criterion_10_certificate_round_trips(tmp_path):
         elif name == "extension-step":
             cert["totals"]["degree"] = 9
         else:
-            cert["label"] = "value-transcendental"
+            cert["trichotomy_flags"] = [True, False, False]
         bad_path = tmp_path / f"{name}-bad.json"
         bad_path.write_text(json.dumps(data))
         assert cli_main(["recheck", str(bad_path)]) == 1

@@ -151,14 +151,26 @@ class TestDefectTower:
         # depth 0 used to give a certificate with no levels, vacuously valid
         with pytest.raises(PreconditionError, match="must be an int >= 1"):
             build_defect_tower(2, [1, 2, 4, 7, 11], depth)
+
+    @pytest.mark.parametrize("levels, finding", [
+        ([], "depth 0 must be an int >= 1"),
+        ({}, "field 'levels' must be a JSON list, got {}"),
+        (None, "field 'levels' must be a JSON list, got null"),
+    ], ids=["empty", "object", "null"])
+    def test_depth_is_the_number_of_levels(self, levels, finding):
+        # the depth is len(levels): no level is depth 0, as the builder refuses
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
-        res = validate_certificate(tamper(cert, ["depth"], depth))
-        assert res.findings == ((f"depth {depth!r} must be an int >= 1",) if type(depth) is int
-                                else (f"field 'depth' must be a JSON integer, got {json.dumps(depth)}",))
+        assert validate_certificate(tamper(cert, ["levels"], levels)).findings == (finding,)
 
     def test_shallower_depth_is_a_weaker_true_claim(self):
+        # the first two levels are the depth-2 certificate; dropping the
+        # first level instead leaves a wrong level 1
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
-        assert validate_certificate(tamper(cert, ["depth"], 2)).ok
+        shallow = tamper(cert, ["levels"], cert.payload["levels"][:2])
+        assert validate_certificate(shallow).ok
+        assert shallow == build_defect_tower(2, [1, 2, 4, 7, 11], 2).to_dict()
+        assert validate_certificate(tamper(cert, ["levels"], cert.payload["levels"][1:])).findings == (
+            "level 1: witness exponents disagree with the schedule formula",)
 
     @pytest.mark.parametrize("levels, finding", [
         ([0, 1, 0, 1], "level 3: witness exponents disagree with the schedule formula"),
@@ -179,11 +191,10 @@ class TestDefectTower:
         (["grants_denominator_exponent"], 5, "level 4: granted denominator exponent mismatch"),
         (["j"], 4, "unknown field levels[3].j"),
     ], ids=["value", "witness-exponent", "membership-witness", "granted-denominator", "j"])
-    def test_levels_beyond_depth_are_checked(self, path, value, finding):
-        # a depth-3 claim over four recorded levels: the fourth is checked too
+    def test_last_level_is_checked(self, path, value, finding):
+        # every recorded level is checked, the last of four too
         cert = build_defect_tower(2, [1, 2, 4, 7, 11], 4)
         bad = tamper(cert, ["levels", 3, *path], value)
-        bad["depth"] = 3
         assert validate_certificate(bad).findings == (finding,)
 
     def test_round_trip_and_tampering(self):
@@ -192,8 +203,9 @@ class TestDefectTower:
         bad = tamper(cert, ["levels", 1, "witness_exponents", 0], "-1/2")
         res = validate_certificate(bad)
         assert not res.ok and "level 2" in res.first_failure()
-        inflated = tamper(cert, ["depth"], 12)
-        assert not validate_certificate(inflated).ok
+        inflated = tamper(cert, ["levels"], cert.payload["levels"] * 3)
+        assert validate_certificate(inflated).findings == (
+            "truncation too shallow to witness level 12: the schedule provides witnesses only up to level 4",)
         wrong_value = tamper(cert, ["levels", 0, "value"], "-1/4")
         assert not validate_certificate(wrong_value).ok
 
@@ -381,7 +393,7 @@ class TestExtensionTowers:
         assert validate_certificate(data).findings == (f"malformed certificate: {first!r}",)
 
     def test_a_bare_fundamental_inequality_is_not_a_certificate(self):
-        data = {"kind": "fundamental-inequality", "schema_version": 4,
+        data = {"kind": "fundamental-inequality", "schema_version": 5,
                 "n": 12, "pairs": [[6, 2]], "sum_ef": 12, "ok": True, "slack": 0, "equality": True}
         assert validate_certificate(data).findings == ("unknown field n",)
 
@@ -417,9 +429,9 @@ class TestExtensionTowers:
         assert res.findings == (f"{p} is not prime",)
 
     def test_stray_fields_of_a_relabelled_v2_tower(self):
-        """The README tower as schema v2 recorded it, relabelled as v4:
+        """The README tower as schema v2 recorded it, relabelled as v5:
         its fund_ineq and its step witnesses are unknown fields."""
-        data = {**README_TOWER_V2, "schema_version": 4}
+        data = {**README_TOWER_V2, "schema_version": 5}
         assert validate_certificate(data).findings == ("unknown field fund_ineq",)
         del data["fund_ineq"]
         assert validate_certificate(data).findings == ("unknown field steps[0].witness",)
@@ -633,21 +645,58 @@ class TestDegreeBound:
 
 
 class TestClassificationCertificate:
-    def test_round_trip(self):
-        base = PAdicRationals(3)
-        desc = {"kind": "vag", "base": base.to_json(), "center": "0", "gamma": ["1/2"]}
-        valn = CenteredValuation(base, 0, GroupElement.of("1/2"))
-        cert = classification_certificate(valn, desc)
-        assert cert.payload["label"] == RESIDUE_TRANSCENDENTAL
+    @pytest.mark.parametrize("build, flags, order", [
+        (lambda: _vag_classification(), [False, True, False], 2),
+        (lambda: _vt_classification(), [True, False, False], None),
+        (lambda: _pcs_classification(), [False, False, True], None),
+    ], ids=["torsion", "non-torsion", "pcs"])
+    def test_round_trip(self, build, flags, order):
+        cert = build()
+        assert (cert.payload["trichotomy_flags"], cert.payload["torsion_order"]) == (flags, order)
+        assert set(cert.payload) == {"descriptor", "trichotomy_flags", "torsion_order"}
         assert validate_certificate(cert).ok
 
-    def test_tampered_label(self):
-        base = PAdicRationals(3)
-        desc = {"kind": "vag", "base": base.to_json(), "center": "0", "gamma": ["1/2"]}
-        valn = CenteredValuation(base, 0, GroupElement.of("1/2"))
-        cert = classification_certificate(valn, desc)
-        bad = tamper(cert, ["label"], VALUE_TRANSCENDENTAL)
-        assert not validate_certificate(bad).ok
+    @pytest.mark.parametrize("build, value, finding", [
+        (lambda: _vag_classification(), 3, "torsion_order is 3, but the descriptor gives 2"),
+        (lambda: _vag_classification(), 1, "torsion_order is 1, but the descriptor gives 2"),
+        (lambda: _vag_classification(), None, "torsion_order is null, but the descriptor gives 2"),
+        (lambda: _vt_classification(), 2, "torsion_order is 2, but the descriptor gives null"),
+        (lambda: _pcs_classification(), 1, "torsion_order is 1, but the descriptor gives null"),
+        (lambda: _vag_classification(), True, "field 'torsion_order' must be a JSON integer, got true"),
+        (lambda: _pcs_classification(), False, "field 'torsion_order' must be a JSON integer, got false"),
+        (lambda: _vag_classification(), "2", 'field \'torsion_order\' must be a JSON integer, got "2"'),
+        (lambda: _vt_classification(), "null", 'field \'torsion_order\' must be a JSON integer, got "null"'),
+    ], ids=["wrong-int", "one", "int-to-null", "null-to-int", "pcs-null-to-int", "true", "pcs-false",
+            "string", "string-null"])
+    def test_tampered_torsion_order(self, build, value, finding):
+        res = validate_certificate(tamper(build(), ["torsion_order"], value))
+        assert res.findings == (finding,)
+
+    @pytest.mark.parametrize("build, flags", [
+        (lambda: _vag_classification(), [True, False, False]),
+        (lambda: _vag_classification(), [False, False, True]),
+        (lambda: _vt_classification(), [False, True, False]),
+        (lambda: _pcs_classification(), [False, True, False]),
+        (lambda: _pcs_classification(), [True, False, False]),
+    ], ids=["vag-to-vt", "vag-to-va", "vt-to-rt", "pcs-to-rt", "pcs-to-vt"])
+    def test_flags_moved_to_another_case(self, build, flags):
+        """Moved with the torsion order left as it is: the flags are the
+        first field compared, and the finding names them."""
+        cert = build()
+        derived = json.dumps(cert.payload["trichotomy_flags"])
+        res = validate_certificate(tamper(cert, ["trichotomy_flags"], flags))
+        assert res.findings == (f"trichotomy_flags is {json.dumps(flags)}, but the descriptor gives {derived}",)
+
+    def test_v4_certificate_is_an_unknown_version(self):
+        """The README classification as schema v4 recorded it: one finding,
+        the version, and none for its label or witness."""
+        v4 = {"kind": "classification", "schema_version": 4,
+              "descriptor": {"base": {"kind": "p-adic", "p": 3}, "center": "0", "gamma": ["1/2"],
+                             "kind": "vag"},
+              "label": "residue-transcendental", "trichotomy_flags": [False, True, False],
+              "witness": {"torsion_order": 2}}
+        assert validate_certificate(v4).findings == (
+            "unknown schema_version 4; this ratval reads version 5",)
 
     @pytest.mark.parametrize("path, value", [
         (["trichotomy_flags", 0], None),
@@ -686,11 +735,20 @@ def _vag_classification():
     return classification_certificate(CenteredValuation(base, 0, GroupElement.of("1/2")), desc)
 
 
+def _vt_classification():
+    # gamma = (1/2, 1) over base values in coordinate 0: non-torsion by rank
+    base = PAdicRationals(3)
+    desc = {"kind": "vag", "base": base.to_json(), "center": "0", "gamma": ["1/2", "1"]}
+    return classification_certificate(
+        CenteredValuation(base, 0, GroupElement.of(Fraction(1, 2), 1)), desc)
+
+
 # (golden, path of a nested object, stray key, its value, the finding's path)
 NESTED_STRAYS = [
     ("readme-degree-bound", ["group_index_witness"], "index_over_base", 1155,
      "group_index_witness.index_over_base"),
-    ("readme-degree-bound", ["cauchy"], "is_cauchy", True, "cauchy.is_cauchy"),
+    ("readme-degree-bound", ["pseudo_cauchy_variant"], "note", "bounded exponents",
+     "pseudo_cauchy_variant.note"),
     ("readme-degree-bound", ["pseudo_cauchy_variant"], "bounded", True,
      "pseudo_cauchy_variant.bounded"),
     ("readme-piltant", ["eta_tower", 0], "chain_ok", True, "eta_tower[0].chain_ok"),
@@ -698,7 +756,6 @@ NESTED_STRAYS = [
     ("readme-piltant", ["levels", 0], "j", 1, "levels[0].j"),
     ("readme-extension-step", ["base"], "residue_degree", 1, "base.residue_degree"),
     ("readme-extension-step", ["totals"], "slack", 0, "totals.slack"),
-    ("readme-classify", ["witness"], "note", "x", "witness.note"),
 ]
 
 
@@ -709,10 +766,10 @@ class TestNestedFields:
     @pytest.mark.parametrize("name, path, key, value, where", NESTED_STRAYS,
                              ids=[case[-1] for case in NESTED_STRAYS])
     def test_unknown_nested_key_is_a_finding(self, name, path, key, value, where):
-        """The README degree-bound golden with the v2 index_over_base
-        added back, the piltant golden with the v2 chain_ok and the v3
-        level number j added back, and a stray key in each other closed
-        object."""
+        """The README degree-bound golden with the v2 index_over_base and
+        the v4 note of its pseudo Cauchy variant added back, the piltant
+        golden with the v2 chain_ok and the v3 level number j added back,
+        and a stray key in each other closed object."""
         cert = _golden_certificate(name)
         assert validate_certificate(cert).ok
         node = cert
@@ -743,28 +800,27 @@ class TestNestedFields:
 
     def test_pseudo_cauchy_descriptor_is_built(self):
         """The descriptor of a pseudo Cauchy classification is read and its
-        sequence built: too short a sequence, or a torsion witness in place
-        of the pseudo Cauchy one, is a finding."""
+        sequence built: too short a sequence, or a torsion order in place
+        of null, is a finding."""
         cert = _pcs_classification().to_dict()
         assert validate_certificate(cert).ok
         short = json.loads(json.dumps(cert))
         del short["descriptor"]["elements"][2]
         assert validate_certificate(short).findings == (
             "descriptor does not build: a pseudo Cauchy descriptor needs at least three elements",)
-        cert["witness"] = {"torsion_order": 2}
+        cert["torsion_order"] = 2
         assert validate_certificate(cert).findings == (
-            "a pseudo Cauchy descriptor needs the pseudo_cauchy witness",)
+            "torsion_order is 2, but the descriptor gives null",)
 
-    @pytest.mark.parametrize("witness", [{"pseudo_cauchy": True}, {"torsion_order": 2, "pseudo_cauchy": True},
-                                         {"non_torsion_rank_proof": True, "pseudo_cauchy": False}])
-    def test_pseudo_cauchy_witness_on_a_centered_descriptor_is_a_finding(self, witness):
+    @pytest.mark.parametrize("order", [None, 2])
+    def test_valuation_algebraic_flags_on_a_centered_descriptor_is_a_finding(self, order):
         """A pseudo_cauchy witness used to pass any descriptor as
-        valuation-algebraic; on a centered one it is a finding."""
+        valuation-algebraic; the flags of a centered one are derived from
+        its gamma, so valuation-algebraic flags on it are a finding."""
         cert = _golden_certificate("readme-classify")
-        cert["label"], cert["trichotomy_flags"] = "valuation-algebraic", [False, False, True]
-        cert["witness"] = witness
+        cert["trichotomy_flags"], cert["torsion_order"] = [False, False, True], order
         assert validate_certificate(cert).findings == (
-            "a centered descriptor has no pseudo_cauchy witness",)
+            "trichotomy_flags is [false, false, true], but the descriptor gives [false, true, false]",)
 
     @pytest.mark.parametrize("value", [True, False, 1.5])
     def test_gamma_must_be_an_exact_rational(self, value):
@@ -865,18 +921,18 @@ class TestEnvelope:
                                    if type(data) is not dict else ("missing the required field 'kind'",))
 
     @pytest.mark.parametrize("version", [99, 0, pytest.param(1, id="int-1"), pytest.param(3, id="int-3"),
-                                         "1", True, None, 1.5])
+                                         pytest.param(4, id="int-4"), "1", True, None, 1.5])
     def test_unknown_schema_version(self, version):
         result = validate_certificate(tamper(build_degree_bound(2, [3, 5]), ["schema_version"],
                                              version))
         assert not result.ok
         assert result.findings == (f"unknown schema_version {version!r}; "
-                                   f"this ratval reads version 4",)
+                                   f"this ratval reads version 5",)
 
     @pytest.mark.parametrize("increments", [False, True], ids=["as-recorded", "v1-increments"])
     def test_missing_schema_version(self, increments):
         """The README degree-bound golden with its schema_version deleted,
-        also with a v1 `increments` whose e is 99, is not read as v4."""
+        also with a v1 `increments` whose e is 99, is not read as v5."""
         golden = pathlib.Path(__file__).parent / "golden" / "readme-degree-bound.out"
         cert = json.loads(golden.read_text())["certificate"]
         del cert["schema_version"]
@@ -884,13 +940,29 @@ class TestEnvelope:
             cert["increments"] = [{"e": 99, "f": 1}]
         result = validate_certificate(cert)
         assert not result.ok
-        assert result.findings == ("certificate has no schema_version; this ratval reads version 4",)
+        assert result.findings == ("certificate has no schema_version; this ratval reads version 5",)
 
     def test_stray_field_is_a_finding(self):
         """A degree bound that still carries the v1 `increments` is not
-        read as v4."""
+        read as v5."""
         cert = tamper(build_degree_bound(2, [3, 5]), ["increments"], [{"e": 99, "f": 1}])
         assert validate_certificate(cert).findings == ("unknown field increments",)
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("readme-classify", "label", "residue-transcendental"),
+        ("readme-classify", "witness", {"torsion_order": 2}),
+        ("readme-piltant", "depth", 4),
+        ("readme-piltant", "assumptions", ["ambient coefficient field algebraically closed"]),
+        ("readme-degree-bound", "statement", "any z with v(z - b_depth) > gamma_depth"),
+        ("readme-degree-bound", "model_note", "the p-exponent series model"),
+        ("readme-degree-bound", "cauchy", {"note": "the partial sums are Cauchy"}),
+    ], ids=["label", "witness", "depth", "assumptions", "statement", "model_note", "cauchy"])
+    def test_v4_copy_or_prose_field_is_a_finding(self, name, key, value):
+        """A v5 golden with a v4 field that copied a claim, a list length
+        or a constant, or held prose, added back."""
+        cert = _golden_certificate(name)
+        cert[key] = value
+        assert validate_certificate(cert).findings == (f"unknown field {key}",)
 
     def test_version_of_a_certificate_object(self):
         cert = build_degree_bound(2, [3, 5])

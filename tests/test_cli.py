@@ -252,7 +252,7 @@ class TestRunCertificates:
         code, _, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
         assert code == 0
         cert = json.loads((tmp_path / "cl.json").read_text())["certificate"]
-        assert cert["label"] == "residue-transcendental"
+        assert (cert["trichotomy_flags"], cert["torsion_order"]) == ([False, True, False], 2)
         code2, _, _ = run_cli(["recheck", str(tmp_path / "cl.json")], capsys)
         assert code2 == 0
 
@@ -583,6 +583,17 @@ class TestErrors:
         assert (code, out, err) == (2, "", f"schema error: cannot write {path}: {reason}\n")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["job.json", "sub"]
 
+    def test_output_path_with_a_nul_byte_exit_2(self, tmp_path, capsys, monkeypatch):
+        """os.replace raises ValueError on a NUL in the path; the error used
+        to write the raw NUL to stderr.  The temporary file beside it goes."""
+        monkeypatch.chdir(tmp_path)
+        job = {"task": "degree-bound", "p": 2, "n": [3, 5], "output": "a\x00b"}
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "schema error: cannot write 'a\\x00b': embedded null byte\n"
+        assert "\x00" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
     @pytest.mark.parametrize("verb", ["run", "recheck"])
     def test_json_int_past_the_digit_limit_exit_2(self, verb, tmp_path, capsys):
         """json.load raises ValueError, not JSONDecodeError, on an int of
@@ -691,9 +702,9 @@ class TestRepeatedCalls:
         job = write_job(tmp_path, "j.json",
                         {"task": "piltant", "p": 2, "e": [1, 2, 4, 7, 11], "depth": 4})
         code, out, _ = run_cli(["run", job, "--depth", "3"], capsys)
-        assert code == 0 and json.loads(out)["certificate"]["depth"] == 3
+        assert code == 0 and len(json.loads(out)["certificate"]["levels"]) == 3
         code, out, _ = run_cli(["run", job], capsys)
-        assert code == 0 and json.loads(out)["certificate"]["depth"] == 4
+        assert code == 0 and len(json.loads(out)["certificate"]["levels"]) == 4
         assert out == (GOLDEN / "readme-piltant.out").read_text()
 
     def test_text_does_not_carry_over(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ argument parser is shared with every other call, and as
 
 certificate-mutations.json records what validate_certificate returns for
 every one-leaf tampering of the golden certificates, and every tampering
-it accepts must sit on a leaf whose role is prose or subject."""
+it accepts must sit on a subject leaf."""
 
 import json
 import os
@@ -88,16 +88,13 @@ def test_certificate_mutations(job):
 
 
 # Leaf roles (see the certificates module docstring): a tampering that the
-# validator accepts is allowed only on these paths, "*" matching any list
-# index.  Every other leaf is a claim and its tampering must be a finding.
-PROSE = [("assumptions",), ("statement",), ("model_note",), ("cauchy", "note"),
-         ("pseudo_cauchy_variant", "note")]
+# validator accepts is allowed only on these subject paths, "*" matching any
+# list index.  Every other leaf is a claim and its tampering must be a finding.
 # A tower step's modulus and c are subjects: the validator derives the
 # step's (e, f, defect) from them, so a tampering it accepts there names
 # the same step (-1 for a modulus coefficient 1 over F_2, the int -1 for
 # the exponent "-1").
-SUBJECT = [("descriptor",), ("base", "value_group"), ("depth",), ("steps", "*", "modulus"),
-           ("steps", "*", "c")]
+SUBJECT = [("descriptor",), ("base", "value_group"), ("steps", "*", "modulus"), ("steps", "*", "c")]
 
 
 def _on(path: list, prefix: tuple) -> bool:
@@ -109,4 +106,4 @@ def _on(path: list, prefix: tuple) -> bool:
 def test_accepted_mutations_are_on_allowlisted_leaves(job):
     accepted = [m for m in MUTATIONS if m["job"] == job and m["ok"]]
     assert [m for m in accepted
-            if not any(_on(m["path"], prefix) for prefix in PROSE + SUBJECT)] == []
+            if not any(_on(m["path"], prefix) for prefix in SUBJECT)] == []
