@@ -59,7 +59,7 @@ from .valuations import (
     SeriesValuedField,
     valuation_from_json,
 )
-from .schema import integer, list_of, obj, rational, string
+from .schema import fail, integer, list_of, obj, rational, string
 
 __all__ = [
     "Certificate",
@@ -673,6 +673,8 @@ def _validate_defect_tower(payload: dict) -> str | None:
     schedule = list_of(integer, payload["schedule"], ("schedule",))
     mults = list_of(integer, payload["multipliers"], ("multipliers",))
     levels = list_of(None, payload["levels"], ("levels",))
+    if not levels:  # the depth is len(levels), and the builder refuses depth 0
+        raise fail(levels, ("levels",), "a JSON list of at least one level")
     n = len(schedule)
     if (violation := _defect_tower_violation(p, schedule, mults, len(levels))):
         return violation
@@ -797,7 +799,7 @@ def _validate_classification(payload: dict) -> str | None:
         return f"descriptor does not build: {exc}"
     flags, order = payload["trichotomy_flags"], payload["torsion_order"]
     if not (type(flags) is list and len(flags) == 3 and all(type(b) is bool for b in flags)):
-        return "trichotomy flags must be a list of three booleans"
+        raise fail(flags, ("trichotomy_flags",), "a JSON list of three booleans")
     if order is not None:
         integer(order, ("torsion_order",))
     for key, recorded, derived in (("trichotomy_flags", flags, list(valn.trichotomy_flags())),

@@ -12,19 +12,26 @@ monic denominator.  The one type serves both the t-adic base field k(t)
 of the valuations module and the residue fields k(y) of
 residue-transcendental valuations.
 
-Dense polynomial arithmetic has one kernel for every coefficient field
-(_padd, _pmul, _pdivmod, _prem, _pgcd, _preduce): over F_p it runs on ints
-reduced mod p, over Q and F_{p^n} on FieldElements with the EXACT
-modulus, which leaves every value as it is.  Over F_p the t-adic Taylor
-shift also runs on one int per polynomial (Kronecker substitution): the
-coefficients lifted to [0, p), packed at a digit width fixed by an l1
-bound, added and multiplied exactly over Z, and read mod p once.
+Dense polynomial arithmetic has two forms.  Over F_2, k[t] runs on one
+int per polynomial, bit i the coefficient of t^i (the _f2_* kernels): a
+sum is a XOR, and remainder, exact quotient and gcd are XOR shifts.
+Over every other coefficient field it runs on coefficient lists through
+one list kernel (_padd, _pmul, _pdivmod, _prem, _pgcd, _preduce): over an
+odd F_p on ints reduced mod p, over Q and F_{p^n} on FieldElements with
+the EXACT modulus, which leaves every value as it is.  A FunctionField
+picks its form once, from its coefficient field.  The t-adic Taylor
+shift runs on one int per polynomial (Kronecker substitution): over F_2
+at a fixed digit width, each step masked back to the low bit of every
+digit; over an odd F_p the coefficients lifted to [0, p), packed at a
+digit width fixed by an l1 bound, added and multiplied exactly over Z,
+and read mod p once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +54,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # dense polynomials, coefficient lists low-to-high
 #
-# One kernel for every coefficient ring.  Over F_p the coefficients are ints
+# One list kernel for every coefficient ring; F_2[t] has its own int form
+# below.  Over F_p the coefficients are ints
 # and p is the prime: every sum and product is reduced `% p` in the loop.
 # Over Q, F_{p^n} or any other exact ring the coefficients are the ring's
 # elements, `zero` is the ring's zero and p is EXACT, whose `x % EXACT` is
@@ -198,7 +206,7 @@ def _shift_passes(h: list, step):
 def _pshift(factors, d, n, p, zero=0, one=1) -> list:
     """The Taylor coefficients at n of sum_j num_j cof_j d^(N-j) y^j by
     synthetic division: over F_p on _ppack_cleared's ints, each read once
-    by _pdigits, otherwise on the lists."""
+    by _pdigits, otherwise on the lists (over F_2, _f2_shift on ints)."""
     if type(p) is int:
         b, h, n = _ppack_cleared(factors, d, n)
         return [_pdigits(x, b, p) for x in _shift_passes(h, lambda x, y: x * n + y)]
@@ -221,6 +229,108 @@ def _preduce(num, den, p, zero=0, one=1):
         inv = pow(den[-1], -1, p) if type(p) is int else den[-1] ** -1
         num, den = tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
     return num, den
+
+
+# ---------------------------------------------------------------------------
+# F_2[t] on one int per polynomial, bit i the coefficient of t^i
+#
+# A sum is a XOR.  A product XORs the longer operand shifted to each set bit
+# of the shorter one; remainder, exact quotient and gcd cancel the leading
+# term by a XOR of the divisor shifted under it.  The Taylor shift runs on
+# ints packed at w-bit digits (Kronecker substitution), each product over Z
+# masked back to the low bit of every digit.
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _f2_from_bits(bits) -> int:
+    """The int of 0/1 coefficients, low first, in one pass."""
+    return int(bytes(bits[::-1]).translate(_BITS) or b"0", 2)
+
+
+def _f2_mul(a: int, b: int) -> int:
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    out = 0
+    for i, bit in enumerate(bin(a)[:1:-1]):
+        if bit == "1":
+            out ^= b << i
+    return out
+
+
+def _f2_rem(a: int, b: int) -> int:
+    """a mod b != 0."""
+    m = b.bit_length()
+    while (k := a.bit_length() - m) >= 0:
+        a ^= b << k
+    return a
+
+
+def _f2_quo(a: int, b: int) -> int:
+    """The quotient of a by b != 0."""
+    q, m = 0, b.bit_length()
+    while (k := a.bit_length() - m) >= 0:
+        q |= 1 << k
+        a ^= b << k
+    return q
+
+
+def _f2_gcd(a: int, b: int) -> int:
+    """The gcd of a and b, monic as every nonzero polynomial over F_2; 0
+    when both are zero."""
+    while b:
+        a, b = b, _f2_rem(a, b)
+    return a
+
+
+def _f2_reduce(num: int, den: int) -> tuple[int, int]:
+    """_preduce over F_2: num/den in lowest terms, monic as every nonzero
+    polynomial over F_2; a zero den raises."""
+    if not den:
+        raise PreconditionError("zero denominator")
+    if not num:
+        return 0, 1
+    if den > 1 and (g := _f2_gcd(num, den)) > 1:
+        num, den = _f2_quo(num, g), _f2_quo(den, g)
+    return num, den
+
+
+def _f2_order(a: int) -> int | None:
+    """ord_t a: the index of the lowest set bit, None for 0."""
+    return (a & -a).bit_length() - 1 if a else None
+
+
+def _f2_spread(a: int, w: int) -> int:
+    """a packed at w-bit digits: bit i of a moves to bit w i."""
+    return int(("0" * (w - 1)).join(bin(a)[2:]), 2)
+
+
+def _f2_mask(w: int, k: int) -> int:
+    """sum_(i < k) 2^(w i): the low bit of each of k w-bit digits."""
+    return int(("0" * (w - 1) + "1") * k, 2)
+
+
+def _f2_pack_cleared(factors, d: int, n: int) -> tuple[int, list[int], int, int]:
+    """(w, H, n, K) at w-bit digits for the pairs (num_j, cof_j) and a
+    center n/d over F_2: H_j = num_j cof_j d^(N-j), and K digits hold every
+    Taylor coefficient of H at n.  Every packed value keeps 0/1 digits, so
+    a digit of x n + y is at most L + 1 for L = len n, which w = bitlen(L)
+    + 1 holds, and & _f2_mask(w, K) reads it mod 2 and drops no term."""
+    H, power = [], 1
+    for num, cof in reversed(factors):
+        H.insert(0, _f2_mul(_f2_mul(num, cof), power))
+        power = _f2_mul(power, d)
+    w, top = n.bit_length().bit_length() + 1, max(n.bit_length() - 1, 0)
+    k = max(h.bit_length() + j * top for j, h in enumerate(H))
+    return w, [_f2_spread(h, w) for h in H], _f2_spread(n, w), k
+
+
+def _f2_shift(factors, d: int, n: int) -> list[int]:
+    """_pshift over F_2: synthetic division on _f2_pack_cleared's ints, each
+    multiply-add masked to the low digit bits, read back one bit a digit."""
+    w, h, n, k = _f2_pack_cleared(factors, d, n)
+    mask = _f2_mask(w, k)
+    return [int(bin(x)[2::w], 2) for x in _shift_passes(h, lambda x, y: (x * n + y) & mask)]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -698,9 +808,107 @@ def build_extension(base: Field, poly) -> tuple[FiniteField, "object"]:
 # ---------------------------------------------------------------------------
 # rational functions in one tagged transcendental generator
 
-def _unwrap_ints(*polys) -> list[list[int]]:
+def _tadic_order(cs) -> int | None:
+    """The index of the first nonzero coefficient, None for the zero polynomial."""
+    return next((i for i, c in enumerate(cs) if c), None)
+
+
+class _ListPolys:
+    """k[t] on coefficient lists, low first, through the dense kernels at
+    the coefficient field's (p, zero, one): over F_p (p odd) ints mod p,
+    over Q and F_{p^n} the field's elements with the EXACT modulus.  The
+    Taylor shift and the substitution oracle's k[t]/t^K run over F_p on
+    the b-bit ints of _ppack_cleared, otherwise on the lists."""
+
+    def __init__(self, p, zero, one):
+        self.p, self.zero, self.one = p, zero, (one,)
+
+    def pack(self, cs):
+        return cs
+
+    def reduce(self, num, den):
+        """num/den in canonical form from coefficient lists (or iterables)."""
+        zero = self.zero
+        num, den = _pstrip(list(num), zero), _pstrip(list(den), zero)
+        if not den:
+            raise PreconditionError("zero denominator")
+        return _preduce(num, den, self.p, zero, self.one[0])
+
+    def add(self, a, b):
+        return _padd(a, b, self.p, self.zero)
+
+    def mul(self, a, b):
+        return _pmul(a, b, self.p, self.zero)
+
+    def quo(self, a, b):
+        return _pdivmod(a, b, self.p, self.zero)[0]
+
+    def gcd(self, a, b):
+        return _pgcd(a, b, self.p, self.zero)
+
+    order = staticmethod(_tadic_order)
+
+    def shift(self, factors, d, n) -> list:
+        return _pshift(factors, d, n, self.p, self.zero, self.one[0])
+
+    def truncation(self, factors, d, n):
+        """(H, exact_k, order, truncated) of the oracle's k[t]/t^K for
+        H_j = num_j cof_j d^(N-j) and the center n/d: truncated(k) gives
+        the H_j mod t^k and the step x*n + y mod t^k, order(x) is ord_t x,
+        and K >= exact_k = max_j (deg H_j + j deg n) + 1 exceeds every deg
+        h_i.  Over F_p a mask of the low k digits only drops terms, so no
+        digit passes b, and residues are read mod p."""
+        p, zero = self.p, self.zero
+        if type(p) is int:
+            b, H, m = _ppack_cleared(factors, d, n)
+            span, order = (lambda h: -(-h.bit_length() // b)), (lambda x: _tadic_order(_pdigits(x, b, p)))
+
+            def truncated(k: int):
+                mask = (1 << b * k) - 1
+                return [h & mask for h in H], lambda x, y, n=m & mask: (x * n + y) & mask
+        else:
+            H, power, span, order = [], self.one, len, _tadic_order
+            for num, cof in reversed(factors):
+                H.insert(0, _pmul(_pmul(num, cof, p, zero), power, p, zero))
+                power = _pmul(power, d, p, zero)
+
+            def truncated(k: int):
+                m = n[:k]
+                return ([_pstrip(h[:k], zero) for h in H],
+                        lambda x, y: _pstrip(_padd(_pmul(x, m, p, zero), y, p, zero)[:k], zero))
+        return H, max(span(h) + j * max(len(n) - 1, 0) for j, h in enumerate(H)), order, truncated
+
+
+class _F2Polys:
+    """F_2[t] on one int per polynomial (the _f2_* kernels).  The Taylor
+    shift and the oracle's k[t]/t^K run on _f2_pack_cleared's ints at w-bit
+    digits, where one mask both truncates and reads each digit mod 2."""
+
+    p, one = 2, 1
+    pack = staticmethod(_f2_from_bits)
+    add = staticmethod(operator.xor)
+    mul = staticmethod(_f2_mul)
+    quo = staticmethod(_f2_quo)
+    gcd = staticmethod(_f2_gcd)
+    order = staticmethod(_f2_order)
+    reduce = staticmethod(_f2_reduce)
+    shift = staticmethod(_f2_shift)
+
+    @staticmethod
+    def truncation(factors, d: int, n: int):
+        """_ListPolys.truncation over F_2: truncated(k) masks to the low
+        bits of k digits, and ord_t is the lowest set bit over w."""
+        w, H, m, exact_k = _f2_pack_cleared(factors, d, n)
+
+        def truncated(k: int):
+            mask = _f2_mask(w, k)
+            return [h & mask for h in H], lambda x, y, n=m & mask: (x * n + y) & mask
+        return H, exact_k, lambda x: ((x & -x).bit_length() - 1) // w if x else None, truncated
+
+
+def _unwrap_ints(*polys) -> list[tuple[int, ...]]:
     """The int coefficients of polynomials over a prime field."""
-    return [[c.value[0] for c in a] for a in polys]
+    return [tuple([c.value[0] for c in a]) for a in polys]
 
 
 def _wrap_ints(f: FiniteField, *polys) -> list[tuple[FieldElement, ...]]:
@@ -710,6 +918,11 @@ def _wrap_ints(f: FiniteField, *polys) -> list[tuple[FieldElement, ...]]:
     made = f._elements if f.characteristic < 256 else {}
     return [tuple(made[c] if c in made else made.setdefault(c, FieldElement(f, (c,)))
                   for c in a) for a in polys]
+
+
+def _unwrap_f2(*polys) -> list[int]:
+    """The ints of polynomials over F_2, each read in one pass."""
+    return [_f2_from_bits([c.value[0] for c in a]) for a in polys]
 
 
 def _as_is(*polys):
@@ -724,21 +937,28 @@ class FunctionField:
     symbolic residue field Kv(y) of residue-transcendental valuations.
     Elements are num/den pairs of FieldElement tuples in canonical form
     (gcd-reduced, monic denominator), so equal functions are equal as
-    dataclasses.  Sums, products and the reduction run on the dense
-    kernels _padd, _pmul, _pgcd and _pdivmod with the (p, zero, one) fixed
-    here: over a prime field F_p on the ints of the coefficients mod p,
-    over Q and F_{p^n} on the FieldElements with the EXACT modulus.
+    dataclasses.  Sums, products and the reduction run on the polynomial
+    ring _ring chosen here once from the coefficient field, on the forms
+    that _unwrap gives and _wrap takes back: over F_2 _F2Polys, one int
+    per polynomial; over an odd prime field _ListPolys on ints mod p;
+    over Q and F_{p^n} _ListPolys on the FieldElements with the EXACT
+    modulus.
     """
 
     def __init__(self, base: Field, gen_name: str = "y"):
         self.base = base
         self.gen_name = gen_name
         if isinstance(base, FiniteField) and not base.modulus:
-            self._p, self._zero, self._one = base.characteristic, 0, 1
-            self._unwrap, self._wrap = _unwrap_ints, functools.partial(_wrap_ints, base)
             self._lift = lambda c: c.value[0]
+            if base.characteristic == 2:
+                bits = dict(zip("01", _wrap_ints(base, (0, 1))[0]))
+                self._ring, self._unwrap = _F2Polys(), _unwrap_f2
+                self._wrap = lambda *xs: [tuple([bits[c] for c in bin(x)[:1:-1]]) if x else () for x in xs]
+            else:
+                self._ring, self._unwrap = _ListPolys(base.characteristic, 0, 1), _unwrap_ints
+                self._wrap = functools.partial(_wrap_ints, base)
         else:
-            self._p, self._zero, self._one = EXACT, base.zero(), base.one()
+            self._ring = _ListPolys(EXACT, base.zero(), base.one())
             self._unwrap = self._wrap = _as_is
             self._lift = lambda c: c
 
@@ -747,34 +967,31 @@ class FunctionField:
         that base.element reads at path.num[i] and path.den[i]; den
         defaults to 1."""
         return self._make(self._read(num, path, "num"),
-                          [self._one] if den is None else self._read(den, path, "den"))
+                          self._ring.one if den is None else self._read(den, path, "den"))
 
-    def _read(self, cs, path, key) -> list:
-        """The kernel coefficients of the list cs at path.key; over F_p a
+    def _read(self, cs, path, key):
+        """The ring form of the coefficient list cs at path.key; over F_p a
         list of ints is read inline, mod p."""
-        if type(p := self._p) is int and len(ints := [c % p for c in cs if type(c) is int]) == len(cs):
-            return ints
-        return [self._lift(self.base.element(c, (*path, key, i))) for i, c in enumerate(cs)]
+        ring = self._ring
+        if type(p := ring.p) is int and len(ints := [c % p for c in cs if type(c) is int]) == len(cs):
+            return ring.pack(ints)
+        return ring.pack([self._lift(self.base.element(c, (*path, key, i))) for i, c in enumerate(cs)])
 
     def _make(self, num, den) -> "FunctionFieldElement":
-        """num/den from kernel coefficient lists, reduced to canonical form."""
-        p, zero = self._p, self._zero
-        num, den = _pstrip(num, zero), _pstrip(den, zero)
-        if not den:
-            raise PreconditionError("zero denominator")
-        return FunctionFieldElement(self, *self._wrap(*_preduce(num, den, p, zero, self._one)))
+        """num/den from ring forms, reduced to canonical form."""
+        return FunctionFieldElement(self, *self._wrap(*self._ring.reduce(num, den)))
 
     def _cleared(self, elements) -> tuple:
-        """(L, [(num, L / den)]) on kernel lists for the num/den of each
+        """(L, [(num, L / den)]) in ring forms for the num/den of each
         element, L the lcm of the dens; each distinct den is divided once."""
-        p, zero, lcm = self._p, self._zero, (self._one,)
+        ring, lcm = self._ring, self._ring.one
         pairs = [self._unwrap(c.num, c.den) for c in elements]
-        cofactor = dict.fromkeys(tuple(den) for _, den in pairs)
+        cofactor = dict.fromkeys(den for _, den in pairs)
         for den in cofactor:
-            lcm = _pmul(lcm, _pdivmod(den, _pgcd(lcm, den, p, zero), p, zero)[0], p, zero)
+            lcm = ring.mul(lcm, ring.quo(den, ring.gcd(lcm, den)))
         for den in cofactor:
-            cofactor[den] = _pdivmod(lcm, den, p, zero)[0]
-        return lcm, [(num, cofactor[tuple(den)]) for num, den in pairs]
+            cofactor[den] = ring.quo(lcm, den)
+        return lcm, [(num, cofactor[den]) for num, den in pairs]
 
     def from_laurent(self, coeffs: dict[int, FieldElement]) -> "FunctionFieldElement":
         """Element from a Laurent-monomial dict {power: coefficient}."""
@@ -833,13 +1050,11 @@ class FunctionFieldElement:
     def _combine(self, c, d, add: bool) -> "FunctionFieldElement":
         """self + c/d if `add`, else self * c/d, for num/den polynomials c
         and d over the base field; unwrapped and wrapped once."""
-        field = self.field
-        p, zero = field._p, field._zero
+        field, ring = self.field, self.field._ring
         a, b, c, d = field._unwrap(self.num, self.den, c, d)
         if add:
-            return field._make(_padd(_pmul(a, d, p, zero), _pmul(c, b, p, zero), p, zero),
-                               _pmul(b, d, p, zero))
-        return field._make(_pmul(a, c, p, zero), _pmul(b, d, p, zero))
+            return field._make(ring.add(ring.mul(a, d), ring.mul(c, b)), ring.mul(b, d))
+        return field._make(ring.mul(a, c), ring.mul(b, d))
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -8,19 +8,23 @@ a polynomial is the minimum of v(c_i) + i*gamma over its Taylor
 coefficients at the center, and values of quotients are differences.
 The minimum is taken on int keys D (v(c_i) + i*gamma).  Over Q (p-adic)
 and k(t) (t-adic) the c_i come from a fraction-free shift over Z or k[t]
-with no gcd in the loop, and the v(c_i) are read off it as ints; over
-F_p(t) it runs exactly over Z on one packed int per polynomial in t,
-and ord_t h_i is the first digit that p does not divide.  Over a
-trivially valued base the least i with c_i != 0 decides for gamma > 0,
-and the degree for gamma <= 0.
+with no gcd in the loop, and the v(c_i) are read off it as ints.  Over
+F_2(t) every step runs on one int per polynomial in t, from the
+reading of the job's coefficients to the shift, whose packed ints keep
+a fixed digit width and are masked to the low bit of each digit, and
+ord_t h_i is the lowest set digit; over an odd F_p(t) the shift runs
+exactly over Z on one packed int per polynomial, and ord_t h_i is the
+first digit that p does not divide.  Over a trivially valued base the
+least i with c_i != 0 decides for gamma > 0, and the degree for gamma
+<= 0.
 
 An independent substitution oracle expands g(a + w) by Horner's rule,
 w of value gamma (substitution_value): over a p-adic or t-adic base by
 Horner in the completion at a precision that doubles until the minimum
-is decided (over F_p(t) on packed ints truncated by a mask), over a
-finite trivially valued base by Horner in Z[X] by
-Kronecker substitution, reduced once, over the other bases on the
-base's own elements.
+is decided (over F_p(t) on packed ints truncated by a mask, which over
+F_2 also keeps each digit's low bit), over a finite trivially valued
+base by Horner in Z[X] by Kronecker substitution, reduced once, over
+the other bases on the base's own elements.
 
 Rational functions in one variable have one type, fields.FunctionField,
 gcd-reduced with a monic denominator: it is both the t-adic base k(t)
@@ -42,8 +46,7 @@ from .fields import (
     FiniteField,
     FunctionField,
     FunctionFieldElement,
-    _padd, _pdivmod, _pgcd, _pmul, _pdigits, _ppack, _ppack_cleared, _prem, _pshift, _pstrip,
-    _shift_passes,
+    _pdigits, _ppack, _prem, _pstrip, _shift_passes, _tadic_order,
     is_prime,
 )
 from .groups import GroupElement, Subgroup, _from_key
@@ -248,11 +251,6 @@ def RatFunc(field: Field, num, den=None) -> FunctionFieldElement:
     return FunctionField(field, "t").element(num, den)
 
 
-def _tadic_order(cs) -> int | None:
-    """The index of the first nonzero coefficient, None for the zero polynomial."""
-    return next((i for i, c in enumerate(cs) if c), None)
-
-
 class TAdicRationalFunctions(ValuedField):
     """k(t) with the t-adic valuation, k an exact coefficient field.
 
@@ -289,15 +287,14 @@ class TAdicRationalFunctions(ValuedField):
         return [Fraction(1)]
 
     def _fraction_free_shift(self, cs: list, center: FunctionFieldElement):
-        """(h, L, d), L and d kernel lists of the field: with L the lcm of
+        """(h, L, d), L and d ring forms of the field: with L the lcm of
         the coefficient denominators, center n/d and N the degree, H(y) =
         L d^N g(y/d) has coefficients H_j = L c_j d^(N-j) in k[t], and h
-        holds its Taylor coefficients h_i at n, each an iterable of kernel
-        coefficients, low first, by synthetic division with no gcd in the
-        loop (fields._pshift); c_i = h_i / (L d^(N-i))."""
+        holds its Taylor coefficients h_i at n, by synthetic division with
+        no gcd in the loop (the ring's shift); c_i = h_i / (L d^(N-i))."""
         f = self.field
         (n, d), (lcm, factors) = f._unwrap(center.num, center.den), f._cleared(cs)
-        return _pshift(factors, d, n, f._p, f._zero, f._one), lcm, d
+        return f._ring.shift(factors, d, n), lcm, d
 
     def taylor_coefficients(self, cs: list, center: FunctionFieldElement) -> list:
         """Fraction-free shift over k[t], the analogue of the p-adic one
@@ -307,16 +304,17 @@ class TAdicRationalFunctions(ValuedField):
         h, den, d = self._fraction_free_shift(cs, center)
         out = []
         for hi in reversed(h):
-            out.append(f._make(list(hi), den))
-            den = _pmul(den, d, f._p, f._zero)
+            out.append(f._make(hi, den))
+            den = f._ring.mul(den, d)
         return out[::-1]
 
     def taylor_values(self, cs: list, center: FunctionFieldElement) -> list:
         """v(c_i) = ord_t h_i - ord_t L - (N - i) ord_t d, read off the
         fraction-free shift with no division back."""
+        order = self.field._ring.order
         h, lcm, d = self._fraction_free_shift(cs, center)
-        v_lcm, v_den, top = _tadic_order(lcm), _tadic_order(d), len(h) - 1
-        return [None if (v := _tadic_order(hi)) is None else v - v_lcm - (top - i) * v_den
+        v_lcm, v_den, top = order(lcm), order(d), len(h) - 1
+        return [None if (v := order(hi)) is None else v - v_lcm - (top - i) * v_den
                 for i, hi in enumerate(h)]
 
     def zero(self):
@@ -488,7 +486,7 @@ def taylor_shift(coeffs: list, center, zero) -> list:
     This is the generic shift of ValuedField.taylor_coefficients, which
     CenteredValuation evaluates through; PAdicRationals overrides it with
     a fraction-free shift over Z, TAdicRationalFunctions with the same
-    shift over k[t] on the kernel lists of its FunctionField, and
+    shift over k[t] in the polynomial ring of its FunctionField, and
     TriviallyValued with the lazy passes of _shift_passes (on F_p
     vectors over a finite field), each giving the same coefficients.  So
     it runs only over a series base.
@@ -520,40 +518,27 @@ class _PAdicTruncation:
 
 
 class _TAdicTruncation:
-    """k[t]/t^K with L, H and h_i as in _PAdicTruncation over k[t]: over F_p
-    on the b-bit ints of fields._ppack_cleared, where truncation is a mask
-    that only drops terms, so no digit passes b, and a residue is read mod p;
-    over Q and F_{p^n} on the FunctionField's kernel lists.  At K >= exact_k
-    = max_j (deg H_j + j deg n) + 1, K exceeds every deg h_i."""
+    """k[t]/t^K with L, H and h_i as in _PAdicTruncation over k[t], in the
+    ring of the FunctionField (its truncation): over F_2 on ints packed at
+    a fixed w-bit width, each multiply-add masked to the low bit of each
+    of K digits; over odd p on the b-bit ints of fields._ppack_cleared,
+    where truncation is a mask that only drops terms, so no digit passes
+    b, and a residue is read mod p; over Q and F_{p^n} on lists.  At K >=
+    exact_k = max_j (deg H_j + j deg n) + 1, K exceeds every deg h_i."""
 
     def __init__(self, base: TAdicRationalFunctions, cs: list, center: FunctionFieldElement):
         f = base.field
-        p, zero = self.p, self.coeff_zero = f._p, f._zero
+        ring = f._ring
         (n, d), pairs = f._unwrap(center.num, center.den), [f._unwrap(c.num, c.den) for c in cs]
-        lcm, power = (f._one,), (f._one,)
+        lcm = ring.one
         for _, den in pairs:
-            lcm = _pmul(lcm, _pdivmod(den, _pgcd(lcm, den, p, zero), p, zero)[0], p, zero)
-        factors = [(num, _pdivmod(lcm, den, p, zero)[0]) for num, den in pairs]
-        if type(p) is int:
-            b, self.H, self.n = _ppack_cleared(factors, d, n)
-            self.b, span = b, lambda h: -(-h.bit_length() // b)
-            self.order = lambda x: _tadic_order(_pdigits(x, b, p))
-        else:
-            self.n, self.H, span, self.order = n, [], len, _tadic_order
-            for num, cof in reversed(factors):
-                self.H.insert(0, _pmul(_pmul(num, cof, p, zero), power, p, zero))
-                power = _pmul(power, d, p, zero)
-        self.v_lcm, self.v_den = _tadic_order(lcm), _tadic_order(d)
-        self.exact_k = max(span(h) + j * max(len(n) - 1, 0) for j, h in enumerate(self.H))
+            lcm = ring.mul(lcm, ring.quo(den, ring.gcd(lcm, den)))
+        factors = [(num, ring.quo(lcm, den)) for num, den in pairs]
+        self.H, self.exact_k, self.order, self._truncated = ring.truncation(factors, d, n)
+        self.v_lcm, self.v_den = ring.order(lcm), ring.order(d)
 
     def truncated(self, k: int):
-        p, zero = self.p, self.coeff_zero
-        if type(p) is int:
-            mask = (1 << self.b * k) - 1
-            return [h & mask for h in self.H], lambda x, y, n=self.n & mask: (x * n + y) & mask
-        n = self.n[:k]
-        return ([_pstrip(h[:k], zero) for h in self.H],
-                lambda x, y: _pstrip(_padd(_pmul(x, n, p, zero), y, p, zero)[:k], zero))
+        return self._truncated(k)
 
 
 def _horner(cs: list, muladd) -> list:

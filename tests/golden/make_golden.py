@@ -1,7 +1,8 @@
 """Write the golden job files and record what `ratval run` prints for them.
 
-The jobs are the six README example jobs, three t-adic eval jobs over
-F_2(t) (degrees 4, 8 and 32, center (1+t)/(1+t^2+t^3), gamma 1/2), the
+The jobs are the six README example jobs, four t-adic eval jobs over
+F_2(t) (degrees 4, 8, 32 and 64, center (1+t)/(1+t^2+t^3), gamma 1/2;
+the degree-64 one, tadic-deg64, is the scale shape of the F_2(t) path), the
 degree-8 one again with its 0/1 coefficient lists read over Q and over
 F_9 = F_3[X]/(X^2 + 1) (tadic-q-deg8 and tadic-f9-deg8), the degree-16
 one read over F_3 (tadic-f3-deg16), four
@@ -252,7 +253,7 @@ SERIES_JOBS = {
 
 def jobs() -> dict:
     return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8),
-            "tadic-deg32": tadic_job(32),
+            "tadic-deg32": tadic_job(32), "tadic-deg64": tadic_job(64),
             "tadic-f3-deg16": tadic_job(16, {"char": 3, "modulus": []}),
             "tadic-q-deg8": tadic_job(8, {"char": 0}),
             "tadic-f9-deg8": tadic_job(8, {"char": 3, "modulus": [1, 0, 1]}),

@@ -153,7 +153,7 @@ class TestDefectTower:
             build_defect_tower(2, [1, 2, 4, 7, 11], depth)
 
     @pytest.mark.parametrize("levels, finding", [
-        ([], "depth 0 must be an int >= 1"),
+        ([], "field 'levels' must be a JSON list of at least one level, got []"),
         ({}, "field 'levels' must be a JSON list, got {}"),
         (None, "field 'levels' must be a JSON list, got null"),
     ], ids=["empty", "object", "null"])
@@ -708,8 +708,10 @@ class TestClassificationCertificate:
         (["trichotomy_flags"], "ftf"),
     ])
     def test_trichotomy_flags_are_three_booleans(self, path, value):
-        res = validate_certificate(tamper(_vag_classification(), path, value))
-        assert res.findings == ("trichotomy flags must be a list of three booleans",)
+        cert = tamper(_vag_classification(), path, value)
+        shown = json.dumps(cert["trichotomy_flags"])
+        assert validate_certificate(cert).findings == (
+            f"field 'trichotomy_flags' must be a JSON list of three booleans, got {shown}",)
 
     @pytest.mark.parametrize("kind", ["mystery", ["classification"], {"kind": "classification"}],
                              ids=["mystery", "list", "object"])

@@ -13,7 +13,8 @@ from ratval.fields import FiniteField
 from ratval.groups import GroupElement, Subgroup, compare
 from ratval.selftest import poly_mul
 from ratval.series import HahnSeries
-from ratval.valuations import RatFunc, TAdicRationalFunctions
+from ratval.valuations import (CenteredValuation, RatFunc, TAdicRationalFunctions,
+                               substitution_value, valuation_from_json)
 
 
 def _odd_primes(n: int) -> list[int]:
@@ -78,38 +79,108 @@ def test_defect_tower_recheck_reduces_no_lattice(monkeypatch, name):
     assert results[0].ok, results[0].findings
 
 
-def _kernel_calls(monkeypatch, run) -> int:
-    """The number of _pmul and _padd calls that `run()` makes, wherever
-    the list kernels are looked up."""
-    calls = []
+# the dense list kernels of fields, wherever they are looked up
+_LIST_KERNELS = ("_padd", "_pmul", "_prem", "_pdivmod", "_pgcd", "_pmonic", "_preduce", "_pstrip",
+                 "_ppack", "_ppack_cleared", "_pdigits", "_pshift")
+
+
+def _list_kernel_calls(monkeypatch, run) -> list[str]:
+    """The names of the list kernels that `run()` calls, in call order."""
+    called = []
     for module in (fields, valuations):
-        for name in ("_pmul", "_padd"):
-            def counting(*args, kernel=getattr(module, name)):
-                calls.append(1)
-                return kernel(*args)
-            monkeypatch.setattr(module, name, counting)
+        for name in _LIST_KERNELS:
+            if hasattr(module, name):
+                def counting(*args, name=name, kernel=getattr(module, name)):
+                    called.append(name)
+                    return kernel(*args)
+                monkeypatch.setattr(module, name, counting)
     run()
     monkeypatch.undo()
-    return len(calls)
+    return called
 
 
-def test_f2_taylor_values_list_kernel_calls_grow_linearly(monkeypatch):
-    """taylor_values over F_2(t) of prod_j (x - b_j), b_0 = a and b_j =
-    a + t^(j-1) with a = (1+t)/(1+t^2+t^3), the golden tadic jobs.  The
-    Taylor shift and its H_j run on packed ints, so the list kernels see
-    only the lcm of the coefficient denominators, one product for each
-    distinct one: 7 calls at degree 8 and 16 at degree 16.  A shift on the
-    lists makes N(N+1) kernel calls in its loop alone, a ratio of about 3.5
-    per doubling (106 and 339 calls).  The bound 2.5 lies between."""
+def test_f2_eval_path_makes_no_list_kernel_call(monkeypatch):
+    """Over F_2(t) the job reader (FunctionField._make), the fast path's
+    clearing and Taylor shift and the oracle's lcm loop and Horner steps
+    all run on one int per polynomial: reading the golden tadic-deg8
+    job's coefficients, of_poly and substitution_value call no list
+    kernel at all.  Before F_2[t] ran on ints, the reader reduced every
+    coefficient by _pgcd and _pdivmod on lists, and the clearing and the
+    oracle took their lcm by _pmul, _pgcd and _pdivmod."""
+    golden = pathlib.Path(__file__).parent / "golden"
+    job = json.loads((golden / "tadic-deg8.json").read_text())
+    value = GroupElement.of(json.loads((golden / "tadic-deg8.out").read_text())["value"])
+    valn = valuation_from_json(job["valuation"])
+    got = []
+
+    def run():
+        cs = [valn.base.element(c) for c in job["eval"]["num"]]
+        got.append((valn.of_poly(cs), substitution_value(valn, cs)))
+
+    assert _list_kernel_calls(monkeypatch, run) == []
+    assert got == [(value, value)]
+
+
+def _f2_product(degree: int):
+    """prod_j (x - b_j) over F_2(t), b_0 = a and b_j = a + t^(j-1) with a =
+    (1+t)/(1+t^2+t^3): the golden tadic jobs, at gamma 1/2."""
     F2 = FiniteField(2)
     base, center = TAdicRationalFunctions(F2), RatFunc(F2, [1, 1], [1, 0, 1, 1])
-    counts = []
-    for degree in (8, 16):
-        g = [base.one()]
-        for b in [center] + [center + RatFunc(F2, [0] * k + [1]) for k in range(degree - 1)]:
-            g = poly_mul(g, [-b, base.one()], base)
-        counts.append(_kernel_calls(monkeypatch, lambda: base.taylor_values(g, center)))
-    assert counts[1] / counts[0] <= 2.5, counts
+    g = [base.one()]
+    for b in [center] + [center + RatFunc(F2, [0] * k + [1]) for k in range(degree - 1)]:
+        g = poly_mul(g, [-b, base.one()], base)
+    return CenteredValuation(base, center, GroupElement.of("1/2")), g
+
+
+def _product_work(monkeypatch, run) -> int:
+    """The sum, over the products of F_2[t] ints that `run()` makes, of
+    the product of the operands' bit lengths: each _f2_mul (the clearing,
+    the lcm loops and the H_j), and each x * n of a shift pass or a Horner
+    step of the oracle, read through counting wrappers."""
+    work = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            work.append(self.bit_length() * other.bit_length())
+            return int(self) * other
+
+    def counted_mul(a, b, mul=fields._f2_mul):
+        work.append(a.bit_length() * b.bit_length())
+        return mul(a, b)
+
+    def stepping(passes):
+        return lambda cs, step: passes(cs, lambda x, y: step(Counted(x), y))
+
+    monkeypatch.setattr(fields, "_f2_mul", counted_mul)
+    monkeypatch.setattr(fields._F2Polys, "mul", staticmethod(counted_mul))
+    monkeypatch.setattr(fields, "_shift_passes", stepping(fields._shift_passes))
+    monkeypatch.setattr(valuations, "_horner", stepping(valuations._horner))
+    run()
+    monkeypatch.undo()
+    return sum(work)
+
+
+@pytest.mark.parametrize("path", ["fast path", "oracle"])
+def test_f2_product_work_grows_as_the_fourth_power(monkeypatch, path):
+    """The product work of the F_2(t) fast path (taylor_values) and of
+    the oracle (substitution_value) on _f2_product from degree N = 16 to
+    32.  Root j has a numerator of degree j + 2, so the coefficients of g
+    have O(N^2)-bit numerators.  On ints at the fixed width bitlen(len n)
+    + 1 (3 bits here), the N^2 / 2 passes or Horner steps multiply an
+    O(N^2)-bit h by the packed center, and the N products of the H_j have
+    O(N^2)-bit and O(N)-bit operands: O(N^4), a ratio of at most about 16
+    (12.5 for the fast path, 13.3 for the oracle).  At the width b of the
+    exact lift over Z, which holds an l1 bound that grows with N (b = 38
+    at N = 16, 67 at N = 32), each step's operands are b times as long:
+    the steps alone gave ratios of 37 and 39.  The bound 2^4.5 = 22.6
+    lies between."""
+    work = []
+    for degree in (16, 32):
+        valn, g = _f2_product(degree)
+        run = ((lambda: valn.base.taylor_values(g, valn.center)) if path == "fast path"
+               else (lambda: substitution_value(valn, g)))
+        work.append(_product_work(monkeypatch, run))
+    assert work[1] / work[0] <= 2 ** 4.5, work
 
 
 def test_a_second_defect_tower_multiplies_no_series(monkeypatch):

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratval import fields
@@ -14,6 +14,15 @@ from ratval.fields import (
     FiniteField,
     EXACT,
     FunctionField,
+    _F2Polys,
+    _f2_from_bits,
+    _f2_gcd,
+    _f2_mul,
+    _f2_pack_cleared,
+    _f2_quo,
+    _f2_reduce,
+    _f2_rem,
+    _f2_shift,
     _padd,
     _pdivmod,
     _pdigits,
@@ -22,15 +31,17 @@ from ratval.fields import (
     _power,
     _ppack,
     _ppack_cleared,
+    _preduce,
     _pshift,
     _pstrip,
+    _tadic_order,
     build_extension,
     is_irreducible,
     is_prime,
     min_poly,
     min_poly_degree,
 )
-from ratval.valuations import PAdicRationals
+from ratval.valuations import PAdicRationals, _horner
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -436,13 +447,26 @@ def _read(x: int, b: int, p: int) -> tuple:
     return _pstrip(list(_pdigits(x, b, p)))
 
 
+def _bits(x: int) -> tuple:
+    """The coefficient tuple, low first, of an F_2[t] int."""
+    return tuple(int(c) for c in bin(x)[:1:-1]) if x else ()
+
+
 class TestPackedKernel:
     """Kronecker substitution for F_p[t]: one int per polynomial, digits
     read mod p, against _pmul, _padd and _pdivmod, at the width b that
-    holds the l1 bound of the result and no wider."""
+    holds the l1 bound of the result and no wider.  Over F_2 also the int
+    kernels (bit i the coefficient of t^i) against the list kernels at
+    p = 2: XOR, product, remainder, quotient, gcd and _preduce."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(_packed_operands())
+    @example((2, (), ()))
+    @example((2, (), (1,)))
+    @example((2, (1,), ()))
+    @example((2, (1,), (1,)))
+    @example((2, (0, 1, 1), (1,)))
+    @example((2, (1, 0, 0, 1), (1, 1)))
     def test_against_the_list_kernel(self, case):
         p, a, c = case
         b = (sum(a) * sum(c) + sum(a) + sum(c)).bit_length() or 1
@@ -455,6 +479,17 @@ class TestPackedKernel:
             q, r = _pdivmod(a, c, p)
             b = (sum(q) * sum(c) + sum(r)).bit_length() or 1
             assert _read(_ppack(q, b) * _ppack(c, b) + _ppack(r, b), b, p) == a
+        if p == 2:
+            x, y = _f2_from_bits(a), _f2_from_bits(c)
+            assert (_bits(x), _bits(y)) == (a, c)
+            assert _bits(x ^ y) == _padd(a, c, p)
+            assert _bits(_f2_mul(x, y)) == _pmul(a, c, p)
+            assert _bits(_f2_gcd(x, y)) == (_pgcd(a, c, p) if a or c else ())
+            if c:
+                q, r = _pdivmod(a, c, p)
+                assert (_bits(_f2_quo(x, y)), _bits(_f2_rem(x, y))) == (q, r)
+                assert _f2_quo(_f2_mul(x, y), y) == x  # an exact division
+                assert tuple(map(_bits, _f2_reduce(x, y))) == _preduce(a, c, p)
 
     @pytest.mark.parametrize("p", [2, 3, 251])
     def test_a_digit_at_the_bound(self, p):
@@ -471,7 +506,9 @@ class TestPackedKernel:
     def test_shift_against_the_list_kernel(self, data):
         """The packed Taylor shift at n of sum_j num_j cof_j d^(N-j) y^j
         against synthetic division on _pmul and _padd, with coefficients
-        up to p - 1 everywhere, which drives the digits towards the bound."""
+        up to p - 1 everywhere, which drives the digits towards the bound;
+        over F_2 also the masked shift and the oracle's masked truncation
+        at the fixed width, whose digits an all-ones n drives to it."""
         p = data.draw(st.sampled_from([2, 3, 5, 251]))
         poly = st.lists(st.integers(0, p - 1), max_size=4).map(_pstrip)
         top = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=3))
@@ -489,6 +526,19 @@ class TestPackedKernel:
             for j in range(len(h) - 2, i - 1, -1):
                 h[j] = _padd(_pmul(n, h[j + 1], p), h[j], p)
         assert [_pstrip(list(x)) for x in _pshift(factors, d, n, p)] == h
+        if p == 2:
+            # the masked F_2 shift, and the oracle's masked k[t]/t^k, whose
+            # Horner expansion at every k gives the h_i mod t^k
+            pairs = [(_f2_from_bits(num), _f2_from_bits(cof)) for num, cof in factors]
+            d, n = _f2_from_bits(d), _f2_from_bits(n)
+            assert [_bits(x) for x in _f2_shift(pairs, d, n)] == h
+            w = _f2_pack_cleared(pairs, d, n)[0]
+            _, exact_k, order, truncated = _F2Polys.truncation(pairs, d, n)
+            assert exact_k >= max(map(len, h))
+            for k in sorted({1, 2, 3, exact_k // 2 or 1, exact_k}):
+                got = _horner(*truncated(k))
+                assert [_bits(int(bin(x)[2::w], 2)) for x in got] == [_pstrip(list(x[:k])) for x in h]
+                assert [order(x) for x in got] == [_tadic_order(x[:k]) for x in h]
 
 
 class TestZeroTerms:

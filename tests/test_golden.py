@@ -1,6 +1,6 @@
 """Byte-for-byte reports of the golden jobs in tests/golden/: the six
-README example jobs, three t-adic eval jobs over F_2(t) (degrees 4, 8
-and 32), the degree-8 one again over Q(t) and over F_9(t), the degree-16
+README example jobs, four t-adic eval jobs over F_2(t) (degrees 4, 8,
+32 and 64), the degree-8 one again over Q(t) and over F_9(t), the degree-16
 one over F_3(t), four eval jobs over the trivially
 valued F_{13^4} (one product at gamma 1/2, -1/2, 0 and (0, 1)), one
 over the trivially valued Q with a double root at the center, a 3-adic
