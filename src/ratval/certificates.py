@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
@@ -51,6 +50,7 @@ from .homogeneous import (
     krasner_kummer,
     strongly_homogeneous_test,
 )
+from .record import Record
 from .series import HahnSeries, artin_schreier_root, kummer_root
 from .valuations import (
     RESIDUE_TRANSCENDENTAL,
@@ -109,11 +109,11 @@ def _power_gap_value(a: HahnSeries, c: HahnSeries, p: int) -> GroupElement | Non
     return value
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    payload: dict
-    version: int = CERTIFICATE_VERSION
+class Certificate(Record):
+    _fields = ("kind", "payload", "version")
+
+    def __init__(self, kind: str, payload: dict, version: int = CERTIFICATE_VERSION) -> None:
+        self._set(kind, payload, version)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "schema_version": self.version, **self.payload}
@@ -296,15 +296,16 @@ def _defect_tower_violation(p: int, schedule: list[int], mults: list[int],
 # ---------------------------------------------------------------------------
 # prescribed extension steps
 
-@dataclass(frozen=True)
-class ExtensionStep:
-    """One prescribed step: kummer (value-group), residue (inertia), or
-    artin-schreier, with its parameters."""
+class ExtensionStep(Record):
+    """One prescribed step: kummer (value-group) with alpha, the new
+    value; residue (inertia) with modulus, monic irreducible over F_p; or
+    artin-schreier with c_exponent, the exponent of c = t^(c_exponent)."""
 
-    kind: str
-    alpha: Fraction | None = None          # kummer: new value
-    modulus: tuple[int, ...] = ()          # residue: monic irreducible over F_p
-    c_exponent: Fraction | None = None     # artin-schreier: exponent of c = t^(c_exponent)
+    _fields = ("kind", "alpha", "modulus", "c_exponent")
+
+    def __init__(self, kind: str, alpha: Fraction | None = None, modulus: tuple[int, ...] = (),
+                 c_exponent: Fraction | None = None) -> None:
+        self._set(kind, alpha, modulus, c_exponent)
 
     @staticmethod
     def from_json(data, path=()) -> "ExtensionStep":
@@ -319,21 +320,20 @@ class ExtensionStep:
         return ExtensionStep(kind, c_exponent=rational(subject, (*path, key)))
 
 
-@dataclass
-class ExtensionTower:
-    """A tower of prescribed steps over a series-model base field."""
+class ExtensionTower(Record):
+    """A tower of prescribed steps over a series-model base field; the
+    one mutable record, so it has no hash."""
 
-    residue_char: int
-    coefficient_field: Field
-    value_subgroup: Subgroup
-    residue_degree: int = 1
-    steps: tuple[dict, ...] = ()
-    top_witness: HahnSeries | None = None
-    base_value_subgroup: Subgroup | None = None
+    _fields = ("residue_char", "coefficient_field", "value_subgroup", "residue_degree", "steps",
+               "top_witness", "base_value_subgroup")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __post_init__(self):
-        if self.base_value_subgroup is None:
-            self.base_value_subgroup = self.value_subgroup
+    def __init__(self, residue_char: int, coefficient_field: Field, value_subgroup: Subgroup,
+                 residue_degree: int = 1, steps: tuple[dict, ...] = (),
+                 top_witness: HahnSeries | None = None,
+                 base_value_subgroup: Subgroup | None = None) -> None:
+        self._set(residue_char, coefficient_field, value_subgroup, residue_degree, steps, top_witness,
+                  value_subgroup if base_value_subgroup is None else base_value_subgroup)
 
     @staticmethod
     def over(p: int, value_gens=(1,), residue_degree: int = 1,
@@ -618,10 +618,11 @@ def classification_certificate(descriptor, descriptor_json: dict) -> Certificate
 # ---------------------------------------------------------------------------
 # re-validation
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    findings: tuple[str, ...]
+class ValidationResult(Record):
+    _fields = ("ok", "findings")
+
+    def __init__(self, ok: bool, findings: tuple[str, ...]) -> None:
+        self._set(ok, findings)
 
     def first_failure(self) -> str | None:
         return self.findings[0] if self.findings else None

@@ -32,10 +32,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionError
+from .record import Record, _setattr
 from .schema import fail, integer, list_of, obj, rational
 
 __all__ = [
@@ -637,12 +637,14 @@ class FiniteField(Field):
         return f"F_{self.order}"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """An element of a Field, in canonical form."""
 
-    field: Field
-    value: object  # Fraction over Q, coefficient tuple over F_{p^n}
+    _fields = ("field", "value")
+
+    def __init__(self, field: Field, value: object) -> None:
+        _setattr(self, "field", field)
+        _setattr(self, "value", value)  # Fraction over Q, coefficient tuple over F_{p^n}
 
     def is_zero(self) -> bool:
         return self.field.raw_is_zero(self.value)
@@ -936,8 +938,8 @@ class FunctionField:
     base field k(t) of valuations.TAdicRationalFunctions, and the
     symbolic residue field Kv(y) of residue-transcendental valuations.
     Elements are num/den pairs of FieldElement tuples in canonical form
-    (gcd-reduced, monic denominator), so equal functions are equal as
-    dataclasses.  Sums, products and the reduction run on the polynomial
+    (gcd-reduced, monic denominator), so equal functions are equal by
+    value.  Sums, products and the reduction run on the polynomial
     ring _ring chosen here once from the coefficient field, on the forms
     that _unwrap gives and _wrap takes back: over F_2 _F2Polys, one int
     per polynomial; over an odd prime field _ListPolys on ints mod p;
@@ -1021,11 +1023,14 @@ class FunctionField:
         return f"{self.base!r}({self.gen_name})"
 
 
-@dataclass(frozen=True)
-class FunctionFieldElement:
-    field: FunctionField
-    num: tuple[FieldElement, ...]
-    den: tuple[FieldElement, ...]
+class FunctionFieldElement(Record):
+    _fields = ("field", "num", "den")
+
+    def __init__(self, field: FunctionField, num: tuple[FieldElement, ...],
+                 den: tuple[FieldElement, ...]) -> None:
+        _setattr(self, "field", field)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
 
     def is_zero(self) -> bool:
         return not self.num

@@ -22,11 +22,11 @@ every negative one a rank argument over Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, total_ordering
 
 from .errors import InternalError, PreconditionError, UndecidedError
+from .record import Record, _setattr
 from .schema import fail, list_of, rational
 
 __all__ = [
@@ -37,15 +37,13 @@ __all__ = [
 
 
 @total_ordering
-@dataclass(frozen=True, init=False)
-class GroupElement:
+class GroupElement(Record):
     """A vector g in Q^r, ordered lexicographically: den > 0 and the int
     tuple key = den * g with gcd(den, *key) == 1, so equal elements hold
     equal pairs.  Sums and scalings take one gcd; the order compares the
     keys over a common denominator.  `coords` is the Fraction view."""
 
-    den: int
-    key: tuple[int, ...]
+    _fields = ("den", "key")
 
     def __init__(self, coords: tuple) -> None:
         den = math.lcm(*[c.denominator for c in coords])
@@ -131,9 +129,6 @@ class GroupElement:
         return "(" + ", ".join(self.to_json()) + ")"
 
 
-_setattr = object.__setattr__
-
-
 def _from_key(key: tuple[int, ...], den: int) -> GroupElement:
     """The element key / den, for an int tuple key and an int den > 0,
     in lowest terms: the constructor the arithmetic uses."""
@@ -214,13 +209,17 @@ def _hermite_rows(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]
     return rows[:top], exprs[:top], pivots
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Finitely generated subgroup of Q^r, with decidable membership."""
+class Subgroup(Record):
+    """Finitely generated subgroup of Q^r, with decidable membership; the
+    parent, whose lattice an extension reuses, is outside == and hash."""
 
-    ambient_rank: int
-    generators: tuple[GroupElement, ...]
-    _parent: Subgroup | None = field(default=None, compare=False, repr=False)
+    _fields = ("ambient_rank", "generators")
+
+    def __init__(self, ambient_rank: int, generators: tuple[GroupElement, ...],
+                 _parent: Subgroup | None = None) -> None:
+        _setattr(self, "ambient_rank", ambient_rank)
+        _setattr(self, "generators", generators)
+        _setattr(self, "_parent", _parent)
 
     @staticmethod
     def generated_by(*gens, ambient_rank: int | None = None) -> "Subgroup":

@@ -15,12 +15,12 @@ All conclusions about infinite sequences are depth-stamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionError
 from .fields import FieldElement, FiniteField, min_poly_degree
 from .groups import GroupElement, Subgroup
+from .record import Record
 from .series import HahnSeries
 
 __all__ = [
@@ -41,14 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TowerState:
+class TowerState(Record):
     """Generated structure of a field in the series model: value group,
     residue degree over the prime field, residue characteristic."""
 
-    value_subgroup: Subgroup
-    residue_degree: int = 1
-    residue_char: int = 0
+    _fields = ("value_subgroup", "residue_degree", "residue_char")
+
+    def __init__(self, value_subgroup: Subgroup, residue_degree: int = 1,
+                 residue_char: int = 0) -> None:
+        self._set(value_subgroup, residue_degree, residue_char)
 
     def extended(self, gamma: GroupElement, f: int) -> "TowerState":
         """State after adjoining a strongly homogeneous monomial: the
@@ -136,12 +137,11 @@ def kummer_conjugate_differences(c: HahnSeries, e: int,
 # ---------------------------------------------------------------------------
 # strong homogeneity
 
-@dataclass(frozen=True)
-class HomogeneityWitness:
-    ok: bool
-    e: int | None
-    f: int | None
-    reason: str = ""
+class HomogeneityWitness(Record):
+    _fields = ("ok", "e", "f", "reason")
+
+    def __init__(self, ok: bool, e: int | None, f: int | None, reason: str = "") -> None:
+        self._set(ok, e, f, reason)
 
     @property
     def degree(self) -> int:
@@ -186,16 +186,15 @@ def strongly_homogeneous_test(monomial: HahnSeries, state: TowerState) -> Homoge
 # ---------------------------------------------------------------------------
 # homogeneous approximation and sequence extraction
 
-@dataclass(frozen=True)
-class ApproxStep:
+class ApproxStep(Record):
     """A homogeneous approximation found inside a series: the partial sum
     through the first term whose data leaves the generated structure."""
 
-    term_index: int
-    partial_sum: HahnSeries
-    exponent: GroupElement
-    coeff: FieldElement
-    witness: HomogeneityWitness
+    _fields = ("term_index", "partial_sum", "exponent", "coeff", "witness")
+
+    def __init__(self, term_index: int, partial_sum: HahnSeries, exponent: GroupElement,
+                 coeff: FieldElement, witness: HomogeneityWitness) -> None:
+        self._set(term_index, partial_sum, exponent, coeff, witness)
 
     @property
     def kras(self) -> GroupElement:
@@ -230,26 +229,24 @@ def _approximation_from(b: HahnSeries, state: TowerState, start: int) -> ApproxS
     return None
 
 
-@dataclass(frozen=True)
-class HomogIncrement:
-    index: int
-    term_index: int
-    partial_sum: HahnSeries
-    exponent: GroupElement
-    coeff: FieldElement
-    family: str
-    kras: GroupElement
-    e: int
-    f: int
-    state_after: TowerState
+class HomogIncrement(Record):
+    _fields = ("index", "term_index", "partial_sum", "exponent", "coeff", "family", "kras", "e", "f",
+               "state_after")
+
+    def __init__(self, index: int, term_index: int, partial_sum: HahnSeries, exponent: GroupElement,
+                 coeff: FieldElement, family: str, kras: GroupElement, e: int, f: int,
+                 state_after: TowerState) -> None:
+        self._set(index, term_index, partial_sum, exponent, coeff, family, kras, e, f, state_after)
 
 
-@dataclass(frozen=True)
-class HomogeneousSequence:
-    base_state: TowerState
-    increments: tuple[HomogIncrement, ...]
-    final_state: TowerState
-    exhausted: bool  # True when all remaining terms are captured
+class HomogeneousSequence(Record):
+    """The increments found in a series; exhausted when all remaining terms are captured."""
+
+    _fields = ("base_state", "increments", "final_state", "exhausted")
+
+    def __init__(self, base_state: TowerState, increments: tuple[HomogIncrement, ...],
+                 final_state: TowerState, exhausted: bool) -> None:
+        self._set(base_state, increments, final_state, exhausted)
 
     def partial_sums(self) -> list[HahnSeries]:
         return [inc.partial_sum for inc in self.increments]
@@ -403,11 +400,11 @@ def implicit_constant_report(seq: HomogeneousSequence, z: HahnSeries) -> dict:
 # ---------------------------------------------------------------------------
 # pseudo Cauchy checks
 
-@dataclass(frozen=True)
-class PcsReport:
-    ok: bool
-    findings: tuple[str, ...]
-    difference_values: tuple
+class PcsReport(Record):
+    _fields = ("ok", "findings", "difference_values")
+
+    def __init__(self, ok: bool, findings: tuple[str, ...], difference_values: tuple) -> None:
+        self._set(ok, findings, difference_values)
 
     def to_json(self) -> dict:
         return {

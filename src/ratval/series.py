@@ -32,13 +32,13 @@ same key, and any other root is checked afresh by the product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from .errors import PreconditionError
 from .fields import Field, FieldElement, _power
 from .groups import GroupElement, _from_key
+from .record import Record, _setattr
 from .schema import list_of, obj
 
 __all__ = [
@@ -91,8 +91,7 @@ def _sum(field: Field, rank: int, parts) -> "HahnSeries":
     return _normalise(field, rank, den, sums, top)
 
 
-@dataclass(frozen=True, eq=False)
-class HahnSeries:
+class HahnSeries(Record):
     """A truncated power series sum of c * t^g over an ordered group.
 
     Stored as a denominator `den`, the int keys den * g in ascending
@@ -102,12 +101,16 @@ class HahnSeries:
     Frobenius powers and p-th roots map the keys; `**` multiplies.
     Equality and hashing are by value, whatever the denominators."""
 
-    field: Field
-    rank: int
-    den: int
-    keys: tuple[Key, ...]
-    values: tuple
-    top: Key | None = None
+    _fields = ("field", "rank", "den", "keys", "values", "top")
+
+    def __init__(self, field: Field, rank: int, den: int, keys: tuple[Key, ...], values: tuple,
+                 top: Key | None = None) -> None:
+        _setattr(self, "field", field)
+        _setattr(self, "rank", rank)
+        _setattr(self, "den", den)
+        _setattr(self, "keys", keys)
+        _setattr(self, "values", values)
+        _setattr(self, "top", top)
 
     @staticmethod
     def make(field: Field, terms, trunc: GroupElement | None = None, rank: int = 1) -> "HahnSeries":

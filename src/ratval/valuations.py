@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionError
@@ -50,6 +49,7 @@ from .fields import (
     is_prime,
 )
 from .groups import GroupElement, Subgroup, _from_key
+from .record import Record
 from .schema import fail, integer, list_of, obj, rational, string
 from .series import HahnSeries
 
@@ -650,16 +650,17 @@ def substitution_value(valn: "CenteredValuation", num: list, den: list | None = 
     return v
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """A quotient of polynomials over K, as dense coefficient lists.
 
     No common-factor reduction is performed: values of quotients are
     representative-independent, so none is required.
     """
 
-    num: tuple
-    den: tuple
+    _fields = ("num", "den")
+
+    def __init__(self, num: tuple, den: tuple) -> None:
+        self._set(num, den)
 
     @staticmethod
     def over(base: ValuedField, num, den=None) -> "RationalFunction":

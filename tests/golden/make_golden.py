@@ -29,7 +29,8 @@ job NAME this writes NAME.json (the job), NAME.out (stdout of
 `python -m ratval.cli run NAME.json`) and an entry NAME: exit code in
 exit_codes.json.  It also writes selftest-default.out and
 selftest-seed7.out, the stdout of `python -m ratval.cli selftest` at the
-default seed and with `--seed 7`.
+default seed and with `--seed 7`, and demo-NAME.out, the stdout of each
+demos/NAME.py.
 
 certificate-mutations.json tampers with the certificates that the
 README's piltant, degree-bound, extension-step and classify jobs make:
@@ -341,6 +342,14 @@ def main() -> int:
                               capture_output=True, check=True)
         with open(os.path.join(HERE, f"{name}.out"), "wb") as fh:
             fh.write(proc.stdout)
+    demos = os.path.join(os.path.dirname(os.path.dirname(HERE)), "demos")
+    for demo in sorted(os.listdir(demos)):
+        name, ext = os.path.splitext(demo)
+        if ext == ".py":
+            proc = subprocess.run([sys.executable, os.path.join(demos, demo)],
+                                  capture_output=True, check=True)
+            with open(os.path.join(HERE, f"demo-{name}.out"), "wb") as fh:
+                fh.write(proc.stdout)
     return 0
 
 

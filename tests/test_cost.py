@@ -3,6 +3,8 @@ of the input only at a stated rate.  No clock is read."""
 
 import json
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -77,6 +79,29 @@ def test_defect_tower_recheck_reduces_no_lattice(monkeypatch, name):
     results = []
     assert _hermite_rows_passed(monkeypatch, lambda: results.append(validate_certificate(cert))) == 0
     assert results[0].ok, results[0].findings
+
+
+# the stdlib modules behind @dataclass (its code generation and signature
+# reading), and the ratval modules that `import ratval.cli` loads
+_DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+_CLI_MODULES = ("ratval", "ratval.certificates", "ratval.cli", "ratval.errors", "ratval.fields",
+                "ratval.groups", "ratval.homogeneous", "ratval.record", "ratval.schema",
+                "ratval.series", "ratval.valuations")
+
+
+def test_cli_import_loads_no_dataclasses():
+    """A fresh interpreter (-S, src first on sys.path) that runs `import
+    ratval.cli` loads none of dataclasses, inspect, ast, dis and tokenize,
+    and exactly the ratval modules above: the value records are plain
+    classes on ratval.record, and no ratval import is deferred."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import ratval.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout)
+    assert [name for name in _DATACLASS_MODULES if name in loaded] == []
+    assert tuple(name for name in loaded if name.partition(".")[0] == "ratval") == _CLI_MODULES
 
 
 # the dense list kernels of fields, wherever they are looked up

@@ -11,8 +11,9 @@ denominators), seven malformed jobs that the JSON reader or a cost cap
 refuses (exit 2 for an alpha of 1.5, a series term that is not a pair, a
 certificate path that is an int, a gamma of "1e10000000" and an output
 path in a directory that does not exist, exit 1 for a defect tower past
-the 4300-digit limit and one past the cap on its eta levels), and the output of
-`ratval selftest` at the default seed and at seed 7.  The expected stdout and exit codes were
+the 4300-digit limit and one past the cap on its eta levels), the output of
+`ratval selftest` at the default seed and at seed 7, and the output of
+each script in demos/.  The expected stdout and exit codes were
 recorded by tests/golden/make_golden.py.
 
 Each golden job runs twice: through `main()` in this process, where the
@@ -37,6 +38,7 @@ from ratval.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 MUTATIONS = json.loads((GOLDEN / "certificate-mutations.json").read_text())
 
 
@@ -65,6 +67,15 @@ def test_selftest_output_is_byte_identical(seed, capsys):
     assert main(args) == 0
     name = "selftest-default.out" if seed is None else f"selftest-seed{seed}.out"
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in DEMOS.glob("*.py")))
+def test_demo_output_is_byte_identical(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == (GOLDEN / f"demo-{name}.out").read_text()
 
 
 def _tampered(cert: dict, path: list, value) -> dict:

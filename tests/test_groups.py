@@ -1,14 +1,22 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratval import groups
+from ratval.certificates import (CERTIFICATE_VERSION, Certificate, ExtensionStep, ExtensionTower,
+                                 ValidationResult)
 from ratval.errors import InternalError, PreconditionError, SchemaError, UndecidedError
+from ratval.fields import RATIONALS, FieldElement, FiniteField, FunctionField, FunctionFieldElement
 from ratval.groups import GroupElement, Subgroup, compare
+from ratval.homogeneous import (ApproxStep, HomogeneityWitness, HomogeneousSequence, HomogIncrement,
+                                PcsReport, TowerState)
+from ratval.series import HahnSeries
+from ratval.valuations import RationalFunction
 
 
 def G(*coords):
@@ -585,11 +593,120 @@ def test_equal_elements_from_other_denominators_are_one_element():
     assert GroupElement((Fraction(-6, 4), 3)).to_json() == ["-3/2", "3"]
 
 
-def test_element_is_immutable():
-    g = G("1/2")
-    for name in ("den", "key", "coords", "other"):
+F3, Q = FiniteField(3), RATIONALS
+Z, HALF = Subgroup(1, (G(1),)), G("1/2")
+SERIES = HahnSeries.make(F3, [("1/2", 1)], "2")
+STATE = TowerState(Z, 2, 3)
+WITNESS = HomogeneityWitness(True, 2, 1)
+INCREMENT = HomogIncrement(1, 0, SERIES, HALF, F3.one(), "kummer", HALF, 2, 1, STATE)
+STATE_TEXT = "TowerState(value_subgroup=Subgroup(rank 1: <(1)>), residue_degree=2, residue_char=3)"
+INCREMENT_TEXT = ("HomogIncrement(index=1, term_index=0, partial_sum=t^1/2 + O(t^2), exponent=(1/2), "
+                  f"coeff=1, family='kummer', kras=(1/2), e=2, f=1, state_after={STATE_TEXT})")
+
+# One instance of each value record of the library: its constructor's
+# positional arguments and their parameter names, the defaults of the
+# trailing parameters (the value the attribute takes when left out), the
+# fields that == and hash compare (None: the class compares by its own
+# rule), the arguments of an unequal instance, and the repr.
+RECORDS = [
+    (FieldElement, (F3, (2,)), ("field", "value"), {}, ("field", "value"), (F3, (1,)), "2"),
+    (FunctionFieldElement, (FunctionField(Q, "t"), (Q.one(),), (Q.zero(), Q.one())),
+     ("field", "num", "den"), {}, ("field", "num", "den"),
+     (FunctionField(Q, "t"), (Q.one(),), (Q.one(),)), "(1) / (t)"),
+    (GroupElement, ((Fraction(1, 2),),), ("coords",), {}, ("den", "key"), ((Fraction(1, 3),),),
+     "(1/2)"),
+    (Subgroup, (1, (G(1), HALF), Z), ("ambient_rank", "generators", "_parent"), {"_parent": None},
+     ("ambient_rank", "generators"), (1, (G(1),)), "Subgroup(rank 1: <(1), (1/2)>)"),
+    (HahnSeries, (F3, 1, 2, ((1,),), ((1,),), (4,)), ("field", "rank", "den", "keys", "values", "top"),
+     {"top": None}, None, (F3, 1, 2, ((1,),), ((2,),), (4,)), "t^1/2 + O(t^2)"),
+    (RationalFunction, ((Q.one(), Q.zero()), (Q.one(),)), ("num", "den"), {}, ("num", "den"),
+     ((Q.one(),), (Q.one(),)), "RationalFunction(num=(1, 0), den=(1,))"),
+    (TowerState, (Z, 2, 3), ("value_subgroup", "residue_degree", "residue_char"),
+     {"residue_degree": 1, "residue_char": 0}, ("value_subgroup", "residue_degree", "residue_char"),
+     (Z, 2, 5), STATE_TEXT),
+    (HomogeneityWitness, (False, 3, None, "why"), ("ok", "e", "f", "reason"), {"reason": ""},
+     ("ok", "e", "f", "reason"), (False, 3, None, "why not"),
+     "HomogeneityWitness(ok=False, e=3, f=None, reason='why')"),
+    (ApproxStep, (0, SERIES, HALF, F3.one(), WITNESS),
+     ("term_index", "partial_sum", "exponent", "coeff", "witness"), {},
+     ("term_index", "partial_sum", "exponent", "coeff", "witness"),
+     (1, SERIES, HALF, F3.one(), WITNESS),
+     "ApproxStep(term_index=0, partial_sum=t^1/2 + O(t^2), exponent=(1/2), coeff=1, "
+     "witness=HomogeneityWitness(ok=True, e=2, f=1, reason=''))"),
+    (HomogIncrement, (1, 0, SERIES, HALF, F3.one(), "kummer", HALF, 2, 1, STATE),
+     ("index", "term_index", "partial_sum", "exponent", "coeff", "family", "kras", "e", "f",
+      "state_after"), {},
+     ("index", "term_index", "partial_sum", "exponent", "coeff", "family", "kras", "e", "f",
+      "state_after"), (1, 0, SERIES, HALF, F3.one(), "kummer", HALF, 2, 2, STATE), INCREMENT_TEXT),
+    (HomogeneousSequence, (STATE, (INCREMENT,), STATE, True),
+     ("base_state", "increments", "final_state", "exhausted"), {},
+     ("base_state", "increments", "final_state", "exhausted"), (STATE, (), STATE, True),
+     f"HomogeneousSequence(base_state={STATE_TEXT}, increments=({INCREMENT_TEXT},), "
+     f"final_state={STATE_TEXT}, exhausted=True)"),
+    (PcsReport, (True, ("a finding",), (HALF, None)), ("ok", "findings", "difference_values"), {},
+     ("ok", "findings", "difference_values"), (True, (), (HALF, None)),
+     "PcsReport(ok=True, findings=('a finding',), difference_values=((1/2), None))"),
+    (Certificate, ("classification", {"torsion_order": 2}, 4), ("kind", "payload", "version"),
+     {"version": CERTIFICATE_VERSION}, ("kind", "payload", "version"),
+     ("classification", {"torsion_order": 3}, 4),
+     "Certificate(kind='classification', payload={'torsion_order': 2}, version=4)"),
+    (ExtensionStep, ("kummer", Fraction(1, 2), (1, 0, 1), Fraction(-1)),
+     ("kind", "alpha", "modulus", "c_exponent"), {"alpha": None, "modulus": (), "c_exponent": None},
+     ("kind", "alpha", "modulus", "c_exponent"), ("kummer", Fraction(1, 3), (1, 0, 1), Fraction(-1)),
+     "ExtensionStep(kind='kummer', alpha=Fraction(1, 2), modulus=(1, 0, 1), "
+     "c_exponent=Fraction(-1, 1))"),
+    (ExtensionTower, (3, F3, Z, 2, (), SERIES, Subgroup(1, (HALF,))),
+     ("residue_char", "coefficient_field", "value_subgroup", "residue_degree", "steps",
+      "top_witness", "base_value_subgroup"),
+     {"residue_degree": 1, "steps": (), "top_witness": None, "base_value_subgroup": Z},
+     ("residue_char", "coefficient_field", "value_subgroup", "residue_degree", "steps",
+      "top_witness", "base_value_subgroup"), (3, F3, Z, 2, (), SERIES, Z),
+     "ExtensionTower(residue_char=3, coefficient_field=F_3, value_subgroup=Subgroup(rank 1: <(1)>), "
+     "residue_degree=2, steps=(), top_witness=t^1/2 + O(t^2), "
+     "base_value_subgroup=Subgroup(rank 1: <(1/2)>))"),
+    (ValidationResult, (False, ("a finding",)), ("ok", "findings"), {}, ("ok", "findings"),
+     (True, ()), "ValidationResult(ok=False, findings=('a finding',))"),
+]
+
+
+def _hash(x):
+    try:
+        return hash(x)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls, args, names, defaults, compared, unequal, text", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_element_is_immutable(cls, args, names, defaults, compared, unequal, text):
+    """Construction, equality, hashing, immutability and repr of each
+    value record: == and hash are those of the tuple of the compared
+    fields, between instances of one class."""
+    x = cls(*args)
+    assert x == cls(**dict(zip(names, args))) and not x != cls(*args)
+    assert x != cls(*unequal) and not x == cls(*unequal)
+    required = cls(**dict(zip(names, args[:len(names) - len(defaults)])))
+    assert {name: getattr(required, name) for name in defaults} == defaults
+    assert repr(x) == text
+    if compared is not None:
+        values = tuple(getattr(x, name) for name in compared)
+        assert x != SimpleNamespace(**dict(zip(compared, values)))
+        twin = type("Twin", (cls,), {})(*args)  # a subclass, so another class, with equal fields
+        assert x != twin and not x == twin and not twin == x
+        if cls is ExtensionTower:
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert _hash(x) == _hash(values)
+    if cls is Subgroup:  # the parent is a cache, outside ==, hash and repr
+        assert x == required and hash(x) == hash(required) and repr(x) == repr(required)
+    if cls is ExtensionTower:  # the one mutable record
+        x.residue_degree = 4
+        assert x.residue_degree == 4
+        return
+    for name in (*names, *(compared or ()), "other"):
         with pytest.raises(AttributeError):
-            setattr(g, name, 1)
+            setattr(x, name, 1)
         with pytest.raises(AttributeError):
-            delattr(g, name)
-    assert g == G("1/2")
+            delattr(x, name)
+    assert x == cls(*args)
