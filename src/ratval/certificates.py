@@ -43,7 +43,7 @@ from operator import attrgetter
 
 from .errors import InternalError, PreconditionError, SchemaError
 from .fields import Field, FiniteField, is_prime
-from .groups import GroupElement, Subgroup
+from .groups import GroupElement, Subgroup, _from_key, _from_ratios
 from .homogeneous import (
     TowerState,
     krasner_artin_schreier,
@@ -59,7 +59,7 @@ from .valuations import (
     SeriesValuedField,
     valuation_from_json,
 )
-from .schema import fail, integer, list_of, obj, rational, string
+from .schema import fail, integer, list_of, obj, ratio, rational, string
 
 __all__ = [
     "Certificate",
@@ -91,6 +91,7 @@ _ETA_PAIR_CAP = 2_000_000
 # 1024 power checks of the process
 _POWER_GAPS: dict[tuple, GroupElement | None] = {}
 _stored = attrgetter("field", "rank", "den", "keys", "values", "top")
+_ONE = GroupElement.of(1)
 
 
 def _power_gap_value(a: HahnSeries, c: HahnSeries, p: int) -> GroupElement | None:
@@ -159,13 +160,13 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
             raise PreconditionError(f"eta_levels {eta_levels} is past the cap at p = {p}: its chain checks "
                                     f"would multiply more than {_ETA_PAIR_CAP} term pairs ({fit} levels fit)")
     default_shape = all(m == -1 for m in mults)
-    exponents = [GroupElement.of(Fraction(mults[i], p ** schedule[i])) for i in range(n)]
+    exponents = [_from_key((mults[i],), p ** schedule[i]) for i in range(n)]
     coeffs = FiniteField(p)
     # with the default growth rule the unknown tail starts no earlier than
     # -p^(-(e_n + n)); explicit multipliers certify the n scheduled terms
     # exactly (later terms of any admissible continuation only add higher
     # exponents and cannot disturb the level values)
-    trunc = Fraction(-1, p ** (schedule[-1] + n)) if default_shape else None
+    trunc = _from_key((-1,), p ** (schedule[-1] + n)) if default_shape else None
     y = HahnSeries.make(coeffs, [(g, 1) for g in exponents], trunc=trunc)
     levels = []
     for j in range(1, depth + 1):
@@ -176,8 +177,7 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
             raise InternalError(f"level {j} residual vanishes")
         value = lhs.value()
         denom_power = schedule[j] - e_j
-        target = GroupElement.of(Fraction(1, p ** denom_power))
-        witness = Subgroup.generated_by(1, value).witness(target)
+        witness = Subgroup.generated_by(1, value).witness(_from_key((1,), p ** denom_power))
         levels.append(
             {
                 "witness_exponents": [e.to_json()[0] for e in lhs.support()],
@@ -201,7 +201,7 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
         "p": p,
         "schedule": list(schedule),
         "multipliers": mults,
-        "series_truncation": None if trunc is None else str(trunc),
+        "series_truncation": None if trunc is None else trunc.to_json()[0],
         "levels": levels,
         "eta_tower": eta,
     }
@@ -310,14 +310,12 @@ class ExtensionStep(Record):
     @staticmethod
     def from_json(data, path=()) -> "ExtensionStep":
         """The kind and subject of the step at path in a job or a certificate record."""
-        kind = string(obj(data, path).get("kind"), (*path, "kind"), _STEP_SUBJECTS)
-        key = _STEP_SUBJECTS[kind]
-        subject = obj(data, path, required=(key,))[key]
+        kind, _, subject = _step_subject(data, path, rational)
         if kind == "residue":
-            return ExtensionStep(kind, modulus=tuple(list_of(integer, subject, (*path, key))))
+            return ExtensionStep(kind, modulus=subject)
         if kind == "kummer":
-            return ExtensionStep(kind, alpha=rational(subject, (*path, key)))
-        return ExtensionStep(kind, c_exponent=rational(subject, (*path, key)))
+            return ExtensionStep(kind, alpha=subject)
+        return ExtensionStep(kind, c_exponent=subject)
 
 
 class ExtensionTower(Record):
@@ -352,30 +350,38 @@ _STEP_SUBJECTS = {"kummer": "alpha", "residue": "modulus", "artin-schreier": "c"
 _STEP_FIELDS = ("kind", "e", "f", "degree", "defect")
 
 
+def _step_subject(data, path, read) -> tuple:
+    """(kind, subject key, subject) of the step at path: a residue
+    modulus as a tuple of ints, any other subject read by `read`."""
+    kind = string(obj(data, path).get("kind"), (*path, "kind"), _STEP_SUBJECTS)
+    key = _STEP_SUBJECTS[kind]
+    subject, at = obj(data, path, required=(key,))[key], (*path, key)
+    return kind, key, tuple(list_of(integer, subject, at)) if kind == "residue" else read(subject, at)
+
+
 def _step_numbers(kind: str, subject, p: int, group: Subgroup,
                   residue_degree: int) -> tuple[int, int, int, Subgroup, int]:
     """(e, f, defect, next value group, next residue degree) of a step
     over a tower of residue characteristic p, value group `group` and
     residue degree `residue_degree`, from the step's subject (kummer
-    alpha, residue modulus, artin-schreier v(c)).  The builder takes a
-    step's numbers from here and the validator replays each recorded
-    step through it; a subject that makes no step raises
-    PreconditionError."""
+    alpha and artin-schreier v(c) as elements, a residue modulus as
+    ints).  The builder takes a step's numbers from here and the
+    validator replays each recorded step through it; a subject that
+    makes no step raises PreconditionError."""
     if kind == "kummer":
-        alpha = GroupElement.of(subject)
-        e = group.torsion_order(alpha)
+        e = group.torsion_order(subject)
         if e is None:
             raise PreconditionError(
-                f"kummer step: {alpha.to_json()[0]} lies outside the rational span of the value group"
+                f"kummer step: {subject.to_json()[0]} lies outside the rational span of the value group"
             )
         if e == 1:
-            raise PreconditionError(f"kummer step: {alpha.to_json()[0]} already lies in the value group")
+            raise PreconditionError(f"kummer step: {subject.to_json()[0]} already lies in the value group")
         if not is_prime(e) and math.gcd(e, p) != 1:
             raise PreconditionError(
                 f"kummer step: torsion order {e} is neither prime nor coprime "
                 f"to the residue characteristic {p}"
             )
-        return e, 1, 1, group.extended(alpha), residue_degree
+        return e, 1, 1, group.extended(subject), residue_degree
     if kind == "residue":
         after = math.lcm(residue_degree, FiniteField(p, subject).degree)
         if after == residue_degree:
@@ -385,14 +391,13 @@ def _step_numbers(kind: str, subject, p: int, group: Subgroup,
             )
         return 1, after // residue_degree, 1, group, after
     if kind == "artin-schreier":
-        vc = GroupElement.of(subject)
-        if not vc < GroupElement.zero(1):
+        if not subject < GroupElement.zero(1):
             raise PreconditionError("artin-schreier step requires v(c) < 0")
-        if group.witness(vc) is None:
+        if group.witness(subject) is None:
             raise PreconditionError(
-                f"artin-schreier step: exponent {vc.to_json()[0]} is not in the value group"
+                f"artin-schreier step: exponent {subject.to_json()[0]} is not in the value group"
             )
-        va = vc.scaled(Fraction(1, p))  # the root's value: its torsion order is p or 1
+        va = _from_key(subject.key, subject.den * p)  # the root's value: its torsion order is p or 1
         e = group.torsion_order(va)
         return e, 1, p // e, group if e == 1 else group.extended(va), residue_degree
     raise SchemaError(f"unknown extension step kind {kind!r}")
@@ -412,26 +417,26 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
     key = _STEP_SUBJECTS.get(step.kind)
     subject = {"kummer": step.alpha, "residue": step.modulus,
                "artin-schreier": step.c_exponent}.get(step.kind)
+    if step.kind in ("kummer", "artin-schreier"):
+        subject = GroupElement.of(subject)  # alpha or v(c), for the numbers and the root
     e, f, defect, group, residue_degree = _step_numbers(
         step.kind, subject, p, tower.value_subgroup, tower.residue_degree)
     root = None
     if step.kind == "kummer":
-        alpha = GroupElement.of(step.alpha)
-        root = kummer_root(alpha.scaled(e), tower.coefficient_field.one(), e)
-        if root.value() != alpha:
+        root = kummer_root(subject.scaled(e), tower.coefficient_field.one(), e)
+        if root.value() != subject:
             raise InternalError("the kummer root does not have value alpha")
         if tower.value_subgroup.witness(root.value().scaled(e)) is None:
             raise InternalError("e-th power of the root left the value group")
     elif step.kind == "artin-schreier":
-        ce = GroupElement.of(step.c_exponent)
-        c = HahnSeries.monomial(tower.coefficient_field, ce, 1)
+        c = HahnSeries.monomial(tower.coefficient_field, subject, 1)
         root = artin_schreier_root(c, _AS_DEPTH)
         va, vchain = root.value(), _power_gap_value(root, c, p)
-        if vchain is None or not GroupElement.zero(1) > vchain == va == ce.scaled(Fraction(1, p)):
+        if vchain is None or not GroupElement.zero(1) > vchain == va == _from_key(subject.key, subject.den * p):
             raise InternalError(f"extension step fails its own validation: "
                                 f"step {len(tower.steps) + 1}: value chain does not verify")
     record = {"kind": step.kind,
-              key: list(subject) if step.kind == "residue" else str(subject),
+              key: list(subject) if step.kind == "residue" else subject.to_json()[0],
               "e": e, "f": f, "degree": e * f * defect, "defect": defect}
     return ExtensionTower(p, tower.coefficient_field, group, residue_degree,
                           tower.steps + (record,), root, tower.base_value_subgroup)
@@ -558,18 +563,18 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
         raise PreconditionError(f"depth must be between 1 and {len(indices)}")
     coeffs = FiniteField(p)
     state = TowerState(Subgroup.generated_by(1), 1, p)
-    gammas = [Fraction(i * nv + 1, nv) for i, nv in enumerate(indices[:depth], start=1)]
+    gammas = [_from_key((i * nv + 1,), nv) for i, nv in enumerate(indices[:depth], start=1)]
     for i, g in enumerate(gammas, start=1):
         e_i = math.lcm(*indices[:i]) // math.lcm(*indices[:i - 1])
         witness = strongly_homogeneous_test(HahnSeries.monomial(coeffs, g, 1), state)
         if not witness.ok or witness.e != e_i:
             raise InternalError(f"increment {i} not strongly homogeneous with e = {e_i}")
-        state = state.extended(GroupElement.of(g), witness.f)
+        state = state.extended(g, witness.f)
     bound = math.lcm(*indices[:depth])
     payload = {
         "p": p,
         "indices": list(indices[:depth]),
-        "exponents": [str(g) for g in gammas],
+        "exponents": [g.to_json()[0] for g in gammas],
         "bound": bound,
         "group_index_witness": {
             "hermite_basis": [b.to_json()[0] for b in state.value_subgroup.basis()],
@@ -684,9 +689,9 @@ def _validate_defect_tower(payload: dict) -> str | None:
     top = max(pows)
     keys = [m * (top // pw) for m, pw in zip(mults, pows)]  # n_i / p^(e_i) over one power of p
     trunc = payload["series_truncation"]
-    trunc = None if trunc is None else rational(trunc, ("series_truncation",))
+    trunc = None if trunc is None else ratio(trunc, ("series_truncation",))
     if default_shape:
-        if trunc is None or (trunc.numerator, trunc.denominator) != (-1, p ** (schedule[-1] + n)):
+        if trunc != (-1, p ** (schedule[-1] + n)):
             return "series truncation does not match the schedule"
     for j, level in enumerate(levels, start=1):
         at = ("levels", j - 1)
@@ -697,33 +702,32 @@ def _validate_defect_tower(payload: dict) -> str | None:
         pe = pows[j - 1]
         scaled = [(m * (pe // pw), 1) if pw <= pe else (m, pw // pe) for m, pw in zip(mults, pows)]
         below = range(j, n) if trunc is None else [
-            i for i in range(j, n) if mults[i] * trunc.denominator < trunc.numerator * pows[i]]
+            i for i in range(j, n) if mults[i] * trunc[1] < trunc[0] * pows[i]]
         oracle = [scaled[i] for i in sorted(below, key=keys.__getitem__)]
-        witnessed = [(w.numerator, w.denominator) for w in
-                     list_of(rational, level["witness_exponents"], (*at, "witness_exponents"))]
+        witnessed = list_of(ratio, level["witness_exponents"], (*at, "witness_exponents"))
         if witnessed != oracle:
             return f"level {j}: witness exponents disagree with the schedule formula"
-        value = rational(level["value"], (*at, "value"))
+        value = ratio(level["value"], (*at, "value"))
         # witnessed is the sorted oracle, so its least exponent is its first
-        if not witnessed or witnessed[0] != (value.numerator, value.denominator):
+        if not witnessed or witnessed[0] != value:
             return f"level {j}: recorded value is not the least witness exponent"
-        if (value.numerator, value.denominator) != scaled[j]:
+        if value != scaled[j]:
             return f"level {j}: value differs from n_(j+1) * p^(e_j - e_(j+1))"
         denom_power = integer(level["grants_denominator_exponent"], (*at, "grants_denominator_exponent"))
         if denom_power != schedule[j] - e_j:
             return f"level {j}: granted denominator exponent mismatch"
         if default_shape and denom_power < j:
             return f"level {j}: grant falls short of 1/p^{j}"
-        target = GroupElement.of(Fraction(1, p ** denom_power))
-        if not Subgroup.generated_by(1, value).is_witness(level["membership_witness"], target):
+        group = Subgroup(1, (_ONE, _from_ratios([value])))
+        if not group.is_witness(level["membership_witness"], _from_key((1,), p ** denom_power)):
             return f"level {j}: membership witness does not verify"
     prev = (-1, 1)
     for i, entry in enumerate(list_of(None, payload["eta_tower"], ("eta_tower",)), start=1):
         at = ("eta_tower", i - 1)
-        v = rational(obj(entry, at, keys={"value"})["value"], (*at, "value"))
-        if v.numerator * prev[1] * p != prev[0] * v.denominator:
-            return f"eta tower: v(eta_{i}) = {v} is not v(eta_{i-1})/p"
-        prev = (v.numerator, v.denominator)
+        v = ratio(obj(entry, at, keys={"value"})["value"], (*at, "value"))
+        if v[0] * prev[1] * p != prev[0] * v[1]:
+            return f"eta tower: v(eta_{i}) = {_from_ratios([v]).to_json()[0]} is not v(eta_{i-1})/p"
+        prev = v
     return None
 
 
@@ -732,14 +736,14 @@ def _validate_degree_bound(payload: dict) -> str | None:
     indices = list_of(integer, payload["indices"], ("indices",))
     if (violation := _degree_bound_violation(p, indices)):
         return violation
-    gammas = list_of(rational, payload["exponents"], ("exponents",))
+    gammas = list_of(ratio, payload["exponents"], ("exponents",))
     if len(gammas) != len(indices):
         return "exponents must have one entry per index"
-    elems = [GroupElement.of(g) for g in gammas]
+    elems = [_from_ratios([g]) for g in gammas]
     base = Subgroup.generated_by(1)
     for i, (nv, g, elem) in enumerate(zip(indices, gammas, elems), start=1):
         # i + 1/n_i is (i * n_i + 1) / n_i in lowest terms
-        if (g.numerator, g.denominator) != (i * nv + 1, nv):
+        if g != (i * nv + 1, nv):
             return f"exponent gamma_{i} does not equal i + 1/n_i"
         if base.torsion_order(elem) != nv:
             return f"torsion order of gamma_{i} over Z is not n_{i}"
@@ -771,11 +775,11 @@ def _validate_fund_ineq(payload: dict) -> str | None:
     residue_degree = e = f = n = 1
     for i, s in enumerate(list_of(None, payload["steps"], ("steps",)), start=1):
         at = ("steps", i - 1)
-        key = _STEP_SUBJECTS[ExtensionStep.from_json(s, at).kind]  # reads the kind and subject
+        kind, key, subject = _step_subject(s, at, lambda v, at: _from_ratios([ratio(v, at)]))
         obj(s, at, keys={key, *_STEP_FIELDS})
         try:
             step_e, step_f, defect, group, residue_degree = _step_numbers(
-                s["kind"], s[key], p, group, residue_degree)
+                kind, subject, p, group, residue_degree)
         except PreconditionError as exc:
             return f"step {i}: {exc}"
         derived = {"e": step_e, "f": step_f, "degree": step_e * step_f * defect, "defect": defect}

@@ -531,6 +531,13 @@ class FiniteField(Field):
     def degree(self) -> int:
         return len(self.modulus) - 1 if self.modulus else 1
 
+    @functools.cached_property
+    def _f2_wrap(self):
+        """FunctionField's _wrap over F_2, made once per field: the tuples
+        of this field's elements for polynomials held as ints."""
+        bits = dict(zip("01", _wrap_ints(self, (0, 1))[0]))
+        return lambda *xs: [tuple([bits[c] for c in bin(x)[:1:-1]]) if x else () for x in xs]
+
     @property
     def order(self) -> int:
         return self.characteristic ** self.degree
@@ -953,9 +960,7 @@ class FunctionField:
         if isinstance(base, FiniteField) and not base.modulus:
             self._lift = lambda c: c.value[0]
             if base.characteristic == 2:
-                bits = dict(zip("01", _wrap_ints(base, (0, 1))[0]))
-                self._ring, self._unwrap = _F2Polys(), _unwrap_f2
-                self._wrap = lambda *xs: [tuple([bits[c] for c in bin(x)[:1:-1]]) if x else () for x in xs]
+                self._ring, self._unwrap, self._wrap = _F2Polys, _unwrap_f2, base._f2_wrap
             else:
                 self._ring, self._unwrap = _ListPolys(base.characteristic, 0, 1), _unwrap_ints
                 self._wrap = functools.partial(_wrap_ints, base)

@@ -4,8 +4,9 @@ Value groups are modelled as finitely generated subgroups of Q^r under
 the lexicographic order.  A group element g is stored as (D, key) in
 lowest terms, the int tuple key = D * g over its denominator D (the
 exponent form of series keys and eval minima too), so its arithmetic,
-order and hashing build no Fraction; subgroups are given by finite
-generator lists.
+order and hashing build no Fraction; `of` and `from_json` read each
+rational string straight to an int pair (schema.ratio) and so to
+(D, key).  Subgroups are given by finite generator lists.
 
 A subgroup is held as (D, A, Hermite rows): D is the common denominator
 of its generators, A the int matrix of their keys D * gen, and the
@@ -27,7 +28,7 @@ from functools import cached_property, total_ordering
 
 from .errors import InternalError, PreconditionError, UndecidedError
 from .record import Record, _setattr
-from .schema import fail, list_of, rational
+from .schema import fail, list_of, ratio
 
 __all__ = [
     "GroupElement",
@@ -52,7 +53,8 @@ class GroupElement(Record):
 
     @staticmethod
     def of(*coords) -> "GroupElement":
-        return GroupElement(tuple(c if type(c) is int else rational(c) for c in coords))
+        """The element of ints, rationals read by schema.ratio, or Fractions."""
+        return _from_ratios([(c, 1) if type(c) is int else ratio(c) for c in coords])
 
     @staticmethod
     def zero(rank: int = 1) -> "GroupElement":
@@ -100,8 +102,8 @@ class GroupElement(Record):
 
     def scaled(self, q) -> "GroupElement":
         """Scalar multiple by an exact rational (or integer)."""
-        q = q if type(q) is int else rational(q)
-        return _from_key(tuple(q.numerator * x for x in self.key), q.denominator * self.den)
+        n, d = (q, 1) if type(q) is int else ratio(q)
+        return _from_key(tuple(n * x for x in self.key), d * self.den)
 
     def __mul__(self, n: int) -> "GroupElement":
         return self.scaled(n) if type(n) is int else NotImplemented
@@ -120,10 +122,10 @@ class GroupElement(Record):
     @staticmethod
     def from_json(data, path=()) -> "GroupElement":
         """A rational, or a nonempty JSON list of rationals, at path."""
-        coords = list_of(rational, data, path) if type(data) is list else [rational(data, path)]
-        if not coords:
+        pairs = list_of(ratio, data, path) if type(data) is list else [ratio(data, path)]
+        if not pairs:
             raise fail(data, path, "a rational or a nonempty list of rationals")
-        return GroupElement(tuple(coords))
+        return _from_ratios(pairs)
 
     def __repr__(self) -> str:
         return "(" + ", ".join(self.to_json()) + ")"
@@ -139,6 +141,12 @@ def _from_key(key: tuple[int, ...], den: int) -> GroupElement:
     _setattr(elem, "den", den)
     _setattr(elem, "key", key)
     return elem
+
+
+def _from_ratios(pairs: list[tuple[int, int]]) -> GroupElement:
+    """The element of (num, den) pairs with den > 0, over the lcm of the dens."""
+    den = math.lcm(*[d for _, d in pairs])
+    return _from_key(tuple([n * (den // d) for n, d in pairs]), den)
 
 
 def compare(a: GroupElement, b: GroupElement) -> int:

@@ -3,17 +3,21 @@
 A bool is not an int.  A rational is a JSON int or a string -?digits or
 -?digits/digits in ASCII digits with a nonzero denominator, such as
 "-3/2": no exponent or decimal form, so a short string cannot stand for
-a huge int.  An object read with a key set
+a huge int.  One parser, `ratio`, reads it to the int pair (num, den) in
+lowest terms, the form of an exponent; `rational` makes a Fraction of
+that pair, the form of a field element.  An object read with a key set
 is closed ("unknown field levels[3].j"): certificates are read so, jobs
-open, their unknown keys ignored.  Each error is a SchemaError naming the
-JSON path of the bad value, keys joined by dots and indices in brackets
-(`valuation.base.p`, `steps[0].alpha`).  A path is a tuple of keys and
-indices, () for the whole document; its text is built only on an error.
+open, their unknown keys ignored.  Each error is a SchemaError naming
+the JSON path of the bad value, keys joined by dots and indices in
+brackets (`valuation.base.p`, `steps[0].alpha`).  A path is a tuple of
+keys and indices, () for the whole document; its text is built only on
+an error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -57,16 +61,24 @@ def integer(value, path=()) -> int:
 
 
 def rational(value, path=()) -> Fraction:
-    """A Fraction as it is, a JSON int, or a string -?digits or -?digits/digits."""
-    if isinstance(value, Fraction):
-        return value
+    """A Fraction as it is, or the Fraction of what `ratio` reads."""
+    return value if type(value) is Fraction else Fraction(*ratio(value, path))
+
+
+def ratio(value, path=()) -> tuple[int, int]:
+    """A JSON int, a string -?digits or -?digits/digits, or a Fraction,
+    as (num, den) in lowest terms with den > 0.  A string is tested
+    first: isinstance(value, Fraction) is an ABC check."""
     try:
-        if type(value) is int:
-            return Fraction(value)
-        if type(value) is str and (m := _RATIONAL.fullmatch(value)):
-            return Fraction(int(m[1]), int(m[2] or 1))
-    except (ValueError, ZeroDivisionError):  # digits past int's limit, or a zero denominator
+        if type(value) is str and (m := _RATIONAL.fullmatch(value)) and (den := int(m[2] or 1)):
+            g = math.gcd(num := int(m[1]), den)
+            return num // g, den // g
+    except ValueError:  # digits past int's limit
         pass
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise fail(value, path, 'an exact rational (a JSON int or a "num/den" string)')
 
 

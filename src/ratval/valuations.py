@@ -120,8 +120,8 @@ class ValuedField:
         """v(c_i) for the c_i of taylor_coefficients, None where c_i = 0."""
         return [None if _is_zero(c) else self.val(c) for c in self.taylor_coefficients(cs, center)]
 
-    def value_generators(self) -> list[Fraction]:
-        """Generators of the value group vK inside Q."""
+    def value_generators(self) -> list[int | Fraction]:
+        """Generators of the value group vK inside Q, each an int or a Fraction."""
         raise NotImplementedError
 
     def zero(self):
@@ -197,7 +197,7 @@ class PAdicRationals(ValuedField):
         return Fraction(self.p) ** v.numerator
 
     def value_generators(self):
-        return [Fraction(1)]
+        return [1]
 
     def _fraction_free_shift(self, cs: list, center: Fraction):
         """(h, L, d): with L the lcm of the coefficient denominators, center
@@ -284,7 +284,7 @@ class TAdicRationalFunctions(ValuedField):
         return self.field.gen() ** v.numerator
 
     def value_generators(self):
-        return [Fraction(1)]
+        return [1]
 
     def _fraction_free_shift(self, cs: list, center: FunctionFieldElement):
         """(h, L, d), L and d ring forms of the field: with L the lcm of

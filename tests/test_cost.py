@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratval import fields, groups, valuations
+from ratval import cli, fields, groups, valuations
 from ratval.certificates import build_defect_tower, build_degree_bound, validate_certificate
 from ratval.fields import FiniteField
 from ratval.groups import GroupElement, Subgroup, compare
@@ -269,3 +269,32 @@ def test_group_series_and_subgroup_arithmetic_build_no_fraction(monkeypatch):
     assert out[a, b][0] == GroupElement.of("11/12", "13/3") and out[a, b][6] is True
     assert out["series"][0] == GroupElement.of("-1/2") and out["series"][3] == GroupElement.of("1/4")
     assert out["subgroup"][1:] == (True, 7, None)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+CERTIFIED = ("readme-piltant", "piltant-p3", "piltant-p5", "readme-degree-bound",
+             "readme-extension-step", "extension-step-p3", "readme-classify")
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_a_recheck_builds_no_fraction(monkeypatch, capsys, name):
+    """A certificate's exponents are read straight to int pairs and so to
+    (D, key): rechecking a golden certificate of each kind builds no
+    Fraction.  The one exception is the centre of a p-adic descriptor,
+    an element of the base field Q, which is a Fraction."""
+    out = GOLDEN / f"{name}.out"
+    base = json.loads(out.read_text())["certificate"].get("descriptor", {}).get("base", {})
+    codes = []
+    made = _fractions_made(monkeypatch, lambda: codes.append(cli.main(["recheck", str(out)])))
+    assert codes == [0] and '"ok": true' in capsys.readouterr().out
+    assert made == (base.get("kind") == "p-adic")
+
+
+@pytest.mark.parametrize("name", ["readme-piltant", "readme-degree-bound"])
+def test_a_defect_tower_or_degree_bound_run_builds_no_fraction(monkeypatch, capsys, name):
+    """The builders write their exponent strings from ints, and their
+    self-check is the recheck above: the whole run builds no Fraction."""
+    codes = []
+    made = _fractions_made(monkeypatch, lambda: codes.append(cli.main(["run", str(GOLDEN / f"{name}.json")])))
+    assert codes == [0] and capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    assert made == 0

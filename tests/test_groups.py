@@ -15,6 +15,7 @@ from ratval.fields import RATIONALS, FieldElement, FiniteField, FunctionField, F
 from ratval.groups import GroupElement, Subgroup, compare
 from ratval.homogeneous import (ApproxStep, HomogeneityWitness, HomogeneousSequence, HomogIncrement,
                                 PcsReport, TowerState)
+from ratval.schema import rational
 from ratval.series import HahnSeries
 from ratval.valuations import RationalFunction
 
@@ -543,14 +544,29 @@ def _in_lowest_terms(g):
     return g.den > 0 and math.gcd(g.den, *g.key) == 1
 
 
+def _padded(pairs, k, zeros):
+    """The "num/den" strings of pairs, each times k / k, with `zeros`
+    leading zeros on both parts, a zero signed "-" when zeros is odd."""
+    pad = "0" * zeros
+    return [f"{'-' if n < 0 or n == 0 and zeros % 2 else ''}{pad}{abs(n) * k}/{pad}{d * k}" for n, d in pairs]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(vectors=_two_vectors(), n=st.integers(-7, 7),
-       q=st.tuples(st.integers(-9, 9), st.integers(1, 9)), k=st.integers(2, 5))
-def test_element_agrees_with_a_fraction_tuple_reference(vectors, n, q, k):
+       q=st.tuples(st.integers(-9, 9), st.integers(1, 9)), k=st.integers(2, 5),
+       zeros=st.integers(0, 3))
+def test_element_agrees_with_a_fraction_tuple_reference(vectors, n, q, k, zeros):
     """Sums, differences, negation, int and rational multiples, the order,
     equality, hashing and the JSON and repr strings of an element agree
     with the same operations on a tuple of Fractions; the stored pair is
-    in lowest terms whatever denominators the element was built from."""
+    in lowest terms whatever denominators the element was built from.
+    `of` and `from_json` read unreduced, zero-padded and "-0" strings to
+    the element of the Fractions that schema.rational reads."""
+    texts = _padded(vectors[0], k, zeros)
+    ref = GroupElement(tuple(rational(t) for t in texts))
+    for got in (GroupElement.of(*texts), GroupElement.from_json(texts),
+                GroupElement.from_json(texts[0]) if len(texts) == 1 else ref):
+        assert got == ref and (got.den, got.key) == (ref.den, ref.key) and _in_lowest_terms(got)
     a, b = (_from_strings(v) for v in vectors)
     ra, rb = (tuple(Fraction(num, den) for num, den in v) for v in vectors)
     q = Fraction(*q)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ratval.errors import SchemaError
-from ratval.schema import integer, list_of, obj, rational, string, where
+from ratval.schema import integer, list_of, obj, ratio, rational, string, where
 
 
 def test_where_joins_keys_with_dots_and_indices_in_brackets():
@@ -49,11 +49,16 @@ def test_list_of_reads_each_entry_at_its_own_path():
         list_of(None, [1], ("t",), length=2)
 
 
-@pytest.mark.parametrize("value", [True, 1.5, None, [], {}, "x", "1/0", "1//2", " ", "--3",
-                                   # exponent, decimal, plus-signed, spaced, underscored and
-                                   # non-ASCII forms ("1e10000000" used to build 10^(10^7))
-                                   "1e10000000", "2.5", "+3", " 3", "3\n", "3_000", "0x10", "٣",
-                                   "1/-2", "3/", "/3", "-", "", "1/2/3"])
+NOT_RATIONALS = [True, 1.5, None, [], {}, "x", "1/0", "1//2", " ", "--3",
+                 # exponent, decimal, plus-signed, spaced, underscored and
+                 # non-ASCII forms ("1e10000000" used to build 10^(10^7))
+                 "1e10000000", "2.5", "+3", " 3", "3\n", "3_000", "0x10", "٣",
+                 "1/-2", "3/", "/3", "-", "", "1/2/3"]
+RATIONALS = [("-3/2", Fraction(-3, 2)), ("007", Fraction(7)), ("-0/5", Fraction(0)),
+             ("12/8", Fraction(3, 2)), ("-12", Fraction(-12)), (-12, Fraction(-12))]
+
+
+@pytest.mark.parametrize("value", NOT_RATIONALS)
 def test_what_is_not_a_rational(value):
     with pytest.raises(SchemaError) as err:
         rational(value, ("gamma", 0))
@@ -76,8 +81,26 @@ def test_an_int_past_the_digit_limit_is_not_a_rational():
         rational("1/" + "2" * 5000)
 
 
-@pytest.mark.parametrize("value, expected", [("-3/2", Fraction(-3, 2)), ("007", Fraction(7)),
-                                             ("-0/5", Fraction(0)), ("12/8", Fraction(3, 2)),
-                                             ("-12", Fraction(-12)), (-12, Fraction(-12))])
+@pytest.mark.parametrize("value, expected", RATIONALS)
 def test_what_is_a_rational(value, expected):
     assert rational(value) == expected
+
+
+@pytest.mark.parametrize("value, expected", RATIONALS + [("0/0012", Fraction(0)), ("-0030/0045", Fraction(-2, 3)),
+                                                         (Fraction(-4, 6), Fraction(-2, 3)), ("1/1", Fraction(1))])
+def test_ratio_is_the_int_pair_of_the_rational(value, expected):
+    """ratio reads the grammar of rational and gives its Fraction's pair:
+    in lowest terms, the denominator positive, zero as (0, 1)."""
+    assert ratio(value) == (rational(value).numerator, rational(value).denominator)
+    assert ratio(value) == (expected.numerator, expected.denominator)
+    assert all(type(x) is int for x in ratio(value))
+
+
+@pytest.mark.parametrize("value", NOT_RATIONALS + ["0/0", "1" * 5000, "1/" + "2" * 5000])
+def test_ratio_refuses_what_rational_refuses_with_the_same_text(value):
+    with pytest.raises(SchemaError) as want:
+        rational(value, ("gamma", 0))
+    with pytest.raises(SchemaError) as got:
+        ratio(value, ("gamma", 0))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("field 'gamma[0]' must be an exact rational ")
