@@ -393,7 +393,7 @@ def _step_numbers(kind: str, subject, p: int, group: Subgroup,
     if kind == "artin-schreier":
         if not subject < GroupElement.zero(1):
             raise PreconditionError("artin-schreier step requires v(c) < 0")
-        if group.witness(subject) is None:
+        if subject not in group:
             raise PreconditionError(
                 f"artin-schreier step: exponent {subject.to_json()[0]} is not in the value group"
             )
@@ -426,7 +426,7 @@ def build_extension_step(step: ExtensionStep, tower: ExtensionTower) -> Extensio
         root = kummer_root(subject.scaled(e), tower.coefficient_field.one(), e)
         if root.value() != subject:
             raise InternalError("the kummer root does not have value alpha")
-        if tower.value_subgroup.witness(root.value().scaled(e)) is None:
+        if root.value().scaled(e) not in tower.value_subgroup:
             raise InternalError("e-th power of the root left the value group")
     elif step.kind == "artin-schreier":
         c = HahnSeries.monomial(tower.coefficient_field, subject, 1)
@@ -513,7 +513,7 @@ def build_ic_valuation(tower: ExtensionTower, beta, variant: str = "v1",
         label = VALUE_TRANSCENDENTAL
     elif variant == "v2":
         beta_q = Fraction(beta)
-        if beta_q <= 0 or tower.base_value_subgroup.witness(GroupElement.of(beta_q)) is None:
+        if beta_q <= 0 or GroupElement.of(beta_q) not in tower.base_value_subgroup:
             raise PreconditionError("beta must be a positive element of the base value group")
         gamma = GroupElement.of(alpha + beta_q)
         valn = CenteredValuation(base, tower.top_witness, gamma)

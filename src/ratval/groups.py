@@ -10,14 +10,14 @@ rational string straight to an int pair (schema.ratio) and so to
 
 A subgroup is held as (D, A, Hermite rows): D is the common denominator
 of its generators, A the int matrix of their keys D * gen, and the
-Hermite rows a Z-basis of the row lattice of A with the transform
-writing them in the rows of A (an extended subgroup reduces only its
-parent's Hermite rows and its new generators).  One reduction of g
-gives its coordinates as ints over one denominator, and membership,
-torsion order and subgroup index are read off them: every positive
-answer carries an integer witness z, re-checked as z . A == D * g from
-(D, A) alone (so checking a recorded witness reduces no lattice), and
-every negative one a rank argument over Q.
+Hermite rows a Z-basis of the row lattice of A, with no transform (an
+extended subgroup reduces only its parent's Hermite rows and its new
+generators).  One reduction of g gives its coordinates as ints over one
+denominator, and membership, torsion order and subgroup index are read
+off them.  Every positive membership answer carries an integer witness
+z, read off the reduction of [A | I] when asked for and re-checked as
+z . A == D * g from (D, A) alone (so checking a recorded witness reduces
+no lattice); every negative one a rank argument over Q.
 """
 
 from __future__ import annotations
@@ -168,53 +168,43 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hermite_rows(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Row Hermite form with transform.
+def _hermite_rows(mat: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
+    """Row Hermite form over the first `width` columns, as (rows, pivots).
 
-    Returns (rows, exprs, pivots): `rows` are the nonzero rows of the
-    Hermite form (pivot columns strictly increasing, pivots positive,
-    entries above each pivot reduced into [0, pivot)); exprs[i] gives the
-    integer combination of the input rows producing rows[i]; pivots[i] is
-    the pivot column of rows[i].  The nonzero rows form a Z-basis of the
-    row lattice of `mat`.
+    `rows` are the Hermite rows with a pivot among those columns (pivot
+    columns strictly increasing, pivots positive, entries above each pivot
+    reduced into [0, pivot)), whose first `width` entries are a Z-basis of
+    the row lattice there; pivots[i] is the pivot column of rows[i].  Later
+    columns ride along: reducing [A | I] writes each row in the rows of A.
     """
     m = len(mat)
-    r = len(mat[0]) if m else 0
     rows = [list(row) for row in mat]
-    exprs = [[int(i == j) for j in range(m)] for i in range(m)]
     top = 0
     pivots: list[int] = []
-    for col in range(r):
+    for col in range(width):
         if top == m:
             break
         for i in range(top + 1, m):
             if rows[i][col] == 0:
                 continue
             a, b = rows[top][col], rows[i][col]
-            if a == 0:
-                rows[top], rows[i] = rows[i], rows[top]
-                exprs[top], exprs[i] = exprs[i], exprs[top]
-                continue
             g, x, y = _xgcd(a, b)
-            u, v = -(b // g), a // g
-            for vec in (rows, exprs):
-                new_top = [x * p + y * q for p, q in zip(vec[top], vec[i])]
-                new_i = [u * p + v * q for p, q in zip(vec[top], vec[i])]
-                vec[top], vec[i] = new_top, new_i
-        if rows[top][col] != 0:
-            if rows[top][col] < 0:
-                rows[top] = [-v for v in rows[top]]
-                exprs[top] = [-v for v in exprs[top]]
+            u, v = -(b // g), a // g  # unimodular; a signed swap when a == 0
+            p, q = rows[top], rows[i]
+            rows[top] = [x * s + y * t for s, t in zip(p, q)]
+            rows[i] = [u * s + v * t for s, t in zip(p, q)]
+        piv = rows[top][col]
+        if piv != 0:
+            if piv < 0:
+                piv, rows[top] = -piv, [-s for s in rows[top]]
             # reduce entries above the pivot for a canonical form
-            piv = rows[top][col]
             for i in range(top):
                 q = rows[i][col] // piv
                 if q:
-                    rows[i] = [p - q * s for p, s in zip(rows[i], rows[top])]
-                    exprs[i] = [p - q * s for p, s in zip(exprs[i], exprs[top])]
+                    rows[i] = [s - q * t for s, t in zip(rows[i], rows[top])]
             pivots.append(col)
             top += 1
-    return rows[:top], exprs[:top], pivots
+    return rows[:top], pivots
 
 
 class Subgroup(Record):
@@ -257,26 +247,28 @@ class Subgroup(Record):
 
     @cached_property
     def _lattice(self):
-        """(D, A, Hermite rows, exprs, pivot columns).
+        """(D, A, Hermite rows, pivot columns), with no transform.
 
-        (D, A) are _keys, so the subgroup is { (z . A) / D : z in Z^m };
-        the Hermite rows are a Z-basis of the row lattice of A, and
-        exprs[i] writes rows[i] in the rows of A.
-        The parent's Hermite rows (see extended; none without a parent)
-        times D / D_parent are reduced with the new keys only, and the
-        parent's transform writes them in the rows of A: the rows and
-        pivots are canonical, and each witness re-checks the transform.
+        (D, A) are _keys, so the subgroup is { (z . A) / D : z in Z^m },
+        and the Hermite rows are a Z-basis of the row lattice of A.  The
+        parent's Hermite rows (see extended; none without a parent) times
+        D / D_parent are reduced with the new keys only: the rows and
+        pivots are canonical, those of a reduction from scratch.
         """
         d, mat = self._keys
-        d0, mat0, rows0, exprs0, _ = self._parent._lattice if self._parent is not None else (1, [], [], [], [])
-        m0, k = len(mat0), d // d0
-        rows, exprs, pivots = _hermite_rows([[k * x for x in row] for row in rows0] + mat[m0:])
-        for i, e in enumerate(exprs):
-            head = [0] * m0
-            for c, e0 in zip(e, exprs0):
-                head = [a + c * b for a, b in zip(head, e0)] if c else head
-            exprs[i] = head + e[len(rows0):]
-        return d, mat, rows, exprs, pivots
+        d0, mat0, rows0, _ = self._parent._lattice if self._parent is not None else (1, [], [], [])
+        rows, pivots = _hermite_rows([[d // d0 * x for x in row] for row in rows0] + mat[len(mat0):],
+                                     self.ambient_rank)
+        return d, mat, rows, pivots
+
+    @cached_property
+    def _transform(self):
+        """The Hermite reduction of [A | I] from scratch, I the m x m
+        identity, made only when a witness is asked for: each row is a
+        Hermite row of _lattice followed by its z with z . A == row."""
+        _, mat = self._keys
+        return _hermite_rows([[*row, *(int(i == j) for j in range(len(mat)))] for i, row in enumerate(mat)],
+                             self.ambient_rank)
 
     def _check_ambient(self, g: GroupElement) -> None:
         if g.rank != self.ambient_rank:
@@ -284,13 +276,14 @@ class Subgroup(Record):
                 f"rank mismatch: element rank {g.rank}, ambient rank {self.ambient_rank}"
             )
 
-    def _coords(self, g: GroupElement) -> tuple[list[int], int] | None:
-        """g's coordinates over the Hermite rows as ints (Q, s), the i-th
-        being Q[i] / s, or None off the generators' rational span; g is a
-        member iff s divides every Q[i].  With P the pivots' product and
-        L = lcm(D, den g), s = (L / D) * P: P carries every later pivot."""
+    def _coords(self, g: GroupElement, rows, pivots) -> tuple[list[int], int] | None:
+        """g's coordinates over the Hermite rows (entries past the ambient
+        rank unread) as ints (Q, s), the i-th being Q[i] / s, or None off
+        the generators' rational span; g is a member iff s divides every
+        Q[i].  With P the pivots' product and L = lcm(D, den g),
+        s = (L / D) * P: P carries every later pivot."""
         self._check_ambient(g)
-        d, _, rows, _, pivots = self._lattice
+        d = self._keys[0]
         lcm = math.lcm(d, g.den)
         prod = math.prod(row[col] for row, col in zip(rows, pivots))
         w = [prod * x for x in g._over(lcm)]
@@ -302,14 +295,17 @@ class Subgroup(Record):
                 w = [a - q * b for a, b in zip(w, row)]
         return None if any(w) else (qs, lcm // d * prod)
 
-    def _witness(self, g: GroupElement, coords: tuple[list[int], int] | None) -> list[int] | None:
-        """The integer vector z with z . A == D * g, from g's coordinates,
-        or None when g is not a member.  The identity is re-checked in
-        integers against A before z is handed out."""
+    def _witness(self, g: GroupElement, coords: tuple[list[int], int] | None,
+                 z: list[int] | None = None) -> list[int] | None:
+        """The integer vector z with z . A == D * g, or None when g's
+        coordinates say it is not a member.  Unless given (a generator's
+        unit vector), z is read off _transform; either way the identity
+        is re-checked in integers against A before z is handed out."""
         if coords is None or any(q % coords[1] for q in coords[0]):
             return None
-        _, mat, _, exprs, _ = self._lattice
-        z = [sum(q // coords[1] * e[j] for q, e in zip(coords[0], exprs)) for j in range(len(mat))]
+        if z is None:
+            (qs, s), r, (rows, _) = coords, self.ambient_rank, self._transform
+            z = [sum(q // s * row[r + j] for q, row in zip(qs, rows)) for j in range(len(self.generators))]
         if not self.is_witness(z, g):
             raise InternalError("witness failed re-verification")
         return z
@@ -327,10 +323,11 @@ class Subgroup(Record):
     def witness(self, g: GroupElement) -> list[int] | None:
         """Integer coefficients w with sum(w_i * gen_i) == g, or None.
 
-        Every returned witness is re-verified against the generators
-        before it is handed out.
+        w is read off _transform, so it depends on the generator list
+        alone, and is re-verified against the generators before it is
+        handed out.
         """
-        return self._witness(g, self._coords(g))
+        return self._witness(g, self._coords(g, *self._transform))
 
     def __contains__(self, g: GroupElement) -> bool:
         return self.witness(g) is not None
@@ -343,7 +340,7 @@ class Subgroup(Record):
         order exceeds it, UndecidedError is raised: that outcome is
         distinct from a proven non-torsion answer.
         """
-        coords = self._coords(g)
+        coords = self._coords(g, *self._lattice[2:])
         if coords is None:
             return None
         e = math.lcm(*(coords[1] // math.gcd(q, coords[1]) for q in coords[0]))
@@ -358,21 +355,22 @@ class Subgroup(Record):
 
         Returns None when the rational spans differ in dimension (the
         index is infinite).  Raises PreconditionError if some generator
-        of `sub` is not a member of self.
+        of `sub` is not a member of self.  One of self's own generators
+        is certified by its unit vector, so it needs no transform.
         """
         if sub.ambient_rank != self.ambient_rank:
             raise PreconditionError("rank mismatch between subgroups")
+        _, mat, rows, pivots = self._lattice
+        own = {g: i for i, g in enumerate(self.generators)}
         coord_rows: list[list[int]] = []
         for t in sub.generators:
-            coords = self._coords(t)
-            if self._witness(t, coords) is None:
-                raise PreconditionError(
-                    f"not a subgroup: generator {t!r} lies outside the bigger group"
-                )
+            coords = self._coords(t, rows, pivots)
+            unit = None if (i := own.get(t)) is None else [int(i == j) for j in range(len(mat))]
+            if self._witness(t, coords, unit) is None:
+                raise PreconditionError(f"not a subgroup: generator {t!r} lies outside the bigger group")
             coord_rows.append([q // coords[1] for q in coords[0]])
-        k = len(self._lattice[2])
-        sub_rows, _, sub_pivots = _hermite_rows(coord_rows)
-        if len(sub_rows) < k:
+        sub_rows, sub_pivots = _hermite_rows(coord_rows, len(rows))
+        if len(sub_rows) < len(rows):
             return None
         return math.prod(row[col] for row, col in zip(sub_rows, sub_pivots))
 
@@ -386,7 +384,7 @@ class Subgroup(Record):
 
     def basis(self) -> list[GroupElement]:
         """Canonical Z-basis (Hermite rows over the common denominator)."""
-        d, _, rows, _, _ = self._lattice
+        d, _, rows, _ = self._lattice
         return [_from_key(tuple(row), d) for row in rows]
 
     def with_fresh_coordinate(self, placement: str = "small") -> tuple["Subgroup", "object"]:

@@ -15,11 +15,10 @@ All conclusions about infinite sequences are depth-stamped.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InternalError, PreconditionError
 from .fields import FieldElement, FiniteField, min_poly_degree
-from .groups import GroupElement, Subgroup
+from .groups import GroupElement, Subgroup, _from_key
 from .record import Record
 from .series import HahnSeries
 
@@ -93,7 +92,7 @@ def krasner_kummer(c: HahnSeries, e: int) -> GroupElement:
     v = c.value()
     if v is None:
         raise PreconditionError("the zero series has no Kummer root")
-    return v.scaled(Fraction(1, e))
+    return _from_key(v.key, v.den * e)
 
 
 def kummer_conjugate_differences(c: HahnSeries, e: int,
@@ -124,7 +123,7 @@ def kummer_conjugate_differences(c: HahnSeries, e: int,
             break
     if root_coeff is None:
         raise PreconditionError("coefficient has no e-th root in the splitting field")
-    root_expo = gamma.scaled(Fraction(1, e))
+    root_expo = _from_key(gamma.key, gamma.den * e)
     values = []
     for i, zi in enumerate(units):
         for zj in units[i + 1:]:

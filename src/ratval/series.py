@@ -455,5 +455,5 @@ def kummer_root(gamma: GroupElement, coeff: FieldElement, e: int,
             raise PreconditionError(
                 f"no {e}-th root of {coeff!r} in {field!r}"
             )
-    return HahnSeries.monomial(field, gamma.scaled(Fraction(1, e)), root,
+    return HahnSeries.monomial(field, _from_key(gamma.key, gamma.den * e), root,
                                trunc=trunc, rank=gamma.rank)

@@ -14,7 +14,8 @@ from ratval.certificates import build_defect_tower, build_degree_bound, validate
 from ratval.fields import FiniteField
 from ratval.groups import GroupElement, Subgroup, compare
 from ratval.selftest import poly_mul
-from ratval.series import HahnSeries
+from ratval.homogeneous import krasner_kummer
+from ratval.series import HahnSeries, kummer_root
 from ratval.valuations import (CenteredValuation, RatFunc, TAdicRationalFunctions,
                                substitution_value, valuation_from_json)
 
@@ -29,19 +30,26 @@ def _odd_primes(n: int) -> list[int]:
     return primes
 
 
-def _hermite_rows_passed(monkeypatch, build) -> int:
-    """The number of rows that `build()` hands to the Hermite reduction."""
-    passed = []
+def _hermite_calls(monkeypatch, run) -> list[tuple[list, tuple]]:
+    """(matrix passed, result returned) for each Hermite reduction that
+    `run()` makes."""
+    calls = []
     hermite_rows = groups._hermite_rows
 
-    def counting(mat):
-        passed.append(len(mat))
-        return hermite_rows(mat)
+    def recording(mat, width):
+        out = hermite_rows(mat, width)
+        calls.append((mat, out))
+        return out
 
-    monkeypatch.setattr(groups, "_hermite_rows", counting)
-    build()
+    monkeypatch.setattr(groups, "_hermite_rows", recording)
+    run()
     monkeypatch.undo()
-    return sum(passed)
+    return calls
+
+
+def _hermite_rows_passed(monkeypatch, build) -> int:
+    """The number of rows that `build()` hands to the Hermite reduction."""
+    return sum(len(mat) for mat, _ in _hermite_calls(monkeypatch, build))
 
 
 def test_degree_bound_hermite_rows_grow_linearly(monkeypatch):
@@ -58,6 +66,28 @@ def test_degree_bound_hermite_rows_grow_linearly(monkeypatch):
     assert large / small <= 2.5, (small, large)
 
 
+def _bits(obj) -> int:
+    """The total bit length of the ints in a nest of lists and tuples."""
+    return obj.bit_length() if type(obj) is int else sum(_bits(x) for x in obj)
+
+
+def test_degree_bound_recheck_hermite_bits_grow_gently(monkeypatch):
+    """A degree-bound recheck over the first n odd primes reduces
+    <1, gamma_1..gamma_n> over D = lcm(n_i), of about n log n bits.  Its
+    lattice keeps no transform, so the reduction returns the few Hermite
+    rows and pivots, and the bits returned grow by about 2.4 from n = 24
+    to n = 48.  An m x m transform carried along returns m rows of
+    D-sized entries, about 9.5 times as many bits at the double.  The
+    bound 4 lies between the two."""
+    bits = []
+    for n in (24, 48):
+        cert, results = build_degree_bound(2, _odd_primes(n)), []
+        calls = _hermite_calls(monkeypatch, lambda: results.append(validate_certificate(cert)))
+        bits.append(sum(_bits(out) for _, out in calls))
+        assert results[0].ok, results[0].findings
+    assert bits[1] / bits[0] <= 4, bits
+
+
 def test_extension_of_a_reduced_group_reduces_the_new_generators_only(monkeypatch):
     """The extension of a reduced group hands the Hermite reduction the
     parent's rows, rescaled, and the new keys: 1 + 2 rows, not all 6
@@ -67,6 +97,15 @@ def test_extension_of_a_reduced_group_reduces_the_new_generators_only(monkeypatc
     big = base.extended(GroupElement.of("1/11"), GroupElement.of("3/11"))
     assert _hermite_rows_passed(monkeypatch, big.basis) == 3
     assert big.basis() == [GroupElement.of("1/1155")]
+
+
+def test_a_witness_on_a_fresh_group_reduces_once(monkeypatch):
+    """A fresh group asked only for a witness reduces [A | I] once, its
+    2 rows: the coordinates and the witness are read off that one
+    reduction, as the defect-tower builder asks at every level."""
+    group = Subgroup.generated_by(1, "2/9")
+    assert _hermite_rows_passed(monkeypatch, lambda: group.witness(GroupElement.of("1/9"))) == 2
+    assert group.witness(GroupElement.of("1/9")) == [1, -4]
 
 
 @pytest.mark.parametrize("name", ["readme-piltant", "piltant-p3"])
@@ -241,10 +280,11 @@ def _fractions_made(monkeypatch, run) -> int:
 def test_group_series_and_subgroup_arithmetic_build_no_fraction(monkeypatch):
     """A GroupElement is a denominator and an int key, and so are series
     exponents and the subgroup lattice: element arithmetic, order and
-    hashing, series products, sums, values and supports, and membership
-    witnesses and torsion orders of prepared elements are int work and
-    build no Fraction at all.  The count is zero on every Python version,
-    whether or not Fraction's own arithmetic goes through its __new__."""
+    hashing, series products, sums, values and supports, Kummer roots and
+    their Krasner constants over F_3, and membership witnesses and torsion
+    orders of prepared elements are int work and build no Fraction at
+    all.  The count is zero on every Python version, whether or not
+    Fraction's own arithmetic goes through its __new__."""
     a, b, c = GroupElement.of("1/6", "-2/3"), GroupElement.of("3/4", 5), GroupElement.of(2, "7/10")
     q = Fraction(-2, 9)
     f3 = FiniteField(3)
@@ -260,6 +300,7 @@ def test_group_series_and_subgroup_arithmetic_build_no_fraction(monkeypatch):
             out[x, y] = (x + y, x - y, -x, x.scaled(3), x.scaled(q), 2 * x,
                          x < y, x <= y, x > y, x >= y, compare(x, y), x == y, hash(x))
         out["series"] = ((s * r + s).value(), (s * r).support(), (s + r).support(), r.value())
+        out["kummer"] = (kummer_root(GroupElement.of("2/3"), f3.one(), 2).value(), krasner_kummer(r, 2))
         group = Subgroup.generated_by(*gens)
         z = group.witness(member)
         out["subgroup"] = (z, group.is_witness(z, member), group.torsion_order(torsion),
@@ -269,6 +310,7 @@ def test_group_series_and_subgroup_arithmetic_build_no_fraction(monkeypatch):
     assert out[a, b][0] == GroupElement.of("11/12", "13/3") and out[a, b][6] is True
     assert out["series"][0] == GroupElement.of("-1/2") and out["series"][3] == GroupElement.of("1/4")
     assert out["subgroup"][1:] == (True, 7, None)
+    assert out["kummer"] == (GroupElement.of("1/3"), GroupElement.of("1/8"))
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

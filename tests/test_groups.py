@@ -226,10 +226,14 @@ class TestFreshCoordinate:
 # tests compare against.  They take the generator list.
 
 def _ref_lattice(gens):
+    """(D, Hermite rows, transform, pivots), the transform read off the
+    reduction of [A | I] for A the generators' keys over D."""
     dens = [c.denominator for g in gens for c in g.coords]
     d = math.lcm(*dens) if dens else 1
-    rows, exprs, pivots = groups._hermite_rows([[int(c * d) for c in g.coords] for g in gens])
-    return d, rows, exprs, pivots
+    width, m = len(gens[0].coords) if gens else 0, len(gens)
+    rows, pivots = groups._hermite_rows(
+        [[int(c * d) for c in g.coords] + [int(i == j) for j in range(m)] for i, g in enumerate(gens)], width)
+    return d, [row[:width] for row in rows], [row[width:] for row in rows], pivots
 
 
 def _ref_witness(gens, g):
@@ -293,7 +297,7 @@ def _ref_index_over(gens, sub_gens):
         coord_rows.append(coords)
     if k == 0:
         return 1
-    sub_rows, _, sub_pivots = groups._hermite_rows(coord_rows) if coord_rows else ([], [], [])
+    sub_rows, sub_pivots = groups._hermite_rows(coord_rows, k) if coord_rows else ([], [])
     if len(sub_rows) < k:
         return None
     det = 1
@@ -399,9 +403,9 @@ class TestAgainstReference:
     def test_planted_fault_in_the_transform(self, monkeypatch):
         hermite_rows = groups._hermite_rows
 
-        def corrupted(mat):
-            rows, exprs, pivots = hermite_rows(mat)
-            return rows, [[x + 1 for x in e] for e in exprs], pivots
+        def corrupted(mat, width):
+            rows, pivots = hermite_rows(mat, width)
+            return [row[:width] + [x + 1 for x in row[width:]] for row in rows], pivots
 
         monkeypatch.setattr(groups, "_hermite_rows", corrupted)
         for query in (lambda s: s.witness(G("5/6")),
@@ -428,9 +432,10 @@ def _chain_link(rng, gens, rank):
 def test_extended_lattice_matches_a_from_scratch_one(seed, links, rank):
     """A chain of `extended` calls, each link's lattice computed before
     the next link is made or not, derives the from-scratch D, rows and
-    pivots; torsion orders, membership and indices agree with a
-    from-scratch group of the same generators, and every witness of the
-    derived transform verifies."""
+    pivots, which are also the Hermite part of the [A | I] reduction;
+    torsion orders, membership, witnesses and indices agree with a
+    from-scratch group of the same generators, and every witness
+    verifies."""
     rng = random.Random(seed)
     gens = _random_generators(rng, rank)
     chain = [Subgroup.generated_by(*gens, ambient_rank=rank)]
@@ -442,9 +447,11 @@ def test_extended_lattice_matches_a_from_scratch_one(seed, links, rank):
     for s in chain:
         scratch = Subgroup(rank, s.generators)
         assert s == scratch and hash(s) == hash(scratch)
-        d, mat, rows, _, pivots = s._lattice
-        d0, mat0, rows0, _, pivots0 = scratch._lattice
+        d, mat, rows, pivots = s._lattice
+        d0, mat0, rows0, pivots0 = scratch._lattice
         assert (d, [list(r) for r in mat], rows, pivots) == (d0, [list(r) for r in mat0], rows0, pivots0)
+        rows1, pivots1 = s._transform
+        assert ([row[:rank] for row in rows1], pivots1) == (rows, pivots)
         gens = list(s.generators)
         targets = [GroupElement.zero(rank), _random_vector(rng, rank),
                    _combo(rng, gens, rank), _combo(rng, gens, rank, rational=True)]
@@ -453,7 +460,8 @@ def test_extended_lattice_matches_a_from_scratch_one(seed, links, rank):
             bound = rng.randint(1, 6)
             assert _outcome(s.torsion_order, g, bound) == _outcome(scratch.torsion_order, g, bound)
             w = s.witness(g)
-            assert (w is None) is (scratch.witness(g) is None) is (g not in s)
+            assert w == scratch.witness(g)
+            assert (w is None) is (g not in s)
             assert w is None or s.is_witness(w, g)
         for sub in [*chain, Subgroup.generated_by(*targets[2:], ambient_rank=rank)]:
             assert _outcome(s.index_over, sub) == _outcome(scratch.index_over, sub)
@@ -486,7 +494,7 @@ def test_is_witness_agrees_before_and_after_reduction(seed, rank):
     for zz, gg in cases:
         expected = len(zz) == len(gens) and combination(zz) == gg
         assert fresh.is_witness(zz, gg) is reduced.is_witness(zz, gg) is expected, (zz, gg)
-    assert "_lattice" not in fresh.__dict__
+    assert "_lattice" not in fresh.__dict__ and "_transform" not in fresh.__dict__
 
 
 def test_extended_links_only_a_reduced_parent():
@@ -502,14 +510,14 @@ def test_extended_links_only_a_reduced_parent():
 
 
 def test_planted_fault_in_the_derived_transform(monkeypatch):
-    """A wrong transform from a derived reduction is caught by the
-    witness re-check; the parent's lattice, reduced before the fault,
-    is left intact."""
+    """A wrong transform of an extended group is caught by the witness
+    re-check; the parent's transform, made before the fault, is left
+    intact."""
     hermite_rows = groups._hermite_rows
 
-    def corrupted(mat):
-        rows, exprs, pivots = hermite_rows(mat)
-        return rows, [[x + 1 for x in e] for e in exprs], pivots
+    def corrupted(mat, width):
+        rows, pivots = hermite_rows(mat, width)
+        return [row[:width] + [x + 1 for x in row[width:]] for row in rows], pivots
 
     base = Subgroup.generated_by("1/2")
     assert base.witness(G(1)) == [2]
@@ -517,10 +525,22 @@ def test_planted_fault_in_the_derived_transform(monkeypatch):
     assert base.witness(G(1)) == [2]
     for query in (lambda s: s.witness(G("5/6")),
                   lambda s: G(1) in s,
-                  lambda s: s.index_over(base)):
+                  lambda s: s.index_over(Subgroup.generated_by(1))):
         big = base.extended(G("1/3"))
         with pytest.raises(InternalError, match="witness failed re-verification"):
             query(big)
+
+
+@pytest.mark.parametrize("sub", ["1/2", "1"])
+def test_planted_fault_in_is_witness_reaches_index_over(monkeypatch, sub):
+    """index_over certifies a generator of the bigger group by its unit
+    vector and any other member through _witness: with an is_witness that
+    accepts nothing, both raise InternalError."""
+    big = Subgroup.generated_by("1/2", "1/3")
+    assert big.index_over(Subgroup.generated_by(sub)) == {"1/2": 3, "1": 6}[sub]
+    monkeypatch.setattr(Subgroup, "is_witness", lambda self, z, g: False)
+    with pytest.raises(InternalError, match="witness failed re-verification"):
+        big.index_over(Subgroup.generated_by(sub))
 
 
 def _vector(rank):
