@@ -564,13 +564,13 @@ def build_degree_bound(p: int, indices: list[int], depth: int | None = None) -> 
     coeffs = FiniteField(p)
     state = TowerState(Subgroup.generated_by(1), 1, p)
     gammas = [_from_key((i * nv + 1,), nv) for i, nv in enumerate(indices[:depth], start=1)]
-    for i, g in enumerate(gammas, start=1):
-        e_i = math.lcm(*indices[:i]) // math.lcm(*indices[:i - 1])
+    bound = 1  # lcm(n_1..n_i), kept running
+    for i, (g, nv) in enumerate(zip(gammas, indices), start=1):
+        bound *= (e_i := nv // math.gcd(bound, nv))  # lcm(n_1..n_i) / lcm(n_1..n_(i-1))
         witness = strongly_homogeneous_test(HahnSeries.monomial(coeffs, g, 1), state)
         if not witness.ok or witness.e != e_i:
             raise InternalError(f"increment {i} not strongly homogeneous with e = {e_i}")
         state = state.extended(g, witness.f)
-    bound = math.lcm(*indices[:depth])
     payload = {
         "p": p,
         "indices": list(indices[:depth]),
@@ -591,6 +591,7 @@ def _degree_bound_violation(p: int, indices: list[int]) -> str | None:
         return violation
     if not indices:
         return "at least one index is required"
+    lcm = 1  # lcm(n_1..n_(i-1)), kept running
     for i, nv in enumerate(indices, start=1):
         if nv <= 1:
             return f"index n_{i} = {nv} must exceed 1"
@@ -599,9 +600,10 @@ def _degree_bound_violation(p: int, indices: list[int]) -> str | None:
                     f"indices must be coprime to the residue characteristic")
         if i >= 2 and indices[i - 2] >= nv:
             return f"indices must be strictly increasing (position {i})"
-        if math.lcm(*indices[:i - 1]) % nv == 0:
+        if lcm % nv == 0:
             return (f"index n_{i} = {nv} divides lcm(n_1..n_{i - 1}): "
                     f"its increment adds no ramification")
+        lcm = math.lcm(lcm, nv)
     return None
 
 

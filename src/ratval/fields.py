@@ -12,19 +12,23 @@ monic denominator.  The one type serves both the t-adic base field k(t)
 of the valuations module and the residue fields k(y) of
 residue-transcendental valuations.
 
-Dense polynomial arithmetic has two forms.  Over F_2, k[t] runs on one
-int per polynomial, bit i the coefficient of t^i (the _f2_* kernels): a
-sum is a XOR, and remainder, exact quotient and gcd are XOR shifts.
-Over every other coefficient field it runs on coefficient lists through
-one list kernel (_padd, _pmul, _pdivmod, _prem, _pgcd, _preduce): over an
-odd F_p on ints reduced mod p, over Q and F_{p^n} on FieldElements with
-the EXACT modulus, which leaves every value as it is.  A FunctionField
-picks its form once, from its coefficient field.  The t-adic Taylor
-shift runs on one int per polynomial (Kronecker substitution): over F_2
-at a fixed digit width, each step masked back to the low bit of every
-digit; over an odd F_p the coefficients lifted to [0, p), packed at a
-digit width fixed by an l1 bound, added and multiplied exactly over Z,
-and read mod p once.
+A FunctionField picks its polynomial ring once, from its coefficient
+field, and its elements hold num and den in that ring's form, which
+sums, products and the reduction take as they are: over F_2 one int per
+polynomial, bit i the coefficient of t^i (_F2Polys: a sum is a XOR, and
+remainder, exact quotient and gcd are XOR shifts); over an odd F_p int
+tuples mod p (_FpPolys), over Q and F_{p^n} FieldElement tuples with the
+EXACT modulus, which leaves every value as it is (_ListPolys), both
+through one list kernel (_padd, _pmul, _pdivmod, _prem, _pgcd,
+_preduce).  FunctionField.coefficients views a form as base elements.
+A ring also owns ord_t, the fraction-free Taylor shift and the
+substitution oracle's k[t]/t^K (valuations plugs Z at p into the same
+protocol).  Over Q and F_{p^n} the shift runs on the lists, otherwise
+on one int per polynomial (Kronecker substitution): over F_2 at a fixed
+digit width, each step masked back to the low bit of every digit; over
+an odd F_p the coefficients lifted to [0, p), packed at a digit width
+fixed by an l1 bound, added and multiplied exactly over Z, and read mod
+p once.
 """
 
 from __future__ import annotations
@@ -203,18 +207,12 @@ def _shift_passes(h: list, step):
     yield from h[-1:]
 
 
-def _pshift(factors, d, n, p, zero=0, one=1) -> list:
-    """The Taylor coefficients at n of sum_j num_j cof_j d^(N-j) y^j by
-    synthetic division: over F_p on _ppack_cleared's ints, each read once
-    by _pdigits, otherwise on the lists (over F_2, _f2_shift on ints)."""
-    if type(p) is int:
-        b, h, n = _ppack_cleared(factors, d, n)
-        return [_pdigits(x, b, p) for x in _shift_passes(h, lambda x, y: x * n + y)]
-    h, power = [], (one,)
-    for num, cof in reversed(factors):
-        h.insert(0, _pmul(_pmul(num, cof, p, zero), power, p, zero))
-        power = _pmul(power, d, p, zero)
-    return list(_shift_passes(h, lambda x, y: _padd(_pmul(n, x, p, zero), y, p, zero)))
+def _pshift(factors, d, n, p: int) -> list:
+    """The Taylor coefficients at n of sum_j num_j cof_j d^(N-j) y^j over
+    F_p by synthetic division on _ppack_cleared's ints, each read once by
+    _pdigits."""
+    b, h, n = _ppack_cleared(factors, d, n)
+    return [_pdigits(x, b, p) for x in _shift_passes(h, lambda x, y: x * n + y)]
 
 
 def _preduce(num, den, p, zero=0, one=1):
@@ -525,18 +523,10 @@ class FiniteField(Field):
             if len(_PROVEN_FOLDS) < 1024:
                 _PROVEN_FOLDS[p, modulus] = fold
         self._fold = fold
-        self._elements: dict[int, FieldElement] = {}  # _wrap_ints's, for p < 256
 
     @property
     def degree(self) -> int:
         return len(self.modulus) - 1 if self.modulus else 1
-
-    @functools.cached_property
-    def _f2_wrap(self):
-        """FunctionField's _wrap over F_2, made once per field: the tuples
-        of this field's elements for polynomials held as ints."""
-        bits = dict(zip("01", _wrap_ints(self, (0, 1))[0]))
-        return lambda *xs: [tuple([bits[c] for c in bin(x)[:1:-1]]) if x else () for x in xs]
 
     @property
     def order(self) -> int:
@@ -815,7 +805,9 @@ def build_extension(base: Field, poly) -> tuple[FiniteField, "object"]:
 
 
 # ---------------------------------------------------------------------------
-# rational functions in one tagged transcendental generator
+# rational functions in one tagged transcendental generator, on a ring
+# protocol: one, pack, unpack, reduce, add, neg, mul, quo, gcd, order,
+# shift and truncation
 
 def _tadic_order(cs) -> int | None:
     """The index of the first nonzero coefficient, None for the zero polynomial."""
@@ -823,17 +815,16 @@ def _tadic_order(cs) -> int | None:
 
 
 class _ListPolys:
-    """k[t] on coefficient lists, low first, through the dense kernels at
-    the coefficient field's (p, zero, one): over F_p (p odd) ints mod p,
-    over Q and F_{p^n} the field's elements with the EXACT modulus.  The
-    Taylor shift and the substitution oracle's k[t]/t^K run over F_p on
-    the b-bit ints of _ppack_cleared, otherwise on the lists."""
+    """k[t] on coefficient tuples, low first, through the dense list
+    kernels at the coefficient field's (p, zero, one): over Q and F_{p^n}
+    the field's elements with the EXACT modulus, over an odd F_p ints mod
+    p (_FpPolys).  _cleared builds the H_j, and the Taylor shift and the
+    oracle's k[t]/t^K run on the lists."""
 
     def __init__(self, p, zero, one):
         self.p, self.zero, self.one = p, zero, (one,)
 
-    def pack(self, cs):
-        return cs
+    pack = unpack = staticmethod(tuple)
 
     def reduce(self, num, den):
         """num/den in canonical form from coefficient lists (or iterables)."""
@@ -846,6 +837,9 @@ class _ListPolys:
     def add(self, a, b):
         return _padd(a, b, self.p, self.zero)
 
+    def neg(self, a):
+        return tuple([-c % self.p for c in a])
+
     def mul(self, a, b):
         return _pmul(a, b, self.p, self.zero)
 
@@ -857,45 +851,61 @@ class _ListPolys:
 
     order = staticmethod(_tadic_order)
 
+    def _cleared(self, factors, d) -> list:
+        """H_j = num_j cof_j d^(N-j) for the pairs (num_j, cof_j)."""
+        H, power = [], self.one
+        for num, cof in reversed(factors):
+            H.insert(0, self.mul(self.mul(num, cof), power))
+            power = self.mul(power, d)
+        return H
+
     def shift(self, factors, d, n) -> list:
-        return _pshift(factors, d, n, self.p, self.zero, self.one[0])
+        """The Taylor coefficients at n of sum_j H_j y^j, by synthetic division."""
+        return list(_shift_passes(self._cleared(factors, d), lambda x, y: self.add(self.mul(n, x), y)))
 
     def truncation(self, factors, d, n):
         """(H, exact_k, order, truncated) of the oracle's k[t]/t^K for
-        H_j = num_j cof_j d^(N-j) and the center n/d: truncated(k) gives
-        the H_j mod t^k and the step x*n + y mod t^k, order(x) is ord_t x,
-        and K >= exact_k = max_j (deg H_j + j deg n) + 1 exceeds every deg
-        h_i.  Over F_p a mask of the low k digits only drops terms, so no
-        digit passes b, and residues are read mod p."""
-        p, zero = self.p, self.zero
-        if type(p) is int:
-            b, H, m = _ppack_cleared(factors, d, n)
-            span, order = (lambda h: -(-h.bit_length() // b)), (lambda x: _tadic_order(_pdigits(x, b, p)))
+        the H_j and the center n/d: truncated(k) gives the H_j mod t^k and
+        the step x*n + y mod t^k, order(x) is ord_t x, and K >= exact_k =
+        max_j (deg H_j + j deg n) + 1 exceeds every deg h_i."""
+        H, zero = self._cleared(factors, d), self.zero
 
-            def truncated(k: int):
-                mask = (1 << b * k) - 1
-                return [h & mask for h in H], lambda x, y, n=m & mask: (x * n + y) & mask
-        else:
-            H, power, span, order = [], self.one, len, _tadic_order
-            for num, cof in reversed(factors):
-                H.insert(0, _pmul(_pmul(num, cof, p, zero), power, p, zero))
-                power = _pmul(power, d, p, zero)
+        def truncated(k: int):
+            m = n[:k]
+            return ([_pstrip(h[:k], zero) for h in H],
+                    lambda x, y: _pstrip(self.add(self.mul(x, m), y)[:k], zero))
+        return H, max(len(h) + j * max(len(n) - 1, 0) for j, h in enumerate(H)), _tadic_order, truncated
 
-            def truncated(k: int):
-                m = n[:k]
-                return ([_pstrip(h[:k], zero) for h in H],
-                        lambda x, y: _pstrip(_padd(_pmul(x, m, p, zero), y, p, zero)[:k], zero))
-        return H, max(span(h) + j * max(len(n) - 1, 0) for j, h in enumerate(H)), order, truncated
+
+class _FpPolys(_ListPolys):
+    """F_p[t], p odd, on int tuples mod p.  The Taylor shift and the
+    oracle's k[t]/t^K run on _ppack_cleared's b-bit ints instead of the
+    lists: a mask of the low k digits only drops terms, so no digit
+    passes b, and residues are read mod p."""
+
+    def shift(self, factors, d, n) -> list:
+        return _pshift(factors, d, n, self.p)
+
+    def truncation(self, factors, d, n):
+        p, (b, H, m) = self.p, _ppack_cleared(factors, d, n)
+
+        def truncated(k: int):
+            mask = (1 << b * k) - 1
+            return [h & mask for h in H], lambda x, y, n=m & mask: (x * n + y) & mask
+        exact_k = max(-(-h.bit_length() // b) + j * max(len(n) - 1, 0) for j, h in enumerate(H))
+        return H, exact_k, lambda x: _tadic_order(_pdigits(x, b, p)), truncated
 
 
 class _F2Polys:
-    """F_2[t] on one int per polynomial (the _f2_* kernels).  The Taylor
-    shift and the oracle's k[t]/t^K run on _f2_pack_cleared's ints at w-bit
-    digits, where one mask both truncates and reads each digit mod 2."""
+    """F_2[t] on one int per polynomial (the _f2_* kernels), -a = a.  The
+    Taylor shift and the oracle's k[t]/t^K run on _f2_pack_cleared's ints
+    at w-bit digits, where one mask both truncates and reads each digit mod 2."""
 
     p, one = 2, 1
     pack = staticmethod(_f2_from_bits)
+    unpack = staticmethod(lambda x: tuple(map(int, bin(x)[:1:-1])) if x else ())
     add = staticmethod(operator.xor)
+    neg = staticmethod(operator.pos)
     mul = staticmethod(_f2_mul)
     quo = staticmethod(_f2_quo)
     gcd = staticmethod(_f2_gcd)
@@ -915,59 +925,28 @@ class _F2Polys:
         return H, exact_k, lambda x: ((x & -x).bit_length() - 1) // w if x else None, truncated
 
 
-def _unwrap_ints(*polys) -> list[tuple[int, ...]]:
-    """The int coefficients of polynomials over a prime field."""
-    return [tuple([c.value[0] for c in a]) for a in polys]
-
-
-def _wrap_ints(f: FiniteField, *polys) -> list[tuple[FieldElement, ...]]:
-    """Polynomials over the prime field f from int coefficients; the
-    elements are immutable, so one is made per distinct value, and kept
-    by f when p < 256."""
-    made = f._elements if f.characteristic < 256 else {}
-    return [tuple(made[c] if c in made else made.setdefault(c, FieldElement(f, (c,)))
-                  for c in a) for a in polys]
-
-
-def _unwrap_f2(*polys) -> list[int]:
-    """The ints of polynomials over F_2, each read in one pass."""
-    return [_f2_from_bits([c.value[0] for c in a]) for a in polys]
-
-
-def _as_is(*polys):
-    return polys
-
-
 class FunctionField:
     """Rational functions over a coefficient field in one tagged generator.
 
     This is the one rational function type of the library: the t-adic
     base field k(t) of valuations.TAdicRationalFunctions, and the
     symbolic residue field Kv(y) of residue-transcendental valuations.
-    Elements are num/den pairs of FieldElement tuples in canonical form
-    (gcd-reduced, monic denominator), so equal functions are equal by
-    value.  Sums, products and the reduction run on the polynomial
-    ring _ring chosen here once from the coefficient field, on the forms
-    that _unwrap gives and _wrap takes back: over F_2 _F2Polys, one int
-    per polynomial; over an odd prime field _ListPolys on ints mod p;
-    over Q and F_{p^n} _ListPolys on the FieldElements with the EXACT
-    modulus.
+    Elements hold num/den in the form of the polynomial ring _ring,
+    chosen here once from the coefficient field (_F2Polys over F_2,
+    _FpPolys over an odd F_p, _ListPolys over Q and F_{p^n}), in
+    canonical form (gcd-reduced, monic denominator), so equal functions
+    are equal by value; coefficients() views a form as base elements.
     """
 
     def __init__(self, base: Field, gen_name: str = "y"):
         self.base = base
         self.gen_name = gen_name
         if isinstance(base, FiniteField) and not base.modulus:
-            self._lift = lambda c: c.value[0]
-            if base.characteristic == 2:
-                self._ring, self._unwrap, self._wrap = _F2Polys, _unwrap_f2, base._f2_wrap
-            else:
-                self._ring, self._unwrap = _ListPolys(base.characteristic, 0, 1), _unwrap_ints
-                self._wrap = functools.partial(_wrap_ints, base)
+            self._ring = _F2Polys if base.characteristic == 2 else _FpPolys(base.characteristic, 0, 1)
+            self._lift, self._embed = (lambda c: c.value[0]), (lambda c: FieldElement(base, (c,)))
         else:
             self._ring = _ListPolys(EXACT, base.zero(), base.one())
-            self._unwrap = self._wrap = _as_is
-            self._lift = lambda c: c
+            self._lift = self._embed = lambda c: c
 
     def element(self, num, den=None, path=()) -> "FunctionFieldElement":
         """num/den from coefficient lists of base elements, or of values
@@ -986,19 +965,12 @@ class FunctionField:
 
     def _make(self, num, den) -> "FunctionFieldElement":
         """num/den from ring forms, reduced to canonical form."""
-        return FunctionFieldElement(self, *self._wrap(*self._ring.reduce(num, den)))
+        return FunctionFieldElement(self, *self._ring.reduce(num, den))
 
-    def _cleared(self, elements) -> tuple:
-        """(L, [(num, L / den)]) in ring forms for the num/den of each
-        element, L the lcm of the dens; each distinct den is divided once."""
-        ring, lcm = self._ring, self._ring.one
-        pairs = [self._unwrap(c.num, c.den) for c in elements]
-        cofactor = dict.fromkeys(den for _, den in pairs)
-        for den in cofactor:
-            lcm = ring.mul(lcm, ring.quo(den, ring.gcd(lcm, den)))
-        for den in cofactor:
-            cofactor[den] = ring.quo(lcm, den)
-        return lcm, [(num, cofactor[den]) for num, den in pairs]
+    def coefficients(self, x) -> tuple:
+        """The coefficients, low first, of a ring form x (the num or den of
+        an element) as base elements."""
+        return tuple(map(self._embed, self._ring.unpack(x)))
 
     def from_laurent(self, coeffs: dict[int, FieldElement]) -> "FunctionFieldElement":
         """Element from a Laurent-monomial dict {power: coefficient}."""
@@ -1029,10 +1001,11 @@ class FunctionField:
 
 
 class FunctionFieldElement(Record):
+    """num/den in the canonical ring form of the field (FunctionField)."""
+
     _fields = ("field", "num", "den")
 
-    def __init__(self, field: FunctionField, num: tuple[FieldElement, ...],
-                 den: tuple[FieldElement, ...]) -> None:
+    def __init__(self, field: FunctionField, num, den) -> None:
         _setattr(self, "field", field)
         _setattr(self, "num", num)
         _setattr(self, "den", den)
@@ -1041,14 +1014,13 @@ class FunctionFieldElement(Record):
         return not self.num
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self.field.coefficients(self.num)) <= 1 and self.den == self.field._ring.one
 
     def constant_value(self) -> FieldElement:
         if not self.is_constant():
             raise PreconditionError("not a constant: residue needs the transcendental generator")
-        if not self.num:
-            return self.field.base.zero()
-        return self.num[0] / self.den[0]
+        cs = self.field.coefficients(self.num)
+        return cs[0] if cs else self.field.base.zero()  # over the monic den 1
 
     def _coerce(self, other) -> "FunctionFieldElement":
         if isinstance(other, FunctionFieldElement):
@@ -1058,10 +1030,8 @@ class FunctionFieldElement(Record):
         return self.field.element([other])
 
     def _combine(self, c, d, add: bool) -> "FunctionFieldElement":
-        """self + c/d if `add`, else self * c/d, for num/den polynomials c
-        and d over the base field; unwrapped and wrapped once."""
-        field, ring = self.field, self.field._ring
-        a, b, c, d = field._unwrap(self.num, self.den, c, d)
+        """self + c/d if `add`, else self * c/d, for ring forms c and d."""
+        field, ring, a, b = self.field, self.field._ring, self.num, self.den
         if add:
             return field._make(ring.add(ring.mul(a, d), ring.mul(c, b)), ring.mul(b, d))
         return field._make(ring.mul(a, c), ring.mul(b, d))
@@ -1073,7 +1043,7 @@ class FunctionFieldElement(Record):
     __radd__ = __add__
 
     def __neg__(self):
-        return FunctionFieldElement(self.field, tuple(-c for c in self.num), self.den)
+        return FunctionFieldElement(self.field, self.field._ring.neg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -1097,9 +1067,9 @@ class FunctionFieldElement(Record):
         return _power(self, n, one)
 
     def __repr__(self):
-        def side(cs):
+        def side(x):
             parts = []
-            for i, c in enumerate(cs):
+            for i, c in enumerate(self.field.coefficients(x)):
                 if c.is_zero():
                     continue
                 name = self.field.gen_name
@@ -1110,6 +1080,6 @@ class FunctionFieldElement(Record):
                     parts.append(f"{head}{name}" + (f"^{i}" if i > 1 else ""))
             return " + ".join(parts) if parts else "0"
 
-        if len(self.den) == 1 and self.den[0] == self.field.base.one():
+        if self.den == self.field._ring.one:
             return side(self.num)
         return f"({side(self.num)}) / ({side(self.den)})"

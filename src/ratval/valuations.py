@@ -7,22 +7,25 @@ for x - a in an ordered group extension of the value group, the value of
 a polynomial is the minimum of v(c_i) + i*gamma over its Taylor
 coefficients at the center, and values of quotients are differences.
 The minimum is taken on int keys D (v(c_i) + i*gamma).  Over Q (p-adic)
-and k(t) (t-adic) the c_i come from a fraction-free shift over Z or k[t]
-with no gcd in the loop, and the v(c_i) are read off it as ints.  Over
-F_2(t) every step runs on one int per polynomial in t, from the
-reading of the job's coefficients to the shift, whose packed ints keep
-a fixed digit width and are masked to the low bit of each digit, and
-ord_t h_i is the lowest set digit; over an odd F_p(t) the shift runs
-exactly over Z on one packed int per polynomial, and ord_t h_i is the
-first digit that p does not divide.  Over a trivially valued base the
-least i with c_i != 0 decides for gamma > 0, and the degree for gamma
-<= 0.
+and k(t) (t-adic) the base is fraction-free (_FractionFree): its
+elements are num/den over a ring, Z at p (_PAdicInts) or the k[t] of
+fields.FunctionField, in one protocol, and the c_i come from one
+fraction-free shift in that ring with no gcd in the loop, the v(c_i)
+read off it as ints by the ring's order.  Over F_2(t) every step runs on
+one int per polynomial in t, from the reading of the job's coefficients
+to the shift, whose packed ints keep a fixed digit width and are masked
+to the low bit of each digit, and ord_t h_i is the lowest set digit;
+over an odd F_p(t) the shift runs exactly over Z on one packed int per
+polynomial, and ord_t h_i is the first digit that p does not divide.
+Over a trivially valued base the least i with c_i != 0 decides for gamma
+> 0, and the degree for gamma <= 0.
 
 An independent substitution oracle expands g(a + w) by Horner's rule,
-w of value gamma (substitution_value): over a p-adic or t-adic base by
-Horner in the completion at a precision that doubles until the minimum
-is decided (over F_p(t) on packed ints truncated by a mask, which over
-F_2 also keeps each digit's low bit), over a finite trivially valued
+w of value gamma (substitution_value): over a fraction-free base by
+Horner in the completion, the ring's truncation, at a precision that
+doubles until the minimum is decided (over F_p(t) on packed ints
+truncated by a mask, which over F_2 also keeps each digit's low bit), with
+its own lcm of the denominators, over a finite trivially valued
 base by Horner in Z[X] by Kronecker substitution, reduced once, over
 the other bases on the base's own elements.
 
@@ -156,28 +159,122 @@ class ValuedField:
         raise PreconditionError(f"unknown base valued field kind {kind!r}")
 
 
-class PAdicRationals(ValuedField):
-    """Q with the p-adic valuation; elements are exact Fractions."""
+class _PAdicInts:
+    """Z at p in the protocol of the k[t] rings of fields.FunctionField:
+    order is v_p, and _cleared builds H_j = num_j cof_j d^(N-j) once for
+    both the Taylor shift and the oracle's Z/p^K."""
+
+    one = 1
+    mul = staticmethod(operator.mul)
+    quo = staticmethod(operator.floordiv)
+    gcd = staticmethod(math.gcd)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def order(self, n: int) -> int | None:
+        """v_p(n), None for 0."""
+        if not n:
+            return None
+        v, p = 0, self.p
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    @staticmethod
+    def _cleared(factors, d: int) -> list[int]:
+        H, power = [], 1
+        for num, cof in reversed(factors):
+            H.insert(0, num * cof * power)
+            power *= d
+        return H
+
+    def shift(self, factors, d: int, n: int) -> list[int]:
+        """The Taylor coefficients at n of sum_j H_j y^j, by synthetic division in place."""
+        h = self._cleared(factors, d)
+        for i in range(len(h) - 1):
+            for j in range(len(h) - 2, i - 1, -1):
+                h[j] += n * h[j + 1]
+        return h
+
+    def truncation(self, factors, d: int, n: int):
+        """(H, exact_k, order, truncated) of the oracle's Z/p^K for the H_j
+        and the center n/d: truncated(k) gives the H_j mod p^k and the step
+        x*n + y mod p^k, and at K >= exact_k, p^K > sum_j |H_j| (1 + |n|)^j,
+        which bounds every |h_i|."""
+        H, bound = self._cleared(factors, d), 0
+        for h in reversed(H):
+            bound = bound * (1 + abs(n)) + abs(h)
+
+        def truncated(k: int):
+            q = self.p ** k
+            return [h % q for h in H], lambda x, y: (x * n + y) % q
+        return H, bound.bit_length(), self.order, truncated
+
+
+class _FractionFree(ValuedField):
+    """A base whose elements are num/den over a ring, Z at p or k[t]: the
+    base supplies _ring, _pairs (the (num, den) ring forms of elements) and
+    _make (an element from them), and the Taylor coefficients and their
+    values come from one fraction-free shift in the ring."""
+
+    def _fraction_free_shift(self, cs: list, center):
+        """(h, L, d), ring forms: with L the lcm of the coefficient
+        denominators, center n/d and N the degree, H(y) = L d^N g(y/d) has
+        coefficients H_j = L c_j d^(N-j) in the ring, and h holds its
+        Taylor coefficients h_i at n, by synthetic division with no gcd in
+        the loop (the ring's shift); c_i = h_i / (L d^(N-i)).  Each
+        distinct denominator is divided into L once."""
+        ring, ((n, d),), pairs = self._ring, self._pairs([center]), self._pairs(cs)
+        cofactor, lcm = dict.fromkeys(den for _, den in pairs), ring.one
+        for den in cofactor:
+            lcm = ring.mul(lcm, ring.quo(den, ring.gcd(lcm, den)))
+        for den in cofactor:
+            cofactor[den] = ring.quo(lcm, den)
+        return ring.shift([(num, cofactor[den]) for num, den in pairs], d, n), lcm, d
+
+    def taylor_coefficients(self, cs: list, center) -> list:
+        """c_i = h_i / (L d^(N-i)) off the fraction-free shift, each made
+        once by _make."""
+        h, den, d = self._fraction_free_shift(cs, center)
+        out = []
+        for hi in reversed(h):
+            out.append(self._make(hi, den))
+            den = self._ring.mul(den, d)
+        return out[::-1]
+
+    def taylor_values(self, cs: list, center) -> list:
+        """v(c_i) = v(h_i) - v(L) - (N - i) v(d) as ints, v the ring's
+        order, read off the fraction-free shift with no division back."""
+        order = self._ring.order
+        h, lcm, d = self._fraction_free_shift(cs, center)
+        v_lcm, v_den, top = order(lcm), order(d), len(h) - 1
+        return [None if (v := order(hi)) is None else v - v_lcm - (top - i) * v_den
+                for i, hi in enumerate(h)]
+
+
+class PAdicRationals(_FractionFree):
+    """Q with the p-adic valuation; elements are exact Fractions over Z at p."""
+
+    _make = staticmethod(Fraction)
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         self.p = p
         self.residue_field = FiniteField(p)
+        self._ring = _PAdicInts(p)
 
     @staticmethod
-    def _intval(n: int, p: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
+    def _pairs(elements) -> list[tuple[int, int]]:
+        return [(a.numerator, a.denominator) for a in elements]
 
     def val(self, a) -> Fraction:
         a = Fraction(a)
         if a == 0:
             raise PreconditionError("the zero element has no value")
-        return Fraction(self._intval(a.numerator, self.p) - self._intval(a.denominator, self.p))
+        return Fraction(self._ring.order(a.numerator) - self._ring.order(a.denominator))
 
     def residue(self, a) -> FieldElement:
         a = Fraction(a)
@@ -198,32 +295,6 @@ class PAdicRationals(ValuedField):
 
     def value_generators(self):
         return [1]
-
-    def _fraction_free_shift(self, cs: list, center: Fraction):
-        """(h, L, d): with L the lcm of the coefficient denominators, center
-        n/d and N the degree, H(y) = L d^N g(y/d) has integer coefficients,
-        and h holds its Taylor coefficients h_i at n, by synthetic division
-        over Z; c_i = h_i d^i / (L d^N) = h_i / (L d^(N-i))."""
-        n, d, top = center.numerator, center.denominator, len(cs) - 1
-        lcm = math.lcm(*(c.denominator for c in cs))
-        h = [c.numerator * (lcm // c.denominator) * d ** (top - j) for j, c in enumerate(cs)]
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                h[j] += n * h[j + 1]
-        return h, lcm, d
-
-    def taylor_coefficients(self, cs: list, center) -> list:
-        """Fraction-free shift over Z: c_i = h_i / (L d^(N-i))."""
-        h, lcm, d = self._fraction_free_shift(cs, center)
-        return [Fraction(hi, lcm * d ** (len(h) - 1 - i)) for i, hi in enumerate(h)]
-
-    def taylor_values(self, cs: list, center) -> list:
-        """v_p(c_i) = v_p(h_i) - v_p(L) - (N - i) v_p(d) as ints, read off
-        the fraction-free shift with no Fraction built."""
-        h, lcm, d = self._fraction_free_shift(cs, center)
-        v_lcm, v_den, top = self._intval(lcm, self.p), self._intval(d, self.p), len(h) - 1
-        return [self._intval(hi, self.p) - v_lcm - (top - i) * v_den if hi else None
-                for i, hi in enumerate(h)]
 
     def zero(self):
         return Fraction(0)
@@ -251,28 +322,35 @@ def RatFunc(field: Field, num, den=None) -> FunctionFieldElement:
     return FunctionField(field, "t").element(num, den)
 
 
-class TAdicRationalFunctions(ValuedField):
+class TAdicRationalFunctions(_FractionFree):
     """k(t) with the t-adic valuation, k an exact coefficient field.
 
-    Elements are the reduced FunctionField(k, "t") elements, so the value
-    and the residue are read off the trailing terms of num and den.
+    Elements are the reduced FunctionField(k, "t") elements, num/den in
+    the form of the field's k[t] ring, so the value is read off their
+    orders and the residue off their trailing coefficients.
     """
 
     def __init__(self, coefficients: Field):
         self.coefficients = coefficients
         self.residue_field = coefficients
         self.field = FunctionField(coefficients, "t")
+        self._ring, self._make = self.field._ring, self.field._make
+
+    @staticmethod
+    def _pairs(elements) -> list:
+        return [(a.num, a.den) for a in elements]
 
     def val(self, a: FunctionFieldElement) -> Fraction:
         if a.is_zero():
             raise PreconditionError("the zero element has no value")
-        return Fraction(_tadic_order(a.num) - _tadic_order(a.den))
+        return Fraction(self._ring.order(a.num) - self._ring.order(a.den))
 
     def residue(self, a: FunctionFieldElement):
-        i, j = _tadic_order(a.num), _tadic_order(a.den)
+        num, den = self.field.coefficients(a.num), self.field.coefficients(a.den)
+        i, j = _tadic_order(num), _tadic_order(den)
         if i != j:
             raise PreconditionError("residue is defined for elements of value zero")
-        return a.num[i] / a.den[j]
+        return num[i] / den[j]
 
     def residue_quot(self, a: FunctionFieldElement, b: FunctionFieldElement):
         return self.residue(a / b)
@@ -285,37 +363,6 @@ class TAdicRationalFunctions(ValuedField):
 
     def value_generators(self):
         return [1]
-
-    def _fraction_free_shift(self, cs: list, center: FunctionFieldElement):
-        """(h, L, d), L and d ring forms of the field: with L the lcm of
-        the coefficient denominators, center n/d and N the degree, H(y) =
-        L d^N g(y/d) has coefficients H_j = L c_j d^(N-j) in k[t], and h
-        holds its Taylor coefficients h_i at n, by synthetic division with
-        no gcd in the loop (the ring's shift); c_i = h_i / (L d^(N-i))."""
-        f = self.field
-        (n, d), (lcm, factors) = f._unwrap(center.num, center.den), f._cleared(cs)
-        return f._ring.shift(factors, d, n), lcm, d
-
-    def taylor_coefficients(self, cs: list, center: FunctionFieldElement) -> list:
-        """Fraction-free shift over k[t], the analogue of the p-adic one
-        over Z: c_i = h_i / (L d^(N-i)), each reduced once by
-        FunctionField._make."""
-        f = self.field
-        h, den, d = self._fraction_free_shift(cs, center)
-        out = []
-        for hi in reversed(h):
-            out.append(f._make(hi, den))
-            den = f._ring.mul(den, d)
-        return out[::-1]
-
-    def taylor_values(self, cs: list, center: FunctionFieldElement) -> list:
-        """v(c_i) = ord_t h_i - ord_t L - (N - i) ord_t d, read off the
-        fraction-free shift with no division back."""
-        order = self.field._ring.order
-        h, lcm, d = self._fraction_free_shift(cs, center)
-        v_lcm, v_den, top = order(lcm), order(d), len(h) - 1
-        return [None if (v := order(hi)) is None else v - v_lcm - (top - i) * v_den
-                for i, hi in enumerate(h)]
 
     def zero(self):
         return self.field.element([])
@@ -484,10 +531,9 @@ def taylor_shift(coeffs: list, center, zero) -> list:
     synthetic division of g by (x - a).
 
     This is the generic shift of ValuedField.taylor_coefficients, which
-    CenteredValuation evaluates through; PAdicRationals overrides it with
-    a fraction-free shift over Z, TAdicRationalFunctions with the same
-    shift over k[t] in the polynomial ring of its FunctionField, and
-    TriviallyValued with the lazy passes of _shift_passes (on F_p
+    CenteredValuation evaluates through; the fraction-free bases over Q
+    and k(t) override it with one shift in their ring, Z at p or k[t],
+    and TriviallyValued with the lazy passes of _shift_passes (on F_p
     vectors over a finite field), each giving the same coefficients.  So
     it runs only over a series base.
     """
@@ -497,39 +543,15 @@ def taylor_shift(coeffs: list, center, zero) -> list:
     return list(_shift_passes(cs, lambda x, y: x * center + y)) or [zero]
 
 
-class _PAdicTruncation:
-    """Z/p^K on ints: H(y) = L d^N g(y/d), for L the lcm of the coefficient
-    denominators and the center n/d, has int coefficients H_j, and the
-    coefficient h_i of w^i in H(n + w) is L d^(N-i) c_i, c_i that of
-    g(a + w).  At K >= exact_k, p^K > sum_j |H_j| (1 + |n|)^j >= |h_i|."""
+class _Truncation:
+    """Z/p^K or k[t]/t^K, the truncation of a fraction-free base's ring:
+    H(y) = L d^N g(y/d), for L the lcm of the coefficient denominators and
+    the center n/d, has coefficients H_j in the ring, and the coefficient
+    h_i of w^i in H(n + w) is L d^(N-i) c_i, c_i that of g(a + w); at K >=
+    exact_k every h_i is exact.  The oracle clears by its own lcm loop."""
 
-    def __init__(self, base: PAdicRationals, cs: list, center: Fraction):
-        self.p, self.n, d = base.p, center.numerator, center.denominator
-        self.order = lambda r: PAdicRationals._intval(r, base.p) if r else None
-        lcm, self.H, power, bound = math.lcm(*(c.denominator for c in cs)), [], 1, 0
-        for c in reversed(cs):
-            self.H.insert(0, c.numerator * (lcm // c.denominator) * power)
-            power, bound = power * d, bound * (1 + abs(self.n)) + abs(self.H[0])
-        self.v_lcm, self.v_den, self.exact_k = self.order(lcm), self.order(d), bound.bit_length()
-
-    def truncated(self, k: int):
-        q, n = self.p ** k, self.n
-        return [h % q for h in self.H], lambda x, y: (x * n + y) % q
-
-
-class _TAdicTruncation:
-    """k[t]/t^K with L, H and h_i as in _PAdicTruncation over k[t], in the
-    ring of the FunctionField (its truncation): over F_2 on ints packed at
-    a fixed w-bit width, each multiply-add masked to the low bit of each
-    of K digits; over odd p on the b-bit ints of fields._ppack_cleared,
-    where truncation is a mask that only drops terms, so no digit passes
-    b, and a residue is read mod p; over Q and F_{p^n} on lists.  At K >=
-    exact_k = max_j (deg H_j + j deg n) + 1, K exceeds every deg h_i."""
-
-    def __init__(self, base: TAdicRationalFunctions, cs: list, center: FunctionFieldElement):
-        f = base.field
-        ring = f._ring
-        (n, d), pairs = f._unwrap(center.num, center.den), [f._unwrap(c.num, c.den) for c in cs]
+    def __init__(self, base: _FractionFree, cs: list, center):
+        ring, ((n, d),), pairs = base._ring, base._pairs([center]), base._pairs(cs)
         lcm = ring.one
         for _, den in pairs:
             lcm = ring.mul(lcm, ring.quo(den, ring.gcd(lcm, den)))
@@ -627,17 +649,14 @@ def substitution_value(valn: "CenteredValuation", num: list, den: list | None = 
     precision or on packed ints, against the repeated synthetic division
     of taylor_shift and of the taylor_coefficients overrides.
     """
-    truncation = {PAdicRationals: _PAdicTruncation,
-                  TAdicRationalFunctions: _TAdicTruncation}.get(type(valn.base))
-
     def poly_value(coeffs: list) -> GroupElement:
         cs = [valn.base.element(c) for c in coeffs]
         while cs and _is_zero(cs[-1]):
             cs.pop()
         if not cs:
             raise PreconditionError("the zero polynomial has no value")
-        if truncation is not None:
-            return _completion_value(valn, truncation(valn.base, cs, valn.center))
+        if isinstance(valn.base, _FractionFree):
+            return _completion_value(valn, _Truncation(valn.base, cs, valn.center))
         if isinstance(valn.base, TriviallyValued) and isinstance(valn.base.field, FiniteField):
             return _kronecker_value(valn, cs)
         h = _horner(cs, lambda x, y: x * valn.center + y)

@@ -2,14 +2,16 @@
 of the input only at a stated rate.  No clock is read."""
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from ratval import cli, fields, groups, valuations
+from ratval import certificates, cli, fields, groups, valuations
 from ratval.certificates import build_defect_tower, build_degree_bound, validate_certificate
 from ratval.fields import FiniteField
 from ratval.groups import GroupElement, Subgroup, compare
@@ -63,6 +65,34 @@ def test_degree_bound_hermite_rows_grow_linearly(monkeypatch):
     2.5 lies between the two."""
     small, large = (_hermite_rows_passed(monkeypatch, lambda: build_degree_bound(2, _odd_primes(n)))
                     for n in (12, 24))
+    assert large / small <= 2.5, (small, large)
+
+
+def _certificate_lcm_arguments(monkeypatch, run) -> int:
+    """The number of arguments that `run()` passes to math.lcm from the
+    certificates module."""
+    passed = []
+
+    def counting(*args):
+        passed.append(len(args))
+        return math.lcm(*args)
+
+    monkeypatch.setattr(certificates, "math", SimpleNamespace(**{**vars(math), "lcm": counting}))
+    run()
+    monkeypatch.undo()
+    return sum(passed)
+
+
+def test_degree_bound_lcm_arguments_grow_linearly(monkeypatch):
+    """build_degree_bound over the first n odd primes, with its self-check,
+    needs lcm(n_1..n_i) at every i, in the builder's loop and in the
+    precondition check that builder and validator share.  A running lcm
+    passes a fixed number of arguments per index (5), so the count doubles
+    from n = 48 to n = 96 (240 to 480).  The lcm of every prefix recomputed from the list
+    passes about n^2 / 2 per loop, a ratio of 3.98 (4,656 to 18,528).  The
+    bound 2.5 lies between the two."""
+    small, large = (_certificate_lcm_arguments(monkeypatch, lambda: build_degree_bound(2, _odd_primes(n)))
+                    for n in (48, 96))
     assert large / small <= 2.5, (small, large)
 
 

@@ -272,6 +272,52 @@ class TestFunctionField:
             k.gen().constant_value()
 
 
+# field: repr of t/(1+t), 1 + t^2, -(1 + t), (-1 - 3t)/(-1) and t/(-1), and
+# the constant -1 as constant_value; over F_2, -1 = 1 and -3 = 1
+_EDGE_STRINGS = {
+    "F2": ("(t) / (1 + t)", "1 + t^2", "1 + t", "1 + t", "t", "1"),
+    "F3": ("(t) / (1 + t)", "1 + t^2", "2 + (2)*t", "1", "(2)*t", "2"),
+    "F9": ("(t) / (1 + t)", "1 + t^2", "2 + (2)*t", "1", "(2)*t", "2"),
+    "Q": ("(t) / (1 + t)", "1 + t^2", "-1 + (-1)*t", "1 + (3)*t", "(-1)*t", "-1"),
+}
+
+
+@pytest.mark.parametrize("field", [F2, F3, F9, RATIONALS], ids=["F2", "F3", "F9", "Q"])
+class TestFunctionFieldEdges:
+    """The printed form (a denominator 1 prints no quotient), negation,
+    is_constant and constant_value over each coefficient ring form of
+    k(t): ints over F_2, ints mod p over F_3, FieldElements over F_9 and Q."""
+
+    def test_repr(self, field, request):
+        k = FunctionField(field, "t")
+        t, one, minus = k.gen(), k.element([field.one()]), field.element(-1)
+        expected = _EDGE_STRINGS[request.node.callspec.id]
+        got = (t / (one + t), one + t * t, -(one + t),
+               k.element([minus, field.element(-3)], [minus]), t / k.element([minus]))
+        assert tuple(map(repr, got)) == expected[:5]
+        assert repr(k.element([])) == "0" and repr(one) == "1"
+        assert repr(k.element([minus]) / (one + t)) == f"({expected[5]}) / (1 + t)"
+
+    def test_negation(self, field):
+        k = FunctionField(field, "t")
+        x = k.element([field.one(), field.one()], [field.zero(), field.one(), field.one()])
+        assert -x + x == k.element([]) and -(-x) == x
+        assert -x == k.element([field.element(-1)]) * x
+        assert -k.element([]) == k.element([])
+
+    def test_constants(self, field, request):
+        k = FunctionField(field, "t")
+        t, minus = k.gen(), k.element([field.element(-1)])
+        assert [x.is_constant() for x in (t, t / (t + 1), minus, k.element([]), t / t)] == \
+            [False, False, True, True, True]
+        assert repr(minus.constant_value()) == _EDGE_STRINGS[request.node.callspec.id][5]
+        assert minus.constant_value() == field.element(-1)
+        assert k.element([]).constant_value() == field.zero()
+        assert (t / t).constant_value() == field.one()
+        with pytest.raises(PreconditionError):
+            (t / (t + 1)).constant_value()
+
+
 class TestMinPolyDegree:
     def test_degrees_in_f16(self):
         f16 = FiniteField(2, (1, 1, 0, 0, 1))
@@ -396,22 +442,27 @@ class TestPrimeFieldKernel:
             den = _strip([field.sample(rng) for _ in range(rng.randint(1, 4))]) or [one]
             return k.element([field.sample(rng) for _ in range(rng.randint(0, 4))], den)
 
+        def parts(r):  # num and den as coefficient tuples over the field
+            return k.coefficients(r.num), k.coefficients(r.den)
+
         for _ in range(200):
             x, y = sample(), sample()
-            expected = [(x + y, _schoolbook_add(_schoolbook_mul(x.num, y.den, zero),
-                                                _schoolbook_mul(y.num, x.den, zero), zero),
-                         _schoolbook_mul(x.den, y.den, zero)),
-                        (x * y, _schoolbook_mul(x.num, y.num, zero),
-                         _schoolbook_mul(x.den, y.den, zero))]
+            (xn, xd), (yn, yd) = parts(x), parts(y)
+            expected = [(x + y, _schoolbook_add(_schoolbook_mul(xn, yd, zero),
+                                                _schoolbook_mul(yn, xd, zero), zero),
+                         _schoolbook_mul(xd, yd, zero)),
+                        (x * y, _schoolbook_mul(xn, yn, zero),
+                         _schoolbook_mul(xd, yd, zero))]
             if not y.is_zero():
-                expected.append((x / y, _schoolbook_mul(x.num, y.den, zero),
-                                 _schoolbook_mul(x.den, y.num, zero)))
+                expected.append((x / y, _schoolbook_mul(xn, yd, zero),
+                                 _schoolbook_mul(xd, yn, zero)))
             for r, num, den in expected:
-                assert all(c.field == field for c in r.num + r.den)
-                assert r.den[-1] == one
-                assert _schoolbook_gcd(r.num, r.den, zero) == (one,)
-                assert (_schoolbook_mul(r.num, den, zero)
-                        == _schoolbook_mul(num, r.den, zero))
+                rn, rd = parts(r)
+                assert all(c.field == field for c in rn + rd)
+                assert rd[-1] == one
+                assert _schoolbook_gcd(rn, rd, zero) == (one,)
+                assert (_schoolbook_mul(rn, den, zero)
+                        == _schoolbook_mul(num, rd, zero))
 
     def test_descriptor_mismatch(self):
         F7 = FiniteField(7)
