@@ -147,9 +147,11 @@ def build_defect_tower(p: int, schedule: list[int], depth: int,
     v(eta_i) = -1/p^i, each root fresh, and its chain v(eta_i^p -
     eta_(i-1)) = v(eta_i) is checked by square-and-multiply, memoised on
     the exact operands (_power_gap_value).  eta_levels past the cap on
-    the term pairs of those products (_eta_chain_pairs) is refused before
-    any series is built.
+    the term pairs of those products (_eta_chain_pairs), or below 0, is
+    refused before any series is built.
     """
+    if eta_levels < 0:
+        raise PreconditionError(f"eta_levels {eta_levels} must be an int >= 0")
     n = len(schedule)
     mults = [-1] * n if multipliers is None else [int(m) for m in multipliers]
     violation = _defect_tower_violation(p, schedule, mults, depth)
@@ -773,7 +775,7 @@ def _validate_fund_ineq(payload: dict) -> str | None:
     if (violation := _prime_violation(p)):
         return violation
     group = Subgroup.generated_by(*list_of(GroupElement.from_json, base["value_group"],
-                                           ("base", "value_group")))
+                                           ("base", "value_group")), ambient_rank=1)
     residue_degree = e = f = n = 1
     for i, s in enumerate(list_of(None, payload["steps"], ("steps",)), start=1):
         at = ("steps", i - 1)

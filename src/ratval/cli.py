@@ -113,11 +113,9 @@ def _task_extract(job: dict, depth: int | None) -> dict:
     base = ValuedField.from_json(job["base"], ("base",))
     series = HahnSeries.from_json(job["series"], field=getattr(base, "coefficients", None),
                                   path=("series",))
-    gens = base.value_generators()
-    group = Subgroup.generated_by(*gens) if gens else Subgroup(1, ())
-    char = base.residue_field.characteristic
-    state = TowerState(group, 1, char)
-    seq = extract_homogeneous_sequence(series, state, max_steps=depth)
+    group = Subgroup.generated_by(*base.value_generators(), ambient_rank=1)
+    state = TowerState(group, 1, base.residue_field.characteristic)
+    seq = extract_homogeneous_sequence(series, state, max_steps=_job_depth(job, depth, required=False))
     report = implicit_constant_report(seq, series)
     report["task"] = "extract"
     return report

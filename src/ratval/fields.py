@@ -314,10 +314,7 @@ def _f2_pack_cleared(factors, d: int, n: int) -> tuple[int, list[int], int, int]
     Taylor coefficient of H at n.  Every packed value keeps 0/1 digits, so
     a digit of x n + y is at most L + 1 for L = len n, which w = bitlen(L)
     + 1 holds, and & _f2_mask(w, K) reads it mod 2 and drops no term."""
-    H, power = [], 1
-    for num, cof in reversed(factors):
-        H.insert(0, _f2_mul(_f2_mul(num, cof), power))
-        power = _f2_mul(power, d)
+    H = _cleared(_F2Polys, factors, d)
     w, top = n.bit_length().bit_length() + 1, max(n.bit_length() - 1, 0)
     k = max(h.bit_length() + j * top for j, h in enumerate(H))
     return w, [_f2_spread(h, w) for h in H], _f2_spread(n, w), k
@@ -745,16 +742,10 @@ def min_poly(a: FieldElement, base: Field | None = None) -> tuple[int, ...]:
         raise PreconditionError("min_poly is defined over finite fields")
     if base is not None and base.characteristic != field.characteristic:
         raise PreconditionError("base field has the wrong characteristic")
-    p = field.characteristic
-    orbit = [a]
-    nxt = a ** p
-    while nxt != a:
-        orbit.append(nxt)
-        nxt = nxt ** p
     # expand prod (X - c) with coefficients in the ambient field
     zero, one = field.zero(), field.one()
     coeffs = (one,)
-    for c in orbit:
+    for c in _frobenius_orbit(a):
         coeffs = _pmul(coeffs, (-c, one), EXACT, zero)
     out = []
     for k in coeffs:
@@ -763,7 +754,7 @@ def min_poly(a: FieldElement, base: Field | None = None) -> tuple[int, ...]:
             raise InternalError("minimal polynomial not over the prime field")
         out.append(vec[0])
     poly = tuple(out)
-    if len(poly) - 1 and not is_irreducible(poly, p):
+    if len(poly) - 1 and not is_irreducible(poly, field.characteristic):
         raise InternalError("minimal polynomial reducible")
     if field.degree % (len(poly) - 1) != 0:
         raise InternalError("orbit size does not divide the field degree")
@@ -772,15 +763,15 @@ def min_poly(a: FieldElement, base: Field | None = None) -> tuple[int, ...]:
 
 def min_poly_degree(a: FieldElement) -> int:
     """Degree of `a` over the prime field (Frobenius orbit size)."""
-    if a.field.characteristic == 0:
-        return 1
-    p = a.field.characteristic
-    d = 1
-    nxt = a ** p
-    while nxt != a:
-        d += 1
-        nxt = nxt ** p
-    return d
+    return len(_frobenius_orbit(a)) if a.field.characteristic else 1
+
+
+def _frobenius_orbit(a: FieldElement) -> list[FieldElement]:
+    """a, a^p, a^(p^2), ... up to the first return to a: its conjugates over F_p."""
+    p, orbit = a.field.characteristic, [a]
+    while (nxt := orbit[-1] ** p) != a:
+        orbit.append(nxt)
+    return orbit
 
 
 def build_extension(base: Field, poly) -> tuple[FiniteField, "object"]:
@@ -814,12 +805,24 @@ def _tadic_order(cs) -> int | None:
     return next((i for i, c in enumerate(cs) if c), None)
 
 
+def _cleared(ring, factors, d) -> list:
+    """H_j = num_j cof_j d^(N-j) for the pairs (num_j, cof_j) and a center
+    n/d, on the ring's one and mul: the one H builder of the Taylor shift
+    and the oracle's truncation over k[t] lists, F_2[t] ints and Z at p
+    (valuations._PAdicInts).  _ppack_cleared packs before it multiplies."""
+    H, power = [], ring.one
+    for num, cof in reversed(factors):
+        H.insert(0, ring.mul(ring.mul(num, cof), power))
+        power = ring.mul(power, d)
+    return H
+
+
 class _ListPolys:
     """k[t] on coefficient tuples, low first, through the dense list
     kernels at the coefficient field's (p, zero, one): over Q and F_{p^n}
     the field's elements with the EXACT modulus, over an odd F_p ints mod
-    p (_FpPolys).  _cleared builds the H_j, and the Taylor shift and the
-    oracle's k[t]/t^K run on the lists."""
+    p (_FpPolys).  The Taylor shift and the oracle's k[t]/t^K run on the
+    lists of _cleared's H_j."""
 
     def __init__(self, p, zero, one):
         self.p, self.zero, self.one = p, zero, (one,)
@@ -851,24 +854,16 @@ class _ListPolys:
 
     order = staticmethod(_tadic_order)
 
-    def _cleared(self, factors, d) -> list:
-        """H_j = num_j cof_j d^(N-j) for the pairs (num_j, cof_j)."""
-        H, power = [], self.one
-        for num, cof in reversed(factors):
-            H.insert(0, self.mul(self.mul(num, cof), power))
-            power = self.mul(power, d)
-        return H
-
     def shift(self, factors, d, n) -> list:
         """The Taylor coefficients at n of sum_j H_j y^j, by synthetic division."""
-        return list(_shift_passes(self._cleared(factors, d), lambda x, y: self.add(self.mul(n, x), y)))
+        return list(_shift_passes(_cleared(self, factors, d), lambda x, y: self.add(self.mul(n, x), y)))
 
     def truncation(self, factors, d, n):
         """(H, exact_k, order, truncated) of the oracle's k[t]/t^K for
         the H_j and the center n/d: truncated(k) gives the H_j mod t^k and
         the step x*n + y mod t^k, order(x) is ord_t x, and K >= exact_k =
         max_j (deg H_j + j deg n) + 1 exceeds every deg h_i."""
-        H, zero = self._cleared(factors, d), self.zero
+        H, zero = _cleared(self, factors, d), self.zero
 
         def truncated(k: int):
             m = n[:k]

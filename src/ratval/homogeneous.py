@@ -20,7 +20,7 @@ from .errors import InternalError, PreconditionError
 from .fields import FieldElement, FiniteField, min_poly_degree
 from .groups import GroupElement, Subgroup, _from_key
 from .record import Record
-from .series import HahnSeries
+from .series import HahnSeries, _field_root
 
 __all__ = [
     "TowerState",
@@ -116,12 +116,7 @@ def kummer_conjugate_differences(c: HahnSeries, e: int,
     gamma, coeff = c.value(), c.leading_coeff()
     # root coefficient in the splitting field (c's coefficient must embed)
     target = splitting_field.element(list(coeff.value)) if coeff.field != splitting_field else coeff
-    root_coeff = None
-    for cand in splitting_field.elements():
-        if (cand ** e) == target:
-            root_coeff = cand
-            break
-    if root_coeff is None:
+    if (root_coeff := _field_root(target, e)) is None:
         raise PreconditionError("coefficient has no e-th root in the splitting field")
     root_expo = _from_key(gamma.key, gamma.den * e)
     values = []
@@ -269,7 +264,11 @@ def extract_homogeneous_sequence(z: HahnSeries, state: TowerState,
     structure generated so far.  The structure only grows, so a term
     captured once stays captured: the series is scanned once, resuming
     after each increment's term, with one homogeneity test per term.
+    At most max_steps increments are taken (the job's depth); a negative
+    max_steps is refused.
     """
+    if max_steps is not None and max_steps < 0:
+        raise PreconditionError(f"depth {max_steps} must be an int >= 0")
     base_state = state
     p = state.residue_char
     for idx, (gamma, _coeff) in enumerate(z.terms):

@@ -420,6 +420,13 @@ def _iroot(n: int, e: int) -> int | None:
         x = y
 
 
+def _field_root(coeff: FieldElement, e: int) -> FieldElement | None:
+    """The first e-th root of coeff among the elements of its finite
+    field, or None: the one root search of kummer_root and of the
+    brute-force oracle homogeneous.kummer_conjugate_differences."""
+    return next((c for c in coeff.field.elements() if c ** e == coeff), None)
+
+
 def kummer_root(gamma: GroupElement, coeff: FieldElement, e: int,
                 trunc: GroupElement | None = None) -> HahnSeries:
     """The monomial (gamma/e, coeff^(1/e)) whose e-th power is
@@ -432,7 +439,6 @@ def kummer_root(gamma: GroupElement, coeff: FieldElement, e: int,
     if e < 1:
         raise PreconditionError("root index must be >= 1")
     field = coeff.field
-    root = None
     if field.characteristic == 0:
         q = coeff.value
         if q == 0:
@@ -446,14 +452,7 @@ def kummer_root(gamma: GroupElement, coeff: FieldElement, e: int,
         if rn is None or rd is None:
             raise PreconditionError(f"no rational {e}-th root of {coeff.value}")
         root = field.element(Fraction(sign * rn, rd))
-    else:
-        for cand in field.elements():
-            if (cand ** e) == coeff:
-                root = cand
-                break
-        if root is None:
-            raise PreconditionError(
-                f"no {e}-th root of {coeff!r} in {field!r}"
-            )
+    elif (root := _field_root(coeff, e)) is None:
+        raise PreconditionError(f"no {e}-th root of {coeff!r} in {field!r}")
     return HahnSeries.monomial(field, _from_key(gamma.key, gamma.den * e), root,
                                trunc=trunc, rank=gamma.rank)

@@ -18,7 +18,9 @@ to the low bit of each digit, and ord_t h_i is the lowest set digit;
 over an odd F_p(t) the shift runs exactly over Z on one packed int per
 polynomial, and ord_t h_i is the first digit that p does not divide.
 Over a trivially valued base the least i with c_i != 0 decides for gamma
-> 0, and the degree for gamma <= 0.
+> 0, and the degree for gamma <= 0.  Over a series base a c_i with no
+known term below its truncation bound T has a value >= T only, and a
+value that the known terms do not decide raises UndecidedError.
 
 An independent substitution oracle expands g(a + w) by Horner's rule,
 w of value gamma (substitution_value): over a fraction-free base by
@@ -41,14 +43,14 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import InternalError, PreconditionError
+from .errors import InternalError, PreconditionError, UndecidedError
 from .fields import (
     Field,
     FieldElement,
     FiniteField,
     FunctionField,
     FunctionFieldElement,
-    _pdigits, _ppack, _prem, _pstrip, _shift_passes, _tadic_order,
+    _cleared, _pdigits, _ppack, _prem, _pstrip, _shift_passes, _tadic_order,
     is_prime,
 )
 from .groups import GroupElement, Subgroup, _from_key
@@ -83,11 +85,21 @@ _START_PRECISION = 8  # the first K of the substitution oracle's Z/p^K and k[t]/
 
 
 def _is_zero(a) -> bool:
+    """a == 0 exactly: a truncated series with no known term is not zero
+    (_unknown)."""
     if isinstance(a, Fraction):
         return a == 0
-    if isinstance(a, (FieldElement, HahnSeries, FunctionFieldElement)):
+    if isinstance(a, HahnSeries):
+        return a.is_zero() and a.top is None
+    if isinstance(a, (FieldElement, FunctionFieldElement)):
         return a.is_zero()
     raise TypeError(f"unsupported element type {type(a).__name__}")
+
+
+def _unknown(a) -> bool:
+    """a is a series with no known term below its finite bound T: its value
+    is only known to be >= T."""
+    return isinstance(a, HahnSeries) and a.is_zero() and a.top is not None
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +120,7 @@ class ValuedField:
 
     def residue_quot(self, a, b):
         """Residue of a/b for elements with val(a) == val(b)."""
-        raise NotImplementedError
+        return self.residue(self.element(a) / self.element(b))
 
     def element_of_value(self, v: Fraction):
         """A canonical element with the given value in the value group."""
@@ -118,10 +130,6 @@ class ValuedField:
         """Taylor coefficients at the center of the nonzero polynomial
         with stripped coefficient list cs."""
         return taylor_shift(cs, center, self.zero())
-
-    def taylor_values(self, cs: list, center) -> list:
-        """v(c_i) for the c_i of taylor_coefficients, None where c_i = 0."""
-        return [None if _is_zero(c) else self.val(c) for c in self.taylor_coefficients(cs, center)]
 
     def value_generators(self) -> list[int | Fraction]:
         """Generators of the value group vK inside Q, each an int or a Fraction."""
@@ -161,8 +169,8 @@ class ValuedField:
 
 class _PAdicInts:
     """Z at p in the protocol of the k[t] rings of fields.FunctionField:
-    order is v_p, and _cleared builds H_j = num_j cof_j d^(N-j) once for
-    both the Taylor shift and the oracle's Z/p^K."""
+    order is v_p, and fields._cleared builds H_j = num_j cof_j d^(N-j)
+    for both the Taylor shift and the oracle's Z/p^K."""
 
     one = 1
     mul = staticmethod(operator.mul)
@@ -182,17 +190,9 @@ class _PAdicInts:
             v += 1
         return v
 
-    @staticmethod
-    def _cleared(factors, d: int) -> list[int]:
-        H, power = [], 1
-        for num, cof in reversed(factors):
-            H.insert(0, num * cof * power)
-            power *= d
-        return H
-
     def shift(self, factors, d: int, n: int) -> list[int]:
         """The Taylor coefficients at n of sum_j H_j y^j, by synthetic division in place."""
-        h = self._cleared(factors, d)
+        h = _cleared(self, factors, d)
         for i in range(len(h) - 1):
             for j in range(len(h) - 2, i - 1, -1):
                 h[j] += n * h[j + 1]
@@ -203,7 +203,7 @@ class _PAdicInts:
         and the center n/d: truncated(k) gives the H_j mod p^k and the step
         x*n + y mod p^k, and at K >= exact_k, p^K > sum_j |H_j| (1 + |n|)^j,
         which bounds every |h_i|."""
-        H, bound = self._cleared(factors, d), 0
+        H, bound = _cleared(self, factors, d), 0
         for h in reversed(H):
             bound = bound * (1 + abs(n)) + abs(h)
 
@@ -214,10 +214,28 @@ class _PAdicInts:
 
 
 class _FractionFree(ValuedField):
-    """A base whose elements are num/den over a ring, Z at p or k[t]: the
-    base supplies _ring, _pairs (the (num, den) ring forms of elements) and
-    _make (an element from them), and the Taylor coefficients and their
-    values come from one fraction-free shift in the ring."""
+    """A base whose elements are num/den over a ring, Z at p or k[t], with
+    value group Z: the base supplies _ring, _pairs (the (num, den) ring
+    forms of elements), _make (an element from them) and _uniformizer (p
+    or t, as data that element reads).  The value of an element is read
+    off its pair by the ring's order, the element of value n is the
+    uniformizer to the n, and the Taylor coefficients and their values
+    come from one fraction-free shift in the ring."""
+
+    def val(self, a) -> Fraction:
+        ((num, den),), order = self._pairs([a]), self._ring.order
+        if (v := order(num)) is None:
+            raise PreconditionError("the zero element has no value")
+        return Fraction(v - order(den))
+
+    def element_of_value(self, v: Fraction):
+        v = Fraction(v)
+        if v.denominator != 1:
+            raise PreconditionError(f"{v} is not in the value group Z")
+        return self.element(self._uniformizer) ** v.numerator
+
+    def value_generators(self):
+        return [1]
 
     def _fraction_free_shift(self, cs: list, center):
         """(h, L, d), ring forms: with L the lcm of the coefficient
@@ -264,17 +282,11 @@ class PAdicRationals(_FractionFree):
             raise PreconditionError(f"{p} is not prime")
         self.p = p
         self.residue_field = FiniteField(p)
-        self._ring = _PAdicInts(p)
+        self._ring, self._uniformizer = _PAdicInts(p), p
 
     @staticmethod
     def _pairs(elements) -> list[tuple[int, int]]:
         return [(a.numerator, a.denominator) for a in elements]
-
-    def val(self, a) -> Fraction:
-        a = Fraction(a)
-        if a == 0:
-            raise PreconditionError("the zero element has no value")
-        return Fraction(self._ring.order(a.numerator) - self._ring.order(a.denominator))
 
     def residue(self, a) -> FieldElement:
         a = Fraction(a)
@@ -283,18 +295,6 @@ class PAdicRationals(_FractionFree):
         return self.residue_field.element(
             a.numerator * pow(a.denominator, -1, self.p)
         )
-
-    def residue_quot(self, a, b) -> FieldElement:
-        return self.residue(Fraction(a) / Fraction(b))
-
-    def element_of_value(self, v: Fraction):
-        v = Fraction(v)
-        if v.denominator != 1:
-            raise PreconditionError(f"{v} is not in the value group Z")
-        return Fraction(self.p) ** v.numerator
-
-    def value_generators(self):
-        return [1]
 
     def zero(self):
         return Fraction(0)
@@ -330,6 +330,8 @@ class TAdicRationalFunctions(_FractionFree):
     orders and the residue off their trailing coefficients.
     """
 
+    _uniformizer = {"num": [0, 1]}
+
     def __init__(self, coefficients: Field):
         self.coefficients = coefficients
         self.residue_field = coefficients
@@ -340,29 +342,12 @@ class TAdicRationalFunctions(_FractionFree):
     def _pairs(elements) -> list:
         return [(a.num, a.den) for a in elements]
 
-    def val(self, a: FunctionFieldElement) -> Fraction:
-        if a.is_zero():
-            raise PreconditionError("the zero element has no value")
-        return Fraction(self._ring.order(a.num) - self._ring.order(a.den))
-
     def residue(self, a: FunctionFieldElement):
         num, den = self.field.coefficients(a.num), self.field.coefficients(a.den)
         i, j = _tadic_order(num), _tadic_order(den)
         if i != j:
             raise PreconditionError("residue is defined for elements of value zero")
         return num[i] / den[j]
-
-    def residue_quot(self, a: FunctionFieldElement, b: FunctionFieldElement):
-        return self.residue(a / b)
-
-    def element_of_value(self, v: Fraction):
-        v = Fraction(v)
-        if v.denominator != 1:
-            raise PreconditionError(f"{v} is not in the value group Z")
-        return self.field.gen() ** v.numerator
-
-    def value_generators(self):
-        return [1]
 
     def zero(self):
         return self.field.element([])
@@ -407,9 +392,6 @@ class TriviallyValued(ValuedField):
 
     def residue(self, a):
         return a
-
-    def residue_quot(self, a, b):
-        return a / b
 
     def element_of_value(self, v: Fraction):
         if Fraction(v) != 0:
@@ -470,9 +452,18 @@ class SeriesValuedField(ValuedField):
 
     def val(self, a: HahnSeries) -> Fraction:
         v = a.value()
+        if v is None and a.top is None:
+            raise PreconditionError("the zero element has no value")
         if v is None:
-            raise PreconditionError("series with empty support: value lies above the truncation bound")
+            raise UndecidedError(f"no term of the series is known below its truncation bound "
+                                 f"{self.bound(a)}: its value is only known to be at least that")
         return Fraction(v.key[0], v.den)
+
+    @staticmethod
+    def bound(a: HahnSeries) -> Fraction:
+        """The truncation bound of a series, a lower bound for the value of
+        one with no known term (_unknown)."""
+        return Fraction(a.top[0], a.den)
 
     def residue(self, a: HahnSeries):
         if self.val(a) != 0:
@@ -641,7 +632,9 @@ def substitution_value(valn: "CenteredValuation", num: list, den: list | None = 
     by Kronecker substitution, reduced once mod p and the modulus;
     otherwise on the base's own elements.  The value is
     the minimum of v(h_i) + i*gamma over the coefficients h_i of w^i.
-    Values of quotients are differences.
+    Over a series base an h_i with no known term below its bound T_i only
+    has v(h_i) >= T_i, and a minimum above some T_i + i*gamma raises
+    UndecidedError.  Values of quotients are differences.
 
     The h_i are the Taylor coefficients of g at a, so this agrees with
     CenteredValuation.of_poly; its independence from the fast path is
@@ -660,8 +653,16 @@ def substitution_value(valn: "CenteredValuation", num: list, den: list | None = 
         if isinstance(valn.base, TriviallyValued) and isinstance(valn.base.field, FiniteField):
             return _kronecker_value(valn, cs)
         h = _horner(cs, lambda x, y: x * valn.center + y)
-        return min(valn.embed_base_value(valn.base.val(b)) + valn.gamma.scaled(i)
-                   for i, b in enumerate(h) if not _is_zero(b))
+        least = min((valn.embed_base_value(valn.base.val(b)) + valn.gamma.scaled(i)
+                     for i, b in enumerate(h) if not (_is_zero(b) or _unknown(b))), default=None)
+        if least is None:
+            raise UndecidedError("substitution oracle: no coefficient h_i has a known term below its "
+                                 "truncation bound")
+        if any(valn.embed_base_value(valn.base.bound(b)) + valn.gamma.scaled(i) < least
+               for i, b in enumerate(h) if _unknown(b)):
+            raise UndecidedError("substitution oracle: a coefficient h_i known only at or above its "
+                                 "truncation bound T_i leaves T_i + i*gamma below the least known term")
+        return least
 
     v = poly_value(num)
     if den is not None:
@@ -753,17 +754,40 @@ class CenteredValuation:
         the polynomial at the center.  Over a trivially valued base each
         nonzero c_i has value 0, so for gamma <= 0 the leading c_N decides
         and for gamma > 0 the least i with c_i != 0, where the lazy shift
-        stops.  Otherwise the minimum is taken on the int _value_keys of
-        the v(c_i) that base.taylor_values gives."""
+        stops.  Over a series base _known_minimum decides it or raises
+        UndecidedError.  Over the fraction-free bases (Q_p and k(t)) the
+        minimum is taken on the int _value_keys of the v(c_i) that
+        _FractionFree.taylor_values gives."""
         cs = self._stripped(coeffs)
         if isinstance(self.base, TriviallyValued):
             if self.gamma <= GroupElement.zero(self.rank):
                 return self.gamma.scaled(len(cs) - 1)
             shift = self.base._lazy_shift(cs, self.center)
             return self.gamma.scaled(next(i for i, c in enumerate(shift) if c))
+        if isinstance(self.base, SeriesValuedField):
+            return self._known_minimum(self.base.taylor_coefficients(cs, self.center))
         vs = self.base.taylor_values(cs, self.center)
         key, value = _value_keys(self, math.lcm(*(v.denominator for v in vs if v is not None)))
         return value(min(key(i, v) for i, v in enumerate(vs) if v is not None))
+
+    def _known_minimum(self, shifted) -> GroupElement:
+        """min_i v(c_i) + i*gamma over a series base.  A c_i with no known
+        term below its bound T_i has a value >= T_i, so the least known
+        term is the value only if it is at most every such T_i + i*gamma;
+        otherwise, and when no term is known, the value is undecided."""
+        def term(i: int, v: Fraction) -> GroupElement:
+            return self.embed_base_value(v) + self.gamma.scaled(i)
+
+        known = [term(i, self.base.val(c)) for i, c in enumerate(shifted) if not (_is_zero(c) or _unknown(c))]
+        if not known:
+            raise UndecidedError("the value is undecided: no Taylor coefficient has a known term "
+                                 "below its truncation bound")
+        floor = min((term(i, self.base.bound(c)) for i, c in enumerate(shifted) if _unknown(c)), default=None)
+        if floor is not None and floor < min(known):
+            raise UndecidedError(f"the value is undecided: a Taylor coefficient c_i known only to "
+                                 f"have a value >= its truncation bound T_i gives T_i + i*gamma = "
+                                 f"{floor!r}, below every known term")
+        return min(known)
 
     def of_fraction(self, f: RationalFunction) -> GroupElement:
         if f.is_zero():
@@ -866,7 +890,7 @@ class PseudoCauchyValuation:
         diffs = []
         for prev, nxt in zip(self.elems, self.elems[1:]):
             d = nxt - prev
-            if _is_zero(d):
+            if _is_zero(d) or _unknown(d):
                 raise PreconditionError("consecutive elements must differ")
             diffs.append(base.val(d))
         for d1, d2 in zip(diffs, diffs[1:]):
@@ -893,7 +917,7 @@ class PseudoCauchyValuation:
             acc = None
             for c in reversed([self.base.element(c) for c in coeffs]):
                 acc = c if acc is None else c + acc * a
-            if acc is None or _is_zero(acc):
+            if acc is None or _is_zero(acc) or _unknown(acc):
                 values.append(None)  # zero within knowledge: unbounded value
             else:
                 values.append(self.base.val(acc))

@@ -14,7 +14,10 @@ eval-dense shape of bench/gen.py), four jobs on p = 3 and p = 5 series
 paths: piltant-p3 and piltant-p5 (defect towers over F_3 and F_5),
 extension-step-p3 (kummer 1/2, residue X^2 + 1, artin-schreier -1 over
 F_3) and extract-q5 (the extract shape of bench/gen.py with terms
-(5^k - 1)/5^k, k = 1..5), and seven malformed jobs that the JSON reader
+(5^k - 1)/5^k, k = 1..5), extension-step-trivial-group (a residue step
+X^2 + X + 1 over F_2 above the empty value group, the trivial group of
+rank 1), series-unknown-coefficient (an eval over F_2((t)) of O(t) + x at
+gamma 2, whose value is undecided: exit 1), and seven malformed jobs that the JSON reader
 or a cost cap refuses: bad-extension-step-alpha (the README extension
 step with alpha 1.5), bad-extract-terms (the README extract job with a
 term that is not a pair), bad-recheck-certificate-fd (a recheck whose
@@ -264,6 +267,13 @@ def jobs() -> dict:
             "fq-deg16-rank2": fq_job(16, 3, seed=16, gamma=("0", "1")),
             "trivial-q-double-root": trivial_q_job(), "padic-deg32": padic_job(32, seed=32),
             **SERIES_JOBS,
+            "extension-step-trivial-group": {"task": "extension-step", "p": 2, "value_group": [],
+                                             "steps": [{"kind": "residue", "modulus": [1, 1, 1]}]},
+            "series-unknown-coefficient": {
+                "task": "eval",
+                "valuation": {"kind": "vag", "base": {"kind": "series", "coefficients": F2},
+                              "center": 0, "gamma": ["2"]},
+                "eval": {"num": [{"trunc": "1", "terms": []}, 1]}},
             # exit 2 (schema errors naming the field) and exit 1 (a refused precondition)
             "bad-extension-step-alpha": _tampered(README_JOBS["readme-extension-step"],
                                                   ("steps", 0, "alpha"), 1.5),

@@ -114,6 +114,20 @@ class TestRunEval:
         }
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("num", [[{"trunc": "1", "terms": []}, 1],
+                                     [{"trunc": "1", "terms": []}, {"trunc": "1", "terms": []}, 1]],
+                             ids=["O(t) + x", "O(t) + O(t) x + x^2"])
+    def test_series_coefficient_known_only_above_its_bound_is_undecided(self, num, tmp_path, capsys):
+        # O(t) has a value >= 1 and no more is known: at gamma 2 the value
+        # min(v(O(t)), 2) lies anywhere in [1, 2], where "2" and "4" were reported
+        job = {"task": "eval",
+               "valuation": {"base": {"kind": "series", "coefficients": {"char": 2}},
+                             "center": 0, "gamma": ["2"]},
+               "eval": {"num": num}}
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"]["type"] == "UndecidedError"
+
 
 class TestRunCertificates:
     def test_piltant_roundtrip(self, tmp_path, capsys):
@@ -273,6 +287,46 @@ class TestRunCertificates:
         code3, _, err3 = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
         assert (code3, err3) == (2, "schema error: field 'valuation.elements[1].terms[0][0]' must be an "
                                     'exact rational (a JSON int or a "num/den" string), got "x"\n')
+
+    def test_extension_step_over_the_trivial_value_group(self, tmp_path, capsys):
+        # an empty value_group is the trivial group of rank 1: a residue
+        # step certifies and rechecks, a kummer step has no torsion order
+        job = {"task": "extension-step", "p": 2, "value_group": [],
+               "steps": [{"kind": "residue", "modulus": [1, 1, 1]}],
+               "output": str(tmp_path / "tower.json")}
+        code, _, _ = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert code == 0
+        code2, out2, _ = run_cli(["recheck", str(tmp_path / "tower.json")], capsys)
+        assert (code2, json.loads(out2)["ok"]) == (0, True)
+        job = {"task": "extension-step", "p": 2, "value_group": [],
+               "steps": [{"kind": "kummer", "alpha": "1/3"}]}
+        code, out, _ = run_cli(["run", write_job(tmp_path, "job2.json", job)], capsys)
+        assert code == 1
+        assert "outside the rational span" in json.loads(out)["error"]["message"]
+
+    def test_extract_reads_the_depth_of_its_job(self, tmp_path, capsys):
+        job = json.loads((GOLDEN / "readme-extract.json").read_text())
+        code, flag, _ = run_cli(["run", write_job(tmp_path, "job.json", job), "--depth", "2"], capsys)
+        job["depth"] = 2
+        code2, field, _ = run_cli(["run", write_job(tmp_path, "job2.json", job)], capsys)
+        assert code == code2 == 0 and field == flag
+        report = json.loads(field)
+        assert (report["depth"], report["degree_lower_bound"], report["exhausted_at_depth"]) == (2, 9, False)
+        # --depth overrides the job's depth
+        code3, out3, _ = run_cli(["run", write_job(tmp_path, "job2.json", job), "--depth", "3"], capsys)
+        assert (code3, json.loads(out3)["depth"]) == (0, 3)
+
+    @pytest.mark.parametrize("name, change, argv, message", [
+        ("readme-extract", {}, ["--depth", "-1"], "depth -1 must be an int >= 0"),
+        ("readme-extract", {"depth": -1}, [], "depth -1 must be an int >= 0"),
+        ("readme-piltant", {"eta_levels": -3}, [], "eta_levels -3 must be an int >= 0"),
+    ], ids=["extract --depth", "extract depth", "piltant eta_levels"])
+    def test_negative_count_is_refused(self, name, change, argv, message, tmp_path, capsys):
+        # each ran to exit 0 with an empty sequence or an empty eta tower
+        job = {**json.loads((GOLDEN / f"{name}.json").read_text()), **change}
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job), *argv], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == {"message": message, "type": "PreconditionError"}
 
     def test_recheck_as_a_task(self, tmp_path, capsys):
         job = {"task": "degree-bound", "p": 2, "n": [3, 5],
@@ -736,6 +790,24 @@ class TestTextOutput:
         code, out, _ = run_cli(["run", str(GOLDEN / "readme-piltant.json"), "--text"], capsys)
         assert (code, out) == (0, "task: piltant\ncertificate kind: defect-tower\nlevels: j=1 "
                                   "value=-1/2, j=2 value=-1/4, j=3 value=-1/8, j=4 value=-1/16\n")
+
+    def test_eval_summary(self, capsys):
+        code, out, _ = run_cli(["run", str(GOLDEN / "readme-eval.json"), "--text"], capsys)
+        assert (code, out) == (0, "task: eval\nvalue: 1\nclassification: residue-transcendental\n")
+
+    def test_extract_summary(self, capsys):
+        code, out, _ = run_cli(["run", str(GOLDEN / "readme-extract.json"), "--text"], capsys)
+        assert (code, out) == (0, "task: extract\ndegree lower bound: 81\nvalue group generators: "
+                                  "[['1/81']]\nresidue field tower: [1, 1, 1, 1, 1]\n")
+
+    def test_recheck_summaries(self, tmp_path, capsys):
+        code, out, _ = run_cli(["recheck", str(GOLDEN / "readme-degree-bound.out"), "--text"], capsys)
+        assert (code, out) == (0, "task: recheck\nrecheck: pass\n")
+        data = json.loads((GOLDEN / "readme-degree-bound.out").read_text())
+        data["certificate"]["bound"] = 7
+        code, out, _ = run_cli(["recheck", write_job(tmp_path, "bad.json", data), "--text"], capsys)
+        assert (code, out) == (1, "task: recheck\nrecheck: FAIL\n"
+                                  "  finding: bound 7 differs from lcm = 1155\n")
 
 
 class TestConsoleEntry:

@@ -7,7 +7,9 @@ over the trivially valued Q with a double root at the center, a 3-adic
 product of 32 linears, four jobs on p = 3 and p = 5 series paths
 (defect towers over F_3 and F_5, an extension step whose Artin-Schreier
 root is checked by its cube, and an extract job with 5-power
-denominators), seven malformed jobs that the JSON reader or a cost cap
+denominators), a residue extension step above the trivial value group,
+an eval over a series base whose value is undecided (exit 1), seven
+malformed jobs that the JSON reader or a cost cap
 refuses (exit 2 for an alpha of 1.5, a series term that is not a pair, a
 certificate path that is an int, a gamma of "1e10000000" and an output
 path in a directory that does not exist, exit 1 for a defect tower past

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratval import valuations
-from ratval.errors import PreconditionError
+from ratval.errors import PreconditionError, UndecidedError
 from ratval.fields import RATIONALS, FieldElement, FiniteField, FunctionFieldElement
 from ratval.groups import GroupElement
 from ratval.selftest import poly_add, poly_mul, random_poly, suite_oracle, suite_valuation_axioms
@@ -130,8 +130,7 @@ def refuse_fast_path(m):
     m.setattr(valuations, "taylor_shift", refuse)
     for cls in (ValuedField, PAdicRationals, TAdicRationalFunctions, TriviallyValued):
         m.setattr(cls, "taylor_coefficients", refuse)
-    for cls in (ValuedField, TAdicRationalFunctions):
-        m.setattr(cls, "taylor_values", refuse)
+    m.setattr(TAdicRationalFunctions, "taylor_values", refuse)
     m.setattr(TAdicRationalFunctions, "_fraction_free_shift", refuse)
     m.setattr(PAdicRationals, "taylor_values", refuse)
     m.setattr(PAdicRationals, "_fraction_free_shift", refuse)
@@ -582,15 +581,19 @@ class TestTAdicProductOfLinears:
         (FiniteField(5), [3, 1, 4]),
         (F4, [F4.gen(), F4.gen() + F4.one(), F4.one()]),
         (RATIONALS, [Fraction(2), Fraction(-1), Fraction(1, 3)]),
-    ], ids=["F2", "F3", "F5", "F4", "Q"])
+        (RATIONALS, [Fraction(2), RatFunc(RATIONALS, [-1], [1, 1]), Fraction(1, 3)]),
+    ], ids=["F2", "F3", "F5", "F4", "Q", "Q-second-denominator"])
     def test_of_poly_oracle_and_construction_agree(self, coeffs, units):
+        """A unit u_j may be a t-adic unit of k(t): the k = 1 root a -
+        t/(1 + t) of the last case gives the coefficients of g a second
+        denominator, so the clearing needs each cofactor."""
         base = TAdicRationalFunctions(coeffs)
         zero, one = coeffs.zero(), coeffs.one()
         center = RatFunc(coeffs, [one, one], [one, zero, one, one])
         gamma = Fraction(3, 2)
         roots, expected = [center], gamma
         for k, u in enumerate(units):
-            roots.append(center + RatFunc(coeffs, [zero] * k + [coeffs.element(u)]))
+            roots.append(center + RatFunc(coeffs, [zero] * k + [one]) * base.element(u))
             expected += min(gamma, k)
         assert expected == 4
         g = [base.one()]
@@ -785,6 +788,57 @@ class TestIntKeyMinimum:
                 assert valn.of_poly(cs) == min(v for _, v in valn._term_values(valn._shifted(cs)))
 
 
+class TestSeriesBaseKnowledge:
+    """Over a series base a Taylor coefficient with no known term below
+    its finite bound T has a value >= T and no more is known: a value is
+    reported only when the known terms decide it, on the fast path and in
+    the oracle alike, and otherwise UndecidedError is raised."""
+
+    BASE = SeriesValuedField(F2)
+    UNKNOWN = HahnSeries.zero(F2, trunc=1)  # O(t)
+
+    @pytest.mark.parametrize("cs", [[UNKNOWN, 1], [UNKNOWN, UNKNOWN, 1], [UNKNOWN], [UNKNOWN, 0]],
+                             ids=["O(t) + x", "O(t) + O(t) x + x^2", "O(t)", "O(t) + 0 x"])
+    def test_undecided(self, cs):
+        w = CenteredValuation(self.BASE, 0, GroupElement.of(2))
+        with pytest.raises(UndecidedError):
+            w.of_poly(cs)
+        with pytest.raises(UndecidedError):
+            substitution_value(w, cs)
+
+    @pytest.mark.parametrize("cs, fast, oracle", [
+        ([UNKNOWN], "no Taylor coefficient has a known term", "no coefficient h_i has a known term"),
+        ([UNKNOWN, 1], "below every known term", "below the least known term"),
+    ], ids=["nothing known", "bound below the known"])
+    def test_undecided_says_why(self, cs, fast, oracle):
+        w = CenteredValuation(self.BASE, 0, GroupElement.of(2))
+        with pytest.raises(UndecidedError, match=fast):
+            w.of_poly(cs)
+        with pytest.raises(UndecidedError, match=oracle):
+            substitution_value(w, cs)
+
+    @pytest.mark.parametrize("cs, gamma, value", [
+        ([1, UNKNOWN], "1/3", "0"),
+        ([UNKNOWN, 1], "1/3", "1/3"),
+        ([HahnSeries.make(F2, [(1, 1)], trunc=Fraction(3, 2)), 1], "2", "1"),
+        ([UNKNOWN, 1], "1", "1"),
+    ], ids=["1 + O(t) x", "O(t) + x", "t + O(t^(3/2)) + x", "at the bound"])
+    def test_decided(self, cs, gamma, value):
+        w = CenteredValuation(self.BASE, 0, GroupElement.of(gamma))
+        assert w.of_poly(cs) == substitution_value(w, cs) == GroupElement.of(value)
+
+    def test_exact_zero_polynomial(self):
+        w = CenteredValuation(self.BASE, 0, GroupElement.of(2))
+        with pytest.raises(PreconditionError):
+            w.of_poly([0, HahnSeries.zero(F2)])
+
+    def test_residue_of_an_unknown_coefficient_is_undecided(self):
+        t = HahnSeries.monomial(F2, 1, 1)
+        w = CenteredValuation(self.BASE, 0, GroupElement.of("1/2"))
+        with pytest.raises(UndecidedError):
+            w.residue_of(RationalFunction.over(self.BASE, [self.UNKNOWN + t, 0, 1], [t]))
+
+
 class TestValueGroupStructure:
     def test_values_lie_in_vk_plus_z_gamma_nontorsion(self):
         # rank-2 lex, gamma fresh: values decompose over vK + Z*gamma
@@ -868,6 +922,33 @@ class TestResidue:
         assert w.residue_of(RationalFunction.over(base, [t, zero, one], [t, zero, one])) == field.one()
         assert base.residue((t + one) / (one - t)) == field.one()
         assert base.residue_quot(t + t * t, t * base.element(-1)) == field.element(-1)
+
+    @pytest.mark.parametrize("field, den", [
+        (FiniteField(3), "(y)"), (F9, "(y)"), (RATIONALS, "(3 + y)"),
+    ], ids=["F3", "F9", "Q"])
+    def test_trivially_valued_residue(self, field, den):
+        """Over a trivially valued base at center 1 and gamma 0, ybar is
+        the residue of x - 1: (x^2 + 1)/(x + 2) is (ybar^2 + 2 ybar + 2)/(ybar
+        + 3).  This runs TriviallyValued.residue and residue_quot."""
+        base = TriviallyValued(field)
+        w = CenteredValuation(base, 1, GroupElement.of(0))
+        res = w.residue_of(RationalFunction.over(base, [1, 0, 1], [2, 1]))
+        assert repr(res) == f"(2 + (2)*y + y^2) / {den}"
+
+    def test_series_residues(self):
+        """Over F_2((t^G)) at center 0 and gamma 1/2: with 1/2 in G, e = 1
+        and ybar is the residue of x / t^(1/2), so (x^2 + t)/t has residue
+        1 + y^2 and (x + t^(1/2))/t^(1/2) 1 + y; with G = Z, e = 2 and ybar
+        is that of x^2 / t, so (x^2 + t)/t has residue 1 + y.  These run
+        SeriesValuedField.residue_quot."""
+        t, root = (HahnSeries.monomial(F2, v, 1) for v in (1, Fraction(1, 2)))
+        half = SeriesValuedField(F2, ["1/2"])
+        w = CenteredValuation(half, 0, GroupElement.of("1/2"))
+        assert repr(w.residue_of(RationalFunction.over(half, [t, 0, 1], [t]))) == "1 + y^2"
+        assert repr(w.residue_of(RationalFunction.over(half, [root, 1], [root]))) == "1 + y"
+        whole = SeriesValuedField(F2)
+        w = CenteredValuation(whole, 0, GroupElement.of("1/2"))
+        assert repr(w.residue_of(RationalFunction.over(whole, [t, 0, 1], [t]))) == "1 + y"
 
 
 class TestClassification:
