@@ -616,11 +616,8 @@ def classification_certificate(descriptor, descriptor_json: dict) -> Certificate
     """Certificate recording a classification: its trichotomy flags and
     the torsion order of gamma over the base value group, null for a
     non-torsion gamma (proven by rank) and for a pseudo Cauchy descriptor."""
-    payload = {
-        "descriptor": descriptor_json,
-        "trichotomy_flags": list(descriptor.trichotomy_flags()),
-        "torsion_order": descriptor.torsion_order(),
-    }
+    flags, order = descriptor.trichotomy()
+    payload = {"descriptor": descriptor_json, "trichotomy_flags": list(flags), "torsion_order": order}
     return _self_checked(Certificate("classification", payload))
 
 
@@ -811,8 +808,9 @@ def _validate_classification(payload: dict) -> str | None:
         raise fail(flags, ("trichotomy_flags",), "a JSON list of three booleans")
     if order is not None:
         integer(order, ("torsion_order",))
-    for key, recorded, derived in (("trichotomy_flags", flags, list(valn.trichotomy_flags())),
-                                   ("torsion_order", order, valn.torsion_order())):
+    derived_flags, derived_order = valn.trichotomy()
+    for key, recorded, derived in (("trichotomy_flags", flags, list(derived_flags)),
+                                   ("torsion_order", order, derived_order)):
         if recorded != derived:
             return f"{key} is {json.dumps(recorded)}, but the descriptor gives {json.dumps(derived)}"
     return None

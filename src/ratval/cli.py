@@ -7,6 +7,11 @@ report; parse/schema errors exit 2; a failed internal self-check exits
 re-validates a certificate from its witnesses; `selftest` runs the
 seeded property suites.
 
+`main` builds its argument parser only for an argv other than the two
+words `run PATH` and `recheck PATH`, which go straight to their task;
+`argparse` is imported with the parser and `tempfile` with an `output`
+file, so a one-shot `run` or `recheck` loads neither.
+
 Jobs are read with the typed readers of the schema module, whose
 SchemaError names the JSON path of the bad value; each task names the
 job fields it requires in _TASKS.  Rationals travel as "num/den" strings
@@ -16,12 +21,11 @@ sorted, nothing volatile is embedded).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
-import tempfile
+from types import SimpleNamespace
 
 from .certificates import (
     ExtensionStep,
@@ -52,6 +56,8 @@ def _dump(report: dict) -> str:
 def _write_atomic(path: str, text: str) -> None:
     """Write text to path through a temporary file beside it.  A path that
     cannot be written is a SchemaError, and leaves no temporary file."""
+    import tempfile  # only a job that names an `output` writes one
+
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ratval-")
@@ -111,8 +117,10 @@ def _task_classify(job: dict, depth: int | None) -> dict:
 
 def _task_extract(job: dict, depth: int | None) -> dict:
     base = ValuedField.from_json(job["base"], ("base",))
-    series = HahnSeries.from_json(job["series"], field=getattr(base, "coefficients", None),
-                                  path=("series",))
+    if (kind := job["base"]["kind"]) not in ("series", "t-adic"):
+        raise PreconditionError(f"extract needs a 'series' or 't-adic' base, whose field holds the "
+                                f"Hahn series it reads; base.kind {kind!r} has none")
+    series = HahnSeries.from_json(job["series"], field=base.coefficients, path=("series",))
     group = Subgroup.generated_by(*base.value_generators(), ambient_rank=1)
     state = TowerState(group, 1, base.residue_field.characteristic)
     seq = extract_homogeneous_sequence(series, state, max_steps=_job_depth(job, depth, required=False))
@@ -268,6 +276,8 @@ def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later main() call in the process; parse_args keeps no state between
     calls, so each call gets a fresh namespace of its own."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ratval",
         description="Exact valuations on rational function fields, with re-checkable certificates.",
@@ -292,8 +302,28 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the verbs whose two-word form `VERB PATH` skips the parser: the name
+# the parser gives PATH, and the command
+_DIRECT = {"run": ("job", _cmd_run), "recheck": ("certificate", _cmd_recheck)}
+
+
+def _direct_args(argv: list) -> SimpleNamespace | None:
+    """The namespace that the parser makes of `run PATH` or `recheck PATH`,
+    with its defaults for the options, for a PATH that is no option; None
+    for any other argv."""
+    if len(argv) != 2 or argv[0] not in _DIRECT or argv[1].startswith("-"):
+        return None
+    dest, func = _DIRECT[argv[0]]
+    return SimpleNamespace(**{dest: argv[1]}, depth=None, json=False, text=False, func=func)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] if argv is None) and return its
+    exit code.  `run PATH` and `recheck PATH` skip the parser; any other
+    argv is parsed by the one parser of the process, which prints its
+    usage and raises SystemExit(2) on a malformed one."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _direct_args(argv) or _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -810,11 +810,12 @@ class CenteredValuation:
         e = self.torsion_order(bound)
         return VALUE_TRANSCENDENTAL if e is None else RESIDUE_TRANSCENDENTAL
 
-    def trichotomy_flags(self, bound: int | None = None) -> tuple[bool, bool, bool]:
-        """(value-transcendental, residue-transcendental,
-        valuation-algebraic) booleans; exactly one holds."""
+    def trichotomy(self, bound: int | None = None) -> tuple[tuple[bool, bool, bool], int | None]:
+        """The (value-transcendental, residue-transcendental,
+        valuation-algebraic) booleans, exactly one of which holds, and the
+        torsion order of gamma that they are read from."""
         e = self.torsion_order(bound)
-        return (e is None, e is not None, False)
+        return (e is None, e is not None, False), e
 
     # -- residues --------------------------------------------------------------
 
@@ -902,12 +903,10 @@ class PseudoCauchyValuation:
     def classify(self) -> str:
         return VALUATION_ALGEBRAIC
 
-    def trichotomy_flags(self) -> tuple[bool, bool, bool]:
-        return (False, False, True)
-
-    def torsion_order(self) -> None:
-        """No gamma: a classification certificate records null."""
-        return None
+    def trichotomy(self) -> tuple[tuple[bool, bool, bool], None]:
+        """Valuation-algebraic, and no torsion order: there is no gamma,
+        so a classification certificate records null."""
+        return (False, False, True), None
 
     def values_along(self, coeffs: list) -> dict:
         """v(g(a_nu)) for every sequence member; reports whether the

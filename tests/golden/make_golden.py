@@ -17,8 +17,8 @@ F_3) and extract-q5 (the extract shape of bench/gen.py with terms
 (5^k - 1)/5^k, k = 1..5), extension-step-trivial-group (a residue step
 X^2 + X + 1 over F_2 above the empty value group, the trivial group of
 rank 1), series-unknown-coefficient (an eval over F_2((t)) of O(t) + x at
-gamma 2, whose value is undecided: exit 1), and seven malformed jobs that the JSON reader
-or a cost cap refuses: bad-extension-step-alpha (the README extension
+gamma 2, whose value is undecided: exit 1), and nine malformed jobs that the JSON reader,
+a cost cap or a base check refuses: bad-extension-step-alpha (the README extension
 step with alpha 1.5), bad-extract-terms (the README extract job with a
 term that is not a pair), bad-recheck-certificate-fd (a recheck whose
 certificate path is the int 1), bad-rational-exponent (the README eval
@@ -27,7 +27,10 @@ bad-output-dir (the README degree-bound job with an output path in a
 directory that does not exist), bad-piltant-exponent (a defect tower at
 p = 3 whose e_5 = 10000 would pass the 4300-digit limit on the decimal
 ints of a certificate) and bad-piltant-eta-levels (piltant-p3 with 80 eta
-levels, past the cap on the term pairs of the eta chain checks).  For each
+levels, past the cap on the term pairs of the eta chain checks), and
+bad-extract-trivial-base and bad-extract-p-adic-base (an extract job over
+a trivially valued F_3 and over Q_3, whose fields hold no Hahn series:
+exit 1).  For each
 job NAME this writes NAME.json (the job), NAME.out (stdout of
 `python -m ratval.cli run NAME.json`) and an entry NAME: exit code in
 exit_codes.json.  It also writes selftest-default.out and
@@ -255,6 +258,10 @@ SERIES_JOBS = {
 }
 
 
+# an extract job for a base whose field holds no Hahn series
+BAD_BASE_EXTRACT = {"task": "extract", "series": {"trunc": "1", "terms": [["1/2", 1]]}}
+
+
 def jobs() -> dict:
     return {**README_JOBS, "tadic-deg4": tadic_job(4), "tadic-deg8": tadic_job(8),
             "tadic-deg32": tadic_job(32), "tadic-deg64": tadic_job(64),
@@ -284,7 +291,10 @@ def jobs() -> dict:
             "bad-output-dir": {**README_JOBS["readme-degree-bound"],
                                "output": "no-such-directory/degree-bound.json"},
             "bad-rational-exponent": _tampered(README_JOBS["readme-eval"], ("valuation", "gamma", 0),
-                                               "1e10000000")}
+                                               "1e10000000"),
+            "bad-extract-trivial-base": {**BAD_BASE_EXTRACT,
+                                         "base": {"kind": "trivial", "coefficients": {"char": 3}}},
+            "bad-extract-p-adic-base": {**BAD_BASE_EXTRACT, "base": {"kind": "p-adic", "p": 3}}}
 
 
 CERTIFICATE_JOBS = ("readme-piltant", "readme-degree-bound", "readme-extension-step",

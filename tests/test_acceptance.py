@@ -207,7 +207,7 @@ def test_criterion_8_trichotomy():
     assert len(descriptors) == 100
     seen = set()
     for d in descriptors:
-        flags = d.trichotomy_flags()
+        flags, _ = d.trichotomy()
         assert sum(flags) == 1  # mutually exclusive and exhaustive
         label = d.classify()
         expected = ["value-transcendental", "residue-transcendental",

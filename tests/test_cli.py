@@ -423,6 +423,18 @@ class TestRunCertificates:
         assert report["value_group_generators"] == [["1/81"]]
         assert report["degree_lower_bound"] == 81
 
+    @pytest.mark.parametrize("base", [{"kind": "trivial", "coefficients": {"char": 3}},
+                                      {"kind": "p-adic", "p": 3}], ids=["trivial", "p-adic"])
+    def test_extract_over_a_base_with_no_hahn_series_exit_1(self, base, tmp_path, capsys):
+        # the series is never read: a term that is not a pair is no schema error here
+        job = {"task": "extract", "base": base, "series": {"trunc": "1", "terms": [["1/2"]]}}
+        code, out, err = run_cli(["run", write_job(tmp_path, "job.json", job)], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == {
+            "type": "PreconditionError",
+            "message": f"extract needs a 'series' or 't-adic' base, whose field holds the Hahn "
+                       f"series it reads; base.kind {base['kind']!r} has none"}
+
     def test_extract_residue_lost_to_the_power(self, tmp_path, capsys):
         # w t^(1/3) over F_4 cubes to t: one step (e, f) = (3, 1), exit 0
         job = {
@@ -776,6 +788,51 @@ class TestRepeatedCalls:
         code, out, _ = run_cli(["run", str(GOLDEN / "readme-eval.json")], capsys)
         assert code == 0
         assert out == (GOLDEN / "readme-eval.out").read_text()
+
+
+class TestDirectDispatch:
+    """`run PATH` and `recheck PATH` go straight to their task with the
+    parser's defaults; every other argv goes through the parser."""
+
+    @pytest.mark.parametrize("verb, name", [("run", "readme-eval.json"),
+                                            ("recheck", "readme-classify.out")])
+    def test_two_word_form_is_the_parsers_namespace(self, verb, name, capsys, request):
+        path = str(GOLDEN / name)
+        cli._parser.cache_clear()
+        request.addfinalizer(cli._parser.cache_clear)
+        code, out, _ = run_cli([verb, path], capsys)
+        assert cli._parser.cache_info().currsize == 0  # no parser was built
+        parsed = cli._parser().parse_args([verb, path])
+        assert (code, out) == (parsed.func(parsed), capsys.readouterr().out) and code == 0
+        direct, parsed = vars(cli._direct_args([verb, path])), vars(parsed)
+        # an option that `recheck` does not take reads as absent: getattr(args, key, default)
+        for key, absent in (("job", None), ("certificate", None), ("depth", None),
+                            ("json", False), ("text", False), ("func", None)):
+            assert direct.get(key, absent) == parsed.get(key, absent), key
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["run"], 2, "the following arguments are required: job"),
+        (["run", "-x"], 2, "the following arguments are required: job"),
+        (["recheck", str(GOLDEN / "readme-classify.out"), "--text"], 0, ""),
+        (["frobnicate"], 2, "invalid choice"),
+    ], ids=["run", "run -x", "recheck --text", "frobnicate"])
+    def test_other_argv_goes_through_the_parser(self, argv, code, err, capsys):
+        assert cli._direct_args(argv) is None
+
+        def outcome(call):
+            try:
+                got = call(argv)
+            except SystemExit as exc:
+                got = exc.code
+            return got, capsys.readouterr()
+
+        got, captured = outcome(main)
+        assert got == code and err in captured.err and bool(err) == bool(captured.err)
+        if code:  # the parser's own usage error, as parse_args gives it
+            assert captured.err.startswith("usage: ratval")
+            assert outcome(cli._parser().parse_args) == (code, captured)
+        else:
+            assert captured.out == "task: recheck\nrecheck: pass\n"
 
 
 class TestTextOutput:

@@ -151,8 +151,10 @@ def test_defect_tower_recheck_reduces_no_lattice(monkeypatch, name):
 
 
 # the stdlib modules behind @dataclass (its code generation and signature
-# reading), and the ratval modules that `import ratval.cli` loads
+# reading), the ones that only the argument parser and an `output` file
+# need, and the ratval modules that `import ratval.cli` loads
 _DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+_PARSER_AND_OUTPUT_MODULES = ("argparse", "gettext", "tempfile", "shutil", "random")
 _CLI_MODULES = ("ratval", "ratval.certificates", "ratval.cli", "ratval.errors", "ratval.fields",
                 "ratval.groups", "ratval.homogeneous", "ratval.record", "ratval.schema",
                 "ratval.series", "ratval.valuations")
@@ -161,16 +163,35 @@ _CLI_MODULES = ("ratval", "ratval.certificates", "ratval.cli", "ratval.errors", 
 def test_cli_import_loads_no_dataclasses():
     """A fresh interpreter (-S, src first on sys.path) that runs `import
     ratval.cli` loads none of dataclasses, inspect, ast, dis and tokenize,
-    and exactly the ratval modules above: the value records are plain
-    classes on ratval.record, and no ratval import is deferred."""
+    none of argparse, gettext, tempfile, shutil and random, and exactly
+    the ratval modules above: the value records are plain classes on
+    ratval.record, the parser and `tempfile` are imported where they are
+    used, and no ratval import is deferred."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import ratval.cli; "
             "print(json.dumps(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, check=True)
     loaded = json.loads(proc.stdout)
-    assert [name for name in _DATACLASS_MODULES if name in loaded] == []
+    assert [name for name in _DATACLASS_MODULES + _PARSER_AND_OUTPUT_MODULES if name in loaded] == []
     assert tuple(name for name in loaded if name.partition(".")[0] == "ratval") == _CLI_MODULES
+
+
+def test_two_word_run_and_recheck_load_no_parser():
+    """In a fresh interpreter (-S), `main(["run", PATH])` on the README eval
+    job and `main(["recheck", PATH])` on the README classification go
+    straight to their task: both exit 0, and neither loads argparse (nor
+    gettext) or, with no `output` named, tempfile (nor shutil or random)."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); from ratval.cli import main; "
+            "codes = [main(['run', sys.argv[2]]), main(['recheck', sys.argv[3]])]; "
+            "sys.stderr.write(json.dumps([codes, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(root / "src"),
+                           str(GOLDEN / "readme-eval.json"), str(GOLDEN / "readme-classify.out")],
+                          capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(proc.stderr)
+    assert codes == [0, 0]
+    assert [name for name in _PARSER_AND_OUTPUT_MODULES if name in loaded] == []
 
 
 # the dense list kernels of fields, wherever they are looked up
@@ -360,6 +381,36 @@ def test_a_recheck_builds_no_fraction(monkeypatch, capsys, name):
     made = _fractions_made(monkeypatch, lambda: codes.append(cli.main(["recheck", str(out)])))
     assert codes == [0] and '"ok": true' in capsys.readouterr().out
     assert made == (base.get("kind") == "p-adic")
+
+
+def _torsion_orders(monkeypatch, run) -> int:
+    """The number of Subgroup.torsion_order calls that `run()` makes."""
+    calls = []
+    torsion_order = Subgroup.torsion_order
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return torsion_order(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subgroup, "torsion_order", counting)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_a_classification_computes_its_torsion_order_once(monkeypatch, capsys):
+    """The trichotomy flags are read off the torsion order: a recheck of
+    the README classification asks the subgroup for it once, and the
+    classify run asks once to build the certificate and once in its
+    self-check."""
+    codes = []
+    recheck = _torsion_orders(monkeypatch, lambda: codes.append(
+        cli.main(["recheck", str(GOLDEN / "readme-classify.out")])))
+    run = _torsion_orders(monkeypatch, lambda: codes.append(
+        cli.main(["run", str(GOLDEN / "readme-classify.json")])))
+    assert codes == [0, 0]
+    assert capsys.readouterr().out.endswith((GOLDEN / "readme-classify.out").read_text())
+    assert recheck == 1 and run <= 2, (recheck, run)
 
 
 @pytest.mark.parametrize("name", ["readme-piltant", "readme-degree-bound"])

@@ -8,19 +8,21 @@ product of 32 linears, four jobs on p = 3 and p = 5 series paths
 (defect towers over F_3 and F_5, an extension step whose Artin-Schreier
 root is checked by its cube, and an extract job with 5-power
 denominators), a residue extension step above the trivial value group,
-an eval over a series base whose value is undecided (exit 1), seven
-malformed jobs that the JSON reader or a cost cap
+an eval over a series base whose value is undecided (exit 1), nine
+malformed jobs that the JSON reader, a cost cap or a base check
 refuses (exit 2 for an alpha of 1.5, a series term that is not a pair, a
 certificate path that is an int, a gamma of "1e10000000" and an output
 path in a directory that does not exist, exit 1 for a defect tower past
-the 4300-digit limit and one past the cap on its eta levels), the output of
+the 4300-digit limit, one past the cap on its eta levels, and an extract
+job over a trivially valued and over a p-adic base), the output of
 `ratval selftest` at the default seed and at seed 7, and the output of
 each script in demos/.  The expected stdout and exit codes were
 recorded by tests/golden/make_golden.py.
 
-Each golden job runs twice: through `main()` in this process, where the
-argument parser is shared with every other call, and as
-`python -m ratval.cli run` in a process of its own, which builds it once.
+Each golden job runs twice: through `main(["run", PATH])` in this
+process, which the other tests' calls share, and as
+`python -m ratval.cli run PATH` in a process of its own.  Both are the two-word form, which builds no
+argument parser.
 
 certificate-mutations.json records what validate_certificate returns for
 every one-leaf tampering of the golden certificates, and every tampering
